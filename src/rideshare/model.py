@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -190,7 +190,10 @@ def validate_scenario(s: Scenario) -> list[str]:
     return out
 
 
-_FEASIBLE_CACHE: dict[tuple, tuple[Allocation, ...]] = {}
+# Structures kept by `_feasible`, least recently used first. A structure and
+# each absent set over it are separate entries.
+_FEASIBLE_CACHE_SIZE = 64
+_FEASIBLE_CACHE: OrderedDict[tuple, tuple[Allocation, ...]] = OrderedDict()
 
 
 def _structure_key(s: Scenario, absent: frozenset[int]) -> tuple:
@@ -202,61 +205,83 @@ def _structure_key(s: Scenario, absent: frozenset[int]) -> tuple:
     )
 
 
+def _walk(s: Scenario) -> tuple[Allocation, ...]:
+    """Every feasible allocation with nobody absent, in lexicographic order.
+
+    Commuters choose in id order, "not riding" (-1) first and then eligible
+    drivers ascending. A commuter who already has riders may only choose -1;
+    a driver who is riding or whose seats are full is skipped.
+    """
+    n = s.n
+    capacity = [c.seat_capacity for c in s.commuters]
+    eligible = [
+        [d for d in range(n) if d != r and s.commuters[d].has_vehicle and s.compatibility[r][d]]
+        for r in range(n)
+    ]
+    none = Assignment(Role.NONE, _EMPTY)
+    ride = [Assignment(Role.RIDE, frozenset((d,))) for d in range(n)]
+    riding = [False] * n
+    riders: list[list[int]] = [[] for _ in range(n)]
+    row = [none] * n
+    out: list[Allocation] = []
+
+    def assign(r: int) -> None:
+        if r == n:
+            out.append(Allocation(tuple(row)))
+            return
+        assign(r + 1)
+        if riders[r]:
+            return
+        riding[r] = True
+        for d in eligible[r]:
+            if riding[d] or len(riders[d]) >= capacity[d]:
+                continue
+            kept = row[d]
+            riders[d].append(r)
+            row[r] = ride[d]
+            row[d] = Assignment(Role.DRIVE, frozenset(riders[d]))
+            assign(r + 1)
+            riders[d].pop()
+            row[d] = kept
+        riding[r] = False
+        row[r] = none
+
+    assign(0)
+    return tuple(out)
+
+
 def _feasible(s: Scenario, absent: frozenset[int]) -> tuple[Allocation, ...]:
     key = _structure_key(s, absent)
     cached = _FEASIBLE_CACHE.get(key)
     if cached is not None:
+        _FEASIBLE_CACHE.move_to_end(key)
         return cached
-    n = s.n
-    candidates: list[tuple[int, ...]] = []
-    for r in range(n):
-        if r in absent:
-            candidates.append((-1,))
-            continue
-        drivers = [
-            d
-            for d in range(n)
-            if d != r
-            and d not in absent
-            and s.commuters[d].has_vehicle
-            and s.commuters[d].seat_capacity >= 1
-            and s.compatibility[r][d]
-        ]
-        candidates.append(tuple([-1] + drivers))
-    out: list[Allocation] = []
-    for choice in itertools.product(*candidates):
-        riders_of: dict[int, list[int]] = {}
-        for r, d in enumerate(choice):
-            if d >= 0:
-                riders_of.setdefault(d, []).append(r)
-        ok = True
-        for d, riders in riders_of.items():
-            if choice[d] != -1 or len(riders) > s.commuters[d].seat_capacity:
-                ok = False
-                break
-        if not ok:
-            continue
-        assignments = []
-        for i in range(n):
-            if choice[i] >= 0:
-                assignments.append(Assignment(Role.RIDE, frozenset((choice[i],))))
-            elif i in riders_of:
-                assignments.append(Assignment(Role.DRIVE, frozenset(riders_of[i])))
-            else:
-                assignments.append(Assignment(Role.NONE, _EMPTY))
-        out.append(Allocation(tuple(assignments)))
-    result = tuple(out)
+    if absent:
+        for i in sorted(absent):
+            if not 0 <= i < s.n:
+                raise ValueError(f"absent commuter id {i} outside 0..{s.n - 1}")
+        # Absent commuters neither ride nor drive, so their allocations are
+        # exactly the full set's allocations that leave them with role none.
+        result = tuple(
+            a for a in _feasible(s, _EMPTY)
+            if all(a.assignments[i].role is Role.NONE for i in absent)
+        )
+    else:
+        result = _walk(s)
     _FEASIBLE_CACHE[key] = result
+    if len(_FEASIBLE_CACHE) > _FEASIBLE_CACHE_SIZE:
+        _FEASIBLE_CACHE.popitem(last=False)
     return result
 
 
 def enumerate_feasible_allocations(
     s: Scenario, absent: Iterable[CommuterId] = ()
 ) -> Iterator[Allocation]:
-    """Yield every feasible allocation in a fixed deterministic order.
+    """Iterate over every feasible allocation in a fixed deterministic order.
 
     Order is lexicographic over the per-commuter driver-choice encoding with
     "not riding" (-1) first, so the all-none allocation always comes first.
-    Commuters listed in `absent` are pinned to role none and cannot drive.
+    Commuters listed in `absent` are pinned to role none and cannot drive;
+    an id outside 0..n-1 raises ValueError.
     """
-    yield from _feasible(s, frozenset(absent))
+    return iter(_feasible(s, frozenset(absent)))

@@ -70,8 +70,9 @@ def _commit_entry(s: Scenario, h: float, rep: WelfareReport, i: CommuterId) -> C
         spec = c.reported_type.valuation
         a = evaluate(spec, rep.allocation, p_one)
         b = evaluate(spec, rep.allocation, p_zero)
-        # exclusion is pattern-only, and the chosen allocation excluded nobody
-        assert a is not EXCLUDED and b is not EXCLUDED
+        if a is EXCLUDED or b is EXCLUDED:
+            raise ExcludedValueError(
+                f"commuter {j}: reported valuation excludes the chosen allocation")
         v_one.append(a)
         v_zero.append(b)
     return Conditional(h - math.fsum(v_one), h - math.fsum(v_zero))

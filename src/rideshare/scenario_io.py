@@ -8,6 +8,7 @@ indent, defaults omitted), so serialize(parse(text)) is a fixed point.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .model import Commuter, Role, Scenario, TripType
@@ -62,7 +63,13 @@ def _as_int(value: Any, path: str) -> int:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioFormatError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _as_bool(value: Any, path: str) -> bool:

@@ -10,6 +10,7 @@ probability misses a bound, and otherwise the monomial terms are summed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
@@ -158,6 +159,8 @@ def spec_violations(spec: ValuationSpec, n: int, expected_owner: CommuterId | No
         out.append(f"owner {spec.owner} does not match commuter {expected_owner}")
     if not 0 <= spec.owner < n:
         out.append(f"owner {spec.owner} out of range")
+    if not math.isfinite(spec.default_value):
+        out.append(f"default value {spec.default_value} is not finite")
     for ci, clause in enumerate(spec.clauses):
         c = clause.pattern.partner_constraint
         if isinstance(c, ExactPartners):
@@ -172,7 +175,9 @@ def spec_violations(spec: ValuationSpec, n: int, expected_owner: CommuterId | No
                 out.append(f"clause {ci}: gate subject {gate.subject} out of range")
             if not 0.0 <= gate.bound <= 1.0:
                 out.append(f"clause {ci}: gate bound {gate.bound} outside [0, 1]")
-        for term in clause.terms:
+        for ti, term in enumerate(clause.terms):
+            if not math.isfinite(term.coefficient):
+                out.append(f"clause {ci}: term {ti} coefficient {term.coefficient} is not finite")
             for subject, exponent in term.factors:
                 if not 0 <= subject < n:
                     out.append(f"clause {ci}: factor subject {subject} out of range")

@@ -197,3 +197,16 @@ def test_parse_rejects_bool_probability():
     with pytest.raises(ScenarioFormatError) as exc:
         parse_scenario_text(json.dumps(doc))
     assert "p_commit" in str(exc.value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+def test_non_finite_coefficient_is_input_error(tmp_path, capsys, value):
+    doc = json.loads(Path(PAIR).read_text())
+    clause = doc["scenario"]["commuters"][0]["true_type"]["valuation"]["clauses"][0]
+    clause["terms"][0]["coefficient"] = value
+    bad = tmp_path / "nonfinite.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["audit", str(bad), "--mechanism", "commit"]) == 2
+    captured = capsys.readouterr()
+    assert "coefficient: expected a finite number" in captured.err
+    assert "no-violation-found" not in captured.out

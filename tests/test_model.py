@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import naive_feasible_allocations, small_scenarios
+from rideshare import model
 from rideshare.corpus import by_name, corpus
 from rideshare.model import (
     Allocation,
@@ -132,6 +133,13 @@ def test_absent_commuter_shrinks_feasible_set():
     assert allocations == [all_none_allocation(2)]
 
 
+def test_absent_id_out_of_range_is_rejected():
+    s = by_name("linear-pair-profitable")
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match=f"absent commuter id {bad} "):
+            enumerate_feasible_allocations(s, absent=(0, bad))
+
+
 def test_with_truthful_reports_clears_misreport():
     s = by_name("threshold-gate-pair-misreport")
     assert s.reported_p() != s.true_p()
@@ -145,6 +153,19 @@ def test_enumeration_matches_naive_oracle(s):
     """The package enumeration and a from-scratch product-filter enumeration
     agree exactly, including order."""
     assert list(enumerate_feasible_allocations(s)) == naive_feasible_allocations(s)
+
+
+@given(small_scenarios())
+@settings(max_examples=60, deadline=None)
+def test_absent_enumeration_filters_the_naive_oracle(s):
+    """With one or two commuters absent, the enumeration is the naive full
+    set restricted to allocations that leave them with role none, in the
+    same order."""
+    full = naive_feasible_allocations(s)
+    singles = [(i,) for i in range(s.n)]
+    for absent in singles + list(itertools.combinations(range(s.n), 2)):
+        expected = [a for a in full if all(a.role_of(i) is Role.NONE for i in absent)]
+        assert list(enumerate_feasible_allocations(s, absent)) == expected, absent
 
 
 def _labeling_candidates(s, i):
@@ -207,3 +228,30 @@ def test_six_commuter_enumeration_count():
     s = Scenario(tuple(commuters), tuple(tuple(r) for r in rows))
     count = sum(1 for _ in enumerate_feasible_allocations(s))
     assert count == 63
+
+
+def _alternating_drivers(n, seats=2):
+    """Even ids drive with `seats` seats, odd ids have no vehicle, and every
+    pair is compatible."""
+    trip = by_name("linear-pair-profitable").commuters[1].true_type
+    commuters = tuple(
+        Commuter(i, i % 2 == 0, seats if i % 2 == 0 else 0, trip) for i in range(n)
+    )
+    return Scenario(commuters, full_compatibility(n))
+
+
+def test_nine_commuter_enumeration_count():
+    assert sum(1 for _ in enumerate_feasible_allocations(_alternating_drivers(9))) == 19_501
+
+
+def test_feasible_cache_is_bounded():
+    """Enumerating more distinct structures than the cache holds keeps it at
+    its bound, and an evicted structure re-enumerates to the same tuple."""
+    cap = model._FEASIBLE_CACHE_SIZE
+    structures = [_alternating_drivers(3, seats) for seats in range(1, cap + 10)]
+    first = model._feasible(structures[0], frozenset())
+    for s in structures[1:]:
+        model._feasible(s, frozenset())
+        assert len(model._FEASIBLE_CACHE) <= cap
+    assert model._structure_key(structures[0], frozenset()) not in model._FEASIBLE_CACHE
+    assert model._feasible(structures[0], frozenset()) == first

@@ -5,14 +5,26 @@ from dataclasses import replace
 
 import pytest
 
-from rideshare.allocation import efficient_allocation, efficient_allocation_excluding
+from rideshare.allocation import (
+    WelfareReport,
+    efficient_allocation,
+    efficient_allocation_excluding,
+)
 from rideshare.corpus import by_name, corpus, linear_entries
-from rideshare.model import Role, TripType, with_report, with_truthful_reports
+from rideshare.model import (
+    Allocation,
+    Assignment,
+    Role,
+    TripType,
+    with_report,
+    with_truthful_reports,
+)
 from rideshare.payments import (
     Conditional,
     ExcludedValueError,
     PivotRule,
     Unconditional,
+    _commit_entry,
     commit_payments,
     expected_utility,
     groves_payments,
@@ -162,6 +174,20 @@ def test_expected_utility_raises_when_truth_excludes_outcome():
     assert not schedule.allocation.all_none()
     with pytest.raises(ExcludedValueError):
         expected_utility(bent, 0, schedule)
+
+
+def test_commit_entry_raises_when_others_report_excludes_allocation():
+    """Scoring an allocation that another commuter's reported valuation rules
+    out is an explicit error, not an assert that `python -O` strips."""
+    s = by_name("linear-pair-profitable")
+    # commuter 1 reports that they never drive
+    swapped = Allocation((
+        Assignment(Role.RIDE, frozenset((1,))),
+        Assignment(Role.DRIVE, frozenset((0,))),
+    ))
+    rep = WelfareReport(swapped, 0.0, (0.0, 0.0))
+    with pytest.raises(ExcludedValueError, match="commuter 1"):
+        _commit_entry(s, 0.0, rep, 0)
 
 
 def test_deficit_sign_convention():

@@ -1,6 +1,7 @@
 """Valuation evaluation, exclusion, and the linearity/independence checks."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -116,6 +117,18 @@ def test_spec_violations_rejects_terms_on_excluded_clause():
     fallback = Clause(OutcomePattern(Role.NONE, AnyPartners()), (), (), False)
     spec = ValuationSpec(0, (clause, fallback), 0.0)
     assert spec_violations(spec, 1) != []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_spec_violations_rejects_non_finite_numbers(bad):
+    spec = by_name("linear-pair-profitable").commuters[1].true_type.valuation
+    clause = spec.clauses[0]
+    term = replace(clause.terms[0], coefficient=bad)
+    bent = replace(spec, clauses=(replace(clause, terms=(term,)),) + spec.clauses[1:])
+    assert any("coefficient" in v and "not finite" in v
+               for v in spec_violations(bent, 2, expected_owner=1))
+    assert any("default value" in v
+               for v in spec_violations(replace(spec, default_value=bad), 2, expected_owner=1))
 
 
 def test_spec_violations_rejects_excluded_stay_home():
