@@ -19,25 +19,12 @@ from enum import Enum
 
 from .allocation import efficient_allocation, efficient_allocation_excluding
 from .model import CommuterId, Scenario, TripType, with_report, with_truthful_reports
-from .payments import (
-    ExcludedValueError,
-    _commit_entry,
-    _conditional_utility,
-    _groves_entry,
-    _unconditional_utility,
-)
+from .payments import ExcludedValueError, Mechanism, PivotRule, settled_utility
 from .valuation import Clause, GateDirection, Monomial, ThresholdGate, ValuationSpec
 
 GAIN_TOLERANCE = 1e-9
 MAX_DOMINANT_COMMUTERS = 4
 _MAX_SCALE_COMBOS = 4096
-
-
-class Mechanism(Enum):
-    GROVES_ZERO = "groves-zero"
-    GROVES_CLARKE = "groves-clarke"
-    GROVES_CLARKE_PUBLIC_P = "groves-clarke-public-p"
-    COMMIT_BASED = "commit"
 
 
 class Notion(Enum):
@@ -172,37 +159,6 @@ def deviations_for(trip: TripType, space: DeviationSpace) -> list[Deviation]:
     return out
 
 
-class _UtilityEngine:
-    """Expected utility of one commuter's reports against a fixed profile
-    of everyone else. Caches what provably depends on the induced
-    allocation alone."""
-
-    def __init__(self, profile: Scenario, i: CommuterId, mechanism: Mechanism):
-        self.profile = profile
-        self.i = i
-        self.mechanism = mechanism
-        self.public_p = profile.true_p() if mechanism is Mechanism.GROVES_CLARKE_PUBLIC_P else None
-        if mechanism is Mechanism.GROVES_ZERO:
-            self.h = 0.0
-        else:
-            # the pivot never reads i's report, so it is fixed per profile
-            self.h = efficient_allocation_excluding(profile, i, p_override=self.public_p).welfare
-        self._commit_cache: dict = {}
-
-    def utility(self, trip: TripType) -> float:
-        prof = with_report(self.profile, self.i, trip)
-        rep = efficient_allocation(prof, p_override=self.public_p)
-        if self.mechanism is Mechanism.COMMIT_BASED:
-            cached = self._commit_cache.get(rep.allocation)
-            if cached is None:
-                entry = _commit_entry(prof, self.h, rep, self.i)
-                cached = _conditional_utility(prof, self.i, rep.allocation, entry)
-                self._commit_cache[rep.allocation] = cached
-            return cached
-        entry = _groves_entry(self.h, rep, self.i)
-        return _unconditional_utility(prof, self.i, rep.allocation, entry.amount)
-
-
 @dataclass
 class _Best:
     gain: float = 0.0
@@ -217,13 +173,30 @@ def _sweep(
     opponents: tuple[tuple[CommuterId, TripType], ...],
     best: _Best,
 ) -> int:
-    engine = _UtilityEngine(profile, i, mechanism)
-    truthful = profile.commuters[i].true_type
-    u_truth = engine.utility(truthful)
+    public_p = mechanism.probabilities(profile)
+    # the pivot never reads i's report, so it is fixed per profile
+    h = 0.0
+    if mechanism.pivot is PivotRule.CLARKE:
+        h = efficient_allocation_excluding(profile, i, p_override=public_p).welfare
+    # commit utilities depend on the induced allocation alone
+    commit_memo: dict = {}
+
+    def utility(trip: TripType) -> float:
+        prof = with_report(profile, i, trip)
+        rep = efficient_allocation(prof, p_override=public_p)
+        if mechanism is not Mechanism.COMMIT_BASED:
+            return settled_utility(prof, i, rep.allocation, mechanism.entry(prof, h, rep, i))
+        u = commit_memo.get(rep.allocation)
+        if u is None:
+            entry = mechanism.entry(prof, h, rep, i)
+            u = commit_memo[rep.allocation] = settled_utility(prof, i, rep.allocation, entry)
+        return u
+
+    u_truth = utility(profile.commuters[i].true_type)
     excluded = 0
     for dev in devs:
         try:
-            u = engine.utility(dev.trip)
+            u = utility(dev.trip)
         except ExcludedValueError:
             excluded += 1
             continue

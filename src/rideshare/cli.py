@@ -9,14 +9,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 
 from .allocation import efficient_allocation
 from .audit import (
     AuditSizeError,
     DeviationSpace,
-    Mechanism,
     Notion,
     Verdict,
     audit_dominant,
@@ -24,7 +22,7 @@ from .audit import (
     truthfulness_suite,
 )
 from .model import Scenario, validate_scenario
-from .payments import Conditional, PivotRule, commit_payments, groves_payments
+from .payments import Conditional, Mechanism, commit_payments, groves_payments
 from .scenario_io import ScenarioFormatError, parse_scenario_text, trip_to_json
 from .simulate import run_trials
 
@@ -33,26 +31,9 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
 
-THREADS_ENV = "RIDESHARE_THREADS"
-
 
 class _InputError(Exception):
     pass
-
-
-def thread_cap() -> int:
-    """Parallelism cap from the environment; 0 means automatic.
-    Evaluation currently runs on one thread, which respects any cap."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _InputError(f"{THREADS_ENV} must be a non-negative integer, got {raw!r}")
-    if value < 0:
-        raise _InputError(f"{THREADS_ENV} must be a non-negative integer, got {raw!r}")
-    return value
 
 
 def _load_scenario(path: str) -> Scenario:
@@ -72,20 +53,17 @@ def _load_scenario(path: str) -> Scenario:
     return s
 
 
-_MECHANISMS = {
-    "groves-zero": Mechanism.GROVES_ZERO,
-    "groves-clarke": Mechanism.GROVES_CLARKE,
-    "commit": Mechanism.COMMIT_BASED,
-}
+def _mechanism(args) -> Mechanism:
+    try:
+        return Mechanism.named(args.mechanism, args.public_p)
+    except ValueError as e:
+        raise _InputError(f"--mechanism {args.mechanism} --public-p: {e}")
 
 
-def _schedule_for(s: Scenario, name: str, public_p: bool):
-    if name == "commit":
-        if public_p:
-            raise _InputError("--public-p only applies to groves mechanisms")
+def _schedule(s: Scenario, mechanism: Mechanism):
+    if mechanism is Mechanism.COMMIT_BASED:
         return commit_payments(s)
-    pivot = PivotRule.ZERO if name == "groves-zero" else PivotRule.CLARKE
-    return groves_payments(s, pivot, public_p=s.true_p() if public_p else None)
+    return groves_payments(s, mechanism.pivot, public_p=mechanism.probabilities(s))
 
 
 def cmd_allocate(args) -> int:
@@ -106,7 +84,7 @@ def cmd_allocate(args) -> int:
 
 def cmd_pay(args) -> int:
     s = _load_scenario(args.scenario)
-    schedule = _schedule_for(s, args.mechanism, args.public_p)
+    schedule = _schedule(s, _mechanism(args))
     print(f"mechanism: {args.mechanism}" + (" (public p)" if args.public_p else ""))
     for i, entry in enumerate(schedule.entries):
         if isinstance(entry, Conditional):
@@ -120,7 +98,7 @@ def cmd_simulate(args) -> int:
     s = _load_scenario(args.scenario)
     if args.trials < 1:
         raise _InputError(f"--trials must be at least 1, got {args.trials}")
-    schedule = _schedule_for(s, args.mechanism, args.public_p)
+    schedule = _schedule(s, _mechanism(args))
     records, summary = run_trials(s, schedule, args.trials, args.seed)
     text = render_trials_csv(records, summary)
     try:
@@ -161,18 +139,9 @@ def render_trials_csv(records, summary) -> str:
     return buf.getvalue()
 
 
-def _audit_mechanism(args) -> Mechanism:
-    mech = _MECHANISMS[args.mechanism]
-    if args.public_p:
-        if mech is not Mechanism.GROVES_CLARKE:
-            raise _InputError("--public-p audits require --mechanism groves-clarke")
-        return Mechanism.GROVES_CLARKE_PUBLIC_P
-    return mech
-
-
 def cmd_audit(args) -> int:
     s = _load_scenario(args.scenario)
-    mechanism = _audit_mechanism(args)
+    mechanism = _mechanism(args)
     space = DeviationSpace(p_grid=args.grid)
     if args.notion == "expost":
         report = audit_expost(s, mechanism, space)
@@ -223,14 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pay", help="print the payment schedule")
     p.add_argument("scenario")
-    p.add_argument("--mechanism", choices=sorted(_MECHANISMS), default="commit")
+    p.add_argument("--mechanism", choices=Mechanism.rules(), default="commit")
     p.add_argument("--public-p", action="store_true",
                    help="treat true commitment probabilities as publicly known")
     p.set_defaults(func=cmd_pay)
 
     p = sub.add_parser("simulate", help="Monte Carlo settlement over commitment draws")
     p.add_argument("scenario")
-    p.add_argument("--mechanism", choices=sorted(_MECHANISMS), default="commit")
+    p.add_argument("--mechanism", choices=Mechanism.rules(), default="commit")
     p.add_argument("--public-p", action="store_true")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
@@ -239,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="grid search for profitable misreports")
     p.add_argument("scenario")
-    p.add_argument("--mechanism", choices=sorted(_MECHANISMS), default="commit")
+    p.add_argument("--mechanism", choices=Mechanism.rules(), default="commit")
     p.add_argument("--public-p", action="store_true")
     p.add_argument("--notion", choices=["expost", "dominant"], default="expost")
     p.add_argument("--grid", type=int, default=21, help="probability grid points")
@@ -260,10 +229,13 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_INPUT
     try:
-        thread_cap()
         return args.func(args)
     except _InputError as e:
         print(str(e), file=sys.stderr)
+        return EXIT_INPUT
+    except OverflowError as e:
+        print(f"arithmetic overflow: {e}; the scenario's numbers are too large to price",
+              file=sys.stderr)
         return EXIT_INPUT
 
 

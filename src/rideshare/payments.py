@@ -4,7 +4,8 @@ Groves payments charge each commuter the pivot term minus everyone else's
 reported value at the chosen allocation. Commit-based payments replace the
 single charge with a pair settled on whether the commuter actually shows
 up, computed by substituting their commitment with certainty one or zero.
-Positive amounts are paid to the system.
+Positive amounts are paid to the system. A `Mechanism` names one rule
+together with where its commitment probabilities come from.
 """
 
 from __future__ import annotations
@@ -78,6 +79,54 @@ def _commit_entry(s: Scenario, h: float, rep: WelfareReport, i: CommuterId) -> C
     return Conditional(h - math.fsum(v_one), h - math.fsum(v_zero))
 
 
+_PUBLIC = "-public-p"
+
+
+class Mechanism(Enum):
+    """A payment rule together with where the commitment probabilities it
+    reads come from: each commuter's report, or a public source (the true
+    probabilities), marked by the `-public-p` suffix."""
+
+    GROVES_ZERO = "groves-zero"
+    GROVES_ZERO_PUBLIC_P = "groves-zero-public-p"
+    GROVES_CLARKE = "groves-clarke"
+    GROVES_CLARKE_PUBLIC_P = "groves-clarke-public-p"
+    COMMIT_BASED = "commit"
+
+    @classmethod
+    def rules(cls) -> list[str]:
+        """Payment rule names accepted by `named`, sorted."""
+        return sorted(m.value for m in cls if not m.value.endswith(_PUBLIC))
+
+    @classmethod
+    def named(cls, rule: str, public_p: bool) -> Mechanism:
+        """The mechanism for a rule name from `rules()`. Commit payments
+        settle on reported probabilities only, so they refuse `public_p`."""
+        mechanism = cls(rule)
+        if not public_p:
+            return mechanism
+        if mechanism is cls.COMMIT_BASED:
+            raise ValueError("public probabilities only apply to groves mechanisms")
+        return cls(rule + _PUBLIC)
+
+    @property
+    def pivot(self) -> PivotRule:
+        """The pivot term's rule; commit payments use the Clarke pivot."""
+        if self in (Mechanism.GROVES_ZERO, Mechanism.GROVES_ZERO_PUBLIC_P):
+            return PivotRule.ZERO
+        return PivotRule.CLARKE
+
+    def probabilities(self, s: Scenario) -> tuple[float, ...] | None:
+        """Probabilities that replace the reported ones, or None."""
+        return s.true_p() if self.value.endswith(_PUBLIC) else None
+
+    def entry(self, s: Scenario, h: float, rep: WelfareReport, i: CommuterId) -> PaymentEntry:
+        """Commuter `i`'s payment entry at `rep` given the pivot term `h`."""
+        if self is Mechanism.COMMIT_BASED:
+            return _commit_entry(s, h, rep, i)
+        return _groves_entry(h, rep, i)
+
+
 def groves_payments(
     s: Scenario, pivot: PivotRule, public_p: Sequence[float] | None = None
 ) -> PaymentSchedule:
@@ -107,19 +156,23 @@ def commit_payments(s: Scenario) -> PaymentSchedule:
     return PaymentSchedule(tuple(entries), rep.allocation)
 
 
-def _unconditional_utility(s: Scenario, i: CommuterId, a: Allocation, amount: float) -> float:
-    p = s.true_p()
-    v = evaluate(s.commuters[i].true_type.valuation, a, p)
-    if v is EXCLUDED:
-        raise ExcludedValueError(f"commuter {i}: true valuation excludes the chosen allocation")
-    return v - amount
+def settled_utility(s: Scenario, i: CommuterId, allocation: Allocation, entry: PaymentEntry) -> float:
+    """Quasilinear expected utility of commuter `i` under their true type at
+    `allocation`, with true probabilities, when settled by `entry`.
 
-
-def _conditional_utility(s: Scenario, i: CommuterId, a: Allocation, entry: Conditional) -> float:
+    Raises ExcludedValueError when the true valuation excludes that
+    allocation; callers decide whether that is a modelling error (truthful
+    reports) or a searched-over outcome to flag (misreports).
+    """
     p = s.true_p()
     spec = s.commuters[i].true_type.valuation
-    v_one = evaluate(spec, a, substitute(p, i, 1.0))
-    v_zero = evaluate(spec, a, substitute(p, i, 0.0))
+    if isinstance(entry, Unconditional):
+        v = evaluate(spec, allocation, p)
+        if v is EXCLUDED:
+            raise ExcludedValueError(f"commuter {i}: true valuation excludes the chosen allocation")
+        return v - entry.amount
+    v_one = evaluate(spec, allocation, substitute(p, i, 1.0))
+    v_zero = evaluate(spec, allocation, substitute(p, i, 0.0))
     if v_one is EXCLUDED or v_zero is EXCLUDED:
         raise ExcludedValueError(f"commuter {i}: true valuation excludes the chosen allocation")
     pi = p[i]
@@ -127,14 +180,5 @@ def _conditional_utility(s: Scenario, i: CommuterId, a: Allocation, entry: Condi
 
 
 def expected_utility(s: Scenario, i: CommuterId, schedule: PaymentSchedule) -> float:
-    """Quasilinear expected utility of commuter `i` under their true type,
-    evaluated at the schedule's allocation with true probabilities.
-
-    Raises ExcludedValueError when the true valuation excludes that
-    allocation; callers decide whether that is a modelling error (truthful
-    reports) or a searched-over outcome to flag (misreports).
-    """
-    entry = schedule.entries[i]
-    if isinstance(entry, Unconditional):
-        return _unconditional_utility(s, i, schedule.allocation, entry.amount)
-    return _conditional_utility(s, i, schedule.allocation, entry)
+    """`settled_utility` of commuter `i` at the schedule's allocation and entry."""
+    return settled_utility(s, i, schedule.allocation, schedule.entries[i])

@@ -232,18 +232,17 @@ def is_linear_in_commitment(spec: ValuationSpec) -> bool:
     return True
 
 
-def _lattice(spec: ValuationSpec, allocation: Allocation, grid: int):
+def _lattice(n: int, subjects: Sequence[CommuterId], grid: int):
+    """Probability vectors with every subject on `grid` evenly spaced points
+    over [0, 1] and everyone else at 0.5; the first subject varies slowest."""
     if grid < 3:
         raise ValueError(f"grid must be at least 3, got {grid}")
-    n = len(allocation.assignments)
-    subjects = referenced_subjects(spec)[:4]
     points = [k / (grid - 1) for k in range(grid)]
-    base = [0.5] * n
     for combo in itertools.product(points, repeat=len(subjects)):
-        p = list(base)
+        p = [0.5] * n
         for subject, value in zip(subjects, combo):
             p[subject] = value
-        yield subjects, tuple(p)
+        yield tuple(p)
 
 
 def linearity_residual(spec: ValuationSpec, allocation: Allocation, grid: int = 5) -> float:
@@ -252,8 +251,9 @@ def linearity_residual(spec: ValuationSpec, allocation: Allocation, grid: int = 
     Returns 0.0 outright when the outcome is excluded for the owner."""
     if evaluate(spec, allocation, [0.5] * len(allocation.assignments)) is EXCLUDED:
         return 0.0
+    subjects = referenced_subjects(spec)[:4]
     worst = 0.0
-    for subjects, p in _lattice(spec, allocation, grid):
+    for p in _lattice(len(allocation.assignments), subjects, grid):
         v = evaluate(spec, allocation, p)
         for j in subjects:
             v1 = evaluate(spec, allocation, substitute(p, j, 1.0))
@@ -277,24 +277,11 @@ def independence_spread(spec: ValuationSpec, allocation: Allocation, grid: int =
     others = [j for j in subjects if j != spec.owner]
     if not others:
         return 0.0
-    if grid < 3:
-        raise ValueError(f"grid must be at least 3, got {grid}")
-    n = len(allocation.assignments)
-    points = [k / (grid - 1) for k in range(grid)]
+    lattice = _lattice(len(allocation.assignments), (spec.owner, *others), grid)
     worst = 0.0
-    for own in points:
-        lo = hi = None
-        for combo in itertools.product(points, repeat=len(others)):
-            p = [0.5] * n
-            p[spec.owner] = own
-            for subject, value in zip(others, combo):
-                p[subject] = value
-            v = evaluate(spec, allocation, p)
-            if lo is None or v < lo:
-                lo = v
-            if hi is None or v > hi:
-                hi = v
-        worst = max(worst, hi - lo)
+    for _, group in itertools.groupby(lattice, key=lambda p: p[spec.owner]):
+        values = [evaluate(spec, allocation, p) for p in group]
+        worst = max(worst, max(values) - min(values))
     return worst
 
 

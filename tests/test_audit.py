@@ -15,22 +15,13 @@ from rideshare.audit import (
 )
 from rideshare.corpus import by_name, corpus, linear_entries
 from rideshare.model import full_compatibility, with_report, with_truthful_reports
-from rideshare.payments import (
-    PivotRule,
-    commit_payments,
-    expected_utility,
-    groves_payments,
-)
+from rideshare.payments import commit_payments, expected_utility, groves_payments
 
 
 def replay_schedule(s, mechanism):
     if mechanism is Mechanism.COMMIT_BASED:
         return commit_payments(s)
-    if mechanism is Mechanism.GROVES_ZERO:
-        return groves_payments(s, PivotRule.ZERO)
-    if mechanism is Mechanism.GROVES_CLARKE:
-        return groves_payments(s, PivotRule.CLARKE)
-    return groves_payments(s, PivotRule.CLARKE, public_p=s.true_p())
+    return groves_payments(s, mechanism.pivot, public_p=mechanism.probabilities(s))
 
 
 def replay_witness(s, report):
@@ -103,6 +94,14 @@ def test_public_probabilities_remove_the_lever():
     assert report.opponent_space is not None
 
 
+def test_public_zero_pivot_corpus_expost_clean(corpus_entries):
+    """With public probabilities the zero pivot leaves no lever either,
+    whatever the valuation's shape."""
+    for e in corpus_entries:
+        report = audit_expost(e.scenario, Mechanism.GROVES_ZERO_PUBLIC_P)
+        assert report.verdict is Verdict.NO_VIOLATION_FOUND, e.name
+
+
 def test_quadratic_exponent_commit_violated():
     report = audit_expost(by_name("quadratic-reliability-pair"), Mechanism.COMMIT_BASED)
     assert report.verdict is Verdict.VIOLATED
@@ -160,7 +159,7 @@ def test_every_violated_witness_replays(corpus_entries):
     payment API to the same two utilities."""
     seen = 0
     for e in corpus_entries:
-        for mechanism in (Mechanism.COMMIT_BASED, Mechanism.GROVES_CLARKE):
+        for mechanism in Mechanism:
             report = audit_expost(e.scenario, mechanism)
             if report.verdict is not Verdict.VIOLATED:
                 continue

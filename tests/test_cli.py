@@ -47,11 +47,6 @@ def test_pay_defaults_to_commit(capsys):
     assert "payment[0]: (-4.0, 0.0)" in out
 
 
-def test_public_p_rejected_for_commit(capsys):
-    assert cli.main(["pay", PAIR, "--mechanism", "commit", "--public-p"]) == 2
-    assert "groves" in capsys.readouterr().err
-
-
 def test_audit_gate_violated_exit_code(capsys):
     assert cli.main(["audit", GATE, "--mechanism", "commit"]) == 1
     out = capsys.readouterr().out
@@ -67,9 +62,33 @@ def test_audit_clean_exit_code(capsys):
     assert "verdict: no-violation-found" in out
 
 
-def test_audit_public_p_requires_clarke(capsys):
-    assert cli.main(["audit", PAIR, "--mechanism", "groves-zero", "--public-p"]) == 2
-    assert cli.main(["audit", PAIR, "--mechanism", "groves-clarke", "--public-p"]) == 0
+@pytest.mark.parametrize("public_p", [False, True], ids=["reported-p", "public-p"])
+@pytest.mark.parametrize("rule", ["commit", "groves-zero", "groves-clarke"])
+@pytest.mark.parametrize("command", ["pay", "simulate", "audit"])
+def test_mechanism_flags(tmp_path, capsys, command, rule, public_p):
+    """Every subcommand accepts the same mechanisms: commit with public
+    probabilities is refused alike everywhere, and every other combination
+    runs. On the pair scenario only the private-probability Groves audits
+    find a violation."""
+    argv = [command, PAIR, "--mechanism", rule] + (["--public-p"] if public_p else [])
+    if command == "simulate":
+        argv += ["--trials", "20", "--out", str(tmp_path / "t.csv")]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    if rule == "commit" and public_p:
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "--mechanism commit --public-p: public probabilities only apply to groves mechanisms\n"
+        )
+    elif command == "audit":
+        violated = rule != "commit" and not public_p
+        assert code == (1 if violated else 0)
+        assert f"mechanism: {rule}{'-public-p' if public_p else ''}\n" in captured.out
+        verdict = "violated" if violated else "no-violation-found"
+        assert f"verdict: {verdict}\n" in captured.out
+    else:
+        assert code == 0, captured.err
 
 
 def test_audit_dominant_flag(capsys):
@@ -155,15 +174,6 @@ def test_invalid_scenario_is_input_error(tmp_path, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
-def test_thread_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv(cli.THREADS_ENV, "-1")
-    assert cli.main(["allocate", PAIR]) == 2
-    monkeypatch.setenv(cli.THREADS_ENV, "junk")
-    assert cli.main(["allocate", PAIR]) == 2
-    monkeypatch.setenv(cli.THREADS_ENV, "4")
-    assert cli.main(["allocate", PAIR]) == 0
-
-
 def test_unknown_subcommand_is_input_error(capsys):
     assert cli.main(["frobnicate"]) == 2
 
@@ -210,3 +220,26 @@ def test_non_finite_coefficient_is_input_error(tmp_path, capsys, value):
     captured = capsys.readouterr()
     assert "coefficient: expected a finite number" in captured.err
     assert "no-violation-found" not in captured.out
+
+
+@pytest.mark.parametrize("command", [
+    ["allocate"],
+    ["pay"],
+    ["audit", "--mechanism", "commit"],
+    ["simulate", "--trials", "5", "--out", "{out}"],
+], ids=["allocate", "pay", "audit", "simulate"])
+def test_arithmetic_overflow_is_input_error(tmp_path, capsys, command):
+    """Coefficients near the float limit overflow the exact welfare sums;
+    that is bad input, not a verdict."""
+    doc = json.loads(Path(PAIR).read_text())
+    for c in doc["scenario"]["commuters"]:
+        c["true_type"]["p_commit"] = 1.0
+        c["true_type"]["valuation"]["clauses"][0]["terms"][0]["coefficient"] = 1e308
+    big = tmp_path / "overflow.json"
+    big.write_text(json.dumps(doc))
+    argv = [command[0], str(big)] + [a.format(out=tmp_path / "t.csv") for a in command[1:]]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "overflow" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
