@@ -66,12 +66,6 @@ class DeviationSpace:
 
 
 @dataclass(frozen=True)
-class Deviation:
-    trip: TripType
-    encoding: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Witness:
     commuter: CommuterId
     report: TripType
@@ -142,7 +136,7 @@ def _gate_variants(spec: ValuationSpec) -> list[ValuationSpec]:
     return variants
 
 
-def deviations_for(trip: TripType, space: DeviationSpace) -> list[Deviation]:
+def deviations_for(trip: TripType, space: DeviationSpace) -> list[TripType]:
     """Candidate misreports in a fixed order: probability points ascending,
     truthful coefficients before rescalings, gate edits last. The order is
     the tie-break when several deviations share the maximal gain."""
@@ -151,28 +145,18 @@ def deviations_for(trip: TripType, space: DeviationSpace) -> list[Deviation]:
     for combo in _scale_combos(trip.valuation, space.coefficient_scales):
         scaled = _scaled_spec(trip.valuation, combo)
         variant_lists.append(_gate_variants(scaled) if space.gate_toggles else [scaled])
-    out = []
-    for pi, p_hat in enumerate(points):
-        for ci, variants in enumerate(variant_lists):
-            for gi, spec in enumerate(variants):
-                out.append(Deviation(TripType(spec, p_hat), (pi, ci, gi)))
-    return out
-
-
-@dataclass
-class _Best:
-    gain: float = 0.0
-    witness: Witness | None = None
+    return [TripType(spec, p_hat) for p_hat in points for variants in variant_lists for spec in variants]
 
 
 def _sweep(
     profile: Scenario,
     i: CommuterId,
     mechanism: Mechanism,
-    devs: list[Deviation],
+    devs: list[TripType],
     opponents: tuple[tuple[CommuterId, TripType], ...],
-    best: _Best,
-) -> int:
+) -> tuple[Witness | None, int]:
+    """Commuter i's first maximal-gain deviation against `profile`, if any
+    gains, and the number of deviations excluded outright."""
     public_p = mechanism.probabilities(profile)
     # the pivot never reads i's report, so it is fixed per profile
     h = 0.0
@@ -193,34 +177,52 @@ def _sweep(
         return u
 
     u_truth = utility(profile.commuters[i].true_type)
+    best: Witness | None = None
     excluded = 0
-    for dev in devs:
+    for trip in devs:
         try:
-            u = utility(dev.trip)
+            u = utility(trip)
         except ExcludedValueError:
             excluded += 1
             continue
         gain = u - u_truth
-        if gain > best.gain:
-            best.gain = gain
-            best.witness = Witness(i, dev.trip, u_truth, u, gain, opponents)
-    return excluded
+        if gain > (0.0 if best is None else best.gain):
+            best = Witness(i, trip, u_truth, u, gain, opponents)
+    return best, excluded
 
 
-def _report(
+def _audit(
+    s: Scenario,
     mechanism: Mechanism,
-    notion: Notion,
-    best: _Best,
     space: DeviationSpace,
     opponent_space: DeviationSpace | None,
-    excluded: int,
 ) -> AuditReport:
-    violated = best.gain > GAIN_TOLERANCE
+    """Sweep each commuter's deviations against each opponent profile: the
+    truthful one alone for ex-post (`opponent_space` None), else it first
+    and then the opponents' grids in product order. Ties keep the lowest
+    commuter, then the first profile, then the first deviation."""
+    base = with_truthful_reports(s)
+    truth = [c.true_type for c in base.commuters]
+    best: Witness | None = None
+    excluded = 0
+    for i in range(base.n):
+        devs = deviations_for(truth[i], space)
+        others = [] if opponent_space is None else [j for j in range(base.n) if j != i]
+        grids = [[truth[j]] + deviations_for(truth[j], opponent_space) for j in others]
+        for combo in itertools.product(*grids):
+            profile = base
+            for j, trip in zip(others, combo):
+                profile = with_report(profile, j, trip)
+            found, skipped = _sweep(profile, i, mechanism, devs, tuple(zip(others, combo)))
+            excluded += skipped
+            if found is not None and (best is None or found.gain > best.gain):
+                best = found
+    violated = best is not None and best.gain > GAIN_TOLERANCE
     return AuditReport(
         mechanism=mechanism,
-        notion=notion,
+        notion=Notion.EX_POST if opponent_space is None else Notion.DOMINANT,
         verdict=Verdict.VIOLATED if violated else Verdict.NO_VIOLATION_FOUND,
-        witness=best.witness if violated else None,
+        witness=best if violated else None,
         space=space,
         opponent_space=opponent_space,
         excluded_deviations=excluded,
@@ -234,13 +236,7 @@ def audit_expost(
     Returns the maximal-gain witness when any beats truth by more than
     the gain tolerance. Ties keep the lowest commuter id, then the first
     deviation in grid order."""
-    base = with_truthful_reports(s)
-    best = _Best()
-    excluded = 0
-    for i in range(base.n):
-        devs = deviations_for(base.commuters[i].true_type, space)
-        excluded += _sweep(base, i, mechanism, devs, (), best)
-    return _report(mechanism, Notion.EX_POST, best, space, None, excluded)
+    return _audit(s, mechanism, space, None)
 
 
 def audit_dominant(
@@ -259,23 +255,7 @@ def audit_dominant(
             f"product and is refused above {MAX_DOMINANT_COMMUTERS}; use audit_expost "
             "or a smaller scenario"
         )
-    base = with_truthful_reports(s)
-    best = _Best()
-    excluded = 0
-    for i in range(base.n):
-        devs = deviations_for(base.commuters[i].true_type, space)
-        others = [j for j in range(base.n) if j != i]
-        opponent_devs = []
-        for j in others:
-            truthful_j = Deviation(base.commuters[j].true_type, (-1, -1, -1))
-            opponent_devs.append([truthful_j] + deviations_for(base.commuters[j].true_type, opponent_space))
-        for combo in itertools.product(*opponent_devs):
-            profile = base
-            for j, dev in zip(others, combo):
-                profile = with_report(profile, j, dev.trip)
-            opponents = tuple((j, dev.trip) for j, dev in zip(others, combo))
-            excluded += _sweep(profile, i, mechanism, devs, opponents, best)
-    return _report(mechanism, Notion.DOMINANT, best, space, opponent_space, excluded)
+    return _audit(s, mechanism, space, opponent_space)
 
 
 @dataclass(frozen=True)

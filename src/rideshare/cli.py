@@ -139,15 +139,23 @@ def render_trials_csv(records, summary) -> str:
     return buf.getvalue()
 
 
+def _space(flag: str, p_grid: int) -> DeviationSpace:
+    try:
+        return DeviationSpace(p_grid=p_grid)
+    except ValueError as e:
+        raise _InputError(f"{flag}: {e}")
+
+
 def cmd_audit(args) -> int:
     s = _load_scenario(args.scenario)
     mechanism = _mechanism(args)
-    space = DeviationSpace(p_grid=args.grid)
+    space = _space("--grid", args.grid)
     if args.notion == "expost":
         report = audit_expost(s, mechanism, space)
     else:
+        opponent_space = _space("--opponent-grid", args.opponent_grid)
         try:
-            report = audit_dominant(s, mechanism, space, DeviationSpace(p_grid=args.opponent_grid))
+            report = audit_dominant(s, mechanism, space, opponent_space)
         except AuditSizeError as e:
             raise _InputError(str(e))
     print(f"mechanism: {report.mechanism.value}")

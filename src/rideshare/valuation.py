@@ -117,7 +117,8 @@ def evaluate(
     Returns a float, or EXCLUDED when the first matching clause is excluded.
     Exclusion depends only on the outcome pattern, never on probabilities.
     Commuters in `absent` are treated as missing: factors on them evaluate
-    to zero and gates on them fail.
+    to zero and gates on them fail. Raises OverflowError when the value is
+    not finite, as when large finite terms sum past the float range.
     """
     assignment = allocation.assignments[spec.owner]
     for clause in spec.clauses:
@@ -142,6 +143,8 @@ def evaluate(
                 v = p[subject]
                 x *= v if exponent == 1 else v**exponent
             total += x
+        if not math.isfinite(total):
+            raise OverflowError(f"commuter {spec.owner}'s value {total} is not finite")
         return total
     return spec.default_value
 
@@ -189,8 +192,11 @@ def spec_violations(spec: ValuationSpec, n: int, expected_owner: CommuterId | No
             out.append(f"clause {ci}: excluded clause carries gates")
     if not out:
         # travelling alone must always be an acceptable fallback
-        if evaluate(spec, all_none_allocation(n), [0.0] * n) is EXCLUDED:
-            out.append("the all-none outcome is excluded")
+        try:
+            if evaluate(spec, all_none_allocation(n), [0.0] * n) is EXCLUDED:
+                out.append("the all-none outcome is excluded")
+        except OverflowError as e:
+            out.append(f"the all-none outcome: {e}")
     return out
 
 

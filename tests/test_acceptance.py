@@ -191,14 +191,14 @@ def test_criterion_7_commit_pair_ignores_own_report():
             s = e.scenario
             for i in range(s.n):
                 groups = {}
-                for dev in deviations_for(s.commuters[i].reported_type, space):
-                    bent = with_report(s, i, dev.trip)
+                for trip in deviations_for(s.commuters[i].reported_type, space):
+                    bent = with_report(s, i, trip)
                     schedule = commit_payments(bent)
                     entry = schedule.entries[i]
                     pair = (entry.on_commit, entry.on_fail)
                     key = schedule.allocation.encoding()
                     previous = groups.setdefault(key, pair)
-                    assert previous == pair, (e.name, i, dev.encoding)
+                    assert previous == pair, (e.name, i, trip)
 
     _verdict_line(7, "commit pair depends only on the induced allocation", body)
 

@@ -16,6 +16,7 @@ from rideshare.audit import (
 from rideshare.corpus import by_name, corpus, linear_entries
 from rideshare.model import full_compatibility, with_report, with_truthful_reports
 from rideshare.payments import commit_payments, expected_utility, groves_payments
+from rideshare.valuation import GateDirection, ThresholdGate
 
 
 def replay_schedule(s, mechanism):
@@ -197,6 +198,33 @@ def test_gate_toggle_deviations_keep_violation():
     assert report.witness.gain >= 1.2 - 1e-12
 
 
+def test_dominant_covers_expost(corpus_entries):
+    """The dominant sweep starts from the truthful opponent profile, so it
+    finds at least the ex-post gain; on a tie it keeps the ex-post witness,
+    with every opponent pinned at their true type."""
+    from dataclasses import replace
+
+    space = DeviationSpace(p_grid=5, coefficient_scales=(1.0,))
+    opponent_space = DeviationSpace(p_grid=3, coefficient_scales=(1.0,))
+    for e in corpus_entries:
+        if e.scenario.n > 4:
+            continue
+        for mechanism in Mechanism:
+            expost = audit_expost(e.scenario, mechanism, space)
+            dominant = audit_dominant(e.scenario, mechanism, space, opponent_space)
+            gain = expost.witness.gain if expost.witness else 0.0
+            dominant_gain = dominant.witness.gain if dominant.witness else 0.0
+            assert dominant_gain >= gain, (e.name, mechanism)
+            if expost.verdict is Verdict.VIOLATED:
+                assert dominant.verdict is Verdict.VIOLATED, (e.name, mechanism)
+            if gain > 0.0 and dominant_gain == gain:
+                w = expost.witness
+                truthful = tuple(
+                    (j, c.true_type) for j, c in enumerate(e.scenario.commuters) if j != w.commuter
+                )
+                assert dominant.witness == replace(w, opponent_reports=truthful), (e.name, mechanism)
+
+
 def test_dominant_sweep_refuses_large_scenarios():
     base = by_name("linear-quad-competition")
     from dataclasses import replace
@@ -220,9 +248,23 @@ def test_deviation_space_shape():
     devs = deviations_for(trip, space)
     # 5 probability points times 2 scale choices for the single monomial
     assert len(devs) == 10
-    p_values = [d.trip.p_commit for d in devs]
+    p_values = [d.p_commit for d in devs]
     assert p_values == sorted(p_values), "probability must be the outer loop"
-    assert len({d.encoding for d in devs}) == len(devs)
+    # probability, then scale combination (truthful first), then gate
+    # variant (the unedited spec before its gate edits)
+    rider = by_name("threshold-gate-pair").commuters[1].reported_type
+    gated = DeviationSpace(p_grid=2, coefficient_scales=(0.5, 1.0), gate_toggles=True)
+    gates = rider.valuation.clauses[0].gates
+    added = ThresholdGate(0, 0.5, GateDirection.AT_LEAST)
+    assert [
+        (d.p_commit, d.valuation.clauses[0].terms[0].coefficient, d.valuation.clauses[0].gates)
+        for d in deviations_for(rider, gated)
+    ] == [
+        (p, coefficient, variant)
+        for p in (0.0, 1.0)
+        for coefficient in (5.0, 2.5)
+        for variant in (gates, (), gates + (added,))
+    ]
     with pytest.raises(ValueError):
         DeviationSpace(p_grid=1)
 

@@ -102,6 +102,19 @@ def test_audit_dominant_flag(capsys):
     assert "opponent 0 report:" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--grid", "1"],
+    ["--grid", "-3"],
+    ["--notion", "dominant", "--opponent-grid", "1"],
+], ids=["grid-1", "grid-negative", "opponent-grid-1"])
+def test_audit_grid_below_two_is_input_error(capsys, argv):
+    assert cli.main(["audit", PAIR] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[-2]}: p_grid must be at least 2" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_suite_passes(capsys):
     assert cli.main(["suite"]) == 0
     out = capsys.readouterr().out
@@ -222,19 +235,35 @@ def test_non_finite_coefficient_is_input_error(tmp_path, capsys, value):
     assert "no-violation-found" not in captured.out
 
 
-@pytest.mark.parametrize("command", [
-    ["allocate"],
-    ["pay"],
-    ["audit", "--mechanism", "commit"],
-    ["simulate", "--trials", "5", "--out", "{out}"],
-], ids=["allocate", "pay", "audit", "simulate"])
-def test_arithmetic_overflow_is_input_error(tmp_path, capsys, command):
-    """Coefficients near the float limit overflow the exact welfare sums;
-    that is bad input, not a verdict."""
+_OVERFLOW_COMMANDS = {
+    "allocate": ["allocate"],
+    "pay": ["pay"],
+    "audit": ["audit", "--mechanism", "commit"],
+    "simulate": ["simulate", "--trials", "5", "--out", "{out}"],
+}
+# Each commuter's first term gets these coefficients: one large value per
+# commuter overflows the welfare sum; two on the rider overflow its own value
+# to inf; two more on the driver make the welfare sum -inf + inf.
+_OVERFLOW_SHAPES = {
+    "": ([1e308], [1e308]),
+    "-value-inf": ([-2.0], [1e308, 1e308]),
+    "-values-inf-and-minus-inf": ([-1e308, -1e308], [1e308, 1e308]),
+}
+
+
+@pytest.mark.parametrize("command, coefficients", [
+    pytest.param(command, coefficients, id=name + shape)
+    for shape, coefficients in _OVERFLOW_SHAPES.items()
+    for name, command in _OVERFLOW_COMMANDS.items()
+])
+def test_arithmetic_overflow_is_input_error(tmp_path, capsys, command, coefficients):
+    """Coefficients near the float limit overflow the exact welfare sums or
+    a commuter's own value; that is bad input, not a verdict."""
     doc = json.loads(Path(PAIR).read_text())
-    for c in doc["scenario"]["commuters"]:
+    for c, values in zip(doc["scenario"]["commuters"], coefficients):
         c["true_type"]["p_commit"] = 1.0
-        c["true_type"]["valuation"]["clauses"][0]["terms"][0]["coefficient"] = 1e308
+        clause = c["true_type"]["valuation"]["clauses"][0]
+        clause["terms"] = [dict(clause["terms"][0], coefficient=v) for v in values]
     big = tmp_path / "overflow.json"
     big.write_text(json.dumps(doc))
     argv = [command[0], str(big)] + [a.format(out=tmp_path / "t.csv") for a in command[1:]]

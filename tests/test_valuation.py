@@ -1,6 +1,7 @@
 """Valuation evaluation, exclusion, and the linearity/independence checks."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -119,9 +120,20 @@ def test_spec_violations_rejects_terms_on_excluded_clause():
     assert spec_violations(spec, 1) != []
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bad", [
+    float("nan"), float("inf"), float("-inf"),
+    pytest.param(1e308, id="two-1e308-constants-on-none"),
+])
 def test_spec_violations_rejects_non_finite_numbers(bad):
+    """Non-finite numbers are violations, and so are finite constants whose
+    sum overflows on the stay-home outcome (reported, never raised)."""
     spec = by_name("linear-pair-profitable").commuters[1].true_type.valuation
+    if math.isfinite(bad):
+        home = Clause(OutcomePattern(Role.NONE, AnyPartners()), (), (Monomial(bad), Monomial(bad)))
+        bent = replace(spec, clauses=spec.clauses[:-1] + (home,))
+        assert any("all-none" in v and "not finite" in v
+                   for v in spec_violations(bent, 2, expected_owner=1))
+        return
     clause = spec.clauses[0]
     term = replace(clause.terms[0], coefficient=bad)
     bent = replace(spec, clauses=(replace(clause, terms=(term,)),) + spec.clauses[1:])
