@@ -6,10 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Allocation, CommuterId, Scenario, _feasible
+from .model import _EMPTY, Allocation, CommuterId, Scenario, _feasible
 from .valuation import EXCLUDED, evaluate
-
-_EMPTY: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)

@@ -139,11 +139,15 @@ def _gate_variants(spec: ValuationSpec) -> list[ValuationSpec]:
 def deviations_for(trip: TripType, space: DeviationSpace) -> list[TripType]:
     """Candidate misreports in a fixed order: probability points ascending,
     truthful coefficients before rescalings, gate edits last. The order is
-    the tie-break when several deviations share the maximal gain."""
+    the tie-break when several deviations share the maximal gain. A
+    rescaling that overflows a coefficient is skipped: a scenario file
+    cannot carry that report."""
     points = [k / (space.p_grid - 1) for k in range(space.p_grid)]
     variant_lists = []
     for combo in _scale_combos(trip.valuation, space.coefficient_scales):
         scaled = _scaled_spec(trip.valuation, combo)
+        if not all(math.isfinite(t.coefficient) for c in scaled.clauses for t in c.terms):
+            continue
         variant_lists.append(_gate_variants(scaled) if space.gate_toggles else [scaled])
     return [TripType(spec, p_hat) for p_hat in points for variants in variant_lists for spec in variants]
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -64,16 +64,6 @@ class Allocation:
 
     def all_none(self) -> bool:
         return all(a.role is Role.NONE for a in self.assignments)
-
-    def encoding(self) -> tuple[int, ...]:
-        """Per-commuter driver choice: the driver's id for riders, -1 otherwise."""
-        out = []
-        for a in self.assignments:
-            if a.role is Role.RIDE:
-                out.append(min(a.partners))
-            else:
-                out.append(-1)
-        return tuple(out)
 
 
 def all_none_allocation(n: int) -> Allocation:
@@ -190,32 +180,22 @@ def validate_scenario(s: Scenario) -> list[str]:
     return out
 
 
-# Structures kept by `_feasible`, least recently used first. A structure and
-# each absent set over it are separate entries.
-_FEASIBLE_CACHE_SIZE = 64
-_FEASIBLE_CACHE: OrderedDict[tuple, tuple[Allocation, ...]] = OrderedDict()
-
-
-def _structure_key(s: Scenario, absent: frozenset[int]) -> tuple:
-    return (
-        tuple(c.has_vehicle for c in s.commuters),
-        tuple(c.seat_capacity for c in s.commuters),
-        s.compatibility,
-        absent,
-    )
-
-
-def _walk(s: Scenario) -> tuple[Allocation, ...]:
+@functools.lru_cache(maxsize=1)
+def _walk(
+    has_vehicle: tuple[bool, ...],
+    capacity: tuple[int, ...],
+    compatibility: tuple[tuple[bool, ...], ...],
+) -> tuple[Allocation, ...]:
     """Every feasible allocation with nobody absent, in lexicographic order.
 
     Commuters choose in id order, "not riding" (-1) first and then eligible
     drivers ascending. A commuter who already has riders may only choose -1;
-    a driver who is riding or whose seats are full is skipped.
+    a driver who is riding or whose seats are full is skipped. Only the last
+    structure is cached: callers enumerate one structure many times in a row.
     """
-    n = s.n
-    capacity = [c.seat_capacity for c in s.commuters]
+    n = len(has_vehicle)
     eligible = [
-        [d for d in range(n) if d != r and s.commuters[d].has_vehicle and s.compatibility[r][d]]
+        [d for d in range(n) if d != r and has_vehicle[d] and compatibility[r][d]]
         for r in range(n)
     ]
     none = Assignment(Role.NONE, _EMPTY)
@@ -251,27 +231,21 @@ def _walk(s: Scenario) -> tuple[Allocation, ...]:
 
 
 def _feasible(s: Scenario, absent: frozenset[int]) -> tuple[Allocation, ...]:
-    key = _structure_key(s, absent)
-    cached = _FEASIBLE_CACHE.get(key)
-    if cached is not None:
-        _FEASIBLE_CACHE.move_to_end(key)
-        return cached
-    if absent:
-        for i in sorted(absent):
-            if not 0 <= i < s.n:
-                raise ValueError(f"absent commuter id {i} outside 0..{s.n - 1}")
-        # Absent commuters neither ride nor drive, so their allocations are
-        # exactly the full set's allocations that leave them with role none.
-        result = tuple(
-            a for a in _feasible(s, _EMPTY)
-            if all(a.assignments[i].role is Role.NONE for i in absent)
-        )
-    else:
-        result = _walk(s)
-    _FEASIBLE_CACHE[key] = result
-    if len(_FEASIBLE_CACHE) > _FEASIBLE_CACHE_SIZE:
-        _FEASIBLE_CACHE.popitem(last=False)
-    return result
+    for i in sorted(absent):
+        if not 0 <= i < s.n:
+            raise ValueError(f"absent commuter id {i} outside 0..{s.n - 1}")
+    full = _walk(
+        tuple(c.has_vehicle for c in s.commuters),
+        tuple(c.seat_capacity for c in s.commuters),
+        s.compatibility,
+    )
+    if not absent:
+        return full
+    # Absent commuters neither ride nor drive, so their allocations are
+    # exactly the full set's allocations that leave them with role none.
+    return tuple(
+        a for a in full if all(a.assignments[i].role is Role.NONE for i in absent)
+    )
 
 
 def enumerate_feasible_allocations(

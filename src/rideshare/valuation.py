@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
 
-from .model import Allocation, Assignment, CommuterId, Role, all_none_allocation
+from .model import _EMPTY, Allocation, Assignment, CommuterId, Role, all_none_allocation
 
 LINEARITY_TOLERANCE = 1e-9
 INDEPENDENCE_TOLERANCE = 1e-12
-
-_EMPTY: frozenset[int] = frozenset()
 
 
 class _Excluded:

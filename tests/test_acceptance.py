@@ -196,7 +196,7 @@ def test_criterion_7_commit_pair_ignores_own_report():
                     schedule = commit_payments(bent)
                     entry = schedule.entries[i]
                     pair = (entry.on_commit, entry.on_fail)
-                    key = schedule.allocation.encoding()
+                    key = schedule.allocation
                     previous = groups.setdefault(key, pair)
                     assert previous == pair, (e.name, i, trip)
 

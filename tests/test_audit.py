@@ -1,5 +1,8 @@
 """Misreport grid search: verdicts, witnesses, and witness replay."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from rideshare.audit import (
@@ -267,6 +270,22 @@ def test_deviation_space_shape():
     ]
     with pytest.raises(ValueError):
         DeviationSpace(p_grid=1)
+
+
+def test_deviations_skip_rescalings_that_overflow():
+    """A scale that pushes a coefficient past the float range is skipped;
+    every remaining coefficient is finite and the order is unchanged."""
+    rider = by_name("linear-pair-profitable").commuters[1].true_type
+    clause = rider.valuation.clauses[0]
+    big_clause = replace(clause, terms=(replace(clause.terms[0], coefficient=5e307),))
+    big_spec = replace(rider.valuation, clauses=(big_clause,) + rider.valuation.clauses[1:])
+    devs = deviations_for(replace(rider, valuation=big_spec), DeviationSpace(p_grid=2))
+    coefficients = [t.coefficient for d in devs for c in d.valuation.clauses for t in c.terms]
+    assert all(math.isfinite(x) for x in coefficients)
+    # the default scales are 0, 0.5, 1, 2 and 10; only 10 overflows
+    assert [(d.p_commit, d.valuation.clauses[0].terms[0].coefficient) for d in devs] == [
+        (p, scale * 5e307) for p in (0.0, 1.0) for scale in (1.0, 0.0, 0.5, 2.0)
+    ]
 
 
 def test_suite_reproduces_expected_verdicts():

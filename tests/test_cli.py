@@ -272,3 +272,24 @@ def test_arithmetic_overflow_is_input_error(tmp_path, capsys, command, coefficie
     assert "overflow" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("mechanism, expected", [
+    (["--mechanism", "commit"], 0),
+    (["--mechanism", "groves-clarke"], 1),
+    (["--mechanism", "groves-clarke", "--public-p"], 0),
+])
+def test_audit_skips_rescalings_past_the_float_limit(tmp_path, capsys, mechanism, expected):
+    """A coefficient within a factor of 10 of the float limit prices fine, and
+    the audit's own x10 rescaling of it is skipped rather than blamed on the
+    scenario as an overflow."""
+    doc = json.loads(Path(PAIR).read_text())
+    clause = doc["scenario"]["commuters"][1]["true_type"]["valuation"]["clauses"][0]
+    clause["terms"][0]["coefficient"] = 5e307
+    big = tmp_path / "near-limit.json"
+    big.write_text(json.dumps(doc))
+    assert cli.main(["audit", str(big), *mechanism]) == expected
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    verdict = "violated" if expected == 1 else "no-violation-found"
+    assert f"verdict: {verdict}" in captured.out

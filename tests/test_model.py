@@ -244,14 +244,14 @@ def test_nine_commuter_enumeration_count():
     assert sum(1 for _ in enumerate_feasible_allocations(_alternating_drivers(9))) == 19_501
 
 
-def test_feasible_cache_is_bounded():
-    """Enumerating more distinct structures than the cache holds keeps it at
-    its bound, and an evicted structure re-enumerates to the same tuple."""
-    cap = model._FEASIBLE_CACHE_SIZE
-    structures = [_alternating_drivers(3, seats) for seats in range(1, cap + 10)]
-    first = model._feasible(structures[0], frozenset())
-    for s in structures[1:]:
-        model._feasible(s, frozenset())
-        assert len(model._FEASIBLE_CACHE) <= cap
-    assert model._structure_key(structures[0], frozenset()) not in model._FEASIBLE_CACHE
-    assert model._feasible(structures[0], frozenset()) == first
+def test_feasible_cache_keeps_only_the_last_structure():
+    """Enumerating structure A, then B, then A again keeps one structure
+    cached, and A re-enumerates to an equal tuple."""
+    a, b = _alternating_drivers(3, 1), _alternating_drivers(4, 2)
+    first = model._feasible(a, frozenset())
+    model._feasible(b, frozenset())
+    assert model._walk.cache_info().currsize == 1
+    misses = model._walk.cache_info().misses
+    assert model._feasible(a, frozenset()) == first
+    assert model._walk.cache_info().misses == misses + 1
+    assert model._walk.cache_info().currsize == 1

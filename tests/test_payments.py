@@ -149,7 +149,7 @@ def test_commit_pair_depends_only_on_induced_allocation():
                 trip = replace(s.commuters[i].reported_type, p_commit=p_hat)
                 bent = with_report(s, i, trip)
                 schedule = commit_payments(bent)
-                key = schedule.allocation.encoding()
+                key = schedule.allocation
                 pair = (schedule.entries[i].on_commit, schedule.entries[i].on_fail)
                 if key in groups:
                     assert groups[key] == pair, (e.name, i, p_hat)
