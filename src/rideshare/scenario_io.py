@@ -1,8 +1,9 @@
 """Scenario files: strict JSON parsing and canonical serialization.
 
-The parser rejects unknown fields and wrong types, naming the offending
-field. The serializer emits a canonical form (sorted keys, two-space
-indent, defaults omitted), so serialize(parse(text)) is a fixed point.
+The parser rejects unknown fields, duplicate keys and wrong types, naming
+the offending field. The serializer emits a canonical form (sorted keys,
+two-space indent, defaults omitted), so serialize(parse(text)) is a fixed
+point.
 """
 
 from __future__ import annotations
@@ -93,7 +94,12 @@ def _parse_pattern(clause: dict, path: str) -> OutcomePattern:
     if "exact" in partners and "at_least" in partners:
         raise ScenarioFormatError(ppath, "choose one of exact / at_least")
     if "exact" in partners:
-        ids = [_as_int(v, f"{ppath}.exact[{k}]") for k, v in enumerate(_as_list(partners["exact"], f"{ppath}.exact"))]
+        ids: set[int] = set()
+        for k, v in enumerate(_as_list(partners["exact"], f"{ppath}.exact")):
+            ident = _as_int(v, f"{ppath}.exact[{k}]")
+            if ident in ids:
+                raise ScenarioFormatError(f"{ppath}.exact[{k}]", f"repeated id {ident}")
+            ids.add(ident)
         return OutcomePattern(role, ExactPartners(frozenset(ids)))
     if "at_least" in partners:
         return OutcomePattern(role, PartnerCountAtLeast(_as_int(partners["at_least"], f"{ppath}.at_least")))
@@ -160,9 +166,18 @@ def _parse_trip(value: Any, path: str) -> TripType:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioFormatError("<document>", f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_scenario_text(text: str) -> Scenario:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ScenarioFormatError("<document>", f"invalid JSON: {e}")
     top = _as_obj(data, "<document>")

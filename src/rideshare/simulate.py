@@ -3,6 +3,10 @@
 Commitment bits come from a counter-based generator keyed by
 (seed, trial, commuter), so any draw can be recomputed in isolation and
 runs are reproducible regardless of evaluation order or platform.
+
+With the allocation and payments fixed, a trial's settlement is a function
+of its commitment vector alone. `_settle` computes it, once per distinct
+vector in a Monte Carlo run and once per vector in the exact enumeration.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .model import CommuterId, Scenario
-from .payments import Conditional, ExcludedValueError, PaymentSchedule, Unconditional
+from .model import Scenario
+from .payments import ExcludedValueError, PaymentSchedule, Unconditional
 from .valuation import EXCLUDED, evaluate
 
 _MASK = (1 << 64) - 1
@@ -27,25 +31,22 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _u01(seed: int, trial: int, commuter: int) -> float:
-    h = _splitmix64(seed & _MASK)
-    h = _splitmix64(h ^ (trial & _MASK))
-    h = _splitmix64(h ^ (commuter & _MASK))
-    return (h >> 11) * 2.0**-53
-
-
 CommitVector = tuple[int, ...]
 
 
 def realize(p: Sequence[float], seed: int, trial: int = 0) -> CommitVector:
-    """Draw one commitment vector: bit k is 1 with probability p[k]."""
-    return tuple(1 if _u01(seed, trial, k) < p[k] else 0 for k in range(len(p)))
+    """Draw one commitment vector: bit k is 1 with probability p[k].
+
+    Bit k compares a uniform draw hashed from (seed, trial, k) with p[k];
+    the (seed, trial) prefix of that hash is computed once per call.
+    """
+    h = _splitmix64(_splitmix64(seed & _MASK) ^ (trial & _MASK))
+    return tuple(1 if (_splitmix64(h ^ k) >> 11) * 2.0**-53 < p[k] else 0 for k in range(len(p)))
 
 
 @dataclass(frozen=True)
 class TrialRecord:
     trial: int
-    seed: int
     commit: CommitVector
     values: tuple[float | None, ...]
     payments: tuple[float, ...]
@@ -68,36 +69,27 @@ class SimulationSummary:
     mean_deficit: float
 
 
-def _charge(entry, bit: int) -> float:
-    if isinstance(entry, Unconditional):
-        return entry.amount
-    return entry.on_commit if bit else entry.on_fail
-
-
-def _single_trial(s: Scenario, schedule: PaymentSchedule, seed: int, t: int) -> TrialRecord:
-    commit = realize(s.true_p(), seed, t)
+def _settle(s: Scenario, schedule: PaymentSchedule, commit: CommitVector) -> tuple:
+    """The `TrialRecord` fields after `commit` for one commitment vector:
+    values, payments, utilities, welfare, deficit and the flag. A commuter
+    whose true valuation excludes the allocation gets value and utility
+    None, which flags the vector."""
     degenerate = tuple(float(b) for b in commit)
     values: list[float | None] = []
     payments: list[float] = []
     utilities: list[float | None] = []
-    flagged = False
-    for k, c in enumerate(s.commuters):
+    for c, entry, bit in zip(s.commuters, schedule.entries, commit):
         v = evaluate(c.true_type.valuation, schedule.allocation, degenerate)
-        charge = _charge(schedule.entries[k], commit[k])
-        payments.append(charge)
-        if v is EXCLUDED:
-            values.append(None)
-            utilities.append(None)
-            flagged = True
+        if isinstance(entry, Unconditional):
+            charge = entry.amount
         else:
-            values.append(v)
-            utilities.append(v - charge)
+            charge = entry.on_commit if bit else entry.on_fail
+        payments.append(charge)
+        values.append(None if v is EXCLUDED else v)
+        utilities.append(None if v is EXCLUDED else v - charge)
     welfare = math.fsum(v for v in values if v is not None)
-    deficit = -math.fsum(payments)
-    return TrialRecord(
-        t, seed, commit, tuple(values), payments=tuple(payments),
-        utilities=tuple(utilities), welfare=welfare, deficit=deficit, flagged=flagged,
-    )
+    flagged = None in values
+    return tuple(values), tuple(payments), tuple(utilities), welfare, -math.fsum(payments), flagged
 
 
 def _mean(xs: list[float]) -> float:
@@ -117,14 +109,23 @@ def run_trials(
 ) -> tuple[list[TrialRecord], SimulationSummary]:
     """Simulate settlement over `trials` independent commitment draws.
 
-    Trials where some commuter's true valuation excludes the realized
-    outcome carry no number for that commuter; such trials are flagged and
-    left out of the summary means. Summaries reduce with exact summation,
-    so they do not depend on accumulation order.
+    Each distinct commitment vector is settled once per call, and every
+    trial that draws it shares that settlement. Trials where some
+    commuter's true valuation excludes the realized outcome carry no number
+    for that commuter; such trials are flagged and left out of the summary
+    means. Summaries reduce with exact summation, so they do not depend on
+    accumulation order.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    records = [_single_trial(s, schedule, seed, t) for t in range(trials)]
+    p = s.true_p()
+    settled: dict[CommitVector, tuple] = {}
+    records = []
+    for t in range(trials):
+        commit = realize(p, seed, t)
+        if commit not in settled:
+            settled[commit] = _settle(s, schedule, commit)
+        records.append(TrialRecord(t, commit, *settled[commit]))
     clean = [r for r in records if not r.flagged]
     n = s.n
     mean_commit = tuple(_mean([float(r.commit[k]) for r in clean]) for k in range(n))
@@ -157,12 +158,11 @@ def exact_expected_utilities(s: Scenario, schedule: PaymentSchedule) -> tuple[fl
         weight = 1.0
         for k in range(n):
             weight *= p[k] if commit[k] else 1.0 - p[k]
-        degenerate = tuple(float(b) for b in commit)
-        for k, c in enumerate(s.commuters):
-            v = evaluate(c.true_type.valuation, schedule.allocation, degenerate)
-            if v is EXCLUDED:
-                raise ExcludedValueError(
-                    f"commuter {k}: true valuation excludes the settled allocation"
-                )
-            totals[k].append(weight * (v - _charge(schedule.entries[k], commit[k])))
+        values, _, utilities, _, _, flagged = _settle(s, schedule, commit)
+        if flagged:
+            raise ExcludedValueError(
+                f"commuter {values.index(None)}: true valuation excludes the settled allocation"
+            )
+        for k, u in enumerate(utilities):
+            totals[k].append(weight * u)
     return tuple(math.fsum(xs) for xs in totals)

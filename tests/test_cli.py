@@ -235,12 +235,50 @@ def test_non_finite_coefficient_is_input_error(tmp_path, capsys, value):
     assert "no-violation-found" not in captured.out
 
 
-_OVERFLOW_COMMANDS = {
+# Every subcommand that reads a scenario file.
+_SCENARIO_COMMANDS = {
     "allocate": ["allocate"],
     "pay": ["pay"],
     "audit": ["audit", "--mechanism", "commit"],
     "simulate": ["simulate", "--trials", "5", "--out", "{out}"],
 }
+
+
+def _run_on(tmp_path, command, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    argv = [command[0], str(path)] + [a.format(out=tmp_path / "t.csv") for a in command[1:]]
+    return cli.main(argv)
+
+
+def _repeat_p_commit(text):
+    first = '"p_commit": 0.5,'
+    assert text.count(first) == 1
+    return text.replace(first, first + ' "p_commit": 0.9,')
+
+
+def _repeat_exact_partner(text):
+    doc = json.loads(text)
+    clause = doc["scenario"]["commuters"][0]["true_type"]["valuation"]["clauses"][0]
+    clause["partners"] = {"exact": [1, 1]}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", _SCENARIO_COMMANDS.values(), ids=_SCENARIO_COMMANDS)
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_repeat_p_commit, "duplicate key 'p_commit'", id="duplicate-key"),
+    pytest.param(_repeat_exact_partner, "partners.exact[1]: repeated id 1", id="repeated-exact-id"),
+])
+def test_repeated_key_or_partner_is_input_error(tmp_path, capsys, command, edit, message):
+    """A key given twice, or a partner id listed twice, has no single meaning;
+    reading it as the last key or as a set would price a scenario the file
+    does not state."""
+    assert _run_on(tmp_path, command, edit(Path(PAIR).read_text())) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 # Each commuter's first term gets these coefficients: one large value per
 # commuter overflows the welfare sum; two on the rider overflow its own value
 # to inf; two more on the driver make the welfare sum -inf + inf.
@@ -254,7 +292,7 @@ _OVERFLOW_SHAPES = {
 @pytest.mark.parametrize("command, coefficients", [
     pytest.param(command, coefficients, id=name + shape)
     for shape, coefficients in _OVERFLOW_SHAPES.items()
-    for name, command in _OVERFLOW_COMMANDS.items()
+    for name, command in _SCENARIO_COMMANDS.items()
 ])
 def test_arithmetic_overflow_is_input_error(tmp_path, capsys, command, coefficients):
     """Coefficients near the float limit overflow the exact welfare sums or
@@ -264,10 +302,7 @@ def test_arithmetic_overflow_is_input_error(tmp_path, capsys, command, coefficie
         c["true_type"]["p_commit"] = 1.0
         clause = c["true_type"]["valuation"]["clauses"][0]
         clause["terms"] = [dict(clause["terms"][0], coefficient=v) for v in values]
-    big = tmp_path / "overflow.json"
-    big.write_text(json.dumps(doc))
-    argv = [command[0], str(big)] + [a.format(out=tmp_path / "t.csv") for a in command[1:]]
-    assert cli.main(argv) == 2
+    assert _run_on(tmp_path, command, json.dumps(doc)) == 2
     captured = capsys.readouterr()
     assert "overflow" in captured.err
     assert "Traceback" not in captured.err

@@ -1,5 +1,6 @@
 """Deterministic commitment draws and Monte Carlo settlement."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -12,7 +13,14 @@ from rideshare.payments import (
     expected_utility,
 )
 from rideshare.simulate import exact_expected_utilities, realize, run_trials
-from rideshare.valuation import AnyPartners, Clause, OutcomePattern, ValuationSpec
+from rideshare.valuation import (
+    EXCLUDED,
+    AnyPartners,
+    Clause,
+    OutcomePattern,
+    ValuationSpec,
+    evaluate,
+)
 
 
 def test_realize_degenerate_probabilities():
@@ -130,13 +138,27 @@ def test_excluded_realizations_are_flagged_not_averaged():
 
 
 def test_trial_records_expose_settlement_columns():
-    s = by_name("linear-pair-profitable")
-    schedule = commit_payments(s)
-    records, _ = run_trials(s, schedule, 10, seed=0)
-    for r in records:
-        assert len(r.commit) == len(r.values) == len(r.payments) == 2
-        for k, bit in enumerate(r.commit):
-            entry = schedule.entries[k]
-            expected_charge = entry.on_commit if bit else entry.on_fail
-            assert r.payments[k] == expected_charge
-            assert r.utilities[k] == r.values[k] - r.payments[k]
+    """Each record's columns are the true valuations evaluated at the drawn
+    bits and the schedule's charges for them; the gate scenario's values
+    read the other commuter's bit. Records of one commitment vector agree
+    in everything but the trial counter."""
+    for name in ("linear-pair-profitable", "threshold-gate-pair-misreport"):
+        s = by_name(name)
+        schedule = commit_payments(s)
+        records, _ = run_trials(s, schedule, 64, seed=0)
+        by_commit = {}
+        for r in records:
+            assert len(r.commit) == len(r.values) == len(r.payments) == 2
+            bits = tuple(float(b) for b in r.commit)
+            for k, bit in enumerate(r.commit):
+                entry = schedule.entries[k]
+                expected_charge = entry.on_commit if bit else entry.on_fail
+                assert r.payments[k] == expected_charge
+                v = evaluate(s.commuters[k].true_type.valuation, schedule.allocation, bits)
+                assert r.values[k] == (None if v is EXCLUDED else v)
+                assert r.utilities[k] == r.values[k] - r.payments[k]
+            assert r.welfare == math.fsum(r.values)
+            assert r.deficit == -math.fsum(r.payments)
+            first = by_commit.setdefault(r.commit, r)
+            assert replace(r, trial=first.trial) == first, name
+        assert len(by_commit) < len(records), name
