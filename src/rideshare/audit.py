@@ -168,10 +168,17 @@ def _sweep(
         h = efficient_allocation_excluding(profile, i, p_override=public_p).welfare
     # commit utilities depend on the induced allocation alone
     commit_memo: dict = {}
+    # everyone else's values read i's report only through the probability
+    # vector: through p̂_i under private p, not at all under public p. So
+    # their tables are shared per p̂_i, and i's own spec is scored afresh.
+    shared: dict[float | None, list] = {}
 
     def utility(trip: TripType) -> float:
         prof = with_report(profile, i, trip)
-        rep = efficient_allocation(prof, p_override=public_p)
+        key = trip.p_commit if public_p is None else None
+        tables = shared.setdefault(key, [None] * profile.n)
+        tables[i] = None
+        rep = efficient_allocation(prof, p_override=public_p, _tables=tables)
         if mechanism is not Mechanism.COMMIT_BASED:
             return settled_utility(prof, i, rep.allocation, mechanism.entry(prof, h, rep, i))
         u = commit_memo.get(rep.allocation)

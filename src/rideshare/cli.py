@@ -120,15 +120,33 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _repr_or_empty(x: float | None) -> str:
+    return "" if x is None else repr(x)
+
+
 def render_trials_csv(records, summary) -> str:
+    """The per-trial CSV: one row per trial and commuter, then the summary.
+
+    The records of one `run_trials` call settle each commitment vector one
+    way, so the columns after `trial` are formatted once per distinct vector.
+    Those fields are numbers or empty and need no quoting, so joining them
+    writes the bytes `csv.writer` would.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["trial", "commuter", "committed", "value", "payment", "utility"])
+    tails_of: dict[tuple[int, ...], list[str]] = {}
     for r in records:
-        for k in range(len(r.commit)):
-            value = "" if r.values[k] is None else repr(r.values[k])
-            utility = "" if r.utilities[k] is None else repr(r.utilities[k])
-            writer.writerow([r.trial, k, r.commit[k], value, repr(r.payments[k]), utility])
+        tails = tails_of.get(r.commit)
+        if tails is None:
+            tails = tails_of[r.commit] = [
+                f"{k},{bit},{_repr_or_empty(v)},{payment!r},{_repr_or_empty(u)}\n"
+                for k, (bit, v, payment, u) in enumerate(
+                    zip(r.commit, r.values, r.payments, r.utilities))
+            ]
+        if tails:
+            prefix = f"{r.trial},"
+            buf.write(prefix + prefix.join(tails))
     n = len(summary.mean_commit)
     for k in range(n):
         writer.writerow([

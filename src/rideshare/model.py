@@ -192,6 +192,10 @@ def _walk(
     drivers ascending. A commuter who already has riders may only choose -1;
     a driver who is riding or whose seats are full is skipped. Only the last
     structure is cached: callers enumerate one structure many times in a row.
+
+    Equal assignments are one object: one per (driver, rider set), one per
+    driver for riders and one for role none. Allocations share them, and
+    per-commuter value tables key on their cached-hash partner sets.
     """
     n = len(has_vehicle)
     eligible = [
@@ -200,6 +204,7 @@ def _walk(
     ]
     none = Assignment(Role.NONE, _EMPTY)
     ride = [Assignment(Role.RIDE, frozenset((d,))) for d in range(n)]
+    drive: dict[tuple[int, ...], Assignment] = {}
     riding = [False] * n
     riders: list[list[int]] = [[] for _ in range(n)]
     row = [none] * n
@@ -219,7 +224,11 @@ def _walk(
             kept = row[d]
             riders[d].append(r)
             row[r] = ride[d]
-            row[d] = Assignment(Role.DRIVE, frozenset(riders[d]))
+            key = (d, *riders[d])
+            asg = drive.get(key)
+            if asg is None:
+                asg = drive[key] = Assignment(Role.DRIVE, frozenset(riders[d]))
+            row[d] = asg
             assign(r + 1)
             riders[d].pop()
             row[d] = kept

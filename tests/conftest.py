@@ -78,21 +78,36 @@ def naive_feasible_allocations(s):
     return out
 
 
-def naive_best_allocation(s, p=None):
-    """First strict welfare maximizer over the naive enumeration."""
+def naive_efficient(s, p=None, absent=frozenset()):
+    """First strict welfare maximizer over the naive enumeration, scored from
+    scratch: every present commuter is evaluated on every allocation that
+    leaves the absent commuters with role none, and absent commuters count
+    0.0. Returns (allocation, welfare, per_commuter)."""
     if p is None:
         p = s.reported_p()
     best = None
     best_welfare = None
+    best_values = None
     for a in naive_feasible_allocations(s):
-        values = [evaluate(c.reported_type.valuation, a, p) for c in s.commuters]
+        if any(a.assignments[i].role is not Role.NONE for i in absent):
+            continue
+        values = [
+            0.0 if c.id in absent else evaluate(c.reported_type.valuation, a, p, absent)
+            for c in s.commuters
+        ]
         if any(v is EXCLUDED for v in values):
             continue
         w = math.fsum(values)
         if best_welfare is None or w > best_welfare:
             best = a
             best_welfare = w
-    return best, best_welfare
+            best_values = tuple(values)
+    return best, best_welfare, best_values
+
+
+def naive_best_allocation(s, p=None):
+    """The allocation and welfare of `naive_efficient` with nobody absent."""
+    return naive_efficient(s, p)[:2]
 
 
 def bernoulli_expectation(spec, allocation, p):

@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import naive_best_allocation, small_scenarios
+from conftest import naive_best_allocation, naive_efficient, small_scenarios
 from rideshare.allocation import efficient_allocation, efficient_allocation_excluding
 from rideshare.corpus import by_name
 from rideshare.model import (
@@ -109,6 +110,25 @@ def test_matches_naive_oracle_on_random_scenarios(s):
     best, welfare = naive_best_allocation(s)
     assert rep.allocation == best
     assert rep.welfare == welfare
+
+
+@given(small_scenarios(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_matches_naive_oracle_with_absent_and_p_override(s, data):
+    """Every single-commuter absent set and an overriding probability vector:
+    the chosen allocation, the welfare and each commuter's value are the
+    same floats as a from-scratch scorer's."""
+    p = tuple(data.draw(st.lists(
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=16),
+        min_size=s.n, max_size=s.n,
+    )))
+    for absent in [frozenset()] + [frozenset((i,)) for i in range(s.n)]:
+        for p_override in (None, p):
+            rep = efficient_allocation(s, p_override=p_override, absent=absent)
+            best, welfare, values = naive_efficient(s, p_override, absent)
+            assert rep.allocation == best, (absent, p_override)
+            assert repr((rep.welfare, rep.per_commuter)) == repr((welfare, values)), (
+                absent, p_override)
 
 
 def test_trio_constants_picks_full_van():

@@ -18,7 +18,12 @@ from rideshare.audit import (
 )
 from rideshare.corpus import by_name, corpus, linear_entries
 from rideshare.model import full_compatibility, with_report, with_truthful_reports
-from rideshare.payments import commit_payments, expected_utility, groves_payments
+from rideshare.payments import (
+    ExcludedValueError,
+    commit_payments,
+    expected_utility,
+    groves_payments,
+)
 from rideshare.valuation import GateDirection, ThresholdGate
 
 
@@ -173,6 +178,35 @@ def test_every_violated_witness_replays(corpus_entries):
             assert deviated == pytest.approx(report.witness.deviated_utility, abs=1e-12)
             assert deviated > truthful + 1e-9
     assert seen >= 3
+
+
+def test_expost_gain_matches_a_from_scratch_replay(corpus_entries):
+    """The ex-post audit's best gain (0 when clean) is the largest gain any
+    deviation in its grid replays to through the public payment API, and the
+    deviations it excludes are those whose replay raises. Sharing value
+    tables across deviations that should not share them changes a gain."""
+    space = DeviationSpace(p_grid=5)
+    for e in corpus_entries:
+        if e.scenario.n > 4:
+            continue
+        s = with_truthful_reports(e.scenario)
+        for mechanism in Mechanism:
+            report = audit_expost(s, mechanism, space)
+            best = 0.0
+            excluded = 0
+            for i, c in enumerate(s.commuters):
+                truthful = expected_utility(s, i, replay_schedule(s, mechanism))
+                for trip in deviations_for(c.true_type, space):
+                    bent = with_report(s, i, trip)
+                    try:
+                        u = expected_utility(bent, i, replay_schedule(bent, mechanism))
+                    except ExcludedValueError:
+                        excluded += 1
+                        continue
+                    best = max(best, u - truthful)
+            gain = report.witness.gain if report.witness else 0.0
+            assert gain == best, (e.name, mechanism)
+            assert report.excluded_deviations == excluded, (e.name, mechanism)
 
 
 def test_finer_grid_never_flips_to_clean(corpus_entries):

@@ -309,6 +309,23 @@ def test_arithmetic_overflow_is_input_error(tmp_path, capsys, command, coefficie
     assert captured.out == ""
 
 
+def test_values_are_scored_only_where_the_search_reaches_them(tmp_path, capsys):
+    """The only allocation where the rider's value overflows (two 1e308
+    terms at p = 1) is one the driver's excluded clause rules out first, so
+    that value is never computed and the pair travels alone."""
+    doc = json.loads(Path(PAIR).read_text())
+    driver, rider = doc["scenario"]["commuters"]
+    driver["true_type"]["valuation"]["clauses"][0] = {"role": "drive", "excluded": True}
+    for c in (driver, rider):
+        c["true_type"]["p_commit"] = 1.0
+    clause = rider["true_type"]["valuation"]["clauses"][0]
+    clause["terms"] = [dict(clause["terms"][0], coefficient=1e308)] * 2
+    assert _run_on(tmp_path, ["allocate"], json.dumps(doc)) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("all travel alone\n")
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("mechanism, expected", [
     (["--mechanism", "commit"], 0),
     (["--mechanism", "groves-clarke"], 1),
