@@ -7,11 +7,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .model import _EMPTY, Allocation, CommuterId, Role, Scenario, _feasible
-from .valuation import EXCLUDED, evaluate
+from .valuation import EXCLUDED, ValuationSpec, evaluate
 
-# One commuter's values at fixed probabilities and absent set: the drive
+# A commuter to score: id, reported spec, the spec's owner, and that spec's
+# values at fixed probabilities and absent set, in two tables: the drive
 # dict keyed by rider set, the other by partners (a rider's driver, or none).
-ValueTables = tuple[dict, dict]
+Scored = tuple[CommuterId, ValuationSpec, CommuterId, dict, dict]
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,6 @@ def efficient_allocation(
     *,
     p_override: Sequence[float] | None = None,
     absent: frozenset[int] = _EMPTY,
-    _tables: list[ValueTables | None] | None = None,
 ) -> WelfareReport:
     """Maximise total reported value over feasible allocations.
 
@@ -34,33 +34,42 @@ def efficient_allocation(
     skipped. Ties keep the first maximiser, so the deterministic enumeration
     order doubles as the tie-break. `p_override` substitutes the given
     probabilities for the reported ones in every evaluation.
+    """
+    p = tuple(p_override) if p_override is not None else s.reported_p()
+    present = [
+        _scored(j, c.reported_type.valuation) for j, c in enumerate(s.commuters) if j not in absent
+    ]
+    return _argmax(_feasible(s, absent), present, p, absent)
+
+
+def _scored(j: CommuterId, spec: ValuationSpec) -> Scored:
+    """Commuter `j`, scored by `spec`, with empty value tables."""
+    return (j, spec, spec.owner, {}, {})
+
+
+def _argmax(
+    allocations: Sequence[Allocation],
+    present: Sequence[Scored],
+    p: Sequence[float],
+    absent: frozenset[int],
+) -> WelfareReport:
+    """The first allocation of maximal welfare among those no present
+    commuter excludes, with `present` in commuter order.
 
     A commuter's value reads only their own assignment, so each present
     commuter is evaluated once per distinct assignment and the value kept in
-    their table; welfare is the exact sum of the values in commuter order.
+    their tables; welfare is the exact sum of the values in commuter order.
     Tables fill lazily, in the order the allocations reach them: an
     allocation is dropped at its first excluded commuter, before anyone
-    after them is evaluated. `_tables` holds one entry per commuter, None
-    until this call creates it in place, so a later call can reuse a
-    commuter's values when it has the same probabilities, `absent` and
-    reported spec for that commuter.
+    after them is evaluated. A caller may pass the same entry to later calls
+    with the same `p`, `absent` and spec for that commuter, and so reuse its
+    values.
     """
-    p = tuple(p_override) if p_override is not None else s.reported_p()
-    if _tables is None:
-        _tables = [None] * s.n
-    present = []
-    for j, c in enumerate(s.commuters):
-        if j in absent:
-            continue
-        if _tables[j] is None:
-            _tables[j] = ({}, {})
-        spec = c.reported_type.valuation
-        present.append((j, spec, spec.owner, *_tables[j]))
-    values = [0.0] * s.n
+    values = [0.0] * len(p)
     best_allocation = None
     best_welfare = 0.0
     best_values: tuple[float, ...] = ()
-    for allocation in _feasible(s, absent):
+    for allocation in allocations:
         assignments = allocation.assignments
         for j, spec, owner, drive, other in present:
             a = assignments[owner]

@@ -17,10 +17,18 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .allocation import efficient_allocation, efficient_allocation_excluding
-from .model import CommuterId, Scenario, TripType, with_report, with_truthful_reports
+from .allocation import _argmax, _scored, efficient_allocation, efficient_allocation_excluding
+from .model import (
+    _EMPTY,
+    CommuterId,
+    Scenario,
+    TripType,
+    _feasible,
+    with_report,
+    with_truthful_reports,
+)
 from .payments import ExcludedValueError, Mechanism, PivotRule, settled_utility
-from .valuation import Clause, GateDirection, Monomial, ThresholdGate, ValuationSpec
+from .valuation import Clause, GateDirection, Monomial, ThresholdGate, ValuationSpec, substitute
 
 GAIN_TOLERANCE = 1e-9
 MAX_DOMINANT_COMMUTERS = 4
@@ -140,13 +148,18 @@ def deviations_for(trip: TripType, space: DeviationSpace) -> list[TripType]:
     """Candidate misreports in a fixed order: probability points ascending,
     truthful coefficients before rescalings, gate edits last. The order is
     the tie-break when several deviations share the maximal gain. A
-    rescaling that overflows a coefficient is skipped: a scenario file
-    cannot carry that report."""
+    rescaling is skipped when some clause's sum of |coefficient| is not
+    finite: that sum bounds the clause's total at any probabilities in
+    [0, 1], so every kept rescaling totals to a finite value, and the
+    audit never blames the scenario for an overflow of its own making. The
+    truthful coefficients are always kept."""
     points = [k / (space.p_grid - 1) for k in range(space.p_grid)]
     variant_lists = []
-    for combo in _scale_combos(trip.valuation, space.coefficient_scales):
+    for k, combo in enumerate(_scale_combos(trip.valuation, space.coefficient_scales)):
         scaled = _scaled_spec(trip.valuation, combo)
-        if not all(math.isfinite(t.coefficient) for c in scaled.clauses for t in c.terms):
+        if k and not all(
+            math.isfinite(sum(abs(t.coefficient) for t in c.terms)) for c in scaled.clauses
+        ):
             continue
         variant_lists.append(_gate_variants(scaled) if space.gate_toggles else [scaled])
     return [TripType(spec, p_hat) for p_hat in points for variants in variant_lists for spec in variants]
@@ -160,40 +173,76 @@ def _sweep(
     opponents: tuple[tuple[CommuterId, TripType], ...],
 ) -> tuple[Witness | None, int]:
     """Commuter i's first maximal-gain deviation against `profile`, if any
-    gains, and the number of deviations excluded outright."""
+    gains, and the number of deviations excluded outright.
+
+    Each deviation gives the same result as rebuilding the scenario with
+    i's report and pricing it afresh, but only i is re-scored. The argmax
+    frame is set up once: the feasible set of the profile's structure, and
+    per reported probability p̂_i the probability vector and everyone
+    else's value tables, which read i's report only through that vector.
+    Each outcome is settled once, and under public probabilities each
+    distinct reported valuation is scored once, whatever its p̂_i.
+    """
     public_p = mechanism.probabilities(profile)
     # the pivot never reads i's report, so it is fixed per profile
     h = 0.0
     if mechanism.pivot is PivotRule.CLARKE:
         h = efficient_allocation_excluding(profile, i, p_override=public_p).welfare
-    # commit utilities depend on the induced allocation alone
-    commit_memo: dict = {}
-    # everyone else's values read i's report only through the probability
-    # vector: through p̂_i under private p, not at all under public p. So
-    # their tables are shared per p̂_i, and i's own spec is scored afresh.
-    shared: dict[float | None, list] = {}
+    # Entries and settled utilities may read `profile` in place of the
+    # deviated scenario: a commit entry reads the reported probabilities
+    # only with p̂_i replaced by 1 and by 0, a Groves entry reads only `h`
+    # and the others' values in the report, and `settled_utility` reads
+    # only true types. So i's utility is fixed by the chosen allocation
+    # under commit, and by p̂_i's frame and that allocation under Groves.
+    truth = efficient_allocation(profile, p_override=public_p)
+    u_truth = settled_utility(profile, i, truth.allocation, mechanism.entry(profile, h, truth, i))
 
-    def utility(trip: TripType) -> float:
-        prof = with_report(profile, i, trip)
+    allocations = _feasible(profile, _EMPTY)
+    reported = profile.reported_p()
+    frames: dict[float | None, tuple] = {}
+    # keyed by the allocation's id: `allocations` keeps every one alive
+    settled: dict = {}
+    commit = mechanism is Mechanism.COMMIT_BASED
+
+    def utility(trip: TripType) -> float | None:
+        """i's utility when reporting `trip`, or None when i's true
+        valuation excludes the outcome."""
         key = trip.p_commit if public_p is None else None
-        tables = shared.setdefault(key, [None] * profile.n)
-        tables[i] = None
-        rep = efficient_allocation(prof, p_override=public_p, _tables=tables)
-        if mechanism is not Mechanism.COMMIT_BASED:
-            return settled_utility(prof, i, rep.allocation, mechanism.entry(prof, h, rep, i))
-        u = commit_memo.get(rep.allocation)
-        if u is None:
-            entry = mechanism.entry(prof, h, rep, i)
-            u = commit_memo[rep.allocation] = settled_utility(prof, i, rep.allocation, entry)
+        frame = frames.get(key)
+        if frame is None:
+            p = public_p if public_p is not None else substitute(reported, i, key)
+            present = [
+                _scored(j, c.reported_type.valuation) for j, c in enumerate(profile.commuters)
+            ]
+            frame = frames[key] = (p, present)
+        p, present = frame
+        present[i] = _scored(i, trip.valuation)
+        rep = _argmax(allocations, present, p, _EMPTY)
+        outcome = id(rep.allocation) if commit else (key, id(rep.allocation))
+        if outcome in settled:
+            return settled[outcome]
+        try:
+            u = settled_utility(profile, i, rep.allocation, mechanism.entry(profile, h, rep, i))
+        except ExcludedValueError:
+            u = None
+        settled[outcome] = u
         return u
 
-    u_truth = utility(profile.commuters[i].true_type)
+    # under public probabilities nothing reads p̂_i, so deviations that
+    # differ only in it share a result; keyed by the spec's id, which
+    # `devs` keeps alive
+    by_spec: dict[int, float | None] = {}
     best: Witness | None = None
     excluded = 0
     for trip in devs:
-        try:
+        if public_p is None:
             u = utility(trip)
-        except ExcludedValueError:
+        else:
+            spec_id = id(trip.valuation)
+            if spec_id not in by_spec:
+                by_spec[spec_id] = utility(trip)
+            u = by_spec[spec_id]
+        if u is None:
             excluded += 1
             continue
         gain = u - u_truth

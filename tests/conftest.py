@@ -1,12 +1,23 @@
-"""Shared fixtures: an independent brute-force allocation oracle and
-hypothesis strategies for small random scenarios."""
+"""Shared fixtures: an independent brute-force allocation oracle, a
+per-deviation reference audit, and hypothesis strategies for small random
+scenarios."""
 
 import itertools
 import math
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
+from rideshare.allocation import efficient_allocation, efficient_allocation_excluding
+from rideshare.audit import (
+    GAIN_TOLERANCE,
+    AuditReport,
+    Notion,
+    Verdict,
+    Witness,
+    deviations_for,
+)
 from rideshare.model import (
     Allocation,
     Assignment,
@@ -15,7 +26,10 @@ from rideshare.model import (
     Scenario,
     TripType,
     full_compatibility,
+    with_report,
+    with_truthful_reports,
 )
+from rideshare.payments import ExcludedValueError, PivotRule, settled_utility
 from rideshare.valuation import (
     AnyPartners,
     Clause,
@@ -25,6 +39,11 @@ from rideshare.valuation import (
     ValuationSpec,
     evaluate,
 )
+
+# `--hypothesis-profile=ci` draws the same examples on every run and Python
+# version, and prints a failure's reproduction blob; local runs keep the
+# default profile.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 def naive_choice_valid(s, choices):
@@ -108,6 +127,60 @@ def naive_efficient(s, p=None, absent=frozenset()):
 def naive_best_allocation(s, p=None):
     """The allocation and welfare of `naive_efficient` with nobody absent."""
     return naive_efficient(s, p)[:2]
+
+
+def reference_audit(s, mechanism, space, opponent_space=None):
+    """The audit replayed one deviation at a time: each deviation rebuilds
+    the scenario with `with_report`, re-runs `efficient_allocation` and
+    settles through `Mechanism.entry`, sharing nothing with any other
+    deviation. Same sweep order, tie-breaks and exclusion count as
+    `rideshare.audit`; the opponent grid is swept when `opponent_space` is
+    given (dominant), else everyone else stays truthful (ex post)."""
+    base = with_truthful_reports(s)
+    truth = [c.true_type for c in base.commuters]
+    best = None
+    excluded = 0
+    for i in range(base.n):
+        devs = deviations_for(truth[i], space)
+        others = [] if opponent_space is None else [j for j in range(base.n) if j != i]
+        grids = [[truth[j]] + deviations_for(truth[j], opponent_space) for j in others]
+        for combo in itertools.product(*grids):
+            profile = base
+            for j, trip in zip(others, combo):
+                profile = with_report(profile, j, trip)
+            public_p = mechanism.probabilities(profile)
+            h = 0.0
+            if mechanism.pivot is PivotRule.CLARKE:
+                h = efficient_allocation_excluding(profile, i, p_override=public_p).welfare
+
+            def utility(trip):
+                bent = with_report(profile, i, trip)
+                rep = efficient_allocation(bent, p_override=public_p)
+                return settled_utility(bent, i, rep.allocation, mechanism.entry(bent, h, rep, i))
+
+            u_truth = utility(truth[i])
+            found = None
+            for trip in devs:
+                try:
+                    u = utility(trip)
+                except ExcludedValueError:
+                    excluded += 1
+                    continue
+                gain = u - u_truth
+                if gain > (0.0 if found is None else found.gain):
+                    found = Witness(i, trip, u_truth, u, gain, tuple(zip(others, combo)))
+            if found is not None and (best is None or found.gain > best.gain):
+                best = found
+    violated = best is not None and best.gain > GAIN_TOLERANCE
+    return AuditReport(
+        mechanism=mechanism,
+        notion=Notion.EX_POST if opponent_space is None else Notion.DOMINANT,
+        verdict=Verdict.VIOLATED if violated else Verdict.NO_VIOLATION_FOUND,
+        witness=best if violated else None,
+        space=space,
+        opponent_space=opponent_space,
+        excluded_deviations=excluded,
+    )
 
 
 def bernoulli_expectation(spec, allocation, p):

@@ -4,27 +4,48 @@ import math
 from dataclasses import replace
 
 import pytest
+from conftest import reference_audit, small_scenarios
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rideshare.audit import (
+    GAIN_TOLERANCE,
     AuditSizeError,
     DeviationSpace,
     Mechanism,
     Notion,
     Verdict,
+    Witness,
     audit_dominant,
     audit_expost,
     deviations_for,
     truthfulness_suite,
 )
+import rideshare.audit as audit_module
 from rideshare.corpus import by_name, corpus, linear_entries
-from rideshare.model import full_compatibility, with_report, with_truthful_reports
+from rideshare.model import (
+    Commuter,
+    Role,
+    Scenario,
+    TripType,
+    full_compatibility,
+    with_report,
+    with_truthful_reports,
+)
 from rideshare.payments import (
     ExcludedValueError,
     commit_payments,
     expected_utility,
     groves_payments,
 )
-from rideshare.valuation import GateDirection, ThresholdGate
+from rideshare.valuation import (
+    Clause,
+    GateDirection,
+    Monomial,
+    OutcomePattern,
+    ThresholdGate,
+    ValuationSpec,
+)
 
 
 def replay_schedule(s, mechanism):
@@ -183,16 +204,20 @@ def test_every_violated_witness_replays(corpus_entries):
 def test_expost_gain_matches_a_from_scratch_replay(corpus_entries):
     """The ex-post audit's best gain (0 when clean) is the largest gain any
     deviation in its grid replays to through the public payment API, and the
-    deviations it excludes are those whose replay raises. Sharing value
-    tables across deviations that should not share them changes a gain."""
-    space = DeviationSpace(p_grid=5)
+    deviations it excludes are those whose replay raises. Its witness is the
+    first deviation of maximal gain, lowest commuter first, with the same
+    floats. Sharing value tables or settlements across deviations that should
+    not share them changes a gain or moves the witness."""
     for e in corpus_entries:
         if e.scenario.n > 4:
             continue
         s = with_truthful_reports(e.scenario)
+        gated = any(cl.gates for c in s.commuters for cl in c.true_type.valuation.clauses)
+        space = DeviationSpace(p_grid=5, gate_toggles=gated)
         for mechanism in Mechanism:
             report = audit_expost(s, mechanism, space)
             best = 0.0
+            first = None
             excluded = 0
             for i, c in enumerate(s.commuters):
                 truthful = expected_utility(s, i, replay_schedule(s, mechanism))
@@ -203,10 +228,76 @@ def test_expost_gain_matches_a_from_scratch_replay(corpus_entries):
                     except ExcludedValueError:
                         excluded += 1
                         continue
-                    best = max(best, u - truthful)
+                    if u - truthful > best:
+                        best = u - truthful
+                        first = Witness(i, trip, truthful, u, u - truthful)
             gain = report.witness.gain if report.witness else 0.0
             assert gain == best, (e.name, mechanism)
             assert report.excluded_deviations == excluded, (e.name, mechanism)
+            expected = first if best > GAIN_TOLERANCE else None
+            assert report.witness == expected, (e.name, mechanism)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    s=small_scenarios().filter(lambda s: s.n <= 3),
+    dominant_mechanism=st.sampled_from(Mechanism),
+)
+def test_sweep_matches_the_per_deviation_reference(s, dominant_mechanism):
+    """Every report field equals a replay that rebuilds the scenario for
+    each deviation and shares nothing between deviations, for both notions.
+    Under public probabilities the replayed utility of a valuation is the
+    same at every reported probability, which is what lets the sweep score
+    such deviations once per valuation."""
+    space = DeviationSpace(p_grid=3)
+    for mechanism in Mechanism:
+        assert audit_expost(s, mechanism, space) == reference_audit(s, mechanism, space)
+    opponents = DeviationSpace(p_grid=2, coefficient_scales=(1.0,))
+    assert audit_dominant(s, dominant_mechanism, space, opponents) == reference_audit(
+        s, dominant_mechanism, space, opponents
+    )
+    base = with_truthful_reports(s)
+    for mechanism in (m for m in Mechanism if m.probabilities(base) is not None):
+        for i, c in enumerate(base.commuters):
+            by_spec = {}
+            for trip in deviations_for(c.true_type, space):
+                bent = with_report(base, i, trip)
+                try:
+                    u = expected_utility(bent, i, replay_schedule(bent, mechanism))
+                except ExcludedValueError:
+                    u = None
+                assert by_spec.setdefault(trip.valuation, u) == u, (mechanism, i, trip)
+
+
+def _drive_one_spec(owner, ride):
+    """Driving is worth 1; riding is worth `ride`, or excluded when None."""
+    ride_clause = Clause(OutcomePattern(Role.RIDE), excluded=True) if ride is None else Clause(
+        OutcomePattern(Role.RIDE), terms=(Monomial(ride),))
+    return ValuationSpec(owner, (
+        Clause(OutcomePattern(Role.DRIVE), terms=(Monomial(1.0),)),
+        ride_clause,
+        Clause(OutcomePattern(Role.NONE)),
+    ))
+
+
+def test_every_deviation_into_an_excluded_outcome_is_counted(monkeypatch):
+    """A report that values an outcome its owner truly rules out can win
+    it. Every such deviation is counted as excluded, also those whose
+    outcome an earlier deviation already reached."""
+    s = Scenario(
+        (Commuter(0, True, 1, TripType(_drive_one_spec(0, None), 0.5)),
+         Commuter(1, True, 1, TripType(_drive_one_spec(1, 0.0), 0.5))),
+        full_compatibility(2),
+    )
+    devs = [TripType(_drive_one_spec(0, 10.0), p) for p in (0.0, 0.5, 1.0, 0.5)]
+    monkeypatch.setattr(
+        audit_module, "deviations_for",
+        lambda trip, space: devs if trip.valuation.owner == 0 else [],
+    )
+    for mechanism in Mechanism:
+        report = audit_expost(s, mechanism)
+        assert report.verdict is Verdict.NO_VIOLATION_FOUND, mechanism
+        assert report.excluded_deviations == len(devs), mechanism
 
 
 def test_finer_grid_never_flips_to_clean(corpus_entries):

@@ -345,3 +345,25 @@ def test_audit_skips_rescalings_past_the_float_limit(tmp_path, capsys, mechanism
     assert captured.err == ""
     verdict = "violated" if expected == 1 else "no-violation-found"
     assert f"verdict: {verdict}" in captured.out
+
+
+@pytest.mark.parametrize("mechanism", [
+    ["--mechanism", "commit"],
+    ["--mechanism", "groves-clarke"],
+    ["--mechanism", "groves-clarke", "--public-p"],
+])
+def test_audit_skips_rescalings_whose_clause_total_overflows(tmp_path, capsys, mechanism):
+    """Two constant terms of 1e307 price fine, and so does each one scaled
+    by 10, but not their sum: the audit skips a rescaling whose clause
+    total could overflow instead of blaming the scenario for it."""
+    doc = json.loads(Path(PAIR).read_text())
+    clause = doc["scenario"]["commuters"][1]["true_type"]["valuation"]["clauses"][0]
+    clause["terms"] = [{"coefficient": 1e307, "factors": []}] * 2
+    big = tmp_path / "constant-pair.json"
+    big.write_text(json.dumps(doc))
+    for command in (["allocate"], ["pay"]):
+        assert cli.main([command[0], str(big)]) == 0
+    assert cli.main(["audit", str(big), *mechanism]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "verdict: no-violation-found" in captured.out
