@@ -6,13 +6,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import _EMPTY, Allocation, CommuterId, Role, Scenario, _feasible
+from .model import _EMPTY, Allocation, CommuterId, Scenario, _feasible
 from .valuation import EXCLUDED, ValuationSpec, evaluate
 
 # A commuter to score: id, reported spec, the spec's owner, and that spec's
-# values at fixed probabilities and absent set, in two tables: the drive
-# dict keyed by rider set, the other by partners (a rider's driver, or none).
-Scored = tuple[CommuterId, ValuationSpec, CommuterId, dict, dict]
+# values at fixed probabilities and absent set, keyed by the id of the
+# owner's assignment object.
+Scored = tuple[CommuterId, ValuationSpec, CommuterId, dict]
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,8 @@ def efficient_allocation(
 
 
 def _scored(j: CommuterId, spec: ValuationSpec) -> Scored:
-    """Commuter `j`, scored by `spec`, with empty value tables."""
-    return (j, spec, spec.owner, {}, {})
+    """Commuter `j`, scored by `spec`, with an empty value table."""
+    return (j, spec, spec.owner, {})
 
 
 def _argmax(
@@ -56,14 +56,14 @@ def _argmax(
     """The first allocation of maximal welfare among those no present
     commuter excludes, with `present` in commuter order.
 
-    A commuter's value reads only their own assignment, so each present
-    commuter is evaluated once per distinct assignment and the value kept in
-    their tables; welfare is the exact sum of the values in commuter order.
-    Tables fill lazily, in the order the allocations reach them: an
-    allocation is dropped at its first excluded commuter, before anyone
+    A commuter's value reads only their own assignment, and `_walk` makes
+    each distinct assignment one object, so each present commuter is
+    evaluated once per assignment, keyed by its id in their table; welfare
+    is the exact sum of the values in commuter order. Tables fill lazily:
+    an allocation is dropped at its first excluded commuter, before anyone
     after them is evaluated. A caller may pass the same entry to later calls
     with the same `p`, `absent` and spec for that commuter, and so reuse its
-    values.
+    values, but only while the allocations that filled it are alive.
     """
     values = [0.0] * len(p)
     best_allocation = None
@@ -71,12 +71,11 @@ def _argmax(
     best_values: tuple[float, ...] = ()
     for allocation in allocations:
         assignments = allocation.assignments
-        for j, spec, owner, drive, other in present:
-            a = assignments[owner]
-            table = drive if a.role is Role.DRIVE else other
-            v = table.get(a.partners)
+        for j, spec, owner, table in present:
+            key = id(assignments[owner])
+            v = table.get(key)
             if v is None:
-                v = table[a.partners] = evaluate(spec, allocation, p, absent)
+                v = table[key] = evaluate(spec, allocation, p, absent)
             if v is EXCLUDED:
                 break
             values[j] = v

@@ -85,6 +85,11 @@ class Witness:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """`excluded_deviations` counts deviations into outcomes the deviator
+    truly excludes. It is 0 on every grid audit: exclusion reads only clause
+    patterns and excluded flags, which no rescaling or gate edit changes, so
+    only a caller-supplied deviation list reaches it."""
+
     mechanism: Mechanism
     notion: Notion
     verdict: Verdict
@@ -176,12 +181,14 @@ def _sweep(
     gains, and the number of deviations excluded outright.
 
     Each deviation gives the same result as rebuilding the scenario with
-    i's report and pricing it afresh, but only i is re-scored. The argmax
-    frame is set up once: the feasible set of the profile's structure, and
-    per reported probability p̂_i the probability vector and everyone
-    else's value tables, which read i's report only through that vector.
-    Each outcome is settled once, and under public probabilities each
-    distinct reported valuation is scored once, whatever its p̂_i.
+    i's report and pricing it afresh, but only i is re-scored against one
+    argmax frame: the feasible set of the profile's structure, fetched once,
+    and per reported probability p̂_i the probability vector, everyone's
+    value tables (the others read i's report only through that vector) and
+    i's utility per reported valuation. Under public probabilities nothing
+    reads p̂_i, so one frame serves every deviation; otherwise the frame is
+    rebuilt whenever p̂_i changes. Each outcome is settled once per frame
+    under Groves and once per sweep under commit.
     """
     public_p = mechanism.probabilities(profile)
     # the pivot never reads i's report, so it is fixed per profile
@@ -193,55 +200,39 @@ def _sweep(
     # only with p̂_i replaced by 1 and by 0, a Groves entry reads only `h`
     # and the others' values in the report, and `settled_utility` reads
     # only true types. So i's utility is fixed by the chosen allocation
-    # under commit, and by p̂_i's frame and that allocation under Groves.
+    # under commit, and by the frame and that allocation under Groves.
     truth = efficient_allocation(profile, p_override=public_p)
     u_truth = settled_utility(profile, i, truth.allocation, mechanism.entry(profile, h, truth, i))
 
     allocations = _feasible(profile, _EMPTY)
-    reported = profile.reported_p()
-    frames: dict[float | None, tuple] = {}
-    # keyed by the allocation's id: `allocations` keeps every one alive
-    settled: dict = {}
-    commit = mechanism is Mechanism.COMMIT_BASED
-
-    def utility(trip: TripType) -> float | None:
-        """i's utility when reporting `trip`, or None when i's true
-        valuation excludes the outcome."""
-        key = trip.p_commit if public_p is None else None
-        frame = frames.get(key)
-        if frame is None:
-            p = public_p if public_p is not None else substitute(reported, i, key)
-            present = [
-                _scored(j, c.reported_type.valuation) for j, c in enumerate(profile.commuters)
-            ]
-            frame = frames[key] = (p, present)
-        p, present = frame
-        present[i] = _scored(i, trip.valuation)
-        rep = _argmax(allocations, present, p, _EMPTY)
-        outcome = id(rep.allocation) if commit else (key, id(rep.allocation))
-        if outcome in settled:
-            return settled[outcome]
-        try:
-            u = settled_utility(profile, i, rep.allocation, mechanism.entry(profile, h, rep, i))
-        except ExcludedValueError:
-            u = None
-        settled[outcome] = u
-        return u
-
-    # under public probabilities nothing reads p̂_i, so deviations that
-    # differ only in it share a result; keyed by the spec's id, which
-    # `devs` keeps alive
-    by_spec: dict[int, float | None] = {}
+    # Memos key on ids, kept alive by `allocations` and `devs`. A utility of
+    # None marks an outcome i's true valuation excludes.
+    settled: dict[int, float | None] = {}
+    key = utilities = None
     best: Witness | None = None
     excluded = 0
     for trip in devs:
-        if public_p is None:
-            u = utility(trip)
-        else:
-            spec_id = id(trip.valuation)
-            if spec_id not in by_spec:
-                by_spec[spec_id] = utility(trip)
-            u = by_spec[spec_id]
+        if utilities is None or (public_p is None and trip.p_commit != key):
+            key = trip.p_commit
+            p = public_p if public_p is not None else substitute(profile.reported_p(), i, key)
+            present = [_scored(j, c.reported_type.valuation)
+                       for j, c in enumerate(profile.commuters)]
+            utilities = {}
+            if mechanism is not Mechanism.COMMIT_BASED:
+                settled = {}
+        spec_id = id(trip.valuation)
+        if spec_id not in utilities:
+            present[i] = _scored(i, trip.valuation)
+            rep = _argmax(allocations, present, p, _EMPTY)
+            outcome = id(rep.allocation)
+            if outcome not in settled:
+                try:
+                    entry = mechanism.entry(profile, h, rep, i)
+                    settled[outcome] = settled_utility(profile, i, rep.allocation, entry)
+                except ExcludedValueError:
+                    settled[outcome] = None
+            utilities[spec_id] = settled[outcome]
+        u = utilities[spec_id]
         if u is None:
             excluded += 1
             continue

@@ -7,7 +7,6 @@ failed suite entry, 2 bad input, 3 could not write output.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import sys
 
@@ -40,7 +39,7 @@ def _load_scenario(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _InputError(f"cannot read {path}: {e}")
     try:
         s = parse_scenario_text(text)
@@ -127,14 +126,13 @@ def _repr_or_empty(x: float | None) -> str:
 def render_trials_csv(records, summary) -> str:
     """The per-trial CSV: one row per trial and commuter, then the summary.
 
-    The records of one `run_trials` call settle each commitment vector one
-    way, so the columns after `trial` are formatted once per distinct vector.
-    Those fields are numbers or empty and need no quoting, so joining them
-    writes the bytes `csv.writer` would.
+    Every field is a number, a fixed word or empty, so none needs quoting
+    and each row is its fields joined by commas. The records of one
+    `run_trials` call settle each commitment vector one way, so the columns
+    after `trial` are formatted once per distinct vector.
     """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trial", "commuter", "committed", "value", "payment", "utility"])
+    buf.write("trial,commuter,committed,value,payment,utility\n")
     tails_of: dict[tuple[int, ...], list[str]] = {}
     for r in records:
         tails = tails_of.get(r.commit)
@@ -147,13 +145,12 @@ def render_trials_csv(records, summary) -> str:
         if tails:
             prefix = f"{r.trial},"
             buf.write(prefix + prefix.join(tails))
-    n = len(summary.mean_commit)
-    for k in range(n):
-        writer.writerow([
-            "mean", k, repr(summary.mean_commit[k]), repr(summary.mean_value[k]),
-            repr(summary.mean_payment[k]), repr(summary.mean_utility[k]),
-        ])
-        writer.writerow(["stderr", k, "", "", "", repr(summary.stderr_utility[k])])
+    for k in range(len(summary.mean_commit)):
+        buf.write(
+            f"mean,{k},{summary.mean_commit[k]!r},{summary.mean_value[k]!r},"
+            f"{summary.mean_payment[k]!r},{summary.mean_utility[k]!r}\n"
+            f"stderr,{k},,,,{summary.stderr_utility[k]!r}\n"
+        )
     return buf.getvalue()
 
 

@@ -194,8 +194,9 @@ def _walk(
     structure is cached: callers enumerate one structure many times in a row.
 
     Equal assignments are one object: one per (driver, rider set), one per
-    driver for riders and one for role none. Allocations share them, and
-    per-commuter value tables key on their cached-hash partner sets.
+    driver for riders and one for role none. Allocations share them, so
+    within one result an assignment's id names it, and per-commuter value
+    tables key on that id.
     """
     n = len(has_vehicle)
     eligible = [

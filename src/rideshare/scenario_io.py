@@ -178,7 +178,11 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 def parse_scenario_text(text: str) -> Scenario:
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as e:
+    except ScenarioFormatError:
+        raise
+    except RecursionError:
+        raise ScenarioFormatError("<document>", "JSON nested too deeply to parse")
+    except ValueError as e:  # invalid JSON, or an integer past the digit limit
         raise ScenarioFormatError("<document>", f"invalid JSON: {e}")
     top = _as_obj(data, "<document>")
     _require_keys(top, "<document>", ("schema_version", "scenario"))

@@ -2,12 +2,14 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_best_allocation, naive_efficient, small_scenarios
+from rideshare import allocation
 from rideshare.allocation import efficient_allocation, efficient_allocation_excluding
 from rideshare.corpus import by_name
 from rideshare.model import (
@@ -129,6 +131,31 @@ def test_matches_naive_oracle_with_absent_and_p_override(s, data):
             assert rep.allocation == best, (absent, p_override)
             assert repr((rep.welfare, rep.per_commuter)) == repr((welfare, values)), (
                 absent, p_override)
+
+
+@given(small_scenarios())
+@settings(max_examples=60, deadline=None)
+def test_each_commuter_is_evaluated_once_per_distinct_assignment(s):
+    """No valuation here excludes an outcome, so the search evaluates each
+    present commuter exactly once per distinct (role, partners) in the
+    feasible set, in the order the allocations first reach it."""
+    for absent in [frozenset()] + [frozenset((i,)) for i in range(s.n)]:
+        calls = []
+
+        def recording(spec, a, p, absent_):
+            asg = a.assignments[spec.owner]
+            calls.append((spec.owner, asg.role, asg.partners))
+            return evaluate(spec, a, p, absent_)
+
+        with mock.patch.object(allocation, "evaluate", recording):
+            efficient_allocation(s, absent=absent)
+        expected = dict.fromkeys(
+            (j, a.assignments[j].role, a.assignments[j].partners)
+            for a in enumerate_feasible_allocations(s, absent)
+            for j in range(s.n)
+            if j not in absent
+        )
+        assert calls == list(expected), absent
 
 
 def test_trio_constants_picks_full_van():

@@ -422,3 +422,25 @@ def test_suite_reproduces_expected_verdicts():
         assert report.verdict is e.expected, e.name
         assert report.mechanism is e.mechanism
         assert report.notion is Notion.EX_POST
+
+@pytest.mark.parametrize("mechanism", Mechanism, ids=lambda m: m.value)
+def test_argmax_runs_once_per_deviation_or_public_valuation(monkeypatch, mechanism):
+    """The sweep runs the argmax once per deviation, except under public
+    probabilities, where nothing reads p̂_i and it runs once per distinct
+    reported valuation (by object: the grid shares them across p̂ points)."""
+    s = by_name("linear-trio-two-drivers")
+    argmax = audit_module._argmax
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return argmax(*args)
+
+    monkeypatch.setattr(audit_module, "_argmax", counting)
+    audit_expost(s, mechanism)
+    devs = [deviations_for(c.true_type, DeviationSpace()) for c in s.commuters]
+    if mechanism.probabilities(s) is None:
+        assert calls == sum(len(d) for d in devs)
+    else:
+        assert calls == sum(len({id(t.valuation) for t in d}) for d in devs) < sum(map(len, devs))

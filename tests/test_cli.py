@@ -246,7 +246,7 @@ _SCENARIO_COMMANDS = {
 
 def _run_on(tmp_path, command, text):
     path = tmp_path / "scenario.json"
-    path.write_text(text)
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
     argv = [command[0], str(path)] + [a.format(out=tmp_path / "t.csv") for a in command[1:]]
     return cli.main(argv)
 
@@ -276,6 +276,34 @@ def test_repeated_key_or_partner_is_input_error(tmp_path, capsys, command, edit,
     assert _run_on(tmp_path, command, edit(Path(PAIR).read_text())) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+
+
+def _not_utf8(text):
+    return text.replace('"metadata": {', '"metadata": {"note": "caf\u00e9", ', 1).encode("latin-1")
+
+
+def _nested_too_deep(text):
+    return ("[" * 100000).encode()
+
+
+def _integer_past_digit_limit(text):
+    return text.replace('"p_commit": 0.5', '"p_commit": ' + "1" * 5000, 1).encode()
+
+
+@pytest.mark.parametrize("command", _SCENARIO_COMMANDS.values(), ids=_SCENARIO_COMMANDS)
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_not_utf8, "cannot read", id="not-utf-8"),
+    pytest.param(_nested_too_deep, "nested too deeply", id="nested-too-deep"),
+    pytest.param(_integer_past_digit_limit, "<document>: invalid JSON", id="integer-past-digit-limit"),
+])
+def test_unparseable_file_is_input_error(tmp_path, capsys, command, edit, message):
+    """Bytes that are not UTF-8, nesting past the recursion limit and an
+    integer literal past the digit limit are unreadable input, not a crash."""
+    assert _run_on(tmp_path, command, edit(Path(PAIR).read_text())) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 
