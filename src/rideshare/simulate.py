@@ -2,11 +2,19 @@
 
 Commitment bits come from a counter-based generator keyed by
 (seed, trial, commuter), so any draw can be recomputed in isolation and
-runs are reproducible regardless of evaluation order or platform.
+runs are reproducible regardless of evaluation order or platform. One
+kernel, `_draws`, draws every trial of a run: it hashes the seed once,
+compares each commuter's hash with an integer threshold (`_threshold`, an
+exact rewrite of the float test (x >> 11) * 2**-53 < p[k]), and makes
+equal vectors one tuple. `realize` is the kernel run for one trial.
 
 With the allocation and payments fixed, a trial's settlement is a function
 of its commitment vector alone. `_settle` computes it, once per distinct
 vector in a Monte Carlo run and once per vector in the exact enumeration.
+The summary reduces over trials in trial order: `math.fsum` is exact,
+but whether it raises on an intermediate overflow depends on the order of
+its inputs, so regrouping them by vector could turn a run that sums into
+one that fails.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .model import Scenario
 from .payments import ExcludedValueError, PaymentSchedule, Unconditional
@@ -24,24 +32,68 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + _GOLDEN) & _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x ^ (x >> 31)
+def _splitmix64(words: Iterable[int]) -> list[int]:
+    """The splitmix64 output function of each 64-bit word, in order."""
+    out = []
+    for x in words:
+        x = (x + _GOLDEN) & _MASK
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        out.append(x ^ (x >> 31))
+    return out
+
+
+def _threshold(q: float) -> int:
+    """The bit rule as a bound on the 64-bit hash x: bit 1 exactly when
+    x < _threshold(q).
+
+    The rule is the float test (x >> 11) * 2**-53 < q. For q in [0, 1]
+    scaling by 2**53 is exact, so it reads x >> 11 < q * 2**53, which for
+    the integer x >> 11 is x >> 11 < ceil(q * 2**53), that is
+    x < ceil(q * 2**53) << 11. NaN and q <= 0 never draw 1 and q >= 1
+    always does, as under the float test.
+    """
+    if not q > 0:
+        return 0
+    return math.ceil(min(q, 1.0) * 2**53) << 11
 
 
 CommitVector = tuple[int, ...]
 
 
+def _draws(p: Sequence[float], seed: int, trials: Iterable[int]) -> list[CommitVector]:
+    """The commitment vector of each trial in `trials`, in order.
+
+    Bit k of trial t compares the hash of (seed, t, k) with
+    `_threshold(p[k])`. The seed is hashed once per call and (seed, t)
+    once per trial, and trials that draw the same vector share one tuple.
+    """
+    thresholds = [_threshold(q) for q in p]
+    n = len(thresholds)
+    (key,) = _splitmix64((seed & _MASK,))
+    prefixes = _splitmix64([key ^ (t & _MASK) for t in trials])
+    words = iter(_splitmix64([h ^ k for h in prefixes for k in range(n)]))
+    shared: dict[int, CommitVector] = {}
+    vectors = []
+    for _ in prefixes:
+        mask = 0
+        for k, bound in enumerate(thresholds):
+            if next(words) < bound:
+                mask |= 1 << k
+        commit = shared.get(mask)
+        if commit is None:
+            commit = shared[mask] = tuple((mask >> k) & 1 for k in range(n))
+        vectors.append(commit)
+    return vectors
+
+
 def realize(p: Sequence[float], seed: int, trial: int = 0) -> CommitVector:
     """Draw one commitment vector: bit k is 1 with probability p[k].
 
-    Bit k compares a uniform draw hashed from (seed, trial, k) with p[k];
-    the (seed, trial) prefix of that hash is computed once per call.
+    Bit k compares a uniform draw hashed from (seed, trial, k) with p[k].
+    This is `_draws`, the kernel `run_trials` draws with, for one trial.
     """
-    h = _splitmix64(_splitmix64(seed & _MASK) ^ (trial & _MASK))
-    return tuple(1 if (_splitmix64(h ^ k) >> 11) * 2.0**-53 < p[k] else 0 for k in range(len(p)))
+    return _draws(p, seed, (trial,))[0]
 
 
 @dataclass(frozen=True)
@@ -113,16 +165,14 @@ def run_trials(
     trial that draws it shares that settlement. Trials where some
     commuter's true valuation excludes the realized outcome carry no number
     for that commuter; such trials are flagged and left out of the summary
-    means. Summaries reduce with exact summation, so they do not depend on
-    accumulation order.
+    means. Summaries reduce with exact summation, in trial order.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     p = s.true_p()
     settled: dict[CommitVector, tuple] = {}
     records = []
-    for t in range(trials):
-        commit = realize(p, seed, t)
+    for t, commit in enumerate(_draws(p, seed, range(trials))):
         if commit not in settled:
             settled[commit] = _settle(s, schedule, commit)
         records.append(TrialRecord(t, commit, *settled[commit]))

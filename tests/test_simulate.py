@@ -4,7 +4,10 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rideshare import simulate as simulate_module
 from rideshare.corpus import by_name, linear_entries
 from rideshare.model import Role, TripType, with_truthful_reports
 from rideshare.payments import (
@@ -27,6 +30,101 @@ def test_realize_degenerate_probabilities():
     for seed in (0, 1, 12345):
         for trial in (0, 7):
             assert realize((1.0, 0.0, 1.0), seed, trial) == (1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "p, seed, trial, expected",
+    [
+        ((), 0, 0, ()),
+        ((0.5,), 7, 0, (0,)),
+        ((0.5,) * 8, -3, 0, (0, 0, 1, 1, 0, 1, 0, 1)),
+        ((0.3, 0.9, 0.5, 0.5, 0.7, 0.1, 0.5, 0.6), 2**64 + 5, 0, (0, 0, 0, 1, 1, 0, 0, 0)),
+        ((0.5,) * 8, 12345, 41, (0, 0, 1, 0, 1, 1, 0, 1)),
+        ((0.25, 0.5, 0.75), -(2**70), 3, (1, 1, 1)),
+        ((0.5,) * 8, 0, 0, (1, 1, 0, 1, 1, 1, 1, 0)),
+        ((0.5,) * 8, 0, 1, (1, 1, 1, 1, 0, 1, 0, 1)),
+    ],
+)
+def test_realize_known_answers(p, seed, trial, expected):
+    """Literal vectors pin the hash of (seed, trial, commuter) itself,
+    negative and over-wide seeds included, apart from any output digest."""
+    assert realize(p, seed, trial) == expected
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64_reference(x):
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def _float_rule(x, q):
+    """The bit rule as a float test: the hash's top 53 bits as a fraction
+    in [0, 1), compared with the probability."""
+    return (x >> 11) * 2.0**-53 < q
+
+
+def _realize_reference(p, seed, trial):
+    h = _splitmix64_reference(_splitmix64_reference(seed & _MASK64) ^ (trial & _MASK64))
+    return tuple(int(_float_rule(_splitmix64_reference(h ^ k), q)) for k, q in enumerate(p))
+
+
+def _edge_probabilities():
+    edges = [0.0, -0.0, 1.0, 2**-53, 1 - 2**-53, 5e-324, 0.1 + 0.2, 0.5]
+    for k in (1, 2, 3, 1000, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1):
+        q = k / 2**53
+        edges += [q, math.nextafter(q, 0.0), math.nextafter(q, 1.0)]
+    return edges
+
+
+_OUT_OF_RANGE = [math.nan, -math.nan, math.inf, -math.inf, -0.5, -5e-324, 1.5, 1 + 2**-52]
+
+
+@pytest.mark.parametrize("q", _edge_probabilities() + _OUT_OF_RANGE)
+def test_integer_threshold_is_the_float_rule(q):
+    """The integer bound agrees with the float test at the draws either
+    side of the threshold, m = ceil(q * 2**53) - 1 and m = ceil(q * 2**53),
+    for both extremes of the 11 bits below m. The kernel and realize draw
+    the float test's bits at q, and an out-of-range q never raises."""
+    bound = simulate_module._threshold(q)
+    if 0.0 <= q <= 1.0:
+        c = math.ceil(q * 2**53)
+        for m in (c - 1, c):
+            if 0 <= m < 2**53:
+                for x in (m << 11, (m << 11) | 0x7FF):
+                    assert (x < bound) == _float_rule(x, q), (m, x)
+    for x in (0, 1 << 11, _MASK64 >> 1, _MASK64 - 0x7FF, _MASK64):
+        assert (x < bound) == _float_rule(x, q), x
+    p = (q, 0.5, q)
+    expected = [_realize_reference(p, 3, t) for t in range(16)]
+    assert simulate_module._draws(p, 3, range(16)) == expected
+    assert [realize(p, 3, t) for t in range(16)] == expected
+
+
+@given(
+    p=st.lists(
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.sampled_from(_edge_probabilities()),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+        max_size=8,
+    ),
+    seed=st.integers(-(2**70), 2**70),
+    first=st.integers(-(2**66), 2**66),
+)
+@settings(max_examples=100, deadline=None)
+def test_draw_kernel_matches_float_rule(p, seed, first):
+    """The kernel draws the float rule's bits for every trial, realize is
+    one trial of it, and trials that draw equal vectors share one tuple."""
+    trials = range(first, first + 40)
+    vectors = simulate_module._draws(p, seed, trials)
+    assert vectors == [_realize_reference(p, seed, t) for t in trials]
+    assert vectors == [realize(p, seed, t) for t in trials]
+    assert len({id(v) for v in vectors}) == len(set(vectors))
 
 
 def test_realize_is_deterministic_per_counter():
