@@ -6,22 +6,30 @@ runs are reproducible regardless of evaluation order or platform. One
 kernel, `_draws`, draws every trial of a run: it hashes the seed once,
 compares each commuter's hash with an integer threshold (`_threshold`, an
 exact rewrite of the float test (x >> 11) * 2**-53 < p[k]), and makes
-equal vectors one tuple. `realize` is the kernel run for one trial.
+equal vectors one tuple. It hashes a chunk of trials at a time, one
+64-bit word per 128-bit lane of a single Python int, and runs the
+threshold test in the same lanes. `realize` is the kernel run for one
+trial.
 
 With the allocation and payments fixed, a trial's settlement is a function
 of its commitment vector alone. `_settle` computes it, once per distinct
-vector in a Monte Carlo run and once per vector in the exact enumeration.
-The summary reduces over trials in trial order: `math.fsum` is exact,
-but whether it raises on an intermediate overflow depends on the order of
-its inputs, so regrouping them by vector could turn a run that sums into
-one that fails.
+vector in a Monte Carlo run and once per vector in the exact enumeration,
+and every record of a vector is a copy of its settled fields. The summary
+is reduced per distinct vector: each column is the exact sum of count * x
+over the vectors, rounded once, which is what `math.fsum` returns over the
+trials. Where fsum could overflow on the way, its result depends on the
+order of its inputs, so such a column is reduced over the trials in trial
+order instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product
+import sys
+from array import array
+from collections import Counter
+from dataclasses import dataclass, fields
+from itertools import islice, product
 from typing import Iterable, Sequence
 
 from .model import Scenario
@@ -30,17 +38,34 @@ from .valuation import EXCLUDED, evaluate
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# The lane kernel's ints are 16 * _CHUNK bytes long: long enough that the
+# interpreter's cost per operation vanishes, short enough to stay in cache.
+_CHUNK = 1024
+_LANE_BYTES = 16
 
 
-def _splitmix64(words: Iterable[int]) -> list[int]:
-    """The splitmix64 output function of each 64-bit word, in order."""
-    out = []
-    for x in words:
-        x = (x + _GOLDEN) & _MASK
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-        out.append(x ^ (x >> 31))
-    return out
+def _pack(words: list[int]) -> int:
+    """The 64-bit `words` in 128-bit lanes of one int, the first lowest."""
+    lanes = array("Q", bytes(_LANE_BYTES * len(words)))
+    lanes[::2] = array("Q", words)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little")
+
+
+def _splitmix64_lanes(x: int, mask: int, golden: int) -> int:
+    """The splitmix64 output function of the 64-bit word in every 128-bit
+    lane of x at once; an int below 2**64 is one lane.
+
+    `mask` holds 2**64 - 1 and `golden` the increment in every lane. Each
+    lane is cut back to 64 bits after the add, before every multiply (so the
+    128-bit product stays in its lane) and after each xor-shift, which pulls
+    the next lane's low bits into the top of this one.
+    """
+    x = (x + golden) & mask
+    x = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    x = ((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB & mask
+    return (x ^ (x >> 31)) & mask
 
 
 def _threshold(q: float) -> int:
@@ -65,25 +90,38 @@ def _draws(p: Sequence[float], seed: int, trials: Iterable[int]) -> list[CommitV
     """The commitment vector of each trial in `trials`, in order.
 
     Bit k of trial t compares the hash of (seed, t, k) with
-    `_threshold(p[k])`. The seed is hashed once per call and (seed, t)
-    once per trial, and trials that draw the same vector share one tuple.
+    `_threshold(p[k])`. The seed is hashed once per call. The trials go
+    through in chunks of `_CHUNK`, each hashed in 128-bit lanes of one int:
+    first (seed, t) per trial, then (seed, t, k) for each commuter k. The
+    bit test runs in the same lanes: a lane holding
+    threshold - 1 + 2**64 minus the hash x is at least 0 and below 2**65,
+    and its bit 64 is set exactly when x < threshold, so byte 8 of each
+    lane is the bit. Trials that draw the same bits share one tuple.
     """
     thresholds = [_threshold(q) for q in p]
     n = len(thresholds)
-    (key,) = _splitmix64((seed & _MASK,))
-    prefixes = _splitmix64([key ^ (t & _MASK) for t in trials])
-    words = iter(_splitmix64([h ^ k for h in prefixes for k in range(n)]))
-    shared: dict[int, CommitVector] = {}
-    vectors = []
-    for _ in prefixes:
-        mask = 0
+    if not n:
+        return [() for _ in trials]
+    key = _splitmix64_lanes(seed & _MASK, _MASK, _GOLDEN)
+    shared: dict[bytes, CommitVector] = {}
+    vectors: list[CommitVector] = []
+    chunks = iter(trials)
+    while chunk := list(islice(chunks, _CHUNK)):
+        count = len(chunk)
+        ones = _pack([1] * count)
+        mask, golden = _MASK * ones, _GOLDEN * ones
+        words = _pack([t & _MASK for t in chunk]) ^ key * ones
+        prefixes = _splitmix64_lanes(words, mask, golden)
+        bits = bytearray(count * n)
         for k, bound in enumerate(thresholds):
-            if next(words) < bound:
-                mask |= 1 << k
-        commit = shared.get(mask)
-        if commit is None:
-            commit = shared[mask] = tuple((mask >> k) & 1 for k in range(n))
-        vectors.append(commit)
+            words = _splitmix64_lanes(prefixes ^ k * ones, mask, golden)
+            tested = (bound - 1 + (1 << 64)) * ones - words
+            bits[k::n] = tested.to_bytes(_LANE_BYTES * count, "little")[8::_LANE_BYTES]
+        flat = bytes(bits)
+        rows = [flat[i:i + n] for i in range(0, count * n, n)]
+        for row in set(rows).difference(shared):
+            shared[row] = tuple(row)
+        vectors += map(shared.__getitem__, rows)
     return vectors
 
 
@@ -106,6 +144,9 @@ class TrialRecord:
     welfare: float
     deficit: float
     flagged: bool
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord))
 
 
 @dataclass(frozen=True)
@@ -156,43 +197,136 @@ def _stderr(xs: list[float]) -> float:
     return math.sqrt(var / len(xs))
 
 
+# Below this bound on trials * max |x| no partial sum of math.fsum can
+# overflow, whatever the order of its inputs.
+_SUM_BOUND = 2.0**1020
+
+
+def _weighted_sum(xs: list[float], weights: list[int], total: int) -> float | None:
+    """The sum of weights[i] * xs[i], rounded once, where `total` is the
+    sum of the weights; None unless every x is finite and
+    total * max |x| < 2**1020.
+
+    Under that bound this is `math.fsum` over the multiset, in any order:
+    both round the exact sum to nearest, and the int true division here
+    rounds correctly. An exact zero gives 0.0, as fsum does.
+    """
+    if not (all(map(math.isfinite, xs)) and total * max(map(abs, xs)) < _SUM_BOUND):
+        return None
+    # Columns repeat few values (a payment takes one of two), so the
+    # weights are gathered per distinct value before the exact sum.
+    weight_of: dict[float, int] = {}
+    for x, w in zip(xs, weights):
+        weight_of[x] = weight_of.get(x, 0) + w
+    numerator = exponent = 0  # the sum so far is numerator / 2**exponent
+    for x, w in weight_of.items():
+        a, b = x.as_integer_ratio()
+        e = b.bit_length() - 1
+        if e > exponent:
+            numerator <<= e - exponent
+            exponent = e
+        numerator += w * a << (exponent - e)
+    return numerator / (1 << exponent)
+
+
+class _Grouped:
+    """The summary columns of one run, reduced per distinct clean vector.
+
+    `clean` lists the distinct unflagged vectors and `weights` how many
+    trials drew each; a column lists one value per clean vector. A column
+    whose weighted sum is not safe (see `_weighted_sum`) is replayed over
+    the trials in trial order and reduced as `_mean` and `_stderr` would.
+    """
+
+    def __init__(self, vectors: list[CommitVector], clean: list[CommitVector], counts: Counter):
+        self.vectors = vectors
+        self.clean = clean
+        self.weights = [counts[v] for v in clean]
+        self.total = sum(self.weights)
+
+    def _in_trial_order(self, xs: list[float]) -> list[float]:
+        x_of = dict(zip(self.clean, xs))
+        return [x_of[v] for v in self.vectors if v in x_of]
+
+    def mean(self, xs: list[float]) -> float:
+        """`_mean` of the column over the clean trials."""
+        if not self.total:
+            return 0.0
+        s = _weighted_sum(xs, self.weights, self.total)
+        return _mean(self._in_trial_order(xs)) if s is None else s / self.total
+
+    def stderr(self, xs: list[float], mean: float) -> float:
+        """`_stderr` of the column over the clean trials, given its mean.
+        Equal values have equal squared deviations, so these group too."""
+        if self.total < 2:
+            return 0.0
+        try:
+            s = _weighted_sum([(x - mean) ** 2 for x in xs], self.weights, self.total)
+        except OverflowError:
+            s = None
+        if s is None:
+            return _stderr(self._in_trial_order(xs))
+        return math.sqrt(s / (self.total - 1) / self.total)
+
+
 def run_trials(
     s: Scenario, schedule: PaymentSchedule, trials: int, seed: int
 ) -> tuple[list[TrialRecord], SimulationSummary]:
     """Simulate settlement over `trials` independent commitment draws.
 
     Each distinct commitment vector is settled once per call, and every
-    trial that draws it shares that settlement. Trials where some
-    commuter's true valuation excludes the realized outcome carry no number
-    for that commuter; such trials are flagged and left out of the summary
-    means. Summaries reduce with exact summation, in trial order.
+    trial that draws it gets a record copied from that settlement with its
+    own trial number. Trials where some commuter's true valuation excludes
+    the realized outcome carry no number for that commuter; such trials are
+    flagged and left out of the summary means. Each summary column is the
+    exact count-weighted sum over the distinct unflagged vectors, rounded
+    once, which is what `math.fsum` over the trials returns. Where some
+    value is not finite, or trials * max |x| reaches 2**1020, fsum could
+    overflow partway, and whether it does depends on the order of its
+    inputs; that column is then reduced with fsum over the trials in trial
+    order, so it raises or sums exactly as that does.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    p = s.true_p()
-    settled: dict[CommitVector, tuple] = {}
+    vectors = _draws(s.true_p(), seed, range(trials))
+    counts = Counter(vectors)
+    settled = {
+        commit: dict(zip(_RECORD_FIELDS, (0, commit, *_settle(s, schedule, commit))))
+        for commit in counts
+    }
+    # A frozen dataclass's __init__ sets each field through
+    # object.__setattr__; filling a bare record's __dict__ from the
+    # vector's settled fields makes an equal record, several times faster.
+    new = object.__new__
     records = []
-    for t, commit in enumerate(_draws(p, seed, range(trials))):
-        if commit not in settled:
-            settled[commit] = _settle(s, schedule, commit)
-        records.append(TrialRecord(t, commit, *settled[commit]))
-    clean = [r for r in records if not r.flagged]
+    for t, commit in enumerate(vectors):
+        record = new(TrialRecord)
+        fields_of = record.__dict__
+        fields_of.update(settled[commit])
+        fields_of["trial"] = t
+        records.append(record)
+    clean = [commit for commit, f in settled.items() if not f["flagged"]]
+    grouped = _Grouped(vectors, clean, counts)
+    rows = [settled[commit] for commit in clean]
     n = s.n
-    mean_commit = tuple(_mean([float(r.commit[k]) for r in clean]) for k in range(n))
-    mean_value = tuple(_mean([r.values[k] for r in clean]) for k in range(n))
-    mean_payment = tuple(_mean([r.payments[k] for r in clean]) for k in range(n))
-    mean_utility = tuple(_mean([r.utilities[k] for r in clean]) for k in range(n))
-    stderr_utility = tuple(_stderr([r.utilities[k] for r in clean]) for k in range(n))
+    # The columns are reduced in the order of the trial-order summary, so
+    # a run that raises raises on the same column.
+    mean_commit = tuple(grouped.mean([float(c[k]) for c in clean]) for k in range(n))
+    mean_value = tuple(grouped.mean([f["values"][k] for f in rows]) for k in range(n))
+    mean_payment = tuple(grouped.mean([f["payments"][k] for f in rows]) for k in range(n))
+    utilities = [[f["utilities"][k] for f in rows] for k in range(n)]
+    mean_utility = tuple(map(grouped.mean, utilities))
+    stderr_utility = tuple(map(grouped.stderr, utilities, mean_utility))
     summary = SimulationSummary(
         trials=trials,
-        flagged=len(records) - len(clean),
+        flagged=trials - grouped.total,
         mean_commit=mean_commit,
         mean_value=mean_value,
         mean_payment=mean_payment,
         mean_utility=mean_utility,
         stderr_utility=stderr_utility,
-        mean_welfare=_mean([r.welfare for r in clean]),
-        mean_deficit=_mean([r.deficit for r in clean]),
+        mean_welfare=grouped.mean([f["welfare"] for f in rows]),
+        mean_deficit=grouped.mean([f["deficit"] for f in rows]),
     )
     return records, summary
 

@@ -1,6 +1,10 @@
 """Deterministic commitment draws and Monte Carlo settlement."""
 
+import dataclasses
 import math
+import pickle
+import struct
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -15,7 +19,14 @@ from rideshare.payments import (
     commit_payments,
     expected_utility,
 )
-from rideshare.simulate import exact_expected_utilities, realize, run_trials
+from rideshare.simulate import (
+    TrialRecord,
+    _mean,
+    _stderr,
+    exact_expected_utilities,
+    realize,
+    run_trials,
+)
 from rideshare.valuation import (
     EXCLUDED,
     AnyPartners,
@@ -124,6 +135,23 @@ def test_draw_kernel_matches_float_rule(p, seed, first):
     vectors = simulate_module._draws(p, seed, trials)
     assert vectors == [_realize_reference(p, seed, t) for t in trials]
     assert vectors == [realize(p, seed, t) for t in trials]
+    assert len({id(v) for v in vectors}) == len(set(vectors))
+
+
+_CHUNK = simulate_module._CHUNK
+_EDGE_P8 = (math.nan, math.inf, -math.inf, 0.0, 1.0, 5e-324, 1 - 2**-53, 0.5)
+
+
+@pytest.mark.parametrize("count", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+@pytest.mark.parametrize("p", [(), (0.5,), _EDGE_P8], ids=["n0", "n1", "n8"])
+@pytest.mark.parametrize("first", [0, 2**64 - 700, -(2**64) - 5])
+def test_draw_kernel_across_chunk_boundaries(count, p, first):
+    """The lane kernel draws the reference bits trial by trial however the
+    trials fall into chunks, also where t & (2**64 - 1) wraps inside a
+    chunk, and equal vectors stay one object across chunks."""
+    trials = range(first, first + count)
+    vectors = simulate_module._draws(p, 11, trials)
+    assert vectors == [_realize_reference(p, 11, t) for t in trials]
     assert len({id(v) for v in vectors}) == len(set(vectors))
 
 
@@ -260,3 +288,92 @@ def test_trial_records_expose_settlement_columns():
             first = by_commit.setdefault(r.commit, r)
             assert replace(r, trial=first.trial) == first, name
         assert len(by_commit) < len(records), name
+
+
+def _outcome(reduce, *args):
+    """A reduction's result, compared bit for bit so that the sign of a
+    zero counts, or the type of the error it raised."""
+    try:
+        return "sum", struct.pack("<d", reduce(*args))
+    except (OverflowError, ValueError) as e:
+        return "raise", type(e)
+
+
+_AWKWARD = [1e308, -1e308, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1.0, -1.0, 0.1, 2.0**-1074 * 3, 1e-300, 2.0**1020, -(2.0**1020), 1e16, 3.0,
+            math.inf, -math.inf, math.nan]
+
+
+@given(
+    multiset=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(_AWKWARD), st.floats(allow_nan=False, allow_infinity=False)),
+            st.integers(1, 40),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    order=st.randoms(use_true_random=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_grouped_summary_is_the_trial_order_reduction(multiset, order):
+    """Reducing count * x per distinct vector gives the trial-order fsum
+    reduction bit for bit, sign of zero included, for the mean and the
+    stderr alike, and raises wherever that reduction raises."""
+    vectors = [v for i, (_, c) in enumerate(multiset) for v in [(i,)] * c]
+    order.shuffle(vectors)
+    clean = [(i,) for i in range(len(multiset))]
+    grouped = simulate_module._Grouped(vectors, clean, Counter(vectors))
+    xs = [x for x, _ in multiset]
+    trial_order = [xs[v[0]] for v in vectors]
+    assert _outcome(grouped.mean, xs) == _outcome(_mean, trial_order)
+    if _outcome(_mean, trial_order)[0] == "sum":
+        m = _mean(trial_order)
+        assert _outcome(grouped.stderr, xs, m) == _outcome(_stderr, trial_order)
+
+
+def _solo_with_values(monkeypatch, value_of_bit):
+    """linear-solo, p = 0.7, settled so that commitment bit b has value
+    and welfare value_of_bit[b] and utility b."""
+
+    def settle(s, schedule, commit):
+        v = value_of_bit[commit[0]]
+        return (v,), (0.0,), (float(commit[0]),), v, -0.0, False
+
+    monkeypatch.setattr(simulate_module, "_settle", settle)
+    return by_name("linear-solo")
+
+
+def _seed_drawing(s, bits):
+    p = s.true_p()
+    return next(seed for seed in range(10_000)
+                if [v[0] for v in simulate_module._draws(p, seed, range(len(bits)))] == bits)
+
+
+def test_summary_overflows_exactly_where_trial_order_does(monkeypatch):
+    """fsum sums [1e308, -1e308, 1e308] but raises on [1e308, 1e308, -1e308]:
+    a run whose values come in those orders sums and raises alike."""
+    s = _solo_with_values(monkeypatch, {1: 1e308, 0: -1e308})
+    schedule = commit_payments(s)
+    _, summary = run_trials(s, schedule, 3, _seed_drawing(s, [1, 0, 1]))
+    assert summary.mean_value == (1e308 / 3,)
+    assert summary.mean_welfare == 1e308 / 3
+    with pytest.raises(OverflowError):
+        run_trials(s, schedule, 3, _seed_drawing(s, [1, 1, 0]))
+
+
+def test_fast_records_are_constructor_records():
+    """Records copied from a settled template are indistinguishable from
+    ones built by the constructor, and stay frozen."""
+    s = by_name("threshold-gate-pair-misreport")
+    records, _ = run_trials(s, commit_payments(s), 40, seed=3)
+    for r in records:
+        built = TrialRecord(*(getattr(r, f.name) for f in dataclasses.fields(TrialRecord)))
+        assert r == built and hash(r) == hash(built) and repr(r) == repr(built)
+        assert dataclasses.asdict(r) == dataclasses.asdict(built)
+        assert replace(r, trial=-1) == replace(built, trial=-1)
+        assert pickle.dumps(r) == pickle.dumps(built)
+        assert pickle.loads(pickle.dumps(r)) == built
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.trial = 0
+    assert len({id(vars(r)) for r in records}) == len(records)
