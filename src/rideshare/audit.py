@@ -27,11 +27,12 @@ from .model import (
     with_report,
     with_truthful_reports,
 )
-from .payments import ExcludedValueError, Mechanism, PivotRule, settled_utility
-from .valuation import Clause, GateDirection, Monomial, ThresholdGate, ValuationSpec, substitute
+from .payments import Mechanism, PivotRule, settled_utility
+from .valuation import GateDirection, Monomial, ThresholdGate, ValuationSpec, substitute
 
 GAIN_TOLERANCE = 1e-9
 MAX_DOMINANT_COMMUTERS = 4
+MAX_P_GRID = 10_001
 _MAX_SCALE_COMBOS = 4096
 
 
@@ -68,9 +69,15 @@ class DeviationSpace:
     def __post_init__(self) -> None:
         if self.p_grid < 2:
             raise ValueError(f"p_grid must be at least 2, got {self.p_grid}")
+        if self.p_grid > MAX_P_GRID:
+            raise ValueError(f"p_grid must be at most {MAX_P_GRID}, got {self.p_grid}")
         for scale in self.coefficient_scales:
             if not math.isfinite(scale):
                 raise ValueError(f"coefficient scales must be finite, got {scale!r}")
+
+
+# Each opponent's grid in a dominant audit, unless the caller gives one.
+DEFAULT_OPPONENT_SPACE = DeviationSpace(p_grid=5)
 
 
 @dataclass(frozen=True)
@@ -85,10 +92,10 @@ class Witness:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """`excluded_deviations` counts deviations into outcomes the deviator
-    truly excludes. It is 0 on every grid audit: exclusion reads only clause
-    patterns and excluded flags, which no rescaling or gate edit changes, so
-    only a caller-supplied deviation list reaches it."""
+    """`excluded_deviations` is fixed at 0, kept for readers of the field: a
+    deviation keeps the true clause patterns and excluded flags, all that
+    exclusion reads, and the argmax never picks an outcome a report excludes,
+    so no deviation wins an outcome its deviator truly excludes."""
 
     mechanism: Mechanism
     notion: Notion
@@ -176,9 +183,9 @@ def _sweep(
     mechanism: Mechanism,
     devs: list[TripType],
     opponents: tuple[tuple[CommuterId, TripType], ...],
-) -> tuple[Witness | None, int]:
+) -> Witness | None:
     """Commuter i's first maximal-gain deviation against `profile`, if any
-    gains, and the number of deviations excluded outright.
+    gains.
 
     Each deviation gives the same result as rebuilding the scenario with
     i's report and pricing it afresh, but only i is re-scored against one
@@ -205,12 +212,10 @@ def _sweep(
     u_truth = settled_utility(profile, i, truth.allocation, mechanism.entry(profile, h, truth, i))
 
     allocations = _feasible(profile, _EMPTY)
-    # Memos key on ids, kept alive by `allocations` and `devs`. A utility of
-    # None marks an outcome i's true valuation excludes.
-    settled: dict[int, float | None] = {}
+    # Memos key on ids, kept alive by `allocations` and `devs`.
+    settled: dict[int, float] = {}
     key = utilities = None
     best: Witness | None = None
-    excluded = 0
     for trip in devs:
         if utilities is None or (public_p is None and trip.p_commit != key):
             key = trip.p_commit
@@ -226,20 +231,14 @@ def _sweep(
             rep = _argmax(allocations, present, p, _EMPTY)
             outcome = id(rep.allocation)
             if outcome not in settled:
-                try:
-                    entry = mechanism.entry(profile, h, rep, i)
-                    settled[outcome] = settled_utility(profile, i, rep.allocation, entry)
-                except ExcludedValueError:
-                    settled[outcome] = None
+                entry = mechanism.entry(profile, h, rep, i)
+                settled[outcome] = settled_utility(profile, i, rep.allocation, entry)
             utilities[spec_id] = settled[outcome]
         u = utilities[spec_id]
-        if u is None:
-            excluded += 1
-            continue
         gain = u - u_truth
         if gain > (0.0 if best is None else best.gain):
             best = Witness(i, trip, u_truth, u, gain, opponents)
-    return best, excluded
+    return best
 
 
 def _audit(
@@ -255,7 +254,6 @@ def _audit(
     base = with_truthful_reports(s)
     truth = [c.true_type for c in base.commuters]
     best: Witness | None = None
-    excluded = 0
     for i in range(base.n):
         devs = deviations_for(truth[i], space)
         others = [] if opponent_space is None else [j for j in range(base.n) if j != i]
@@ -264,8 +262,7 @@ def _audit(
             profile = base
             for j, trip in zip(others, combo):
                 profile = with_report(profile, j, trip)
-            found, skipped = _sweep(profile, i, mechanism, devs, tuple(zip(others, combo)))
-            excluded += skipped
+            found = _sweep(profile, i, mechanism, devs, tuple(zip(others, combo)))
             if found is not None and (best is None or found.gain > best.gain):
                 best = found
     violated = best is not None and best.gain > GAIN_TOLERANCE
@@ -276,7 +273,6 @@ def _audit(
         witness=best if violated else None,
         space=space,
         opponent_space=opponent_space,
-        excluded_deviations=excluded,
     )
 
 
@@ -294,7 +290,7 @@ def audit_dominant(
     s: Scenario,
     mechanism: Mechanism,
     space: DeviationSpace = DeviationSpace(),
-    opponent_space: DeviationSpace = DeviationSpace(p_grid=5),
+    opponent_space: DeviationSpace = DEFAULT_OPPONENT_SPACE,
 ) -> AuditReport:
     """Sweep each commuter's misreports against every grid profile of
     opponent misreports (truthful opponents included). Exhaustive in the

@@ -12,9 +12,9 @@ import sys
 
 from .allocation import efficient_allocation
 from .audit import (
+    DEFAULT_OPPONENT_SPACE,
     AuditSizeError,
     DeviationSpace,
-    Notion,
     Verdict,
     audit_dominant,
     audit_expost,
@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
+
+# Each trial keeps a record until the CSV is written, so memory grows with
+# the count; a count past this is refused rather than left to exhaust it.
+MAX_TRIALS = 1_000_000
 
 
 class _InputError(Exception):
@@ -97,6 +101,8 @@ def cmd_simulate(args) -> int:
     s = _load_scenario(args.scenario)
     if args.trials < 1:
         raise _InputError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise _InputError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     schedule = _schedule(s, _mechanism(args))
     records, summary = run_trials(s, schedule, args.trials, args.seed)
     text = render_trials_csv(records, summary)
@@ -234,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mechanism", choices=Mechanism.rules(), default="commit")
     p.add_argument("--public-p", action="store_true")
     p.add_argument("--notion", choices=["expost", "dominant"], default="expost")
-    p.add_argument("--grid", type=int, default=21, help="probability grid points")
-    p.add_argument("--opponent-grid", type=int, default=5,
+    p.add_argument("--grid", type=int, default=DeviationSpace.p_grid,
+                   help="probability grid points")
+    p.add_argument("--opponent-grid", type=int, default=DEFAULT_OPPONENT_SPACE.p_grid,
                    help="probability grid points per opponent (dominant only)")
     p.set_defaults(func=cmd_audit)
 

@@ -127,33 +127,34 @@ class Mechanism(Enum):
         return _groves_entry(h, rep, i)
 
 
+def _schedule(s: Scenario, mechanism: Mechanism, public_p: Sequence[float] | None) -> PaymentSchedule:
+    """Every commuter's `mechanism` entry at the efficient allocation, with
+    the pivot term from the best allocation without them under Clarke."""
+    rep = efficient_allocation(s, p_override=public_p)
+    entries = []
+    for i in range(s.n):
+        h = 0.0
+        if mechanism.pivot is PivotRule.CLARKE:
+            h = efficient_allocation_excluding(s, i, p_override=public_p).welfare
+        entries.append(mechanism.entry(s, h, rep, i))
+    return PaymentSchedule(tuple(entries), rep.allocation)
+
+
 def groves_payments(
     s: Scenario, pivot: PivotRule, public_p: Sequence[float] | None = None
 ) -> PaymentSchedule:
     """One unconditional charge per commuter. With `public_p` supplied, the
     given probabilities replace the reported ones in every evaluation, both
     for the allocation and for the payments."""
-    rep = efficient_allocation(s, p_override=public_p)
-    entries = []
-    for i in range(s.n):
-        if pivot is PivotRule.CLARKE:
-            h = efficient_allocation_excluding(s, i, p_override=public_p).welfare
-        else:
-            h = 0.0
-        entries.append(_groves_entry(h, rep, i))
-    return PaymentSchedule(tuple(entries), rep.allocation)
+    mechanism = Mechanism.GROVES_CLARKE if pivot is PivotRule.CLARKE else Mechanism.GROVES_ZERO
+    return _schedule(s, mechanism, public_p)
 
 
 def commit_payments(s: Scenario) -> PaymentSchedule:
     """Commitment-settled pair per commuter: the pivot is everyone else's
     best welfare without them, and each branch credits the others' reported
     value with the commuter's commitment forced to one or zero."""
-    rep = efficient_allocation(s)
-    entries = []
-    for i in range(s.n):
-        h = efficient_allocation_excluding(s, i).welfare
-        entries.append(_commit_entry(s, h, rep, i))
-    return PaymentSchedule(tuple(entries), rep.allocation)
+    return _schedule(s, Mechanism.COMMIT_BASED, None)
 
 
 def settled_utility(s: Scenario, i: CommuterId, allocation: Allocation, entry: PaymentEntry) -> float:

@@ -25,8 +25,7 @@ order instead.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
+import struct
 from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import islice, product
@@ -45,12 +44,9 @@ _LANE_BYTES = 16
 
 
 def _pack(words: list[int]) -> int:
-    """The 64-bit `words` in 128-bit lanes of one int, the first lowest."""
-    lanes = array("Q", bytes(_LANE_BYTES * len(words)))
-    lanes[::2] = array("Q", words)
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return int.from_bytes(lanes.tobytes(), "little")
+    """The 64-bit `words` in 128-bit lanes of one int, the first lowest:
+    each word little-endian, then 8 zero bytes."""
+    return int.from_bytes(struct.pack("<" + "Q8x" * len(words), *words), "little")
 
 
 def _splitmix64_lanes(x: int, mask: int, golden: int) -> int:

@@ -9,16 +9,12 @@ probability misses a bound, and otherwise the monomial terms are summed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
 
 from .model import _EMPTY, Allocation, Assignment, CommuterId, Role, all_none_allocation
-
-LINEARITY_TOLERANCE = 1e-9
-INDEPENDENCE_TOLERANCE = 1e-12
 
 
 class _Excluded:
@@ -234,60 +230,3 @@ def is_linear_in_commitment(spec: ValuationSpec) -> bool:
                 if exponent != 1:
                     return False
     return True
-
-
-def _lattice(n: int, subjects: Sequence[CommuterId], grid: int):
-    """Probability vectors with every subject on `grid` evenly spaced points
-    over [0, 1] and everyone else at 0.5; the first subject varies slowest."""
-    if grid < 3:
-        raise ValueError(f"grid must be at least 3, got {grid}")
-    points = [k / (grid - 1) for k in range(grid)]
-    for combo in itertools.product(points, repeat=len(subjects)):
-        p = [0.5] * n
-        for subject, value in zip(subjects, combo):
-            p[subject] = value
-        yield tuple(p)
-
-
-def linearity_residual(spec: ValuationSpec, allocation: Allocation, grid: int = 5) -> float:
-    """Worst absolute gap between the value and its coordinate-wise affine
-    interpolation over a grid lattice. Zero (up to noise) means linear.
-    Returns 0.0 outright when the outcome is excluded for the owner."""
-    if evaluate(spec, allocation, [0.5] * len(allocation.assignments)) is EXCLUDED:
-        return 0.0
-    subjects = referenced_subjects(spec)[:4]
-    worst = 0.0
-    for p in _lattice(len(allocation.assignments), subjects, grid):
-        v = evaluate(spec, allocation, p)
-        for j in subjects:
-            v1 = evaluate(spec, allocation, substitute(p, j, 1.0))
-            v0 = evaluate(spec, allocation, substitute(p, j, 0.0))
-            residual = abs(v - (p[j] * v1 + (1.0 - p[j]) * v0))
-            if residual > worst:
-                worst = residual
-    return worst
-
-
-def check_linearity_numeric(spec: ValuationSpec, allocation: Allocation, grid: int = 5) -> bool:
-    return linearity_residual(spec, allocation, grid) <= LINEARITY_TOLERANCE
-
-
-def independence_spread(spec: ValuationSpec, allocation: Allocation, grid: int = 5) -> float:
-    """Worst value spread across others' probabilities with the owner's
-    probability held fixed, over a grid lattice."""
-    if evaluate(spec, allocation, [0.5] * len(allocation.assignments)) is EXCLUDED:
-        return 0.0
-    subjects = referenced_subjects(spec)[:4]
-    others = [j for j in subjects if j != spec.owner]
-    if not others:
-        return 0.0
-    lattice = _lattice(len(allocation.assignments), (spec.owner, *others), grid)
-    worst = 0.0
-    for _, group in itertools.groupby(lattice, key=lambda p: p[spec.owner]):
-        values = [evaluate(spec, allocation, p) for p in group]
-        worst = max(worst, max(values) - min(values))
-    return worst
-
-
-def check_independence_numeric(spec: ValuationSpec, allocation: Allocation, grid: int = 5) -> bool:
-    return independence_spread(spec, allocation, grid) <= INDEPENDENCE_TOLERANCE

@@ -1,5 +1,6 @@
 """Shared fixtures: an independent brute-force allocation oracle, a
-per-deviation reference audit, and hypothesis strategies for small random
+per-deviation reference audit, numeric linearity and independence oracles
+over a probability lattice, and hypothesis strategies for small random
 scenarios."""
 
 import itertools
@@ -38,7 +39,12 @@ from rideshare.valuation import (
     OutcomePattern,
     ValuationSpec,
     evaluate,
+    referenced_subjects,
+    substitute,
 )
+
+LINEARITY_TOLERANCE = 1e-9
+INDEPENDENCE_TOLERANCE = 1e-12
 
 # `--hypothesis-profile=ci` draws the same examples on every run and Python
 # version, and prints a failure's reproduction blob; local runs keep the
@@ -198,6 +204,66 @@ def bernoulli_expectation(spec, allocation, p):
         assert v is not EXCLUDED
         total += weight * v
     return total
+
+
+def _lattice(n, subjects, grid):
+    """Probability vectors with every subject on `grid` evenly spaced points
+    over [0, 1] and everyone else at 0.5; the first subject varies slowest."""
+    if grid < 3:
+        raise ValueError(f"grid must be at least 3, got {grid}")
+    points = [k / (grid - 1) for k in range(grid)]
+    for combo in itertools.product(points, repeat=len(subjects)):
+        p = [0.5] * n
+        for subject, value in zip(subjects, combo):
+            p[subject] = value
+        yield tuple(p)
+
+
+def linearity_residual(spec, allocation, grid=5):
+    """Worst absolute gap between the value and its coordinate-wise affine
+    interpolation over a grid lattice. Zero (up to noise) means linear.
+    Only the first four referenced subjects (owner included, in id order)
+    are put on the lattice, so a bend in any later subject goes unseen.
+    Returns 0.0 outright when the outcome is excluded for the owner."""
+    if evaluate(spec, allocation, [0.5] * len(allocation.assignments)) is EXCLUDED:
+        return 0.0
+    subjects = referenced_subjects(spec)[:4]
+    worst = 0.0
+    for p in _lattice(len(allocation.assignments), subjects, grid):
+        v = evaluate(spec, allocation, p)
+        for j in subjects:
+            v1 = evaluate(spec, allocation, substitute(p, j, 1.0))
+            v0 = evaluate(spec, allocation, substitute(p, j, 0.0))
+            residual = abs(v - (p[j] * v1 + (1.0 - p[j]) * v0))
+            if residual > worst:
+                worst = residual
+    return worst
+
+
+def check_linearity_numeric(spec, allocation, grid=5):
+    return linearity_residual(spec, allocation, grid) <= LINEARITY_TOLERANCE
+
+
+def independence_spread(spec, allocation, grid=5):
+    """Worst value spread across others' probabilities with the owner's
+    probability held fixed, over a grid lattice. Only the first four
+    referenced subjects (owner included, in id order) are varied."""
+    if evaluate(spec, allocation, [0.5] * len(allocation.assignments)) is EXCLUDED:
+        return 0.0
+    subjects = referenced_subjects(spec)[:4]
+    others = [j for j in subjects if j != spec.owner]
+    if not others:
+        return 0.0
+    lattice = _lattice(len(allocation.assignments), (spec.owner, *others), grid)
+    worst = 0.0
+    for _, group in itertools.groupby(lattice, key=lambda p: p[spec.owner]):
+        values = [evaluate(spec, allocation, p) for p in group]
+        worst = max(worst, max(values) - min(values))
+    return worst
+
+
+def check_independence_numeric(spec, allocation, grid=5):
+    return independence_spread(spec, allocation, grid) <= INDEPENDENCE_TOLERANCE
 
 
 def _linear_spec(owner, n, coefficients):

@@ -4,7 +4,12 @@ the lines as they pass."""
 
 import time
 
-from conftest import bernoulli_expectation, naive_best_allocation
+from conftest import (
+    bernoulli_expectation,
+    check_linearity_numeric,
+    linearity_residual,
+    naive_best_allocation,
+)
 from rideshare.allocation import efficient_allocation
 from rideshare.audit import (
     DeviationSpace,
@@ -26,10 +31,8 @@ from rideshare.payments import (
 from rideshare.simulate import exact_expected_utilities, run_trials
 from rideshare.valuation import (
     EXCLUDED,
-    check_linearity_numeric,
     evaluate,
     is_linear_in_commitment,
-    linearity_residual,
 )
 
 FULL_SCALES = (0.0, 0.5, 1.0, 2.0, 10.0)

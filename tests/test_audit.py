@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rideshare.audit import (
     GAIN_TOLERANCE,
+    MAX_P_GRID,
     AuditSizeError,
     DeviationSpace,
     Mechanism,
@@ -22,30 +23,15 @@ from rideshare.audit import (
     truthfulness_suite,
 )
 import rideshare.audit as audit_module
-from rideshare.corpus import by_name, corpus, linear_entries
-from rideshare.model import (
-    Commuter,
-    Role,
-    Scenario,
-    TripType,
-    full_compatibility,
-    with_report,
-    with_truthful_reports,
-)
+from rideshare.corpus import by_name, linear_entries
+from rideshare.model import full_compatibility, with_report, with_truthful_reports
 from rideshare.payments import (
     ExcludedValueError,
     commit_payments,
     expected_utility,
     groves_payments,
 )
-from rideshare.valuation import (
-    Clause,
-    GateDirection,
-    Monomial,
-    OutcomePattern,
-    ThresholdGate,
-    ValuationSpec,
-)
+from rideshare.valuation import GateDirection, ThresholdGate
 
 
 def replay_schedule(s, mechanism):
@@ -269,37 +255,6 @@ def test_sweep_matches_the_per_deviation_reference(s, dominant_mechanism):
                 assert by_spec.setdefault(trip.valuation, u) == u, (mechanism, i, trip)
 
 
-def _drive_one_spec(owner, ride):
-    """Driving is worth 1; riding is worth `ride`, or excluded when None."""
-    ride_clause = Clause(OutcomePattern(Role.RIDE), excluded=True) if ride is None else Clause(
-        OutcomePattern(Role.RIDE), terms=(Monomial(ride),))
-    return ValuationSpec(owner, (
-        Clause(OutcomePattern(Role.DRIVE), terms=(Monomial(1.0),)),
-        ride_clause,
-        Clause(OutcomePattern(Role.NONE)),
-    ))
-
-
-def test_every_deviation_into_an_excluded_outcome_is_counted(monkeypatch):
-    """A report that values an outcome its owner truly rules out can win
-    it. Every such deviation is counted as excluded, also those whose
-    outcome an earlier deviation already reached."""
-    s = Scenario(
-        (Commuter(0, True, 1, TripType(_drive_one_spec(0, None), 0.5)),
-         Commuter(1, True, 1, TripType(_drive_one_spec(1, 0.0), 0.5))),
-        full_compatibility(2),
-    )
-    devs = [TripType(_drive_one_spec(0, 10.0), p) for p in (0.0, 0.5, 1.0, 0.5)]
-    monkeypatch.setattr(
-        audit_module, "deviations_for",
-        lambda trip, space: devs if trip.valuation.owner == 0 else [],
-    )
-    for mechanism in Mechanism:
-        report = audit_expost(s, mechanism)
-        assert report.verdict is Verdict.NO_VIOLATION_FOUND, mechanism
-        assert report.excluded_deviations == len(devs), mechanism
-
-
 def test_finer_grid_never_flips_to_clean(corpus_entries):
     """Refining 21 to 41 probability points keeps every violated verdict
     violated, with no smaller maximum gain."""
@@ -395,6 +350,23 @@ def test_deviation_space_shape():
     ]
     with pytest.raises(ValueError):
         DeviationSpace(p_grid=1)
+    with pytest.raises(ValueError, match="at most"):
+        DeviationSpace(p_grid=MAX_P_GRID + 1)
+
+
+def test_deviations_keep_every_clause_pattern_and_exclusion(corpus_entries):
+    """Every grid deviation, under every rescaling and gate edit, has the
+    true spec's clause patterns and excluded flags in the same order.
+    Exclusion reads nothing else, so the argmax never hands a deviator an
+    outcome they truly exclude, which is why the audit has no exclusion
+    path and reports `excluded_deviations` as 0."""
+    space = DeviationSpace(p_grid=2, gate_toggles=True)
+    for e in corpus_entries:
+        for c in e.scenario.commuters:
+            truth = [(cl.pattern, cl.excluded) for cl in c.true_type.valuation.clauses]
+            for d in deviations_for(c.true_type, space):
+                shape = [(cl.pattern, cl.excluded) for cl in d.valuation.clauses]
+                assert shape == truth, (e.name, c.id)
 
 
 def test_deviations_skip_rescalings_that_overflow():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from rideshare import cli
+from rideshare.audit import MAX_P_GRID
 from rideshare.corpus import by_name, corpus
 from rideshare.scenario_io import (
     ScenarioFormatError,
@@ -102,16 +103,21 @@ def test_audit_dominant_flag(capsys):
     assert "opponent 0 report:" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["--grid", "1"],
-    ["--grid", "-3"],
-    ["--notion", "dominant", "--opponent-grid", "1"],
-], ids=["grid-1", "grid-negative", "opponent-grid-1"])
-def test_audit_grid_below_two_is_input_error(capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["--grid", "1"], "p_grid must be at least 2"),
+    (["--grid", "-3"], "p_grid must be at least 2"),
+    (["--notion", "dominant", "--opponent-grid", "1"], "p_grid must be at least 2"),
+    (["--grid", str(MAX_P_GRID + 1)], f"p_grid must be at most {MAX_P_GRID}"),
+    (["--notion", "dominant", "--opponent-grid", str(MAX_P_GRID + 1)],
+     f"p_grid must be at most {MAX_P_GRID}"),
+], ids=["grid-1", "grid-negative", "opponent-grid-1", "grid-above-cap", "opponent-grid-above-cap"])
+def test_audit_grid_below_two_is_input_error(capsys, argv, message):
+    """A grid below two points, or above the cap, is refused before any
+    deviation is built."""
     assert cli.main(["audit", PAIR] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{argv[-2]}: p_grid must be at least 2" in captured.err
+    assert f"{argv[-2]}: {message}" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -136,9 +142,17 @@ def test_simulate_writes_deterministic_csv(tmp_path, capsys):
     assert a.decode().count("\nstderr,") == 2
 
 
-def test_simulate_rejects_zero_trials(capsys):
-    code = cli.main(["simulate", PAIR, "--trials", "0", "--out", "/tmp/x.csv"])
-    assert code == 2
+def test_simulate_rejects_zero_trials(tmp_path, monkeypatch, capsys):
+    """A trial count below 1, or past the cap, is refused before any trial
+    runs."""
+    def no_trials(*args):
+        raise AssertionError("run_trials called")
+
+    monkeypatch.setattr(cli, "run_trials", no_trials)
+    out = str(tmp_path / "x.csv")
+    assert cli.main(["simulate", PAIR, "--trials", "0", "--out", out]) == 2
+    assert cli.main(["simulate", PAIR, "--trials", str(cli.MAX_TRIALS + 1), "--out", out]) == 2
+    assert f"--trials must be at most {cli.MAX_TRIALS}" in capsys.readouterr().err
 
 
 def test_simulate_unwritable_output(tmp_path, capsys):

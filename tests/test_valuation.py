@@ -1,13 +1,18 @@
 """Valuation evaluation, exclusion, and the linearity/independence checks."""
 
-import itertools
 import math
 from dataclasses import replace
 
 import pytest
 
-from conftest import bernoulli_expectation
-from rideshare.corpus import by_name, corpus, linear_entries
+from conftest import (
+    bernoulli_expectation,
+    check_independence_numeric,
+    check_linearity_numeric,
+    independence_spread,
+    linearity_residual,
+)
+from rideshare.corpus import by_name, linear_entries
 from rideshare.model import (
     Allocation,
     Assignment,
@@ -24,13 +29,9 @@ from rideshare.valuation import (
     OutcomePattern,
     ThresholdGate,
     ValuationSpec,
-    check_independence_numeric,
-    check_linearity_numeric,
     evaluate,
-    independence_spread,
     is_external_commit_independent,
     is_linear_in_commitment,
-    linearity_residual,
     referenced_subjects,
     spec_violations,
 )
