@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Iterable
 
 from .allocation import _argmax, _scored, efficient_allocation, efficient_allocation_excluding
 from .model import (
@@ -32,6 +33,10 @@ from .valuation import GateDirection, Monomial, ThresholdGate, ValuationSpec, su
 
 GAIN_TOLERANCE = 1e-9
 MAX_DOMINANT_COMMUTERS = 4
+# A four-commuter corpus scenario scores at about 45 µs a deviation (5.2M
+# scorings of linear-quad-full-van took 230 s on a 2-core VM), so this
+# bounds a dominant sweep to about a minute and a half.
+MAX_DOMINANT_SCORINGS = 2_000_000
 MAX_P_GRID = 10_001
 _MAX_SCALE_COMBOS = 4096
 
@@ -241,34 +246,43 @@ def _sweep(
     return best
 
 
+def _dominant_scorings(devs: list[list[TripType]], grids: list[list[TripType]]) -> int:
+    """The argmax scorings of a dominant sweep: each commuter's deviations
+    once per profile of the others' grids, Σ_i |devs_i| × Π_{j≠i} |grids_j|,
+    where a grid holds the true type and the opponent deviations."""
+    return sum(
+        len(devs[i]) * math.prod(len(g) for j, g in enumerate(grids) if j != i)
+        for i in range(len(devs))
+    )
+
+
 def _audit(
     s: Scenario,
     mechanism: Mechanism,
     space: DeviationSpace,
     opponent_space: DeviationSpace | None,
+    devs: Iterable[list[TripType]],
+    grids: list[list[TripType]] | None,
 ) -> AuditReport:
-    """Sweep each commuter's deviations against each opponent profile: the
-    truthful one alone for ex-post (`opponent_space` None), else it first
-    and then the opponents' grids in product order. Ties keep the lowest
-    commuter, then the first profile, then the first deviation."""
+    """Sweep commuter i's deviations, the i-th list of `devs`, against each
+    opponent profile: the truthful one alone for ex-post (`grids` None),
+    else the product of the others' `grids`, truthful first. Ties keep the
+    lowest commuter, then the first profile, then the first deviation."""
     base = with_truthful_reports(s)
-    truth = [c.true_type for c in base.commuters]
     best: Witness | None = None
-    for i in range(base.n):
-        devs = deviations_for(truth[i], space)
-        others = [] if opponent_space is None else [j for j in range(base.n) if j != i]
-        grids = [[truth[j]] + deviations_for(truth[j], opponent_space) for j in others]
-        for combo in itertools.product(*grids):
+    for i, own in enumerate(devs):
+        others = [] if grids is None else [j for j in range(base.n) if j != i]
+        for combo in itertools.product(*(grids[j] for j in others)):
             profile = base
             for j, trip in zip(others, combo):
                 profile = with_report(profile, j, trip)
-            found = _sweep(profile, i, mechanism, devs, tuple(zip(others, combo)))
+            found = _sweep(profile, i, mechanism, own, tuple(zip(others, combo)))
             if found is not None and (best is None or found.gain > best.gain):
                 best = found
     violated = best is not None and best.gain > GAIN_TOLERANCE
     return AuditReport(
         mechanism=mechanism,
-        notion=Notion.EX_POST if opponent_space is None else Notion.DOMINANT,
+        notion=Notion.EX_POST if grids is None else Notion.DOMINANT,
         verdict=Verdict.VIOLATED if violated else Verdict.NO_VIOLATION_FOUND,
         witness=best if violated else None,
         space=space,
@@ -283,7 +297,9 @@ def audit_expost(
     Returns the maximal-gain witness when any beats truth by more than
     the gain tolerance. Ties keep the lowest commuter id, then the first
     deviation in grid order."""
-    return _audit(s, mechanism, space, None)
+    # one commuter's deviations at a time, as the sweep reaches them
+    devs = (deviations_for(c.true_type, space) for c in s.commuters)
+    return _audit(s, mechanism, space, None, devs, None)
 
 
 def audit_dominant(
@@ -295,14 +311,25 @@ def audit_dominant(
     """Sweep each commuter's misreports against every grid profile of
     opponent misreports (truthful opponents included). Exhaustive in the
     grids, so cost grows as the profile product; refused above
-    MAX_DOMINANT_COMMUTERS commuters."""
+    MAX_DOMINANT_COMMUTERS commuters, and above MAX_DOMINANT_SCORINGS
+    argmax scorings before any is made."""
     if s.n > MAX_DOMINANT_COMMUTERS:
         raise AuditSizeError(
             f"dominant audit over {s.n} commuters sweeps a full misreport profile "
             f"product and is refused above {MAX_DOMINANT_COMMUTERS}; use audit_expost "
             "or a smaller scenario"
         )
-    return _audit(s, mechanism, space, opponent_space)
+    truth = [c.true_type for c in s.commuters]
+    devs = [deviations_for(t, space) for t in truth]
+    grids = [[t] + deviations_for(t, opponent_space) for t in truth]
+    scorings = _dominant_scorings(devs, grids)
+    if scorings > MAX_DOMINANT_SCORINGS:
+        raise AuditSizeError(
+            f"dominant audit would score {scorings} deviations against opponent "
+            f"profiles and is refused above {MAX_DOMINANT_SCORINGS}; use smaller "
+            "grids or audit_expost"
+        )
+    return _audit(s, mechanism, space, opponent_space, devs, grids)
 
 
 @dataclass(frozen=True)

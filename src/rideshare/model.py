@@ -185,8 +185,9 @@ def _walk(
     has_vehicle: tuple[bool, ...],
     capacity: tuple[int, ...],
     compatibility: tuple[tuple[bool, ...], ...],
-) -> tuple[Allocation, ...]:
-    """Every feasible allocation with nobody absent, in lexicographic order.
+) -> tuple[tuple[Allocation, ...], tuple[tuple[Allocation, ...], ...]]:
+    """Every feasible allocation with nobody absent, in lexicographic order,
+    and for each commuter k the allocations that leave k with role none.
 
     Commuters choose in id order, "not riding" (-1) first and then eligible
     drivers ascending. A commuter who already has riders may only choose -1;
@@ -196,7 +197,9 @@ def _walk(
     Equal assignments are one object: one per (driver, rider set), one per
     driver for riders and one for role none. Allocations share them, so
     within one result an assignment's id names it, and per-commuter value
-    tables key on that id.
+    tables key on that id. The per-commuter tuples hold the very objects of
+    the full tuple, in its order: k's tuple is the feasible set with k
+    absent, since an absent commuter neither rides nor drives.
     """
     n = len(has_vehicle)
     eligible = [
@@ -210,10 +213,15 @@ def _walk(
     riders: list[list[int]] = [[] for _ in range(n)]
     row = [none] * n
     out: list[Allocation] = []
+    idle: list[list[Allocation]] = [[] for _ in range(n)]
 
     def assign(r: int) -> None:
         if r == n:
-            out.append(Allocation(tuple(row)))
+            a = Allocation(tuple(row))
+            out.append(a)
+            for k, asg in enumerate(row):
+                if asg is none:
+                    idle[k].append(a)
             return
         assign(r + 1)
         if riders[r]:
@@ -237,25 +245,32 @@ def _walk(
         row[r] = none
 
     assign(0)
-    return tuple(out)
+    return tuple(out), tuple(map(tuple, idle))
 
 
 def _feasible(s: Scenario, absent: frozenset[int]) -> tuple[Allocation, ...]:
+    """The feasible allocations with `absent` pinned to role none, in walk
+    order, as objects of the walk's full tuple. With nobody or one commuter
+    absent this is a stored tuple; with several, the shortest of their
+    stored tuples is filtered for the rest."""
     for i in sorted(absent):
         if not 0 <= i < s.n:
             raise ValueError(f"absent commuter id {i} outside 0..{s.n - 1}")
-    full = _walk(
+    full, idle = _walk(
         tuple(c.has_vehicle for c in s.commuters),
         tuple(c.seat_capacity for c in s.commuters),
         s.compatibility,
     )
     if not absent:
         return full
-    # Absent commuters neither ride nor drive, so their allocations are
-    # exactly the full set's allocations that leave them with role none.
-    return tuple(
-        a for a in full if all(a.assignments[i].role is Role.NONE for i in absent)
-    )
+    if len(absent) == 1:
+        return idle[next(iter(absent))]
+    first = min(absent, key=lambda i: len(idle[i]))
+    rest = [i for i in absent if i != first]
+    # The first allocation is everyone alone, so it holds the one role-none
+    # object the walk shares.
+    none = full[0].assignments[first]
+    return tuple(a for a in idle[first] if all(a.assignments[i] is none for i in rest))
 
 
 def enumerate_feasible_allocations(

@@ -324,6 +324,28 @@ def test_dominant_sweep_refuses_large_scenarios():
     assert audit_expost(five, Mechanism.COMMIT_BASED) is not None
 
 
+def test_dominant_sweep_refuses_a_scoring_count_over_budget(monkeypatch):
+    """Unit scales leave each commuter of the pair one deviation per
+    probability point. 101 points against 9,900-point opponent grids (plus
+    the true type) score 2 × 101 × 9,901 = MAX_DOMINANT_SCORINGS + 2
+    deviations and are refused before any is scored; 100 points against
+    9,999 score exactly the budget and reach the sweep."""
+    assert audit_module.MAX_DOMINANT_SCORINGS == 2_000_000
+
+    def refuse(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(audit_module, "_sweep", refuse)
+    s = by_name("linear-pair-profitable")
+    unit = (1.0,)
+    with pytest.raises(AuditSizeError, match="would score 2000002 deviations"):
+        audit_dominant(s, Mechanism.COMMIT_BASED, DeviationSpace(101, unit),
+                       DeviationSpace(9900, unit))
+    with pytest.raises(AssertionError, match="the sweep started"):
+        audit_dominant(s, Mechanism.COMMIT_BASED, DeviationSpace(100, unit),
+                       DeviationSpace(9999, unit))
+
+
 def test_deviation_space_shape():
     s = by_name("linear-pair-profitable")
     trip = s.commuters[0].reported_type

@@ -121,6 +121,20 @@ def test_audit_grid_below_two_is_input_error(capsys, argv, message):
     assert "Traceback" not in captured.err
 
 
+def test_audit_dominant_over_the_scoring_budget_is_input_error(capsys):
+    """Each commuter of the pair has 40 × 5 deviations and an opponent grid
+    of 1 + 1,000 × 5 reports: 2 × 200 × 5,001 = 2,000,400 scorings, just over
+    the budget, refused with exit 2 before the sweep."""
+    code = cli.main([
+        "audit", PAIR, "--notion", "dominant", "--grid", "40", "--opponent-grid", "1000",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "dominant audit would score 2000400 deviations" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_suite_passes(capsys):
     assert cli.main(["suite"]) == 0
     out = capsys.readouterr().out

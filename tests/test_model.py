@@ -158,12 +158,12 @@ def test_enumeration_matches_naive_oracle(s):
 @given(small_scenarios())
 @settings(max_examples=60, deadline=None)
 def test_absent_enumeration_filters_the_naive_oracle(s):
-    """With one or two commuters absent, the enumeration is the naive full
-    set restricted to allocations that leave them with role none, in the
-    same order."""
+    """With one, two, three or every commuter absent, the enumeration is the
+    naive full set restricted to allocations that leave them with role
+    none, in the same order."""
     full = naive_feasible_allocations(s)
-    singles = [(i,) for i in range(s.n)]
-    for absent in singles + list(itertools.combinations(range(s.n), 2)):
+    subsets = [c for k in (1, 2, 3) for c in itertools.combinations(range(s.n), k)]
+    for absent in subsets + [tuple(range(s.n))]:
         expected = [a for a in full if all(a.role_of(i) is Role.NONE for i in absent)]
         assert list(enumerate_feasible_allocations(s, absent)) == expected, absent
 
@@ -242,6 +242,18 @@ def _alternating_drivers(n, seats=2):
 
 def test_nine_commuter_enumeration_count():
     assert sum(1 for _ in enumerate_feasible_allocations(_alternating_drivers(9))) == 19_501
+
+
+def test_single_absence_reads_the_walk_index(corpus_entries):
+    """With one commuter absent the feasible set is a tuple the walk stored:
+    the same object on every call, holding the full set's own allocations."""
+    for e in corpus_entries:
+        s = e.scenario
+        full = {id(a) for a in model._feasible(s, frozenset())}
+        for i in range(s.n):
+            idle = model._feasible(s, frozenset((i,)))
+            assert model._feasible(s, frozenset((i,))) is idle, (e.name, i)
+            assert all(id(a) in full for a in idle), (e.name, i)
 
 
 def test_feasible_cache_keeps_only_the_last_structure():
