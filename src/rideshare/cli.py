@@ -23,16 +23,20 @@ from .audit import (
 from .model import Scenario, validate_scenario
 from .payments import Conditional, Mechanism, commit_payments, groves_payments
 from .scenario_io import ScenarioFormatError, parse_scenario_text, trip_to_json
-from .simulate import run_trials
+from .simulate import SimulationSummary, TrialRecords, run_trials
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
 
-# Each trial keeps a record until the CSV is written, so memory grows with
-# the count; a count past this is refused rather than left to exhaust it.
+# A run holds no record per trial, but the CSV text grows with the count
+# (about 47 MB for a million trials of a pair); a count past this is
+# refused rather than left to exhaust memory.
 MAX_TRIALS = 1_000_000
+# The draws read the seed mod 2**64, so a seed outside 0..MAX_SEED would
+# write the trials of the seed it aliases under its own name.
+MAX_SEED = 2**64 - 1
 
 
 class _InputError(Exception):
@@ -103,6 +107,8 @@ def cmd_simulate(args) -> int:
         raise _InputError(f"--trials must be at least 1, got {args.trials}")
     if args.trials > MAX_TRIALS:
         raise _InputError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
+    if not 0 <= args.seed <= MAX_SEED:
+        raise _InputError(f"--seed must be between 0 and {MAX_SEED}, got {args.seed}")
     schedule = _schedule(s, _mechanism(args))
     records, summary = run_trials(s, schedule, args.trials, args.seed)
     text = render_trials_csv(records, summary)
@@ -129,28 +135,29 @@ def _repr_or_empty(x: float | None) -> str:
     return "" if x is None else repr(x)
 
 
-def render_trials_csv(records, summary) -> str:
+def render_trials_csv(records: TrialRecords, summary: SimulationSummary) -> str:
     """The per-trial CSV: one row per trial and commuter, then the summary.
 
     Every field is a number, a fixed word or empty, so none needs quoting
-    and each row is its fields joined by commas. The records of one
-    `run_trials` call settle each commitment vector one way, so the columns
-    after `trial` are formatted once per distinct vector.
+    and each row is its fields joined by commas. A trial's rows after its
+    number depend on its commitment vector alone, so they are formatted
+    once per distinct vector and written in trial order straight from the
+    drawn vectors; no record is built.
     """
     buf = io.StringIO()
     buf.write("trial,commuter,committed,value,payment,utility\n")
-    tails_of: dict[tuple[int, ...], list[str]] = {}
-    for r in records:
-        tails = tails_of.get(r.commit)
-        if tails is None:
-            tails = tails_of[r.commit] = [
-                f"{k},{bit},{_repr_or_empty(v)},{payment!r},{_repr_or_empty(u)}\n"
-                for k, (bit, v, payment, u) in enumerate(
-                    zip(r.commit, r.values, r.payments, r.utilities))
-            ]
-        if tails:
-            prefix = f"{r.trial},"
-            buf.write(prefix + prefix.join(tails))
+    # Each vector's rows follow an empty string, so joining them with a
+    # trial's "t," puts that prefix before every row, and before none when
+    # there are no commuters.
+    rows_of = {
+        commit: ["", *(
+            f"{k},{bit},{_repr_or_empty(v)},{payment!r},{_repr_or_empty(u)}\n"
+            for k, (bit, v, payment, u) in enumerate(
+                zip(commit, f["values"], f["payments"], f["utilities"])))]
+        for commit, f in records.settled.items()
+    }
+    for t, commit in enumerate(records.vectors):
+        buf.write(f"{t},".join(rows_of[commit]))
     for k in range(len(summary.mean_commit)):
         buf.write(
             f"mean,{k},{summary.mean_commit[k]!r},{summary.mean_value[k]!r},"

@@ -13,13 +13,15 @@ trial.
 
 With the allocation and payments fixed, a trial's settlement is a function
 of its commitment vector alone. `_settle` computes it, once per distinct
-vector in a Monte Carlo run and once per vector in the exact enumeration,
-and every record of a vector is a copy of its settled fields. The summary
-is reduced per distinct vector: each column is the exact sum of count * x
-over the vectors, rounded once, which is what `math.fsum` returns over the
-trials. Where fsum could overflow on the way, its result depends on the
-order of its inputs, so such a column is reduced over the trials in trial
-order instead.
+vector in a Monte Carlo run and once per vector in the exact enumeration.
+A run's records are a `TrialRecords` view over the drawn vectors and those
+settlements: a record is built only when a caller reads it, so a run holds
+one reference per trial, and the CLI writes its CSV without building any.
+The summary is reduced per distinct vector: each column is the exact sum
+of count * x over the vectors, rounded once, which is what `math.fsum`
+returns over the trials. Where fsum could overflow on the way, its result
+depends on the order of its inputs, so such a column is reduced over the
+trials in trial order instead.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from __future__ import annotations
 import math
 import struct
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from itertools import islice, product
-from typing import Iterable, Sequence
 
 from .model import Scenario
 from .payments import ExcludedValueError, PaymentSchedule, Unconditional
@@ -142,7 +144,45 @@ class TrialRecord:
     flagged: bool
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord))
+# Every field but the trial number: what one commitment vector settles to.
+_SETTLED_FIELDS = tuple(f.name for f in fields(TrialRecord))[1:]
+
+
+class TrialRecords(Sequence):
+    """The records of one `run_trials` call, in trial order, built on access.
+
+    A trial's record is its number, its commitment vector and that vector's
+    settlement, so the view keeps only `vectors`, the vector each trial
+    drew, and `settled`, the record fields but `trial` of each distinct
+    vector. Indexing or iterating builds each record with the constructor;
+    nothing else does. Two views are equal when their records are.
+    """
+
+    __slots__ = ("vectors", "settled")
+
+    def __init__(self, vectors: list[CommitVector], settled: dict[CommitVector, dict]):
+        self.vectors = vectors
+        self.settled = settled
+
+    def _record(self, trial: int) -> TrialRecord:
+        return TrialRecord(trial=trial, **self.settled[self.vectors[trial]])
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def __getitem__(self, index):
+        trials = range(len(self.vectors))
+        if isinstance(index, slice):
+            return [self._record(t) for t in trials[index]]
+        return self._record(trials[index])
+
+    def __iter__(self) -> Iterator[TrialRecord]:
+        return map(self._record, range(len(self.vectors)))
+
+    def __eq__(self, other):
+        if not isinstance(other, TrialRecords):
+            return NotImplemented
+        return self.vectors == other.vectors and self.settled == other.settled
 
 
 @dataclass(frozen=True)
@@ -267,12 +307,13 @@ class _Grouped:
 
 def run_trials(
     s: Scenario, schedule: PaymentSchedule, trials: int, seed: int
-) -> tuple[list[TrialRecord], SimulationSummary]:
+) -> tuple[TrialRecords, SimulationSummary]:
     """Simulate settlement over `trials` independent commitment draws.
 
-    Each distinct commitment vector is settled once per call, and every
-    trial that draws it gets a record copied from that settlement with its
-    own trial number. Trials where some commuter's true valuation excludes
+    Each distinct commitment vector is settled once per call. The records
+    come back as a `TrialRecords` view over the drawn vectors and those
+    settlements, so a run holds one reference per trial and no record until
+    a caller reads one. Trials where some commuter's true valuation excludes
     the realized outcome carry no number for that commuter; such trials are
     flagged and left out of the summary means. Each summary column is the
     exact count-weighted sum over the distinct unflagged vectors, rounded
@@ -287,20 +328,9 @@ def run_trials(
     vectors = _draws(s.true_p(), seed, range(trials))
     counts = Counter(vectors)
     settled = {
-        commit: dict(zip(_RECORD_FIELDS, (0, commit, *_settle(s, schedule, commit))))
+        commit: dict(zip(_SETTLED_FIELDS, (commit, *_settle(s, schedule, commit))))
         for commit in counts
     }
-    # A frozen dataclass's __init__ sets each field through
-    # object.__setattr__; filling a bare record's __dict__ from the
-    # vector's settled fields makes an equal record, several times faster.
-    new = object.__new__
-    records = []
-    for t, commit in enumerate(vectors):
-        record = new(TrialRecord)
-        fields_of = record.__dict__
-        fields_of.update(settled[commit])
-        fields_of["trial"] = t
-        records.append(record)
     clean = [commit for commit, f in settled.items() if not f["flagged"]]
     grouped = _Grouped(vectors, clean, counts)
     rows = [settled[commit] for commit in clean]
@@ -324,7 +354,7 @@ def run_trials(
         mean_welfare=grouped.mean([f["welfare"] for f in rows]),
         mean_deficit=grouped.mean([f["deficit"] for f in rows]),
     )
-    return records, summary
+    return TrialRecords(vectors, settled), summary
 
 
 def exact_expected_utilities(s: Scenario, schedule: PaymentSchedule) -> tuple[float, ...]:

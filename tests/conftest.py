@@ -1,7 +1,7 @@
 """Shared fixtures: an independent brute-force allocation oracle, a
 per-deviation reference audit, numeric linearity and independence oracles
-over a probability lattice, and hypothesis strategies for small random
-scenarios."""
+over a probability lattice, a record-by-record simulate CSV, and
+hypothesis strategies for small random scenarios."""
 
 import itertools
 import math
@@ -204,6 +204,26 @@ def bernoulli_expectation(spec, allocation, p):
         assert v is not EXCLUDED
         total += weight * v
     return total
+
+
+def csv_of_records(records, summary):
+    """The simulate CSV written record by record, one row per trial and
+    commuter, then the summary rows: the format spelled out field by
+    field."""
+
+    def cell(x):
+        return "" if x is None else repr(x)
+
+    lines = ["trial,commuter,committed,value,payment,utility\n"]
+    for r in records:
+        for k, bit in enumerate(r.commit):
+            lines.append(f"{r.trial},{k},{bit},{cell(r.values[k])},"
+                         f"{r.payments[k]!r},{cell(r.utilities[k])}\n")
+    for k, mean_commit in enumerate(summary.mean_commit):
+        lines.append(f"mean,{k},{mean_commit!r},{summary.mean_value[k]!r},"
+                     f"{summary.mean_payment[k]!r},{summary.mean_utility[k]!r}\n")
+        lines.append(f"stderr,{k},,,,{summary.stderr_utility[k]!r}\n")
+    return "".join(lines)
 
 
 def _lattice(n, subjects, grid):

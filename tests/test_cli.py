@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from rideshare import cli
+from conftest import csv_of_records
+from rideshare import cli, simulate
 from rideshare.audit import MAX_P_GRID
 from rideshare.corpus import by_name, corpus
+from rideshare.payments import commit_payments
 from rideshare.scenario_io import (
     ScenarioFormatError,
     parse_scenario_text,
@@ -167,6 +169,37 @@ def test_simulate_rejects_zero_trials(tmp_path, monkeypatch, capsys):
     assert cli.main(["simulate", PAIR, "--trials", "0", "--out", out]) == 2
     assert cli.main(["simulate", PAIR, "--trials", str(cli.MAX_TRIALS + 1), "--out", out]) == 2
     assert f"--trials must be at most {cli.MAX_TRIALS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed, code", [(-1, 2), (2**64, 2), (0, 0), (2**64 - 1, 0)])
+def test_simulate_seed_must_fit_64_bits(seed, code, tmp_path, capsys):
+    """The draws read the seed mod 2**64, so a seed outside 0..2**64 - 1
+    would write another seed's trials under its own name; it is refused."""
+    out = str(tmp_path / "x.csv")
+    assert cli.main(["simulate", PAIR, "--trials", "5", "--seed", str(seed), "--out", out]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert f"--seed must be between 0 and {2**64 - 1}, got {seed}" in captured.err
+    else:
+        assert f"seed: {seed} " in captured.out
+
+
+@pytest.mark.parametrize("path", [PAIR, GATE_MISREPORT])
+def test_simulate_builds_no_record(path, tmp_path, monkeypatch, capsys):
+    """The CLI writes the CSV straight from the drawn vectors: with the
+    records view unable to build a record it still writes the CSV that
+    the run's records spell out."""
+    s = cli._load_scenario(path)
+    records, summary = simulate.run_trials(s, commit_payments(s), 300, 13)
+    expected = csv_of_records(list(records), summary)
+
+    def no_record(self, trial):
+        raise AssertionError("a trial record was built")
+
+    monkeypatch.setattr(simulate.TrialRecords, "_record", no_record)
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", path, "--trials", "300", "--seed", "13", "--out", str(out)]) == 0
+    assert out.read_bytes().decode("utf-8") == expected
 
 
 def test_simulate_unwritable_output(tmp_path, capsys):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import struct
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import csv_of_records
 from rideshare import simulate as simulate_module
+from rideshare.cli import render_trials_csv
 from rideshare.corpus import by_name, linear_entries
 from rideshare.model import Role, TripType, with_truthful_reports
 from rideshare.payments import (
@@ -263,6 +266,62 @@ def test_excluded_realizations_are_flagged_not_averaged():
         exact_expected_utilities(s, schedule)
 
 
+def _constructor_records(s, schedule, trials, seed):
+    """A run's records, each built by the constructor from its trial's
+    drawn vector settled afresh."""
+    vectors = simulate_module._draws(s.true_p(), seed, range(trials))
+    return [TrialRecord(t, v, *simulate_module._settle(s, schedule, v))
+            for t, v in enumerate(vectors)]
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: by_name("threshold-gate-pair-misreport"), _true_homebody_pair],
+    ids=["gate-misreport", "all-flagged"],
+)
+def test_records_view_behaves_like_the_list(make):
+    """The records view reads like the list of constructor-built records it
+    stands for: length, indices either way round, slices, IndexError past
+    either end, trial order, equality between equal runs, and the CSV its
+    records spell out."""
+    s = make()
+    schedule = commit_payments(s)
+    records, summary = run_trials(s, schedule, 37, seed=4)
+    expected = _constructor_records(s, schedule, 37, 4)
+    assert len(records) == len(expected) == 37
+    assert list(records) == expected
+    assert [r.trial for r in records] == list(range(37))
+    assert list(reversed(records)) == expected[::-1]
+    for i in (0, 5, 36, -1, -5, -37):
+        assert records[i] == expected[i], i
+    for cut in (slice(None), slice(3, 9), slice(-5, None), slice(None, None, -3),
+                slice(30, 50), slice(50, 60), slice(-60, 2)):
+        assert records[cut] == expected[cut], cut
+    for i in (37, -38):
+        with pytest.raises(IndexError):
+            records[i]
+    assert expected[7] in records
+    assert records == run_trials(s, schedule, 37, seed=4)[0]
+    assert records != run_trials(s, schedule, 36, seed=4)[0]
+    assert records != run_trials(s, schedule, 37, seed=5)[0]
+    assert render_trials_csv(records, summary) == csv_of_records(expected, summary)
+
+
+def test_records_view_memory_stays_flat():
+    """A run keeps one reference per trial and builds no record: 100k trials
+    of a pair peak below 8 MB of traced allocations, where holding a record
+    per trial peaked at about 37 MB."""
+    s = by_name("linear-pair-profitable")
+    schedule = commit_payments(s)
+    tracemalloc.start()
+    try:
+        records, _ = run_trials(s, schedule, 100_000, seed=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 100_000
+    assert peak < 8_000_000, peak
+
+
 def test_trial_records_expose_settlement_columns():
     """Each record's columns are the true valuations evaluated at the drawn
     bits and the schedule's charges for them; the gate scenario's values
@@ -363,8 +422,8 @@ def test_summary_overflows_exactly_where_trial_order_does(monkeypatch):
 
 
 def test_fast_records_are_constructor_records():
-    """Records copied from a settled template are indistinguishable from
-    ones built by the constructor, and stay frozen."""
+    """Records built on access are indistinguishable from ones built by the
+    constructor, and stay frozen."""
     s = by_name("threshold-gate-pair-misreport")
     records, _ = run_trials(s, commit_payments(s), 40, seed=3)
     for r in records:
@@ -376,4 +435,5 @@ def test_fast_records_are_constructor_records():
         assert pickle.loads(pickle.dumps(r)) == built
         with pytest.raises(dataclasses.FrozenInstanceError):
             r.trial = 0
-    assert len({id(vars(r)) for r in records}) == len(records)
+    held = list(records)
+    assert len({id(vars(r)) for r in held}) == len(held)
