@@ -6,11 +6,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import _EMPTY, Allocation, CommuterId, Scenario, _feasible
+from .model import Allocation, CommuterId, Scenario, _feasible
 from .valuation import EXCLUDED, ValuationSpec, evaluate
 
 # A commuter to score: id, reported spec, the spec's owner, and that spec's
-# values at fixed probabilities and absent set, keyed by the id of the
+# values at fixed probabilities and absent commuter, keyed by the id of the
 # owner's assignment object.
 Scored = tuple[CommuterId, ValuationSpec, CommuterId, dict]
 
@@ -26,18 +26,19 @@ def efficient_allocation(
     s: Scenario,
     *,
     p_override: Sequence[float] | None = None,
-    absent: frozenset[int] = _EMPTY,
+    absent: CommuterId | None = None,
 ) -> WelfareReport:
     """Maximise total reported value over feasible allocations.
 
     Allocations where any present commuter's valuation is excluded are
     skipped. Ties keep the first maximiser, so the deterministic enumeration
     order doubles as the tie-break. `p_override` substitutes the given
-    probabilities for the reported ones in every evaluation.
+    probabilities for the reported ones in every evaluation. Commuter
+    `absent`, if given, is pinned to role none and scores nothing.
     """
     p = tuple(p_override) if p_override is not None else s.reported_p()
     present = [
-        _scored(j, c.reported_type.valuation) for j, c in enumerate(s.commuters) if j not in absent
+        _scored(j, c.reported_type.valuation) for j, c in enumerate(s.commuters) if j != absent
     ]
     return _argmax(_feasible(s, absent), present, p, absent)
 
@@ -51,7 +52,7 @@ def _argmax(
     allocations: Sequence[Allocation],
     present: Sequence[Scored],
     p: Sequence[float],
-    absent: frozenset[int],
+    absent: CommuterId | None,
 ) -> WelfareReport:
     """The first allocation of maximal welfare among those no present
     commuter excludes, with `present` in commuter order.
@@ -96,4 +97,4 @@ def efficient_allocation_excluding(
     """Best allocation of everyone except `i`, who is pinned to role none
     and contributes no value. Factors reading i's probability evaluate to
     zero and gates on i fail, as if i were not part of the scenario."""
-    return efficient_allocation(s, p_override=p_override, absent=frozenset((i,)))
+    return efficient_allocation(s, p_override=p_override, absent=i)

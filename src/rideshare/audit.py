@@ -19,15 +19,7 @@ from enum import Enum
 from typing import Iterable
 
 from .allocation import _argmax, _scored, efficient_allocation, efficient_allocation_excluding
-from .model import (
-    _EMPTY,
-    CommuterId,
-    Scenario,
-    TripType,
-    _feasible,
-    with_report,
-    with_truthful_reports,
-)
+from .model import CommuterId, Scenario, TripType, _feasible, with_report, with_truthful_reports
 from .payments import Mechanism, PivotRule, settled_utility
 from .valuation import GateDirection, Monomial, ThresholdGate, ValuationSpec, substitute
 
@@ -216,7 +208,7 @@ def _sweep(
     truth = efficient_allocation(profile, p_override=public_p)
     u_truth = settled_utility(profile, i, truth.allocation, mechanism.entry(profile, h, truth, i))
 
-    allocations = _feasible(profile, _EMPTY)
+    allocations = _feasible(profile, None)
     # Memos key on ids, kept alive by `allocations` and `devs`.
     settled: dict[int, float] = {}
     key = utilities = None
@@ -233,7 +225,7 @@ def _sweep(
         spec_id = id(trip.valuation)
         if spec_id not in utilities:
             present[i] = _scored(i, trip.valuation)
-            rep = _argmax(allocations, present, p, _EMPTY)
+            rep = _argmax(allocations, present, p, None)
             outcome = id(rep.allocation)
             if outcome not in settled:
                 entry = mechanism.entry(profile, h, rep, i)

@@ -20,7 +20,7 @@ from .audit import (
     audit_expost,
     truthfulness_suite,
 )
-from .model import Scenario, validate_scenario
+from .model import Scenario, TooManyCommutersError, validate_scenario
 from .payments import Conditional, Mechanism, commit_payments, groves_payments
 from .scenario_io import ScenarioFormatError, parse_scenario_text, trip_to_json
 from .simulate import SimulationSummary, TrialRecords, run_trials
@@ -221,31 +221,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Allocate shared trips, price them, and audit truthfulness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("scenario", help="scenario file (JSON)")
+    priced = argparse.ArgumentParser(add_help=False, parents=[scenario])
+    priced.add_argument("--mechanism", choices=Mechanism.rules(), default="commit",
+                        help="payment rule")
+    priced.add_argument("--public-p", action="store_true",
+                        help="treat true commitment probabilities as publicly known")
 
-    p = sub.add_parser("allocate", help="print the welfare-maximising allocation")
-    p.add_argument("scenario", help="scenario file (JSON)")
+    p = sub.add_parser("allocate", parents=[scenario],
+                       help="print the welfare-maximising allocation")
     p.set_defaults(func=cmd_allocate)
 
-    p = sub.add_parser("pay", help="print the payment schedule")
-    p.add_argument("scenario")
-    p.add_argument("--mechanism", choices=Mechanism.rules(), default="commit")
-    p.add_argument("--public-p", action="store_true",
-                   help="treat true commitment probabilities as publicly known")
+    p = sub.add_parser("pay", parents=[priced], help="print the payment schedule")
     p.set_defaults(func=cmd_pay)
 
-    p = sub.add_parser("simulate", help="Monte Carlo settlement over commitment draws")
-    p.add_argument("scenario")
-    p.add_argument("--mechanism", choices=Mechanism.rules(), default="commit")
-    p.add_argument("--public-p", action="store_true")
+    p = sub.add_parser("simulate", parents=[priced],
+                       help="Monte Carlo settlement over commitment draws")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="per-trial CSV output path")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("audit", help="grid search for profitable misreports")
-    p.add_argument("scenario")
-    p.add_argument("--mechanism", choices=Mechanism.rules(), default="commit")
-    p.add_argument("--public-p", action="store_true")
+    p = sub.add_parser("audit", parents=[priced], help="grid search for profitable misreports")
     p.add_argument("--notion", choices=["expost", "dominant"], default="expost")
     p.add_argument("--grid", type=int, default=DeviationSpace.p_grid,
                    help="probability grid points")
@@ -267,7 +265,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_INPUT
     try:
         return args.func(args)
-    except _InputError as e:
+    except (_InputError, TooManyCommutersError) as e:
         print(str(e), file=sys.stderr)
         return EXIT_INPUT
     except OverflowError as e:

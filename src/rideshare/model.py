@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     from .valuation import ValuationSpec
@@ -13,6 +14,12 @@ if TYPE_CHECKING:
 CommuterId = int
 
 _EMPTY: frozenset[int] = frozenset()
+
+
+class TooManyCommutersError(ValueError):
+    """The feasible-set walk recurses once per commuter, so a scenario with
+    about as many commuters as the interpreter's recursion limit (1,000 by
+    default) cannot be enumerated; raised in place of RecursionError."""
 
 
 class Role(Enum):
@@ -244,43 +251,39 @@ def _walk(
         riding[r] = False
         row[r] = none
 
-    assign(0)
+    try:
+        assign(0)
+    except RecursionError:
+        raise TooManyCommutersError(
+            f"scenario has {n} commuters, too many for the feasible-set walk, which "
+            f"recurses once per commuter (recursion limit {sys.getrecursionlimit()})"
+        ) from None
     return tuple(out), tuple(map(tuple, idle))
 
 
-def _feasible(s: Scenario, absent: frozenset[int]) -> tuple[Allocation, ...]:
-    """The feasible allocations with `absent` pinned to role none, in walk
-    order, as objects of the walk's full tuple. With nobody or one commuter
-    absent this is a stored tuple; with several, the shortest of their
-    stored tuples is filtered for the rest."""
-    for i in sorted(absent):
-        if not 0 <= i < s.n:
-            raise ValueError(f"absent commuter id {i} outside 0..{s.n - 1}")
+def _feasible(s: Scenario, absent: CommuterId | None = None) -> tuple[Allocation, ...]:
+    """The feasible allocations with commuter `absent`, if any, pinned to
+    role none, in walk order, as objects of the walk's full tuple: the full
+    tuple itself, or the walk's stored tuple for that commuter. Anything
+    other than None or an id in 0..n-1 raises ValueError."""
+    if absent is not None and (type(absent) is not int or not 0 <= absent < s.n):
+        raise ValueError(f"absent commuter id {absent!r} outside 0..{s.n - 1}")
     full, idle = _walk(
         tuple(c.has_vehicle for c in s.commuters),
         tuple(c.seat_capacity for c in s.commuters),
         s.compatibility,
     )
-    if not absent:
-        return full
-    if len(absent) == 1:
-        return idle[next(iter(absent))]
-    first = min(absent, key=lambda i: len(idle[i]))
-    rest = [i for i in absent if i != first]
-    # The first allocation is everyone alone, so it holds the one role-none
-    # object the walk shares.
-    none = full[0].assignments[first]
-    return tuple(a for a in idle[first] if all(a.assignments[i] is none for i in rest))
+    return full if absent is None else idle[absent]
 
 
 def enumerate_feasible_allocations(
-    s: Scenario, absent: Iterable[CommuterId] = ()
+    s: Scenario, absent: CommuterId | None = None
 ) -> Iterator[Allocation]:
     """Iterate over every feasible allocation in a fixed deterministic order.
 
     Order is lexicographic over the per-commuter driver-choice encoding with
     "not riding" (-1) first, so the all-none allocation always comes first.
-    Commuters listed in `absent` are pinned to role none and cannot drive;
-    an id outside 0..n-1 raises ValueError.
+    Commuter `absent`, if given, is pinned to role none and cannot drive; an
+    id outside 0..n-1 raises ValueError.
     """
-    return iter(_feasible(s, frozenset(absent)))
+    return iter(_feasible(s, absent))

@@ -157,13 +157,22 @@ def commit_payments(s: Scenario) -> PaymentSchedule:
     return _schedule(s, Mechanism.COMMIT_BASED, None)
 
 
+def _finite(i: CommuterId, u: float) -> float:
+    """Commuter `i`'s settled utility `u`; OverflowError if not finite."""
+    if not math.isfinite(u):
+        raise OverflowError(f"commuter {i}'s settled utility {u} is not finite")
+    return u
+
+
 def settled_utility(s: Scenario, i: CommuterId, allocation: Allocation, entry: PaymentEntry) -> float:
     """Quasilinear expected utility of commuter `i` under their true type at
     `allocation`, with true probabilities, when settled by `entry`.
 
     Raises ExcludedValueError when the true valuation excludes that
     allocation; callers decide whether that is a modelling error (truthful
-    reports) or a searched-over outcome to flag (misreports).
+    reports) or a searched-over outcome to flag (misreports). Raises
+    OverflowError when the utility is not finite, as when a value less a
+    charge passes the float range.
     """
     p = s.true_p()
     spec = s.commuters[i].true_type.valuation
@@ -171,13 +180,13 @@ def settled_utility(s: Scenario, i: CommuterId, allocation: Allocation, entry: P
         v = evaluate(spec, allocation, p)
         if v is EXCLUDED:
             raise ExcludedValueError(f"commuter {i}: true valuation excludes the chosen allocation")
-        return v - entry.amount
+        return _finite(i, v - entry.amount)
     v_one = evaluate(spec, allocation, substitute(p, i, 1.0))
     v_zero = evaluate(spec, allocation, substitute(p, i, 0.0))
     if v_one is EXCLUDED or v_zero is EXCLUDED:
         raise ExcludedValueError(f"commuter {i}: true valuation excludes the chosen allocation")
     pi = p[i]
-    return pi * (v_one - entry.on_commit) + (1.0 - pi) * (v_zero - entry.on_fail)
+    return _finite(i, pi * (v_one - entry.on_commit) + (1.0 - pi) * (v_zero - entry.on_fail))
 
 
 def expected_utility(s: Scenario, i: CommuterId, schedule: PaymentSchedule) -> float:

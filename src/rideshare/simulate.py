@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 from itertools import islice, product
 
 from .model import Scenario
-from .payments import ExcludedValueError, PaymentSchedule, Unconditional
+from .payments import ExcludedValueError, PaymentSchedule, Unconditional, _finite
 from .valuation import EXCLUDED, evaluate
 
 _MASK = (1 << 64) - 1
@@ -202,7 +202,8 @@ def _settle(s: Scenario, schedule: PaymentSchedule, commit: CommitVector) -> tup
     """The `TrialRecord` fields after `commit` for one commitment vector:
     values, payments, utilities, welfare, deficit and the flag. A commuter
     whose true valuation excludes the allocation gets value and utility
-    None, which flags the vector."""
+    None, which flags the vector. Raises OverflowError when a utility is
+    not finite."""
     degenerate = tuple(float(b) for b in commit)
     values: list[float | None] = []
     payments: list[float] = []
@@ -215,7 +216,7 @@ def _settle(s: Scenario, schedule: PaymentSchedule, commit: CommitVector) -> tup
             charge = entry.on_commit if bit else entry.on_fail
         payments.append(charge)
         values.append(None if v is EXCLUDED else v)
-        utilities.append(None if v is EXCLUDED else v - charge)
+        utilities.append(None if v is EXCLUDED else _finite(c.id, v - charge))
     welfare = math.fsum(v for v in values if v is not None)
     flagged = None in values
     return tuple(values), tuple(payments), tuple(utilities), welfare, -math.fsum(payments), flagged

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
 
-from .model import _EMPTY, Allocation, Assignment, CommuterId, Role, all_none_allocation
+from .model import Allocation, Assignment, CommuterId, Role, all_none_allocation
 
 
 class _Excluded:
@@ -104,15 +104,16 @@ def evaluate(
     spec: ValuationSpec,
     allocation: Allocation,
     p: Sequence[float],
-    absent: frozenset[int] = _EMPTY,
+    absent: CommuterId | None = None,
 ):
     """Value of `allocation` to the spec's owner at probability vector `p`.
 
     Returns a float, or EXCLUDED when the first matching clause is excluded.
     Exclusion depends only on the outcome pattern, never on probabilities.
-    Commuters in `absent` are treated as missing: factors on them evaluate
-    to zero and gates on them fail. Raises OverflowError when the value is
-    not finite, as when large finite terms sum past the float range.
+    Commuter `absent`, if given, is treated as missing: factors on them
+    evaluate to zero and gates on them fail. Raises OverflowError when the
+    value is not finite, as when large finite terms sum past the float
+    range.
     """
     assignment = allocation.assignments[spec.owner]
     for clause in spec.clauses:
@@ -121,7 +122,7 @@ def evaluate(
         if clause.excluded:
             return EXCLUDED
         for gate in clause.gates:
-            if gate.subject in absent:
+            if gate.subject == absent:
                 return 0.0
             v = p[gate.subject]
             passed = v >= gate.bound if gate.direction is GateDirection.AT_LEAST else v < gate.bound
@@ -131,7 +132,7 @@ def evaluate(
         for term in clause.terms:
             x = term.coefficient
             for subject, exponent in term.factors:
-                if subject in absent:
+                if subject == absent:
                     x = 0.0
                     break
                 v = p[subject]

@@ -1,10 +1,14 @@
 """Shared fixtures: an independent brute-force allocation oracle, a
 per-deviation reference audit, numeric linearity and independence oracles
-over a probability lattice, a record-by-record simulate CSV, and
-hypothesis strategies for small random scenarios."""
+over a probability lattice, a record-by-record simulate CSV, hypothesis
+strategies for small random scenarios, and scenarios that outgrow the
+walk's recursion or overflow a settled utility."""
 
+import contextlib
+import inspect
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import settings
@@ -35,8 +39,11 @@ from rideshare.valuation import (
     AnyPartners,
     Clause,
     EXCLUDED,
+    ExactPartners,
+    GateDirection,
     Monomial,
     OutcomePattern,
+    ThresholdGate,
     ValuationSpec,
     evaluate,
     referenced_subjects,
@@ -103,21 +110,21 @@ def naive_feasible_allocations(s):
     return out
 
 
-def naive_efficient(s, p=None, absent=frozenset()):
+def naive_efficient(s, p=None, absent=None):
     """First strict welfare maximizer over the naive enumeration, scored from
     scratch: every present commuter is evaluated on every allocation that
-    leaves the absent commuters with role none, and absent commuters count
-    0.0. Returns (allocation, welfare, per_commuter)."""
+    leaves the absent commuter with role none, and the absent commuter
+    counts 0.0. Returns (allocation, welfare, per_commuter)."""
     if p is None:
         p = s.reported_p()
     best = None
     best_welfare = None
     best_values = None
     for a in naive_feasible_allocations(s):
-        if any(a.assignments[i].role is not Role.NONE for i in absent):
+        if absent is not None and a.assignments[absent].role is not Role.NONE:
             continue
         values = [
-            0.0 if c.id in absent else evaluate(c.reported_type.valuation, a, p, absent)
+            0.0 if c.id == absent else evaluate(c.reported_type.valuation, a, p, absent)
             for c in s.commuters
         ]
         if any(v is EXCLUDED for v in values):
@@ -326,6 +333,64 @@ def small_scenarios(draw):
                 rows[j][i] = ok
         compat = tuple(tuple(r) for r in rows)
     return Scenario(tuple(commuters), compat)
+
+
+def solo_commuters(n):
+    """`n` commuters without vehicles, each compatible only with themselves:
+    the walk recurses through all of them to find the one allocation."""
+    commuters = tuple(
+        Commuter(k, False, 0, TripType(ValuationSpec(k, ()), 0.5)) for k in range(n))
+    return Scenario(commuters, tuple(tuple(i == j for j in range(n)) for i in range(n)))
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames):
+    """Within the block, the interpreter's recursion limit sits `frames`
+    above the current stack depth."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def overflowing_settlement_scenario():
+    """Three fully compatible commuters whose commit settlement overflows.
+
+    0 drives 1 and 2 (capacity 2), 1 and 2 ride; 0 and 1 truly never show
+    up but report certainty, 2 shows up with probability 0.49. Near the
+    float limit, 2's commit pair is (1.7e308, -1.7e308), so 2's settled
+    utility is +inf when 2 stays home and -inf when 2 commits."""
+    at_least_zero = (ThresholdGate(2, 0.0, GateDirection.AT_LEAST),)
+    excluded = {role: Clause(OutcomePattern(role), excluded=True) for role in Role}
+
+    def valued(role, terms, pattern=AnyPartners(), gates=()):
+        return Clause(OutcomePattern(role, pattern), gates, terms)
+
+    driver = ValuationSpec(0, (
+        valued(Role.DRIVE, (Monomial(0.85e308, ((0, 1),)), Monomial(-1.7e308, ((2, 1), (0, 1)))),
+               ExactPartners(frozenset({1, 2})), at_least_zero),
+        excluded[Role.DRIVE],
+        excluded[Role.RIDE],
+        valued(Role.NONE, ()),
+    ))
+    rider = ValuationSpec(1, (
+        valued(Role.RIDE, (Monomial(0.85e308, ((1, 1),)), Monomial(-1.7e308, ((2, 1), (1, 1)))),
+               gates=at_least_zero),
+        excluded[Role.DRIVE],
+        valued(Role.NONE, ()),
+    ))
+    late = ValuationSpec(2, (
+        valued(Role.RIDE, (Monomial(0.15e308), Monomial(-0.3e308, ((2, 1),)))),
+        excluded[Role.DRIVE],
+        valued(Role.NONE, ()),
+    ))
+    return Scenario((
+        Commuter(0, True, 2, TripType(driver, 0.0), TripType(driver, 1.0)),
+        Commuter(1, False, 0, TripType(rider, 0.0), TripType(rider, 1.0)),
+        Commuter(2, False, 0, TripType(late, 0.49)),
+    ), full_compatibility(3))
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import csv_of_records
+from conftest import (
+    csv_of_records,
+    overflowing_settlement_scenario,
+    recursion_headroom,
+    solo_commuters,
+)
 from rideshare import cli, simulate
 from rideshare.audit import MAX_P_GRID
 from rideshare.corpus import by_name, corpus
@@ -263,6 +268,12 @@ def test_bundled_files_are_canonical():
         assert serialize_scenario(s) == text, path.name
 
 
+def test_bundled_files_match_the_corpus():
+    """Each shipped scenario file is the serialized corpus entry of its name."""
+    for path in sorted(SCENARIOS.glob("*.json")):
+        assert path.read_text() == serialize_scenario(by_name(path.stem)), path.name
+
+
 def test_corpus_round_trips_through_json():
     for e in corpus():
         text = serialize_scenario(e.scenario)
@@ -456,3 +467,29 @@ def test_audit_skips_rescalings_whose_clause_total_overflows(tmp_path, capsys, m
     captured = capsys.readouterr()
     assert captured.err == ""
     assert "verdict: no-violation-found" in captured.out
+
+
+@pytest.mark.parametrize("command", _SCENARIO_COMMANDS.values(), ids=_SCENARIO_COMMANDS)
+def test_too_many_commuters_for_the_walk_is_input_error(tmp_path, capsys, command):
+    """A scenario with about as many commuters as the recursion limit is
+    refused in one line naming the count, not with a traceback; for audit,
+    exit 1 would read as a violation."""
+    text = serialize_scenario(solo_commuters(300))
+    with recursion_headroom(150):
+        assert _run_on(tmp_path, command, text) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("scenario has 300 commuters")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_settled_utility_overflow_is_input_error(tmp_path, capsys):
+    """Commuter 2's settled utility is +inf on the first draw and -inf on
+    the second: an overflow of the scenario's numbers, not a crash."""
+    text = serialize_scenario(overflowing_settlement_scenario())
+    command = ["simulate", "--trials", "2", "--seed", "0", "--out", "{out}"]
+    assert _run_on(tmp_path, command, text) == 2
+    captured = capsys.readouterr()
+    assert "arithmetic overflow: commuter 2's settled utility inf" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
-from conftest import naive_feasible_allocations, small_scenarios
+from conftest import naive_feasible_allocations, recursion_headroom, small_scenarios, solo_commuters
 from rideshare import model
 from rideshare.corpus import by_name, corpus
 from rideshare.model import (
@@ -15,6 +15,7 @@ from rideshare.model import (
     Commuter,
     Role,
     Scenario,
+    TooManyCommutersError,
     TripType,
     all_none_allocation,
     allocation_violations,
@@ -129,7 +130,7 @@ def test_allocation_violations_flags_double_booking():
 
 def test_absent_commuter_shrinks_feasible_set():
     s = by_name("linear-pair-profitable")
-    allocations = list(enumerate_feasible_allocations(s, absent=(1,)))
+    allocations = list(enumerate_feasible_allocations(s, absent=1))
     assert allocations == [all_none_allocation(2)]
 
 
@@ -137,7 +138,25 @@ def test_absent_id_out_of_range_is_rejected():
     s = by_name("linear-pair-profitable")
     for bad in (2, -1):
         with pytest.raises(ValueError, match=f"absent commuter id {bad} "):
-            enumerate_feasible_allocations(s, absent=(0, bad))
+            enumerate_feasible_allocations(s, absent=bad)
+
+
+def test_absent_must_be_one_commuter_id_or_none():
+    s = by_name("linear-pair-profitable")
+    for bad in (frozenset({0}), (0,), True, 1.0):
+        with pytest.raises(ValueError, match="absent commuter id"):
+            model._feasible(s, bad)
+
+
+def test_walk_past_the_recursion_limit_raises_a_typed_error():
+    """The walk recurses once per commuter, so a scenario about as large as
+    the recursion limit raises TooManyCommutersError naming the count, not
+    RecursionError."""
+    s = solo_commuters(300)
+    with recursion_headroom(150):
+        with pytest.raises(TooManyCommutersError, match="scenario has 300 commuters"):
+            model._feasible(s, None)
+    assert len(model._feasible(s, None)) == 1
 
 
 def test_with_truthful_reports_clears_misreport():
@@ -158,13 +177,12 @@ def test_enumeration_matches_naive_oracle(s):
 @given(small_scenarios())
 @settings(max_examples=60, deadline=None)
 def test_absent_enumeration_filters_the_naive_oracle(s):
-    """With one, two, three or every commuter absent, the enumeration is the
-    naive full set restricted to allocations that leave them with role
-    none, in the same order."""
+    """With one commuter absent, the enumeration is the naive full set
+    restricted to allocations that leave them with role none, in the same
+    order."""
     full = naive_feasible_allocations(s)
-    subsets = [c for k in (1, 2, 3) for c in itertools.combinations(range(s.n), k)]
-    for absent in subsets + [tuple(range(s.n))]:
-        expected = [a for a in full if all(a.role_of(i) is Role.NONE for i in absent)]
+    for absent in range(s.n):
+        expected = [a for a in full if a.role_of(absent) is Role.NONE]
         assert list(enumerate_feasible_allocations(s, absent)) == expected, absent
 
 
@@ -249,10 +267,10 @@ def test_single_absence_reads_the_walk_index(corpus_entries):
     the same object on every call, holding the full set's own allocations."""
     for e in corpus_entries:
         s = e.scenario
-        full = {id(a) for a in model._feasible(s, frozenset())}
+        full = {id(a) for a in model._feasible(s, None)}
         for i in range(s.n):
-            idle = model._feasible(s, frozenset((i,)))
-            assert model._feasible(s, frozenset((i,))) is idle, (e.name, i)
+            idle = model._feasible(s, i)
+            assert model._feasible(s, i) is idle, (e.name, i)
             assert all(id(a) in full for a in idle), (e.name, i)
 
 
@@ -260,10 +278,10 @@ def test_feasible_cache_keeps_only_the_last_structure():
     """Enumerating structure A, then B, then A again keeps one structure
     cached, and A re-enumerates to an equal tuple."""
     a, b = _alternating_drivers(3, 1), _alternating_drivers(4, 2)
-    first = model._feasible(a, frozenset())
-    model._feasible(b, frozenset())
+    first = model._feasible(a, None)
+    model._feasible(b, None)
     assert model._walk.cache_info().currsize == 1
     misses = model._walk.cache_info().misses
-    assert model._feasible(a, frozenset()) == first
+    assert model._feasible(a, None) == first
     assert model._walk.cache_info().misses == misses + 1
     assert model._walk.cache_info().currsize == 1

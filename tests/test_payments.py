@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import overflowing_settlement_scenario
 from rideshare.allocation import (
     WelfareReport,
     efficient_allocation,
@@ -174,6 +175,16 @@ def test_expected_utility_raises_when_truth_excludes_outcome():
     assert not schedule.allocation.all_none()
     with pytest.raises(ExcludedValueError):
         expected_utility(bent, 0, schedule)
+
+
+def test_expected_utility_raises_when_settled_utility_overflows():
+    """Commuter 2's values and commit pair are finite, but each branch of the
+    pair, net of the value, passes the float range with opposite signs."""
+    s = overflowing_settlement_scenario()
+    schedule = commit_payments(s)
+    assert schedule.entries[2] == Conditional(1.7e308, -1.7e308)
+    with pytest.raises(OverflowError, match="commuter 2's settled utility"):
+        expected_utility(s, 2, schedule)
 
 
 def test_commit_entry_raises_when_others_report_excludes_allocation():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_of_records
+from conftest import csv_of_records, overflowing_settlement_scenario
 from rideshare import simulate as simulate_module
 from rideshare.cli import render_trials_csv
 from rideshare.corpus import by_name, linear_entries
@@ -437,3 +437,11 @@ def test_fast_records_are_constructor_records():
             r.trial = 0
     held = list(records)
     assert len({id(vars(r)) for r in held}) == len(held)
+
+
+def test_settlement_overflow_raises():
+    """Seed 0 draws (0, 0, 0) and then (0, 0, 1): commuter 2's settled
+    utility is +inf on the first and -inf on the second."""
+    s = overflowing_settlement_scenario()
+    with pytest.raises(OverflowError, match="commuter 2's settled utility inf"):
+        run_trials(s, commit_payments(s), 2, 0)

@@ -100,9 +100,9 @@ def test_default_value_when_no_clause_matches():
 
 def test_absent_commuter_zeroes_factors_and_fails_gates():
     rider = by_name("threshold-gate-pair").commuters[1].true_type.valuation
-    assert evaluate(rider, SHARE, (1.0, 1.0), absent=frozenset({0})) == 0.0
+    assert evaluate(rider, SHARE, (1.0, 1.0), absent=0) == 0.0
     plain = by_name("linear-pair-profitable").commuters[1].true_type.valuation
-    assert evaluate(plain, SHARE, (1.0, 1.0), absent=frozenset({0})) == 0.0
+    assert evaluate(plain, SHARE, (1.0, 1.0), absent=0) == 0.0
 
 
 def test_spec_violations_catches_owner_and_subject_errors():
