@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .model import Allocation, CommuterId, Scenario, _feasible
-from .valuation import EXCLUDED, ValuationSpec, evaluate
+from .valuation import EXCLUDED, ValuationSpec, evaluate, excludes
 
 # A commuter to score: id, reported spec, the spec's owner, and that spec's
 # values at fixed probabilities and absent commuter, keyed by the id of the
 # owner's assignment object.
 Scored = tuple[CommuterId, ValuationSpec, CommuterId, dict]
+
+# Fewer than 2**23 values each below this magnitude sum inside the float
+# range, so no `math.fsum` over them, or over their differences, overflows.
+_PRUNABLE = 2.0**1000
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,10 @@ def _argmax(
     is the exact sum of the values in commuter order. Tables fill lazily:
     an allocation is dropped at its first excluded commuter, before anyone
     after them is evaluated. A caller may pass the same entry to later calls
-    with the same `p`, `absent` and spec for that commuter, and so reuse its
-    values, but only while the allocations that filled it are alive.
+    with the same `absent` and spec for that commuter, and with the same
+    values of the probabilities that spec reads (its `referenced_subjects`),
+    and so reuse its values, but only while the allocations that filled it
+    are alive.
     """
     values = [0.0] * len(p)
     best_allocation = None
@@ -89,6 +95,110 @@ def _argmax(
     if best_allocation is None:
         raise RuntimeError("no feasible allocation is acceptable to every commuter")
     return WelfareReport(best_allocation, best_welfare, best_values)
+
+
+def _frame_scorer(
+    allocations: Sequence[Allocation],
+    present: Sequence[Scored],
+    i: CommuterId,
+    p: Sequence[float],
+) -> Callable[[Scored, Sequence[float]], WelfareReport]:
+    """A scorer of commuter i's reported valuations against everyone else's
+    entries in `present`, with nobody absent. The spec of entry i fixes the
+    outcomes i excludes, which every scored valuation must share, as every
+    deviation of `deviations_for` does; its values are never read.
+
+    `scorer(own, p)` returns, or raises, what `_argmax(allocations, present,
+    p, None)` does with `own`, a fresh entry of i's, at position i. Its `p`
+    may differ from this one only where no other commuter's spec reads it.
+
+    One pass over `allocations`, evaluating everyone else where `_argmax`
+    would, keeps the contenders: allocations that nobody excludes, whose
+    others' exact value sum is strictly greater than that of every earlier
+    such allocation giving i the same assignment. For a fixed value of i,
+    welfare (the correctly rounded exact sum) is monotone in the others'
+    exact sum, so a dropped allocation has an earlier contender with the
+    same assignment of i that scores at least as high under any valuation
+    of i, and the first maximiser is a contender. A scoring evaluates i on
+    each assignment `_argmax` would evaluate i on and i does not exclude,
+    then sums each contender once, in commuter order. When a value reaches
+    2**1000 in magnitude or an evaluation raises, a sum over a dropped
+    allocation might overflow, so the frame, or that scoring, runs `_argmax`
+    over every allocation instead.
+    """
+    entries = list(present)
+
+    def unpruned(own: Scored, p: Sequence[float]) -> WelfareReport:
+        entries[i] = own
+        return _argmax(allocations, entries, p, None)
+
+    n = len(present)
+    reached: dict[int, bool] = {}
+    probes: dict[int, Allocation] = {}
+    leaders: dict[int, tuple[float, list[float]]] = {}
+    contenders: list[tuple[Allocation, int, list[float]]] = []
+    for allocation in allocations:
+        assignments = allocation.assignments
+        values = [0.0] * n
+        for j, spec, owner, table in present:
+            key = id(assignments[owner])
+            if j == i:
+                mine = key
+                kept = reached.get(key)
+                if kept is None:
+                    kept = reached[key] = not excludes(spec, assignments[owner])
+                    if kept:
+                        probes[key] = allocation
+                if not kept:
+                    break
+                continue
+            v = table.get(key)
+            if v is None:
+                try:
+                    v = table[key] = evaluate(spec, allocation, p, None)
+                except OverflowError:
+                    return unpruned
+            if v is EXCLUDED:
+                break
+            if not -_PRUNABLE < v < _PRUNABLE:
+                return unpruned
+            values[j] = v
+        else:
+            total = math.fsum(values)
+            leader = leaders.get(mine)
+            # Rounding is monotone, so unequal rounded sums order the exact
+            # sums alike; level ones are ordered by their exact difference.
+            if (leader is None or total > leader[0] or total == leader[0]
+                    and math.fsum(values + [-x for x in leader[1]]) > 0.0):
+                leaders[mine] = (total, values)
+                contenders.append((allocation, mine, values))
+
+    def score(own: Scored, p: Sequence[float]) -> WelfareReport:
+        spec, table = own[1], own[3]
+        for key, allocation in probes.items():
+            v = table.get(key)
+            if v is None:
+                try:
+                    v = table[key] = evaluate(spec, allocation, p, None)
+                except OverflowError:
+                    return unpruned(own, p)
+            if v is EXCLUDED or not -_PRUNABLE < v < _PRUNABLE:
+                return unpruned(own, p)
+        best_allocation = None
+        best_welfare = 0.0
+        best_values: tuple[float, ...] = ()
+        for allocation, key, values in contenders:
+            values[i] = table[key]
+            welfare = math.fsum(values)
+            if best_allocation is None or welfare > best_welfare:
+                best_allocation = allocation
+                best_welfare = welfare
+                best_values = tuple(values)
+        if best_allocation is None:
+            raise RuntimeError("no feasible allocation is acceptable to every commuter")
+        return WelfareReport(best_allocation, best_welfare, best_values)
+
+    return score
 
 
 def efficient_allocation_excluding(

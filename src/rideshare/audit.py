@@ -18,16 +18,30 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
 
-from .allocation import _argmax, _scored, efficient_allocation, efficient_allocation_excluding
+from .allocation import (
+    _frame_scorer,
+    _scored,
+    efficient_allocation,
+    efficient_allocation_excluding,
+)
 from .model import CommuterId, Scenario, TripType, _feasible, with_report, with_truthful_reports
 from .payments import Mechanism, PivotRule, settled_utility
-from .valuation import GateDirection, Monomial, ThresholdGate, ValuationSpec, substitute
+from .valuation import (
+    GateDirection,
+    Monomial,
+    ThresholdGate,
+    ValuationSpec,
+    referenced_subjects,
+    substitute,
+)
 
 GAIN_TOLERANCE = 1e-9
 MAX_DOMINANT_COMMUTERS = 4
-# A four-commuter corpus scenario scores at about 45 µs a deviation (5.2M
-# scorings of linear-quad-full-van took 230 s on a 2-core VM), so this
-# bounds a dominant sweep to about a minute and a half.
+# A four-commuter corpus scenario scores at about 12 µs a deviation
+# (1,720,320 scorings of linear-quad-full-van against 3-point opponent grids
+# took 20-22 s under commit and groves-clarke with Python 3.11 on an idle
+# 2-core VM, and up to twice that on a loaded one), so this bounds a
+# dominant sweep to under a minute.
 MAX_DOMINANT_SCORINGS = 2_000_000
 MAX_P_GRID = 10_001
 _MAX_SCALE_COMBOS = 4096
@@ -185,14 +199,18 @@ def _sweep(
     gains.
 
     Each deviation gives the same result as rebuilding the scenario with
-    i's report and pricing it afresh, but only i is re-scored against one
-    argmax frame: the feasible set of the profile's structure, fetched once,
-    and per reported probability p̂_i the probability vector, everyone's
-    value tables (the others read i's report only through that vector) and
-    i's utility per reported valuation. Under public probabilities nothing
-    reads p̂_i, so one frame serves every deviation; otherwise the frame is
-    rebuilt whenever p̂_i changes. Each outcome is settled once per frame
-    under Groves and once per sweep under commit.
+    i's report and pricing it afresh, but only i is re-scored, against one
+    frame: the feasible set of the profile's structure, fetched once, and
+    per reported probability p̂_i the probability vector, a frame scorer
+    (`_frame_scorer`: the allocations that can still win, with everyone
+    else's values on them) and i's utility per reported valuation. Everyone
+    else reads i's report only through that vector, and only the readers,
+    those whose spec reads i's probability, read it at all. So everyone
+    else's value tables live for the whole sweep, the readers' tables are
+    rebuilt whenever p̂_i changes, and the scorer is rebuilt with them if
+    there are readers. Under public probabilities nothing reads p̂_i, so
+    one frame serves every deviation. Each outcome is settled once per
+    frame under Groves and once per sweep under commit.
     """
     public_p = mechanism.probabilities(profile)
     # the pivot never reads i's report, so it is fixed per profile
@@ -209,23 +227,28 @@ def _sweep(
     u_truth = settled_utility(profile, i, truth.allocation, mechanism.entry(profile, h, truth, i))
 
     allocations = _feasible(profile, None)
+    specs = [c.reported_type.valuation for c in profile.commuters]
+    readers = [] if public_p is not None else [
+        j for j, spec in enumerate(specs) if j != i and i in referenced_subjects(spec)]
+    present = [_scored(j, spec) for j, spec in enumerate(specs)]
     # Memos key on ids, kept alive by `allocations` and `devs`.
     settled: dict[int, float] = {}
-    key = utilities = None
+    key = utilities = scorer = None
     best: Witness | None = None
     for trip in devs:
         if utilities is None or (public_p is None and trip.p_commit != key):
             key = trip.p_commit
             p = public_p if public_p is not None else substitute(profile.reported_p(), i, key)
-            present = [_scored(j, c.reported_type.valuation)
-                       for j, c in enumerate(profile.commuters)]
+            if utilities is None or readers:
+                for j in readers:
+                    present[j] = _scored(j, specs[j])
+                scorer = _frame_scorer(allocations, present, i, p)
             utilities = {}
             if mechanism is not Mechanism.COMMIT_BASED:
                 settled = {}
         spec_id = id(trip.valuation)
         if spec_id not in utilities:
-            present[i] = _scored(i, trip.valuation)
-            rep = _argmax(allocations, present, p, None)
+            rep = scorer(_scored(i, trip.valuation), p)
             outcome = id(rep.allocation)
             if outcome not in settled:
                 entry = mechanism.entry(profile, h, rep, i)

@@ -74,7 +74,7 @@ class Allocation:
 
 
 def all_none_allocation(n: int) -> Allocation:
-    return Allocation(tuple(Assignment(Role.NONE, _EMPTY) for _ in range(n)))
+    return Allocation((Assignment(Role.NONE, _EMPTY),) * n)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ probability misses a bound, and otherwise the monomial terms are summed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -144,6 +145,15 @@ def evaluate(
     return spec.default_value
 
 
+def excludes(spec: ValuationSpec, assignment: Assignment) -> bool:
+    """True when `evaluate` returns EXCLUDED on an allocation giving the
+    spec's owner `assignment`: the first clause matching it is excluded."""
+    for clause in spec.clauses:
+        if _matches(clause.pattern, assignment):
+            return clause.excluded
+    return False
+
+
 def substitute(p: Sequence[float], i: CommuterId, value: float) -> tuple[float, ...]:
     out = list(p)
     out[i] = value
@@ -188,11 +198,18 @@ def spec_violations(spec: ValuationSpec, n: int, expected_owner: CommuterId | No
     if not out:
         # travelling alone must always be an acceptable fallback
         try:
-            if evaluate(spec, all_none_allocation(n), [0.0] * n) is EXCLUDED:
+            if evaluate(spec, *_travel_alone(n)) is EXCLUDED:
                 out.append("the all-none outcome is excluded")
         except OverflowError as e:
             out.append(f"the all-none outcome: {e}")
     return out
+
+
+@functools.lru_cache(maxsize=1)
+def _travel_alone(n: int) -> tuple[Allocation, tuple[float, ...]]:
+    """The all-none allocation of n commuters and all-zero probabilities,
+    shared by the 2n specs of one scenario's validation."""
+    return all_none_allocation(n), (0.0,) * n
 
 
 def referenced_subjects(spec: ValuationSpec) -> tuple[CommuterId, ...]:

@@ -13,12 +13,26 @@ from rideshare import allocation
 from rideshare.allocation import efficient_allocation, efficient_allocation_excluding
 from rideshare.corpus import by_name
 from rideshare.model import (
+    Commuter,
     Role,
+    Scenario,
+    TripType,
+    _feasible,
     all_none_allocation,
     enumerate_feasible_allocations,
+    full_compatibility,
     with_truthful_reports,
 )
-from rideshare.valuation import EXCLUDED, evaluate
+from rideshare.valuation import (
+    EXCLUDED,
+    Clause,
+    ExactPartners,
+    Monomial,
+    OutcomePattern,
+    PartnerCountAtLeast,
+    ValuationSpec,
+    evaluate,
+)
 
 
 def test_profitable_pair_shares():
@@ -269,3 +283,114 @@ def test_leaving_out_an_unmatched_harmless_commuter_never_helps(corpus_entries):
             assert reduced.welfare <= full.welfare + 1e-12, (e.name, c.id)
             checked += 1
     assert checked >= 2
+
+# Values that tie exactly, sums one ulp apart near 1, and magnitudes (2**54
+# and the 2**60 rescaling) at which adding them rounds such sums together.
+_TIE_VALUES = (0.0, 1.0, -1.0, 2.0, 3.0, 1.0 + 2**-52, 1.0 - 2**-53, 2.0**54, -(2.0**54))
+
+
+@st.composite
+def tied_scenarios(draw):
+    """Two to four commuters valuing each outcome at a constant drawn from
+    `_TIE_VALUES`, plus at most one term reading someone's probability:
+    one value per driver a rider might ride with (some excluded), one for
+    a full or partial car, and one for travelling alone."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    value = st.sampled_from(_TIE_VALUES)
+
+    def terms():
+        out = [Monomial(draw(value))]
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            out.append(Monomial(draw(value), ((draw(st.integers(0, n - 1)), 1),)))
+        return tuple(out)
+
+    commuters = []
+    for k in range(n):
+        clauses = [Clause(OutcomePattern(Role.DRIVE, PartnerCountAtLeast(2)), terms=terms()),
+                   Clause(OutcomePattern(Role.DRIVE), terms=terms())]
+        for d in range(n):
+            pattern = OutcomePattern(Role.RIDE, ExactPartners(frozenset({d})))
+            if d != k:
+                excluded = draw(st.integers(min_value=0, max_value=4)) == 0
+                clauses.append(Clause(pattern, excluded=True) if excluded
+                               else Clause(pattern, terms=terms()))
+        clauses.append(Clause(OutcomePattern(Role.NONE), terms=terms()))
+        has_vehicle = draw(st.booleans())
+        capacity = draw(st.integers(min_value=1, max_value=2)) if has_vehicle else 0
+        p = draw(st.sampled_from((0.0, 0.5, 1.0)))
+        commuters.append(Commuter(k, has_vehicle, capacity,
+                                  TripType(ValuationSpec(k, tuple(clauses)), p)))
+    return Scenario(tuple(commuters), full_compatibility(n))
+
+
+def _rescaled(spec, scale):
+    return replace(spec, clauses=tuple(
+        replace(c, terms=tuple(replace(m, coefficient=scale * m.coefficient) for m in c.terms))
+        for c in spec.clauses))
+
+
+def _scorer_against_argmax(s):
+    """For each commuter i and each uniform rescaling of i's valuation, the
+    frame scorer's report, made without falling back to `_argmax`, and
+    `_argmax`'s over the full set, each from fresh tables."""
+    allocations = _feasible(s, None)
+    p = s.reported_p()
+    specs = [c.reported_type.valuation for c in s.commuters]
+    refuse = mock.patch.object(allocation, "_argmax", side_effect=AssertionError("unpruned"))
+    for i in range(s.n):
+        present = [allocation._scored(j, spec) for j, spec in enumerate(specs)]
+        with refuse:
+            score = allocation._frame_scorer(allocations, present, i, p)
+        for scale in (1.0, 0.0, -1.0, 2.0**60):
+            own = _rescaled(specs[i], scale)
+            with refuse:
+                got = score(allocation._scored(i, own), p)
+            fresh = [allocation._scored(j, spec) for j, spec in enumerate(specs)]
+            fresh[i] = allocation._scored(i, own)
+            yield got, allocation._argmax(allocations, fresh, p, None)
+
+
+@given(tied_scenarios())
+@settings(max_examples=150, deadline=None)
+def test_frame_scorer_matches_the_full_argmax_on_ties(s):
+    """Among exact ties and sums that i's value rounds together, the frame
+    scorer picks the very allocation `_argmax` picks, with the same floats."""
+    for got, expected in _scorer_against_argmax(s):
+        assert got == expected
+        assert got.allocation is expected.allocation
+
+
+@given(small_scenarios())
+@settings(max_examples=60, deadline=None)
+def test_frame_scorer_matches_the_full_argmax(s):
+    for got, expected in _scorer_against_argmax(s):
+        assert got == expected
+        assert got.allocation is expected.allocation
+
+
+def test_frame_scorer_keeps_a_contender_that_rounds_level_with_a_later_one():
+    """Commuter 0 always travels alone. The others' sums of the all-none
+    allocation and of 1 driving 2 are 1 and 1 + 2**-52, so the second
+    allocation dominates the first for any value of 0 below the ulp of
+    those sums; at 2**54 both welfares round to 2**54 and the first
+    maximiser is the all-none allocation, which the scorer must keep."""
+    def flat(owner, none, drive=0.0):
+        return ValuationSpec(owner, (
+            Clause(OutcomePattern(Role.DRIVE), terms=(Monomial(drive),)),
+            Clause(OutcomePattern(Role.NONE), terms=(Monomial(none),)),
+        ))
+
+    compatible = ((True, False, False), (False, True, True), (False, True, True))
+    s = Scenario((
+        Commuter(0, False, 0, TripType(flat(0, 2.0**54), 1.0)),
+        Commuter(1, True, 1, TripType(flat(1, 1.0, 1.0 + 2**-52), 1.0)),
+        Commuter(2, False, 0, TripType(flat(2, 0.0), 1.0)),
+    ), compatible)
+    allocations = _feasible(s, None)
+    assert len(allocations) == 2
+    present = [allocation._scored(j, c.reported_type.valuation) for j, c in enumerate(s.commuters)]
+    score = allocation._frame_scorer(allocations, present, 0, s.reported_p())
+    rep = score(allocation._scored(0, flat(0, 2.0**54)), s.reported_p())
+    assert rep.allocation is allocations[0]
+    assert rep.welfare == 2.0**54
+    assert score(allocation._scored(0, flat(0, 0.0)), s.reported_p()).allocation is allocations[1]

@@ -1,6 +1,7 @@
 """Misreport grid search: verdicts, witnesses, and witness replay."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -22,6 +23,7 @@ from rideshare.audit import (
     deviations_for,
     truthfulness_suite,
 )
+import rideshare.allocation as allocation_module
 import rideshare.audit as audit_module
 from rideshare.corpus import by_name, linear_entries
 from rideshare.model import full_compatibility, with_report, with_truthful_reports
@@ -31,7 +33,7 @@ from rideshare.payments import (
     expected_utility,
     groves_payments,
 )
-from rideshare.valuation import GateDirection, ThresholdGate
+from rideshare.valuation import GateDirection, ThresholdGate, referenced_subjects
 
 
 def replay_schedule(s, mechanism):
@@ -417,24 +419,91 @@ def test_suite_reproduces_expected_verdicts():
         assert report.mechanism is e.mechanism
         assert report.notion is Notion.EX_POST
 
+
+@pytest.mark.parametrize("name", ["linear-pair-own-terms", "linear-trio-two-drivers",
+                                  "linear-trio-constants"])
 @pytest.mark.parametrize("mechanism", Mechanism, ids=lambda m: m.value)
-def test_argmax_runs_once_per_deviation_or_public_valuation(monkeypatch, mechanism):
-    """The sweep runs the argmax once per deviation, except under public
-    probabilities, where nothing reads p̂_i and it runs once per distinct
-    reported valuation (by object: the grid shares them across p̂ points)."""
-    s = by_name("linear-trio-two-drivers")
-    argmax = audit_module._argmax
-    calls = 0
+def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
+    """Per sweep of commuter i, the feasible set is passed over once per
+    frame whose readers (the others whose spec reads p̂_i) changed: once,
+    unless probabilities are private and someone reads p̂_i, then once per
+    p̂_i point. Each distinct (frame, reported valuation) is scored once, by
+    the frame's scorer, never by a full-set argmax. Within the frames, a
+    non-reader is evaluated at most once per distinct assignment per sweep,
+    a reader once per assignment per p̂_i, and i once per assignment per
+    (p̂_i, valuation). Every sweep of the constant trio has no reader, every
+    sweep of the two-driver trio has one, and the pair has one of each."""
+    s = by_name(name)
+    specs = [c.true_type.valuation for c in s.commuters]
+    sweeps = []
+    inside = False
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return argmax(*args)
+    def track(fn):
+        def tracked(*args):
+            nonlocal inside
+            inside = True
+            try:
+                return fn(*args)
+            finally:
+                inside = False
+        return tracked
 
-    monkeypatch.setattr(audit_module, "_argmax", counting)
-    audit_expost(s, mechanism)
-    devs = [deviations_for(c.true_type, DeviationSpace()) for c in s.commuters]
-    if mechanism.probabilities(s) is None:
-        assert calls == sum(len(d) for d in devs)
-    else:
-        assert calls == sum(len({id(t.valuation) for t in d}) for d in devs) < sum(map(len, devs))
+    real_sweep = audit_module._sweep
+
+    def sweep(profile, i, *args):
+        readers = {j for j, spec in enumerate(specs) if j != i and i in referenced_subjects(spec)}
+        sweeps.append({"i": i, "readers": readers, "passes": 0, "scorings": [],
+                       "evaluations": Counter()})
+        return real_sweep(profile, i, *args)
+
+    real_frame_scorer = audit_module._frame_scorer
+
+    def frame_scorer(*args):
+        record = sweeps[-1]
+        record["passes"] += 1
+        score = track(real_frame_scorer)(*args)
+
+        def scoring(own, p):
+            record["scorings"].append((p[record["i"]], id(own[1])))
+            return track(score)(own, p)
+        return scoring
+
+    real_argmax = allocation_module._argmax
+
+    def argmax(*args):
+        assert not inside, "a frame ran the full-set argmax"
+        return real_argmax(*args)
+
+    real_evaluate = allocation_module.evaluate
+
+    def evaluate(spec, allocation, p, absent=None):
+        if inside:
+            record = sweeps[-1]
+            i, j = record["i"], spec.owner
+            if j == i:
+                frame = (p[i], id(spec))
+            else:
+                frame = p[i] if j in record["readers"] else None
+            record["evaluations"][j, frame, id(allocation.assignments[j])] += 1
+        return real_evaluate(spec, allocation, p, absent)
+
+    monkeypatch.setattr(audit_module, "_sweep", sweep)
+    monkeypatch.setattr(audit_module, "_frame_scorer", frame_scorer)
+    monkeypatch.setattr(allocation_module, "_argmax", argmax)
+    monkeypatch.setattr(allocation_module, "evaluate", evaluate)
+    space = DeviationSpace()
+    audit_expost(s, mechanism, space)
+    private = mechanism.probabilities(s) is None
+    assert [r["i"] for r in sweeps] == list(range(s.n))
+    for record, c in zip(sweeps, s.commuters):
+        devs = deviations_for(c.true_type, space)
+        frames = len({t.p_commit for t in devs}) if private and record["readers"] else 1
+        assert record["passes"] == frames
+        scorings = record["scorings"]
+        assert len(set(scorings)) == len(scorings)
+        if private:
+            assert len(scorings) == len(devs)
+        else:
+            assert len(scorings) == len({id(t.valuation) for t in devs}) < len(devs)
+        assert record["evaluations"]
+        assert set(record["evaluations"].values()) == {1}

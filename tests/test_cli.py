@@ -426,6 +426,42 @@ def test_values_are_scored_only_where_the_search_reaches_them(tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("mechanism", ["commit", "groves-clarke"])
+def test_audit_overflow_on_a_dominated_allocation_is_input_error(tmp_path, capsys, mechanism):
+    """Commuter 0 always travels alone; 1 can drive 2. The others' values
+    are (-1e308, 1e308) when all travel alone and (1e308, -1.5e308) when 1
+    drives 2, so the second allocation's others' sum is the lower one and
+    it can never win for 0. Truthful, 0 values travelling alone at 1e307
+    and every sum stays finite, so `allocate` and `pay` succeed; 0's x10
+    rescaling makes the second allocation's welfare sum start at
+    1e308 + 1e308 and overflow. The audit reports that overflow as bad
+    input even though the allocation could not have won."""
+    def constant(role, coefficient):
+        return {"role": role, "terms": [{"coefficient": coefficient, "factors": []}]}
+
+    def commuter(k, vehicle, clauses):
+        return {"id": k, "has_vehicle": vehicle, "seat_capacity": int(vehicle),
+                "true_type": {"p_commit": 0.5, "valuation": {"owner": k, "clauses": clauses}}}
+
+    doc = json.loads(Path(PAIR).read_text())
+    doc["scenario"]["commuters"] = [
+        commuter(0, False, [constant("none", 1e307)]),
+        commuter(1, True, [constant("drive", 1e308), constant("none", -1e308)]),
+        commuter(2, False, [constant("ride", -1.5e308), constant("none", 1e308)]),
+    ]
+    doc["scenario"]["compatibility"] = [[True, False, False], [False, True, True],
+                                        [False, True, True]]
+    text = json.dumps(doc)
+    for command in (["allocate"], ["pay", "--mechanism", mechanism]):
+        assert _run_on(tmp_path, command, text) == 0
+    capsys.readouterr()
+    assert _run_on(tmp_path, ["audit", "--mechanism", mechanism], text) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("arithmetic overflow: intermediate overflow in fsum; "
+                            "the scenario's numbers are too large to price\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("mechanism, expected", [
     (["--mechanism", "commit"], 0),
     (["--mechanism", "groves-clarke"], 1),

@@ -69,6 +69,25 @@ def test_validate_rejects_non_dense_ids():
     assert validate_scenario(bad) != []
 
 
+def test_validation_builds_assignments_linear_in_n(monkeypatch):
+    """Each of the 2n specs is checked against travelling alone; the check
+    shares one all-none allocation rather than building n assignments per
+    spec, 2n² = 2,880,000 of them at n = 1,200."""
+    n = 1_200
+    s = solo_commuters(n)
+    init = Assignment.__init__
+    built = 0
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Assignment, "__init__", counting)
+    assert validate_scenario(s) == []
+    assert built <= n
+
+
 def test_solo_commuter_has_single_allocation():
     s = by_name("linear-solo")
     allocations = list(enumerate_feasible_allocations(s))
