@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .model import Allocation, CommuterId, Scenario, _feasible
-from .valuation import EXCLUDED, ValuationSpec, evaluate, excludes
+from .valuation import EXCLUDED, ValuationSpec, evaluate, excludes, referenced_subjects
 
 # A commuter to score: id, reported spec, the spec's owner, and that spec's
 # values at fixed probabilities and absent commuter, keyed by the id of the
@@ -97,20 +97,49 @@ def _argmax(
     return WelfareReport(best_allocation, best_welfare, best_values)
 
 
-def _frame_scorer(
-    allocations: Sequence[Allocation],
-    present: Sequence[Scored],
-    i: CommuterId,
-    p: Sequence[float],
-) -> Callable[[Scored, Sequence[float]], WelfareReport]:
-    """A scorer of commuter i's reported valuations against everyone else's
-    entries in `present`, with nobody absent. The spec of entry i fixes the
-    outcomes i excludes, which every scored valuation must share, as every
-    deviation of `deviations_for` does; its values are never read.
+def deviation_frames(
+    s: Scenario, i: CommuterId, public_p: Sequence[float] | None
+) -> Callable[[float], Callable[[ValuationSpec], WelfareReport]]:
+    """Scorers of commuter i's misreports: `frames(p_hat)(spec)` returns,
+    or raises, what `efficient_allocation` does on `s` with i reporting
+    `spec` and `p_hat`, at `public_p` if given. Each scored valuation must
+    exclude what i's report in `s` excludes, as each of `deviations_for` does.
 
-    `scorer(own, p)` returns, or raises, what `_argmax(allocations, present,
-    p, None)` does with `own`, a fresh entry of i's, at position i. Its `p`
-    may differ from this one only where no other commuter's spec reads it.
+    Only the readers, the others whose spec reads i's probability, read i's
+    report; none does under public probabilities. So the feasible set is
+    fetched once, the others' value tables live as long as `frames`, and a
+    new `p_hat` rebuilds the scorer and the readers' tables if there are any.
+    Scorers read the latest `p_hat`, so each serves until the next call.
+    """
+    allocations = _feasible(s, None)
+    present = [_scored(j, c.reported_type.valuation) for j, c in enumerate(s.commuters)]
+    readers = [] if public_p is not None else [
+        j for j, spec, _, _ in present if j != i and i in referenced_subjects(spec)]
+    p = list(s.reported_p() if public_p is None else public_p)
+    score = None
+
+    def frames(p_hat: float) -> Callable[[ValuationSpec], WelfareReport]:
+        nonlocal score
+        stale = score is None or readers and p[i] != p_hat
+        if public_p is None:
+            p[i] = p_hat
+        if stale:
+            for j in readers:
+                present[j] = _scored(j, present[j][1])
+            score = _frame_scorer(allocations, present, i, p)
+        return score
+
+    return frames
+
+
+def _frame_scorer(
+    allocations: Sequence[Allocation], present: Sequence[Scored], i: CommuterId, p: Sequence[float]
+) -> Callable[[ValuationSpec], WelfareReport]:
+    """`scorer(spec)` returns, or raises, what `_argmax(allocations,
+    present, p, None)` does with a fresh entry of commuter i's `spec` at
+    position i. Entry i's spec fixes the outcomes every scored spec
+    excludes; its values are never read. Between scorings, `p` may change
+    only where no other commuter's spec reads it.
 
     One pass over `allocations`, evaluating everyone else where `_argmax`
     would, keeps the contenders: allocations that nobody excludes, whose
@@ -128,8 +157,8 @@ def _frame_scorer(
     """
     entries = list(present)
 
-    def unpruned(own: Scored, p: Sequence[float]) -> WelfareReport:
-        entries[i] = own
+    def unpruned(spec: ValuationSpec) -> WelfareReport:
+        entries[i] = _scored(i, spec)
         return _argmax(allocations, entries, p, None)
 
     n = len(present)
@@ -173,17 +202,17 @@ def _frame_scorer(
                 leaders[mine] = (total, values)
                 contenders.append((allocation, mine, values))
 
-    def score(own: Scored, p: Sequence[float]) -> WelfareReport:
-        spec, table = own[1], own[3]
+    def score(spec: ValuationSpec) -> WelfareReport:
+        table: dict[int, float] = {}
         for key, allocation in probes.items():
             v = table.get(key)
             if v is None:
                 try:
                     v = table[key] = evaluate(spec, allocation, p, None)
                 except OverflowError:
-                    return unpruned(own, p)
+                    return unpruned(spec)
             if v is EXCLUDED or not -_PRUNABLE < v < _PRUNABLE:
-                return unpruned(own, p)
+                return unpruned(spec)
         best_allocation = None
         best_welfare = 0.0
         best_values: tuple[float, ...] = ()

@@ -18,22 +18,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
 
-from .allocation import (
-    _frame_scorer,
-    _scored,
-    efficient_allocation,
-    efficient_allocation_excluding,
-)
-from .model import CommuterId, Scenario, TripType, _feasible, with_report, with_truthful_reports
+from .allocation import deviation_frames, efficient_allocation, efficient_allocation_excluding
+from .model import CommuterId, Scenario, TripType, with_report, with_truthful_reports
 from .payments import Mechanism, PivotRule, settled_utility
-from .valuation import (
-    GateDirection,
-    Monomial,
-    ThresholdGate,
-    ValuationSpec,
-    referenced_subjects,
-    substitute,
-)
+from .valuation import GateDirection, Monomial, ThresholdGate, ValuationSpec
 
 GAIN_TOLERANCE = 1e-9
 MAX_DOMINANT_COMMUTERS = 4
@@ -78,6 +66,8 @@ class DeviationSpace:
     gate_toggles: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.p_grid, int) or isinstance(self.p_grid, bool):
+            raise ValueError(f"p_grid must be an int, got {type(self.p_grid).__name__}")
         if self.p_grid < 2:
             raise ValueError(f"p_grid must be at least 2, got {self.p_grid}")
         if self.p_grid > MAX_P_GRID:
@@ -196,21 +186,10 @@ def _sweep(
     opponents: tuple[tuple[CommuterId, TripType], ...],
 ) -> Witness | None:
     """Commuter i's first maximal-gain deviation against `profile`, if any
-    gains.
-
-    Each deviation gives the same result as rebuilding the scenario with
-    i's report and pricing it afresh, but only i is re-scored, against one
-    frame: the feasible set of the profile's structure, fetched once, and
-    per reported probability p̂_i the probability vector, a frame scorer
-    (`_frame_scorer`: the allocations that can still win, with everyone
-    else's values on them) and i's utility per reported valuation. Everyone
-    else reads i's report only through that vector, and only the readers,
-    those whose spec reads i's probability, read it at all. So everyone
-    else's value tables live for the whole sweep, the readers' tables are
-    rebuilt whenever p̂_i changes, and the scorer is rebuilt with them if
-    there are readers. Under public probabilities nothing reads p̂_i, so
-    one frame serves every deviation. Each outcome is settled once per
-    frame under Groves and once per sweep under commit.
+    gains, as pricing each deviation afresh would find. Each new p̂_i starts
+    a frame of `deviation_frames` under private probabilities; one frame
+    serves all under public ones. Utilities are kept per reported valuation
+    per frame, and per outcome per frame under Groves, per sweep under commit.
     """
     public_p = mechanism.probabilities(profile)
     # the pivot never reads i's report, so it is fixed per profile
@@ -225,30 +204,21 @@ def _sweep(
     # under commit, and by the frame and that allocation under Groves.
     truth = efficient_allocation(profile, p_override=public_p)
     u_truth = settled_utility(profile, i, truth.allocation, mechanism.entry(profile, h, truth, i))
-
-    allocations = _feasible(profile, None)
-    specs = [c.reported_type.valuation for c in profile.commuters]
-    readers = [] if public_p is not None else [
-        j for j, spec in enumerate(specs) if j != i and i in referenced_subjects(spec)]
-    present = [_scored(j, spec) for j, spec in enumerate(specs)]
-    # Memos key on ids, kept alive by `allocations` and `devs`.
+    frames = deviation_frames(profile, i, public_p)
+    # Memos key on ids, kept alive by `frames` and `devs`.
     settled: dict[int, float] = {}
-    key = utilities = scorer = None
+    p_hat = utilities = score = None
     best: Witness | None = None
     for trip in devs:
-        if utilities is None or (public_p is None and trip.p_commit != key):
-            key = trip.p_commit
-            p = public_p if public_p is not None else substitute(profile.reported_p(), i, key)
-            if utilities is None or readers:
-                for j in readers:
-                    present[j] = _scored(j, specs[j])
-                scorer = _frame_scorer(allocations, present, i, p)
+        if utilities is None or (public_p is None and trip.p_commit != p_hat):
+            p_hat = trip.p_commit
+            score = frames(p_hat)
             utilities = {}
             if mechanism is not Mechanism.COMMIT_BASED:
                 settled = {}
         spec_id = id(trip.valuation)
         if spec_id not in utilities:
-            rep = scorer(_scored(i, trip.valuation), p)
+            rep = score(trip.valuation)
             outcome = id(rep.allocation)
             if outcome not in settled:
                 entry = mechanism.entry(profile, h, rep, i)

@@ -7,7 +7,6 @@ failed suite entry, 2 bad input, 3 could not write output.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 
 from .allocation import efficient_allocation
@@ -23,7 +22,7 @@ from .audit import (
 from .model import Scenario, TooManyCommutersError, validate_scenario
 from .payments import Conditional, Mechanism, commit_payments, groves_payments
 from .scenario_io import ScenarioFormatError, parse_scenario_text, trip_to_json
-from .simulate import SimulationSummary, TrialRecords, run_trials
+from .simulate import render_trials_csv, run_trials
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -129,42 +128,6 @@ def cmd_simulate(args) -> int:
     print(f"mean deficit: {summary.mean_deficit}")
     print(f"wrote {args.out}")
     return EXIT_OK
-
-
-def _repr_or_empty(x: float | None) -> str:
-    return "" if x is None else repr(x)
-
-
-def render_trials_csv(records: TrialRecords, summary: SimulationSummary) -> str:
-    """The per-trial CSV: one row per trial and commuter, then the summary.
-
-    Every field is a number, a fixed word or empty, so none needs quoting
-    and each row is its fields joined by commas. A trial's rows after its
-    number depend on its commitment vector alone, so they are formatted
-    once per distinct vector and written in trial order straight from the
-    drawn vectors; no record is built.
-    """
-    buf = io.StringIO()
-    buf.write("trial,commuter,committed,value,payment,utility\n")
-    # Each vector's rows follow an empty string, so joining them with a
-    # trial's "t," puts that prefix before every row, and before none when
-    # there are no commuters.
-    rows_of = {
-        commit: ["", *(
-            f"{k},{bit},{_repr_or_empty(v)},{payment!r},{_repr_or_empty(u)}\n"
-            for k, (bit, v, payment, u) in enumerate(
-                zip(commit, f["values"], f["payments"], f["utilities"])))]
-        for commit, f in records.settled.items()
-    }
-    for t, commit in enumerate(records.vectors):
-        buf.write(f"{t},".join(rows_of[commit]))
-    for k in range(len(summary.mean_commit)):
-        buf.write(
-            f"mean,{k},{summary.mean_commit[k]!r},{summary.mean_value[k]!r},"
-            f"{summary.mean_payment[k]!r},{summary.mean_utility[k]!r}\n"
-            f"stderr,{k},,,,{summary.stderr_utility[k]!r}\n"
-        )
-    return buf.getvalue()
 
 
 def _space(flag: str, p_grid: int) -> DeviationSpace:

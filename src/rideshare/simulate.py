@@ -16,7 +16,7 @@ of its commitment vector alone. `_settle` computes it, once per distinct
 vector in a Monte Carlo run and once per vector in the exact enumeration.
 A run's records are a `TrialRecords` view over the drawn vectors and those
 settlements: a record is built only when a caller reads it, so a run holds
-one reference per trial, and the CLI writes its CSV without building any.
+one reference per trial, and `render_trials_csv` builds none.
 The summary is reduced per distinct vector: each column is the exact sum
 of count * x over the vectors, rounded once, which is what `math.fsum`
 returns over the trials. Where fsum could overflow on the way, its result
@@ -26,6 +26,7 @@ trials in trial order instead.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from collections import Counter
@@ -84,8 +85,8 @@ def _threshold(q: float) -> int:
 CommitVector = tuple[int, ...]
 
 
-def _draws(p: Sequence[float], seed: int, trials: Iterable[int]) -> list[CommitVector]:
-    """The commitment vector of each trial in `trials`, in order.
+def _draws(p: Sequence[float], seed: int, trials: Iterable[int]) -> tuple[list[CommitVector], dict]:
+    """Each trial's commitment vector, in trial order, and each distinct one's count.
 
     Bit k of trial t compares the hash of (seed, t, k) with
     `_threshold(p[k])`. The seed is hashed once per call. The trials go
@@ -94,14 +95,14 @@ def _draws(p: Sequence[float], seed: int, trials: Iterable[int]) -> list[CommitV
     bit test runs in the same lanes: a lane holding
     threshold - 1 + 2**64 minus the hash x is at least 0 and below 2**65,
     and its bit 64 is set exactly when x < threshold, so byte 8 of each
-    lane is the bit. Trials that draw the same bits share one tuple.
+    lane is the bit. Trials that draw the same bits share one tuple and are
+    counted, in order of first draw, by their bytes, whose hash is cached.
     """
     thresholds = [_threshold(q) for q in p]
     n = len(thresholds)
-    if not n:
-        return [() for _ in trials]
     key = _splitmix64_lanes(seed & _MASK, _MASK, _GOLDEN)
     shared: dict[bytes, CommitVector] = {}
+    counts: Counter[bytes] = Counter()
     vectors: list[CommitVector] = []
     chunks = iter(trials)
     while chunk := list(islice(chunks, _CHUNK)):
@@ -116,11 +117,12 @@ def _draws(p: Sequence[float], seed: int, trials: Iterable[int]) -> list[CommitV
             tested = (bound - 1 + (1 << 64)) * ones - words
             bits[k::n] = tested.to_bytes(_LANE_BYTES * count, "little")[8::_LANE_BYTES]
         flat = bytes(bits)
-        rows = [flat[i:i + n] for i in range(0, count * n, n)]
+        rows = [flat[i:i + n] for i in range(0, count * n, n)] if n else [b""] * count
+        counts.update(rows)
         for row in set(rows).difference(shared):
             shared[row] = tuple(row)
         vectors += map(shared.__getitem__, rows)
-    return vectors
+    return vectors, {shared[row]: k for row, k in counts.items()}
 
 
 def realize(p: Sequence[float], seed: int, trial: int = 0) -> CommitVector:
@@ -129,7 +131,7 @@ def realize(p: Sequence[float], seed: int, trial: int = 0) -> CommitVector:
     Bit k compares a uniform draw hashed from (seed, trial, k) with p[k].
     This is `_draws`, the kernel `run_trials` draws with, for one trial.
     """
-    return _draws(p, seed, (trial,))[0]
+    return _draws(p, seed, (trial,))[0][0]
 
 
 @dataclass(frozen=True)
@@ -275,7 +277,7 @@ class _Grouped:
     the trials in trial order and reduced as `_mean` and `_stderr` would.
     """
 
-    def __init__(self, vectors: list[CommitVector], clean: list[CommitVector], counts: Counter):
+    def __init__(self, vectors: list[CommitVector], clean: list[CommitVector], counts: dict):
         self.vectors = vectors
         self.clean = clean
         self.weights = [counts[v] for v in clean]
@@ -326,8 +328,7 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    vectors = _draws(s.true_p(), seed, range(trials))
-    counts = Counter(vectors)
+    vectors, counts = _draws(s.true_p(), seed, range(trials))
     settled = {
         commit: dict(zip(_SETTLED_FIELDS, (commit, *_settle(s, schedule, commit))))
         for commit in counts
@@ -356,6 +357,42 @@ def run_trials(
         mean_deficit=grouped.mean([f["deficit"] for f in rows]),
     )
     return TrialRecords(vectors, settled), summary
+
+
+def _repr_or_empty(x: float | None) -> str:
+    return "" if x is None else repr(x)
+
+
+def render_trials_csv(records: TrialRecords, summary: SimulationSummary) -> str:
+    """The per-trial CSV: one row per trial and commuter, then the summary.
+
+    Every field is a number, a fixed word or empty, so none needs quoting
+    and each row is its fields joined by commas. A trial's rows after its
+    number depend on its commitment vector alone, so they are formatted
+    once per distinct vector and written in trial order straight from the
+    drawn vectors; no record is built.
+    """
+    buf = io.StringIO()
+    buf.write("trial,commuter,committed,value,payment,utility\n")
+    # Each vector's rows follow an empty string, so joining them with a
+    # trial's "t," puts that prefix before every row, and before none when
+    # there are no commuters.
+    rows_of = {
+        commit: ["", *(
+            f"{k},{bit},{_repr_or_empty(v)},{payment!r},{_repr_or_empty(u)}\n"
+            for k, (bit, v, payment, u) in enumerate(
+                zip(commit, f["values"], f["payments"], f["utilities"])))]
+        for commit, f in records.settled.items()
+    }
+    for t, commit in enumerate(records.vectors):
+        buf.write(f"{t},".join(rows_of[commit]))
+    for k in range(len(summary.mean_commit)):
+        buf.write(
+            f"mean,{k},{summary.mean_commit[k]!r},{summary.mean_value[k]!r},"
+            f"{summary.mean_payment[k]!r},{summary.mean_utility[k]!r}\n"
+            f"stderr,{k},,,,{summary.stderr_utility[k]!r}\n"
+        )
+    return buf.getvalue()
 
 
 def exact_expected_utilities(s: Scenario, schedule: PaymentSchedule) -> tuple[float, ...]:

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import naive_best_allocation, naive_efficient, small_scenarios
 from rideshare import allocation
-from rideshare.allocation import efficient_allocation, efficient_allocation_excluding
+from rideshare.allocation import (
+    deviation_frames,
+    efficient_allocation,
+    efficient_allocation_excluding,
+)
+from rideshare.audit import DeviationSpace, deviations_for
 from rideshare.corpus import by_name
 from rideshare.model import (
     Commuter,
@@ -21,6 +26,7 @@ from rideshare.model import (
     all_none_allocation,
     enumerate_feasible_allocations,
     full_compatibility,
+    with_report,
     with_truthful_reports,
 )
 from rideshare.valuation import (
@@ -338,13 +344,12 @@ def _scorer_against_argmax(s):
     specs = [c.reported_type.valuation for c in s.commuters]
     refuse = mock.patch.object(allocation, "_argmax", side_effect=AssertionError("unpruned"))
     for i in range(s.n):
-        present = [allocation._scored(j, spec) for j, spec in enumerate(specs)]
         with refuse:
-            score = allocation._frame_scorer(allocations, present, i, p)
+            score = deviation_frames(s, i, None)(p[i])
         for scale in (1.0, 0.0, -1.0, 2.0**60):
             own = _rescaled(specs[i], scale)
             with refuse:
-                got = score(allocation._scored(i, own), p)
+                got = score(own)
             fresh = [allocation._scored(j, spec) for j, spec in enumerate(specs)]
             fresh[i] = allocation._scored(i, own)
             yield got, allocation._argmax(allocations, fresh, p, None)
@@ -388,9 +393,25 @@ def test_frame_scorer_keeps_a_contender_that_rounds_level_with_a_later_one():
     ), compatible)
     allocations = _feasible(s, None)
     assert len(allocations) == 2
-    present = [allocation._scored(j, c.reported_type.valuation) for j, c in enumerate(s.commuters)]
-    score = allocation._frame_scorer(allocations, present, 0, s.reported_p())
-    rep = score(allocation._scored(0, flat(0, 2.0**54)), s.reported_p())
+    score = deviation_frames(s, 0, None)(1.0)
+    rep = score(flat(0, 2.0**54))
     assert rep.allocation is allocations[0]
     assert rep.welfare == 2.0**54
-    assert score(allocation._scored(0, flat(0, 0.0)), s.reported_p()).allocation is allocations[1]
+    assert score(flat(0, 0.0)).allocation is allocations[1]
+
+
+@given(small_scenarios())
+@settings(max_examples=40, deadline=None)
+def test_deviation_frames_score_as_efficient_allocation_of_the_report(s):
+    """Under private and public probabilities, each frame's scorer returns
+    the efficient allocation of the scenario with i's report, as the very
+    allocation object that search picks."""
+    space = DeviationSpace(p_grid=3)
+    for public_p in (None, s.true_p()):
+        for i, c in enumerate(s.commuters):
+            frames = deviation_frames(s, i, public_p)
+            for trip in deviations_for(c.true_type, space):
+                got = frames(trip.p_commit)(trip.valuation)
+                expected = efficient_allocation(with_report(s, i, trip), p_override=public_p)
+                assert got == expected
+                assert got.allocation is expected.allocation

@@ -376,6 +376,9 @@ def test_deviation_space_shape():
         DeviationSpace(p_grid=1)
     with pytest.raises(ValueError, match="at most"):
         DeviationSpace(p_grid=MAX_P_GRID + 1)
+    for bad in (3.0, True, "21", None):
+        with pytest.raises(ValueError, match=f"must be an int, got {type(bad).__name__}"):
+            DeviationSpace(p_grid=bad)
 
 
 def test_deviations_keep_every_clause_pattern_and_exclusion(corpus_entries):
@@ -456,16 +459,17 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
                        "evaluations": Counter()})
         return real_sweep(profile, i, *args)
 
-    real_frame_scorer = audit_module._frame_scorer
+    real_frame_scorer = allocation_module._frame_scorer
 
     def frame_scorer(*args):
         record = sweeps[-1]
         record["passes"] += 1
         score = track(real_frame_scorer)(*args)
+        p = args[3]
 
-        def scoring(own, p):
-            record["scorings"].append((p[record["i"]], id(own[1])))
-            return track(score)(own, p)
+        def scoring(spec):
+            record["scorings"].append((p[record["i"]], id(spec)))
+            return track(score)(spec)
         return scoring
 
     real_argmax = allocation_module._argmax
@@ -488,7 +492,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         return real_evaluate(spec, allocation, p, absent)
 
     monkeypatch.setattr(audit_module, "_sweep", sweep)
-    monkeypatch.setattr(audit_module, "_frame_scorer", frame_scorer)
+    monkeypatch.setattr(allocation_module, "_frame_scorer", frame_scorer)
     monkeypatch.setattr(allocation_module, "_argmax", argmax)
     monkeypatch.setattr(allocation_module, "evaluate", evaluate)
     space = DeviationSpace()

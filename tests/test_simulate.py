@@ -114,7 +114,7 @@ def test_integer_threshold_is_the_float_rule(q):
         assert (x < bound) == _float_rule(x, q), x
     p = (q, 0.5, q)
     expected = [_realize_reference(p, 3, t) for t in range(16)]
-    assert simulate_module._draws(p, 3, range(16)) == expected
+    assert simulate_module._draws(p, 3, range(16))[0] == expected
     assert [realize(p, 3, t) for t in range(16)] == expected
 
 
@@ -133,12 +133,14 @@ def test_integer_threshold_is_the_float_rule(q):
 @settings(max_examples=100, deadline=None)
 def test_draw_kernel_matches_float_rule(p, seed, first):
     """The kernel draws the float rule's bits for every trial, realize is
-    one trial of it, and trials that draw equal vectors share one tuple."""
+    one trial of it, and trials that draw equal vectors share one tuple,
+    counted in order of first draw."""
     trials = range(first, first + 40)
-    vectors = simulate_module._draws(p, seed, trials)
+    vectors, counts = simulate_module._draws(p, seed, trials)
     assert vectors == [_realize_reference(p, seed, t) for t in trials]
     assert vectors == [realize(p, seed, t) for t in trials]
     assert len({id(v) for v in vectors}) == len(set(vectors))
+    assert list(counts.items()) == list(Counter(vectors).items())
 
 
 _CHUNK = simulate_module._CHUNK
@@ -151,11 +153,12 @@ _EDGE_P8 = (math.nan, math.inf, -math.inf, 0.0, 1.0, 5e-324, 1 - 2**-53, 0.5)
 def test_draw_kernel_across_chunk_boundaries(count, p, first):
     """The lane kernel draws the reference bits trial by trial however the
     trials fall into chunks, also where t & (2**64 - 1) wraps inside a
-    chunk, and equal vectors stay one object across chunks."""
+    chunk, and equal vectors stay one object, counted once, across chunks."""
     trials = range(first, first + count)
-    vectors = simulate_module._draws(p, 11, trials)
+    vectors, counts = simulate_module._draws(p, 11, trials)
     assert vectors == [_realize_reference(p, 11, t) for t in trials]
     assert len({id(v) for v in vectors}) == len(set(vectors))
+    assert list(counts.items()) == list(Counter(vectors).items())
 
 
 def test_realize_is_deterministic_per_counter():
@@ -269,7 +272,7 @@ def test_excluded_realizations_are_flagged_not_averaged():
 def _constructor_records(s, schedule, trials, seed):
     """A run's records, each built by the constructor from its trial's
     drawn vector settled afresh."""
-    vectors = simulate_module._draws(s.true_p(), seed, range(trials))
+    vectors, _ = simulate_module._draws(s.true_p(), seed, range(trials))
     return [TrialRecord(t, v, *simulate_module._settle(s, schedule, v))
             for t, v in enumerate(vectors)]
 
@@ -406,7 +409,7 @@ def _solo_with_values(monkeypatch, value_of_bit):
 def _seed_drawing(s, bits):
     p = s.true_p()
     return next(seed for seed in range(10_000)
-                if [v[0] for v in simulate_module._draws(p, seed, range(len(bits)))] == bits)
+                if [v[0] for v in simulate_module._draws(p, seed, range(len(bits)))[0]] == bits)
 
 
 def test_summary_overflows_exactly_where_trial_order_does(monkeypatch):
