@@ -7,6 +7,7 @@ failed suite entry, 2 bad input, 3 could not write output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .allocation import efficient_allocation
@@ -220,10 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first `main` call: parsing
+    never mutates it, and help and usage read the streams and the terminal
+    width when they print."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_INPUT
     try:

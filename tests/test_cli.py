@@ -1,6 +1,9 @@
 """End-to-end command line behavior and scenario file round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -255,6 +258,74 @@ def test_invalid_scenario_is_input_error(tmp_path, capsys):
 
 def test_unknown_subcommand_is_input_error(capsys):
     assert cli.main(["frobnicate"]) == 2
+
+
+def test_main_builds_its_parser_once_and_no_output_shows_it(tmp_path, monkeypatch, capsys):
+    """`main` parses with one tree per process: valid commands, argparse
+    usage errors and help all run through it, and each prints and exits
+    exactly as with a freshly built parser. Help at two terminal widths
+    shows that the width is read when the help prints."""
+    out = str(tmp_path / "x.csv")
+    valid = [
+        ["allocate", PAIR],
+        ["pay", PAIR, "--mechanism", "groves-clarke"],
+        ["simulate", PAIR, "--trials", "50", "--seed", "3", "--out", out],
+        ["audit", GATE, "--mechanism", "commit"],
+        ["suite"],
+    ]
+    usage_errors = [
+        [], ["bogus"], ["pay"], ["pay", PAIR, "--mechanism", "nope"], ["simulate", PAIR],
+    ]
+    helps = [("80", ["--help"]), ("60", ["pay", "--help"]), ("200", ["pay", "--help"])]
+    calls = [
+        *(("80", argv) for argv in valid + usage_errors),
+        *helps,
+        *(("80", argv) for argv in valid),
+    ]
+
+    def replay():
+        results = []
+        for columns, argv in calls:
+            monkeypatch.setenv("COLUMNS", columns)
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    build_parser = cli.build_parser
+    assert build_parser() is not build_parser()
+    builds = []
+
+    def counted():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    cached = replay()
+    assert len(builds) == 1
+
+    monkeypatch.setattr(cli, "_parser", counted)
+    assert replay() == cached
+    assert len(builds) == 1 + len(calls)
+
+    codes = [code for code, _, _ in cached]
+    assert codes[len(valid):len(valid) + len(usage_errors)] == [2] * len(usage_errors)
+    help_runs = cached[len(valid) + len(usage_errors):-len(valid)]
+    assert [code for code, _, _ in help_runs] == [0] * len(helps)
+    assert help_runs[1][1] != help_runs[2][1]
+
+
+def test_importing_the_cli_builds_no_parser():
+    """The tree is built on the first `main` call, never at import, so a
+    cold `import rideshare.cli` does not pay for it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "from rideshare import cli; print(cli._parser.cache_info().currsize)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "0\n"
 
 
 def test_bundled_files_are_canonical():
