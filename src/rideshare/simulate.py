@@ -8,8 +8,13 @@ compares each commuter's hash with an integer threshold (`_threshold`, an
 exact rewrite of the float test (x >> 11) * 2**-53 < p[k]), and makes
 equal vectors one tuple. It hashes a chunk of trials at a time, one
 64-bit word per 128-bit lane of a single Python int, and runs the
-threshold test in the same lanes. `realize` is the kernel run for one
-trial.
+threshold test in the same lanes. Each commuter's flag is shifted into
+bit k % 64 of its lane in an accumulator per 64 commuters, so only the
+hash and the test run per commuter: each accumulator is read once per
+chunk, as one little-endian integer key per trial, and each distinct key
+becomes one tuple. The lane constants depend only on the chunk's length
+and are built once per length per process. `realize` is the kernel run
+for one trial.
 
 With the allocation and payments fixed, a trial's settlement is a function
 of its commitment vector alone. `_settle` computes it, once per distinct
@@ -26,13 +31,14 @@ trials in trial order instead.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import struct
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
-from itertools import islice, product
+from itertools import product
 
 from .model import Scenario
 from .payments import ExcludedValueError, PaymentSchedule, Unconditional, _finite
@@ -43,13 +49,25 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # The lane kernel's ints are 16 * _CHUNK bytes long: long enough that the
 # interpreter's cost per operation vanishes, short enough to stay in cache.
 _CHUNK = 1024
-_LANE_BYTES = 16
 
 
-def _pack(words: list[int]) -> int:
+def _pack(words: Sequence[int]) -> int:
     """The 64-bit `words` in 128-bit lanes of one int, the first lowest:
     each word little-endian, then 8 zero bytes."""
     return int.from_bytes(struct.pack("<" + "Q8x" * len(words), *words), "little")
+
+
+@functools.lru_cache(maxsize=4)
+def _lanes(count: int) -> tuple[int, int, int, int, int, struct.Struct]:
+    """The constants of a chunk of `count` lanes, built once per length (a
+    run meets at most two lengths, `realize` one more): ones, holding 1 in
+    every lane; mask, 2**64 - 1; golden, the splitmix64 increment; iota,
+    the lane's index; flag, 2**64; and the layout that reads the low 64
+    bits of every lane, first lane first, from the chunk's little-endian
+    bytes."""
+    ones = _pack([1] * count)
+    return (ones, _MASK * ones, _GOLDEN * ones, _pack(range(count)), ones << 64,
+            struct.Struct("<" + "Q8x" * count))
 
 
 def _splitmix64_lanes(x: int, mask: int, golden: int) -> int:
@@ -85,44 +103,63 @@ def _threshold(q: float) -> int:
 CommitVector = tuple[int, ...]
 
 
-def _draws(p: Sequence[float], seed: int, trials: Iterable[int]) -> tuple[list[CommitVector], dict]:
+# Commuters per accumulator: the low 64 bits of a 128-bit lane.
+_WORD = 64
+
+
+def _vector(key: int | tuple[int, ...], n: int) -> CommitVector:
+    """The commitment vector of `n` commuters whose bits a trial's key
+    holds: bit k % 64 of its word k // 64, where a key of one word is
+    that word."""
+    words = key if isinstance(key, tuple) else (key,)
+    return tuple(words[k // _WORD] >> k % _WORD & 1 for k in range(n))
+
+
+def _draws(p: Sequence[float], seed: int, trials: range) -> tuple[list[CommitVector], dict]:
     """Each trial's commitment vector, in trial order, and each distinct one's count.
 
     Bit k of trial t compares the hash of (seed, t, k) with
-    `_threshold(p[k])`. The seed is hashed once per call. The trials go
-    through in chunks of `_CHUNK`, each hashed in 128-bit lanes of one int:
-    first (seed, t) per trial, then (seed, t, k) for each commuter k. The
-    bit test runs in the same lanes: a lane holding
-    threshold - 1 + 2**64 minus the hash x is at least 0 and below 2**65,
-    and its bit 64 is set exactly when x < threshold, so byte 8 of each
-    lane is the bit. Trials that draw the same bits share one tuple and are
-    counted, in order of first draw, by their bytes, whose hash is cached.
+    `_threshold(p[k])`. `trials` is a range of consecutive trial numbers.
+    The seed is hashed once per call. The trials go through in chunks of
+    `_CHUNK`, each hashed in 128-bit lanes of one int: first (seed, t) per
+    trial, with the lane words t mod 2**64 made by arithmetic from the
+    chunk's first trial, then (seed, t, k) for each commuter k. The bit
+    test runs in the same lanes: a lane holding threshold - 1 + 2**64
+    minus the hash x is at least 0 and below 2**65, and its bit 64 is set
+    exactly when x < threshold. That bit is shifted to bit k % 64 of the
+    lane in accumulator k // 64, so after the last commuter the low 64
+    bits of each lane hold the trial's flags. Each accumulator is read
+    once per chunk, lane by lane as little-endian words, and a trial's
+    key is its word, or the tuple of its words past 64 commuters. Keys are
+    counted in order of first draw, and each distinct key becomes one
+    tuple, which every trial that drew it shares. The lane constants
+    depend on the chunk's length alone and are built once per length
+    (`_lanes`).
     """
     thresholds = [_threshold(q) for q in p]
     n = len(thresholds)
-    key = _splitmix64_lanes(seed & _MASK, _MASK, _GOLDEN)
-    shared: dict[bytes, CommitVector] = {}
-    counts: Counter[bytes] = Counter()
+    seed_hash = _splitmix64_lanes(seed & _MASK, _MASK, _GOLDEN)
+    shared: dict[int | tuple[int, ...], CommitVector] = {}
+    counts: Counter[int | tuple[int, ...]] = Counter()
     vectors: list[CommitVector] = []
-    chunks = iter(trials)
-    while chunk := list(islice(chunks, _CHUNK)):
-        count = len(chunk)
-        ones = _pack([1] * count)
-        mask, golden = _MASK * ones, _GOLDEN * ones
-        words = _pack([t & _MASK for t in chunk]) ^ key * ones
-        prefixes = _splitmix64_lanes(words, mask, golden)
-        bits = bytearray(count * n)
+    for first in range(0, len(trials), _CHUNK):
+        count = min(_CHUNK, len(trials) - first)
+        ones, mask, golden, iota, flag, layout = _lanes(count)
+        words = ((trials[first] & _MASK) * ones + iota) & mask
+        prefixes = _splitmix64_lanes(words ^ seed_hash * ones, mask, golden)
+        accumulators = [0] * max(1, (n + _WORD - 1) // _WORD)
         for k, bound in enumerate(thresholds):
             words = _splitmix64_lanes(prefixes ^ k * ones, mask, golden)
             tested = (bound - 1 + (1 << 64)) * ones - words
-            bits[k::n] = tested.to_bytes(_LANE_BYTES * count, "little")[8::_LANE_BYTES]
-        flat = bytes(bits)
-        rows = [flat[i:i + n] for i in range(0, count * n, n)] if n else [b""] * count
-        counts.update(rows)
-        for row in set(rows).difference(shared):
-            shared[row] = tuple(row)
-        vectors += map(shared.__getitem__, rows)
-    return vectors, {shared[row]: k for row, k in counts.items()}
+            accumulators[k // _WORD] |= (tested & flag) >> (64 - k % _WORD)
+        patterns = [layout.unpack(a.to_bytes(layout.size, "little")) for a in accumulators]
+        keys = patterns[0] if n <= _WORD else list(zip(*patterns))
+        counts.update(keys)
+        if len(counts) > len(shared):
+            for key in set(keys).difference(shared):
+                shared[key] = _vector(key, n)
+        vectors += map(shared.__getitem__, keys)
+    return vectors, {shared[key]: c for key, c in counts.items()}
 
 
 def realize(p: Sequence[float], seed: int, trial: int = 0) -> CommitVector:
@@ -131,7 +168,7 @@ def realize(p: Sequence[float], seed: int, trial: int = 0) -> CommitVector:
     Bit k compares a uniform draw hashed from (seed, trial, k) with p[k].
     This is `_draws`, the kernel `run_trials` draws with, for one trial.
     """
-    return _draws(p, seed, (trial,))[0][0]
+    return _draws(p, seed, range(trial, trial + 1))[0][0]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_of_records, overflowing_settlement_scenario
+from conftest import csv_of_records, overflowing_settlement_scenario, solo_commuters
+from rideshare import cli
 from rideshare import simulate as simulate_module
 from rideshare.cli import render_trials_csv
 from rideshare.corpus import by_name, linear_entries
@@ -22,6 +23,7 @@ from rideshare.payments import (
     commit_payments,
     expected_utility,
 )
+from rideshare.scenario_io import serialize_scenario
 from rideshare.simulate import (
     TrialRecord,
     _mean,
@@ -147,18 +149,75 @@ _CHUNK = simulate_module._CHUNK
 _EDGE_P8 = (math.nan, math.inf, -math.inf, 0.0, 1.0, 5e-324, 1 - 2**-53, 0.5)
 
 
-@pytest.mark.parametrize("count", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
-@pytest.mark.parametrize("p", [(), (0.5,), _EDGE_P8], ids=["n0", "n1", "n8"])
+def _wide(n):
+    return (_EDGE_P8 * (n // 8 + 1))[:n]
+
+
+# Past 8 commuters the flags fill one accumulator word (n9, n64), then two
+# (n65), three (n129) and five (n300). The reference draws every bit one hash at a
+# time, so the wide vectors run one count that crosses a chunk boundary.
+_KERNEL_CASES = [
+    *(pytest.param(p, count, id=f"{name}-{count}")
+      for name, p in (("n0", ()), ("n1", (0.5,)), ("n8", _EDGE_P8))
+      for count in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7)),
+    *(pytest.param(_wide(n), _CHUNK + 1, id=f"n{n}-{_CHUNK + 1}") for n in (9, 64, 65, 129, 300)),
+]
+
+
+@pytest.mark.parametrize("p, count", _KERNEL_CASES)
 @pytest.mark.parametrize("first", [0, 2**64 - 700, -(2**64) - 5])
-def test_draw_kernel_across_chunk_boundaries(count, p, first):
+def test_draw_kernel_across_chunk_boundaries(p, count, first):
     """The lane kernel draws the reference bits trial by trial however the
     trials fall into chunks, also where t & (2**64 - 1) wraps inside a
-    chunk, and equal vectors stay one object, counted once, across chunks."""
+    chunk, whatever the number of accumulator words, and equal vectors stay
+    one object, counted once, across chunks."""
     trials = range(first, first + count)
     vectors, counts = simulate_module._draws(p, 11, trials)
     assert vectors == [_realize_reference(p, 11, t) for t in trials]
     assert len({id(v) for v in vectors}) == len(set(vectors))
     assert list(counts.items()) == list(Counter(vectors).items())
+
+
+def test_realize_past_two_accumulator_words():
+    """At 130 commuters a trial's flags span three accumulator words; one
+    trial drawn alone has the reference bits, wrapped counters included."""
+    for p in (_wide(130), (0.5,) * 130):
+        for seed, trial in ((0, 0), (12345, 41), (-3, 2**64 - 1), (2**64 + 5, -(2**70))):
+            assert realize(p, seed, trial) == _realize_reference(p, seed, trial), (seed, trial)
+
+
+def test_simulate_on_a_wide_scenario_writes_the_reference_draws(tmp_path, capsys):
+    """simulate on 130 solo commuters writes, through the CLI, the CSV its
+    records spell out, and each committed cell is the reference bit of
+    (seed, trial, commuter)."""
+    s = solo_commuters(130)
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_scenario(s))
+    out = tmp_path / "wide.csv"
+    assert cli.main(["simulate", str(path), "--trials", "40", "--seed", "9", "--out", str(out)]) == 0
+    records, summary = run_trials(s, commit_payments(s), 40, 9)
+    text = out.read_text()
+    assert text == csv_of_records(records, summary)
+    reference = [_realize_reference(s.true_p(), 9, t) for t in range(40)]
+    rows = [line.split(",") for line in text.splitlines()[1:] if line[0].isdigit()]
+    assert len(rows) == 40 * 130
+    for trial, commuter, committed, *_ in rows:
+        assert int(committed) == reference[int(trial)][int(commuter)]
+
+
+def test_lane_constants_are_built_once_per_length():
+    """The lane constants depend on the chunk's length alone, and a bounded
+    cache keeps them: a second run of 2000 trials (chunks of 1024 and 976)
+    builds none."""
+    s = by_name("linear-pair-profitable")
+    schedule = commit_payments(s)
+    lanes = simulate_module._lanes
+    assert lanes.cache_info().maxsize is not None
+    lanes.cache_clear()
+    run_trials(s, schedule, 2000, seed=1)
+    assert lanes.cache_info().misses == 2
+    run_trials(s, schedule, 2000, seed=2)
+    assert lanes.cache_info().misses == 2
 
 
 def test_realize_is_deterministic_per_counter():
