@@ -237,3 +237,99 @@ def efficient_allocation_excluding(
     and contributes no value. Factors reading i's probability evaluate to
     zero and gates on i fail, as if i were not part of the scenario."""
     return efficient_allocation(s, p_override=p_override, absent=i)
+
+
+def clarke_reports(
+    s: Scenario, p_override: Sequence[float] | None = None
+) -> tuple[WelfareReport, tuple[float, ...]]:
+    """`efficient_allocation(s, p_override=p_override)` and, for each
+    commuter k, the welfare of `efficient_allocation_excluding(s, k,
+    p_override=p_override)`: the same floats from one pass over the
+    feasible set. Raises OverflowError or RuntimeError where one of those
+    searches would, though not necessarily the same one first.
+
+    Pivot k's feasible set is a subsequence of the full one, read by a
+    cursor as the pass reaches its allocations. There pivot k scores the
+    row of values with slot k at 0.0, up to its first excluded commuter
+    other than k. Exclusion reads no probability, and a commuter's value
+    changes with k absent only if their spec reads k's probability. So
+    only k's readers (in `referenced_subjects`) are evaluated with k
+    absent, in a table per pivot, on exactly the allocations pivot k's own
+    search evaluates them on, up to and including that first excluded
+    commuter; everyone else's values come from the one table per commuter
+    with nobody absent, each evaluated at most once per distinct
+    assignment.
+    """
+    p = tuple(p_override) if p_override is not None else s.reported_p()
+    n = s.n
+    present = [_scored(j, c.reported_type.valuation) for j, c in enumerate(s.commuters)]
+    subjects = [referenced_subjects(spec) for _, spec, _, _ in present]
+    readers = [
+        [_scored(j, spec) for j, spec, _, _ in present if j != k and k in subjects[j]]
+        for k in range(n)
+    ]
+    allocations = _feasible(s, None)
+    # One cursor per pivot, filed under the id of the allocation it waits at.
+    cursors = [iter(_feasible(s, k)) for k in range(n)]
+    waiting: dict[int, list[CommuterId]] = {}
+    for k, cursor in enumerate(cursors):
+        waiting.setdefault(id(next(cursor)), []).append(k)
+    pivot_welfare: list[float | None] = [None] * n
+    values = [0.0] * n
+    best_allocation = None
+    best_welfare = 0.0
+    best_values: tuple[float, ...] = ()
+    for allocation in allocations:
+        assignments = allocation.assignments
+        stop = n
+        for j, spec, owner, table in present:
+            key = id(assignments[owner])
+            v = table.get(key)
+            if v is None:
+                v = table[key] = evaluate(spec, allocation, p, None)
+            if v is EXCLUDED:
+                stop = j
+                break
+            values[j] = v
+        else:
+            welfare = math.fsum(values)
+            if best_allocation is None or welfare > best_welfare:
+                best_allocation = allocation
+                best_welfare = welfare
+                best_values = tuple(values)
+        for k in waiting.pop(id(allocation), ()):
+            head = next(cursors[k], None)
+            if head is not None:
+                waiting.setdefault(id(head), []).append(k)
+            end = stop
+            if stop == k:
+                # k excludes this allocation, but is absent from its own pivot.
+                for j, spec, owner, table in present[k + 1:]:
+                    key = id(assignments[owner])
+                    v = table.get(key)
+                    if v is None:
+                        v = table[key] = evaluate(spec, allocation, p, None)
+                    if v is EXCLUDED:
+                        end = j
+                        break
+                    values[j] = v
+                else:
+                    end = n
+            row = values[:]
+            row[k] = 0.0
+            for j, spec, owner, table in readers[k]:
+                if j > end:
+                    break
+                key = id(assignments[owner])
+                v = table.get(key)
+                if v is None:
+                    v = table[key] = evaluate(spec, allocation, p, k)
+                row[j] = v
+            if end == n:
+                welfare = math.fsum(row)
+                best = pivot_welfare[k]
+                if best is None or welfare > best:
+                    pivot_welfare[k] = welfare
+    if best_allocation is None or None in pivot_welfare:
+        raise RuntimeError("no feasible allocation is acceptable to every commuter")
+    return WelfareReport(best_allocation, best_welfare, best_values), tuple(pivot_welfare)

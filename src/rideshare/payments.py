@@ -13,9 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .allocation import WelfareReport, efficient_allocation, efficient_allocation_excluding
+from .allocation import (
+    WelfareReport,
+    clarke_reports,
+    efficient_allocation,
+    efficient_allocation_excluding,
+)
 from .model import Allocation, CommuterId, Scenario
 from .valuation import EXCLUDED, evaluate, substitute
 
@@ -129,15 +134,24 @@ class Mechanism(Enum):
 
 def _schedule(s: Scenario, mechanism: Mechanism, public_p: Sequence[float] | None) -> PaymentSchedule:
     """Every commuter's `mechanism` entry at the efficient allocation, with
-    the pivot term from the best allocation without them under Clarke."""
-    rep = efficient_allocation(s, p_override=public_p)
-    entries = []
-    for i in range(s.n):
-        h = 0.0
-        if mechanism.pivot is PivotRule.CLARKE:
-            h = efficient_allocation_excluding(s, i, p_override=public_p).welfare
-        entries.append(mechanism.entry(s, h, rep, i))
-    return PaymentSchedule(tuple(entries), rep.allocation)
+    the pivot term from the best allocation without them under Clarke.
+
+    The Clarke searches run in one pass (`clarke_reports`). If that pass
+    fails, the searches run again one at a time, each pivot just before its
+    commuter's entry, so the error raised is the one the first failing step
+    of that order raises."""
+    if mechanism.pivot is PivotRule.ZERO:
+        rep = efficient_allocation(s, p_override=public_p)
+        pivots: Iterable[float] = [0.0] * s.n
+    else:
+        try:
+            rep, pivots = clarke_reports(s, public_p)
+        except (OverflowError, RuntimeError):
+            rep = efficient_allocation(s, p_override=public_p)
+            pivots = (efficient_allocation_excluding(s, i, p_override=public_p).welfare
+                      for i in range(s.n))
+    entries = tuple(mechanism.entry(s, h, rep, i) for i, h in enumerate(pivots))
+    return PaymentSchedule(entries, rep.allocation)
 
 
 def groves_payments(

@@ -134,23 +134,29 @@ def _draws(p: Sequence[float], seed: int, trials: range) -> tuple[list[CommitVec
     counted in order of first draw, and each distinct key becomes one
     tuple, which every trial that drew it shares. The lane constants
     depend on the chunk's length alone and are built once per length
-    (`_lanes`).
+    (`_lanes`); each commuter's threshold - 1 + 2**64 in every lane is
+    built once per chunk length in the call, so twice at most, since
+    only the last chunk is shorter.
     """
-    thresholds = [_threshold(q) for q in p]
-    n = len(thresholds)
+    biased = [_threshold(q) - 1 + (1 << 64) for q in p]
+    n = len(biased)
     seed_hash = _splitmix64_lanes(seed & _MASK, _MASK, _GOLDEN)
     shared: dict[int | tuple[int, ...], CommitVector] = {}
     counts: Counter[int | tuple[int, ...]] = Counter()
     vectors: list[CommitVector] = []
+    bounds_length = 0
     for first in range(0, len(trials), _CHUNK):
         count = min(_CHUNK, len(trials) - first)
         ones, mask, golden, iota, flag, layout = _lanes(count)
+        if count != bounds_length:
+            bounds = [b * ones for b in biased]
+            bounds_length = count
         words = ((trials[first] & _MASK) * ones + iota) & mask
         prefixes = _splitmix64_lanes(words ^ seed_hash * ones, mask, golden)
         accumulators = [0] * max(1, (n + _WORD - 1) // _WORD)
-        for k, bound in enumerate(thresholds):
+        for k, bound in enumerate(bounds):
             words = _splitmix64_lanes(prefixes ^ k * ones, mask, golden)
-            tested = (bound - 1 + (1 << 64)) * ones - words
+            tested = bound - words
             accumulators[k // _WORD] |= (tested & flag) >> (64 - k % _WORD)
         patterns = [layout.unpack(a.to_bytes(layout.size, "little")) for a in accumulators]
         keys = patterns[0] if n <= _WORD else list(zip(*patterns))

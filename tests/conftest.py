@@ -1,8 +1,9 @@
 """Shared fixtures: an independent brute-force allocation oracle, a
 per-deviation reference audit, numeric linearity and independence oracles
 over a probability lattice, a record-by-record simulate CSV, hypothesis
-strategies for small random scenarios, and scenarios that outgrow the
-walk's recursion or overflow a settled utility."""
+strategies for small random scenarios and for scenarios whose commuters
+read few others, and scenarios that outgrow the walk's recursion or
+overflow a settled utility."""
 
 import contextlib
 import inspect
@@ -43,6 +44,7 @@ from rideshare.valuation import (
     GateDirection,
     Monomial,
     OutcomePattern,
+    PartnerCountAtLeast,
     ThresholdGate,
     ValuationSpec,
     evaluate,
@@ -333,6 +335,57 @@ def small_scenarios(draw):
                 rows[j][i] = ok
         compat = tuple(tuple(r) for r in rows)
     return Scenario(tuple(commuters), compat)
+
+
+# Values that tie exactly, sums one ulp apart near 1, and magnitudes (2**54
+# and the 2**60 rescaling) at which adding them rounds such sums together.
+TIE_VALUES = (0.0, 1.0, -1.0, 2.0, 3.0, 1.0 + 2**-52, 1.0 - 2**-53, 2.0**54, -(2.0**54))
+
+
+@st.composite
+def pivot_scenarios(draw, excluding_none=True):
+    """Two to five fully compatible commuters whose values read few others'
+    probabilities, so each pivot has readers and non-readers. Each outcome
+    is valued at a constant from `TIE_VALUES`, plus maybe a factor, linear
+    or squared, on some commuter's probability and maybe a gate on one;
+    some rides are excluded. Reported probabilities differ from the true
+    ones. With `excluding_none`, a commuter may also exclude travelling
+    alone, which validation forbids, so a search may find no acceptable
+    allocation."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    value = st.sampled_from(TIE_VALUES)
+    subject = st.integers(min_value=0, max_value=n - 1)
+    probability = st.sampled_from((0.0, 0.25, 0.5, 1.0))
+
+    def valued(pattern):
+        terms = [Monomial(draw(value))]
+        if draw(st.booleans()):
+            terms.append(Monomial(draw(value), ((draw(subject), draw(st.sampled_from((1, 2)))),)))
+        gates = ()
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            gates = (ThresholdGate(draw(subject), draw(probability),
+                                   draw(st.sampled_from(GateDirection))),)
+        return Clause(pattern, gates, tuple(terms))
+
+    def maybe_excluded(pattern, odds):
+        if draw(st.integers(min_value=0, max_value=odds - 1)) == 0:
+            return Clause(pattern, excluded=True)
+        return valued(pattern)
+
+    commuters = []
+    for k in range(n):
+        clauses = [valued(OutcomePattern(Role.DRIVE, PartnerCountAtLeast(2))),
+                   valued(OutcomePattern(Role.DRIVE))]
+        clauses += [maybe_excluded(OutcomePattern(Role.RIDE, ExactPartners(frozenset({d}))), 4)
+                    for d in range(n) if d != k]
+        none = OutcomePattern(Role.NONE)
+        clauses.append(maybe_excluded(none, 12) if excluding_none else valued(none))
+        spec = ValuationSpec(k, tuple(clauses))
+        has_vehicle = draw(st.booleans())
+        capacity = draw(st.integers(min_value=1, max_value=2)) if has_vehicle else 0
+        commuters.append(Commuter(k, has_vehicle, capacity, TripType(spec, draw(probability)),
+                                  TripType(spec, draw(probability))))
+    return Scenario(tuple(commuters), full_compatibility(n))
 
 
 def solo_commuters(n):

@@ -8,9 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_best_allocation, naive_efficient, small_scenarios
+from conftest import (
+    TIE_VALUES,
+    naive_best_allocation,
+    naive_efficient,
+    pivot_scenarios,
+    small_scenarios,
+)
 from rideshare import allocation
 from rideshare.allocation import (
+    clarke_reports,
     deviation_frames,
     efficient_allocation,
     efficient_allocation_excluding,
@@ -290,19 +297,15 @@ def test_leaving_out_an_unmatched_harmless_commuter_never_helps(corpus_entries):
             checked += 1
     assert checked >= 2
 
-# Values that tie exactly, sums one ulp apart near 1, and magnitudes (2**54
-# and the 2**60 rescaling) at which adding them rounds such sums together.
-_TIE_VALUES = (0.0, 1.0, -1.0, 2.0, 3.0, 1.0 + 2**-52, 1.0 - 2**-53, 2.0**54, -(2.0**54))
-
 
 @st.composite
 def tied_scenarios(draw):
     """Two to four commuters valuing each outcome at a constant drawn from
-    `_TIE_VALUES`, plus at most one term reading someone's probability:
+    `TIE_VALUES`, plus at most one term reading someone's probability:
     one value per driver a rider might ride with (some excluded), one for
     a full or partial car, and one for travelling alone."""
     n = draw(st.integers(min_value=2, max_value=4))
-    value = st.sampled_from(_TIE_VALUES)
+    value = st.sampled_from(TIE_VALUES)
 
     def terms():
         out = [Monomial(draw(value))]
@@ -415,3 +418,57 @@ def test_deviation_frames_score_as_efficient_allocation_of_the_report(s):
                 expected = efficient_allocation(with_report(s, i, trip), p_override=public_p)
                 assert got == expected
                 assert got.allocation is expected.allocation
+
+
+def _searches_one_by_one(s, p):
+    """`efficient_allocation` and each pivot's welfare from its own search,
+    or the RuntimeError the first failing search raises."""
+    try:
+        return (efficient_allocation(s, p_override=p),
+                tuple(efficient_allocation_excluding(s, k, p_override=p).welfare
+                      for k in range(s.n)))
+    except RuntimeError as e:
+        return e
+
+
+@given(pivot_scenarios())
+@settings(max_examples=200, deadline=None)
+def test_clarke_reports_match_the_searches_one_by_one(s):
+    """Under reported and public probabilities, the one pass picks the very
+    allocation the full search picks, with the same welfare, values and
+    pivot welfares to the bit (`repr` tells -0.0 from 0.0), or raises the
+    same RuntimeError when some search finds no acceptable allocation."""
+    for p in (None, s.true_p()):
+        expected = _searches_one_by_one(s, p)
+        if isinstance(expected, RuntimeError):
+            with pytest.raises(RuntimeError, match=str(expected)):
+                clarke_reports(s, p)
+            continue
+        rep, pivots = clarke_reports(s, p)
+        assert rep.allocation is expected[0].allocation
+        assert repr((rep.welfare, rep.per_commuter)) == repr(
+            (expected[0].welfare, expected[0].per_commuter))
+        assert repr(pivots) == repr(expected[1])
+
+
+def test_clarke_reports_score_a_pivot_past_its_own_exclusion():
+    """Commuter 1 refuses to travel alone, which validation forbids, so the
+    full search drops every allocation leaving 1 at home at 1, before 2 is
+    scored; without 1 those are the only allocations, and the best is the
+    one where 0 and 2 both stay home, worth 2 + 3."""
+    def spec(owner, **roles):
+        return ValuationSpec(owner, tuple(
+            Clause(OutcomePattern(Role[role.upper()]), excluded=True) if v is None
+            else Clause(OutcomePattern(Role[role.upper()]), terms=(Monomial(v),))
+            for role, v in roles.items()))
+
+    s = Scenario((
+        Commuter(0, True, 1, TripType(spec(0, none=2.0, drive=0.5, ride=0.25), 1.0)),
+        Commuter(1, False, 0, TripType(spec(1, none=None, ride=1.0), 1.0)),
+        Commuter(2, True, 1, TripType(spec(2, none=3.0, drive=1.0, ride=0.5), 1.0)),
+    ), full_compatibility(3))
+    rep, pivots = clarke_reports(s)
+    full, one_by_one = _searches_one_by_one(s, None)
+    assert rep == full and rep.allocation is full.allocation
+    assert pivots == one_by_one
+    assert pivots[1] == 5.0

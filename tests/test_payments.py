@@ -1,13 +1,18 @@
 """Groves and commit-based payment schedules plus expected utilities."""
 
 import itertools
+from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import overflowing_settlement_scenario
+from conftest import overflowing_settlement_scenario, pivot_scenarios
+from rideshare import allocation, cli
 from rideshare.allocation import (
     WelfareReport,
+    clarke_reports,
     efficient_allocation,
     efficient_allocation_excluding,
 )
@@ -15,14 +20,18 @@ from rideshare.corpus import by_name, corpus, linear_entries
 from rideshare.model import (
     Allocation,
     Assignment,
+    Commuter,
     Role,
+    Scenario,
     TripType,
+    full_compatibility,
     with_report,
     with_truthful_reports,
 )
 from rideshare.payments import (
     Conditional,
     ExcludedValueError,
+    Mechanism,
     PivotRule,
     Unconditional,
     _commit_entry,
@@ -30,7 +39,17 @@ from rideshare.payments import (
     expected_utility,
     groves_payments,
 )
-from rideshare.valuation import AnyPartners, Clause, OutcomePattern, ValuationSpec
+from rideshare.scenario_io import serialize_scenario
+from rideshare.valuation import (
+    AnyPartners,
+    Clause,
+    Monomial,
+    OutcomePattern,
+    PartnerCountAtLeast,
+    ValuationSpec,
+    evaluate,
+    referenced_subjects,
+)
 
 
 def test_clarke_public_pair_payments():
@@ -209,3 +228,127 @@ def test_deficit_sign_convention():
     driver, rider = schedule.entries
     assert driver.on_commit < 0 <= rider.on_commit
     assert driver.on_commit + rider.on_commit < 0
+
+def _evaluations(run):
+    """Run `run()` and return each `allocation.evaluate` call it made as
+    (owner, absent commuter, owner's assignment)."""
+    calls = []
+
+    def recording(spec, a, p, absent=None):
+        calls.append((spec.owner, absent, a.assignments[spec.owner]))
+        return evaluate(spec, a, p, absent)
+
+    with mock.patch.object(allocation, "evaluate", recording):
+        run()
+    return calls
+
+
+@given(pivot_scenarios(excluding_none=False))
+@settings(max_examples=100, deadline=None)
+def test_clarke_schedules_evaluate_each_value_once(s):
+    """A commit or Clarke schedule evaluates each commuter once per distinct
+    assignment with nobody absent, and with pivot k absent only k's readers
+    (the others whose spec reads k's probability), once per distinct
+    assignment, on the assignments k's own search reaches them on."""
+    subjects = [referenced_subjects(c.reported_type.valuation) for c in s.commuters]
+    searched = _evaluations(lambda: [efficient_allocation_excluding(s, k) for k in range(s.n)])
+    reached = {(j, k, id(a)) for j, k, a in searched if k in subjects[j]}
+    for price in (lambda: commit_payments(s),
+                  lambda: groves_payments(s, PivotRule.CLARKE),
+                  lambda: groves_payments(s, PivotRule.CLARKE, public_p=s.true_p())):
+        calls = _evaluations(price)
+        assert max(Counter((j, k, id(a)) for j, k, a in calls).values()) == 1
+        assert all(k is None or k in subjects[j] for j, k, _ in calls)
+        assert {(j, k, id(a)) for j, k, a in calls if k is not None} == reached
+
+
+_MECHANISMS = [("commit", False), ("groves-clarke", False), ("groves-clarke", True)]
+_BIG = 1e308
+
+
+def _reader_overflow_scenario(driver, capacity):
+    """Commuter 2 drives `capacity` riders with `driver`'s clauses, and 0
+    and 1 may ride with them. Riding is worth 1e308 - 1e308 * p1 + 1e308
+    to 0, which is 1e308 at p1 = 1 but passes the float range when 1 is
+    absent, so pricing without 1 overflows wherever it values 0 riding."""
+    reader = ValuationSpec(0, (
+        Clause(OutcomePattern(Role.RIDE),
+               terms=(Monomial(_BIG), Monomial(-_BIG, ((1, 1),)), Monomial(_BIG))),
+        Clause(OutcomePattern(Role.NONE)),
+    ))
+    return Scenario((
+        Commuter(0, False, 0, TripType(reader, 1.0)),
+        Commuter(1, False, 0, TripType(ValuationSpec(1, ()), 1.0)),
+        Commuter(2, True, capacity, TripType(ValuationSpec(2, driver), 1.0)),
+    ), full_compatibility(3))
+
+
+def _pay_stderr_one_by_one(s, mechanism):
+    """What `pay` prints to stderr when the efficient search and then each
+    pivot's search, each just before its commuter's entry, run one by one."""
+    public_p = mechanism.probabilities(s)
+    try:
+        rep = efficient_allocation(s, p_override=public_p)
+        for i in range(s.n):
+            mechanism.entry(s, efficient_allocation_excluding(s, i, p_override=public_p).welfare,
+                            rep, i)
+    except OverflowError as e:
+        return f"arithmetic overflow: {e}; the scenario's numbers are too large to price\n"
+    return ""
+
+
+def _pay(tmp_path, s, rule, public_p):
+    path = tmp_path / "scenario.json"
+    path.write_text(serialize_scenario(s))
+    return cli.main(["pay", str(path), "--mechanism", rule] + ["--public-p"] * public_p)
+
+
+@pytest.mark.parametrize("rule, public_p", _MECHANISMS)
+def test_pay_reports_a_pivot_overflow_where_a_later_commuter_excludes(
+        tmp_path, capsys, rule, public_p):
+    """2 refuses to drive, so every allocation where 0 rides is excluded,
+    but only by 2, after 0 is scored: the search without 1 still values 0
+    riding, and overflows."""
+    s = _reader_overflow_scenario((Clause(OutcomePattern(Role.DRIVE), excluded=True),), 1)
+    expected = _pay_stderr_one_by_one(s, Mechanism.named(rule, public_p))
+    assert expected.startswith("arithmetic overflow: commuter 0's value inf")
+    assert _pay(tmp_path, s, rule, public_p) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", expected)
+
+
+@pytest.mark.parametrize("rule, public_p", _MECHANISMS)
+def test_pay_reports_the_full_search_overflow_before_an_earlier_pivot_one(
+        tmp_path, capsys, rule, public_p):
+    """Carrying both riders is worth 1e308 + 1e308 to 2, so the full search
+    overflows there, on the walk's last allocation; the search without 1
+    overflows on an earlier one, where 0 rides alone. The full search runs
+    first, so its overflow is the one reported."""
+    s = _reader_overflow_scenario((
+        Clause(OutcomePattern(Role.DRIVE, PartnerCountAtLeast(2)),
+               terms=(Monomial(_BIG), Monomial(_BIG))),
+        Clause(OutcomePattern(Role.DRIVE)),
+    ), 2)
+    expected = _pay_stderr_one_by_one(s, Mechanism.named(rule, public_p))
+    assert expected.startswith("arithmetic overflow: commuter 2's value inf")
+    with pytest.raises(OverflowError, match="commuter 0's value inf"):
+        clarke_reports(s, Mechanism.named(rule, public_p).probabilities(s))
+    assert _pay(tmp_path, s, rule, public_p) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", expected)
+
+
+def test_a_pivot_without_an_acceptable_allocation_raises_the_search_error():
+    """1 refuses to travel alone, which validation forbids, and can only
+    ride with 0: the full search finds 1 riding with 0, the search without
+    0 finds nothing acceptable, and pricing raises that search's error."""
+    never_alone = ValuationSpec(1, (Clause(OutcomePattern(Role.NONE), excluded=True),))
+    s = Scenario((Commuter(0, True, 1, TripType(ValuationSpec(0, ()), 0.5)),
+                  Commuter(1, False, 0, TripType(never_alone, 0.5))), full_compatibility(2))
+    assert efficient_allocation(s).allocation.role_of(1) is Role.RIDE
+    with pytest.raises(RuntimeError) as searched:
+        efficient_allocation_excluding(s, 0)
+    for price in (commit_payments, lambda s: groves_payments(s, PivotRule.CLARKE),
+                  lambda s: groves_payments(s, PivotRule.CLARKE, public_p=s.true_p())):
+        with pytest.raises(RuntimeError, match=str(searched.value)):
+            price(s)
