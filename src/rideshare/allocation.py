@@ -19,6 +19,21 @@ Scored = tuple[CommuterId, ValuationSpec, CommuterId, dict]
 _PRUNABLE = 2.0**1000
 
 
+def bounded(spec: ValuationSpec, scale: float = 1.0) -> bool:
+    """True when `spec`'s default value, and each clause's sum of
+    |coefficient| with every coefficient multiplied by `scale`, are below
+    2**1000 in magnitude. Then, with its coefficients rescaled by factors of
+    magnitude at most `scale` and at probabilities in [0, 1], the spec
+    values every outcome finitely and below 2**1000 up to rounding, so no
+    evaluation raises and no `math.fsum` over such values overflows."""
+    try:
+        return abs(spec.default_value) < _PRUNABLE and all(
+            math.fsum(abs(scale * t.coefficient) for t in clause.terms) < _PRUNABLE
+            for clause in spec.clauses)
+    except OverflowError:  # a sum past the float range
+        return False
+
+
 @dataclass(frozen=True)
 class WelfareReport:
     allocation: Allocation
@@ -97,39 +112,79 @@ def _argmax(
     return WelfareReport(best_allocation, best_welfare, best_values)
 
 
-def deviation_frames(
-    s: Scenario, i: CommuterId, public_p: Sequence[float] | None
-) -> Callable[[float], Callable[[ValuationSpec], WelfareReport]]:
-    """Scorers of commuter i's misreports: `frames(p_hat)(spec)` returns,
-    or raises, what `efficient_allocation` does on `s` with i reporting
-    `spec` and `p_hat`, at `public_p` if given. Each scored valuation must
-    exclude what i's report in `s` excludes, as each of `deviations_for` does.
+class DeviationFrames:
+    """Commuter i's misreports on `s`, at `public_p` if given: the outcomes
+    any misreport can reach, and scorers for each misreport.
+    `frames(p_hat)(spec)` returns, or raises, what `efficient_allocation`
+    does on `s` with i reporting `spec` and `p_hat`. Each scored valuation
+    must exclude what i's report in `s` excludes, as each of
+    `deviations_for` does.
 
     Only the readers, the others whose spec reads i's probability, read i's
     report; none does under public probabilities. So the feasible set is
-    fetched once, the others' value tables live as long as `frames`, and a
-    new `p_hat` rebuilds the scorer and the readers' tables if there are any.
-    Scorers read the latest `p_hat`, so each serves until the next call.
+    fetched once, the others' value tables live as long as the frames, and
+    a new `p_hat` rebuilds the scorer, and the readers' tables if there are
+    any. Scorers read the latest `p_hat`, so each serves until the next call.
     """
-    allocations = _feasible(s, None)
-    present = [_scored(j, c.reported_type.valuation) for j, c in enumerate(s.commuters)]
-    readers = [] if public_p is not None else [
-        j for j, spec, _, _ in present if j != i and i in referenced_subjects(spec)]
-    p = list(s.reported_p() if public_p is None else public_p)
-    score = None
 
-    def frames(p_hat: float) -> Callable[[ValuationSpec], WelfareReport]:
-        nonlocal score
-        stale = score is None or readers and p[i] != p_hat
-        if public_p is None:
+    def __init__(self, s: Scenario, i: CommuterId, public_p: Sequence[float] | None) -> None:
+        self._i = i
+        self._allocations = _feasible(s, None)
+        self._present = [_scored(j, c.reported_type.valuation) for j, c in enumerate(s.commuters)]
+        self.readers = () if public_p is not None else tuple(
+            j for j, spec, _, _ in self._present if j != i and i in referenced_subjects(spec))
+        self._p = list(s.reported_p() if public_p is None else public_p)
+        self._private = public_p is None
+        self._score: Callable[[ValuationSpec], WelfareReport] | None = None
+
+    def __call__(self, p_hat: float) -> Callable[[ValuationSpec], WelfareReport]:
+        p, i = self._p, self._i
+        stale = self.readers and p[i] != p_hat
+        if self._private:
             p[i] = p_hat
         if stale:
-            for j in readers:
-                present[j] = _scored(j, present[j][1])
-            score = _frame_scorer(allocations, present, i, p)
-        return score
+            for j in self.readers:
+                self._present[j] = _scored(j, self._present[j][1])
+        if stale or self._score is None:
+            self._score = _frame_scorer(self._allocations, self._present, i, p)
+        return self._score
 
-    return frames
+    def outcomes(self) -> list[WelfareReport]:
+        """Each feasible allocation that neither i's report in `s` nor any
+        other report excludes, in walk order: every allocation a misreport
+        can win. Each comes as the report of the others' values at the
+        frames' probabilities, i's slot 0.0 and the welfare their exact sum:
+        the values a scorer puts in `per_commuter`, from the same tables, so
+        each other commuter is evaluated at most once per distinct
+        assignment across this pass and the frames. A reader's value is the
+        one at the last `p_hat`, or at i's report in `s` before any. Raises
+        what an evaluation raises.
+        """
+        i = self._i
+        _, spec, owner, _ = self._present[i]
+        others = [entry for entry in self._present if entry[0] != i]
+        kept: dict[int, bool] = {}
+        out = []
+        for allocation in self._allocations:
+            assignments = allocation.assignments
+            mine = assignments[owner]
+            ok = kept.get(id(mine))
+            if ok is None:
+                ok = kept[id(mine)] = not excludes(spec, mine)
+            if not ok:
+                continue
+            values = [0.0] * len(self._present)
+            for j, other, other_owner, table in others:
+                key = id(assignments[other_owner])
+                v = table.get(key)
+                if v is None:
+                    v = table[key] = evaluate(other, allocation, self._p, None)
+                if v is EXCLUDED:
+                    break
+                values[j] = v
+            else:
+                out.append(WelfareReport(allocation, math.fsum(values), tuple(values)))
+        return out
 
 
 def _frame_scorer(

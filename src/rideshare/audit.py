@@ -16,9 +16,13 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable
 
-from .allocation import deviation_frames, efficient_allocation, efficient_allocation_excluding
+from .allocation import (
+    DeviationFrames,
+    bounded,
+    efficient_allocation,
+    efficient_allocation_excluding,
+)
 from .model import CommuterId, Scenario, TripType, with_report, with_truthful_reports
 from .payments import Mechanism, PivotRule, settled_utility
 from .valuation import GateDirection, Monomial, ThresholdGate, ValuationSpec
@@ -29,7 +33,9 @@ MAX_DOMINANT_COMMUTERS = 4
 # (1,720,320 scorings of linear-quad-full-van against 3-point opponent grids
 # took 20-22 s under commit and groves-clarke with Python 3.11 on an idle
 # 2-core VM, and up to twice that on a loaded one), so this bounds a
-# dominant sweep to under a minute.
+# dominant sweep to under a minute. The budget counts the scorings of every
+# grid before any sweep runs, so a sweep the certificate clears without
+# scoring (see `_sweep`) still counts toward it.
 MAX_DOMINANT_SCORINGS = 2_000_000
 MAX_P_GRID = 10_001
 _MAX_SCALE_COMBOS = 4096
@@ -182,14 +188,21 @@ def _sweep(
     profile: Scenario,
     i: CommuterId,
     mechanism: Mechanism,
-    devs: list[TripType],
+    space: DeviationSpace,
+    devs: list[TripType] | None,
     opponents: tuple[tuple[CommuterId, TripType], ...],
 ) -> Witness | None:
-    """Commuter i's first maximal-gain deviation against `profile`, if any
-    gains, as pricing each deviation afresh would find. Each new p̂_i starts
-    a frame of `deviation_frames` under private probabilities; one frame
-    serves all under public ones. Utilities are kept per reported valuation
-    per frame, and per outcome per frame under Groves, per sweep under commit.
+    """Commuter i's first maximal-gain deviation in `space` against
+    `profile`, if any gains, as pricing each deviation afresh would find.
+    `devs` is i's grid, or None to build it only if the sweep scores it.
+
+    Where i's utility is fixed by the chosen allocation, the sweep first
+    settles i on every outcome a report can win (`_certified`); when none
+    beats truth, no deviation gains and the sweep returns None without
+    building or scoring the grid. Otherwise each new p̂_i starts a frame of
+    `DeviationFrames` under private probabilities; one frame serves all
+    under public ones. Utilities are kept per reported valuation per frame,
+    and per outcome per sweep where the outcome fixes them, else per frame.
     """
     public_p = mechanism.probabilities(profile)
     # the pivot never reads i's report, so it is fixed per profile
@@ -201,12 +214,18 @@ def _sweep(
     # only with p̂_i replaced by 1 and by 0, a Groves entry reads only `h`
     # and the others' values in the report, and `settled_utility` reads
     # only true types. So i's utility is fixed by the chosen allocation
-    # under commit, and by the frame and that allocation under Groves.
+    # under commit, and under Groves when nobody's value reads p̂_i: under
+    # public probabilities, or when no other spec reads i's.
     truth = efficient_allocation(profile, p_override=public_p)
     u_truth = settled_utility(profile, i, truth.allocation, mechanism.entry(profile, h, truth, i))
-    frames = deviation_frames(profile, i, public_p)
+    frames = DeviationFrames(profile, i, public_p)
+    by_outcome = mechanism is Mechanism.COMMIT_BASED or not frames.readers
     # Memos key on ids, kept alive by `frames` and `devs`.
     settled: dict[int, float] = {}
+    if by_outcome and _certified(profile, i, mechanism, space, h, u_truth, frames, settled):
+        return None
+    if devs is None:
+        devs = deviations_for(profile.commuters[i].true_type, space)
     p_hat = utilities = score = None
     best: Witness | None = None
     for trip in devs:
@@ -214,7 +233,7 @@ def _sweep(
             p_hat = trip.p_commit
             score = frames(p_hat)
             utilities = {}
-            if mechanism is not Mechanism.COMMIT_BASED:
+            if not by_outcome:
                 settled = {}
         spec_id = id(trip.valuation)
         if spec_id not in utilities:
@@ -229,6 +248,47 @@ def _sweep(
         if gain > (0.0 if best is None else best.gain):
             best = Witness(i, trip, u_truth, u, gain, opponents)
     return best
+
+
+def _certified(
+    profile: Scenario,
+    i: CommuterId,
+    mechanism: Mechanism,
+    space: DeviationSpace,
+    h: float,
+    u_truth: float,
+    frames: DeviationFrames,
+    settled: dict[int, float],
+) -> bool:
+    """True when i, whose utility the chosen allocation fixes, gains
+    nothing (`U(a) - u_truth <= 0.0`) on any outcome `a` of
+    `frames.outcomes()`, and no scoring of i's grid in `space` could raise.
+    Each outcome settled is filed in `settled` under the allocation's id.
+
+    Every report i can make wins one of those outcomes (the taxation
+    principle), so then no deviation gains. A scoring raises only on an
+    overflow, and none can when every probability is in [0, 1] and the
+    others' reports and i's truth, rescaled by the largest |scale| of
+    `space`, are `bounded`. Anything raised here leaves the grid to decide.
+    """
+    scale = max(abs(x) for x in space.coefficient_scales + (1.0,))
+    commuters = profile.commuters
+    try:
+        if not (all(0.0 <= x <= 1.0 for x in profile.reported_p() + profile.true_p())
+                and bounded(commuters[i].true_type.valuation, scale)
+                and all(bounded(c.reported_type.valuation)
+                        for j, c in enumerate(commuters) if j != i)):
+            return False
+        for rep in frames.outcomes():
+            entry = mechanism.entry(profile, h, rep, i)
+            u = settled[id(rep.allocation)] = settled_utility(profile, i, rep.allocation, entry)
+            if u - u_truth > 0.0:
+                return False
+    except Exception:
+        # The grid then raises whatever, and wherever, it would have
+        # raised without the certificate.
+        return False
+    return True
 
 
 def _dominant_scorings(devs: list[list[TripType]], grids: list[list[TripType]]) -> int:
@@ -246,22 +306,24 @@ def _audit(
     mechanism: Mechanism,
     space: DeviationSpace,
     opponent_space: DeviationSpace | None,
-    devs: Iterable[list[TripType]],
+    devs: list[list[TripType]] | None,
     grids: list[list[TripType]] | None,
 ) -> AuditReport:
-    """Sweep commuter i's deviations, the i-th list of `devs`, against each
-    opponent profile: the truthful one alone for ex-post (`grids` None),
-    else the product of the others' `grids`, truthful first. Ties keep the
-    lowest commuter, then the first profile, then the first deviation."""
+    """Sweep commuter i's deviations in `space`, the i-th list of `devs` if
+    given, against each opponent profile: the truthful one alone for
+    ex-post (`grids` None), else the product of the others' `grids`,
+    truthful first. Ties keep the lowest commuter, then the first profile,
+    then the first deviation."""
     base = with_truthful_reports(s)
     best: Witness | None = None
-    for i, own in enumerate(devs):
+    for i in range(base.n):
+        own = None if devs is None else devs[i]
         others = [] if grids is None else [j for j in range(base.n) if j != i]
         for combo in itertools.product(*(grids[j] for j in others)):
             profile = base
             for j, trip in zip(others, combo):
                 profile = with_report(profile, j, trip)
-            found = _sweep(profile, i, mechanism, own, tuple(zip(others, combo)))
+            found = _sweep(profile, i, mechanism, space, own, tuple(zip(others, combo)))
             if found is not None and (best is None or found.gain > best.gain):
                 best = found
     violated = best is not None and best.gain > GAIN_TOLERANCE
@@ -281,10 +343,10 @@ def audit_expost(
     """Hold everyone else truthful and sweep each commuter's misreports.
     Returns the maximal-gain witness when any beats truth by more than
     the gain tolerance. Ties keep the lowest commuter id, then the first
-    deviation in grid order."""
-    # one commuter's deviations at a time, as the sweep reaches them
-    devs = (deviations_for(c.true_type, space) for c in s.commuters)
-    return _audit(s, mechanism, space, None, devs, None)
+    deviation in grid order. A commuter's grid is built and scored only
+    when a one-pass certificate over the outcomes their reports can win
+    does not already rule out every gain."""
+    return _audit(s, mechanism, space, None, None, None)
 
 
 def audit_dominant(
@@ -297,7 +359,8 @@ def audit_dominant(
     opponent misreports (truthful opponents included). Exhaustive in the
     grids, so cost grows as the profile product; refused above
     MAX_DOMINANT_COMMUTERS commuters, and above MAX_DOMINANT_SCORINGS
-    argmax scorings before any is made."""
+    argmax scorings before any is made. The grids are built up front to
+    count those; each profile's sweep still tries the certificate first."""
     if s.n > MAX_DOMINANT_COMMUTERS:
         raise AuditSizeError(
             f"dominant audit over {s.n} commuters sweeps a full misreport profile "

@@ -142,10 +142,10 @@ def cmd_audit(args) -> int:
     s = _load_scenario(args.scenario)
     mechanism = _mechanism(args)
     space = _space("--grid", args.grid)
+    opponent_space = _space("--opponent-grid", args.opponent_grid)
     if args.notion == "expost":
         report = audit_expost(s, mechanism, space)
     else:
-        opponent_space = _space("--opponent-grid", args.opponent_grid)
         try:
             report = audit_dominant(s, mechanism, space, opponent_space)
         except AuditSizeError as e:
@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=DeviationSpace.p_grid,
                    help="probability grid points")
     p.add_argument("--opponent-grid", type=int, default=DEFAULT_OPPONENT_SPACE.p_grid,
-                   help="probability grid points per opponent (dominant only)")
+                   help="probability grid points per opponent (read by dominant audits, "
+                        "checked under either notion)")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("suite", help="run the bundled known-verdict scenarios")

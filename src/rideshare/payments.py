@@ -22,7 +22,7 @@ from .allocation import (
     efficient_allocation_excluding,
 )
 from .model import Allocation, CommuterId, Scenario
-from .valuation import EXCLUDED, evaluate, substitute
+from .valuation import EXCLUDED, evaluate, excludes, referenced_subjects, substitute
 
 
 class PivotRule(Enum):
@@ -65,17 +65,24 @@ def _groves_entry(h: float, rep: WelfareReport, i: CommuterId) -> Unconditional:
 
 
 def _commit_entry(s: Scenario, h: float, rep: WelfareReport, i: CommuterId) -> Conditional:
+    """Each branch credits the others' reported values with p̂_i forced to
+    1 or 0. A value that does not read p̂_i is the same at both, and is the
+    one in `rep`; only the readers of p̂_i are evaluated again."""
     p_hat = s.reported_p()
     p_one = substitute(p_hat, i, 1.0)
     p_zero = substitute(p_hat, i, 0.0)
+    assignments = rep.allocation.assignments
     v_one = []
     v_zero = []
     for j, c in enumerate(s.commuters):
         if j == i:
             continue
         spec = c.reported_type.valuation
-        a = evaluate(spec, rep.allocation, p_one)
-        b = evaluate(spec, rep.allocation, p_zero)
+        if i in referenced_subjects(spec):
+            a = evaluate(spec, rep.allocation, p_one)
+            b = evaluate(spec, rep.allocation, p_zero)
+        else:
+            a = b = EXCLUDED if excludes(spec, assignments[spec.owner]) else rep.per_commuter[j]
         if a is EXCLUDED or b is EXCLUDED:
             raise ExcludedValueError(
                 f"commuter {j}: reported valuation excludes the chosen allocation")
@@ -126,7 +133,11 @@ class Mechanism(Enum):
         return s.true_p() if self.value.endswith(_PUBLIC) else None
 
     def entry(self, s: Scenario, h: float, rep: WelfareReport, i: CommuterId) -> PaymentEntry:
-        """Commuter `i`'s payment entry at `rep` given the pivot term `h`."""
+        """Commuter `i`'s payment entry at `rep` given the pivot term `h`.
+        `rep` must be scored at the probabilities this mechanism reads: the
+        public ones, or `s`'s reported ones with p̂_i free. The entry reads
+        the others' values from `rep`, all of them under Groves, and under
+        commit those that do not read p̂_i."""
         if self is Mechanism.COMMIT_BASED:
             return _commit_entry(s, h, rep, i)
         return _groves_entry(h, rep, i)

@@ -89,6 +89,21 @@ class ValuationSpec:
     clauses: tuple[Clause, ...]
     default_value: float = 0.0
 
+    @functools.cached_property
+    def _subjects(self) -> tuple[CommuterId, ...]:
+        """`referenced_subjects(self)`, worked out on first use: payments
+        ask it of the same spec once per commuter they price."""
+        subjects = {self.owner}
+        for clause in self.clauses:
+            if clause.excluded:
+                continue
+            for gate in clause.gates:
+                subjects.add(gate.subject)
+            for term in clause.terms:
+                for subject, _ in term.factors:
+                    subjects.add(subject)
+        return tuple(sorted(subjects))
+
 
 def _matches(pattern: OutcomePattern, assignment: Assignment) -> bool:
     if pattern.own_role is not assignment.role:
@@ -215,16 +230,7 @@ def _travel_alone(n: int) -> tuple[Allocation, tuple[float, ...]]:
 def referenced_subjects(spec: ValuationSpec) -> tuple[CommuterId, ...]:
     """Owner plus every commuter whose probability the spec reads.
     Excluded clauses never contribute a value, so they are ignored."""
-    subjects = {spec.owner}
-    for clause in spec.clauses:
-        if clause.excluded:
-            continue
-        for gate in clause.gates:
-            subjects.add(gate.subject)
-        for term in clause.terms:
-            for subject, _ in term.factors:
-                subjects.add(subject)
-    return tuple(sorted(subjects))
+    return spec._subjects
 
 
 def is_external_commit_independent(spec: ValuationSpec) -> bool:

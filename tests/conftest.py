@@ -144,13 +144,42 @@ def naive_best_allocation(s, p=None):
     return naive_efficient(s, p)[:2]
 
 
+def reference_sweep(profile, i, mechanism, devs, opponents=()):
+    """Commuter i's first maximal-gain deviation among `devs` against
+    `profile`, or None if none gains, and the number of deviations whose
+    replay raises ExcludedValueError. Each deviation rebuilds the scenario
+    with `with_report`, re-runs `efficient_allocation` and settles through
+    `Mechanism.entry`, sharing nothing with any other deviation."""
+    public_p = mechanism.probabilities(profile)
+    h = 0.0
+    if mechanism.pivot is PivotRule.CLARKE:
+        h = efficient_allocation_excluding(profile, i, p_override=public_p).welfare
+
+    def utility(trip):
+        bent = with_report(profile, i, trip)
+        rep = efficient_allocation(bent, p_override=public_p)
+        return settled_utility(bent, i, rep.allocation, mechanism.entry(bent, h, rep, i))
+
+    u_truth = utility(profile.commuters[i].true_type)
+    found = None
+    excluded = 0
+    for trip in devs:
+        try:
+            u = utility(trip)
+        except ExcludedValueError:
+            excluded += 1
+            continue
+        gain = u - u_truth
+        if gain > (0.0 if found is None else found.gain):
+            found = Witness(i, trip, u_truth, u, gain, opponents)
+    return found, excluded
+
+
 def reference_audit(s, mechanism, space, opponent_space=None):
-    """The audit replayed one deviation at a time: each deviation rebuilds
-    the scenario with `with_report`, re-runs `efficient_allocation` and
-    settles through `Mechanism.entry`, sharing nothing with any other
-    deviation. Same sweep order, tie-breaks and exclusion count as
-    `rideshare.audit`; the opponent grid is swept when `opponent_space` is
-    given (dominant), else everyone else stays truthful (ex post)."""
+    """The audit replayed one deviation at a time by `reference_sweep`.
+    Same sweep order, tie-breaks and exclusion count as `rideshare.audit`;
+    the opponent grid is swept when `opponent_space` is given (dominant),
+    else everyone else stays truthful (ex post)."""
     base = with_truthful_reports(s)
     truth = [c.true_type for c in base.commuters]
     best = None
@@ -163,27 +192,8 @@ def reference_audit(s, mechanism, space, opponent_space=None):
             profile = base
             for j, trip in zip(others, combo):
                 profile = with_report(profile, j, trip)
-            public_p = mechanism.probabilities(profile)
-            h = 0.0
-            if mechanism.pivot is PivotRule.CLARKE:
-                h = efficient_allocation_excluding(profile, i, p_override=public_p).welfare
-
-            def utility(trip):
-                bent = with_report(profile, i, trip)
-                rep = efficient_allocation(bent, p_override=public_p)
-                return settled_utility(bent, i, rep.allocation, mechanism.entry(bent, h, rep, i))
-
-            u_truth = utility(truth[i])
-            found = None
-            for trip in devs:
-                try:
-                    u = utility(trip)
-                except ExcludedValueError:
-                    excluded += 1
-                    continue
-                gain = u - u_truth
-                if gain > (0.0 if found is None else found.gain):
-                    found = Witness(i, trip, u_truth, u, gain, tuple(zip(others, combo)))
+            found, skipped = reference_sweep(profile, i, mechanism, devs, tuple(zip(others, combo)))
+            excluded += skipped
             if found is not None and (best is None or found.gain > best.gain):
                 best = found
     violated = best is not None and best.gain > GAIN_TOLERANCE

@@ -17,8 +17,8 @@ from conftest import (
 )
 from rideshare import allocation
 from rideshare.allocation import (
+    DeviationFrames,
     clarke_reports,
-    deviation_frames,
     efficient_allocation,
     efficient_allocation_excluding,
 )
@@ -348,7 +348,7 @@ def _scorer_against_argmax(s):
     refuse = mock.patch.object(allocation, "_argmax", side_effect=AssertionError("unpruned"))
     for i in range(s.n):
         with refuse:
-            score = deviation_frames(s, i, None)(p[i])
+            score = DeviationFrames(s, i, None)(p[i])
         for scale in (1.0, 0.0, -1.0, 2.0**60):
             own = _rescaled(specs[i], scale)
             with refuse:
@@ -396,7 +396,7 @@ def test_frame_scorer_keeps_a_contender_that_rounds_level_with_a_later_one():
     ), compatible)
     allocations = _feasible(s, None)
     assert len(allocations) == 2
-    score = deviation_frames(s, 0, None)(1.0)
+    score = DeviationFrames(s, 0, None)(1.0)
     rep = score(flat(0, 2.0**54))
     assert rep.allocation is allocations[0]
     assert rep.welfare == 2.0**54
@@ -412,12 +412,42 @@ def test_deviation_frames_score_as_efficient_allocation_of_the_report(s):
     space = DeviationSpace(p_grid=3)
     for public_p in (None, s.true_p()):
         for i, c in enumerate(s.commuters):
-            frames = deviation_frames(s, i, public_p)
+            frames = DeviationFrames(s, i, public_p)
             for trip in deviations_for(c.true_type, space):
                 got = frames(trip.p_commit)(trip.valuation)
                 expected = efficient_allocation(with_report(s, i, trip), p_override=public_p)
                 assert got == expected
                 assert got.allocation is expected.allocation
+
+
+@given(pivot_scenarios(excluding_none=False))
+@settings(max_examples=25, deadline=None)
+def test_outcomes_are_the_allocations_no_report_excludes(s):
+    """Under reported and public probabilities, the outcome pass lists, in
+    walk order, each feasible allocation that no report excludes, with the
+    others' values at those probabilities, i's slot 0.0 and the welfare
+    their exact sum. A frame at i's reported probability, which reuses the
+    pass's tables, scores i's report as the full search does, with the very
+    same floats for the others."""
+    specs = [c.reported_type.valuation for c in s.commuters]
+    for public_p in (None, s.true_p()):
+        p = s.reported_p() if public_p is None else public_p
+        acceptable = [a for a in _feasible(s, None)
+                      if all(evaluate(spec, a, p) is not EXCLUDED for spec in specs)]
+        for i in range(s.n):
+            frames = DeviationFrames(s, i, public_p)
+            outcomes = frames.outcomes()
+            assert [id(rep.allocation) for rep in outcomes] == [id(a) for a in acceptable]
+            for rep in outcomes:
+                values = tuple(0.0 if j == i else evaluate(spec, rep.allocation, p)
+                               for j, spec in enumerate(specs))
+                assert repr((rep.welfare, rep.per_commuter)) == repr((math.fsum(values), values))
+            chosen = frames(s.reported_p()[i])(specs[i])
+            expected = efficient_allocation(s, p_override=public_p)
+            assert chosen == expected and chosen.allocation is expected.allocation
+            others = {id(rep.allocation): rep.per_commuter for rep in outcomes}[id(chosen.allocation)]
+            assert repr(chosen.per_commuter[:i] + chosen.per_commuter[i + 1:]) == repr(
+                others[:i] + others[i + 1:])
 
 
 def _searches_one_by_one(s, p):

@@ -1,11 +1,12 @@
 """Misreport grid search: verdicts, witnesses, and witness replay."""
 
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
 import pytest
-from conftest import reference_audit, small_scenarios
+from conftest import pivot_scenarios, reference_audit, reference_sweep, small_scenarios
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,15 +26,34 @@ from rideshare.audit import (
 )
 import rideshare.allocation as allocation_module
 import rideshare.audit as audit_module
+from rideshare.allocation import DeviationFrames, efficient_allocation, efficient_allocation_excluding
 from rideshare.corpus import by_name, linear_entries
-from rideshare.model import full_compatibility, with_report, with_truthful_reports
+from rideshare.model import (
+    Commuter,
+    Role,
+    Scenario,
+    TripType,
+    full_compatibility,
+    with_report,
+    with_truthful_reports,
+)
 from rideshare.payments import (
     ExcludedValueError,
     commit_payments,
     expected_utility,
     groves_payments,
+    settled_utility,
 )
-from rideshare.valuation import GateDirection, ThresholdGate, referenced_subjects
+from rideshare.valuation import (
+    Clause,
+    GateDirection,
+    Monomial,
+    OutcomePattern,
+    ThresholdGate,
+    ValuationSpec,
+    is_linear_in_commitment,
+    referenced_subjects,
+)
 
 
 def replay_schedule(s, mechanism):
@@ -257,6 +277,107 @@ def test_sweep_matches_the_per_deviation_reference(s, dominant_mechanism):
                 assert by_spec.setdefault(trip.valuation, u) == u, (mechanism, i, trip)
 
 
+def _certified_commuters(s, mechanism, space):
+    """The commuters whose ex-post sweep the certificate clears: those
+    whose deviation grid the audit never builds."""
+    built = []
+    real = audit_module.deviations_for
+
+    def grid(trip, space):
+        built.append(trip)
+        return real(trip, space)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(audit_module, "deviations_for", grid)
+        audit_expost(s, mechanism, space)
+    return [i for i, c in enumerate(s.commuters) if c.true_type not in built]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    s_space=st.one_of(
+        st.tuples(small_scenarios(), st.just(DeviationSpace(p_grid=3))),
+        # their many terms would make the coefficient grid large
+        st.tuples(pivot_scenarios(excluding_none=False).filter(lambda s: s.n <= 4),
+                  st.just(DeviationSpace(p_grid=3, coefficient_scales=(1.0,), gate_toggles=True))),
+    ),
+)
+def test_a_certified_sweep_has_no_gaining_deviation(s_space):
+    """Where the certificate clears commuter i, rebuilding and pricing
+    each of i's deviations afresh finds none that gains."""
+    s, space = s_space
+    base = with_truthful_reports(s)
+    for mechanism in Mechanism:
+        for i in _certified_commuters(base, mechanism, space):
+            devs = deviations_for(base.commuters[i].true_type, space)
+            assert reference_sweep(base, i, mechanism, devs)[0] is None, (mechanism, i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_scenarios())
+def test_commit_payments_leave_no_outcome_worth_misreporting_for(s):
+    """The paper's theorem: under commit payments with valuations linear in
+    each commitment probability, no outcome any report can win settles
+    above truth by more than the gain tolerance."""
+    base = with_truthful_reports(s)
+    assert all(is_linear_in_commitment(c.true_type.valuation) for c in base.commuters)
+    mechanism = Mechanism.COMMIT_BASED
+    truth = efficient_allocation(base)
+    for i in range(base.n):
+        h = efficient_allocation_excluding(base, i).welfare
+        u_truth = settled_utility(base, i, truth.allocation, mechanism.entry(base, h, truth, i))
+        outcomes = DeviationFrames(base, i, None).outcomes()
+        assert any(rep.allocation is truth.allocation for rep in outcomes)
+        best = max(settled_utility(base, i, rep.allocation, mechanism.entry(base, h, rep, i))
+                   for rep in outcomes)
+        assert best - u_truth <= GAIN_TOLERANCE, i
+
+
+def _flat(owner, **values):
+    return ValuationSpec(owner, tuple(
+        Clause(OutcomePattern(Role[role.upper()]), terms=(Monomial(v),))
+        for role, v in values.items()))
+
+
+# (0's drive value, 1's ride value, the deviation space, its scale of 0's
+# drive value that overflows): 1's value is past the certificate's bound;
+# then only 0's rescaled value is, at 2**24 times 2**1000 - 2**947, which
+# is the largest float.
+_SCORING_OVERFLOWS = [
+    (0.4e308, 1e308, DeviationSpace(), 2.0),
+    (2.0**1000 - 2.0**947, 1e300, DeviationSpace(p_grid=2, coefficient_scales=(1.0, 2.0**24)),
+     2.0**24),
+]
+
+
+@pytest.mark.parametrize("drive, ride, space, scale", _SCORING_OVERFLOWS,
+                         ids=["others-past-the-bound", "rescaled-deviator-past-the-bound"])
+def test_the_certificate_leaves_a_scoring_overflow_to_the_grid(drive, ride, space, scale):
+    """0 drives 1 at these values, so truth, its pivots and its settlement
+    are finite, and no outcome pays 0 more than truth. But 0's deviation
+    that rescales the drive value sums past the float range inside the
+    argmax, and the audit still raises that, as scoring each deviation
+    afresh does: such values are past the bound under which the
+    certificate may skip the grid."""
+    s = Scenario((
+        Commuter(0, True, 1, TripType(_flat(0, drive=drive, none=0.0), 0.5)),
+        Commuter(1, False, 0, TripType(_flat(1, ride=ride, none=0.0), 0.5)),
+    ), full_compatibility(2))
+    rescaled = TripType(_flat(0, drive=scale * drive, none=0.0), 0.0)
+    assert rescaled in deviations_for(s.commuters[0].true_type, space)
+    with pytest.raises(OverflowError):
+        efficient_allocation(with_report(s, 0, rescaled))
+    for mechanism in Mechanism:
+        truth = efficient_allocation(s, p_override=mechanism.probabilities(s))
+        h = efficient_allocation_excluding(s, 0).welfare
+        u_truth = settled_utility(s, 0, truth.allocation, mechanism.entry(s, h, truth, 0))
+        assert u_truth == drive + ride
+        with pytest.raises(OverflowError) as expected:
+            reference_audit(s, mechanism, space)
+        with pytest.raises(OverflowError, match=re.escape(str(expected.value))):
+            audit_expost(s, mechanism, space)
+
+
 def test_finer_grid_never_flips_to_clean(corpus_entries):
     """Refining 21 to 41 probability points keeps every violated verdict
     violated, with no smaller maximum gain."""
@@ -424,74 +545,101 @@ def test_suite_reproduces_expected_verdicts():
 
 
 @pytest.mark.parametrize("name", ["linear-pair-own-terms", "linear-trio-two-drivers",
-                                  "linear-trio-constants"])
+                                  "linear-trio-constants", "threshold-gate-pair",
+                                  "quadratic-reliability-pair"])
 @pytest.mark.parametrize("mechanism", Mechanism, ids=lambda m: m.value)
 def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
-    """Per sweep of commuter i, the feasible set is passed over once per
-    frame whose readers (the others whose spec reads p̂_i) changed: once,
-    unless probabilities are private and someone reads p̂_i, then once per
-    p̂_i point. Each distinct (frame, reported valuation) is scored once, by
-    the frame's scorer, never by a full-set argmax. Within the frames, a
-    non-reader is evaluated at most once per distinct assignment per sweep,
-    a reader once per assignment per p̂_i, and i once per assignment per
-    (p̂_i, valuation). Every sweep of the constant trio has no reader, every
-    sweep of the two-driver trio has one, and the pair has one of each."""
+    """A sweep whose certificate holds finds nothing, builds no grid and
+    makes no frame pass or scoring; its outcome pass evaluates each other
+    commuter at most once per distinct assignment. Under Groves with
+    private probabilities, a sweep with a reader runs no outcome pass.
+
+    Any other sweep of commuter i builds i's grid once and passes over the
+    feasible set once per frame whose readers (the others whose spec reads
+    p̂_i) changed: once, unless probabilities are private and someone reads
+    p̂_i, then once per p̂_i point. Each distinct (frame, reported
+    valuation) is scored once, by the frame's scorer, never by a full-set
+    argmax. Within the frames, a non-reader is evaluated at most once per
+    distinct assignment per sweep, and not at all where the outcome pass
+    already did, a reader once per assignment per p̂_i, and i once per
+    assignment per (p̂_i, valuation). Every sweep of the constant trio has
+    no reader, every sweep of the two-driver trio has one, and the pair
+    has one of each. Commit payments certify every sweep of the linear
+    scenarios, and not the deviator's sweep in the gate and quadratic
+    pairs."""
     s = by_name(name)
     specs = [c.true_type.valuation for c in s.commuters]
     sweeps = []
-    inside = False
+    where = None
 
-    def track(fn):
+    def track(fn, place):
         def tracked(*args):
-            nonlocal inside
-            inside = True
+            nonlocal where
+            where = place
             try:
                 return fn(*args)
             finally:
-                inside = False
+                where = None
         return tracked
 
     real_sweep = audit_module._sweep
 
     def sweep(profile, i, *args):
         readers = {j for j, spec in enumerate(specs) if j != i and i in referenced_subjects(spec)}
-        sweeps.append({"i": i, "readers": readers, "passes": 0, "scorings": [],
-                       "evaluations": Counter()})
-        return real_sweep(profile, i, *args)
+        record = {"i": i, "readers": readers, "passes": 0, "scorings": [], "grids": 0,
+                  "evaluations": Counter(), "outcome_evaluations": Counter()}
+        sweeps.append(record)
+        record["found"] = real_sweep(profile, i, *args)
+        return record["found"]
+
+    real_deviations_for = audit_module.deviations_for
+
+    def grid(*args):
+        sweeps[-1]["grids"] += 1
+        return real_deviations_for(*args)
+
+    monkeypatch.setattr(allocation_module.DeviationFrames, "outcomes",
+                        track(allocation_module.DeviationFrames.outcomes, "outcomes"))
 
     real_frame_scorer = allocation_module._frame_scorer
 
     def frame_scorer(*args):
         record = sweeps[-1]
         record["passes"] += 1
-        score = track(real_frame_scorer)(*args)
+        score = track(real_frame_scorer, "frame")(*args)
         p = args[3]
 
         def scoring(spec):
             record["scorings"].append((p[record["i"]], id(spec)))
-            return track(score)(spec)
+            return track(score, "frame")(spec)
         return scoring
 
     real_argmax = allocation_module._argmax
 
     def argmax(*args):
-        assert not inside, "a frame ran the full-set argmax"
+        assert where is None, "a frame ran the full-set argmax"
         return real_argmax(*args)
 
     real_evaluate = allocation_module.evaluate
 
     def evaluate(spec, allocation, p, absent=None):
-        if inside:
+        if where is not None:
             record = sweeps[-1]
             i, j = record["i"], spec.owner
-            if j == i:
-                frame = (p[i], id(spec))
+            assignment = id(allocation.assignments[j])
+            if where == "outcomes":
+                assert j != i
+                record["outcome_evaluations"][j, assignment] += 1
             else:
-                frame = p[i] if j in record["readers"] else None
-            record["evaluations"][j, frame, id(allocation.assignments[j])] += 1
+                if j == i:
+                    frame = (p[i], id(spec))
+                else:
+                    frame = p[i] if j in record["readers"] else None
+                record["evaluations"][j, frame, assignment] += 1
         return real_evaluate(spec, allocation, p, absent)
 
     monkeypatch.setattr(audit_module, "_sweep", sweep)
+    monkeypatch.setattr(audit_module, "deviations_for", grid)
     monkeypatch.setattr(allocation_module, "_frame_scorer", frame_scorer)
     monkeypatch.setattr(allocation_module, "_argmax", argmax)
     monkeypatch.setattr(allocation_module, "evaluate", evaluate)
@@ -499,7 +647,20 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     audit_expost(s, mechanism, space)
     private = mechanism.probabilities(s) is None
     assert [r["i"] for r in sweeps] == list(range(s.n))
+    certified = []
     for record, c in zip(sweeps, s.commuters):
+        if private and record["readers"] and mechanism is not Mechanism.COMMIT_BASED:
+            assert not record["outcome_evaluations"]
+        else:
+            assert record["outcome_evaluations"]
+            assert max(record["outcome_evaluations"].values()) == 1
+        if not record["grids"]:
+            certified.append(record["i"])
+            assert record["found"] is None
+            assert record["passes"] == 0
+            assert record["scorings"] == []
+            continue
+        assert record["grids"] == 1
         devs = deviations_for(c.true_type, space)
         frames = len({t.p_commit for t in devs}) if private and record["readers"] else 1
         assert record["passes"] == frames
@@ -511,3 +672,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
             assert len(scorings) == len({id(t.valuation) for t in devs}) < len(devs)
         assert record["evaluations"]
         assert set(record["evaluations"].values()) == {1}
+        shared = {(j, a) for j, frame, a in record["evaluations"] if frame is None}
+        assert not shared & set(record["outcome_evaluations"])
+    if mechanism is Mechanism.COMMIT_BASED:
+        assert (certified == list(range(s.n))) is name.startswith("linear-")

@@ -120,10 +120,17 @@ def test_audit_dominant_flag(capsys):
     (["--grid", str(MAX_P_GRID + 1)], f"p_grid must be at most {MAX_P_GRID}"),
     (["--notion", "dominant", "--opponent-grid", str(MAX_P_GRID + 1)],
      f"p_grid must be at most {MAX_P_GRID}"),
-], ids=["grid-1", "grid-negative", "opponent-grid-1", "grid-above-cap", "opponent-grid-above-cap"])
+    (["--opponent-grid", "0"], "p_grid must be at least 2"),
+    (["--notion", "expost", "--opponent-grid", "1"], "p_grid must be at least 2"),
+    (["--notion", "expost", "--opponent-grid", str(MAX_P_GRID + 1)],
+     f"p_grid must be at most {MAX_P_GRID}"),
+], ids=["grid-1", "grid-negative", "opponent-grid-1", "grid-above-cap", "opponent-grid-above-cap",
+        "expost-default-opponent-grid-0", "expost-opponent-grid-1",
+        "expost-opponent-grid-above-cap"])
 def test_audit_grid_below_two_is_input_error(capsys, argv, message):
     """A grid below two points, or above the cap, is refused before any
-    deviation is built."""
+    deviation is built, under either notion: an ex-post audit ignores the
+    opponent grid but still checks it."""
     assert cli.main(["audit", PAIR] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

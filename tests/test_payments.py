@@ -1,6 +1,7 @@
 """Groves and commit-based payment schedules plus expected utilities."""
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import overflowing_settlement_scenario, pivot_scenarios
-from rideshare import allocation, cli
+from rideshare import allocation, cli, payments
 from rideshare.allocation import (
     WelfareReport,
     clarke_reports,
@@ -49,6 +50,7 @@ from rideshare.valuation import (
     ValuationSpec,
     evaluate,
     referenced_subjects,
+    substitute,
 )
 
 
@@ -260,6 +262,44 @@ def test_clarke_schedules_evaluate_each_value_once(s):
         assert max(Counter((j, k, id(a)) for j, k, a in calls).values()) == 1
         assert all(k is None or k in subjects[j] for j, k, _ in calls)
         assert {(j, k, id(a)) for j, k, a in calls if k is not None} == reached
+
+
+def _commit_entry_evaluating_everyone(s, h, rep, i):
+    """The commit entry with every other commuter evaluated at p̂_i = 1 and
+    at p̂_i = 0, readers of p̂_i or not."""
+    p = s.reported_p()
+    p_one, p_zero = substitute(p, i, 1.0), substitute(p, i, 0.0)
+    others = [c.reported_type.valuation for j, c in enumerate(s.commuters) if j != i]
+    return Conditional(h - math.fsum(evaluate(spec, rep.allocation, p_one) for spec in others),
+                       h - math.fsum(evaluate(spec, rep.allocation, p_zero) for spec in others))
+
+
+@given(pivot_scenarios(excluding_none=False))
+@settings(max_examples=30, deadline=None)
+def test_commit_entries_evaluate_only_the_readers(s):
+    """A commit schedule's entry for commuter i evaluates only i's readers
+    (the others whose spec reads p̂_i), once at p̂_i = 1 and once at 0, and
+    takes every other value from the efficient report. Its pair is bitwise
+    the one that evaluates everyone at both."""
+    subjects = [referenced_subjects(c.reported_type.valuation) for c in s.commuters]
+    calls = []
+
+    def recording(spec, a, p, absent=None):
+        calls.append((spec.owner, p))
+        return evaluate(spec, a, p, absent)
+
+    with mock.patch.object(payments, "evaluate", recording):
+        schedule = commit_payments(s)
+    p = s.reported_p()
+    assert calls == [(j, substitute(p, i, x))
+                     for i in range(s.n)
+                     for j in range(s.n) if j != i and i in subjects[j]
+                     for x in (1.0, 0.0)]
+    rep = efficient_allocation(s)
+    for i, entry in enumerate(schedule.entries):
+        h = efficient_allocation_excluding(s, i).welfare
+        expected = _commit_entry_evaluating_everyone(s, h, rep, i)
+        assert repr(entry) == repr(expected)
 
 
 _MECHANISMS = [("commit", False), ("groves-clarke", False), ("groves-clarke", True)]
