@@ -112,79 +112,106 @@ def _argmax(
     return WelfareReport(best_allocation, best_welfare, best_values)
 
 
-class DeviationFrames:
-    """Commuter i's misreports on `s`, at `public_p` if given: the outcomes
-    any misreport can reach, and scorers for each misreport.
-    `frames(p_hat)(spec)` returns, or raises, what `efficient_allocation`
-    does on `s` with i reporting `spec` and `p_hat`. Each scored valuation
-    must exclude what i's report in `s` excludes, as each of
-    `deviations_for` does.
+class OutcomeTable:
+    """The reports in `s`, valued at `public_p` if given, else at the
+    reported probabilities: the feasible set, one value table per commuter
+    (entries of `Scored`), and the outcomes, each feasible allocation that
+    no report excludes.
 
-    Only the readers, the others whose spec reads i's probability, read i's
-    report; none does under public probabilities. So the feasible set is
-    fetched once, the others' value tables live as long as the frames, and
-    a new `p_hat` rebuilds the scorer, and the readers' tables if there are
-    any. Scorers read the latest `p_hat`, so each serves until the next call.
+    Every allocation a misreport of commuter i's can win is an outcome, as
+    long as the misreport excludes what i's report in `s` does, as each of
+    `deviations_for` does. The set is the same for every i, so one table
+    serves each commuter's certificate (`outcomes`) and frames
+    (`DeviationFrames`) against the profile `s`. The value tables are
+    shared by all of them and only ever hold values at the table's
+    probabilities, each evaluated at most once per distinct assignment.
     """
 
-    def __init__(self, s: Scenario, i: CommuterId, public_p: Sequence[float] | None) -> None:
+    def __init__(self, s: Scenario, public_p: Sequence[float] | None) -> None:
+        self.allocations = _feasible(s, None)
+        self.present = [_scored(j, c.reported_type.valuation) for j, c in enumerate(s.commuters)]
+        self.p = tuple(s.reported_p() if public_p is None else public_p)
+        self.private = public_p is None
+        self._rows: list[tuple[Allocation, list[float]]] | None = None
+
+    def readers(self, i: CommuterId) -> tuple[CommuterId, ...]:
+        """The others whose report reads i's probability; none under
+        public probabilities, where no report's probability is read."""
+        if not self.private:
+            return ()
+        return tuple(
+            j for j, spec, _, _ in self.present if j != i and i in referenced_subjects(spec))
+
+    def outcomes(self, i: CommuterId) -> list[WelfareReport]:
+        """The outcomes in walk order, each as the report of the others'
+        values at the table's probabilities, i's slot 0.0 and the welfare
+        their exact sum: what a frame's scorer puts in `per_commuter` for
+        the others, except a reader of i's at a reported probability of i's
+        other than the table's. The first call evaluates everyone where
+        `_argmax` would; later calls, for any i, evaluate nothing. Raises
+        what an evaluation raises.
+        """
+        if self._rows is None:
+            rows = []
+            values = [0.0] * len(self.present)
+            for allocation in self.allocations:
+                assignments = allocation.assignments
+                for j, spec, owner, table in self.present:
+                    key = id(assignments[owner])
+                    v = table.get(key)
+                    if v is None:
+                        v = table[key] = evaluate(spec, allocation, self.p, None)
+                    if v is EXCLUDED:
+                        break
+                    values[j] = v
+                else:
+                    rows.append((allocation, values[:]))
+            self._rows = rows
+        out = []
+        for allocation, values in self._rows:
+            row = values[:]
+            row[i] = 0.0
+            out.append(WelfareReport(allocation, math.fsum(row), tuple(row)))
+        return out
+
+
+class DeviationFrames:
+    """Commuter i's misreports against the profile of `table`: scorers
+    for each misreport. `frames(p_hat)(spec)` returns, or raises, what
+    `efficient_allocation` does on the table's scenario, at its public
+    probabilities if any, with i reporting `spec` and `p_hat`. Each scored
+    valuation must exclude what i's report in the scenario excludes, as
+    each of `deviations_for` does.
+
+    Only the readers, the others whose spec reads i's probability, read i's
+    report; none does under public probabilities. So the feasible set and
+    the others' value tables are the table's, and a new `p_hat` rebuilds
+    the scorer, and the readers' tables if there are any. A reader keeps
+    the table's entry only while `p_hat` is i's probability in the table,
+    so the shared tables gain only values at the table's probabilities.
+    Scorers read the latest `p_hat`, so each serves until the next call.
+    """
+
+    def __init__(self, table: OutcomeTable, i: CommuterId) -> None:
         self._i = i
-        self._allocations = _feasible(s, None)
-        self._present = [_scored(j, c.reported_type.valuation) for j, c in enumerate(s.commuters)]
-        self.readers = () if public_p is not None else tuple(
-            j for j, spec, _, _ in self._present if j != i and i in referenced_subjects(spec))
-        self._p = list(s.reported_p() if public_p is None else public_p)
-        self._private = public_p is None
+        self._allocations = table.allocations
+        self._present = list(table.present)
+        self._readers = table.readers(i)
+        self._p = list(table.p)
+        self._private = table.private
         self._score: Callable[[ValuationSpec], WelfareReport] | None = None
 
     def __call__(self, p_hat: float) -> Callable[[ValuationSpec], WelfareReport]:
         p, i = self._p, self._i
-        stale = self.readers and p[i] != p_hat
+        stale = self._readers and p[i] != p_hat
         if self._private:
             p[i] = p_hat
         if stale:
-            for j in self.readers:
+            for j in self._readers:
                 self._present[j] = _scored(j, self._present[j][1])
         if stale or self._score is None:
             self._score = _frame_scorer(self._allocations, self._present, i, p)
         return self._score
-
-    def outcomes(self) -> list[WelfareReport]:
-        """Each feasible allocation that neither i's report in `s` nor any
-        other report excludes, in walk order: every allocation a misreport
-        can win. Each comes as the report of the others' values at the
-        frames' probabilities, i's slot 0.0 and the welfare their exact sum:
-        the values a scorer puts in `per_commuter`, from the same tables, so
-        each other commuter is evaluated at most once per distinct
-        assignment across this pass and the frames. A reader's value is the
-        one at the last `p_hat`, or at i's report in `s` before any. Raises
-        what an evaluation raises.
-        """
-        i = self._i
-        _, spec, owner, _ = self._present[i]
-        others = [entry for entry in self._present if entry[0] != i]
-        kept: dict[int, bool] = {}
-        out = []
-        for allocation in self._allocations:
-            assignments = allocation.assignments
-            mine = assignments[owner]
-            ok = kept.get(id(mine))
-            if ok is None:
-                ok = kept[id(mine)] = not excludes(spec, mine)
-            if not ok:
-                continue
-            values = [0.0] * len(self._present)
-            for j, other, other_owner, table in others:
-                key = id(assignments[other_owner])
-                v = table.get(key)
-                if v is None:
-                    v = table[key] = evaluate(other, allocation, self._p, None)
-                if v is EXCLUDED:
-                    break
-                values[j] = v
-            else:
-                out.append(WelfareReport(allocation, math.fsum(values), tuple(values)))
-        return out
 
 
 def _frame_scorer(

@@ -16,15 +16,19 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Sequence
 
 from .allocation import (
     DeviationFrames,
+    OutcomeTable,
+    WelfareReport,
     bounded,
+    clarke_reports,
     efficient_allocation,
     efficient_allocation_excluding,
 )
 from .model import CommuterId, Scenario, TripType, with_report, with_truthful_reports
-from .payments import Mechanism, PivotRule, settled_utility
+from .payments import Evaluations, Mechanism, PivotRule, settled_utility
 from .valuation import GateDirection, Monomial, ThresholdGate, ValuationSpec
 
 GAIN_TOLERANCE = 1e-9
@@ -184,6 +188,36 @@ def deviations_for(trip: TripType, space: DeviationSpace) -> list[TripType]:
     return [TripType(spec, p_hat) for p_hat in points for variants in variant_lists for spec in variants]
 
 
+@dataclass(frozen=True)
+class _Pricing:
+    """A profile's efficient report, every commuter's pivot term and its
+    `OutcomeTable`, at the probabilities the mechanism reads."""
+
+    truth: WelfareReport
+    pivots: Sequence[float]
+    table: OutcomeTable
+
+
+def _priced(profile: Scenario, mechanism: Mechanism) -> _Pricing | None:
+    """`profile`'s pricing from one search: `clarke_reports` under the
+    Clarke pivot, else `efficient_allocation`, the search each sweep would
+    run first, so it raises what the first sweep would. The Clarke pass
+    evaluates in another order than the searches one at a time, so where
+    it raises anything, an overflow, no acceptable allocation, or an error
+    of malformed input, this returns None: each sweep then runs its own
+    searches and raises what they raise first."""
+    public_p = mechanism.probabilities(profile)
+    if mechanism.pivot is PivotRule.ZERO:
+        truth = efficient_allocation(profile, p_override=public_p)
+        pivots: Sequence[float] = (0.0,) * profile.n
+    else:
+        try:
+            truth, pivots = clarke_reports(profile, public_p)
+        except Exception:
+            return None
+    return _Pricing(truth, pivots, OutcomeTable(profile, public_p))
+
+
 def _sweep(
     profile: Scenario,
     i: CommuterId,
@@ -191,24 +225,37 @@ def _sweep(
     space: DeviationSpace,
     devs: list[TripType] | None,
     opponents: tuple[tuple[CommuterId, TripType], ...],
+    pricing: _Pricing | None,
 ) -> Witness | None:
     """Commuter i's first maximal-gain deviation in `space` against
     `profile`, if any gains, as pricing each deviation afresh would find.
     `devs` is i's grid, or None to build it only if the sweep scores it.
+    `pricing` is `profile`'s, shared by the sweeps of an ex-post audit, or
+    None to run i's pivot search and the truthful search here.
 
     Where i's utility is fixed by the chosen allocation, the sweep first
-    settles i on every outcome a report can win (`_certified`); when none
-    beats truth, no deviation gains and the sweep returns None without
-    building or scoring the grid. Otherwise each new p̂_i starts a frame of
-    `DeviationFrames` under private probabilities; one frame serves all
-    under public ones. Utilities are kept per reported valuation per frame,
-    and per outcome per sweep where the outcome fixes them, else per frame.
+    settles i on every outcome of the pricing's table (`_certified`); when
+    none beats truth, no deviation gains and the sweep returns None without
+    building or scoring the grid or starting a frame. Otherwise each new
+    p̂_i starts a frame of `DeviationFrames` under private probabilities;
+    one frame serves all under public ones. Utilities are kept per reported
+    valuation per frame, and per outcome per sweep where the outcome fixes
+    them, else per frame. Every settlement evaluates through one memo per
+    sweep, so i's true spec and each reader are evaluated once per
+    assignment at each probability vector they are settled at.
     """
     public_p = mechanism.probabilities(profile)
-    # the pivot never reads i's report, so it is fixed per profile
-    h = 0.0
-    if mechanism.pivot is PivotRule.CLARKE:
-        h = efficient_allocation_excluding(profile, i, p_override=public_p).welfare
+    if pricing is None:
+        # the pivot never reads i's report, so it is fixed per profile
+        h = 0.0
+        if mechanism.pivot is PivotRule.CLARKE:
+            h = efficient_allocation_excluding(profile, i, p_override=public_p).welfare
+        truth = efficient_allocation(profile, p_override=public_p)
+        table = OutcomeTable(profile, public_p)
+    else:
+        h = pricing.pivots[i]
+        truth = pricing.truth
+        table = pricing.table
     # Entries and settled utilities may read `profile` in place of the
     # deviated scenario: a commit entry reads the reported probabilities
     # only with p̂_i replaced by 1 and by 0, a Groves entry reads only `h`
@@ -216,16 +263,17 @@ def _sweep(
     # only true types. So i's utility is fixed by the chosen allocation
     # under commit, and under Groves when nobody's value reads p̂_i: under
     # public probabilities, or when no other spec reads i's.
-    truth = efficient_allocation(profile, p_override=public_p)
-    u_truth = settled_utility(profile, i, truth.allocation, mechanism.entry(profile, h, truth, i))
-    frames = DeviationFrames(profile, i, public_p)
-    by_outcome = mechanism is Mechanism.COMMIT_BASED or not frames.readers
-    # Memos key on ids, kept alive by `frames` and `devs`.
+    memo = Evaluations()
+    u_truth = settled_utility(
+        profile, i, truth.allocation, mechanism.entry(profile, h, truth, i, memo), memo)
+    by_outcome = mechanism is Mechanism.COMMIT_BASED or not table.readers(i)
+    # Memos key on ids, kept alive by `table` and `devs`.
     settled: dict[int, float] = {}
-    if by_outcome and _certified(profile, i, mechanism, space, h, u_truth, frames, settled):
+    if by_outcome and _certified(profile, i, mechanism, space, h, u_truth, table, settled, memo):
         return None
     if devs is None:
         devs = deviations_for(profile.commuters[i].true_type, space)
+    frames = DeviationFrames(table, i)
     p_hat = utilities = score = None
     best: Witness | None = None
     for trip in devs:
@@ -240,8 +288,8 @@ def _sweep(
             rep = score(trip.valuation)
             outcome = id(rep.allocation)
             if outcome not in settled:
-                entry = mechanism.entry(profile, h, rep, i)
-                settled[outcome] = settled_utility(profile, i, rep.allocation, entry)
+                entry = mechanism.entry(profile, h, rep, i, memo)
+                settled[outcome] = settled_utility(profile, i, rep.allocation, entry, memo)
             utilities[spec_id] = settled[outcome]
         u = utilities[spec_id]
         gain = u - u_truth
@@ -257,13 +305,15 @@ def _certified(
     space: DeviationSpace,
     h: float,
     u_truth: float,
-    frames: DeviationFrames,
+    table: OutcomeTable,
     settled: dict[int, float],
+    memo: Evaluations,
 ) -> bool:
     """True when i, whose utility the chosen allocation fixes, gains
     nothing (`U(a) - u_truth <= 0.0`) on any outcome `a` of
-    `frames.outcomes()`, and no scoring of i's grid in `space` could raise.
-    Each outcome settled is filed in `settled` under the allocation's id.
+    `table.outcomes(i)`, and no scoring of i's grid in `space` could raise.
+    Each outcome settled, through `memo`, is filed in `settled` under the
+    allocation's id.
 
     Every report i can make wins one of those outcomes (the taxation
     principle), so then no deviation gains. A scoring raises only on an
@@ -279,9 +329,10 @@ def _certified(
                 and all(bounded(c.reported_type.valuation)
                         for j, c in enumerate(commuters) if j != i)):
             return False
-        for rep in frames.outcomes():
-            entry = mechanism.entry(profile, h, rep, i)
-            u = settled[id(rep.allocation)] = settled_utility(profile, i, rep.allocation, entry)
+        for rep in table.outcomes(i):
+            entry = mechanism.entry(profile, h, rep, i, memo)
+            u = settled[id(rep.allocation)] = settled_utility(
+                profile, i, rep.allocation, entry, memo)
             if u - u_truth > 0.0:
                 return False
     except Exception:
@@ -313,8 +364,10 @@ def _audit(
     given, against each opponent profile: the truthful one alone for
     ex-post (`grids` None), else the product of the others' `grids`,
     truthful first. Ties keep the lowest commuter, then the first profile,
-    then the first deviation."""
+    then the first deviation. Ex post, every sweep shares the truthful
+    profile's pricing; a dominant sweep prices its own profile."""
     base = with_truthful_reports(s)
+    pricing = _priced(base, mechanism) if grids is None else None
     best: Witness | None = None
     for i in range(base.n):
         own = None if devs is None else devs[i]
@@ -323,7 +376,7 @@ def _audit(
             profile = base
             for j, trip in zip(others, combo):
                 profile = with_report(profile, j, trip)
-            found = _sweep(profile, i, mechanism, space, own, tuple(zip(others, combo)))
+            found = _sweep(profile, i, mechanism, space, own, tuple(zip(others, combo)), pricing)
             if found is not None and (best is None or found.gain > best.gain):
                 best = found
     violated = best is not None and best.gain > GAIN_TOLERANCE
@@ -343,7 +396,9 @@ def audit_expost(
     """Hold everyone else truthful and sweep each commuter's misreports.
     Returns the maximal-gain witness when any beats truth by more than
     the gain tolerance. Ties keep the lowest commuter id, then the first
-    deviation in grid order. A commuter's grid is built and scored only
+    deviation in grid order. Every sweep runs against the truthful
+    profile, so it is priced once (`_priced`), and one `OutcomeTable`
+    serves every commuter. A commuter's grid is built and scored only
     when a one-pass certificate over the outcomes their reports can win
     does not already rule out every gain."""
     return _audit(s, mechanism, space, None, None, None)

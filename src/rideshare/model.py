@@ -170,10 +170,15 @@ def validate_scenario(s: Scenario) -> list[str]:
             out.append(f"commuter {k}: negative seat_capacity {c.seat_capacity}")
         if not c.has_vehicle and c.seat_capacity != 0:
             out.append(f"commuter {k}: seat_capacity {c.seat_capacity} without a vehicle")
+        truth = c.true_type.valuation
+        true_lines = spec_violations(truth, n, expected_owner=k)
         for label, trip in (("true", c.true_type), ("reported", c.reported_type)):
             if not 0.0 <= trip.p_commit <= 1.0:
                 out.append(f"commuter {k}: {label} p_commit {trip.p_commit} outside [0, 1]")
-            for v in spec_violations(trip.valuation, n, expected_owner=k):
+            # a report of the true valuation object repeats its lines
+            lines = (true_lines if trip.valuation is truth
+                     else spec_violations(trip.valuation, n, expected_owner=k))
+            for v in lines:
                 out.append(f"commuter {k} {label} valuation: {v}")
     if len(s.compatibility) != n or any(len(row) != n for row in s.compatibility):
         out.append(f"compatibility matrix is not {n}x{n}")

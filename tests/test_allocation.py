@@ -18,6 +18,7 @@ from conftest import (
 from rideshare import allocation
 from rideshare.allocation import (
     DeviationFrames,
+    OutcomeTable,
     clarke_reports,
     efficient_allocation,
     efficient_allocation_excluding,
@@ -348,7 +349,7 @@ def _scorer_against_argmax(s):
     refuse = mock.patch.object(allocation, "_argmax", side_effect=AssertionError("unpruned"))
     for i in range(s.n):
         with refuse:
-            score = DeviationFrames(s, i, None)(p[i])
+            score = DeviationFrames(OutcomeTable(s, None), i)(p[i])
         for scale in (1.0, 0.0, -1.0, 2.0**60):
             own = _rescaled(specs[i], scale)
             with refuse:
@@ -396,7 +397,7 @@ def test_frame_scorer_keeps_a_contender_that_rounds_level_with_a_later_one():
     ), compatible)
     allocations = _feasible(s, None)
     assert len(allocations) == 2
-    score = DeviationFrames(s, 0, None)(1.0)
+    score = DeviationFrames(OutcomeTable(s, None), 0)(1.0)
     rep = score(flat(0, 2.0**54))
     assert rep.allocation is allocations[0]
     assert rep.welfare == 2.0**54
@@ -412,7 +413,7 @@ def test_deviation_frames_score_as_efficient_allocation_of_the_report(s):
     space = DeviationSpace(p_grid=3)
     for public_p in (None, s.true_p()):
         for i, c in enumerate(s.commuters):
-            frames = DeviationFrames(s, i, public_p)
+            frames = DeviationFrames(OutcomeTable(s, public_p), i)
             for trip in deviations_for(c.true_type, space):
                 got = frames(trip.p_commit)(trip.valuation)
                 expected = efficient_allocation(with_report(s, i, trip), p_override=public_p)
@@ -423,20 +424,21 @@ def test_deviation_frames_score_as_efficient_allocation_of_the_report(s):
 @given(pivot_scenarios(excluding_none=False))
 @settings(max_examples=25, deadline=None)
 def test_outcomes_are_the_allocations_no_report_excludes(s):
-    """Under reported and public probabilities, the outcome pass lists, in
-    walk order, each feasible allocation that no report excludes, with the
-    others' values at those probabilities, i's slot 0.0 and the welfare
-    their exact sum. A frame at i's reported probability, which reuses the
-    pass's tables, scores i's report as the full search does, with the very
-    same floats for the others."""
+    """Under reported and public probabilities, one table lists for every
+    i, in walk order, each feasible allocation that no report excludes,
+    with the others' values at those probabilities, i's slot 0.0 and the
+    welfare their exact sum. A frame on that table at i's reported
+    probability, which reuses its value tables, scores i's report as the
+    full search does, with the very same floats for the others."""
     specs = [c.reported_type.valuation for c in s.commuters]
     for public_p in (None, s.true_p()):
         p = s.reported_p() if public_p is None else public_p
         acceptable = [a for a in _feasible(s, None)
                       if all(evaluate(spec, a, p) is not EXCLUDED for spec in specs)]
+        table = OutcomeTable(s, public_p)
         for i in range(s.n):
-            frames = DeviationFrames(s, i, public_p)
-            outcomes = frames.outcomes()
+            outcomes = table.outcomes(i)
+            frames = DeviationFrames(table, i)
             assert [id(rep.allocation) for rep in outcomes] == [id(a) for a in acceptable]
             for rep in outcomes:
                 values = tuple(0.0 if j == i else evaluate(spec, rep.allocation, p)

@@ -26,7 +26,13 @@ from rideshare.audit import (
 )
 import rideshare.allocation as allocation_module
 import rideshare.audit as audit_module
-from rideshare.allocation import DeviationFrames, efficient_allocation, efficient_allocation_excluding
+import rideshare.payments as payments_module
+from rideshare.allocation import (
+    OutcomeTable,
+    clarke_reports,
+    efficient_allocation,
+    efficient_allocation_excluding,
+)
 from rideshare.corpus import by_name, linear_entries
 from rideshare.model import (
     Commuter,
@@ -39,6 +45,7 @@ from rideshare.model import (
 )
 from rideshare.payments import (
     ExcludedValueError,
+    PivotRule,
     commit_payments,
     expected_utility,
     groves_payments,
@@ -326,7 +333,7 @@ def test_commit_payments_leave_no_outcome_worth_misreporting_for(s):
     for i in range(base.n):
         h = efficient_allocation_excluding(base, i).welfare
         u_truth = settled_utility(base, i, truth.allocation, mechanism.entry(base, h, truth, i))
-        outcomes = DeviationFrames(base, i, None).outcomes()
+        outcomes = OutcomeTable(base, None).outcomes(i)
         assert any(rep.allocation is truth.allocation for rep in outcomes)
         best = max(settled_utility(base, i, rep.allocation, mechanism.entry(base, h, rep, i))
                    for rep in outcomes)
@@ -376,6 +383,42 @@ def test_the_certificate_leaves_a_scoring_overflow_to_the_grid(drive, ride, spac
             reference_audit(s, mechanism, space)
         with pytest.raises(OverflowError, match=re.escape(str(expected.value))):
             audit_expost(s, mechanism, space)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_scenarios())
+def test_expost_audit_matches_the_reference_under_every_mechanism(s):
+    """One pricing pass, one outcome table and memoised settlements per
+    ex-post audit change no report field, to the bit: each equals the
+    replay that prices every deviation afresh, from its own searches."""
+    space = DeviationSpace(p_grid=3, coefficient_scales=(0.0, 1.0, 2.0))
+    for mechanism in Mechanism:
+        assert repr(audit_expost(s, mechanism, space)) == repr(reference_audit(s, mechanism, space))
+
+
+def test_an_expost_audit_raises_what_the_searches_one_by_one_raise():
+    """0 drives 1 at a value past the float range, and 1 excludes
+    travelling alone. The one pricing pass overflows on 0's value, while
+    the searches one at a time first find no acceptable allocation without
+    0 under the Clarke pivot, and overflow under the zero pivot. The audit
+    raises what the searches one at a time raise first."""
+    drive = Clause(OutcomePattern(Role.DRIVE), terms=(Monomial(1e308), Monomial(1e308)))
+    ride = Clause(OutcomePattern(Role.RIDE), terms=(Monomial(1.0),))
+    alone = Clause(OutcomePattern(Role.NONE), excluded=True)
+    s = Scenario((
+        Commuter(0, True, 1, TripType(ValuationSpec(0, (drive,)), 0.5)),
+        Commuter(1, False, 0, TripType(ValuationSpec(1, (ride, alone)), 0.5)),
+    ), full_compatibility(2))
+    with pytest.raises(OverflowError):
+        clarke_reports(s)
+    raised = set()
+    for mechanism in Mechanism:
+        with pytest.raises(Exception) as expected:
+            reference_audit(s, mechanism, DeviationSpace())
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            audit_expost(s, mechanism, DeviationSpace())
+        raised.add(type(expected.value))
+    assert raised == {OverflowError, RuntimeError}
 
 
 def test_finer_grid_never_flips_to_clean(corpus_entries):
@@ -549,10 +592,18 @@ def test_suite_reproduces_expected_verdicts():
                                   "quadratic-reliability-pair"])
 @pytest.mark.parametrize("mechanism", Mechanism, ids=lambda m: m.value)
 def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
-    """A sweep whose certificate holds finds nothing, builds no grid and
-    makes no frame pass or scoring; its outcome pass evaluates each other
-    commuter at most once per distinct assignment. Under Groves with
-    private probabilities, a sweep with a reader runs no outcome pass.
+    """An ex-post audit prices the truthful profile once: one
+    `clarke_reports` pass under the Clarke pivot, else one
+    `efficient_allocation`, and no pivot search of its own. It builds one
+    outcome table, whose outcome pass evaluates each commuter at most once
+    per distinct assignment for all commuters' certificates. Each sweep
+    settles through one memo, so it evaluates a spec at most once per
+    (probability vector, assignment).
+
+    A sweep whose certificate holds finds nothing, builds no grid and
+    makes no frame pass or scoring. Under Groves with private
+    probabilities, a sweep with a reader reads no outcomes; every other
+    sweep reads them once.
 
     Any other sweep of commuter i builds i's grid once and passes over the
     feasible set once per frame whose readers (the others whose spec reads
@@ -560,7 +611,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     p̂_i, then once per p̂_i point. Each distinct (frame, reported
     valuation) is scored once, by the frame's scorer, never by a full-set
     argmax. Within the frames, a non-reader is evaluated at most once per
-    distinct assignment per sweep, and not at all where the outcome pass
+    distinct assignment per audit, and not at all where the outcome pass
     already did, a reader once per assignment per p̂_i, and i once per
     assignment per (p̂_i, valuation). Every sweep of the constant trio has
     no reader, every sweep of the two-driver trio has one, and the pair
@@ -570,6 +621,8 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     s = by_name(name)
     specs = [c.true_type.valuation for c in s.commuters]
     sweeps = []
+    calls = Counter()
+    outcome_evaluations = Counter()
     where = None
 
     def track(fn, place):
@@ -582,12 +635,21 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
                 where = None
         return tracked
 
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit ran a pivot search of its own")
+
     real_sweep = audit_module._sweep
 
     def sweep(profile, i, *args):
         readers = {j for j, spec in enumerate(specs) if j != i and i in referenced_subjects(spec)}
         record = {"i": i, "readers": readers, "passes": 0, "scorings": [], "grids": 0,
-                  "evaluations": Counter(), "outcome_evaluations": Counter()}
+                  "outcome_reads": 0, "evaluations": Counter(), "settlements": Counter()}
         sweeps.append(record)
         record["found"] = real_sweep(profile, i, *args)
         return record["found"]
@@ -598,8 +660,11 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         sweeps[-1]["grids"] += 1
         return real_deviations_for(*args)
 
-    monkeypatch.setattr(allocation_module.DeviationFrames, "outcomes",
-                        track(allocation_module.DeviationFrames.outcomes, "outcomes"))
+    real_outcomes = allocation_module.OutcomeTable.outcomes
+
+    def outcomes(table, i):
+        sweeps[-1]["outcome_reads"] += 1
+        return track(real_outcomes, "outcomes")(table, i)
 
     real_frame_scorer = allocation_module._frame_scorer
 
@@ -628,8 +693,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
             i, j = record["i"], spec.owner
             assignment = id(allocation.assignments[j])
             if where == "outcomes":
-                assert j != i
-                record["outcome_evaluations"][j, assignment] += 1
+                outcome_evaluations[j, assignment] += 1
             else:
                 if j == i:
                     frame = (p[i], id(spec))
@@ -638,22 +702,48 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
                 record["evaluations"][j, frame, assignment] += 1
         return real_evaluate(spec, allocation, p, absent)
 
+    real_settle_evaluate = payments_module.evaluate
+
+    def settle_evaluate(spec, allocation, p, absent=None):
+        key = (spec.owner, id(spec), tuple(p), id(allocation.assignments[spec.owner]))
+        sweeps[-1]["settlements"][key] += 1
+        return real_settle_evaluate(spec, allocation, p, absent)
+
+    class Table(allocation_module.OutcomeTable):
+        def __init__(self, *args):
+            calls["tables"] += 1
+            super().__init__(*args)
+
     monkeypatch.setattr(audit_module, "_sweep", sweep)
     monkeypatch.setattr(audit_module, "deviations_for", grid)
+    monkeypatch.setattr(audit_module, "OutcomeTable", Table)
+    monkeypatch.setattr(audit_module, "clarke_reports",
+                        counted(audit_module.clarke_reports, "clarke"))
+    monkeypatch.setattr(audit_module, "efficient_allocation",
+                        counted(audit_module.efficient_allocation, "efficient"))
+    monkeypatch.setattr(audit_module, "efficient_allocation_excluding", refuse)
+    monkeypatch.setattr(allocation_module.OutcomeTable, "outcomes", outcomes)
     monkeypatch.setattr(allocation_module, "_frame_scorer", frame_scorer)
     monkeypatch.setattr(allocation_module, "_argmax", argmax)
     monkeypatch.setattr(allocation_module, "evaluate", evaluate)
+    monkeypatch.setattr(payments_module, "evaluate", settle_evaluate)
     space = DeviationSpace()
     audit_expost(s, mechanism, space)
     private = mechanism.probabilities(s) is None
+    clarke = mechanism.pivot is PivotRule.CLARKE
+    assert calls == {"clarke" if clarke else "efficient": 1, "tables": 1}
     assert [r["i"] for r in sweeps] == list(range(s.n))
+    assert bool(outcome_evaluations) == any(r["outcome_reads"] for r in sweeps)
+    assert set(outcome_evaluations.values()) <= {1}
+    frame_shared = Counter()
     certified = []
     for record, c in zip(sweeps, s.commuters):
+        assert record["settlements"]
+        assert set(record["settlements"].values()) == {1}
         if private and record["readers"] and mechanism is not Mechanism.COMMIT_BASED:
-            assert not record["outcome_evaluations"]
+            assert record["outcome_reads"] == 0
         else:
-            assert record["outcome_evaluations"]
-            assert max(record["outcome_evaluations"].values()) == 1
+            assert record["outcome_reads"] == 1
         if not record["grids"]:
             certified.append(record["i"])
             assert record["found"] is None
@@ -672,7 +762,8 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
             assert len(scorings) == len({id(t.valuation) for t in devs}) < len(devs)
         assert record["evaluations"]
         assert set(record["evaluations"].values()) == {1}
-        shared = {(j, a) for j, frame, a in record["evaluations"] if frame is None}
-        assert not shared & set(record["outcome_evaluations"])
+        frame_shared.update((j, a) for j, frame, a in record["evaluations"] if frame is None)
+    assert not frame_shared or set(frame_shared.values()) == {1}
+    assert not set(frame_shared) & set(outcome_evaluations)
     if mechanism is Mechanism.COMMIT_BASED:
         assert (certified == list(range(s.n))) is name.startswith("linear-")

@@ -1,7 +1,9 @@
 """Scenario validation and feasible allocation enumeration."""
 
 import itertools
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,8 @@ from rideshare.model import (
     with_report,
     with_truthful_reports,
 )
+from rideshare.scenario_io import parse_scenario_text
+from rideshare.valuation import GateDirection, ThresholdGate
 
 
 def test_corpus_scenarios_validate(corpus_entries):
@@ -86,6 +90,43 @@ def test_validation_builds_assignments_linear_in_n(monkeypatch):
     monkeypatch.setattr(Assignment, "__init__", counting)
     assert validate_scenario(s) == []
     assert built <= n
+
+
+def test_validation_checks_a_shared_report_once(monkeypatch):
+    """A commuter with no separate report, as a file that omits
+    `reported_type` parses, has one valuation object for both types: it is
+    checked once and its lines are listed under both labels."""
+    from rideshare import valuation
+
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "linear-pair-profitable.json"
+    s = parse_scenario_text(path.read_text(encoding="utf-8"))
+    assert all(c.reported_type is c.true_type for c in s.commuters)
+    c0, c1 = s.commuters
+    clause = c0.true_type.valuation.clauses[0]
+    gate = ThresholdGate(1, 1.5, GateDirection.AT_LEAST)
+    bad = replace(c0.true_type.valuation, default_value=math.inf,
+                  clauses=(replace(clause, gates=(gate,)),) + c0.true_type.valuation.clauses[1:])
+    c0 = replace(c0, true_type=replace(c0.true_type, valuation=bad, p_commit=2.0),
+                 reported_type=None)
+    s = replace(s, commuters=(c0, c1))
+    assert c0.reported_type is c0.true_type
+    real = valuation.spec_violations
+    checked = []
+
+    def spec_violations(spec, *args, **kwargs):
+        checked.append(spec.owner)
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(valuation, "spec_violations", spec_violations)
+    assert validate_scenario(s) == [
+        "commuter 0: true p_commit 2.0 outside [0, 1]",
+        "commuter 0 true valuation: default value inf is not finite",
+        "commuter 0 true valuation: clause 0: gate bound 1.5 outside [0, 1]",
+        "commuter 0: reported p_commit 2.0 outside [0, 1]",
+        "commuter 0 reported valuation: default value inf is not finite",
+        "commuter 0 reported valuation: clause 0: gate bound 1.5 outside [0, 1]",
+    ]
+    assert checked == [0, 1]
 
 
 def test_solo_commuter_has_single_allocation():
