@@ -82,10 +82,10 @@ def _argmax(
     is the exact sum of the values in commuter order. Tables fill lazily:
     an allocation is dropped at its first excluded commuter, before anyone
     after them is evaluated. A caller may pass the same entry to later calls
-    with the same `absent` and spec for that commuter, and with the same
-    values of the probabilities that spec reads (its `referenced_subjects`),
-    and so reuse its values, but only while the allocations that filled it
-    are alive.
+    with the same spec for that commuter, the same values of the
+    probabilities that spec reads (its `referenced_subjects`), and an
+    `absent` that is the same or that the spec does not read, and so reuse
+    its values, but only while the allocations that filled it are alive.
     """
     values = [0.0] * len(p)
     best_allocation = None
@@ -113,26 +113,62 @@ def _argmax(
 
 
 class OutcomeTable:
-    """The reports in `s`, valued at `public_p` if given, else at the
-    reported probabilities: the feasible set, one value table per commuter
-    (entries of `Scored`), and the outcomes, each feasible allocation that
-    no report excludes.
+    """The reports in `scenario`, valued at `public_p` if given, else at the
+    reported probabilities: the one priced view of the profile. It holds
+    the feasible set, each commuter's pivot set, and one value table per
+    commuter (entries of `Scored`), and lazily searches the efficient
+    report (`truth`), each Clarke pivot's welfare (`pivot`) and the
+    outcomes, each feasible allocation that no report excludes.
+
+    The value tables hold values with nobody absent, at the table's
+    probabilities, each evaluated at most once per distinct assignment, and
+    are shared by every search and reader of the table. A memo hit only
+    stands in for an evaluation that has returned, so each search
+    evaluates, and raises, in the order of the same search run from
+    scratch.
 
     Every allocation a misreport of commuter i's can win is an outcome, as
-    long as the misreport excludes what i's report in `s` does, as each of
+    long as the misreport excludes what i's report excludes, as each of
     `deviations_for` does. The set is the same for every i, so one table
     serves each commuter's certificate (`outcomes`) and frames
-    (`DeviationFrames`) against the profile `s`. The value tables are
-    shared by all of them and only ever hold values at the table's
-    probabilities, each evaluated at most once per distinct assignment.
+    (`DeviationFrames`) against the profile.
     """
 
-    def __init__(self, s: Scenario, public_p: Sequence[float] | None) -> None:
+    def __init__(self, scenario: Scenario, public_p: Sequence[float] | None) -> None:
+        s = self.scenario = scenario
         self.allocations = _feasible(s, None)
+        # Fetched now: `_walk` keeps one structure, and a pivot set fetched
+        # after another was walked would hold new assignment objects, which
+        # miss every entry of the tables.
+        self._pivot_sets = [_feasible(s, k) for k in range(s.n)]
         self.present = [_scored(j, c.reported_type.valuation) for j, c in enumerate(s.commuters)]
         self.p = tuple(s.reported_p() if public_p is None else public_p)
         self.private = public_p is None
+        self._truth: WelfareReport | None = None
+        self._pivots: dict[CommuterId, float] = {}
         self._rows: list[tuple[Allocation, list[float]]] | None = None
+
+    def truth(self) -> WelfareReport:
+        """What `efficient_allocation` returns, or raises, on the scenario
+        at the table's probabilities; searched once."""
+        if self._truth is None:
+            self._truth = _argmax(self.allocations, self.present, self.p, None)
+        return self._truth
+
+    def pivot(self, k: CommuterId) -> float:
+        """The welfare `efficient_allocation_excluding(scenario, k)` returns
+        at the table's probabilities, or what it raises; searched once per
+        k. Only k's readers, the others whose spec reads k's probability,
+        value anything differently with k absent, so they alone get fresh
+        tables; everyone else's values are the shared tables' floats."""
+        h = self._pivots.get(k)
+        if h is None:
+            entries = [
+                _scored(j, spec) if k in referenced_subjects(spec) else (j, spec, owner, table)
+                for j, spec, owner, table in self.present if j != k
+            ]
+            h = self._pivots[k] = _argmax(self._pivot_sets[k], entries, self.p, k).welfare
+        return h
 
     def readers(self, i: CommuterId) -> tuple[CommuterId, ...]:
         """The others whose report reads i's probability; none under
@@ -147,9 +183,9 @@ class OutcomeTable:
         values at the table's probabilities, i's slot 0.0 and the welfare
         their exact sum: what a frame's scorer puts in `per_commuter` for
         the others, except a reader of i's at a reported probability of i's
-        other than the table's. The first call evaluates everyone where
-        `_argmax` would; later calls, for any i, evaluate nothing. Raises
-        what an evaluation raises.
+        other than the table's. The first call reads everyone where `truth`
+        does, evaluating only what that search has not; later calls, for
+        any i, evaluate nothing. Raises what an evaluation raises.
         """
         if self._rows is None:
             rows = []
@@ -319,99 +355,3 @@ def efficient_allocation_excluding(
     and contributes no value. Factors reading i's probability evaluate to
     zero and gates on i fail, as if i were not part of the scenario."""
     return efficient_allocation(s, p_override=p_override, absent=i)
-
-
-def clarke_reports(
-    s: Scenario, p_override: Sequence[float] | None = None
-) -> tuple[WelfareReport, tuple[float, ...]]:
-    """`efficient_allocation(s, p_override=p_override)` and, for each
-    commuter k, the welfare of `efficient_allocation_excluding(s, k,
-    p_override=p_override)`: the same floats from one pass over the
-    feasible set. Raises OverflowError or RuntimeError where one of those
-    searches would, though not necessarily the same one first.
-
-    Pivot k's feasible set is a subsequence of the full one, read by a
-    cursor as the pass reaches its allocations. There pivot k scores the
-    row of values with slot k at 0.0, up to its first excluded commuter
-    other than k. Exclusion reads no probability, and a commuter's value
-    changes with k absent only if their spec reads k's probability. So
-    only k's readers (in `referenced_subjects`) are evaluated with k
-    absent, in a table per pivot, on exactly the allocations pivot k's own
-    search evaluates them on, up to and including that first excluded
-    commuter; everyone else's values come from the one table per commuter
-    with nobody absent, each evaluated at most once per distinct
-    assignment.
-    """
-    p = tuple(p_override) if p_override is not None else s.reported_p()
-    n = s.n
-    present = [_scored(j, c.reported_type.valuation) for j, c in enumerate(s.commuters)]
-    subjects = [referenced_subjects(spec) for _, spec, _, _ in present]
-    readers = [
-        [_scored(j, spec) for j, spec, _, _ in present if j != k and k in subjects[j]]
-        for k in range(n)
-    ]
-    allocations = _feasible(s, None)
-    # One cursor per pivot, filed under the id of the allocation it waits at.
-    cursors = [iter(_feasible(s, k)) for k in range(n)]
-    waiting: dict[int, list[CommuterId]] = {}
-    for k, cursor in enumerate(cursors):
-        waiting.setdefault(id(next(cursor)), []).append(k)
-    pivot_welfare: list[float | None] = [None] * n
-    values = [0.0] * n
-    best_allocation = None
-    best_welfare = 0.0
-    best_values: tuple[float, ...] = ()
-    for allocation in allocations:
-        assignments = allocation.assignments
-        stop = n
-        for j, spec, owner, table in present:
-            key = id(assignments[owner])
-            v = table.get(key)
-            if v is None:
-                v = table[key] = evaluate(spec, allocation, p, None)
-            if v is EXCLUDED:
-                stop = j
-                break
-            values[j] = v
-        else:
-            welfare = math.fsum(values)
-            if best_allocation is None or welfare > best_welfare:
-                best_allocation = allocation
-                best_welfare = welfare
-                best_values = tuple(values)
-        for k in waiting.pop(id(allocation), ()):
-            head = next(cursors[k], None)
-            if head is not None:
-                waiting.setdefault(id(head), []).append(k)
-            end = stop
-            if stop == k:
-                # k excludes this allocation, but is absent from its own pivot.
-                for j, spec, owner, table in present[k + 1:]:
-                    key = id(assignments[owner])
-                    v = table.get(key)
-                    if v is None:
-                        v = table[key] = evaluate(spec, allocation, p, None)
-                    if v is EXCLUDED:
-                        end = j
-                        break
-                    values[j] = v
-                else:
-                    end = n
-            row = values[:]
-            row[k] = 0.0
-            for j, spec, owner, table in readers[k]:
-                if j > end:
-                    break
-                key = id(assignments[owner])
-                v = table.get(key)
-                if v is None:
-                    v = table[key] = evaluate(spec, allocation, p, k)
-                row[j] = v
-            if end == n:
-                welfare = math.fsum(row)
-                best = pivot_welfare[k]
-                if best is None or welfare > best:
-                    pivot_welfare[k] = welfare
-    if best_allocation is None or None in pivot_welfare:
-        raise RuntimeError("no feasible allocation is acceptable to every commuter")
-    return WelfareReport(best_allocation, best_welfare, best_values), tuple(pivot_welfare)

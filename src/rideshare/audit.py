@@ -16,17 +16,10 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
 
-from .allocation import (
-    DeviationFrames,
-    OutcomeTable,
-    WelfareReport,
-    bounded,
-    clarke_reports,
-    efficient_allocation,
-    efficient_allocation_excluding,
-)
+from .allocation import DeviationFrames, OutcomeTable, bounded
+# Not called here; kept so that bench/tracer.py can still wrap them here.
+from .allocation import efficient_allocation, efficient_allocation_excluding
 from .model import CommuterId, Scenario, TripType, with_report, with_truthful_reports
 from .payments import Evaluations, Mechanism, PivotRule, settled_utility
 from .valuation import GateDirection, Monomial, ThresholdGate, ValuationSpec
@@ -188,54 +181,25 @@ def deviations_for(trip: TripType, space: DeviationSpace) -> list[TripType]:
     return [TripType(spec, p_hat) for p_hat in points for variants in variant_lists for spec in variants]
 
 
-@dataclass(frozen=True)
-class _Pricing:
-    """A profile's efficient report, every commuter's pivot term and its
-    `OutcomeTable`, at the probabilities the mechanism reads."""
-
-    truth: WelfareReport
-    pivots: Sequence[float]
-    table: OutcomeTable
-
-
-def _priced(profile: Scenario, mechanism: Mechanism) -> _Pricing | None:
-    """`profile`'s pricing from one search: `clarke_reports` under the
-    Clarke pivot, else `efficient_allocation`, the search each sweep would
-    run first, so it raises what the first sweep would. The Clarke pass
-    evaluates in another order than the searches one at a time, so where
-    it raises anything, an overflow, no acceptable allocation, or an error
-    of malformed input, this returns None: each sweep then runs its own
-    searches and raises what they raise first."""
-    public_p = mechanism.probabilities(profile)
-    if mechanism.pivot is PivotRule.ZERO:
-        truth = efficient_allocation(profile, p_override=public_p)
-        pivots: Sequence[float] = (0.0,) * profile.n
-    else:
-        try:
-            truth, pivots = clarke_reports(profile, public_p)
-        except Exception:
-            return None
-    return _Pricing(truth, pivots, OutcomeTable(profile, public_p))
-
-
 def _sweep(
-    profile: Scenario,
+    table: OutcomeTable,
     i: CommuterId,
     mechanism: Mechanism,
     space: DeviationSpace,
     devs: list[TripType] | None,
     opponents: tuple[tuple[CommuterId, TripType], ...],
-    pricing: _Pricing | None,
 ) -> Witness | None:
-    """Commuter i's first maximal-gain deviation in `space` against
-    `profile`, if any gains, as pricing each deviation afresh would find.
-    `devs` is i's grid, or None to build it only if the sweep scores it.
-    `pricing` is `profile`'s, shared by the sweeps of an ex-post audit, or
-    None to run i's pivot search and the truthful search here.
+    """Commuter i's first maximal-gain deviation in `space` against the
+    profile of `table`, priced at the probabilities `mechanism` reads, if
+    any gains, as pricing each deviation afresh would find. `devs` is i's
+    grid, or None to build it only if the sweep scores it. The table may be
+    shared with other sweeps against the same profile; this one asks it
+    for i's pivot, then for the efficient report, the order in which a
+    sweep's own searches would run.
 
     Where i's utility is fixed by the chosen allocation, the sweep first
-    settles i on every outcome of the pricing's table (`_certified`); when
-    none beats truth, no deviation gains and the sweep returns None without
+    settles i on every outcome of the table (`_certified`); when none
+    beats truth, no deviation gains and the sweep returns None without
     building or scoring the grid or starting a frame. Otherwise each new
     p̂_i starts a frame of `DeviationFrames` under private probabilities;
     one frame serves all under public ones. Utilities are kept per reported
@@ -244,18 +208,10 @@ def _sweep(
     sweep, so i's true spec and each reader are evaluated once per
     assignment at each probability vector they are settled at.
     """
-    public_p = mechanism.probabilities(profile)
-    if pricing is None:
-        # the pivot never reads i's report, so it is fixed per profile
-        h = 0.0
-        if mechanism.pivot is PivotRule.CLARKE:
-            h = efficient_allocation_excluding(profile, i, p_override=public_p).welfare
-        truth = efficient_allocation(profile, p_override=public_p)
-        table = OutcomeTable(profile, public_p)
-    else:
-        h = pricing.pivots[i]
-        truth = pricing.truth
-        table = pricing.table
+    profile = table.scenario
+    # the pivot never reads i's report, so it is fixed per profile
+    h = table.pivot(i) if mechanism.pivot is PivotRule.CLARKE else 0.0
+    truth = table.truth()
     # Entries and settled utilities may read `profile` in place of the
     # deviated scenario: a commit entry reads the reported probabilities
     # only with p̂_i replaced by 1 and by 0, a Groves entry reads only `h`
@@ -277,7 +233,7 @@ def _sweep(
     p_hat = utilities = score = None
     best: Witness | None = None
     for trip in devs:
-        if utilities is None or (public_p is None and trip.p_commit != p_hat):
+        if utilities is None or (table.private and trip.p_commit != p_hat):
             p_hat = trip.p_commit
             score = frames(p_hat)
             utilities = {}
@@ -365,9 +321,9 @@ def _audit(
     ex-post (`grids` None), else the product of the others' `grids`,
     truthful first. Ties keep the lowest commuter, then the first profile,
     then the first deviation. Ex post, every sweep shares the truthful
-    profile's pricing; a dominant sweep prices its own profile."""
+    profile's `OutcomeTable`; a dominant sweep prices its own profile."""
     base = with_truthful_reports(s)
-    pricing = _priced(base, mechanism) if grids is None else None
+    expost = OutcomeTable(base, mechanism.probabilities(base)) if grids is None else None
     best: Witness | None = None
     for i in range(base.n):
         own = None if devs is None else devs[i]
@@ -376,7 +332,8 @@ def _audit(
             profile = base
             for j, trip in zip(others, combo):
                 profile = with_report(profile, j, trip)
-            found = _sweep(profile, i, mechanism, space, own, tuple(zip(others, combo)), pricing)
+            table = expost or OutcomeTable(profile, mechanism.probabilities(profile))
+            found = _sweep(table, i, mechanism, space, own, tuple(zip(others, combo)))
             if found is not None and (best is None or found.gain > best.gain):
                 best = found
     violated = best is not None and best.gain > GAIN_TOLERANCE
@@ -397,10 +354,11 @@ def audit_expost(
     Returns the maximal-gain witness when any beats truth by more than
     the gain tolerance. Ties keep the lowest commuter id, then the first
     deviation in grid order. Every sweep runs against the truthful
-    profile, so it is priced once (`_priced`), and one `OutcomeTable`
-    serves every commuter. A commuter's grid is built and scored only
-    when a one-pass certificate over the outcomes their reports can win
-    does not already rule out every gain."""
+    profile, so one `OutcomeTable` prices it for every commuter: the
+    efficient report is searched once, each pivot once, and the outcomes
+    are read from the same value tables. A commuter's grid is built and
+    scored only when a one-pass certificate over the outcomes their
+    reports can win does not already rule out every gain."""
     return _audit(s, mechanism, space, None, None, None)
 
 

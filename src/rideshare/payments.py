@@ -13,14 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
-from .allocation import (
-    WelfareReport,
-    clarke_reports,
-    efficient_allocation,
-    efficient_allocation_excluding,
-)
+from .allocation import OutcomeTable, WelfareReport
+# Not called here; kept so that bench/tracer.py can still wrap them here.
+from .allocation import efficient_allocation, efficient_allocation_excluding
 from .model import Allocation, CommuterId, Scenario
 from .valuation import (
     EXCLUDED,
@@ -180,21 +177,15 @@ def _schedule(s: Scenario, mechanism: Mechanism, public_p: Sequence[float] | Non
     """Every commuter's `mechanism` entry at the efficient allocation, with
     the pivot term from the best allocation without them under Clarke.
 
-    The Clarke searches run in one pass (`clarke_reports`). If that pass
-    fails, the searches run again one at a time, each pivot just before its
-    commuter's entry, so the error raised is the one the first failing step
-    of that order raises."""
-    if mechanism.pivot is PivotRule.ZERO:
-        rep = efficient_allocation(s, p_override=public_p)
-        pivots: Iterable[float] = [0.0] * s.n
-    else:
-        try:
-            rep, pivots = clarke_reports(s, public_p)
-        except (OverflowError, RuntimeError):
-            rep = efficient_allocation(s, p_override=public_p)
-            pivots = (efficient_allocation_excluding(s, i, p_override=public_p).welfare
-                      for i in range(s.n))
-    entries = tuple(mechanism.entry(s, h, rep, i) for i, h in enumerate(pivots))
+    One `OutcomeTable` prices the efficient allocation, then each pivot
+    just before its commuter's entry, so the error raised is the one the
+    first failing step of that order raises, as if each search ran from
+    scratch."""
+    table = OutcomeTable(s, public_p)
+    rep = table.truth()
+    clarke = mechanism.pivot is PivotRule.CLARKE
+    entries = tuple(mechanism.entry(s, table.pivot(i) if clarke else 0.0, rep, i)
+                    for i in range(s.n))
     return PaymentSchedule(entries, rep.allocation)
 
 

@@ -3,7 +3,7 @@ per-deviation reference audit, numeric linearity and independence oracles
 over a probability lattice, a record-by-record simulate CSV, hypothesis
 strategies for small random scenarios and for scenarios whose commuters
 read few others, and scenarios that outgrow the walk's recursion or
-overflow a settled utility."""
+overflow a settled utility or a pivot search."""
 
 import contextlib
 import inspect
@@ -454,6 +454,39 @@ def overflowing_settlement_scenario():
         Commuter(1, False, 0, TripType(rider, 0.0), TripType(rider, 1.0)),
         Commuter(2, False, 0, TripType(late, 0.49)),
     ), full_compatibility(3))
+
+
+_BIG = 1e308
+
+
+def reader_overflow_scenario(driver, capacity):
+    """Commuter 2 drives `capacity` riders with `driver`'s clauses, and 0
+    and 1 may ride with them. Riding is worth 1e308 - 1e308 * p1 + 1e308
+    to 0, which is 1e308 at p1 = 1 but passes the float range when 1 is
+    absent, so pricing without 1 overflows wherever it values 0 riding."""
+    reader = ValuationSpec(0, (
+        Clause(OutcomePattern(Role.RIDE),
+               terms=(Monomial(_BIG), Monomial(-_BIG, ((1, 1),)), Monomial(_BIG))),
+        Clause(OutcomePattern(Role.NONE)),
+    ))
+    return Scenario((
+        Commuter(0, False, 0, TripType(reader, 1.0)),
+        Commuter(1, False, 0, TripType(ValuationSpec(1, ()), 1.0)),
+        Commuter(2, True, capacity, TripType(ValuationSpec(2, driver), 1.0)),
+    ), full_compatibility(3))
+
+
+# `reader_overflow_scenario` arguments. A refusing driver excludes every
+# allocation where 0 rides, but only at 2, after 0 is scored. An
+# overflowing driver values carrying both riders at 1e308 + 1e308, so the
+# full search overflows on the walk's last allocation, after the search
+# without 1 would on an earlier one.
+REFUSING_DRIVER = ((Clause(OutcomePattern(Role.DRIVE), excluded=True),), 1)
+OVERFLOWING_DRIVER = ((
+    Clause(OutcomePattern(Role.DRIVE, PartnerCountAtLeast(2)),
+           terms=(Monomial(_BIG), Monomial(_BIG))),
+    Clause(OutcomePattern(Role.DRIVE)),
+), 2)
 
 
 @pytest.fixture(scope="session")

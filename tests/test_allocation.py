@@ -5,21 +5,23 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    OVERFLOWING_DRIVER,
+    REFUSING_DRIVER,
     TIE_VALUES,
     naive_best_allocation,
     naive_efficient,
     pivot_scenarios,
+    reader_overflow_scenario,
     small_scenarios,
 )
 from rideshare import allocation
 from rideshare.allocation import (
     DeviationFrames,
     OutcomeTable,
-    clarke_reports,
     efficient_allocation,
     efficient_allocation_excluding,
 )
@@ -452,38 +454,52 @@ def test_outcomes_are_the_allocations_no_report_excludes(s):
                 others[:i] + others[i + 1:])
 
 
-def _searches_one_by_one(s, p):
-    """`efficient_allocation` and each pivot's welfare from its own search,
-    or the RuntimeError the first failing search raises."""
+def _priced_in_order(search, order):
+    """`search(k)` for each k of `order`, or the exception the first
+    failing search raises."""
     try:
-        return (efficient_allocation(s, p_override=p),
-                tuple(efficient_allocation_excluding(s, k, p_override=p).welfare
-                      for k in range(s.n)))
-    except RuntimeError as e:
+        return [search(k) for k in order]
+    except Exception as e:
         return e
 
 
+def _searches_one_by_one(s, p, order):
+    """In `order`, `efficient_allocation` for None and each pivot k's
+    welfare from its own search, or the first exception raised."""
+    return _priced_in_order(
+        lambda k: (efficient_allocation(s, p_override=p) if k is None
+                   else efficient_allocation_excluding(s, k, p_override=p).welfare), order)
+
+
+def _table_in_order(table, order):
+    """The same from `table`: `truth()` for None, `pivot(k)` for k."""
+    return _priced_in_order(lambda k: table.truth() if k is None else table.pivot(k), order)
+
+
 @given(pivot_scenarios())
+@example(reader_overflow_scenario(*REFUSING_DRIVER))
+@example(reader_overflow_scenario(*OVERFLOWING_DRIVER))
 @settings(max_examples=200, deadline=None)
-def test_clarke_reports_match_the_searches_one_by_one(s):
-    """Under reported and public probabilities, the one pass picks the very
+def test_outcome_table_prices_as_the_searches_one_by_one(s):
+    """Under reported and public probabilities, and with the efficient
+    report asked for first (as a schedule does) or after the first pivot
+    (as the audit's sweeps do), the table's searches pick the very
     allocation the full search picks, with the same welfare, values and
-    pivot welfares to the bit (`repr` tells -0.0 from 0.0), or raises the
-    same RuntimeError when some search finds no acceptable allocation."""
+    pivot welfares to the bit (`repr` tells -0.0 from 0.0), or raise what
+    the searches run one by one raise first: the same type and message."""
     for p in (None, s.true_p()):
-        expected = _searches_one_by_one(s, p)
-        if isinstance(expected, RuntimeError):
-            with pytest.raises(RuntimeError, match=str(expected)):
-                clarke_reports(s, p)
-            continue
-        rep, pivots = clarke_reports(s, p)
-        assert rep.allocation is expected[0].allocation
-        assert repr((rep.welfare, rep.per_commuter)) == repr(
-            (expected[0].welfare, expected[0].per_commuter))
-        assert repr(pivots) == repr(expected[1])
+        for order in ([None, *range(s.n)], [0, None, *range(1, s.n)]):
+            expected = _searches_one_by_one(s, p, order)
+            got = _table_in_order(OutcomeTable(s, p), order)
+            if isinstance(expected, Exception):
+                assert type(got) is type(expected) and str(got) == str(expected)
+                continue
+            assert repr(got) == repr(expected)
+            rep = got[order.index(None)]
+            assert rep.allocation is expected[order.index(None)].allocation
 
 
-def test_clarke_reports_score_a_pivot_past_its_own_exclusion():
+def test_outcome_table_scores_a_pivot_past_its_own_exclusion():
     """Commuter 1 refuses to travel alone, which validation forbids, so the
     full search drops every allocation leaving 1 at home at 1, before 2 is
     scored; without 1 those are the only allocations, and the best is the
@@ -499,8 +515,42 @@ def test_clarke_reports_score_a_pivot_past_its_own_exclusion():
         Commuter(1, False, 0, TripType(spec(1, none=None, ride=1.0), 1.0)),
         Commuter(2, True, 1, TripType(spec(2, none=3.0, drive=1.0, ride=0.5), 1.0)),
     ), full_compatibility(3))
-    rep, pivots = clarke_reports(s)
-    full, one_by_one = _searches_one_by_one(s, None)
-    assert rep == full and rep.allocation is full.allocation
-    assert pivots == one_by_one
-    assert pivots[1] == 5.0
+    order = [None, 0, 1, 2]
+    table = OutcomeTable(s, None)
+    got = _table_in_order(table, order)
+    assert repr(got) == repr(_searches_one_by_one(s, None, order))
+    assert got[0].allocation is efficient_allocation(s).allocation
+    assert got[2] == 5.0
+
+
+def test_pivots_search_the_tables_own_walk():
+    """The walk caches one structure, so a pivot searched after another
+    scenario was walked still searches the allocations its table fetched,
+    whose assignment objects key the shared value tables: it evaluates no
+    more than the pivot searched right after `truth`."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    other = by_name("linear-pair-profitable")
+    for name in ("linear-trio-constants", "linear-trio-two-drivers"):
+        s = by_name(name)
+        for k in range(s.n):
+            del calls[:]
+            twin = OutcomeTable(s, None)
+            twin.truth()
+            with mock.patch.object(allocation, "evaluate", counting):
+                expected = twin.pivot(k)
+            evaluations = len(calls)
+            table = OutcomeTable(s, None)
+            table.truth()
+            _feasible(other, None)
+            del calls[:]
+            with mock.patch.object(allocation, "evaluate", counting), \
+                    mock.patch.object(allocation, "_argmax", wraps=allocation._argmax) as argmax:
+                assert repr(table.pivot(k)) == repr(expected)
+            assert len(calls) == evaluations, (name, k)
+            own = {id(a) for a in table.allocations}
+            assert all(id(a) in own for a in argmax.call_args.args[0]), (name, k)

@@ -27,12 +27,7 @@ from rideshare.audit import (
 import rideshare.allocation as allocation_module
 import rideshare.audit as audit_module
 import rideshare.payments as payments_module
-from rideshare.allocation import (
-    OutcomeTable,
-    clarke_reports,
-    efficient_allocation,
-    efficient_allocation_excluding,
-)
+from rideshare.allocation import OutcomeTable, efficient_allocation, efficient_allocation_excluding
 from rideshare.corpus import by_name, linear_entries
 from rideshare.model import (
     Commuter,
@@ -388,9 +383,9 @@ def test_the_certificate_leaves_a_scoring_overflow_to_the_grid(drive, ride, spac
 @settings(max_examples=25, deadline=None)
 @given(small_scenarios())
 def test_expost_audit_matches_the_reference_under_every_mechanism(s):
-    """One pricing pass, one outcome table and memoised settlements per
-    ex-post audit change no report field, to the bit: each equals the
-    replay that prices every deviation afresh, from its own searches."""
+    """One outcome table and memoised settlements per ex-post audit change
+    no report field, to the bit: each equals the replay that prices every
+    deviation afresh, from its own searches."""
     space = DeviationSpace(p_grid=3, coefficient_scales=(0.0, 1.0, 2.0))
     for mechanism in Mechanism:
         assert repr(audit_expost(s, mechanism, space)) == repr(reference_audit(s, mechanism, space))
@@ -398,10 +393,9 @@ def test_expost_audit_matches_the_reference_under_every_mechanism(s):
 
 def test_an_expost_audit_raises_what_the_searches_one_by_one_raise():
     """0 drives 1 at a value past the float range, and 1 excludes
-    travelling alone. The one pricing pass overflows on 0's value, while
-    the searches one at a time first find no acceptable allocation without
-    0 under the Clarke pivot, and overflow under the zero pivot. The audit
-    raises what the searches one at a time raise first."""
+    travelling alone. The searches one at a time first find no acceptable
+    allocation without 0 under the Clarke pivot, and overflow under the
+    zero pivot. The audit raises what they raise first."""
     drive = Clause(OutcomePattern(Role.DRIVE), terms=(Monomial(1e308), Monomial(1e308)))
     ride = Clause(OutcomePattern(Role.RIDE), terms=(Monomial(1.0),))
     alone = Clause(OutcomePattern(Role.NONE), excluded=True)
@@ -409,8 +403,6 @@ def test_an_expost_audit_raises_what_the_searches_one_by_one_raise():
         Commuter(0, True, 1, TripType(ValuationSpec(0, (drive,)), 0.5)),
         Commuter(1, False, 0, TripType(ValuationSpec(1, (ride, alone)), 0.5)),
     ), full_compatibility(2))
-    with pytest.raises(OverflowError):
-        clarke_reports(s)
     raised = set()
     for mechanism in Mechanism:
         with pytest.raises(Exception) as expected:
@@ -592,11 +584,13 @@ def test_suite_reproduces_expected_verdicts():
                                   "quadratic-reliability-pair"])
 @pytest.mark.parametrize("mechanism", Mechanism, ids=lambda m: m.value)
 def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
-    """An ex-post audit prices the truthful profile once: one
-    `clarke_reports` pass under the Clarke pivot, else one
-    `efficient_allocation`, and no pivot search of its own. It builds one
-    outcome table, whose outcome pass evaluates each commuter at most once
-    per distinct assignment for all commuters' certificates. Each sweep
+    """An ex-post audit builds one outcome table and prices the truthful
+    profile there: it searches the efficient report once and, under the
+    Clarke pivot, each pivot once, and calls no search of `audit`'s own.
+    Pricing evaluates each commuter at most once per distinct assignment,
+    and a reader of pivot k's once per assignment with k absent. The
+    outcome pass for all commuters' certificates then evaluates nothing:
+    the efficient search already read every value it reads. Each sweep
     settles through one memo, so it evaluates a spec at most once per
     (probability vector, assignment).
 
@@ -611,8 +605,8 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     p̂_i, then once per p̂_i point. Each distinct (frame, reported
     valuation) is scored once, by the frame's scorer, never by a full-set
     argmax. Within the frames, a non-reader is evaluated at most once per
-    distinct assignment per audit, and not at all where the outcome pass
-    already did, a reader once per assignment per p̂_i, and i once per
+    distinct assignment per audit, and not at all where pricing already
+    did, a reader once per assignment per p̂_i, and i once per
     assignment per (p̂_i, valuation). Every sweep of the constant trio has
     no reader, every sweep of the two-driver trio has one, and the pair
     has one of each. Commit payments certify every sweep of the linear
@@ -621,7 +615,9 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     s = by_name(name)
     specs = [c.true_type.valuation for c in s.commuters]
     sweeps = []
-    calls = Counter()
+    tables = 0
+    searches = Counter()
+    pricing = Counter()
     outcome_evaluations = Counter()
     where = None
 
@@ -635,23 +631,17 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
                 where = None
         return tracked
 
-    def counted(fn, name):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     def refuse(*args, **kwargs):
-        raise AssertionError("the audit ran a pivot search of its own")
+        raise AssertionError("the audit ran a search of its own")
 
     real_sweep = audit_module._sweep
 
-    def sweep(profile, i, *args):
+    def sweep(table, i, *args):
         readers = {j for j, spec in enumerate(specs) if j != i and i in referenced_subjects(spec)}
         record = {"i": i, "readers": readers, "passes": 0, "scorings": [], "grids": 0,
                   "outcome_reads": 0, "evaluations": Counter(), "settlements": Counter()}
         sweeps.append(record)
-        record["found"] = real_sweep(profile, i, *args)
+        record["found"] = real_sweep(table, i, *args)
         return record["found"]
 
     real_deviations_for = audit_module.deviations_for
@@ -683,7 +673,8 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
 
     def argmax(*args):
         assert where is None, "a frame ran the full-set argmax"
-        return real_argmax(*args)
+        searches[args[3]] += 1
+        return track(real_argmax, "pricing")(*args)
 
     real_evaluate = allocation_module.evaluate
 
@@ -692,7 +683,10 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
             record = sweeps[-1]
             i, j = record["i"], spec.owner
             assignment = id(allocation.assignments[j])
-            if where == "outcomes":
+            if where == "pricing":
+                shared = absent is None or absent not in referenced_subjects(spec)
+                pricing[j, None if shared else absent, assignment] += 1
+            elif where == "outcomes":
                 outcome_evaluations[j, assignment] += 1
             else:
                 if j == i:
@@ -711,16 +705,14 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
 
     class Table(allocation_module.OutcomeTable):
         def __init__(self, *args):
-            calls["tables"] += 1
+            nonlocal tables
+            tables += 1
             super().__init__(*args)
 
     monkeypatch.setattr(audit_module, "_sweep", sweep)
     monkeypatch.setattr(audit_module, "deviations_for", grid)
     monkeypatch.setattr(audit_module, "OutcomeTable", Table)
-    monkeypatch.setattr(audit_module, "clarke_reports",
-                        counted(audit_module.clarke_reports, "clarke"))
-    monkeypatch.setattr(audit_module, "efficient_allocation",
-                        counted(audit_module.efficient_allocation, "efficient"))
+    monkeypatch.setattr(audit_module, "efficient_allocation", refuse)
     monkeypatch.setattr(audit_module, "efficient_allocation_excluding", refuse)
     monkeypatch.setattr(allocation_module.OutcomeTable, "outcomes", outcomes)
     monkeypatch.setattr(allocation_module, "_frame_scorer", frame_scorer)
@@ -731,10 +723,11 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     audit_expost(s, mechanism, space)
     private = mechanism.probabilities(s) is None
     clarke = mechanism.pivot is PivotRule.CLARKE
-    assert calls == {"clarke" if clarke else "efficient": 1, "tables": 1}
+    assert tables == 1
+    assert searches == Counter([None, *range(s.n)] if clarke else [None])
+    assert set(pricing.values()) == {1}
     assert [r["i"] for r in sweeps] == list(range(s.n))
-    assert bool(outcome_evaluations) == any(r["outcome_reads"] for r in sweeps)
-    assert set(outcome_evaluations.values()) <= {1}
+    assert not outcome_evaluations
     frame_shared = Counter()
     certified = []
     for record, c in zip(sweeps, s.commuters):
@@ -764,6 +757,6 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         assert set(record["evaluations"].values()) == {1}
         frame_shared.update((j, a) for j, frame, a in record["evaluations"] if frame is None)
     assert not frame_shared or set(frame_shared.values()) == {1}
-    assert not set(frame_shared) & set(outcome_evaluations)
+    assert not set(frame_shared) & {(j, a) for j, k, a in pricing if k is None}
     if mechanism is Mechanism.COMMIT_BASED:
         assert (certified == list(range(s.n))) is name.startswith("linear-")

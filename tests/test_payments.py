@@ -9,11 +9,16 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from conftest import overflowing_settlement_scenario, pivot_scenarios
+from conftest import (
+    OVERFLOWING_DRIVER,
+    REFUSING_DRIVER,
+    overflowing_settlement_scenario,
+    pivot_scenarios,
+    reader_overflow_scenario,
+)
 from rideshare import allocation, cli, payments
 from rideshare.allocation import (
     WelfareReport,
-    clarke_reports,
     efficient_allocation,
     efficient_allocation_excluding,
 )
@@ -44,9 +49,7 @@ from rideshare.scenario_io import serialize_scenario
 from rideshare.valuation import (
     AnyPartners,
     Clause,
-    Monomial,
     OutcomePattern,
-    PartnerCountAtLeast,
     ValuationSpec,
     evaluate,
     referenced_subjects,
@@ -249,19 +252,19 @@ def _evaluations(run):
 @settings(max_examples=100, deadline=None)
 def test_clarke_schedules_evaluate_each_value_once(s):
     """A commit or Clarke schedule evaluates each commuter once per distinct
-    assignment with nobody absent, and with pivot k absent only k's readers
-    (the others whose spec reads k's probability), once per distinct
-    assignment, on the assignments k's own search reaches them on."""
+    assignment, whether with nobody absent or with a pivot k absent whose
+    probability their spec does not read, and k's readers (the others
+    whose spec reads k's probability) once per distinct assignment with k
+    absent, on the assignments k's own search reaches them on."""
     subjects = [referenced_subjects(c.reported_type.valuation) for c in s.commuters]
     searched = _evaluations(lambda: [efficient_allocation_excluding(s, k) for k in range(s.n)])
     reached = {(j, k, id(a)) for j, k, a in searched if k in subjects[j]}
     for price in (lambda: commit_payments(s),
                   lambda: groves_payments(s, PivotRule.CLARKE),
                   lambda: groves_payments(s, PivotRule.CLARKE, public_p=s.true_p())):
-        calls = _evaluations(price)
-        assert max(Counter((j, k, id(a)) for j, k, a in calls).values()) == 1
-        assert all(k is None or k in subjects[j] for j, k, _ in calls)
-        assert {(j, k, id(a)) for j, k, a in calls if k is not None} == reached
+        calls = [(j, k if k in subjects[j] else None, id(a)) for j, k, a in _evaluations(price)]
+        assert max(Counter(calls).values()) == 1
+        assert {call for call in calls if call[1] is not None} == reached
 
 
 def _commit_entry_evaluating_everyone(s, h, rep, i):
@@ -303,24 +306,6 @@ def test_commit_entries_evaluate_only_the_readers(s):
 
 
 _MECHANISMS = [("commit", False), ("groves-clarke", False), ("groves-clarke", True)]
-_BIG = 1e308
-
-
-def _reader_overflow_scenario(driver, capacity):
-    """Commuter 2 drives `capacity` riders with `driver`'s clauses, and 0
-    and 1 may ride with them. Riding is worth 1e308 - 1e308 * p1 + 1e308
-    to 0, which is 1e308 at p1 = 1 but passes the float range when 1 is
-    absent, so pricing without 1 overflows wherever it values 0 riding."""
-    reader = ValuationSpec(0, (
-        Clause(OutcomePattern(Role.RIDE),
-               terms=(Monomial(_BIG), Monomial(-_BIG, ((1, 1),)), Monomial(_BIG))),
-        Clause(OutcomePattern(Role.NONE)),
-    ))
-    return Scenario((
-        Commuter(0, False, 0, TripType(reader, 1.0)),
-        Commuter(1, False, 0, TripType(ValuationSpec(1, ()), 1.0)),
-        Commuter(2, True, capacity, TripType(ValuationSpec(2, driver), 1.0)),
-    ), full_compatibility(3))
 
 
 def _pay_stderr_one_by_one(s, mechanism):
@@ -349,7 +334,7 @@ def test_pay_reports_a_pivot_overflow_where_a_later_commuter_excludes(
     """2 refuses to drive, so every allocation where 0 rides is excluded,
     but only by 2, after 0 is scored: the search without 1 still values 0
     riding, and overflows."""
-    s = _reader_overflow_scenario((Clause(OutcomePattern(Role.DRIVE), excluded=True),), 1)
+    s = reader_overflow_scenario(*REFUSING_DRIVER)
     expected = _pay_stderr_one_by_one(s, Mechanism.named(rule, public_p))
     assert expected.startswith("arithmetic overflow: commuter 0's value inf")
     assert _pay(tmp_path, s, rule, public_p) == 2
@@ -364,15 +349,9 @@ def test_pay_reports_the_full_search_overflow_before_an_earlier_pivot_one(
     overflows there, on the walk's last allocation; the search without 1
     overflows on an earlier one, where 0 rides alone. The full search runs
     first, so its overflow is the one reported."""
-    s = _reader_overflow_scenario((
-        Clause(OutcomePattern(Role.DRIVE, PartnerCountAtLeast(2)),
-               terms=(Monomial(_BIG), Monomial(_BIG))),
-        Clause(OutcomePattern(Role.DRIVE)),
-    ), 2)
+    s = reader_overflow_scenario(*OVERFLOWING_DRIVER)
     expected = _pay_stderr_one_by_one(s, Mechanism.named(rule, public_p))
     assert expected.startswith("arithmetic overflow: commuter 2's value inf")
-    with pytest.raises(OverflowError, match="commuter 0's value inf"):
-        clarke_reports(s, Mechanism.named(rule, public_p).probabilities(s))
     assert _pay(tmp_path, s, rule, public_p) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", expected)
