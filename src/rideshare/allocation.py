@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .model import Allocation, CommuterId, Scenario, _feasible
-from .valuation import EXCLUDED, ValuationSpec, evaluate, excludes, referenced_subjects
+from .valuation import EXCLUDED, ValuationSpec, evaluate, referenced_subjects
 
 # A commuter to score: id, reported spec, the spec's owner, and that spec's
 # values at fixed probabilities and absent commuter, keyed by the id of the
@@ -20,15 +20,18 @@ _PRUNABLE = 2.0**1000
 
 
 def bounded(spec: ValuationSpec, scale: float = 1.0) -> bool:
-    """True when `spec`'s default value, and each clause's sum of
-    |coefficient| with every coefficient multiplied by `scale`, are below
-    2**1000 in magnitude. Then, with its coefficients rescaled by factors of
-    magnitude at most `scale` and at probabilities in [0, 1], the spec
-    values every outcome finitely and below 2**1000 up to rounding, so no
-    evaluation raises and no `math.fsum` over such values overflows."""
+    """True when every factor exponent of `spec` is at least 1, and its
+    default value, and each clause's sum of |coefficient| with every
+    coefficient multiplied by `scale`, are below 2**1000 in magnitude.
+    Then, at probabilities in [0, 1], every factor is in [0, 1], so the
+    spec, with its coefficients rescaled by factors of magnitude at most
+    `scale`, values every outcome finitely and below 2**1000 up to
+    rounding: no evaluation raises and no `math.fsum` over such values
+    overflows."""
     try:
         return abs(spec.default_value) < _PRUNABLE and all(
             math.fsum(abs(scale * t.coefficient) for t in clause.terms) < _PRUNABLE
+            and all(exponent >= 1 for t in clause.terms for _, exponent in t.factors)
             for clause in spec.clauses)
     except OverflowError:  # a sum past the float range
         return False
@@ -118,7 +121,7 @@ class OutcomeTable:
     the feasible set, each commuter's pivot set, and one value table per
     commuter (entries of `Scored`), and lazily searches the efficient
     report (`truth`), each Clarke pivot's welfare (`pivot`) and the
-    outcomes, each feasible allocation that no report excludes.
+    outcomes (`rows`), each feasible allocation that no report excludes.
 
     The value tables hold values with nobody absent, at the table's
     probabilities, each evaluated at most once per distinct assignment, and
@@ -129,7 +132,7 @@ class OutcomeTable:
 
     Every allocation a misreport of commuter i's can win is an outcome, as
     long as the misreport excludes what i's report excludes, as each of
-    `deviations_for` does. The set is the same for every i, so one table
+    `deviations_for` does. The set is the same for every i, so one pass
     serves each commuter's certificate (`outcomes`) and frames
     (`DeviationFrames`) against the profile.
     """
@@ -178,15 +181,12 @@ class OutcomeTable:
         return tuple(
             j for j, spec, _, _ in self.present if j != i and i in referenced_subjects(spec))
 
-    def outcomes(self, i: CommuterId) -> list[WelfareReport]:
-        """The outcomes in walk order, each as the report of the others'
-        values at the table's probabilities, i's slot 0.0 and the welfare
-        their exact sum: what a frame's scorer puts in `per_commuter` for
-        the others, except a reader of i's at a reported probability of i's
-        other than the table's. The first call reads everyone where `truth`
-        does, evaluating only what that search has not; later calls, for
-        any i, evaluate nothing. Raises what an evaluation raises.
-        """
+    def rows(self) -> list[tuple[Allocation, list[float]]]:
+        """The outcomes in walk order, each with everyone's values at the
+        table's probabilities; the lists are shared, not to be changed. The
+        first call reads everyone where `truth` does, evaluating only what
+        that search has not; later calls evaluate nothing. Raises what an
+        evaluation raises."""
         if self._rows is None:
             rows = []
             values = [0.0] * len(self.present)
@@ -203,8 +203,15 @@ class OutcomeTable:
                 else:
                     rows.append((allocation, values[:]))
             self._rows = rows
+        return self._rows
+
+    def outcomes(self, i: CommuterId) -> list[WelfareReport]:
+        """The `rows` as reports of the others' values, i's slot 0.0 and
+        the welfare their exact sum: what a frame's scorer puts in
+        `per_commuter` for the others, but for a reader of i's at a p̂_i
+        other than the table's. Raises what `rows` raises."""
         out = []
-        for allocation, values in self._rows:
+        for allocation, values in self.rows():
             row = values[:]
             row[i] = 0.0
             out.append(WelfareReport(allocation, math.fsum(row), tuple(row)))
@@ -216,126 +223,105 @@ class DeviationFrames:
     for each misreport. `frames(p_hat)(spec)` returns, or raises, what
     `efficient_allocation` does on the table's scenario, at its public
     probabilities if any, with i reporting `spec` and `p_hat`. Each scored
-    valuation must exclude what i's report in the scenario excludes, as
-    each of `deviations_for` does.
+    valuation must exclude exactly what i's report in the scenario
+    excludes, as each of `deviations_for` does.
 
+    `pruned` is the caller's word that every probability, `p_hat`
+    included, is in [0, 1] and every other report and every scored
+    valuation is `bounded`; only then do the scorers prune (`_frame_scorer`).
     Only the readers, the others whose spec reads i's probability, read i's
-    report; none does under public probabilities. So the feasible set and
-    the others' value tables are the table's, and a new `p_hat` rebuilds
-    the scorer, and the readers' tables if there are any. A reader keeps
-    the table's entry only while `p_hat` is i's probability in the table,
-    so the shared tables gain only values at the table's probabilities.
-    Scorers read the latest `p_hat`, so each serves until the next call.
+    report; none does under public probabilities. So a new `p_hat` starts
+    a new scorer only if there are readers. Scorers read the latest
+    `p_hat`, so each serves until the next call.
     """
 
-    def __init__(self, table: OutcomeTable, i: CommuterId) -> None:
+    def __init__(self, table: OutcomeTable, i: CommuterId, pruned: bool) -> None:
+        self._table = table
         self._i = i
-        self._allocations = table.allocations
-        self._present = list(table.present)
+        self._pruned = pruned
         self._readers = table.readers(i)
         self._p = list(table.p)
-        self._private = table.private
         self._score: Callable[[ValuationSpec], WelfareReport] | None = None
 
     def __call__(self, p_hat: float) -> Callable[[ValuationSpec], WelfareReport]:
         p, i = self._p, self._i
-        stale = self._readers and p[i] != p_hat
-        if self._private:
+        stale = self._score is None or self._readers and p[i] != p_hat
+        if self._table.private:
             p[i] = p_hat
         if stale:
-            for j in self._readers:
-                self._present[j] = _scored(j, self._present[j][1])
-        if stale or self._score is None:
-            self._score = _frame_scorer(self._allocations, self._present, i, p)
+            self._score = _frame_scorer(self._table, i, p, self._pruned)
         return self._score
 
 
 def _frame_scorer(
-    allocations: Sequence[Allocation], present: Sequence[Scored], i: CommuterId, p: Sequence[float]
+    table: OutcomeTable, i: CommuterId, p: Sequence[float], pruned: bool
 ) -> Callable[[ValuationSpec], WelfareReport]:
-    """`scorer(spec)` returns, or raises, what `_argmax(allocations,
-    present, p, None)` does with a fresh entry of commuter i's `spec` at
-    position i. Entry i's spec fixes the outcomes every scored spec
-    excludes; its values are never read. Between scorings, `p` may change
-    only where no other commuter's spec reads it.
+    """`scorer(spec)` returns, or raises, what `_argmax` over the table's
+    feasible set does at `p` with the table's reports, i's replaced by
+    `spec`, which must exclude exactly what i's report excludes; the
+    readers of i's probability get fresh tables when `p[i]` is not the
+    table's. Between scorings, `p` may change only where no other
+    commuter's spec reads it. Unless `pruned`, each scoring is that search.
 
-    One pass over `allocations`, evaluating everyone else where `_argmax`
-    would, keeps the contenders: allocations that nobody excludes, whose
-    others' exact value sum is strictly greater than that of every earlier
-    such allocation giving i the same assignment. For a fixed value of i,
-    welfare (the correctly rounded exact sum) is monotone in the others'
-    exact sum, so a dropped allocation has an earlier contender with the
-    same assignment of i that scores at least as high under any valuation
-    of i, and the first maximiser is a contender. A scoring evaluates i on
-    each assignment `_argmax` would evaluate i on and i does not exclude,
-    then sums each contender once, in commuter order. When a value reaches
-    2**1000 in magnitude or an evaluation raises, a sum over a dropped
-    allocation might overflow, so the frame, or that scoring, runs `_argmax`
-    over every allocation instead.
+    Pruned, one pass over the table's rows keeps the contenders. Exclusion
+    reads no probability, so the rows are the allocations nobody excludes
+    whatever i reports; the others' values are the rows', the readers'
+    revalued if fresh. A contender's others' exact value sum is strictly
+    greater than that of every earlier row giving i the same assignment.
+    For a fixed value of i, welfare (the correctly rounded exact sum) is
+    monotone in the others' exact sum, so a dropped allocation has an
+    earlier contender with the same assignment of i that scores at least
+    as high under any valuation of i, and the first maximiser is a
+    contender. A scoring evaluates i once per assignment of i among the
+    contenders, then sums each contender once, in commuter order. `pruned`
+    keeps every value below 2**1000 up to rounding, so no evaluation
+    raises and no such sum, or sum of differences, overflows.
     """
-    entries = list(present)
+    entries = list(table.present)
+    fresh = table.readers(i) if p[i] != table.p[i] else ()
+    for j in fresh:
+        entries[j] = _scored(j, entries[j][1])
 
     def unpruned(spec: ValuationSpec) -> WelfareReport:
         entries[i] = _scored(i, spec)
-        return _argmax(allocations, entries, p, None)
+        return _argmax(table.allocations, entries, p, None)
 
-    n = len(present)
-    reached: dict[int, bool] = {}
-    probes: dict[int, Allocation] = {}
+    if not pruned:
+        return unpruned
+    mine = entries[i][2]
     leaders: dict[int, tuple[float, list[float]]] = {}
     contenders: list[tuple[Allocation, int, list[float]]] = []
-    for allocation in allocations:
+    for allocation, row in table.rows():
         assignments = allocation.assignments
-        values = [0.0] * n
-        for j, spec, owner, table in present:
+        values = row[:]
+        values[i] = 0.0
+        for j in fresh:
+            _, spec, owner, values_j = entries[j]
             key = id(assignments[owner])
-            if j == i:
-                mine = key
-                kept = reached.get(key)
-                if kept is None:
-                    kept = reached[key] = not excludes(spec, assignments[owner])
-                    if kept:
-                        probes[key] = allocation
-                if not kept:
-                    break
-                continue
-            v = table.get(key)
+            v = values_j.get(key)
             if v is None:
-                try:
-                    v = table[key] = evaluate(spec, allocation, p, None)
-                except OverflowError:
-                    return unpruned
-            if v is EXCLUDED:
-                break
-            if not -_PRUNABLE < v < _PRUNABLE:
-                return unpruned
+                v = values_j[key] = evaluate(spec, allocation, p, None)
             values[j] = v
-        else:
-            total = math.fsum(values)
-            leader = leaders.get(mine)
-            # Rounding is monotone, so unequal rounded sums order the exact
-            # sums alike; level ones are ordered by their exact difference.
-            if (leader is None or total > leader[0] or total == leader[0]
-                    and math.fsum(values + [-x for x in leader[1]]) > 0.0):
-                leaders[mine] = (total, values)
-                contenders.append((allocation, mine, values))
+        key = id(assignments[mine])
+        total = math.fsum(values)
+        leader = leaders.get(key)
+        # Rounding is monotone, so unequal rounded sums order the exact
+        # sums alike; level ones are ordered by their exact difference.
+        if (leader is None or total > leader[0] or total == leader[0]
+                and math.fsum(values + [-x for x in leader[1]]) > 0.0):
+            leaders[key] = (total, values)
+            contenders.append((allocation, key, values))
 
     def score(spec: ValuationSpec) -> WelfareReport:
-        table: dict[int, float] = {}
-        for key, allocation in probes.items():
-            v = table.get(key)
-            if v is None:
-                try:
-                    v = table[key] = evaluate(spec, allocation, p, None)
-                except OverflowError:
-                    return unpruned(spec)
-            if v is EXCLUDED or not -_PRUNABLE < v < _PRUNABLE:
-                return unpruned(spec)
+        own: dict[int, float] = {}
         best_allocation = None
         best_welfare = 0.0
         best_values: tuple[float, ...] = ()
         for allocation, key, values in contenders:
-            values[i] = table[key]
+            v = own.get(key)
+            if v is None:
+                v = own[key] = evaluate(spec, allocation, p, None)
+            values[i] = v
             welfare = math.fsum(values)
             if best_allocation is None or welfare > best_welfare:
                 best_allocation = allocation

@@ -30,9 +30,9 @@ MAX_DOMINANT_COMMUTERS = 4
 # (1,720,320 scorings of linear-quad-full-van against 3-point opponent grids
 # took 20-22 s under commit and groves-clarke with Python 3.11 on an idle
 # 2-core VM, and up to twice that on a loaded one), so this bounds a
-# dominant sweep to under a minute. The budget counts the scorings of every
-# grid before any sweep runs, so a sweep the certificate clears without
-# scoring (see `_sweep`) still counts toward it.
+# dominant sweep to under a minute. The budget counts every grid's
+# scorings before any grid is built, so a sweep the certificate clears
+# without scoring (see `_sweep`) still counts toward it.
 MAX_DOMINANT_SCORINGS = 2_000_000
 MAX_P_GRID = 10_001
 _MAX_SCALE_COMBOS = 4096
@@ -162,23 +162,29 @@ def _gate_variants(spec: ValuationSpec) -> list[ValuationSpec]:
 
 def deviations_for(trip: TripType, space: DeviationSpace) -> list[TripType]:
     """Candidate misreports in a fixed order: probability points ascending,
-    truthful coefficients before rescalings, gate edits last. The order is
-    the tie-break when several deviations share the maximal gain. A
-    rescaling is skipped when some clause's sum of |coefficient| is not
-    finite: that sum bounds the clause's total at any probabilities in
-    [0, 1], so every kept rescaling totals to a finite value, and the
-    audit never blames the scenario for an overflow of its own making. The
-    truthful coefficients are always kept."""
+    then the reported valuations of `_variants`. The order is the
+    tie-break when several deviations share the maximal gain."""
     points = [k / (space.p_grid - 1) for k in range(space.p_grid)]
-    variant_lists = []
-    for k, combo in enumerate(_scale_combos(trip.valuation, space.coefficient_scales)):
-        scaled = _scaled_spec(trip.valuation, combo)
+    variants = _variants(trip.valuation, space)
+    return [TripType(spec, p_hat) for p_hat in points for spec in variants]
+
+
+def _variants(spec: ValuationSpec, space: DeviationSpace) -> list[ValuationSpec]:
+    """The valuations a deviation in `space` reports: truthful coefficients
+    first, then rescalings, gate edits last. A rescaling is skipped when
+    some clause's sum of |coefficient| is not finite: that sum bounds the
+    clause's total at any probabilities in [0, 1], so every kept rescaling
+    totals to a finite value, and the audit never blames the scenario for
+    an overflow of its own making."""
+    variants = []
+    for k, combo in enumerate(_scale_combos(spec, space.coefficient_scales)):
+        scaled = _scaled_spec(spec, combo)
         if k and not all(
             math.isfinite(sum(abs(t.coefficient) for t in c.terms)) for c in scaled.clauses
         ):
             continue
-        variant_lists.append(_gate_variants(scaled) if space.gate_toggles else [scaled])
-    return [TripType(spec, p_hat) for p_hat in points for variants in variant_lists for spec in variants]
+        variants.extend(_gate_variants(scaled) if space.gate_toggles else [scaled])
+    return variants
 
 
 def _sweep(
@@ -197,12 +203,13 @@ def _sweep(
     for i's pivot, then for the efficient report, the order in which a
     sweep's own searches would run.
 
-    Where i's utility is fixed by the chosen allocation, the sweep first
-    settles i on every outcome of the table (`_certified`); when none
-    beats truth, no deviation gains and the sweep returns None without
-    building or scoring the grid or starting a frame. Otherwise each new
-    p̂_i starts a frame of `DeviationFrames` under private probabilities;
-    one frame serves all under public ones. Utilities are kept per reported
+    Only a `_bounded` sweep tries the certificate and prunes its frames.
+    Where i's utility is fixed by the chosen allocation, it first settles
+    i on every outcome of the table (`_certified`); when none beats truth,
+    no deviation gains and the sweep returns None without building or
+    scoring the grid. Otherwise each new p̂_i starts a frame of
+    `DeviationFrames` under private probabilities; one frame serves all
+    under public ones. Utilities are kept per reported
     valuation per frame, and per outcome per sweep where the outcome fixes
     them, else per frame. Every settlement evaluates through one memo per
     sweep, so i's true spec and each reader are evaluated once per
@@ -225,11 +232,12 @@ def _sweep(
     by_outcome = mechanism is Mechanism.COMMIT_BASED or not table.readers(i)
     # Memos key on ids, kept alive by `table` and `devs`.
     settled: dict[int, float] = {}
-    if by_outcome and _certified(profile, i, mechanism, space, h, u_truth, table, settled, memo):
+    pruned = _bounded(profile, i, space)
+    if by_outcome and pruned and _certified(profile, i, mechanism, h, u_truth, table, settled, memo):
         return None
     if devs is None:
         devs = deviations_for(profile.commuters[i].true_type, space)
-    frames = DeviationFrames(table, i)
+    frames = DeviationFrames(table, i, pruned)
     p_hat = utilities = score = None
     best: Witness | None = None
     for trip in devs:
@@ -254,11 +262,28 @@ def _sweep(
     return best
 
 
+def _bounded(profile: Scenario, i: CommuterId, space: DeviationSpace) -> bool:
+    """True when no scoring of i's grid in `space` against `profile` can
+    raise or overflow a welfare sum: every probability is in [0, 1], as
+    each grid point is, and the others' reports and i's truth, rescaled by
+    the largest |scale| of `space`, are `bounded`. False when a field has
+    a type the bound cannot read: the full searches then raise what they
+    do."""
+    scale = max(abs(x) for x in space.coefficient_scales + (1.0,))
+    commuters = profile.commuters
+    try:
+        return (all(0.0 <= x <= 1.0 for x in profile.reported_p() + profile.true_p())
+                and bounded(commuters[i].true_type.valuation, scale)
+                and all(bounded(c.reported_type.valuation)
+                        for j, c in enumerate(commuters) if j != i))
+    except TypeError:
+        return False
+
+
 def _certified(
     profile: Scenario,
     i: CommuterId,
     mechanism: Mechanism,
-    space: DeviationSpace,
     h: float,
     u_truth: float,
     table: OutcomeTable,
@@ -267,24 +292,15 @@ def _certified(
 ) -> bool:
     """True when i, whose utility the chosen allocation fixes, gains
     nothing (`U(a) - u_truth <= 0.0`) on any outcome `a` of
-    `table.outcomes(i)`, and no scoring of i's grid in `space` could raise.
-    Each outcome settled, through `memo`, is filed in `settled` under the
-    allocation's id.
+    `table.outcomes(i)`. Each outcome settled, through `memo`, is filed in
+    `settled` under the allocation's id.
 
     Every report i can make wins one of those outcomes (the taxation
-    principle), so then no deviation gains. A scoring raises only on an
-    overflow, and none can when every probability is in [0, 1] and the
-    others' reports and i's truth, rescaled by the largest |scale| of
-    `space`, are `bounded`. Anything raised here leaves the grid to decide.
+    principle), so then no deviation gains. The caller applies it only
+    where the sweep is `_bounded`, so that no scoring of the grid could
+    have raised. Anything raised here leaves the grid to decide.
     """
-    scale = max(abs(x) for x in space.coefficient_scales + (1.0,))
-    commuters = profile.commuters
     try:
-        if not (all(0.0 <= x <= 1.0 for x in profile.reported_p() + profile.true_p())
-                and bounded(commuters[i].true_type.valuation, scale)
-                and all(bounded(c.reported_type.valuation)
-                        for j, c in enumerate(commuters) if j != i)):
-            return False
         for rep in table.outcomes(i):
             entry = mechanism.entry(profile, h, rep, i, memo)
             u = settled[id(rep.allocation)] = settled_utility(
@@ -296,16 +312,6 @@ def _certified(
         # raised without the certificate.
         return False
     return True
-
-
-def _dominant_scorings(devs: list[list[TripType]], grids: list[list[TripType]]) -> int:
-    """The argmax scorings of a dominant sweep: each commuter's deviations
-    once per profile of the others' grids, Σ_i |devs_i| × Π_{j≠i} |grids_j|,
-    where a grid holds the true type and the opponent deviations."""
-    return sum(
-        len(devs[i]) * math.prod(len(g) for j, g in enumerate(grids) if j != i)
-        for i in range(len(devs))
-    )
 
 
 def _audit(
@@ -372,25 +378,31 @@ def audit_dominant(
     opponent misreports (truthful opponents included). Exhaustive in the
     grids, so cost grows as the profile product; refused above
     MAX_DOMINANT_COMMUTERS commuters, and above MAX_DOMINANT_SCORINGS
-    argmax scorings before any is made. The grids are built up front to
-    count those; each profile's sweep still tries the certificate first."""
+    argmax scorings, counted from each grid's reported valuations before
+    any grid is built. Each profile's sweep still tries the certificate
+    first."""
     if s.n > MAX_DOMINANT_COMMUTERS:
         raise AuditSizeError(
             f"dominant audit over {s.n} commuters sweeps a full misreport profile "
             f"product and is refused above {MAX_DOMINANT_COMMUTERS}; use audit_expost "
             "or a smaller scenario"
         )
+    # Σ_i |devs_i| × Π_{j≠i} |grids_j|, a grid being the true type and the
+    # opponent deviations, with p_grid deviations per reported valuation.
     truth = [c.true_type for c in s.commuters]
-    devs = [deviations_for(t, space) for t in truth]
-    grids = [[t] + deviations_for(t, opponent_space) for t in truth]
-    scorings = _dominant_scorings(devs, grids)
+    devs = [space.p_grid * len(_variants(t.valuation, space)) for t in truth]
+    grids = [1 + opponent_space.p_grid * len(_variants(t.valuation, opponent_space))
+             for t in truth]
+    scorings = sum(d * math.prod(g for j, g in enumerate(grids) if j != i)
+                   for i, d in enumerate(devs))
     if scorings > MAX_DOMINANT_SCORINGS:
         raise AuditSizeError(
             f"dominant audit would score {scorings} deviations against opponent "
             f"profiles and is refused above {MAX_DOMINANT_SCORINGS}; use smaller "
             "grids or audit_expost"
         )
-    return _audit(s, mechanism, space, opponent_space, devs, grids)
+    return _audit(s, mechanism, space, opponent_space, [deviations_for(t, space) for t in truth],
+                  [[t] + deviations_for(t, opponent_space) for t in truth])
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,10 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
 
-# A run holds no record per trial, but the CSV text grows with the count
-# (about 47 MB for a million trials of a pair); a count past this is
-# refused rather than left to exhaust memory.
+# A run holds one reference per trial and streams its CSV to the file (a
+# million trials of a pair peak at about 24 MB resident), but its time and
+# the file (about 47 MB) grow with the count; a count past this is refused
+# rather than left to run for minutes or fill a disk.
 MAX_TRIALS = 1_000_000
 # The draws read the seed mod 2**64, so a seed outside 0..MAX_SEED would
 # write the trials of the seed it aliases under its own name.
@@ -111,10 +112,9 @@ def cmd_simulate(args) -> int:
         raise _InputError(f"--seed must be between 0 and {MAX_SEED}, got {args.seed}")
     schedule = _schedule(s, _mechanism(args))
     records, summary = run_trials(s, schedule, args.trials, args.seed)
-    text = render_trials_csv(records, summary)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            render_trials_csv(records, summary, fh)
     except OSError as e:
         print(f"cannot write {args.out}: {e}", file=sys.stderr)
         return EXIT_IO

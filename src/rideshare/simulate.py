@@ -32,13 +32,13 @@ trials in trial order instead.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import struct
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from itertools import product
+from typing import TextIO
 
 from .model import Scenario
 from .payments import ExcludedValueError, PaymentSchedule, Unconditional, _finite
@@ -406,8 +406,10 @@ def _repr_or_empty(x: float | None) -> str:
     return "" if x is None else repr(x)
 
 
-def render_trials_csv(records: TrialRecords, summary: SimulationSummary) -> str:
-    """The per-trial CSV: one row per trial and commuter, then the summary.
+def render_trials_csv(records: TrialRecords, summary: SimulationSummary, out: TextIO) -> None:
+    """Write the per-trial CSV to `out`: one row per trial and commuter,
+    then the summary, a trial at a time, so memory never holds the text
+    when `out` is a file.
 
     Every field is a number, a fixed word or empty, so none needs quoting
     and each row is its fields joined by commas. A trial's rows after its
@@ -415,8 +417,7 @@ def render_trials_csv(records: TrialRecords, summary: SimulationSummary) -> str:
     once per distinct vector and written in trial order straight from the
     drawn vectors; no record is built.
     """
-    buf = io.StringIO()
-    buf.write("trial,commuter,committed,value,payment,utility\n")
+    out.write("trial,commuter,committed,value,payment,utility\n")
     # Each vector's rows follow an empty string, so joining them with a
     # trial's "t," puts that prefix before every row, and before none when
     # there are no commuters.
@@ -428,14 +429,13 @@ def render_trials_csv(records: TrialRecords, summary: SimulationSummary) -> str:
         for commit, f in records.settled.items()
     }
     for t, commit in enumerate(records.vectors):
-        buf.write(f"{t},".join(rows_of[commit]))
+        out.write(f"{t},".join(rows_of[commit]))
     for k in range(len(summary.mean_commit)):
-        buf.write(
+        out.write(
             f"mean,{k},{summary.mean_commit[k]!r},{summary.mean_value[k]!r},"
             f"{summary.mean_payment[k]!r},{summary.mean_utility[k]!r}\n"
             f"stderr,{k},,,,{summary.stderr_utility[k]!r}\n"
         )
-    return buf.getvalue()
 
 
 def exact_expected_utilities(s: Scenario, schedule: PaymentSchedule) -> tuple[float, ...]:

@@ -7,6 +7,7 @@ overflow a settled utility or a pivot search."""
 
 import contextlib
 import inspect
+import io
 import itertools
 import math
 import sys
@@ -16,6 +17,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from rideshare.allocation import efficient_allocation, efficient_allocation_excluding
+from rideshare.cli import render_trials_csv
 from rideshare.audit import (
     GAIN_TOLERANCE,
     AuditReport,
@@ -223,6 +225,13 @@ def bernoulli_expectation(spec, allocation, p):
         assert v is not EXCLUDED
         total += weight * v
     return total
+
+
+def rendered_csv(records, summary):
+    """The text `render_trials_csv` writes for a run."""
+    out = io.StringIO()
+    render_trials_csv(records, summary, out)
+    return out.getvalue()
 
 
 def csv_of_records(records, summary):

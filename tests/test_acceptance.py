@@ -9,6 +9,7 @@ from conftest import (
     check_linearity_numeric,
     linearity_residual,
     naive_best_allocation,
+    rendered_csv,
 )
 from rideshare.allocation import efficient_allocation
 from rideshare.audit import (
@@ -19,7 +20,6 @@ from rideshare.audit import (
     audit_expost,
     deviations_for,
 )
-from rideshare.cli import render_trials_csv
 from rideshare.corpus import by_name, corpus, linear_entries
 from rideshare.model import enumerate_feasible_allocations, with_report, with_truthful_reports
 from rideshare.payments import (
@@ -247,9 +247,7 @@ def test_criterion_9_simulation_consistency():
             assert gap <= 3 * summary.stderr_utility[i], (i, gap)
 
         again_records, again_summary = run_trials(s, schedule, 200_000, seed=20260814)
-        assert render_trials_csv(records, summary) == render_trials_csv(
-            again_records, again_summary
-        )
+        assert rendered_csv(records, summary) == rendered_csv(again_records, again_summary)
 
     _verdict_line(9, "simulation agrees with enumeration and reproduces", body)
 

@@ -351,7 +351,7 @@ def _scorer_against_argmax(s):
     refuse = mock.patch.object(allocation, "_argmax", side_effect=AssertionError("unpruned"))
     for i in range(s.n):
         with refuse:
-            score = DeviationFrames(OutcomeTable(s, None), i)(p[i])
+            score = DeviationFrames(OutcomeTable(s, None), i, pruned=True)(p[i])
         for scale in (1.0, 0.0, -1.0, 2.0**60):
             own = _rescaled(specs[i], scale)
             with refuse:
@@ -399,7 +399,7 @@ def test_frame_scorer_keeps_a_contender_that_rounds_level_with_a_later_one():
     ), compatible)
     allocations = _feasible(s, None)
     assert len(allocations) == 2
-    score = DeviationFrames(OutcomeTable(s, None), 0)(1.0)
+    score = DeviationFrames(OutcomeTable(s, None), 0, pruned=True)(1.0)
     rep = score(flat(0, 2.0**54))
     assert rep.allocation is allocations[0]
     assert rep.welfare == 2.0**54
@@ -415,7 +415,7 @@ def test_deviation_frames_score_as_efficient_allocation_of_the_report(s):
     space = DeviationSpace(p_grid=3)
     for public_p in (None, s.true_p()):
         for i, c in enumerate(s.commuters):
-            frames = DeviationFrames(OutcomeTable(s, public_p), i)
+            frames = DeviationFrames(OutcomeTable(s, public_p), i, pruned=True)
             for trip in deviations_for(c.true_type, space):
                 got = frames(trip.p_commit)(trip.valuation)
                 expected = efficient_allocation(with_report(s, i, trip), p_override=public_p)
@@ -440,7 +440,7 @@ def test_outcomes_are_the_allocations_no_report_excludes(s):
         table = OutcomeTable(s, public_p)
         for i in range(s.n):
             outcomes = table.outcomes(i)
-            frames = DeviationFrames(table, i)
+            frames = DeviationFrames(table, i, pruned=True)
             assert [id(rep.allocation) for rep in outcomes] == [id(a) for a in acceptable]
             for rep in outcomes:
                 values = tuple(0.0 if j == i else evaluate(spec, rep.allocation, p)

@@ -1,5 +1,6 @@
 """Misreport grid search: verdicts, witnesses, and witness replay."""
 
+import inspect
 import math
 import re
 from collections import Counter
@@ -413,6 +414,35 @@ def test_an_expost_audit_raises_what_the_searches_one_by_one_raise():
     assert raised == {OverflowError, RuntimeError}
 
 
+def test_an_expost_audit_raises_what_a_negative_exponent_raises():
+    """0 values a ride at 1 / p1 and 2, the only driver, refuses to drive,
+    so no outcome reads 0's value and every outcome settles alike. But a
+    search with 1 reporting p1 = 0 evaluates 0's ride before 2's refusal.
+    That raises under commit and private Groves, so the certificate must
+    not clear 1's sweep, nor may a frame skip the allocation; with public
+    probabilities nothing reads a report, and both find no violation."""
+    ride = Clause(OutcomePattern(Role.RIDE), terms=(Monomial(1.0, ((1, -1),)),))
+    drive = Clause(OutcomePattern(Role.DRIVE), excluded=True)
+    s = Scenario((
+        Commuter(0, False, 0, TripType(ValuationSpec(0, (ride,)), 1.0)),
+        Commuter(1, False, 0, TripType(ValuationSpec(1, ()), 1.0)),
+        Commuter(2, True, 1, TripType(ValuationSpec(2, (drive,)), 1.0)),
+    ), full_compatibility(3))
+    space = DeviationSpace(p_grid=3)
+    assert not allocation_module.bounded(s.commuters[0].true_type.valuation)
+    raised = set()
+    for mechanism in Mechanism:
+        try:
+            expected = repr(reference_audit(s, mechanism, space))
+        except ZeroDivisionError as e:
+            with pytest.raises(ZeroDivisionError, match=f"^{re.escape(str(e))}$"):
+                audit_expost(s, mechanism, space)
+            raised.add(mechanism)
+        else:
+            assert repr(audit_expost(s, mechanism, space)) == expected
+    assert raised == {m for m in Mechanism if m.probabilities(s) is None}
+
+
 def test_finer_grid_never_flips_to_clean(corpus_entries):
     """Refining 21 to 41 probability points keeps every violated verdict
     violated, with no smaller maximum gain."""
@@ -486,19 +516,24 @@ def test_dominant_sweep_refuses_a_scoring_count_over_budget(monkeypatch):
     """Unit scales leave each commuter of the pair one deviation per
     probability point. 101 points against 9,900-point opponent grids (plus
     the true type) score 2 × 101 × 9,901 = MAX_DOMINANT_SCORINGS + 2
-    deviations and are refused before any is scored; 100 points against
-    9,999 score exactly the budget and reach the sweep."""
+    deviations and are refused before any grid is built; 100 points
+    against 9,999 score exactly the budget and reach the sweep."""
     assert audit_module.MAX_DOMINANT_SCORINGS == 2_000_000
 
     def refuse(*args):
         raise AssertionError("the sweep started")
 
+    def unbuilt(*args):
+        raise AssertionError("a grid was built")
+
     monkeypatch.setattr(audit_module, "_sweep", refuse)
     s = by_name("linear-pair-profitable")
     unit = (1.0,)
-    with pytest.raises(AuditSizeError, match="would score 2000002 deviations"):
-        audit_dominant(s, Mechanism.COMMIT_BASED, DeviationSpace(101, unit),
-                       DeviationSpace(9900, unit))
+    with monkeypatch.context() as patch:
+        patch.setattr(audit_module, "deviations_for", unbuilt)
+        with pytest.raises(AuditSizeError, match="would score 2000002 deviations"):
+            audit_dominant(s, Mechanism.COMMIT_BASED, DeviationSpace(101, unit),
+                           DeviationSpace(9900, unit))
     with pytest.raises(AssertionError, match="the sweep started"):
         audit_dominant(s, Mechanism.COMMIT_BASED, DeviationSpace(100, unit),
                        DeviationSpace(9999, unit))
@@ -599,9 +634,9 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     probabilities, a sweep with a reader reads no outcomes; every other
     sweep reads them once.
 
-    Any other sweep of commuter i builds i's grid once and passes over the
-    feasible set once per frame whose readers (the others whose spec reads
-    p̂_i) changed: once, unless probabilities are private and someone reads
+    Any other sweep of commuter i builds i's grid once and makes one pass
+    over the table's outcome rows per frame whose readers (the others whose
+    spec reads p̂_i) changed: once, unless probabilities are private and someone reads
     p̂_i, then once per p̂_i point. Each distinct (frame, reported
     valuation) is scored once, by the frame's scorer, never by a full-set
     argmax. Within the frames, a non-reader is evaluated at most once per
@@ -658,11 +693,11 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
 
     real_frame_scorer = allocation_module._frame_scorer
 
-    def frame_scorer(*args):
+    def frame_scorer(*args, **kwargs):
         record = sweeps[-1]
         record["passes"] += 1
-        score = track(real_frame_scorer, "frame")(*args)
-        p = args[3]
+        score = track(real_frame_scorer, "frame")(*args, **kwargs)
+        p = inspect.signature(real_frame_scorer).bind(*args, **kwargs).arguments["p"]
 
         def scoring(spec):
             record["scorings"].append((p[record["i"]], id(spec)))

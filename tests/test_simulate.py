@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_of_records, overflowing_settlement_scenario, solo_commuters
+from conftest import csv_of_records, overflowing_settlement_scenario, rendered_csv, solo_commuters
 from rideshare import cli
 from rideshare import simulate as simulate_module
-from rideshare.cli import render_trials_csv
 from rideshare.corpus import by_name, linear_entries
 from rideshare.model import Role, TripType, with_truthful_reports
 from rideshare.payments import (
@@ -365,7 +364,7 @@ def test_records_view_behaves_like_the_list(make):
     assert records == run_trials(s, schedule, 37, seed=4)[0]
     assert records != run_trials(s, schedule, 36, seed=4)[0]
     assert records != run_trials(s, schedule, 37, seed=5)[0]
-    assert render_trials_csv(records, summary) == csv_of_records(expected, summary)
+    assert rendered_csv(records, summary) == csv_of_records(expected, summary)
 
 
 def test_records_view_memory_stays_flat():
