@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -133,8 +134,8 @@ class OutcomeTable:
     Every allocation a misreport of commuter i's can win is an outcome, as
     long as the misreport excludes what i's report excludes, as each of
     `deviations_for` does. The set is the same for every i, so one pass
-    serves each commuter's certificate (`outcomes`) and frames
-    (`DeviationFrames`) against the profile.
+    serves each commuter's certificate and scorers (`scorer`) against the
+    profile.
     """
 
     def __init__(self, scenario: Scenario, public_p: Sequence[float] | None) -> None:
@@ -149,7 +150,7 @@ class OutcomeTable:
         self.private = public_p is None
         self._truth: WelfareReport | None = None
         self._pivots: dict[CommuterId, float] = {}
-        self._rows: list[tuple[Allocation, list[float]]] | None = None
+        self._rows: list[WelfareReport] | None = None
 
     def truth(self) -> WelfareReport:
         """What `efficient_allocation` returns, or raises, on the scenario
@@ -181,12 +182,25 @@ class OutcomeTable:
         return tuple(
             j for j, spec, _, _ in self.present if j != i and i in referenced_subjects(spec))
 
-    def rows(self) -> list[tuple[Allocation, list[float]]]:
-        """The outcomes in walk order, each with everyone's values at the
-        table's probabilities; the lists are shared, not to be changed. The
-        first call reads everyone where `truth` does, evaluating only what
-        that search has not; later calls evaluate nothing. Raises what an
-        evaluation raises."""
+    @functools.cached_property
+    def bounded(self) -> bool:
+        """True when every reported and true probability is in [0, 1] and
+        every report is `bounded`; False when a field has a type the bound
+        cannot read. Checked once per table."""
+        s = self.scenario
+        try:
+            return (all(0.0 <= x <= 1.0 for x in s.reported_p() + s.true_p())
+                    and all(bounded(spec) for _, spec, _, _ in self.present))
+        except TypeError:
+            return False
+
+    def rows(self) -> list[WelfareReport]:
+        """The outcomes in walk order, each as the report a search choosing
+        it returns: everyone's values at the table's probabilities and
+        their exact sum. Built once; the list is shared, not to be changed.
+        The first call reads everyone where `truth` does, evaluating only
+        what that search has not; later calls evaluate nothing. Raises
+        what an evaluation or a welfare sum raises."""
         if self._rows is None:
             rows = []
             values = [0.0] * len(self.present)
@@ -201,137 +215,94 @@ class OutcomeTable:
                         break
                     values[j] = v
                 else:
-                    rows.append((allocation, values[:]))
+                    rows.append(WelfareReport(allocation, math.fsum(values), tuple(values)))
             self._rows = rows
         return self._rows
 
-    def outcomes(self, i: CommuterId) -> list[WelfareReport]:
-        """The `rows` as reports of the others' values, i's slot 0.0 and
-        the welfare their exact sum: what a frame's scorer puts in
-        `per_commuter` for the others, but for a reader of i's at a p̂_i
-        other than the table's. Raises what `rows` raises."""
-        out = []
-        for allocation, values in self.rows():
-            row = values[:]
-            row[i] = 0.0
-            out.append(WelfareReport(allocation, math.fsum(row), tuple(row)))
-        return out
+    def scorer(
+        self, i: CommuterId, p: Sequence[float], pruned: bool
+    ) -> Callable[[ValuationSpec, Sequence[float]], WelfareReport]:
+        """`score(spec, q)` returns, or raises, what `_argmax` over the
+        table's feasible set does at `q` with the table's reports, i's
+        replaced by `spec`, which must exclude exactly what i's report
+        excludes. The readers of i's probability are valued at `p`, in
+        fresh tables when `p[i]` is not the table's; `q` may differ from
+        `p` only where no other commuter's spec reads it. Unless `pruned`,
+        each scoring is that search.
 
-
-class DeviationFrames:
-    """Commuter i's misreports against the profile of `table`: scorers
-    for each misreport. `frames(p_hat)(spec)` returns, or raises, what
-    `efficient_allocation` does on the table's scenario, at its public
-    probabilities if any, with i reporting `spec` and `p_hat`. Each scored
-    valuation must exclude exactly what i's report in the scenario
-    excludes, as each of `deviations_for` does.
-
-    `pruned` is the caller's word that every probability, `p_hat`
-    included, is in [0, 1] and every other report and every scored
-    valuation is `bounded`; only then do the scorers prune (`_frame_scorer`).
-    Only the readers, the others whose spec reads i's probability, read i's
-    report; none does under public probabilities. So a new `p_hat` starts
-    a new scorer only if there are readers. Scorers read the latest
-    `p_hat`, so each serves until the next call.
-    """
-
-    def __init__(self, table: OutcomeTable, i: CommuterId, pruned: bool) -> None:
-        self._table = table
-        self._i = i
-        self._pruned = pruned
-        self._readers = table.readers(i)
-        self._p = list(table.p)
-        self._score: Callable[[ValuationSpec], WelfareReport] | None = None
-
-    def __call__(self, p_hat: float) -> Callable[[ValuationSpec], WelfareReport]:
-        p, i = self._p, self._i
-        stale = self._score is None or self._readers and p[i] != p_hat
-        if self._table.private:
-            p[i] = p_hat
-        if stale:
-            self._score = _frame_scorer(self._table, i, p, self._pruned)
-        return self._score
-
-
-def _frame_scorer(
-    table: OutcomeTable, i: CommuterId, p: Sequence[float], pruned: bool
-) -> Callable[[ValuationSpec], WelfareReport]:
-    """`scorer(spec)` returns, or raises, what `_argmax` over the table's
-    feasible set does at `p` with the table's reports, i's replaced by
-    `spec`, which must exclude exactly what i's report excludes; the
-    readers of i's probability get fresh tables when `p[i]` is not the
-    table's. Between scorings, `p` may change only where no other
-    commuter's spec reads it. Unless `pruned`, each scoring is that search.
-
-    Pruned, one pass over the table's rows keeps the contenders. Exclusion
-    reads no probability, so the rows are the allocations nobody excludes
-    whatever i reports; the others' values are the rows', the readers'
-    revalued if fresh. A contender's others' exact value sum is strictly
-    greater than that of every earlier row giving i the same assignment.
-    For a fixed value of i, welfare (the correctly rounded exact sum) is
-    monotone in the others' exact sum, so a dropped allocation has an
-    earlier contender with the same assignment of i that scores at least
-    as high under any valuation of i, and the first maximiser is a
-    contender. A scoring evaluates i once per assignment of i among the
-    contenders, then sums each contender once, in commuter order. `pruned`
-    keeps every value below 2**1000 up to rounding, so no evaluation
-    raises and no such sum, or sum of differences, overflows.
-    """
-    entries = list(table.present)
-    fresh = table.readers(i) if p[i] != table.p[i] else ()
-    for j in fresh:
-        entries[j] = _scored(j, entries[j][1])
-
-    def unpruned(spec: ValuationSpec) -> WelfareReport:
-        entries[i] = _scored(i, spec)
-        return _argmax(table.allocations, entries, p, None)
-
-    if not pruned:
-        return unpruned
-    mine = entries[i][2]
-    leaders: dict[int, tuple[float, list[float]]] = {}
-    contenders: list[tuple[Allocation, int, list[float]]] = []
-    for allocation, row in table.rows():
-        assignments = allocation.assignments
-        values = row[:]
-        values[i] = 0.0
+        `pruned` is the caller's word that every probability, `q`'s
+        included, is in [0, 1] and every report and every scored valuation
+        is `bounded`. Then one pass over the table's `rows` keeps the
+        contenders. Exclusion reads no probability, so the rows are the
+        allocations nobody excludes whatever i reports; the others' values
+        are the rows', the readers' revalued if fresh. A contender's
+        others' exact value sum is strictly greater than that of every
+        earlier row giving i the same assignment. For a fixed value of i,
+        welfare (the correctly rounded exact sum) is monotone in the
+        others' exact sum, so a dropped allocation has an earlier contender
+        with the same assignment of i that scores at least as high under
+        any valuation of i, and the first maximiser is a contender. A
+        scoring evaluates i once per assignment of i among the contenders,
+        then sums each contender once, in commuter order. The bound keeps
+        every value below 2**1000 up to rounding, so no evaluation raises
+        and no such sum, or sum of differences, overflows.
+        """
+        entries = list(self.present)
+        fresh = self.readers(i) if p[i] != self.p[i] else ()
         for j in fresh:
-            _, spec, owner, values_j = entries[j]
-            key = id(assignments[owner])
-            v = values_j.get(key)
-            if v is None:
-                v = values_j[key] = evaluate(spec, allocation, p, None)
-            values[j] = v
-        key = id(assignments[mine])
-        total = math.fsum(values)
-        leader = leaders.get(key)
-        # Rounding is monotone, so unequal rounded sums order the exact
-        # sums alike; level ones are ordered by their exact difference.
-        if (leader is None or total > leader[0] or total == leader[0]
-                and math.fsum(values + [-x for x in leader[1]]) > 0.0):
-            leaders[key] = (total, values)
-            contenders.append((allocation, key, values))
+            entries[j] = _scored(j, entries[j][1])
 
-    def score(spec: ValuationSpec) -> WelfareReport:
-        own: dict[int, float] = {}
-        best_allocation = None
-        best_welfare = 0.0
-        best_values: tuple[float, ...] = ()
-        for allocation, key, values in contenders:
-            v = own.get(key)
-            if v is None:
-                v = own[key] = evaluate(spec, allocation, p, None)
-            values[i] = v
-            welfare = math.fsum(values)
-            if best_allocation is None or welfare > best_welfare:
-                best_allocation = allocation
-                best_welfare = welfare
-                best_values = tuple(values)
-        if best_allocation is None:
-            raise RuntimeError("no feasible allocation is acceptable to every commuter")
-        return WelfareReport(best_allocation, best_welfare, best_values)
+        def unpruned(spec: ValuationSpec, q: Sequence[float]) -> WelfareReport:
+            entries[i] = _scored(i, spec)
+            return _argmax(self.allocations, entries, q, None)
 
-    return score
+        if not pruned:
+            return unpruned
+        mine = entries[i][2]
+        leaders: dict[int, tuple[float, list[float]]] = {}
+        contenders: list[tuple[Allocation, int, list[float]]] = []
+        for row in self.rows():
+            allocation = row.allocation
+            assignments = allocation.assignments
+            values = list(row.per_commuter)
+            values[i] = 0.0
+            for j in fresh:
+                _, spec, owner, values_j = entries[j]
+                key = id(assignments[owner])
+                v = values_j.get(key)
+                if v is None:
+                    v = values_j[key] = evaluate(spec, allocation, p, None)
+                values[j] = v
+            key = id(assignments[mine])
+            total = math.fsum(values)
+            leader = leaders.get(key)
+            # Rounding is monotone, so unequal rounded sums order the exact
+            # sums alike; level ones are ordered by their exact difference.
+            if (leader is None or total > leader[0] or total == leader[0]
+                    and math.fsum(values + [-x for x in leader[1]]) > 0.0):
+                leaders[key] = (total, values)
+                contenders.append((allocation, key, values))
+
+        def score(spec: ValuationSpec, q: Sequence[float]) -> WelfareReport:
+            own: dict[int, float] = {}
+            best_allocation = None
+            best_welfare = 0.0
+            best_values: tuple[float, ...] = ()
+            for allocation, key, values in contenders:
+                v = own.get(key)
+                if v is None:
+                    v = own[key] = evaluate(spec, allocation, q, None)
+                values[i] = v
+                welfare = math.fsum(values)
+                if best_allocation is None or welfare > best_welfare:
+                    best_allocation = allocation
+                    best_welfare = welfare
+                    best_values = tuple(values)
+            if best_allocation is None:
+                raise RuntimeError("no feasible allocation is acceptable to every commuter")
+            return WelfareReport(best_allocation, best_welfare, best_values)
+
+        return score
 
 
 def efficient_allocation_excluding(

@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .allocation import DeviationFrames, OutcomeTable, bounded
+from .allocation import OutcomeTable, bounded
 # Not called here; kept so that bench/tracer.py can still wrap them here.
 from .allocation import efficient_allocation, efficient_allocation_excluding
 from .model import CommuterId, Scenario, TripType, with_report, with_truthful_reports
 from .payments import Evaluations, Mechanism, PivotRule, settled_utility
-from .valuation import GateDirection, Monomial, ThresholdGate, ValuationSpec
+from .valuation import GateDirection, Monomial, ThresholdGate, ValuationSpec, substitute
 
 GAIN_TOLERANCE = 1e-9
 MAX_DOMINANT_COMMUTERS = 4
@@ -30,10 +30,12 @@ MAX_DOMINANT_COMMUTERS = 4
 # (1,720,320 scorings of linear-quad-full-van against 3-point opponent grids
 # took 20-22 s under commit and groves-clarke with Python 3.11 on an idle
 # 2-core VM, and up to twice that on a loaded one), so this bounds a
-# dominant sweep to under a minute. The budget counts every grid's
-# scorings before any grid is built, so a sweep the certificate clears
-# without scoring (see `_sweep`) still counts toward it.
-MAX_DOMINANT_SCORINGS = 2_000_000
+# dominant audit, and each ex-post sweep, to under a minute. A dominant
+# audit counts every grid's scorings before any grid is built, so a sweep
+# the certificate clears without scoring (see `_sweep`) still counts
+# toward it; an ex-post sweep counts its own grid only when the
+# certificate leaves it to be built.
+MAX_SCORINGS = 2_000_000
 MAX_P_GRID = 10_001
 _MAX_SCALE_COMBOS = 4096
 
@@ -49,8 +51,10 @@ class Verdict(Enum):
 
 
 class AuditSizeError(ValueError):
-    """The dominant sweep was refused because it would not terminate in
-    reasonable time."""
+    """An audit was refused, before any grid it counts was built, because
+    it would not terminate in reasonable time: a dominant audit over too
+    many commuters or scorings, or an ex-post sweep whose grid has more
+    than MAX_SCORINGS deviations."""
 
 
 @dataclass(frozen=True)
@@ -164,8 +168,13 @@ def deviations_for(trip: TripType, space: DeviationSpace) -> list[TripType]:
     """Candidate misreports in a fixed order: probability points ascending,
     then the reported valuations of `_variants`. The order is the
     tie-break when several deviations share the maximal gain."""
+    return _grid(_variants(trip.valuation, space), space)
+
+
+def _grid(variants: list[ValuationSpec], space: DeviationSpace) -> list[TripType]:
+    """Each of `variants` at each probability point of `space`, points
+    ascending."""
     points = [k / (space.p_grid - 1) for k in range(space.p_grid)]
-    variants = _variants(trip.valuation, space)
     return [TripType(spec, p_hat) for p_hat in points for spec in variants]
 
 
@@ -198,22 +207,24 @@ def _sweep(
     """Commuter i's first maximal-gain deviation in `space` against the
     profile of `table`, priced at the probabilities `mechanism` reads, if
     any gains, as pricing each deviation afresh would find. `devs` is i's
-    grid, or None to build it only if the sweep scores it. The table may be
-    shared with other sweeps against the same profile; this one asks it
-    for i's pivot, then for the efficient report, the order in which a
-    sweep's own searches would run.
+    grid, or None to build it only if the sweep scores it, refused with
+    AuditSizeError above MAX_SCORINGS deviations. The table may be shared
+    with other sweeps against the same profile; this one asks it for i's
+    pivot, then for the efficient report, the order in which a sweep's own
+    searches would run.
 
-    Only a `_bounded` sweep tries the certificate and prunes its frames.
+    Only a `_bounded` sweep tries the certificate and prunes its scorers.
     Where i's utility is fixed by the chosen allocation, it first settles
     i on every outcome of the table (`_certified`); when none beats truth,
     no deviation gains and the sweep returns None without building or
-    scoring the grid. Otherwise each new p̂_i starts a frame of
-    `DeviationFrames` under private probabilities; one frame serves all
-    under public ones. Utilities are kept per reported
-    valuation per frame, and per outcome per sweep where the outcome fixes
-    them, else per frame. Every settlement evaluates through one memo per
-    sweep, so i's true spec and each reader are evaluated once per
-    assignment at each probability vector they are settled at.
+    scoring the grid. Otherwise a frame starts at each new p̂_i under
+    private probabilities, and one frame serves all under public ones; a
+    frame asks the table for a new `scorer` only if someone reads p̂_i.
+    Utilities are kept per reported valuation per frame, and per outcome
+    per sweep where the outcome fixes them, else per frame. Every
+    settlement evaluates through one memo per sweep, so i's true spec and
+    each reader are evaluated once per assignment at each probability
+    vector they are settled at.
     """
     profile = table.scenario
     # the pivot never reads i's report, so it is fixed per profile
@@ -229,27 +240,38 @@ def _sweep(
     memo = Evaluations()
     u_truth = settled_utility(
         profile, i, truth.allocation, mechanism.entry(profile, h, truth, i, memo), memo)
-    by_outcome = mechanism is Mechanism.COMMIT_BASED or not table.readers(i)
+    readers = table.readers(i)
+    by_outcome = mechanism is Mechanism.COMMIT_BASED or not readers
     # Memos key on ids, kept alive by `table` and `devs`.
     settled: dict[int, float] = {}
-    pruned = _bounded(profile, i, space)
-    if by_outcome and pruned and _certified(profile, i, mechanism, h, u_truth, table, settled, memo):
+    pruned = _bounded(table, i, space)
+    if by_outcome and pruned and _certified(i, mechanism, h, u_truth, table, settled, memo):
         return None
     if devs is None:
-        devs = deviations_for(profile.commuters[i].true_type, space)
-    frames = DeviationFrames(table, i, pruned)
+        true_type = profile.commuters[i].true_type
+        scorings = space.p_grid * len(_variants(true_type.valuation, space))
+        if scorings > MAX_SCORINGS:
+            raise AuditSizeError(
+                f"ex-post audit would score {scorings} deviations of commuter {i} and is "
+                f"refused above {MAX_SCORINGS}; use a smaller grid"
+            )
+        devs = deviations_for(true_type, space)
+    q = table.p
     p_hat = utilities = score = None
     best: Witness | None = None
     for trip in devs:
         if utilities is None or (table.private and trip.p_commit != p_hat):
             p_hat = trip.p_commit
-            score = frames(p_hat)
+            if table.private:
+                q = substitute(table.p, i, p_hat)
+            if score is None or readers:
+                score = table.scorer(i, q, pruned)
             utilities = {}
             if not by_outcome:
                 settled = {}
         spec_id = id(trip.valuation)
         if spec_id not in utilities:
-            rep = score(trip.valuation)
+            rep = score(trip.valuation, q)
             outcome = id(rep.allocation)
             if outcome not in settled:
                 entry = mechanism.entry(profile, h, rep, i, memo)
@@ -262,26 +284,23 @@ def _sweep(
     return best
 
 
-def _bounded(profile: Scenario, i: CommuterId, space: DeviationSpace) -> bool:
-    """True when no scoring of i's grid in `space` against `profile` can
-    raise or overflow a welfare sum: every probability is in [0, 1], as
-    each grid point is, and the others' reports and i's truth, rescaled by
-    the largest |scale| of `space`, are `bounded`. False when a field has
-    a type the bound cannot read: the full searches then raise what they
-    do."""
+def _bounded(table: OutcomeTable, i: CommuterId, space: DeviationSpace) -> bool:
+    """True when no scoring of i's grid in `space` against the profile of
+    `table` can raise or overflow a welfare sum: the table is `bounded`
+    and i's truth, rescaled by the largest |scale| of `space`, is
+    `bounded`. That covers each deviation, whose probability is a grid
+    point in [0, 1], and the others' reports; i's report is i's truth,
+    and a scale of at least 1 bounds it at scale 1 too. False when a
+    field has a type the bound cannot read: the full searches then raise
+    what they do."""
     scale = max(abs(x) for x in space.coefficient_scales + (1.0,))
-    commuters = profile.commuters
     try:
-        return (all(0.0 <= x <= 1.0 for x in profile.reported_p() + profile.true_p())
-                and bounded(commuters[i].true_type.valuation, scale)
-                and all(bounded(c.reported_type.valuation)
-                        for j, c in enumerate(commuters) if j != i))
+        return table.bounded and bounded(table.scenario.commuters[i].true_type.valuation, scale)
     except TypeError:
         return False
 
 
 def _certified(
-    profile: Scenario,
     i: CommuterId,
     mechanism: Mechanism,
     h: float,
@@ -291,17 +310,18 @@ def _certified(
     memo: Evaluations,
 ) -> bool:
     """True when i, whose utility the chosen allocation fixes, gains
-    nothing (`U(a) - u_truth <= 0.0`) on any outcome `a` of
-    `table.outcomes(i)`. Each outcome settled, through `memo`, is filed in
-    `settled` under the allocation's id.
+    nothing (`U(a) - u_truth <= 0.0`) on any outcome `a` of `table.rows()`.
+    Each outcome settled, through `memo`, is filed in `settled` under the
+    allocation's id. The rows carry i's own value, which no entry reads.
 
     Every report i can make wins one of those outcomes (the taxation
     principle), so then no deviation gains. The caller applies it only
     where the sweep is `_bounded`, so that no scoring of the grid could
     have raised. Anything raised here leaves the grid to decide.
     """
+    profile = table.scenario
     try:
-        for rep in table.outcomes(i):
+        for rep in table.rows():
             entry = mechanism.entry(profile, h, rep, i, memo)
             u = settled[id(rep.allocation)] = settled_utility(
                 profile, i, rep.allocation, entry, memo)
@@ -361,10 +381,12 @@ def audit_expost(
     the gain tolerance. Ties keep the lowest commuter id, then the first
     deviation in grid order. Every sweep runs against the truthful
     profile, so one `OutcomeTable` prices it for every commuter: the
-    efficient report is searched once, each pivot once, and the outcomes
-    are read from the same value tables. A commuter's grid is built and
-    scored only when a one-pass certificate over the outcomes their
-    reports can win does not already rule out every gain."""
+    efficient report is searched once, each pivot once, the outcomes are
+    read from the same value tables, and the others' reports are bounded
+    once. A commuter's grid is built and scored only when a one-pass
+    certificate over the outcomes their reports can win does not already
+    rule out every gain; raises AuditSizeError, before building it, when
+    that grid has more than MAX_SCORINGS deviations."""
     return _audit(s, mechanism, space, None, None, None)
 
 
@@ -377,10 +399,9 @@ def audit_dominant(
     """Sweep each commuter's misreports against every grid profile of
     opponent misreports (truthful opponents included). Exhaustive in the
     grids, so cost grows as the profile product; refused above
-    MAX_DOMINANT_COMMUTERS commuters, and above MAX_DOMINANT_SCORINGS
-    argmax scorings, counted from each grid's reported valuations before
-    any grid is built. Each profile's sweep still tries the certificate
-    first."""
+    MAX_DOMINANT_COMMUTERS commuters, and above MAX_SCORINGS argmax
+    scorings, counted from each grid's reported valuations before any grid
+    is built. Each profile's sweep still tries the certificate first."""
     if s.n > MAX_DOMINANT_COMMUTERS:
         raise AuditSizeError(
             f"dominant audit over {s.n} commuters sweeps a full misreport profile "
@@ -390,19 +411,20 @@ def audit_dominant(
     # Σ_i |devs_i| × Π_{j≠i} |grids_j|, a grid being the true type and the
     # opponent deviations, with p_grid deviations per reported valuation.
     truth = [c.true_type for c in s.commuters]
-    devs = [space.p_grid * len(_variants(t.valuation, space)) for t in truth]
-    grids = [1 + opponent_space.p_grid * len(_variants(t.valuation, opponent_space))
-             for t in truth]
+    own = [_variants(t.valuation, space) for t in truth]
+    theirs = [_variants(t.valuation, opponent_space) for t in truth]
+    devs = [space.p_grid * len(v) for v in own]
+    grids = [1 + opponent_space.p_grid * len(v) for v in theirs]
     scorings = sum(d * math.prod(g for j, g in enumerate(grids) if j != i)
                    for i, d in enumerate(devs))
-    if scorings > MAX_DOMINANT_SCORINGS:
+    if scorings > MAX_SCORINGS:
         raise AuditSizeError(
             f"dominant audit would score {scorings} deviations against opponent "
-            f"profiles and is refused above {MAX_DOMINANT_SCORINGS}; use smaller "
+            f"profiles and is refused above {MAX_SCORINGS}; use smaller "
             "grids or audit_expost"
         )
-    return _audit(s, mechanism, space, opponent_space, [deviations_for(t, space) for t in truth],
-                  [[t] + deviations_for(t, opponent_space) for t in truth])
+    return _audit(s, mechanism, space, opponent_space, [_grid(v, space) for v in own],
+                  [[t] + _grid(v, opponent_space) for t, v in zip(truth, theirs)])
 
 
 @dataclass(frozen=True)

@@ -143,13 +143,13 @@ def cmd_audit(args) -> int:
     mechanism = _mechanism(args)
     space = _space("--grid", args.grid)
     opponent_space = _space("--opponent-grid", args.opponent_grid)
-    if args.notion == "expost":
-        report = audit_expost(s, mechanism, space)
-    else:
-        try:
+    try:
+        if args.notion == "expost":
+            report = audit_expost(s, mechanism, space)
+        else:
             report = audit_dominant(s, mechanism, space, opponent_space)
-        except AuditSizeError as e:
-            raise _InputError(str(e))
+    except AuditSizeError as e:
+        raise _InputError(str(e))
     print(f"mechanism: {report.mechanism.value}")
     print(f"notion: {report.notion.value}")
     print(f"p-grid: {report.space.p_grid}")

@@ -20,7 +20,6 @@ from conftest import (
 )
 from rideshare import allocation
 from rideshare.allocation import (
-    DeviationFrames,
     OutcomeTable,
     efficient_allocation,
     efficient_allocation_excluding,
@@ -48,6 +47,7 @@ from rideshare.valuation import (
     PartnerCountAtLeast,
     ValuationSpec,
     evaluate,
+    substitute,
 )
 
 
@@ -343,19 +343,19 @@ def _rescaled(spec, scale):
 
 def _scorer_against_argmax(s):
     """For each commuter i and each uniform rescaling of i's valuation, the
-    frame scorer's report, made without falling back to `_argmax`, and
-    `_argmax`'s over the full set, each from fresh tables."""
+    table's pruned scorer's report, made without falling back to `_argmax`,
+    and `_argmax`'s over the full set, each from fresh tables."""
     allocations = _feasible(s, None)
     p = s.reported_p()
     specs = [c.reported_type.valuation for c in s.commuters]
     refuse = mock.patch.object(allocation, "_argmax", side_effect=AssertionError("unpruned"))
     for i in range(s.n):
         with refuse:
-            score = DeviationFrames(OutcomeTable(s, None), i, pruned=True)(p[i])
+            score = OutcomeTable(s, None).scorer(i, p, pruned=True)
         for scale in (1.0, 0.0, -1.0, 2.0**60):
             own = _rescaled(specs[i], scale)
             with refuse:
-                got = score(own)
+                got = score(own, p)
             fresh = [allocation._scored(j, spec) for j, spec in enumerate(specs)]
             fresh[i] = allocation._scored(i, own)
             yield got, allocation._argmax(allocations, fresh, p, None)
@@ -399,25 +399,33 @@ def test_frame_scorer_keeps_a_contender_that_rounds_level_with_a_later_one():
     ), compatible)
     allocations = _feasible(s, None)
     assert len(allocations) == 2
-    score = DeviationFrames(OutcomeTable(s, None), 0, pruned=True)(1.0)
-    rep = score(flat(0, 2.0**54))
+    p = s.reported_p()
+    score = OutcomeTable(s, None).scorer(0, p, pruned=True)
+    rep = score(flat(0, 2.0**54), p)
     assert rep.allocation is allocations[0]
     assert rep.welfare == 2.0**54
-    assert score(flat(0, 0.0)).allocation is allocations[1]
+    assert score(flat(0, 0.0), p).allocation is allocations[1]
 
 
 @given(small_scenarios())
 @settings(max_examples=40, deadline=None)
 def test_deviation_frames_score_as_efficient_allocation_of_the_report(s):
-    """Under private and public probabilities, each frame's scorer returns
+    """Under private and public probabilities, the table's scorer returns
     the efficient allocation of the scenario with i's report, as the very
-    allocation object that search picks."""
+    allocation object that search picks, given i's probabilities `q`. Only
+    where someone reads p̂_i is the scorer built at `q`; otherwise one
+    scorer, built at the table's probabilities, scores every p̂_i."""
     space = DeviationSpace(p_grid=3)
     for public_p in (None, s.true_p()):
+        table = OutcomeTable(s, public_p)
         for i, c in enumerate(s.commuters):
-            frames = DeviationFrames(OutcomeTable(s, public_p), i, pruned=True)
+            readers = table.readers(i)
+            score = table.scorer(i, table.p, pruned=True)
             for trip in deviations_for(c.true_type, space):
-                got = frames(trip.p_commit)(trip.valuation)
+                q = table.p if public_p is not None else substitute(table.p, i, trip.p_commit)
+                if readers:
+                    score = table.scorer(i, q, pruned=True)
+                got = score(trip.valuation, q)
                 expected = efficient_allocation(with_report(s, i, trip), p_override=public_p)
                 assert got == expected
                 assert got.allocation is expected.allocation
@@ -426,27 +434,27 @@ def test_deviation_frames_score_as_efficient_allocation_of_the_report(s):
 @given(pivot_scenarios(excluding_none=False))
 @settings(max_examples=25, deadline=None)
 def test_outcomes_are_the_allocations_no_report_excludes(s):
-    """Under reported and public probabilities, one table lists for every
-    i, in walk order, each feasible allocation that no report excludes,
-    with the others' values at those probabilities, i's slot 0.0 and the
-    welfare their exact sum. A frame on that table at i's reported
-    probability, which reuses its value tables, scores i's report as the
-    full search does, with the very same floats for the others."""
+    """Under reported and public probabilities, one table lists once, in
+    walk order, each feasible allocation that no report excludes, as the
+    report a search choosing it returns: everyone's values at those
+    probabilities and the welfare their exact sum. A scorer on that table
+    at i's reported probability, which reuses its rows and value tables,
+    scores i's report as the full search does, with the very same floats
+    for the others."""
     specs = [c.reported_type.valuation for c in s.commuters]
     for public_p in (None, s.true_p()):
         p = s.reported_p() if public_p is None else public_p
         acceptable = [a for a in _feasible(s, None)
                       if all(evaluate(spec, a, p) is not EXCLUDED for spec in specs)]
         table = OutcomeTable(s, public_p)
+        outcomes = table.rows()
+        assert table.rows() is outcomes
+        assert [id(rep.allocation) for rep in outcomes] == [id(a) for a in acceptable]
+        for rep in outcomes:
+            values = tuple(evaluate(spec, rep.allocation, p) for spec in specs)
+            assert repr((rep.welfare, rep.per_commuter)) == repr((math.fsum(values), values))
         for i in range(s.n):
-            outcomes = table.outcomes(i)
-            frames = DeviationFrames(table, i, pruned=True)
-            assert [id(rep.allocation) for rep in outcomes] == [id(a) for a in acceptable]
-            for rep in outcomes:
-                values = tuple(0.0 if j == i else evaluate(spec, rep.allocation, p)
-                               for j, spec in enumerate(specs))
-                assert repr((rep.welfare, rep.per_commuter)) == repr((math.fsum(values), values))
-            chosen = frames(s.reported_p()[i])(specs[i])
+            chosen = table.scorer(i, table.p, pruned=True)(specs[i], table.p)
             expected = efficient_allocation(s, p_override=public_p)
             assert chosen == expected and chosen.allocation is expected.allocation
             others = {id(rep.allocation): rep.per_commuter for rep in outcomes}[id(chosen.allocation)]

@@ -1,6 +1,5 @@
 """Misreport grid search: verdicts, witnesses, and witness replay."""
 
-import inspect
 import math
 import re
 from collections import Counter
@@ -329,7 +328,7 @@ def test_commit_payments_leave_no_outcome_worth_misreporting_for(s):
     for i in range(base.n):
         h = efficient_allocation_excluding(base, i).welfare
         u_truth = settled_utility(base, i, truth.allocation, mechanism.entry(base, h, truth, i))
-        outcomes = OutcomeTable(base, None).outcomes(i)
+        outcomes = OutcomeTable(base, None).rows()
         assert any(rep.allocation is truth.allocation for rep in outcomes)
         best = max(settled_utility(base, i, rep.allocation, mechanism.entry(base, h, rep, i))
                    for rep in outcomes)
@@ -512,13 +511,54 @@ def test_dominant_sweep_refuses_large_scenarios():
     assert audit_expost(five, Mechanism.COMMIT_BASED) is not None
 
 
+def test_expost_sweep_refuses_a_grid_over_budget_before_building_it(monkeypatch):
+    """Commuter 0 of the shared-driver trio has 625 reported valuations and
+    readers, so no certificate applies under groves-clarke: 10,001 points
+    would score 6,250,625 deviations and are refused before the grid is
+    built, while 1,001 points (625,625) reach the grid. Under commit the
+    certificate clears every sweep, which counts nothing, so the same
+    10,001-point audit returns its verdict."""
+    s = by_name("linear-trio-shared-driver")
+
+    def unbuilt(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(audit_module, "deviations_for", unbuilt)
+    with pytest.raises(AuditSizeError, match="would score 6250625 deviations of commuter 0"):
+        audit_expost(s, Mechanism.GROVES_CLARKE, DeviationSpace(p_grid=10_001))
+    with pytest.raises(AssertionError, match="a grid was built"):
+        audit_expost(s, Mechanism.GROVES_CLARKE, DeviationSpace(p_grid=1_001))
+    report = audit_expost(s, Mechanism.COMMIT_BASED, DeviationSpace(p_grid=10_001))
+    assert report.verdict is Verdict.NO_VIOLATION_FOUND
+
+
+@pytest.mark.parametrize("mechanism", Mechanism, ids=lambda m: m.value)
+def test_an_expost_audit_bounds_each_report_once(monkeypatch, mechanism):
+    """All sweeps of an ex-post audit share one profile, so its reports
+    are bounded once, by the outcome table, and each sweep bounds only
+    its deviator's truth at the grid's largest scale: 2n calls."""
+    s = by_name("linear-quad-competition")
+    assert s.n == 4
+    calls = []
+    real = allocation_module.bounded
+
+    def bounded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(allocation_module, "bounded", bounded)
+    monkeypatch.setattr(audit_module, "bounded", bounded)
+    audit_expost(s, mechanism, DeviationSpace(p_grid=3))
+    assert len(calls) == 2 * s.n
+
+
 def test_dominant_sweep_refuses_a_scoring_count_over_budget(monkeypatch):
     """Unit scales leave each commuter of the pair one deviation per
     probability point. 101 points against 9,900-point opponent grids (plus
-    the true type) score 2 × 101 × 9,901 = MAX_DOMINANT_SCORINGS + 2
-    deviations and are refused before any grid is built; 100 points
-    against 9,999 score exactly the budget and reach the sweep."""
-    assert audit_module.MAX_DOMINANT_SCORINGS == 2_000_000
+    the true type) score 2 × 101 × 9,901 = MAX_SCORINGS + 2 deviations
+    and are refused before any grid is built; 100 points against 9,999
+    score exactly the budget and reach the sweep."""
+    assert audit_module.MAX_SCORINGS == 2_000_000
 
     def refuse(*args):
         raise AssertionError("the sweep started")
@@ -531,6 +571,7 @@ def test_dominant_sweep_refuses_a_scoring_count_over_budget(monkeypatch):
     unit = (1.0,)
     with monkeypatch.context() as patch:
         patch.setattr(audit_module, "deviations_for", unbuilt)
+        patch.setattr(audit_module, "_grid", unbuilt)
         with pytest.raises(AuditSizeError, match="would score 2000002 deviations"):
             audit_dominant(s, Mechanism.COMMIT_BASED, DeviationSpace(101, unit),
                            DeviationSpace(9900, unit))
@@ -630,16 +671,17 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     (probability vector, assignment).
 
     A sweep whose certificate holds finds nothing, builds no grid and
-    makes no frame pass or scoring. Under Groves with private
-    probabilities, a sweep with a reader reads no outcomes; every other
-    sweep reads them once.
+    builds or calls no scorer. Under Groves with private probabilities, a
+    sweep with a reader tries no certificate; every other sweep tries it
+    once. The outcome rows are built once per table and shared by every
+    certificate and scorer.
 
-    Any other sweep of commuter i builds i's grid once and makes one pass
-    over the table's outcome rows per frame whose readers (the others whose
-    spec reads p̂_i) changed: once, unless probabilities are private and someone reads
-    p̂_i, then once per p̂_i point. Each distinct (frame, reported
-    valuation) is scored once, by the frame's scorer, never by a full-set
-    argmax. Within the frames, a non-reader is evaluated at most once per
+    Any other sweep of commuter i builds i's grid once and asks the table
+    for one scorer, one pass over the table's outcome rows, per frame
+    whose readers (the others whose spec reads p̂_i) changed: once, unless
+    probabilities are private and someone reads p̂_i, then once per p̂_i
+    point. Each distinct (p̂_i, reported valuation) is scored once, by the
+    table's scorer and at i's probabilities, never by a full-set argmax. Within the frames, a non-reader is evaluated at most once per
     distinct assignment per audit, and not at all where pricing already
     did, a reader once per assignment per p̂_i, and i once per
     assignment per (p̂_i, valuation). Every sweep of the constant trio has
@@ -654,16 +696,17 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     searches = Counter()
     pricing = Counter()
     outcome_evaluations = Counter()
+    row_lists = set()
     where = None
 
     def track(fn, place):
         def tracked(*args):
             nonlocal where
-            where = place
+            outer, where = where, place
             try:
                 return fn(*args)
             finally:
-                where = None
+                where = outer
         return tracked
 
     def refuse(*args, **kwargs):
@@ -674,7 +717,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     def sweep(table, i, *args):
         readers = {j for j, spec in enumerate(specs) if j != i and i in referenced_subjects(spec)}
         record = {"i": i, "readers": readers, "passes": 0, "scorings": [], "grids": 0,
-                  "outcome_reads": 0, "evaluations": Counter(), "settlements": Counter()}
+                  "certificates": 0, "evaluations": Counter(), "settlements": Counter()}
         sweeps.append(record)
         record["found"] = real_sweep(table, i, *args)
         return record["found"]
@@ -685,23 +728,29 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         sweeps[-1]["grids"] += 1
         return real_deviations_for(*args)
 
-    real_outcomes = allocation_module.OutcomeTable.outcomes
+    real_certified = audit_module._certified
 
-    def outcomes(table, i):
-        sweeps[-1]["outcome_reads"] += 1
-        return track(real_outcomes, "outcomes")(table, i)
+    def certified(*args):
+        sweeps[-1]["certificates"] += 1
+        return real_certified(*args)
 
-    real_frame_scorer = allocation_module._frame_scorer
+    real_rows = allocation_module.OutcomeTable.rows
 
-    def frame_scorer(*args, **kwargs):
+    def rows(table):
+        found = track(real_rows, "outcomes")(table)
+        row_lists.add(id(found))
+        return found
+
+    real_scorer = allocation_module.OutcomeTable.scorer
+
+    def scorer(table, i, p, pruned):
         record = sweeps[-1]
         record["passes"] += 1
-        score = track(real_frame_scorer, "frame")(*args, **kwargs)
-        p = inspect.signature(real_frame_scorer).bind(*args, **kwargs).arguments["p"]
+        score = track(real_scorer, "frame")(table, i, p, pruned)
 
-        def scoring(spec):
-            record["scorings"].append((p[record["i"]], id(spec)))
-            return track(score, "frame")(spec)
+        def scoring(spec, q):
+            record["scorings"].append((q[record["i"]], id(spec)))
+            return track(score, "frame")(spec, q)
         return scoring
 
     real_argmax = allocation_module._argmax
@@ -749,8 +798,9 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     monkeypatch.setattr(audit_module, "OutcomeTable", Table)
     monkeypatch.setattr(audit_module, "efficient_allocation", refuse)
     monkeypatch.setattr(audit_module, "efficient_allocation_excluding", refuse)
-    monkeypatch.setattr(allocation_module.OutcomeTable, "outcomes", outcomes)
-    monkeypatch.setattr(allocation_module, "_frame_scorer", frame_scorer)
+    monkeypatch.setattr(audit_module, "_certified", certified)
+    monkeypatch.setattr(allocation_module.OutcomeTable, "rows", rows)
+    monkeypatch.setattr(allocation_module.OutcomeTable, "scorer", scorer)
     monkeypatch.setattr(allocation_module, "_argmax", argmax)
     monkeypatch.setattr(allocation_module, "evaluate", evaluate)
     monkeypatch.setattr(payments_module, "evaluate", settle_evaluate)
@@ -763,15 +813,16 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     assert set(pricing.values()) == {1}
     assert [r["i"] for r in sweeps] == list(range(s.n))
     assert not outcome_evaluations
+    assert len(row_lists) <= 1
     frame_shared = Counter()
     certified = []
     for record, c in zip(sweeps, s.commuters):
         assert record["settlements"]
         assert set(record["settlements"].values()) == {1}
         if private and record["readers"] and mechanism is not Mechanism.COMMIT_BASED:
-            assert record["outcome_reads"] == 0
+            assert record["certificates"] == 0
         else:
-            assert record["outcome_reads"] == 1
+            assert record["certificates"] == 1
         if not record["grids"]:
             certified.append(record["i"])
             assert record["found"] is None

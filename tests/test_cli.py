@@ -152,6 +152,24 @@ def test_audit_dominant_over_the_scoring_budget_is_input_error(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_audit_expost_over_the_scoring_budget_is_input_error(tmp_path, capsys):
+    """Commuter 0 of the shared-driver trio has 625 reported valuations, so
+    a 10,001-point groves-clarke grid would score 6,250,625 deviations and
+    is refused with exit 2 before it is built. Under commit the
+    certificate clears every sweep at the same grid, so nothing is
+    counted and the audit finds nothing."""
+    path = tmp_path / "trio.json"
+    path.write_text(serialize_scenario(by_name("linear-trio-shared-driver")), encoding="utf-8")
+    code = cli.main(["audit", str(path), "--mechanism", "groves-clarke", "--grid", "10001"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("ex-post audit would score 6250625 deviations of commuter 0 "
+                            "and is refused above 2000000; use a smaller grid\n")
+    assert cli.main(["audit", str(path), "--mechanism", "commit", "--grid", "10001"]) == 0
+    assert "verdict: no-violation-found" in capsys.readouterr().out
+
+
 def test_suite_passes(capsys):
     assert cli.main(["suite"]) == 0
     out = capsys.readouterr().out
