@@ -1,123 +1,1 @@
 """Ridesharing with unreliable commuters: allocation, pricing, audits."""
-
-from .allocation import WelfareReport, efficient_allocation, efficient_allocation_excluding
-from .audit import (
-    AuditReport,
-    AuditSizeError,
-    DeviationSpace,
-    Notion,
-    Verdict,
-    Witness,
-    audit_dominant,
-    audit_expost,
-    truthfulness_suite,
-)
-from .model import (
-    Allocation,
-    Assignment,
-    Commuter,
-    Role,
-    Scenario,
-    TooManyCommutersError,
-    all_none_allocation,
-    enumerate_feasible_allocations,
-    full_compatibility,
-    TripType,
-    validate_scenario,
-    with_report,
-    with_truthful_reports,
-)
-from .payments import (
-    Conditional,
-    ExcludedValueError,
-    Mechanism,
-    PaymentSchedule,
-    PivotRule,
-    Unconditional,
-    commit_payments,
-    expected_utility,
-    groves_payments,
-    settled_utility,
-)
-from .scenario_io import (
-    ScenarioFormatError,
-    parse_scenario_text,
-    serialize_scenario,
-)
-from .simulate import SimulationSummary, TrialRecord, exact_expected_utilities, realize, run_trials
-from .valuation import (
-    AnyPartners,
-    Clause,
-    EXCLUDED,
-    ExactPartners,
-    GateDirection,
-    Monomial,
-    OutcomePattern,
-    PartnerCountAtLeast,
-    ThresholdGate,
-    ValuationSpec,
-    evaluate,
-    is_external_commit_independent,
-    is_linear_in_commitment,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Allocation",
-    "AnyPartners",
-    "Assignment",
-    "AuditReport",
-    "AuditSizeError",
-    "Clause",
-    "Commuter",
-    "Conditional",
-    "DeviationSpace",
-    "EXCLUDED",
-    "ExactPartners",
-    "ExcludedValueError",
-    "GateDirection",
-    "Mechanism",
-    "Monomial",
-    "Notion",
-    "OutcomePattern",
-    "PartnerCountAtLeast",
-    "PaymentSchedule",
-    "PivotRule",
-    "Role",
-    "Scenario",
-    "ScenarioFormatError",
-    "SimulationSummary",
-    "ThresholdGate",
-    "TooManyCommutersError",
-    "TrialRecord",
-    "TripType",
-    "Unconditional",
-    "ValuationSpec",
-    "Verdict",
-    "WelfareReport",
-    "Witness",
-    "all_none_allocation",
-    "audit_dominant",
-    "audit_expost",
-    "commit_payments",
-    "efficient_allocation",
-    "efficient_allocation_excluding",
-    "enumerate_feasible_allocations",
-    "evaluate",
-    "exact_expected_utilities",
-    "expected_utility",
-    "full_compatibility",
-    "groves_payments",
-    "is_external_commit_independent",
-    "is_linear_in_commitment",
-    "parse_scenario_text",
-    "realize",
-    "run_trials",
-    "serialize_scenario",
-    "settled_utility",
-    "truthfulness_suite",
-    "validate_scenario",
-    "with_report",
-    "with_truthful_reports",
-]

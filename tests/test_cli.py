@@ -252,15 +252,54 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
-def test_unknown_field_names_the_path(tmp_path, capsys):
+DELETE = object()
+COMMUTER = ("scenario", "commuters", 0)
+CLAUSE = COMMUTER + ("true_type", "valuation", "clauses", 0)
+CLAUSE_PATH = "scenario.commuters[0].true_type.valuation.clauses[0]"
+
+
+@pytest.mark.parametrize("where, edits, line", [
+    pytest.param(COMMUTER, {"seats": 1, "seat_capacity": DELETE},
+                 "scenario.commuters[0].seats: unknown field", id="unknown-field"),
+    pytest.param(COMMUTER, {"has_vehicle": DELETE},
+                 "scenario.commuters[0].has_vehicle: missing field", id="missing-field"),
+    pytest.param(COMMUTER, {"true_type": []},
+                 "scenario.commuters[0].true_type: expected an object, got list", id="object"),
+    pytest.param(COMMUTER + ("true_type", "valuation"), {"clauses": {}},
+                 "scenario.commuters[0].true_type.valuation.clauses: expected a list, got dict",
+                 id="list"),
+    pytest.param(COMMUTER, {"seat_capacity": 1.5},
+                 "scenario.commuters[0].seat_capacity: expected an integer, got 1.5", id="integer"),
+    pytest.param(COMMUTER, {"has_vehicle": 1},
+                 "scenario.commuters[0].has_vehicle: expected a boolean, got 1", id="boolean"),
+    pytest.param(CLAUSE, {"role": "fly"}, f"{CLAUSE_PATH}.role: unknown role 'fly'", id="role"),
+    pytest.param(CLAUSE, {"gates": [{"subject": 1, "bound": 0.5, "direction": "up"}]},
+                 f"{CLAUSE_PATH}.gates[0].direction: unknown direction 'up'", id="direction"),
+    pytest.param(CLAUSE, {"partners": {"exact": [1], "at_least": 1}},
+                 f"{CLAUSE_PATH}.partners: choose one of exact / at_least", id="exact-and-at-least"),
+    pytest.param(CLAUSE, {"partners": {}},
+                 f'{CLAUSE_PATH}.partners: expected "any", exact, or at_least', id="no-partners-key"),
+    pytest.param(("scenario", "metadata"), {"name": 7},
+                 "scenario.metadata.name: metadata values must be strings", id="metadata"),
+])
+def test_unknown_field_names_the_path(tmp_path, capsys, where, edits, line):
+    """One edit of a bundled file per parser rejection: the command exits 2
+    with the offending field's path and the reason, and prints no result."""
     doc = json.loads(Path(PAIR).read_text())
-    doc["scenario"]["commuters"][0]["seats"] = 1
-    del doc["scenario"]["commuters"][0]["seat_capacity"]
-    bad = tmp_path / "unknown.json"
+    obj = doc
+    for key in where:
+        obj = obj[key]
+    for key, value in edits.items():
+        if value is DELETE:
+            del obj[key]
+        else:
+            obj[key] = value
+    bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["allocate", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert "commuters[0]" in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{bad}: {line}\n"
 
 
 def test_version_mismatch_is_input_error(tmp_path, capsys):
