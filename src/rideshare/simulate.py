@@ -16,17 +16,23 @@ becomes one tuple. The lane constants depend only on the chunk's length
 and are built once per length per process. `realize` is the kernel run
 for one trial.
 
-With the allocation and payments fixed, a trial's settlement is a function
-of its commitment vector alone. `_settle` computes it, once per distinct
-vector in a Monte Carlo run and once per vector in the exact enumeration.
-A run's records are a `TrialRecords` view over the drawn vectors and those
-settlements: a record is built only when a caller reads it, so a run holds
-one reference per trial, and `render_trials_csv` builds none.
-The summary is reduced per distinct vector: each column is the exact sum
-of count * x over the vectors, rounded once, which is what `math.fsum`
-returns over the trials. Where fsum could overflow on the way, its result
-depends on the order of its inputs, so such a column is reduced over the
-trials in trial order instead.
+With the allocation and payments fixed, a commuter's settlement depends
+only on the commitment bits their true valuation reads, their own bit
+among them: the charge reads the own bit alone, and the value reads the
+bits of `referenced_subjects`. `_Settlements` computes each commuter's
+value, charge, utility and CSV row once per distinct tuple of those bits,
+and a vector's settlement is its commuters' entries, with the welfare and
+the deficit summed from them. A run's records are a `TrialRecords` view
+over the drawn vectors and those settlements: a record is built only when
+a caller reads it, so a run holds one reference per trial, and
+`render_trials_csv` builds none; it writes the rows a block of trials at a
+time. The summary is reduced per distinct key: each commuter's column is
+the exact sum of count * x over the keys that commuter's clean trials
+read, and the welfare and deficit columns over the distinct clean
+vectors, rounded once, which is what `math.fsum` returns over the trials.
+Where fsum could overflow on the way, its result depends on the order of
+its inputs, so such a column is reduced over the trials in trial order
+instead.
 """
 
 from __future__ import annotations
@@ -35,14 +41,15 @@ import functools
 import math
 import struct
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from itertools import product
+from operator import itemgetter
 from typing import TextIO
 
-from .model import Scenario
-from .payments import ExcludedValueError, PaymentSchedule, Unconditional, _finite
-from .valuation import EXCLUDED, evaluate
+from .model import Allocation, Commuter, Scenario
+from .payments import ExcludedValueError, PaymentEntry, PaymentSchedule, Unconditional, _finite
+from .valuation import EXCLUDED, evaluate, referenced_subjects
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -198,16 +205,19 @@ class TrialRecords(Sequence):
 
     A trial's record is its number, its commitment vector and that vector's
     settlement, so the view keeps only `vectors`, the vector each trial
-    drew, and `settled`, the record fields but `trial` of each distinct
-    vector. Indexing or iterating builds each record with the constructor;
+    drew, `settled`, the record fields but `trial` of each distinct
+    vector, and `rows`, each distinct vector's CSV rows after the trial
+    number. Indexing or iterating builds each record with the constructor;
     nothing else does. Two views are equal when their records are.
     """
 
-    __slots__ = ("vectors", "settled")
+    __slots__ = ("vectors", "settled", "rows")
 
-    def __init__(self, vectors: list[CommitVector], settled: dict[CommitVector, dict]):
+    def __init__(self, vectors: list[CommitVector], settled: dict[CommitVector, dict],
+                 rows: dict[CommitVector, tuple[str, ...]]):
         self.vectors = vectors
         self.settled = settled
+        self.rows = rows
 
     def _record(self, trial: int) -> TrialRecord:
         return TrialRecord(trial=trial, **self.settled[self.vectors[trial]])
@@ -243,28 +253,77 @@ class SimulationSummary:
     mean_deficit: float
 
 
-def _settle(s: Scenario, schedule: PaymentSchedule, commit: CommitVector) -> tuple:
-    """The `TrialRecord` fields after `commit` for one commitment vector:
-    values, payments, utilities, welfare, deficit and the flag. A commuter
-    whose true valuation excludes the allocation gets value and utility
-    None, which flags the vector. Raises OverflowError when a utility is
-    not finite."""
-    degenerate = tuple(float(b) for b in commit)
-    values: list[float | None] = []
-    payments: list[float] = []
-    utilities: list[float | None] = []
-    for c, entry, bit in zip(s.commuters, schedule.entries, commit):
-        v = evaluate(c.true_type.valuation, schedule.allocation, degenerate)
-        if isinstance(entry, Unconditional):
-            charge = entry.amount
-        else:
-            charge = entry.on_commit if bit else entry.on_fail
-        payments.append(charge)
-        values.append(None if v is EXCLUDED else v)
-        utilities.append(None if v is EXCLUDED else _finite(c.id, v - charge))
+# A commuter's settlement: their commitment bit, value, charge and utility,
+# and their CSV row after the trial number. Value and utility are None
+# where the true valuation excludes the allocation.
+_Settlement = tuple[int, float | None, float, float | None, str]
+
+
+def _settlement(k: int, c: Commuter, entry: PaymentEntry, allocation: Allocation,
+                commit: CommitVector) -> _Settlement:
+    """Commuter `k`'s settlement after `commit`. Raises OverflowError when
+    the value or the utility is not finite."""
+    v = evaluate(c.true_type.valuation, allocation, tuple(map(float, commit)))
+    bit = commit[k]
+    if isinstance(entry, Unconditional):
+        charge = entry.amount
+    else:
+        charge = entry.on_commit if bit else entry.on_fail
+    if v is EXCLUDED:
+        return bit, None, charge, None, f"{k},{bit},,{charge!r},\n"
+    u = _finite(c.id, v - charge)
+    return bit, v, charge, u, f"{k},{bit},{v!r},{charge!r},{u!r}\n"
+
+
+class _Settlements:
+    """Each commuter's settlements under one schedule, each computed once
+    per distinct key: the tuple of commitment bits the commuter's true
+    valuation reads, their own bit included.
+
+    `readers[k]` maps a vector to commuter k's key and `entries[k]` maps
+    each key met so far to k's settlement. Calling the instance on a
+    vector settles its commuters in order, so the first settlement that
+    raises is the first one a commuter-by-commuter pass over the vectors
+    would reach.
+    """
+
+    def __init__(self, s: Scenario, schedule: PaymentSchedule):
+        self.allocation = schedule.allocation
+        self.commuters = tuple(zip(s.commuters, schedule.entries))
+        self.readers: list[Callable[[CommitVector], object]] = [
+            itemgetter(*sorted({k, *referenced_subjects(c.true_type.valuation)}))
+            for k, c in enumerate(s.commuters)]
+        self.entries: list[dict[object, _Settlement]] = [{} for _ in s.commuters]
+
+    def __call__(self, commit: CommitVector) -> tuple[tuple, ...]:
+        """The settlements of `commit`'s commuters as five columns: bits,
+        values, charges, utilities and rows."""
+        settled = []
+        for k, read in enumerate(self.readers):
+            known = self.entries[k]
+            key = read(commit)
+            entry = known.get(key)
+            if entry is None:
+                entry = known[key] = _settlement(k, *self.commuters[k], self.allocation, commit)
+            settled.append(entry)
+        return tuple(zip(*settled)) or ((),) * 5
+
+
+def _fields(values: tuple, payments: tuple, utilities: tuple) -> tuple:
+    """The `TrialRecord` fields after `commit` of a vector whose commuters
+    settle to `values`, `payments` and `utilities`: those three, the
+    welfare, the deficit, and the flag, set when some value is None."""
     welfare = math.fsum(v for v in values if v is not None)
-    flagged = None in values
-    return tuple(values), tuple(payments), tuple(utilities), welfare, -math.fsum(payments), flagged
+    return values, payments, utilities, welfare, -math.fsum(payments), None in values
+
+
+def _settle(s: Scenario, schedule: PaymentSchedule, commit: CommitVector) -> tuple:
+    """The `TrialRecord` fields after `commit` for one commitment vector,
+    settled afresh: values, payments, utilities, welfare, deficit and the
+    flag. A commuter whose true valuation excludes the allocation gets
+    value and utility None, which flags the vector. Raises OverflowError
+    when a value or a utility is not finite."""
+    return _fields(*_Settlements(s, schedule)(commit)[1:4])
 
 
 def _mean(xs: list[float]) -> float:
@@ -312,22 +371,32 @@ def _weighted_sum(xs: list[float], weights: list[int], total: int) -> float | No
 
 
 class _Grouped:
-    """The summary columns of one run, reduced per distinct clean vector.
+    """The summary columns of one run, reduced per part of its distinct
+    clean vectors.
 
-    `clean` lists the distinct unflagged vectors and `weights` how many
-    trials drew each; a column lists one value per clean vector. A column
-    whose weighted sum is not safe (see `_weighted_sum`) is replayed over
-    the trials in trial order and reduced as `_mean` and `_stderr` would.
+    `clean` lists the distinct unflagged vectors, `read` maps each to its
+    part (each vector is its own part by default), `parts` lists the parts
+    in order of first draw and `weights` how many trials drew each; a
+    column lists one value per part. A column whose weighted sum is not
+    safe (see `_weighted_sum`) is replayed over the trials in trial order
+    and reduced as `_mean` and `_stderr` would.
     """
 
-    def __init__(self, vectors: list[CommitVector], clean: list[CommitVector], counts: dict):
+    def __init__(self, vectors: list[CommitVector], clean: list[CommitVector], counts: dict,
+                 read: Callable[[CommitVector], object] | None = None):
         self.vectors = vectors
         self.clean = clean
-        self.weights = [counts[v] for v in clean]
+        self.keys = clean if read is None else list(map(read, clean))
+        weight_of: dict[object, int] = {}
+        for key, v in zip(self.keys, clean):
+            weight_of[key] = weight_of.get(key, 0) + counts[v]
+        self.parts = list(weight_of)
+        self.weights = list(weight_of.values())
         self.total = sum(self.weights)
 
     def _in_trial_order(self, xs: list[float]) -> list[float]:
-        x_of = dict(zip(self.clean, xs))
+        x_of_part = dict(zip(self.parts, xs))
+        x_of = {v: x_of_part[key] for v, key in zip(self.clean, self.keys)}
         return [x_of[v] for v in self.vectors if v in x_of]
 
     def mean(self, xs: list[float]) -> float:
@@ -356,38 +425,47 @@ def run_trials(
 ) -> tuple[TrialRecords, SimulationSummary]:
     """Simulate settlement over `trials` independent commitment draws.
 
-    Each distinct commitment vector is settled once per call. The records
-    come back as a `TrialRecords` view over the drawn vectors and those
-    settlements, so a run holds one reference per trial and no record until
-    a caller reads one. Trials where some commuter's true valuation excludes
-    the realized outcome carry no number for that commuter; such trials are
-    flagged and left out of the summary means. Each summary column is the
-    exact count-weighted sum over the distinct unflagged vectors, rounded
-    once, which is what `math.fsum` over the trials returns. Where some
-    value is not finite, or trials * max |x| reaches 2**1020, fsum could
-    overflow partway, and whether it does depends on the order of its
-    inputs; that column is then reduced with fsum over the trials in trial
-    order, so it raises or sums exactly as that does.
+    Each commuter is settled once per distinct tuple of the commitment bits
+    their true valuation reads, and each distinct vector's record fields
+    and CSV rows are put together from its commuters' settlements. The
+    records come back as a `TrialRecords` view over the drawn vectors and
+    those settlements, so a run holds one reference per trial and no record
+    until a caller reads one. Trials where some commuter's true valuation
+    excludes the realized outcome carry no number for that commuter; such
+    trials are flagged and left out of the summary means. Each summary
+    column is the exact count-weighted sum, rounded once, which is what
+    `math.fsum` over the trials returns: a commuter's columns sum over the
+    keys that commuter's clean trials read, the welfare and the deficit
+    over the distinct clean vectors. Where some value is not finite, or
+    trials * max |x| reaches 2**1020, fsum could overflow partway, and
+    whether it does depends on the order of its inputs; that column is then
+    reduced with fsum over the trials in trial order, so it raises or sums
+    exactly as that does.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     vectors, counts = _draws(s.true_p(), seed, range(trials))
-    settled = {
-        commit: dict(zip(_SETTLED_FIELDS, (commit, *_settle(s, schedule, commit))))
-        for commit in counts
-    }
+    settle = _Settlements(s, schedule)
+    settled: dict[CommitVector, dict] = {}
+    rows: dict[CommitVector, tuple[str, ...]] = {}
+    for commit in counts:
+        _, values, payments, utilities, rows[commit] = settle(commit)
+        settled[commit] = dict(zip(_SETTLED_FIELDS,
+                                   (commit, *_fields(values, payments, utilities))))
     clean = [commit for commit, f in settled.items() if not f["flagged"]]
     grouped = _Grouped(vectors, clean, counts)
-    rows = [settled[commit] for commit in clean]
-    n = s.n
+    per_commuter = []
+    for read, entries in zip(settle.readers, settle.entries):
+        by_key = _Grouped(vectors, clean, counts, read)
+        per_commuter.append((by_key, [entries[key] for key in by_key.parts]))
     # The columns are reduced in the order of the trial-order summary, so
     # a run that raises raises on the same column.
-    mean_commit = tuple(grouped.mean([float(c[k]) for c in clean]) for k in range(n))
-    mean_value = tuple(grouped.mean([f["values"][k] for f in rows]) for k in range(n))
-    mean_payment = tuple(grouped.mean([f["payments"][k] for f in rows]) for k in range(n))
-    utilities = [[f["utilities"][k] for f in rows] for k in range(n)]
-    mean_utility = tuple(map(grouped.mean, utilities))
-    stderr_utility = tuple(map(grouped.stderr, utilities, mean_utility))
+    mean_commit, mean_value, mean_payment, mean_utility = (
+        tuple(by_key.mean([float(e[column]) for e in entries]) for by_key, entries in per_commuter)
+        for column in range(4))
+    stderr_utility = tuple(by_key.stderr([e[3] for e in entries], mean)
+                           for (by_key, entries), mean in zip(per_commuter, mean_utility))
+    clean_fields = [settled[commit] for commit in clean]
     summary = SimulationSummary(
         trials=trials,
         flagged=trials - grouped.total,
@@ -396,40 +474,33 @@ def run_trials(
         mean_payment=mean_payment,
         mean_utility=mean_utility,
         stderr_utility=stderr_utility,
-        mean_welfare=grouped.mean([f["welfare"] for f in rows]),
-        mean_deficit=grouped.mean([f["deficit"] for f in rows]),
+        mean_welfare=grouped.mean([f["welfare"] for f in clean_fields]),
+        mean_deficit=grouped.mean([f["deficit"] for f in clean_fields]),
     )
-    return TrialRecords(vectors, settled), summary
-
-
-def _repr_or_empty(x: float | None) -> str:
-    return "" if x is None else repr(x)
+    return TrialRecords(vectors, settled, rows), summary
 
 
 def render_trials_csv(records: TrialRecords, summary: SimulationSummary, out: TextIO) -> None:
     """Write the per-trial CSV to `out`: one row per trial and commuter,
-    then the summary, a trial at a time, so memory never holds the text
-    when `out` is a file.
+    then the summary, a block of trials at a time, so memory never holds
+    the text when `out` is a file.
 
     Every field is a number, a fixed word or empty, so none needs quoting
     and each row is its fields joined by commas. A trial's rows after its
-    number depend on its commitment vector alone, so they are formatted
-    once per distinct vector and written in trial order straight from the
-    drawn vectors; no record is built.
+    number depend on its commitment vector alone, and were formatted once
+    per commuter's settlement by `run_trials`, so they are written in trial
+    order straight from the drawn vectors, one string per `_CHUNK` trials;
+    no record is built.
     """
     out.write("trial,commuter,committed,value,payment,utility\n")
     # Each vector's rows follow an empty string, so joining them with a
     # trial's "t," puts that prefix before every row, and before none when
     # there are no commuters.
-    rows_of = {
-        commit: ["", *(
-            f"{k},{bit},{_repr_or_empty(v)},{payment!r},{_repr_or_empty(u)}\n"
-            for k, (bit, v, payment, u) in enumerate(
-                zip(commit, f["values"], f["payments"], f["utilities"])))]
-        for commit, f in records.settled.items()
-    }
-    for t, commit in enumerate(records.vectors):
-        out.write(f"{t},".join(rows_of[commit]))
+    rows_of = {commit: ("", *rows) for commit, rows in records.rows.items()}
+    vectors = records.vectors
+    for first in range(0, len(vectors), _CHUNK):
+        out.write("".join([f"{t},".join(rows_of[commit])
+                           for t, commit in enumerate(vectors[first:first + _CHUNK], first)]))
     for k in range(len(summary.mean_commit)):
         out.write(
             f"mean,{k},{summary.mean_commit[k]!r},{summary.mean_value[k]!r},"
@@ -438,19 +509,30 @@ def render_trials_csv(records: TrialRecords, summary: SimulationSummary, out: Te
         )
 
 
+# An exact enumeration settles 2**n vectors and keeps n * 2**n products:
+# at this bound that is about a second and 35 MB, and each commuter more
+# doubles both, so a larger scenario is refused up front.
+MAX_EXACT_COMMUTERS = 16
+
+
 def exact_expected_utilities(s: Scenario, schedule: PaymentSchedule) -> tuple[float, ...]:
     """Expected utilities by summing over all 2**n commitment vectors,
     weighted by the true commitment probabilities. Exact counterpart to
-    the Monte Carlo mean; practical for small scenarios only."""
+    the Monte Carlo mean; each commuter is settled once per key, as in
+    `run_trials`. Raises ValueError past `MAX_EXACT_COMMUTERS` commuters."""
     n = s.n
+    if n > MAX_EXACT_COMMUTERS:
+        raise ValueError(f"exact enumeration covers at most {MAX_EXACT_COMMUTERS} commuters, "
+                         f"got {n}")
     p = s.true_p()
+    settle = _Settlements(s, schedule)
     totals = [[] for _ in range(n)]
     for commit in product((0, 1), repeat=n):
         weight = 1.0
         for k in range(n):
             weight *= p[k] if commit[k] else 1.0 - p[k]
-        values, _, utilities, _, _, flagged = _settle(s, schedule, commit)
-        if flagged:
+        _, values, _, utilities, _ = settle(commit)
+        if None in values:
             raise ExcludedValueError(
                 f"commuter {values.index(None)}: true valuation excludes the settled allocation"
             )

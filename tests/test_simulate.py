@@ -7,6 +7,7 @@ import struct
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -16,26 +17,44 @@ from conftest import csv_of_records, overflowing_settlement_scenario, rendered_c
 from rideshare import cli
 from rideshare import simulate as simulate_module
 from rideshare.corpus import by_name, linear_entries
-from rideshare.model import Role, TripType, with_truthful_reports
+from rideshare.model import (
+    Commuter,
+    Role,
+    Scenario,
+    TripType,
+    all_none_allocation,
+    full_compatibility,
+    with_truthful_reports,
+)
 from rideshare.payments import (
+    Conditional,
     ExcludedValueError,
+    PaymentSchedule,
+    PivotRule,
     commit_payments,
     expected_utility,
+    groves_payments,
 )
 from rideshare.scenario_io import serialize_scenario
 from rideshare.simulate import (
+    MAX_EXACT_COMMUTERS,
+    SimulationSummary,
     TrialRecord,
     _mean,
     _stderr,
     exact_expected_utilities,
     realize,
+    render_trials_csv,
     run_trials,
 )
 from rideshare.valuation import (
     EXCLUDED,
     AnyPartners,
     Clause,
+    GateDirection,
+    Monomial,
     OutcomePattern,
+    ThresholdGate,
     ValuationSpec,
     evaluate,
 )
@@ -367,20 +386,59 @@ def test_records_view_behaves_like_the_list(make):
     assert rendered_csv(records, summary) == csv_of_records(expected, summary)
 
 
+class _WriteLog:
+    """A text sink that keeps the length of each write, and each write's
+    text when `keep` is set."""
+
+    def __init__(self, keep):
+        self.keep = keep
+        self.lengths = []
+        self.texts = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        if self.keep:
+            self.texts.append(text)
+
+
 def test_records_view_memory_stays_flat():
-    """A run keeps one reference per trial and builds no record: 100k trials
-    of a pair peak below 8 MB of traced allocations, where holding a record
-    per trial peaked at about 37 MB."""
+    """A run keeps one reference per trial and builds no record, and its
+    CSV goes out a block at a time: running and rendering 100k trials of a
+    pair peak below 8 MB of traced allocations, where holding a record per
+    trial peaked at about 37 MB and the CSV text alone is about 5 MB."""
     s = by_name("linear-pair-profitable")
     schedule = commit_payments(s)
+    sink = _WriteLog(keep=False)
     tracemalloc.start()
     try:
-        records, _ = run_trials(s, schedule, 100_000, seed=6)
+        records, summary = run_trials(s, schedule, 100_000, seed=6)
+        render_trials_csv(records, summary, sink)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(records) == 100_000
+    assert sum(sink.lengths) > 4_000_000
     assert peak < 8_000_000, peak
+
+
+def test_csv_writes_stay_within_a_block_of_trials():
+    """Each write carries the rows of at most `_CHUNK` trials, whole
+    trials only, and the writes add up to the CSV the records spell out."""
+    s = by_name("threshold-gate-pair-misreport")
+    schedule = commit_payments(s)
+    records, summary = run_trials(s, schedule, 3 * _CHUNK + 7, seed=8)
+    sink = _WriteLog(keep=True)
+    render_trials_csv(records, summary, sink)
+    assert "".join(sink.texts) == csv_of_records(list(records), summary)
+    seen = []
+    for text in sink.texts:
+        assert text.endswith("\n")
+        rows = [line.split(",") for line in text.splitlines() if line[0].isdigit()]
+        trials = sorted({int(row[0]) for row in rows})
+        assert len(trials) <= _CHUNK
+        assert len(rows) == s.n * len(trials)
+        seen += trials
+    assert seen == list(range(3 * _CHUNK + 7))
 
 
 def test_trial_records_expose_settlement_columns():
@@ -433,34 +491,42 @@ _AWKWARD = [1e308, -1e308, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
         min_size=1,
         max_size=8,
     ),
+    split=st.integers(1, 3),
     order=st.randoms(use_true_random=False),
 )
 @settings(max_examples=300, deadline=None)
-def test_grouped_summary_is_the_trial_order_reduction(multiset, order):
-    """Reducing count * x per distinct vector gives the trial-order fsum
-    reduction bit for bit, sign of zero included, for the mean and the
-    stderr alike, and raises wherever that reduction raises."""
-    vectors = [v for i, (_, c) in enumerate(multiset) for v in [(i,)] * c]
+def test_grouped_summary_is_the_trial_order_reduction(multiset, split, order):
+    """Reducing count * x per distinct vector, or per part of the vectors
+    that read the same x, gives the trial-order fsum reduction bit for bit,
+    sign of zero included, for the mean and the stderr alike, and raises
+    wherever that reduction raises. Entry i of the multiset is drawn as up
+    to `split` distinct vectors (i, j), all of part i."""
+    vectors = [(i, t % split) for i, (_, c) in enumerate(multiset) for t in range(c)]
     order.shuffle(vectors)
-    clean = [(i,) for i in range(len(multiset))]
-    grouped = simulate_module._Grouped(vectors, clean, Counter(vectors))
+    counts = Counter(vectors)
+    clean = list(counts)
     xs = [x for x, _ in multiset]
     trial_order = [xs[v[0]] for v in vectors]
-    assert _outcome(grouped.mean, xs) == _outcome(_mean, trial_order)
-    if _outcome(_mean, trial_order)[0] == "sum":
-        m = _mean(trial_order)
-        assert _outcome(grouped.stderr, xs, m) == _outcome(_stderr, trial_order)
+    by_vector = simulate_module._Grouped(vectors, clean, counts)
+    by_part = simulate_module._Grouped(vectors, clean, counts, itemgetter(0))
+    for grouped, column in ((by_vector, [xs[v[0]] for v in clean]),
+                            (by_part, [xs[i] for i in by_part.parts])):
+        assert _outcome(grouped.mean, column) == _outcome(_mean, trial_order)
+        if _outcome(_mean, trial_order)[0] == "sum":
+            m = _mean(trial_order)
+            assert _outcome(grouped.stderr, column, m) == _outcome(_stderr, trial_order)
 
 
 def _solo_with_values(monkeypatch, value_of_bit):
     """linear-solo, p = 0.7, settled so that commitment bit b has value
-    and welfare value_of_bit[b] and utility b."""
+    and welfare value_of_bit[b], payment 0.0 and utility b."""
 
-    def settle(s, schedule, commit):
-        v = value_of_bit[commit[0]]
-        return (v,), (0.0,), (float(commit[0]),), v, -0.0, False
+    def settlement(k, c, entry, allocation, commit):
+        bit = commit[k]
+        v, u = value_of_bit[bit], float(bit)
+        return bit, v, 0.0, u, f"{k},{bit},{v!r},0.0,{u!r}\n"
 
-    monkeypatch.setattr(simulate_module, "_settle", settle)
+    monkeypatch.setattr(simulate_module, "_settlement", settlement)
     return by_name("linear-solo")
 
 
@@ -506,3 +572,131 @@ def test_settlement_overflow_raises():
     s = overflowing_settlement_scenario()
     with pytest.raises(OverflowError, match="commuter 2's settled utility inf"):
         run_trials(s, commit_payments(s), 2, 0)
+
+
+
+def _reference_run(s, schedule, trials, seed):
+    """A run's records, each built by the constructor from its trial's
+    vector settled afresh, and the summary reduced with `math.fsum` over
+    the unflagged trials in trial order."""
+    records = _constructor_records(s, schedule, trials, seed)
+    clean = [r for r in records if not r.flagged]
+
+    def means(read):
+        return tuple(_mean([read(r, k) for r in clean]) for k in range(s.n))
+
+    utilities = [[r.utilities[k] for r in clean] for k in range(s.n)]
+    summary = SimulationSummary(
+        trials=trials,
+        flagged=trials - len(clean),
+        mean_commit=means(lambda r, k: float(r.commit[k])),
+        mean_value=means(lambda r, k: r.values[k]),
+        mean_payment=means(lambda r, k: r.payments[k]),
+        mean_utility=tuple(map(_mean, utilities)),
+        stderr_utility=tuple(map(_stderr, utilities)),
+        mean_welfare=_mean([r.welfare for r in clean]),
+        mean_deficit=_mean([r.deficit for r in clean]),
+    )
+    return records, summary
+
+
+def _assert_run_is_the_reference(s, schedule, trials, seed):
+    """run_trials and render_trials_csv give the records, the summary and
+    the CSV of the per-trial reference, byte for byte, sign of zero
+    included."""
+    records, summary = run_trials(s, schedule, trials, seed)
+    expected, expected_summary = _reference_run(s, schedule, trials, seed)
+    assert repr(list(records)) == repr(expected)
+    assert repr(summary) == repr(expected_summary)
+    assert rendered_csv(records, summary) == csv_of_records(expected, expected_summary)
+
+
+@st.composite
+def _settled_scenarios(draw):
+    """One to six commuters whose true valuations read between none and
+    all of the others' commitment bits, through linear and squared factors
+    and gates, with a constant per outcome and a default of either zero.
+    A true valuation may exclude driving or riding, which its report does
+    not, so a run may flag every trial."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    value = st.sampled_from((0.0, 1.0, -1.0, 2.5, 0.1, -3.0))
+
+    def valued(pattern, reads):
+        terms = [Monomial(draw(value))]
+        for subject in reads:
+            if draw(st.booleans()):
+                terms.append(Monomial(draw(value), ((subject, draw(st.sampled_from((1, 2)))),)))
+        gates = ()
+        if reads and draw(st.booleans()):
+            gates = (ThresholdGate(draw(st.sampled_from(reads)),
+                                   draw(st.sampled_from((0.0, 0.5, 1.0))),
+                                   draw(st.sampled_from(GateDirection))),)
+        return Clause(pattern, gates, tuple(terms))
+
+    commuters = []
+    for k in range(n):
+        reads = draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))
+        patterns = [OutcomePattern(role) for role in (Role.DRIVE, Role.RIDE, Role.NONE)]
+        reported = tuple(valued(pattern, reads) for pattern in patterns
+                         if pattern.own_role is not Role.NONE or draw(st.booleans()))
+        default = draw(st.sampled_from((0.0, -0.0)))
+        truth = tuple(Clause(c.pattern, excluded=True)
+                      if c.pattern.own_role is not Role.NONE and draw(st.integers(0, 5)) == 0
+                      else c for c in reported)
+        has_vehicle = draw(st.booleans())
+        commuters.append(Commuter(
+            k, has_vehicle, draw(st.integers(min_value=1, max_value=2)) if has_vehicle else 0,
+            TripType(ValuationSpec(k, truth, default), draw(st.sampled_from((0.0, 0.3, 0.5, 1.0)))),
+            TripType(ValuationSpec(k, reported, default), 0.5)))
+    return Scenario(tuple(commuters), full_compatibility(n))
+
+
+_SCHEDULES = {
+    "commit": commit_payments,
+    "groves-clarke": lambda s: groves_payments(s, PivotRule.CLARKE),
+    "groves-zero": lambda s: groves_payments(s, PivotRule.ZERO),
+}
+
+
+@given(s=_settled_scenarios(), mechanism=st.sampled_from(sorted(_SCHEDULES)),
+       trials=st.integers(min_value=1, max_value=60), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_run_is_the_per_trial_reference(s, mechanism, trials, seed):
+    """Settling each commuter once per key of the bits they read gives the
+    records, the summary and the CSV that settling every trial afresh and
+    summing in trial order gives, byte for byte."""
+    _assert_run_is_the_reference(s, _SCHEDULES[mechanism](s), trials, seed)
+
+
+def test_row_text_keeps_the_sign_of_a_zero():
+    """A commuter valued -0.0 whose charge is 0.0 on commit and -0.0 on
+    failure settles to utility -0.0 under one key and 0.0 under the other,
+    equal floats with different rows: each row keeps its own sign."""
+    c = Commuter(0, False, 0, TripType(ValuationSpec(0, (), -0.0), 0.5))
+    s = Scenario((c,), ((True,),))
+    schedule = PaymentSchedule((Conditional(0.0, -0.0),), all_none_allocation(1))
+    _assert_run_is_the_reference(s, schedule, 40, 3)
+    text = rendered_csv(*run_trials(s, schedule, 40, 3))
+    rows = {line.split(",", 1)[1] for line in text.splitlines()[1:] if line[0].isdigit()}
+    assert rows == {"0,1,-0.0,0.0,-0.0", "0,0,-0.0,-0.0,0.0"}
+
+
+def test_exact_enumeration_refuses_too_many_commuters_up_front(monkeypatch):
+    """At `MAX_EXACT_COMMUTERS` commuters the enumeration starts; one more
+    is refused with ValueError naming the bound before any vector is
+    enumerated."""
+    assert MAX_EXACT_COMMUTERS == 16
+    enumerated = []
+
+    def one_vector(choices, repeat):
+        enumerated.append(repeat)
+        return iter([(1,) * repeat])
+
+    monkeypatch.setattr(simulate_module, "product", one_vector)
+    s = solo_commuters(MAX_EXACT_COMMUTERS)
+    assert exact_expected_utilities(s, commit_payments(s)) == (0.0,) * MAX_EXACT_COMMUTERS
+    assert enumerated == [MAX_EXACT_COMMUTERS]
+    s = solo_commuters(MAX_EXACT_COMMUTERS + 1)
+    with pytest.raises(ValueError, match="at most 16 commuters, got 17"):
+        exact_expected_utilities(s, commit_payments(s))
+    assert enumerated == [MAX_EXACT_COMMUTERS]
