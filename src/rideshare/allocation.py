@@ -119,10 +119,11 @@ def _argmax(
 class OutcomeTable:
     """The reports in `scenario`, valued at `public_p` if given, else at the
     reported probabilities: the one priced view of the profile. It holds
-    the feasible set, each commuter's pivot set, and one value table per
-    commuter (entries of `Scored`), and lazily searches the efficient
-    report (`truth`), each Clarke pivot's welfare (`pivot`) and the
-    outcomes (`rows`), each feasible allocation that no report excludes.
+    the feasible set, each commuter's pivot set, cut from it when the table
+    is built, and one value table per commuter (entries of `Scored`), and
+    lazily searches the efficient report (`truth`), each Clarke pivot's
+    welfare (`pivot`) and the outcomes (`rows`), each feasible allocation
+    that no report excludes.
 
     The value tables hold values with nobody absent, at the table's
     probabilities, each evaluated at most once per distinct assignment, and
@@ -305,10 +306,8 @@ class OutcomeTable:
         return score
 
 
-def efficient_allocation_excluding(
-    s: Scenario, i: CommuterId, *, p_override: Sequence[float] | None = None
-) -> WelfareReport:
+def efficient_allocation_excluding(s: Scenario, i: CommuterId) -> WelfareReport:
     """Best allocation of everyone except `i`, who is pinned to role none
     and contributes no value. Factors reading i's probability evaluate to
     zero and gates on i fail, as if i were not part of the scenario."""
-    return efficient_allocation(s, p_override=p_override, absent=i)
+    return efficient_allocation(s, absent=i)

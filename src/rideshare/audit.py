@@ -167,8 +167,17 @@ def _gate_variants(spec: ValuationSpec) -> list[ValuationSpec]:
 def deviations_for(trip: TripType, space: DeviationSpace) -> list[TripType]:
     """Candidate misreports in a fixed order: probability points ascending,
     then the reported valuations of `_variants`. The order is the
-    tie-break when several deviations share the maximal gain."""
-    return _grid(_variants(trip.valuation, space), space)
+    tie-break when several deviations share the maximal gain. Raises
+    AuditSizeError, naming the valuation's owner, before building a grid
+    of more than MAX_SCORINGS deviations."""
+    variants = _variants(trip.valuation, space)
+    scorings = space.p_grid * len(variants)
+    if scorings > MAX_SCORINGS:
+        raise AuditSizeError(
+            f"ex-post audit would score {scorings} deviations of commuter "
+            f"{trip.valuation.owner} and is refused above {MAX_SCORINGS}; use a smaller grid"
+        )
+    return _grid(variants, space)
 
 
 def _grid(variants: list[ValuationSpec], space: DeviationSpace) -> list[TripType]:
@@ -248,14 +257,7 @@ def _sweep(
     if by_outcome and pruned and _certified(i, mechanism, h, u_truth, table, settled, memo):
         return None
     if devs is None:
-        true_type = profile.commuters[i].true_type
-        scorings = space.p_grid * len(_variants(true_type.valuation, space))
-        if scorings > MAX_SCORINGS:
-            raise AuditSizeError(
-                f"ex-post audit would score {scorings} deviations of commuter {i} and is "
-                f"refused above {MAX_SCORINGS}; use a smaller grid"
-            )
-        devs = deviations_for(true_type, space)
+        devs = deviations_for(profile.commuters[i].true_type, space)
     q = table.p
     p_hat = utilities = score = None
     best: Witness | None = None

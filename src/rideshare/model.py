@@ -16,10 +16,21 @@ CommuterId = int
 _EMPTY: frozenset[int] = frozenset()
 
 
+# The most feasible allocations the walk stores. Pricing costs about 9 µs
+# and 280 bytes of peak memory per allocation: a generated 12-commuter
+# scenario (6 two-seat drivers, every pair compatible) has 1,697,887, and
+# pricing it under commit took 14.9 s and peaked at 473 MB resident on a
+# shared 2-core VM with Python 3.11. So this bounds one pricing to about
+# 18 s and 560 MB.
+MAX_ALLOCATIONS = 2_000_000
+
+
 class TooManyCommutersError(ValueError):
-    """The feasible-set walk recurses once per commuter, so a scenario with
-    about as many commuters as the interpreter's recursion limit (1,000 by
-    default) cannot be enumerated; raised in place of RecursionError."""
+    """The scenario is too large for the feasible-set walk: it has more than
+    MAX_ALLOCATIONS feasible allocations, or about as many commuters as the
+    interpreter's recursion limit (1,000 by default), as the walk recurses
+    once per commuter. Raised in place of building the set or of
+    RecursionError."""
 
 
 class Role(Enum):
@@ -197,21 +208,20 @@ def _walk(
     has_vehicle: tuple[bool, ...],
     capacity: tuple[int, ...],
     compatibility: tuple[tuple[bool, ...], ...],
-) -> tuple[tuple[Allocation, ...], tuple[tuple[Allocation, ...], ...]]:
-    """Every feasible allocation with nobody absent, in lexicographic order,
-    and for each commuter k the allocations that leave k with role none.
+) -> tuple[Allocation, ...]:
+    """Every feasible allocation with nobody absent, in lexicographic order.
 
     Commuters choose in id order, "not riding" (-1) first and then eligible
     drivers ascending. A commuter who already has riders may only choose -1;
     a driver who is riding or whose seats are full is skipped. Only the last
     structure is cached: callers enumerate one structure many times in a row.
+    Raises TooManyCommutersError instead of storing allocation
+    MAX_ALLOCATIONS + 1.
 
     Equal assignments are one object: one per (driver, rider set), one per
-    driver for riders and one for role none. Allocations share them, so
-    within one result an assignment's id names it, and per-commuter value
-    tables key on that id. The per-commuter tuples hold the very objects of
-    the full tuple, in its order: k's tuple is the feasible set with k
-    absent, since an absent commuter neither rides nor drives.
+    driver for riders and one for role none, which fills the first
+    allocation. Allocations share them, so within one result an
+    assignment's id names it, and per-commuter value tables key on that id.
     """
     n = len(has_vehicle)
     eligible = [
@@ -225,15 +235,16 @@ def _walk(
     riders: list[list[int]] = [[] for _ in range(n)]
     row = [none] * n
     out: list[Allocation] = []
-    idle: list[list[Allocation]] = [[] for _ in range(n)]
+    budget = MAX_ALLOCATIONS
 
     def assign(r: int) -> None:
         if r == n:
-            a = Allocation(tuple(row))
-            out.append(a)
-            for k, asg in enumerate(row):
-                if asg is none:
-                    idle[k].append(a)
+            if len(out) == budget:
+                raise TooManyCommutersError(
+                    f"scenario has {n} commuters and more than {budget} feasible "
+                    "allocations, too many for the feasible-set walk"
+                )
+            out.append(Allocation(tuple(row)))
             return
         assign(r + 1)
         if riders[r]:
@@ -263,22 +274,26 @@ def _walk(
             f"scenario has {n} commuters, too many for the feasible-set walk, which "
             f"recurses once per commuter (recursion limit {sys.getrecursionlimit()})"
         ) from None
-    return tuple(out), tuple(map(tuple, idle))
+    return tuple(out)
 
 
 def _feasible(s: Scenario, absent: CommuterId | None = None) -> tuple[Allocation, ...]:
     """The feasible allocations with commuter `absent`, if any, pinned to
     role none, in walk order, as objects of the walk's full tuple: the full
-    tuple itself, or the walk's stored tuple for that commuter. Anything
-    other than None or an id in 0..n-1 raises ValueError."""
+    tuple itself, or those of its allocations that give `absent` the walk's
+    role-none object, as an absent commuter neither rides nor drives.
+    Anything other than None or an id in 0..n-1 raises ValueError."""
     if absent is not None and (type(absent) is not int or not 0 <= absent < s.n):
         raise ValueError(f"absent commuter id {absent!r} outside 0..{s.n - 1}")
-    full, idle = _walk(
+    full = _walk(
         tuple(c.has_vehicle for c in s.commuters),
         tuple(c.seat_capacity for c in s.commuters),
         s.compatibility,
     )
-    return full if absent is None else idle[absent]
+    if absent is None:
+        return full
+    none = full[0].assignments[absent]
+    return tuple([a for a in full if a.assignments[absent] is none])
 
 
 def enumerate_feasible_allocations(

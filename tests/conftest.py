@@ -16,7 +16,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from rideshare.allocation import efficient_allocation, efficient_allocation_excluding
+from rideshare.allocation import efficient_allocation
 from rideshare.cli import render_trials_csv
 from rideshare.audit import (
     GAIN_TOLERANCE,
@@ -155,7 +155,7 @@ def reference_sweep(profile, i, mechanism, devs, opponents=()):
     public_p = mechanism.probabilities(profile)
     h = 0.0
     if mechanism.pivot is PivotRule.CLARKE:
-        h = efficient_allocation_excluding(profile, i, p_override=public_p).welfare
+        h = efficient_allocation(profile, p_override=public_p, absent=i).welfare
 
     def utility(trip):
         bent = with_report(profile, i, trip)

@@ -17,6 +17,7 @@ from conftest import (
     pivot_scenarios,
     reader_overflow_scenario,
     small_scenarios,
+    solo_commuters,
 )
 from rideshare import allocation
 from rideshare.allocation import (
@@ -476,7 +477,7 @@ def _searches_one_by_one(s, p, order):
     welfare from its own search, or the first exception raised."""
     return _priced_in_order(
         lambda k: (efficient_allocation(s, p_override=p) if k is None
-                   else efficient_allocation_excluding(s, k, p_override=p).welfare), order)
+                   else efficient_allocation(s, p_override=p, absent=k).welfare), order)
 
 
 def _table_in_order(table, order):
@@ -562,3 +563,16 @@ def test_pivots_search_the_tables_own_walk():
             assert len(calls) == evaluations, (name, k)
             own = {id(a) for a in table.allocations}
             assert all(id(a) in own for a in argmax.call_args.args[0]), (name, k)
+
+
+def test_pivots_asked_after_another_walk_price_as_their_own_searches(corpus_entries):
+    """A table cuts every pivot set when it is built, so pivots first asked
+    after another structure was walked still price each absence as
+    `efficient_allocation_excluding` does, to the bit."""
+    for e in corpus_entries:
+        s = e.scenario
+        table = OutcomeTable(s, None)
+        _feasible(solo_commuters(5), None)
+        got = [table.pivot(k) for k in range(s.n)]
+        expected = [efficient_allocation_excluding(s, k).welfare for k in range(s.n)]
+        assert repr(got) == repr(expected), e.name

@@ -523,7 +523,7 @@ def test_expost_sweep_refuses_a_grid_over_budget_before_building_it(monkeypatch)
     def unbuilt(*args):
         raise AssertionError("a grid was built")
 
-    monkeypatch.setattr(audit_module, "deviations_for", unbuilt)
+    monkeypatch.setattr(audit_module, "_grid", unbuilt)
     with pytest.raises(AuditSizeError, match="would score 6250625 deviations of commuter 0"):
         audit_expost(s, Mechanism.GROVES_CLARKE, DeviationSpace(p_grid=10_001))
     with pytest.raises(AssertionError, match="a grid was built"):

@@ -14,7 +14,7 @@ from conftest import (
     recursion_headroom,
     solo_commuters,
 )
-from rideshare import cli, simulate
+from rideshare import cli, model, simulate
 from rideshare.audit import MAX_P_GRID
 from rideshare.corpus import by_name, corpus
 from rideshare.payments import commit_payments
@@ -652,6 +652,22 @@ def test_too_many_commuters_for_the_walk_is_input_error(tmp_path, capsys, comman
     assert captured.err.startswith("scenario has 300 commuters")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_feasible_set_over_the_budget_is_input_error(tmp_path, monkeypatch, capsys):
+    """The pair has two feasible allocations: a budget of one refuses every
+    command in one line, and a budget of two prices it."""
+    monkeypatch.setattr(model, "MAX_ALLOCATIONS", 1)
+    model._walk.cache_clear()
+    for command in _SCENARIO_COMMANDS.values():
+        assert _run_on(tmp_path, command, Path(PAIR).read_text()) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("scenario has 2 commuters and more than 1 feasible "
+                                "allocations, too many for the feasible-set walk\n")
+        assert captured.out == ""
+    monkeypatch.setattr(model, "MAX_ALLOCATIONS", 2)
+    assert cli.main(["pay", PAIR]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_settled_utility_overflow_is_input_error(tmp_path, capsys):

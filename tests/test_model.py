@@ -322,16 +322,31 @@ def test_nine_commuter_enumeration_count():
     assert sum(1 for _ in enumerate_feasible_allocations(_alternating_drivers(9))) == 19_501
 
 
-def test_single_absence_reads_the_walk_index(corpus_entries):
-    """With one commuter absent the feasible set is a tuple the walk stored:
-    the same object on every call, holding the full set's own allocations."""
+def test_single_absence_cuts_the_full_walk(corpus_entries):
+    """With one commuter absent the feasible set holds the full set's own
+    allocations, in walk order, exactly those leaving them with role none."""
     for e in corpus_entries:
         s = e.scenario
-        full = {id(a) for a in model._feasible(s, None)}
+        full = model._feasible(s, None)
         for i in range(s.n):
-            idle = model._feasible(s, i)
-            assert model._feasible(s, i) is idle, (e.name, i)
-            assert all(id(a) in full for a in idle), (e.name, i)
+            expected = [id(a) for a in full if a.role_of(i) is Role.NONE]
+            assert [id(a) for a in model._feasible(s, i)] == expected, (e.name, i)
+
+
+def test_walk_over_the_allocation_budget_raises_a_typed_error(monkeypatch):
+    """The walk admits a feasible set of exactly MAX_ALLOCATIONS and
+    refuses one more, with or without an absent commuter, before it
+    returns."""
+    s = _alternating_drivers(7)
+    size = len(naive_feasible_allocations(s))
+    model._walk.cache_clear()
+    monkeypatch.setattr(model, "MAX_ALLOCATIONS", size - 1)
+    for absent in (None, 0):
+        with pytest.raises(TooManyCommutersError, match=(
+                f"^scenario has 7 commuters and more than {size - 1} feasible allocations")):
+            model._feasible(s, absent)
+    monkeypatch.setattr(model, "MAX_ALLOCATIONS", size)
+    assert len(model._feasible(s, None)) == size
 
 
 def test_feasible_cache_keeps_only_the_last_structure():

@@ -315,7 +315,7 @@ def _pay_stderr_one_by_one(s, mechanism):
     try:
         rep = efficient_allocation(s, p_override=public_p)
         for i in range(s.n):
-            mechanism.entry(s, efficient_allocation_excluding(s, i, p_override=public_p).welfare,
+            mechanism.entry(s, efficient_allocation(s, p_override=public_p, absent=i).welfare,
                             rep, i)
     except OverflowError as e:
         return f"arithmetic overflow: {e}; the scenario's numbers are too large to price\n"
