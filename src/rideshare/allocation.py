@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .model import Allocation, CommuterId, Scenario, _feasible
-from .valuation import EXCLUDED, ValuationSpec, evaluate, referenced_subjects
+from .valuation import EXCLUDED, ExactPartners, ValuationSpec, evaluate, referenced_subjects
 
 # A commuter to score: id, reported spec, the spec's owner, and that spec's
 # values at fixed probabilities and absent commuter, keyed by the id of the
@@ -18,6 +18,8 @@ Scored = tuple[CommuterId, ValuationSpec, CommuterId, dict]
 # Fewer than 2**23 values each below this magnitude sum inside the float
 # range, so no `math.fsum` over them, or over their differences, overflows.
 _PRUNABLE = 2.0**1000
+
+_NONE_ACCEPTABLE = "no feasible allocation is acceptable to every commuter"
 
 
 def bounded(spec: ValuationSpec, scale: float = 1.0) -> bool:
@@ -76,6 +78,7 @@ def _argmax(
     present: Sequence[Scored],
     p: Sequence[float],
     absent: CommuterId | None,
+    idle: list[float | None] | None = None,
 ) -> WelfareReport:
     """The first allocation of maximal welfare among those no present
     commuter excludes, with `present` in commuter order.
@@ -90,11 +93,24 @@ def _argmax(
     probabilities that spec reads (its `referenced_subjects`), and an
     `absent` that is the same or that the spec does not read, and so reuse
     its values, but only while the allocations that filled it are alive.
+
+    `idle`, if given, is a list of None, one per commuter. The search then
+    leaves in `idle[k]` the first maximal welfare among the scored
+    allocations that give k the first allocation's assignment of k (in the
+    full set, the walk's role-none object): the first such welfare,
+    replaced in walk order only by a strictly greater one, as a search of
+    k's pivot set keeps its best; None if no such allocation is scored.
+    Once every entry is a float, a welfare no greater than the least of
+    them beats none, and skips the pass over the commuters.
     """
     values = [0.0] * len(p)
     best_allocation = None
     best_welfare = 0.0
     best_values: tuple[float, ...] = ()
+    if idle is not None:
+        nobody = allocations[0].assignments
+        unset = len(idle)
+        floor = math.nan
     for allocation in allocations:
         assignments = allocation.assignments
         for j, spec, owner, table in present:
@@ -111,8 +127,17 @@ def _argmax(
                 best_allocation = allocation
                 best_welfare = welfare
                 best_values = tuple(values)
+            # A NaN kept first makes `floor` NaN, and then every welfare
+            # takes the pass.
+            if idle is not None and (unset or not welfare <= floor):
+                for k, a in enumerate(assignments):
+                    if a is nobody[k] and (idle[k] is None or welfare > idle[k]):
+                        idle[k] = welfare
+                unset = idle.count(None)
+                if not unset:
+                    floor = min(idle)
     if best_allocation is None:
-        raise RuntimeError("no feasible allocation is acceptable to every commuter")
+        raise RuntimeError(_NONE_ACCEPTABLE)
     return WelfareReport(best_allocation, best_welfare, best_values)
 
 
@@ -123,7 +148,9 @@ class OutcomeTable:
     is built, and one value table per commuter (entries of `Scored`), and
     lazily searches the efficient report (`truth`), each Clarke pivot's
     welfare (`pivot`) and the outcomes (`rows`), each feasible allocation
-    that no report excludes.
+    that no report excludes. The efficient search also prices every pivot
+    whose commuter's absence changes no value (see `pivot`), so those
+    pivots search nothing.
 
     The value tables hold values with nobody absent, at the table's
     probabilities, each evaluated at most once per distinct assignment, and
@@ -142,38 +169,102 @@ class OutcomeTable:
     def __init__(self, scenario: Scenario, public_p: Sequence[float] | None) -> None:
         s = self.scenario = scenario
         self.allocations = _feasible(s, None)
-        # Fetched now: `_walk` keeps one structure, and a pivot set fetched
-        # after another was walked would hold new assignment objects, which
-        # miss every entry of the tables.
+        # Fetched now, for the pivots that search: `_walk` keeps one
+        # structure, and a pivot set fetched after another was walked would
+        # hold new assignment objects, which miss every entry of the tables.
         self._pivot_sets = [_feasible(s, k) for k in range(s.n)]
         self.present = [_scored(j, c.reported_type.valuation) for j, c in enumerate(s.commuters)]
         self.p = tuple(s.reported_p() if public_p is None else public_p)
         self.private = public_p is None
         self._truth: WelfareReport | None = None
+        self._idle: list[float | None] = []
         self._pivots: dict[CommuterId, float] = {}
         self._rows: list[WelfareReport] | None = None
 
     def truth(self) -> WelfareReport:
         """What `efficient_allocation` returns, or raises, on the scenario
-        at the table's probabilities; searched once."""
+        at the table's probabilities; searched once. The search also keeps,
+        for each commuter k, the first maximal welfare among the
+        allocations it scores that leave k with role none (`_argmax`'s
+        `idle`), from which `pivot` answers."""
         if self._truth is None:
-            self._truth = _argmax(self.allocations, self.present, self.p, None)
+            idle: list[float | None] = [None] * self.scenario.n
+            self._truth = _argmax(self.allocations, self.present, self.p, None, idle)
+            self._idle = idle
         return self._truth
 
     def pivot(self, k: CommuterId) -> float:
         """The welfare `efficient_allocation_excluding(scenario, k)` returns
-        at the table's probabilities, or what it raises; searched once per
-        k. Only k's readers, the others whose spec reads k's probability,
-        value anything differently with k absent, so they alone get fresh
-        tables; everyone else's values are the shared tables' floats."""
+        at the table's probabilities, or what it raises; priced once per k.
+
+        No search runs, and the pivot is the welfare `truth` kept for k,
+        when three things hold:
+
+        - k is blind while idle: no other report reads k's probability, in
+          a gate or a factor, in a clause that is not excluded and can match
+          while k has role none, which is any clause but one whose exact
+          partners name k, as nobody partners an idle commuter;
+        - k's report is k's own (its owner is k, as validation requires)
+          and values role none at the float +0.0 in k's table;
+        - `truth` has returned.
+
+        k's pivot set is the allocations that leave k with role none. On
+        each of them the first holds every other report's arithmetic to
+        what it is with nobody absent, so the search's value list is the
+        truthful one, with the +0.0 it holds in k's place where the
+        truthful list holds k's +0.0 (the second), and `math.fsum` returns
+        the same float. Both drop the same allocations, k excluding none of
+        them, and both keep the first maximum in walk order by strict `>`,
+        so -0.0 and 0.0 ties resolve alike. The truthful search has made,
+        and returned from, every evaluation and sum the pivot search would
+        make (the third), so that search raises nothing, unless it keeps no
+        allocation: then the same RuntimeError is raised here.
+
+        Otherwise k's pivot set is searched. Only k's readers, the others
+        whose spec reads k's probability, value anything differently with k
+        absent, so they alone get fresh tables; everyone else's values are
+        the shared tables' floats."""
         h = self._pivots.get(k)
         if h is None:
-            entries = [
-                _scored(j, spec) if k in referenced_subjects(spec) else (j, spec, owner, table)
-                for j, spec, owner, table in self.present if j != k
-            ]
-            h = self._pivots[k] = _argmax(self._pivot_sets[k], entries, self.p, k).welfare
+            if self._truth is not None and self._priced_by_truth(k):
+                h = self._idle[k]
+                if h is None:
+                    raise RuntimeError(_NONE_ACCEPTABLE)
+            else:
+                entries = [
+                    _scored(j, spec) if k in referenced_subjects(spec) else (j, spec, owner, table)
+                    for j, spec, owner, table in self.present if j != k
+                ]
+                h = _argmax(self._pivot_sets[k], entries, self.p, k).welfare
+            self._pivots[k] = h
         return h
+
+    def _priced_by_truth(self, k: CommuterId) -> bool:
+        """True when k's absence changes no value on k's pivot set: k's
+        report is k's own, k's table values k's role-none assignment at the
+        float +0.0, and no other report reads k's probability there."""
+        _, _, owner, table = self.present[k]
+        v = table.get(id(self.allocations[0].assignments[k]))
+        return (owner == k and type(v) is float and v == 0.0 and math.copysign(1.0, v) == 1.0
+                and k not in self._read_idle)
+
+    @functools.cached_property
+    def _read_idle(self) -> frozenset[CommuterId]:
+        """The commuters k whose probability another report reads, in a gate
+        or a factor, in a clause that is not excluded and can match while k
+        has role none: any clause but one whose exact partners name k, as
+        nobody partners an idle commuter."""
+        read = set()
+        for j, spec, _, _ in self.present:
+            for clause in spec.clauses:
+                if clause.excluded:
+                    continue
+                c = clause.pattern.partner_constraint
+                named = c.partners if isinstance(c, ExactPartners) else ()
+                subjects = [gate.subject for gate in clause.gates]
+                subjects += [subject for t in clause.terms for subject, _ in t.factors]
+                read.update(k for k in subjects if k != j and k not in named)
+        return frozenset(read)
 
     def readers(self, i: CommuterId) -> tuple[CommuterId, ...]:
         """The others whose report reads i's probability; none under
@@ -300,7 +391,7 @@ class OutcomeTable:
                     best_welfare = welfare
                     best_values = tuple(values)
             if best_allocation is None:
-                raise RuntimeError("no feasible allocation is acceptable to every commuter")
+                raise RuntimeError(_NONE_ACCEPTABLE)
             return WelfareReport(best_allocation, best_welfare, best_values)
 
         return score

@@ -16,12 +16,13 @@ CommuterId = int
 _EMPTY: frozenset[int] = frozenset()
 
 
-# The most feasible allocations the walk stores. Pricing costs about 9 µs
-# and 280 bytes of peak memory per allocation: a generated 12-commuter
-# scenario (6 two-seat drivers, every pair compatible) has 1,697,887, and
-# pricing it under commit took 14.9 s and peaked at 473 MB resident on a
-# shared 2-core VM with Python 3.11. So this bounds one pricing to about
-# 18 s and 560 MB.
+# The most feasible allocations the walk stores, a bound set by memory:
+# walking and pricing cost about 280 bytes of peak memory and 6 µs per
+# allocation. A generated 12-commuter scenario (6 two-seat drivers, every
+# pair compatible) has 1,697,887; on a shared 2-core VM with Python 3.11
+# the walk took 5.7-6.9 s, pricing it under commit 3.3 s more, and the
+# process peaked at 473 MB resident. So this bounds one pricing to about
+# 560 MB and 12 s.
 MAX_ALLOCATIONS = 2_000_000
 
 

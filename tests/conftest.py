@@ -2,14 +2,16 @@
 per-deviation reference audit, numeric linearity and independence oracles
 over a probability lattice, a record-by-record simulate CSV, hypothesis
 strategies for small random scenarios and for scenarios whose commuters
-read few others, and scenarios that outgrow the walk's recursion or
-overflow a settled utility or a pivot search."""
+read few others, seeded scenarios of the benchmark's pricing shape, and
+scenarios that outgrow the walk's recursion or overflow a settled utility
+or a pivot search."""
 
 import contextlib
 import inspect
 import io
 import itertools
 import math
+import random
 import sys
 
 import pytest
@@ -496,6 +498,69 @@ OVERFLOWING_DRIVER = ((
            terms=(Monomial(_BIG), Monomial(_BIG))),
     Clause(OutcomePattern(Role.DRIVE)),
 ), 2)
+
+
+FAMILIES = ("linear", "gated", "quadratic")
+
+
+def bench_scale_scenario(family):
+    """A seeded scenario of the benchmark's pricing shape: eight commuters,
+    every other one a two-seat driver, each pair compatible with odds 0.85.
+    Drivers pay to drive (more for a full car), give a bonus to one rider
+    and, every other one, refuse to ride; riders value two preferred
+    drivers above any other ride. Everyone values staying home at 0. The
+    `family` sets how a preferred ride reads its driver's probability:
+    linearly, also behind a threshold gate on it (`gated`), or squared
+    (`quadratic`)."""
+    n = 8
+    rng = random.Random(family)
+    drivers = list(range(0, n, 2))
+    rows = [[True] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = rng.random() < 0.85
+
+    def number(lo, hi):
+        return round(rng.uniform(lo, hi), 2)
+
+    def clause(role, terms=(), partners=AnyPartners(), gates=(), excluded=False):
+        return Clause(OutcomePattern(role, partners), tuple(gates), tuple(terms), excluded)
+
+    def preferred(i, d):
+        gates = ()
+        if family == "gated":
+            gates = (ThresholdGate(d, number(0.4, 0.8), GateDirection.AT_LEAST),)
+        factors = ((i, 1), (d, 2 if family == "quadratic" else 1))
+        return clause(Role.RIDE, [Monomial(number(2.0, 6.0), factors)],
+                      ExactPartners(frozenset((d,))), gates)
+
+    commuters = []
+    for i in range(n):
+        partners = [j for j in range(n) if j != i and rows[i][j]]
+        mine = [d for d in partners if d in drivers]
+        if i in drivers:
+            cost = number(0.5, 2.5)
+            clauses = [clause(Role.DRIVE, [Monomial(-cost - number(0.5, 2.0), ((i, 1),))],
+                              PartnerCountAtLeast(2))]
+            if partners:
+                r = rng.choice(partners)
+                clauses.append(clause(Role.DRIVE, [Monomial(-cost, ((i, 1),)),
+                                                   Monomial(number(0.0, 1.5), ((i, 1), (r, 1)))],
+                                      ExactPartners(frozenset((r,)))))
+            clauses.append(clause(Role.DRIVE, [Monomial(-cost, ((i, 1),))]))
+            if drivers.index(i) % 2 == 0:
+                clauses.append(clause(Role.RIDE, excluded=True))
+            else:
+                clauses += [preferred(i, d) for d in mine[:1]]
+                clauses.append(clause(Role.RIDE, [Monomial(number(0.5, 2.5), ((i, 1),))]))
+        else:
+            clauses = [preferred(i, d) for d in sorted(rng.sample(mine, min(2, len(mine))))]
+            clauses.append(clause(Role.RIDE, [Monomial(number(0.5, 2.5), ((i, 1),))]))
+            clauses.append(clause(Role.DRIVE, excluded=True))
+        clauses.append(clause(Role.NONE))
+        spec = ValuationSpec(i, tuple(clauses))
+        trip = TripType(spec, number(0.3, 0.95))
+        commuters.append(Commuter(i, i in drivers, 2 if i in drivers else 0, trip))
+    return Scenario(tuple(commuters), tuple(tuple(row) for row in rows))
 
 
 @pytest.fixture(scope="session")

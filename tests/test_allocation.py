@@ -508,21 +508,110 @@ def test_outcome_table_prices_as_the_searches_one_by_one(s):
             assert rep.allocation is expected[order.index(None)].allocation
 
 
+def _by_role(owner, default=0.0, **roles):
+    """A spec with one clause per keyword role, in order: excluded for None,
+    else the given terms, a number standing for one constant term."""
+    def clause(role, v):
+        pattern = OutcomePattern(Role[role.upper()])
+        if v is None:
+            return Clause(pattern, excluded=True)
+        return Clause(pattern, terms=(Monomial(v),) if isinstance(v, float) else v)
+
+    return ValuationSpec(owner, tuple(clause(role, v) for role, v in roles.items()), default)
+
+
+def _pair(driver, rider):
+    """A one-seat driver 0 and a rider 1, with these specs, both at 0.5."""
+    return Scenario((Commuter(0, True, 1, TripType(driver, 0.5)),
+                     Commuter(1, False, 0, TripType(rider, 0.5))), full_compatibility(2))
+
+
+def _signed_zero_pair():
+    """Every value is the -0.0 of a spec's default, staying home included.
+    From Python 3.12 `math.fsum` keeps the sign of a sum of -0.0s, so the
+    truthful sum reads -0.0 where pivot 0's search, holding +0.0 for 0,
+    reads 0.0."""
+    return _pair(_by_role(0, -0.0), _by_role(1, -0.0)), 0, True
+
+
+def _factor_on_an_idle_driver():
+    """Rider 2 values any ride at 1 + 2 p_0, so riding with driver 1 is worth
+    2 with driver 0 at home and 1 with 0 absent."""
+    ride = (Monomial(2.0, ((0, 1),)), Monomial(1.0))
+    s = Scenario((
+        Commuter(0, True, 1, TripType(_by_role(0, none=0.0, drive=-0.5), 0.5)),
+        Commuter(1, True, 1, TripType(_by_role(1, none=0.0, drive=-0.5), 0.5)),
+        Commuter(2, False, 0, TripType(_by_role(2, none=0.0, ride=ride), 0.5)),
+    ), full_compatibility(3))
+    return s, 0, True
+
+
+def _home_at_integer_zero():
+    """Driver 0 stays home at the integer 0 of their spec's default."""
+    return _pair(_by_role(0, 0, drive=-0.5), _by_role(1, none=0.0, ride=1.0)), 0, True
+
+
+def _a_report_of_another_owner():
+    """Commuter 1 reports a valuation owned by 0, which validation forbids:
+    worth 5 when 0 drives, so it changes welfare on allocations leaving 1
+    at home, though it is 0.0 when 0 stays home."""
+    s = Scenario((
+        Commuter(0, True, 1, TripType(_by_role(0, none=0.0, drive=-1.0), 0.5)),
+        Commuter(1, False, 0, TripType(_by_role(0, none=0.0, drive=5.0), 0.5)),
+        Commuter(2, False, 0, TripType(_by_role(2, none=0.0, ride=2.0), 0.5)),
+    ), full_compatibility(3))
+    return s, 1, True
+
+
+def _a_rider_refusing_home():
+    """Rider 1 refuses to stay home, which validation forbids, so without
+    driver 0 no allocation is acceptable; 0 stays home at 0 and nobody reads
+    p_0, so the efficient search prices that pivot, and raises as it does."""
+    return _pair(_by_role(0, none=0.0, drive=0.5), _by_role(1, none=None, ride=1.0)), 0, False
+
+
+@pytest.mark.parametrize("case, before", [
+    (_signed_zero_pair, [None]),
+    (_factor_on_an_idle_driver, [None]),
+    (lambda: (by_name("linear-trio-constants"), 1, True), [0]),
+    (lambda: (by_name("linear-trio-constants"), 1, False), [None]),
+    (_home_at_integer_zero, [None]),
+    (_a_report_of_another_owner, [None]),
+    (_a_rider_refusing_home, [None]),
+], ids=["home-at-negative-zero", "any-partners-factor-on-k", "asked-before-truth",
+        "asked-after-truth", "home-at-integer-zero", "a-report-of-another-owner",
+        "a-report-excludes-home"])
+def test_a_pivot_is_searched_unless_the_absence_changes_no_value(case, before):
+    """`pivot(k)`, asked after the efficient report or the pivots in
+    `before` (None for `truth`), returns, or raises, what
+    `efficient_allocation(s, absent=k)` does, to the bit or with the same
+    message. It searches k's pivot set exactly when the efficient search
+    cannot price it: k stays home at a value other than the float +0.0, k
+    reports another's valuation, another report's clause that can match
+    while k stays home reads p_k, or `truth` has not returned. In the trio,
+    pivot 0's search fills 1's table at home before `truth` runs."""
+    s, k, searched = case()
+    table = OutcomeTable(s, None)
+    _table_in_order(table, before)
+    with mock.patch.object(allocation, "_argmax", wraps=allocation._argmax) as argmax:
+        got = _priced_in_order(table.pivot, [k])
+    assert argmax.call_count == (1 if searched else 0)
+    expected = _priced_in_order(lambda k: efficient_allocation(s, absent=k).welfare, [k])
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+    else:
+        assert repr(got) == repr(expected)
+
+
 def test_outcome_table_scores_a_pivot_past_its_own_exclusion():
     """Commuter 1 refuses to travel alone, which validation forbids, so the
     full search drops every allocation leaving 1 at home at 1, before 2 is
     scored; without 1 those are the only allocations, and the best is the
     one where 0 and 2 both stay home, worth 2 + 3."""
-    def spec(owner, **roles):
-        return ValuationSpec(owner, tuple(
-            Clause(OutcomePattern(Role[role.upper()]), excluded=True) if v is None
-            else Clause(OutcomePattern(Role[role.upper()]), terms=(Monomial(v),))
-            for role, v in roles.items()))
-
     s = Scenario((
-        Commuter(0, True, 1, TripType(spec(0, none=2.0, drive=0.5, ride=0.25), 1.0)),
-        Commuter(1, False, 0, TripType(spec(1, none=None, ride=1.0), 1.0)),
-        Commuter(2, True, 1, TripType(spec(2, none=3.0, drive=1.0, ride=0.5), 1.0)),
+        Commuter(0, True, 1, TripType(_by_role(0, none=2.0, drive=0.5, ride=0.25), 1.0)),
+        Commuter(1, False, 0, TripType(_by_role(1, none=None, ride=1.0), 1.0)),
+        Commuter(2, True, 1, TripType(_by_role(2, none=3.0, drive=1.0, ride=0.5), 1.0)),
     ), full_compatibility(3))
     order = [None, 0, 1, 2]
     table = OutcomeTable(s, None)
@@ -532,11 +621,23 @@ def test_outcome_table_scores_a_pivot_past_its_own_exclusion():
     assert got[2] == 5.0
 
 
+# The pivots a table still searches once `truth` has returned: those whose
+# commuter some other report reads while they stay home. The shared-driver
+# trio's riders value any ride at a factor on driver 0's probability; every
+# other reader in these trios reads its exact partner.
+_SEARCHED_AFTER_TRUTH = {
+    "linear-trio-shared-driver": {0},
+    "linear-trio-constants": set(),
+    "linear-trio-two-drivers": set(),
+}
+
+
 def test_pivots_search_the_tables_own_walk():
     """The walk caches one structure, so a pivot searched after another
     scenario was walked still searches the allocations its table fetched,
     whose assignment objects key the shared value tables: it evaluates no
-    more than the pivot searched right after `truth`."""
+    more than the pivot searched right after `truth`. Every other pivot is
+    the welfare `truth` kept: no search, no evaluation."""
     calls = []
 
     def counting(*args):
@@ -544,7 +645,7 @@ def test_pivots_search_the_tables_own_walk():
         return evaluate(*args)
 
     other = by_name("linear-pair-profitable")
-    for name in ("linear-trio-constants", "linear-trio-two-drivers"):
+    for name, searched in _SEARCHED_AFTER_TRUTH.items():
         s = by_name(name)
         for k in range(s.n):
             del calls[:]
@@ -560,7 +661,12 @@ def test_pivots_search_the_tables_own_walk():
             with mock.patch.object(allocation, "evaluate", counting), \
                     mock.patch.object(allocation, "_argmax", wraps=allocation._argmax) as argmax:
                 assert repr(table.pivot(k)) == repr(expected)
+            assert repr(expected) == repr(efficient_allocation_excluding(s, k).welfare)
             assert len(calls) == evaluations, (name, k)
+            if k not in searched:
+                assert argmax.call_count == 0 and evaluations == 0, (name, k)
+                continue
+            assert argmax.call_count == 1 and evaluations > 0, (name, k)
             own = {id(a) for a in table.allocations}
             assert all(id(a) in own for a in argmax.call_args.args[0]), (name, k)
 

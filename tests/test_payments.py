@@ -7,11 +7,13 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import (
+    FAMILIES,
     OVERFLOWING_DRIVER,
     REFUSING_DRIVER,
+    bench_scale_scenario,
     overflowing_settlement_scenario,
     pivot_scenarios,
     reader_overflow_scenario,
@@ -30,6 +32,7 @@ from rideshare.model import (
     Role,
     Scenario,
     TripType,
+    all_none_allocation,
     full_compatibility,
     with_report,
     with_truthful_reports,
@@ -49,6 +52,8 @@ from rideshare.scenario_io import serialize_scenario
 from rideshare.valuation import (
     AnyPartners,
     Clause,
+    ExactPartners,
+    Monomial,
     OutcomePattern,
     ValuationSpec,
     evaluate,
@@ -248,23 +253,93 @@ def _evaluations(run):
     return calls
 
 
+def _priced_by_truth(s, p, k):
+    """True when a schedule at probabilities `p` takes pivot k from its
+    efficient search: k values staying home at the float +0.0, and no other
+    report reads k's probability, in a gate or a factor, in a clause that
+    is not excluded and whose exact partners, if any, leave k out."""
+    home = evaluate(s.commuters[k].reported_type.valuation, all_none_allocation(s.n), p)
+    if type(home) is not float or repr(home) != "0.0":
+        return False
+    for j, c in enumerate(s.commuters):
+        if j == k:
+            continue
+        for clause in c.reported_type.valuation.clauses:
+            partners = clause.pattern.partner_constraint
+            if clause.excluded or isinstance(partners, ExactPartners) and k in partners.partners:
+                continue
+            if k in [g.subject for g in clause.gates] + [
+                    subject for t in clause.terms for subject, _ in t.factors]:
+                return False
+    return True
+
+
+def _exact_partner_reader_pair():
+    """A driver and a rider who both value staying home at 0; the rider
+    reads the driver's probability only when riding with them, so neither
+    pivot searches."""
+    def spec(owner, role, terms):
+        return ValuationSpec(owner, (Clause(OutcomePattern(role[0], role[1]), terms=terms),
+                                     Clause(OutcomePattern(Role.NONE))))
+
+    return Scenario((
+        Commuter(0, True, 1, TripType(spec(0, (Role.DRIVE, AnyPartners()), (Monomial(-1.0),)), 0.5)),
+        Commuter(1, False, 0, TripType(spec(1, (Role.RIDE, ExactPartners(frozenset({0}))),
+                                            (Monomial(3.0, ((0, 1),)),)), 0.75)),
+    ), full_compatibility(2))
+
+
 @given(pivot_scenarios(excluding_none=False))
+@example(_exact_partner_reader_pair())
 @settings(max_examples=100, deadline=None)
 def test_clarke_schedules_evaluate_each_value_once(s):
     """A commit or Clarke schedule evaluates each commuter once per distinct
     assignment, whether with nobody absent or with a pivot k absent whose
     probability their spec does not read, and k's readers (the others
     whose spec reads k's probability) once per distinct assignment with k
-    absent, on the assignments k's own search reaches them on."""
+    absent, on the assignments k's own search reaches them on. A pivot k
+    that the efficient search prices (`_priced_by_truth`) runs no search,
+    so nobody is evaluated with that k absent."""
     subjects = [referenced_subjects(c.reported_type.valuation) for c in s.commuters]
     searched = _evaluations(lambda: [efficient_allocation_excluding(s, k) for k in range(s.n)])
     reached = {(j, k, id(a)) for j, k, a in searched if k in subjects[j]}
-    for price in (lambda: commit_payments(s),
-                  lambda: groves_payments(s, PivotRule.CLARKE),
-                  lambda: groves_payments(s, PivotRule.CLARKE, public_p=s.true_p())):
-        calls = [(j, k if k in subjects[j] else None, id(a)) for j, k, a in _evaluations(price)]
+    for price, p in ((lambda: commit_payments(s), s.reported_p()),
+                     (lambda: groves_payments(s, PivotRule.CLARKE), s.reported_p()),
+                     (lambda: groves_payments(s, PivotRule.CLARKE, public_p=s.true_p()), s.true_p())):
+        priced = {k for k in range(s.n) if _priced_by_truth(s, p, k)}
+        evaluations = _evaluations(price)
+        assert not [k for _, k, _ in evaluations if k in priced]
+        calls = [(j, k if k in subjects[j] else None, id(a)) for j, k, a in evaluations]
         assert max(Counter(calls).values()) == 1
-        assert {call for call in calls if call[1] is not None} == reached
+        assert {call for call in calls if call[1] is not None} == {
+            call for call in reached if call[1] not in priced}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bench_scale_pivots_price_as_their_own_searches(family):
+    """On an eight-commuter scenario of the benchmark's pricing shape, each
+    pivot a commit or Clarke schedule takes, under reported or public
+    probabilities, is the welfare its own search from scratch returns, to
+    the bit. Everyone values staying home at 0 and is read only by their
+    exact partners, so the efficient search prices every pivot: a schedule
+    runs that one search."""
+    s = bench_scale_scenario(family)
+    real_pivot = allocation.OutcomeTable.pivot
+    for price, p in ((lambda: commit_payments(s), None),
+                     (lambda: groves_payments(s, PivotRule.CLARKE), None),
+                     (lambda: groves_payments(s, PivotRule.CLARKE, public_p=s.true_p()), s.true_p())):
+        pivots = {}
+
+        def pivot(table, k):
+            pivots[k] = real_pivot(table, k)
+            return pivots[k]
+
+        with mock.patch.object(allocation.OutcomeTable, "pivot", pivot), \
+                mock.patch.object(allocation, "_argmax", wraps=allocation._argmax) as argmax:
+            price()
+        assert argmax.call_count == 1
+        assert repr(pivots) == repr(
+            {k: efficient_allocation(s, p_override=p, absent=k).welfare for k in range(s.n)})
 
 
 def _commit_entry_evaluating_everyone(s, h, rep, i):
