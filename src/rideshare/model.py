@@ -17,12 +17,12 @@ _EMPTY: frozenset[int] = frozenset()
 
 
 # The most feasible allocations the walk stores, a bound set by memory:
-# walking and pricing cost about 280 bytes of peak memory and 6 µs per
+# walking and pricing cost about 230 bytes of peak memory and 4.3 µs per
 # allocation. A generated 12-commuter scenario (6 two-seat drivers, every
 # pair compatible) has 1,697,887; on a shared 2-core VM with Python 3.11
-# the walk took 5.7-6.9 s, pricing it under commit 3.3 s more, and the
-# process peaked at 473 MB resident. So this bounds one pricing to about
-# 560 MB and 12 s.
+# the walk took 4.8-4.9 s, pricing it under commit 2.4-2.5 s more, and the
+# process peaked at 394 MB resident. So this bounds one pricing to about
+# 460 MB and 9 s.
 MAX_ALLOCATIONS = 2_000_000
 
 
@@ -31,7 +31,10 @@ class TooManyCommutersError(ValueError):
     MAX_ALLOCATIONS feasible allocations, or about as many commuters as the
     interpreter's recursion limit (1,000 by default), as the walk recurses
     once per commuter. Raised in place of building the set or of
-    RecursionError."""
+    RecursionError. The walk stores allocations until it passes the budget,
+    so refusing costs about what pricing a scenario just under it does: a
+    generated 13-commuter scenario (6 two-seat drivers, every pair
+    compatible) is refused after 6-8 s at a 401 MB peak."""
 
 
 class Role(Enum):
@@ -68,7 +71,7 @@ class Assignment:
     partners: frozenset[CommuterId]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Allocation:
     """One assignment per commuter. Drivers carry their rider set, riders
     carry their single driver, unscheduled commuters carry nothing."""
@@ -219,53 +222,62 @@ def _walk(
     Raises TooManyCommutersError instead of storing allocation
     MAX_ALLOCATIONS + 1.
 
-    Equal assignments are one object: one per (driver, rider set), one per
-    driver for riders and one for role none, which fills the first
-    allocation. Allocations share them, so within one result an
-    assignment's id names it, and per-commuter value tables key on that id.
+    Equal assignments are one object across the result: one per rider
+    set for drivers, one per driver for riders and one for role none, which
+    fills the first allocation. Allocations share them, so within one
+    result an assignment's id names it, and per-commuter value tables key
+    on that id.
     """
     n = len(has_vehicle)
+    if not n:  # no commuter to choose: one empty allocation
+        return (Allocation(()),)
     eligible = [
         [d for d in range(n) if d != r and has_vehicle[d] and compatibility[r][d]]
         for r in range(n)
     ]
     none = Assignment(Role.NONE, _EMPTY)
     ride = [Assignment(Role.RIDE, frozenset((d,))) for d in range(n)]
-    drive: dict[tuple[int, ...], Assignment] = {}
-    riding = [False] * n
-    riders: list[list[int]] = [[] for _ in range(n)]
+    # A driver is tracked by the assignment they hold: `none` until a rider
+    # boards, then the drive object of their rider set, reached from the
+    # one before through `boarded`, keyed by that object's id and the new
+    # rider. `seats` counts each object's riders; a riding driver holds a
+    # `ride` object, which it lacks, so they are never offered a seat.
+    boarded: dict[tuple[int, int], Assignment] = {}
+    seats = {id(none): 0}
     row = [none] * n
     out: list[Allocation] = []
     budget = MAX_ALLOCATIONS
+    last = n - 1
 
     def assign(r: int) -> None:
-        if r == n:
-            if len(out) == budget:
-                raise TooManyCommutersError(
-                    f"scenario has {n} commuters and more than {budget} feasible "
-                    "allocations, too many for the feasible-set walk"
-                )
-            out.append(Allocation(tuple(row)))
-            return
-        assign(r + 1)
-        if riders[r]:
-            return
-        riding[r] = True
-        for d in eligible[r]:
-            if riding[d] or len(riders[d]) >= capacity[d]:
-                continue
-            kept = row[d]
-            riders[d].append(r)
-            row[r] = ride[d]
-            key = (d, *riders[d])
-            asg = drive.get(key)
-            if asg is None:
-                asg = drive[key] = Assignment(Role.DRIVE, frozenset(riders[d]))
-            row[d] = asg
+        # The last commuter's choices are leaves, stored here, not one call each.
+        if r < last:
             assign(r + 1)
-            riders[d].pop()
-            row[d] = kept
-        riding[r] = False
+        elif len(out) < budget:
+            out.append(Allocation(tuple(row)))
+        else:
+            raise _over_budget(n, budget)
+        if row[r] is not none:
+            return
+        for d in eligible[r]:
+            held = row[d]
+            taken = seats.get(id(held))
+            if taken is None or taken >= capacity[d]:
+                continue
+            key = (id(held), r)
+            grown = boarded.get(key)
+            if grown is None:
+                grown = boarded[key] = Assignment(Role.DRIVE, held.partners | {r})
+                seats[id(grown)] = taken + 1
+            row[r] = ride[d]
+            row[d] = grown
+            if r < last:
+                assign(r + 1)
+            elif len(out) < budget:
+                out.append(Allocation(tuple(row)))
+            else:
+                raise _over_budget(n, budget)
+            row[d] = held
         row[r] = none
 
     try:
@@ -276,6 +288,13 @@ def _walk(
             f"recurses once per commuter (recursion limit {sys.getrecursionlimit()})"
         ) from None
     return tuple(out)
+
+
+def _over_budget(n: int, budget: int) -> TooManyCommutersError:
+    return TooManyCommutersError(
+        f"scenario has {n} commuters and more than {budget} feasible "
+        "allocations, too many for the feasible-set walk"
+    )
 
 
 def _feasible(s: Scenario, absent: CommuterId | None = None) -> tuple[Allocation, ...]:

@@ -4,13 +4,23 @@ The parser rejects unknown fields, duplicate keys and wrong types, naming
 the offending field. The serializer emits a canonical form (sorted keys,
 two-space indent, defaults omitted), so serialize(parse(text)) is a fixed
 point.
+
+Parsing is one pass over the decoded document. Each field is checked in
+place by its exact JSON type (`type(v) is int`, a key-set comparison, a
+role looked up by value), and the `_as_*` and `_require_keys` helpers run
+only when that check fails, to raise the error. So the checks run in one
+fixed order, field by field as the file is read, and the first error found
+is the one reported; the `_as_number` helper also turns an integer into a
+float. Field paths are formatted only when an error is raised: each parse
+function names fields relative to the object it reads, and its caller
+prefixes its own step as the error passes up.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, NamedTuple
 
 from .model import Commuter, Role, Scenario, TripType
 from .valuation import (
@@ -20,6 +30,7 @@ from .valuation import (
     GateDirection,
     Monomial,
     OutcomePattern,
+    PartnerConstraint,
     PartnerCountAtLeast,
     ThresholdGate,
     ValuationSpec,
@@ -27,18 +38,54 @@ from .valuation import (
 
 SCHEMA_VERSION = 1
 
+_ROLES = {role.value: role for role in Role}
+_DIRECTIONS = {direction.value: direction for direction in GateDirection}
+_ANY_PARTNERS = AnyPartners()
+
+
+class _Keys(NamedTuple):
+    """The keys of one kind of object: the required ones, in the order a
+    missing one is reported and as a set, and every key it may hold. An
+    object whose keys are all required is checked by equality with
+    `allowed`."""
+
+    order: tuple[str, ...]
+    required: frozenset[str]
+    allowed: frozenset[str]
+
+
+def _keys(required: tuple[str, ...], optional: tuple[str, ...] = ()) -> _Keys:
+    return _Keys(required, frozenset(required), frozenset(required + optional))
+
+
+_TOP = _keys(("schema_version", "scenario"))
+_SCENARIO = _keys(("commuters", "compatibility"), ("metadata",))
+_COMMUTER = _keys(("id", "has_vehicle", "seat_capacity", "true_type"), ("reported_type",))
+_TRIP = _keys(("p_commit", "valuation"))
+_VALUATION = _keys(("owner", "clauses"), ("default_value",))
+_CLAUSE = _keys(("role",), ("partners", "gates", "terms", "excluded"))
+_PARTNERS = _keys((), ("exact", "at_least"))
+_GATE = _keys(("subject", "bound", "direction"))
+_TERM = _keys(("coefficient",), ("factors",))
+_FACTOR = _keys(("subject", "exponent"))
+
 
 class ScenarioFormatError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
+        self.reason = message
         super().__init__(f"{field}: {message}")
 
+    def within(self, path: str) -> ScenarioFormatError:
+        """This error with `path` prefixed to its field."""
+        return ScenarioFormatError(path + self.field, self.reason)
 
-def _require_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+
+def _require_keys(obj: dict, path: str, keys: _Keys):
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in keys.allowed:
             raise ScenarioFormatError(f"{path}.{key}", "unknown field")
-    for key in required:
+    for key in keys.order:
         if key not in obj:
             raise ScenarioFormatError(f"{path}.{key}", "missing field")
 
@@ -79,149 +126,225 @@ def _as_bool(value: Any, path: str) -> bool:
     return value
 
 
-def _parse_pattern(clause: dict, path: str) -> OutcomePattern:
-    role_name = clause["role"]
-    try:
-        role = Role(role_name)
-    except ValueError:
-        raise ScenarioFormatError(f"{path}.role", f"unknown role {role_name!r}")
-    partners = clause.get("partners", "any")
-    ppath = f"{path}.partners"
-    if partners == "any":
-        return OutcomePattern(role, AnyPartners())
-    partners = _as_obj(partners, ppath)
-    _require_keys(partners, ppath, (), ("exact", "at_least"))
-    if "exact" in partners and "at_least" in partners:
-        raise ScenarioFormatError(ppath, "choose one of exact / at_least")
+def _as_ids(value: Any, path: str) -> frozenset[int]:
+    ids: set[int] = set()
+    for k, v in enumerate(_as_list(value, path)):
+        ident = _as_int(v, f"{path}[{k}]")
+        if ident in ids:
+            raise ScenarioFormatError(f"{path}[{k}]", f"repeated id {ident}")
+        ids.add(ident)
+    return frozenset(ids)
+
+
+def _parse_partners(partners: Any) -> PartnerConstraint:
+    if type(partners) is not dict:
+        partners = _as_obj(partners, ".partners")
+    if not partners.keys() <= _PARTNERS.allowed:
+        _require_keys(partners, ".partners", _PARTNERS)
     if "exact" in partners:
-        ids: set[int] = set()
-        for k, v in enumerate(_as_list(partners["exact"], f"{ppath}.exact")):
-            ident = _as_int(v, f"{ppath}.exact[{k}]")
-            if ident in ids:
-                raise ScenarioFormatError(f"{ppath}.exact[{k}]", f"repeated id {ident}")
-            ids.add(ident)
-        return OutcomePattern(role, ExactPartners(frozenset(ids)))
+        if "at_least" in partners:
+            raise ScenarioFormatError(".partners", "choose one of exact / at_least")
+        exact = partners["exact"]
+        ids = None
+        if type(exact) is list and all(type(v) is int for v in exact):
+            ids = frozenset(exact)
+        if ids is None or len(ids) != len(exact):
+            ids = _as_ids(exact, ".partners.exact")
+        return ExactPartners(ids)
     if "at_least" in partners:
-        return OutcomePattern(role, PartnerCountAtLeast(_as_int(partners["at_least"], f"{ppath}.at_least")))
-    raise ScenarioFormatError(ppath, "expected \"any\", exact, or at_least")
+        count = partners["at_least"]
+        if type(count) is not int:
+            count = _as_int(count, ".partners.at_least")
+        return PartnerCountAtLeast(count)
+    raise ScenarioFormatError(".partners", "expected \"any\", exact, or at_least")
 
 
-def _parse_clause(value: Any, path: str) -> Clause:
-    obj = _as_obj(value, path)
-    _require_keys(obj, path, ("role",), ("partners", "gates", "terms", "excluded"))
-    pattern = _parse_pattern(obj, path)
+def _parse_clause(obj: Any) -> Clause:
+    if type(obj) is not dict:
+        obj = _as_obj(obj, "")
+    if not _CLAUSE.required <= obj.keys() <= _CLAUSE.allowed:
+        _require_keys(obj, "", _CLAUSE)
+    name = obj["role"]
+    role = _ROLES.get(name) if type(name) is str else None
+    if role is None:
+        raise ScenarioFormatError(".role", f"unknown role {name!r}")
+    partners = obj.get("partners", "any")
+    pattern = OutcomePattern(role, _ANY_PARTNERS if partners == "any" else _parse_partners(partners))
     gates = []
-    for k, g in enumerate(_as_list(obj.get("gates", []), f"{path}.gates")):
-        gpath = f"{path}.gates[{k}]"
-        gobj = _as_obj(g, gpath)
-        _require_keys(gobj, gpath, ("subject", "bound", "direction"))
-        try:
-            direction = GateDirection(gobj["direction"])
-        except ValueError:
-            raise ScenarioFormatError(f"{gpath}.direction", f"unknown direction {gobj['direction']!r}")
-        gates.append(ThresholdGate(
-            _as_int(gobj["subject"], f"{gpath}.subject"),
-            _as_number(gobj["bound"], f"{gpath}.bound"),
-            direction,
-        ))
+    if "gates" in obj:
+        items = obj["gates"]
+        if type(items) is not list:
+            items = _as_list(items, ".gates")
+        for k, g in enumerate(items):
+            if type(g) is not dict or g.keys() != _GATE.allowed:
+                _require_keys(_as_obj(g, f".gates[{k}]"), f".gates[{k}]", _GATE)
+            name = g["direction"]
+            direction = _DIRECTIONS.get(name) if type(name) is str else None
+            if direction is None:
+                raise ScenarioFormatError(f".gates[{k}].direction", f"unknown direction {name!r}")
+            subject = g["subject"]
+            if type(subject) is not int:
+                subject = _as_int(subject, f".gates[{k}].subject")
+            bound = g["bound"]
+            if type(bound) is not float or not math.isfinite(bound):
+                bound = _as_number(bound, f".gates[{k}].bound")
+            gates.append(ThresholdGate(subject, bound, direction))
     terms = []
-    for k, t in enumerate(_as_list(obj.get("terms", []), f"{path}.terms")):
-        tpath = f"{path}.terms[{k}]"
-        tobj = _as_obj(t, tpath)
-        _require_keys(tobj, tpath, ("coefficient",), ("factors",))
-        factors = []
-        for fk, f in enumerate(_as_list(tobj.get("factors", []), f"{tpath}.factors")):
-            fpath = f"{tpath}.factors[{fk}]"
-            fobj = _as_obj(f, fpath)
-            _require_keys(fobj, fpath, ("subject", "exponent"))
-            factors.append((
-                _as_int(fobj["subject"], f"{fpath}.subject"),
-                _as_int(fobj["exponent"], f"{fpath}.exponent"),
-            ))
-        terms.append(Monomial(_as_number(tobj["coefficient"], f"{tpath}.coefficient"), tuple(factors)))
-    excluded = _as_bool(obj.get("excluded", False), f"{path}.excluded")
+    if "terms" in obj:
+        items = obj["terms"]
+        if type(items) is not list:
+            items = _as_list(items, ".terms")
+        for k, t in enumerate(items):
+            if type(t) is not dict:
+                t = _as_obj(t, f".terms[{k}]")
+            if not _TERM.required <= t.keys() <= _TERM.allowed:
+                _require_keys(t, f".terms[{k}]", _TERM)
+            factors = []
+            if "factors" in t:
+                listed = t["factors"]
+                if type(listed) is not list:
+                    listed = _as_list(listed, f".terms[{k}].factors")
+                for fk, f in enumerate(listed):
+                    if type(f) is not dict or f.keys() != _FACTOR.allowed:
+                        fpath = f".terms[{k}].factors[{fk}]"
+                        _require_keys(_as_obj(f, fpath), fpath, _FACTOR)
+                    subject = f["subject"]
+                    if type(subject) is not int:
+                        subject = _as_int(subject, f".terms[{k}].factors[{fk}].subject")
+                    exponent = f["exponent"]
+                    if type(exponent) is not int:
+                        exponent = _as_int(exponent, f".terms[{k}].factors[{fk}].exponent")
+                    factors.append((subject, exponent))
+            coefficient = t["coefficient"]
+            if type(coefficient) is not float or not math.isfinite(coefficient):
+                coefficient = _as_number(coefficient, f".terms[{k}].coefficient")
+            terms.append(Monomial(coefficient, tuple(factors)))
+    excluded = obj.get("excluded", False)
+    if type(excluded) is not bool:
+        excluded = _as_bool(excluded, ".excluded")
     return Clause(pattern, tuple(gates), tuple(terms), excluded)
 
 
-def _parse_valuation(value: Any, path: str) -> ValuationSpec:
-    obj = _as_obj(value, path)
-    _require_keys(obj, path, ("owner", "clauses"), ("default_value",))
-    clauses = tuple(
-        _parse_clause(c, f"{path}.clauses[{k}]")
-        for k, c in enumerate(_as_list(obj["clauses"], f"{path}.clauses"))
-    )
-    return ValuationSpec(
-        _as_int(obj["owner"], f"{path}.owner"),
-        clauses,
-        _as_number(obj.get("default_value", 0.0), f"{path}.default_value"),
-    )
+def _parse_trip(obj: Any) -> TripType:
+    if type(obj) is not dict:
+        obj = _as_obj(obj, "")
+    if obj.keys() != _TRIP.allowed:
+        _require_keys(obj, "", _TRIP)
+    valuation = obj["valuation"]
+    if type(valuation) is not dict:
+        valuation = _as_obj(valuation, ".valuation")
+    if not _VALUATION.required <= valuation.keys() <= _VALUATION.allowed:
+        _require_keys(valuation, ".valuation", _VALUATION)
+    items = valuation["clauses"]
+    if type(items) is not list:
+        items = _as_list(items, ".valuation.clauses")
+    clauses = []
+    for k, c in enumerate(items):
+        try:
+            clauses.append(_parse_clause(c))
+        except ScenarioFormatError as e:
+            raise e.within(f".valuation.clauses[{k}]") from None
+    owner = valuation["owner"]
+    if type(owner) is not int:
+        owner = _as_int(owner, ".valuation.owner")
+    default = valuation.get("default_value", 0.0)
+    if type(default) is not float or not math.isfinite(default):
+        default = _as_number(default, ".valuation.default_value")
+    p = obj["p_commit"]
+    if type(p) is not float or not math.isfinite(p):
+        p = _as_number(p, ".p_commit")
+    return TripType(ValuationSpec(owner, tuple(clauses), default), p_commit=p)
 
 
-def _parse_trip(value: Any, path: str) -> TripType:
-    obj = _as_obj(value, path)
-    _require_keys(obj, path, ("p_commit", "valuation"))
-    return TripType(
-        _parse_valuation(obj["valuation"], f"{path}.valuation"),
-        p_commit=_as_number(obj["p_commit"], f"{path}.p_commit"),
-    )
+def _parse_commuter(obj: Any) -> Commuter:
+    if type(obj) is not dict:
+        obj = _as_obj(obj, "")
+    if not _COMMUTER.required <= obj.keys() <= _COMMUTER.allowed:
+        _require_keys(obj, "", _COMMUTER)
+    reported = None
+    if "reported_type" in obj:
+        try:
+            reported = _parse_trip(obj["reported_type"])
+        except ScenarioFormatError as e:
+            raise e.within(".reported_type") from None
+    ident = obj["id"]
+    if type(ident) is not int:
+        ident = _as_int(ident, ".id")
+    has_vehicle = obj["has_vehicle"]
+    if type(has_vehicle) is not bool:
+        has_vehicle = _as_bool(has_vehicle, ".has_vehicle")
+    seats = obj["seat_capacity"]
+    if type(seats) is not int:
+        seats = _as_int(seats, ".seat_capacity")
+    try:
+        true_type = _parse_trip(obj["true_type"])
+    except ScenarioFormatError as e:
+        raise e.within(".true_type") from None
+    return Commuter(ident, has_vehicle, seats, true_type, reported)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ScenarioFormatError("<document>", f"duplicate key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ScenarioFormatError("<document>", f"duplicate key {key!r}")
+            seen.add(key)
     return obj
 
 
 def parse_scenario_text(text: str) -> Scenario:
     try:
-        data = json.loads(text, object_pairs_hook=_unique_keys)
+        top = json.loads(text, object_pairs_hook=_unique_keys)
     except ScenarioFormatError:
         raise
     except RecursionError:
         raise ScenarioFormatError("<document>", "JSON nested too deeply to parse")
     except ValueError as e:  # invalid JSON, or an integer past the digit limit
         raise ScenarioFormatError("<document>", f"invalid JSON: {e}")
-    top = _as_obj(data, "<document>")
-    _require_keys(top, "<document>", ("schema_version", "scenario"))
-    version = _as_int(top["schema_version"], "schema_version")
+    if type(top) is not dict:
+        top = _as_obj(top, "<document>")
+    if top.keys() != _TOP.allowed:
+        _require_keys(top, "<document>", _TOP)
+    version = top["schema_version"]
+    if type(version) is not int:
+        version = _as_int(version, "schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioFormatError(
             "schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}"
         )
-    sobj = _as_obj(top["scenario"], "scenario")
-    _require_keys(sobj, "scenario", ("commuters", "compatibility"), ("metadata",))
+    sobj = top["scenario"]
+    if type(sobj) is not dict:
+        sobj = _as_obj(sobj, "scenario")
+    if not _SCENARIO.required <= sobj.keys() <= _SCENARIO.allowed:
+        _require_keys(sobj, "scenario", _SCENARIO)
+    items = sobj["commuters"]
+    if type(items) is not list:
+        items = _as_list(items, "scenario.commuters")
     commuters = []
-    for k, c in enumerate(_as_list(sobj["commuters"], "scenario.commuters")):
-        path = f"scenario.commuters[{k}]"
-        cobj = _as_obj(c, path)
-        _require_keys(cobj, path, ("id", "has_vehicle", "seat_capacity", "true_type"),
-                      ("reported_type",))
-        reported = None
-        if "reported_type" in cobj:
-            reported = _parse_trip(cobj["reported_type"], f"{path}.reported_type")
-        commuters.append(Commuter(
-            id=_as_int(cobj["id"], f"{path}.id"),
-            has_vehicle=_as_bool(cobj["has_vehicle"], f"{path}.has_vehicle"),
-            seat_capacity=_as_int(cobj["seat_capacity"], f"{path}.seat_capacity"),
-            true_type=_parse_trip(cobj["true_type"], f"{path}.true_type"),
-            reported_type=reported,
-        ))
+    for k, c in enumerate(items):
+        try:
+            commuters.append(_parse_commuter(c))
+        except ScenarioFormatError as e:
+            raise e.within(f"scenario.commuters[{k}]") from None
+    items = sobj["compatibility"]
+    if type(items) is not list:
+        items = _as_list(items, "scenario.compatibility")
     rows = []
-    for i, row in enumerate(_as_list(sobj["compatibility"], "scenario.compatibility")):
-        rows.append(tuple(
-            _as_bool(v, f"scenario.compatibility[{i}][{j}]")
-            for j, v in enumerate(_as_list(row, f"scenario.compatibility[{i}]"))
-        ))
+    for i, row in enumerate(items):
+        if type(row) is not list or not all(type(v) is bool for v in row):
+            row = [_as_bool(v, f"scenario.compatibility[{i}][{j}]")
+                   for j, v in enumerate(_as_list(row, f"scenario.compatibility[{i}]"))]
+        rows.append(tuple(row))
     metadata = {}
     if "metadata" in sobj:
-        mobj = _as_obj(sobj["metadata"], "scenario.metadata")
-        for key, value in mobj.items():
-            if not isinstance(value, str):
+        metadata = sobj["metadata"]
+        if type(metadata) is not dict:
+            metadata = _as_obj(metadata, "scenario.metadata")
+        for key, value in metadata.items():
+            if type(value) is not str:
                 raise ScenarioFormatError(f"scenario.metadata.{key}", "metadata values must be strings")
-            metadata[key] = value
     return Scenario(tuple(commuters), tuple(rows), metadata)
 
 

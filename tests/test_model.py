@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -360,3 +361,64 @@ def test_feasible_cache_keeps_only_the_last_structure():
     assert model._feasible(a, None) == first
     assert model._walk.cache_info().misses == misses + 1
     assert model._walk.cache_info().currsize == 1
+
+
+def _structure(drivers, compatibility):
+    """Commuters with `drivers` mapping each vehicle owner to their seats,
+    under a compatibility matrix whose size is the commuter count."""
+    trip = by_name("linear-pair-profitable").commuters[1].true_type
+    n = len(compatibility)
+    commuters = tuple(Commuter(i, i in drivers, drivers.get(i, 0), trip) for i in range(n))
+    return Scenario(commuters, tuple(tuple(row) for row in compatibility))
+
+
+def _walk_structures(corpus_entries):
+    """Every corpus structure; fully compatible eight- and seven-commuter
+    ones with three-seat drivers, one at the last index, and drivers who
+    may ride each other; and seeded ones of one to eight commuters with up
+    to three owners of one to three seats, one of them often last, and
+    each pair compatible with odds 3/4."""
+    yield from (e.scenario for e in corpus_entries)
+    yield _structure({0: 3, 3: 3, 7: 3}, full_compatibility(8))
+    yield _structure({0: 3, 2: 2, 4: 1, 6: 3}, full_compatibility(7))
+    rng = random.Random(30)
+    for n in range(1, 9):
+        for _ in range(3):
+            owners = rng.sample(range(n), min(n, rng.randint(1, 3)))
+            if rng.random() < 0.5:
+                owners[0] = n - 1
+            rows = [[True] * n for _ in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                rows[i][j] = rows[j][i] = rng.random() < 0.75
+            yield _structure({d: rng.randint(1, 3) for d in owners}, rows)
+
+
+def test_walk_order_and_shared_assignments(corpus_entries):
+    """The walk yields the naive oracle's allocations in its order, and
+    each distinct (role, partners) value is one object across the whole
+    tuple: the per-commuter value tables in `allocation._argmax` key on
+    that object's id."""
+    for s in _walk_structures(corpus_entries):
+        full = model._feasible(s, None)
+        assert list(full) == naive_feasible_allocations(s), s
+        objects = {}
+        for a in full:
+            for asg in a.assignments:
+                objects.setdefault(asg, set()).add(id(asg))
+        assert all(len(ids) == 1 for ids in objects.values()), s
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_walk_refuses_a_last_commuters_ride_over_the_budget(monkeypatch, n):
+    """The last commuter's rides are stored in a loop, not one call each,
+    and each is checked against the budget: with MAX_ALLOCATIONS set to the
+    index of any allocation in which the last commuter (a rider at n=6, a
+    driver at n=7) rides, the walk raises instead of storing it."""
+    s = _alternating_drivers(n)
+    rides = [k for k, a in enumerate(naive_feasible_allocations(s)) if a.role_of(n - 1) is Role.RIDE]
+    assert rides
+    model._walk.cache_clear()
+    for k in rides:
+        monkeypatch.setattr(model, "MAX_ALLOCATIONS", k)
+        with pytest.raises(TooManyCommutersError, match=f"more than {k} feasible allocations"):
+            model._feasible(s, None)
