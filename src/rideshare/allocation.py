@@ -108,13 +108,12 @@ def _argmax(
     best_welfare = 0.0
     best_values: tuple[float, ...] = ()
     if idle is not None:
-        nobody = allocations[0].assignments
+        nobody = allocations[0]
         unset = len(idle)
         floor = math.nan
     for allocation in allocations:
-        assignments = allocation.assignments
         for j, spec, owner, table in present:
-            key = id(assignments[owner])
+            key = id(allocation[owner])
             v = table.get(key)
             if v is None:
                 v = table[key] = evaluate(spec, allocation, p, absent)
@@ -130,7 +129,7 @@ def _argmax(
             # A NaN kept first makes `floor` NaN, and then every welfare
             # takes the pass.
             if idle is not None and (unset or not welfare <= floor):
-                for k, a in enumerate(assignments):
+                for k, a in enumerate(allocation):
                     if a is nobody[k] and (idle[k] is None or welfare > idle[k]):
                         idle[k] = welfare
                 unset = idle.count(None)
@@ -244,7 +243,7 @@ class OutcomeTable:
         report is k's own, k's table values k's role-none assignment at the
         float +0.0, and no other report reads k's probability there."""
         _, _, owner, table = self.present[k]
-        v = table.get(id(self.allocations[0].assignments[k]))
+        v = table.get(id(self.allocations[0][k]))
         return (owner == k and type(v) is float and v == 0.0 and math.copysign(1.0, v) == 1.0
                 and k not in self._read_idle)
 
@@ -297,9 +296,8 @@ class OutcomeTable:
             rows = []
             values = [0.0] * len(self.present)
             for allocation in self.allocations:
-                assignments = allocation.assignments
                 for j, spec, owner, table in self.present:
-                    key = id(assignments[owner])
+                    key = id(allocation[owner])
                     v = table.get(key)
                     if v is None:
                         v = table[key] = evaluate(spec, allocation, self.p, None)
@@ -355,17 +353,16 @@ class OutcomeTable:
         contenders: list[tuple[Allocation, int, list[float]]] = []
         for row in self.rows():
             allocation = row.allocation
-            assignments = allocation.assignments
             values = list(row.per_commuter)
             values[i] = 0.0
             for j in fresh:
                 _, spec, owner, values_j = entries[j]
-                key = id(assignments[owner])
+                key = id(allocation[owner])
                 v = values_j.get(key)
                 if v is None:
                     v = values_j[key] = evaluate(spec, allocation, p, None)
                 values[j] = v
-            key = id(assignments[mine])
+            key = id(allocation[mine])
             total = math.fsum(values)
             leader = leaders.get(key)
             # Rounding is monotone, so unequal rounded sums order the exact

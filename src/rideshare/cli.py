@@ -20,7 +20,7 @@ from .audit import (
     audit_expost,
     truthfulness_suite,
 )
-from .model import Scenario, TooManyCommutersError, validate_scenario
+from .model import Role, Scenario, TooManyCommutersError, validate_scenario
 from .payments import Conditional, Mechanism, commit_payments, groves_payments
 from .scenario_io import ScenarioFormatError, parse_scenario_text, trip_to_json
 from .simulate import render_trials_csv, run_trials
@@ -30,11 +30,14 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
 
-# A run holds one reference per trial and streams its CSV to the file (a
-# million trials of a pair peak at about 24 MB resident), but its time and
-# the file (about 47 MB) grow with the count; a count past this is refused
-# rather than left to run for minutes or fill a disk.
-MAX_TRIALS = 1_000_000
+# A run writes one CSV row per trial and commuter, and its time, the file
+# and its memory (each distinct commitment vector holds a bit per commuter)
+# grow with those rows. A run of more rows is refused before any draw
+# rather than left to run for minutes or fill a disk or memory. At the
+# bound, a million trials of a pair write a 47 MB file at a 25 MB peak in
+# under a second, and 10,000 trials of 200 solo commuters a 45 MB file at
+# a 129 MB peak in 7 s (Python 3.11, shared 2-core VM).
+MAX_TRIAL_ROWS = 2_000_000
 # The draws read the seed mod 2**64, so a seed outside 0..MAX_SEED would
 # write the trials of the seed it aliases under its own name.
 MAX_SEED = 2**64 - 1
@@ -77,10 +80,10 @@ def _schedule(s: Scenario, mechanism: Mechanism):
 def cmd_allocate(args) -> int:
     s = _load_scenario(args.scenario)
     rep = efficient_allocation(s)
-    if rep.allocation.all_none():
+    if all(a.role is Role.NONE for a in rep.allocation):
         print("all travel alone")
     else:
-        for i, a in enumerate(rep.allocation.assignments):
+        for i, a in enumerate(rep.allocation):
             partners = sorted(a.partners)
             suffix = f" {partners}" if partners else ""
             print(f"{i}: {a.role.value}{suffix}")
@@ -106,8 +109,9 @@ def cmd_simulate(args) -> int:
     s = _load_scenario(args.scenario)
     if args.trials < 1:
         raise _InputError(f"--trials must be at least 1, got {args.trials}")
-    if args.trials > MAX_TRIALS:
-        raise _InputError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
+    if args.trials * s.n > MAX_TRIAL_ROWS:
+        raise _InputError(f"--trials must be at most {MAX_TRIAL_ROWS // s.n} for {s.n} commuters "
+                          f"({MAX_TRIAL_ROWS} trial rows), got {args.trials}")
     if not 0 <= args.seed <= MAX_SEED:
         raise _InputError(f"--seed must be between 0 and {MAX_SEED}, got {args.seed}")
     schedule = _schedule(s, _mechanism(args))

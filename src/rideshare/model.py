@@ -17,12 +17,12 @@ _EMPTY: frozenset[int] = frozenset()
 
 
 # The most feasible allocations the walk stores, a bound set by memory:
-# walking and pricing cost about 230 bytes of peak memory and 4.3 µs per
-# allocation. A generated 12-commuter scenario (6 two-seat drivers, every
-# pair compatible) has 1,697,887; on a shared 2-core VM with Python 3.11
-# the walk took 4.8-4.9 s, pricing it under commit 2.4-2.5 s more, and the
-# process peaked at 394 MB resident. So this bounds one pricing to about
-# 460 MB and 9 s.
+# walking and pricing cost about 185 bytes of peak memory and 3.3-4.0 µs
+# per allocation. A generated 12-commuter scenario (6 two-seat drivers,
+# every pair compatible) has 1,697,887; on a shared 2-core VM with Python
+# 3.11 the walk took 3.2-3.5 s, pricing it under commit 2.3-3.5 s more,
+# and the process peaked at 314 MB resident. So this bounds one pricing to
+# about 370 MB and 8 s.
 MAX_ALLOCATIONS = 2_000_000
 
 
@@ -34,7 +34,7 @@ class TooManyCommutersError(ValueError):
     RecursionError. The walk stores allocations until it passes the budget,
     so refusing costs about what pricing a scenario just under it does: a
     generated 13-commuter scenario (6 two-seat drivers, every pair
-    compatible) is refused after 6-8 s at a 401 MB peak."""
+    compatible) is refused after 5-6 s at a 309 MB peak."""
 
 
 class Role(Enum):
@@ -71,25 +71,14 @@ class Assignment:
     partners: frozenset[CommuterId]
 
 
-@dataclass(frozen=True, slots=True)
-class Allocation:
-    """One assignment per commuter. Drivers carry their rider set, riders
-    carry their single driver, unscheduled commuters carry nothing."""
-
-    assignments: tuple[Assignment, ...]
-
-    def role_of(self, i: CommuterId) -> Role:
-        return self.assignments[i].role
-
-    def partners_of(self, i: CommuterId) -> frozenset[CommuterId]:
-        return self.assignments[i].partners
-
-    def all_none(self) -> bool:
-        return all(a.role is Role.NONE for a in self.assignments)
+# An allocation is one assignment per commuter, indexed by commuter id.
+# Drivers carry their rider set, riders carry their single driver,
+# unscheduled commuters carry nothing.
+Allocation = tuple[Assignment, ...]
 
 
 def all_none_allocation(n: int) -> Allocation:
-    return Allocation((Assignment(Role.NONE, _EMPTY),) * n)
+    return (Assignment(Role.NONE, _EMPTY),) * n
 
 
 @dataclass(frozen=True)
@@ -129,10 +118,10 @@ def allocation_violations(s: Scenario, a: Allocation) -> list[str]:
     violations; an empty list means the allocation is well formed."""
     out: list[str] = []
     n = s.n
-    if len(a.assignments) != n:
-        return [f"allocation has {len(a.assignments)} assignments for {n} commuters"]
+    if len(a) != n:
+        return [f"allocation has {len(a)} assignments for {n} commuters"]
     ride_memberships: dict[int, list[int]] = {}
-    for i, asg in enumerate(a.assignments):
+    for i, asg in enumerate(a):
         if i in asg.partners:
             out.append(f"commuter {i}: partnered with itself")
         if any(j < 0 or j >= n for j in asg.partners):
@@ -146,9 +135,9 @@ def allocation_violations(s: Scenario, a: Allocation) -> list[str]:
                 out.append(f"commuter {i}: rider must have exactly one driver")
             else:
                 d = min(asg.partners)
-                if a.assignments[d].role is not Role.DRIVE:
+                if a[d].role is not Role.DRIVE:
                     out.append(f"commuter {i}: rides with {d} who is not driving")
-                elif i not in a.assignments[d].partners:
+                elif i not in a[d].partners:
                     out.append(f"commuter {i}: driver {d} does not list them")
         elif asg.role is Role.DRIVE:
             if not asg.partners:
@@ -160,9 +149,9 @@ def allocation_violations(s: Scenario, a: Allocation) -> list[str]:
                            f"{s.commuters[i].seat_capacity}")
             for r in asg.partners:
                 ride_memberships.setdefault(r, []).append(i)
-                if a.assignments[r].role is not Role.RIDE:
+                if a[r].role is not Role.RIDE:
                     out.append(f"commuter {i}: partner {r} is not riding")
-                elif a.assignments[r].partners != frozenset((i,)):
+                elif a[r].partners != frozenset((i,)):
                     out.append(f"commuter {i}: partner {r} does not ride with them alone")
     for r, drivers in ride_memberships.items():
         if len(drivers) > 1:
@@ -226,11 +215,12 @@ def _walk(
     set for drivers, one per driver for riders and one for role none, which
     fills the first allocation. Allocations share them, so within one
     result an assignment's id names it, and per-commuter value tables key
-    on that id.
+    on that id. Each allocation is a tuple of its own, so its id names it
+    too while the result is alive.
     """
     n = len(has_vehicle)
     if not n:  # no commuter to choose: one empty allocation
-        return (Allocation(()),)
+        return ((),)
     eligible = [
         [d for d in range(n) if d != r and has_vehicle[d] and compatibility[r][d]]
         for r in range(n)
@@ -254,7 +244,7 @@ def _walk(
         if r < last:
             assign(r + 1)
         elif len(out) < budget:
-            out.append(Allocation(tuple(row)))
+            out.append(tuple(row))
         else:
             raise _over_budget(n, budget)
         if row[r] is not none:
@@ -274,7 +264,7 @@ def _walk(
             if r < last:
                 assign(r + 1)
             elif len(out) < budget:
-                out.append(Allocation(tuple(row)))
+                out.append(tuple(row))
             else:
                 raise _over_budget(n, budget)
             row[d] = held
@@ -312,8 +302,8 @@ def _feasible(s: Scenario, absent: CommuterId | None = None) -> tuple[Allocation
     )
     if absent is None:
         return full
-    none = full[0].assignments[absent]
-    return tuple([a for a in full if a.assignments[absent] is none])
+    none = full[0][absent]
+    return tuple([a for a in full if a[absent] is none])
 
 
 def enumerate_feasible_allocations(

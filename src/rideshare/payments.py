@@ -78,7 +78,7 @@ class Evaluations:
         self._values: dict[tuple, object] = {}
 
     def __call__(self, spec: ValuationSpec, allocation: Allocation, p: tuple[float, ...]):
-        key = (id(spec), p, id(allocation.assignments[spec.owner]))
+        key = (id(spec), p, id(allocation[spec.owner]))
         v = self._values.get(key)
         if v is None:
             v = self._values[key] = evaluate(spec, allocation, p)
@@ -99,7 +99,7 @@ def _commit_entry(s: Scenario, h: float, rep: WelfareReport, i: CommuterId,
     p_hat = s.reported_p()
     p_one = substitute(p_hat, i, 1.0)
     p_zero = substitute(p_hat, i, 0.0)
-    assignments = rep.allocation.assignments
+    allocation = rep.allocation
     v_one = []
     v_zero = []
     for j, c in enumerate(s.commuters):
@@ -107,10 +107,10 @@ def _commit_entry(s: Scenario, h: float, rep: WelfareReport, i: CommuterId,
             continue
         spec = c.reported_type.valuation
         if i in referenced_subjects(spec):
-            a = value(spec, rep.allocation, p_one)
-            b = value(spec, rep.allocation, p_zero)
+            a = value(spec, allocation, p_one)
+            b = value(spec, allocation, p_zero)
         else:
-            a = b = EXCLUDED if excludes(spec, assignments[spec.owner]) else rep.per_commuter[j]
+            a = b = EXCLUDED if excludes(spec, allocation[spec.owner]) else rep.per_commuter[j]
         if a is EXCLUDED or b is EXCLUDED:
             raise ExcludedValueError(
                 f"commuter {j}: reported valuation excludes the chosen allocation")

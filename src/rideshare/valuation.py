@@ -131,7 +131,7 @@ def evaluate(
     value is not finite, as when large finite terms sum past the float
     range.
     """
-    assignment = allocation.assignments[spec.owner]
+    assignment = allocation[spec.owner]
     for clause in spec.clauses:
         if not _matches(clause.pattern, assignment):
             continue

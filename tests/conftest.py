@@ -31,7 +31,6 @@ from rideshare.audit import (
     deviations_for,
 )
 from rideshare.model import (
-    Allocation,
     Assignment,
     Commuter,
     Role,
@@ -104,7 +103,12 @@ def naive_allocation_from_choices(s, choices):
             assignments.append(Assignment(Role.DRIVE, frozenset(riders_of[i])))
         else:
             assignments.append(Assignment(Role.NONE, frozenset()))
-    return Allocation(tuple(assignments))
+    return tuple(assignments)
+
+
+def all_none(allocation):
+    """True when every commuter in `allocation` has role none."""
+    return all(a.role is Role.NONE for a in allocation)
 
 
 def naive_feasible_allocations(s):
@@ -136,7 +140,7 @@ def naive_efficient(s, p=None, absent=None):
     best_welfare = None
     best_values = None
     for a in naive_feasible_allocations(s):
-        if absent is not None and a.assignments[absent].role is not Role.NONE:
+        if absent is not None and a[absent].role is not Role.NONE:
             continue
         values = [
             0.0 if c.id == absent else evaluate(c.reported_type.valuation, a, p, absent)
@@ -284,11 +288,11 @@ def linearity_residual(spec, allocation, grid=5):
     Only the first four referenced subjects (owner included, in id order)
     are put on the lattice, so a bend in any later subject goes unseen.
     Returns 0.0 outright when the outcome is excluded for the owner."""
-    if evaluate(spec, allocation, [0.5] * len(allocation.assignments)) is EXCLUDED:
+    if evaluate(spec, allocation, [0.5] * len(allocation)) is EXCLUDED:
         return 0.0
     subjects = referenced_subjects(spec)[:4]
     worst = 0.0
-    for p in _lattice(len(allocation.assignments), subjects, grid):
+    for p in _lattice(len(allocation), subjects, grid):
         v = evaluate(spec, allocation, p)
         for j in subjects:
             v1 = evaluate(spec, allocation, substitute(p, j, 1.0))
@@ -307,13 +311,13 @@ def independence_spread(spec, allocation, grid=5):
     """Worst value spread across others' probabilities with the owner's
     probability held fixed, over a grid lattice. Only the first four
     referenced subjects (owner included, in id order) are varied."""
-    if evaluate(spec, allocation, [0.5] * len(allocation.assignments)) is EXCLUDED:
+    if evaluate(spec, allocation, [0.5] * len(allocation)) is EXCLUDED:
         return 0.0
     subjects = referenced_subjects(spec)[:4]
     others = [j for j in subjects if j != spec.owner]
     if not others:
         return 0.0
-    lattice = _lattice(len(allocation.assignments), (spec.owner, *others), grid)
+    lattice = _lattice(len(allocation), (spec.owner, *others), grid)
     worst = 0.0
     for _, group in itertools.groupby(lattice, key=lambda p: p[spec.owner]):
         values = [evaluate(spec, allocation, p) for p in group]

@@ -12,6 +12,7 @@ from conftest import (
     OVERFLOWING_DRIVER,
     REFUSING_DRIVER,
     TIE_VALUES,
+    all_none,
     naive_best_allocation,
     naive_efficient,
     pivot_scenarios,
@@ -55,8 +56,8 @@ from rideshare.valuation import (
 def test_profitable_pair_shares():
     """Share beats everyone-alone: -0.8 + 2.0 = 1.2 > 0."""
     rep = efficient_allocation(by_name("linear-pair-profitable"))
-    assert rep.allocation.role_of(0) is Role.DRIVE
-    assert rep.allocation.role_of(1) is Role.RIDE
+    assert rep.allocation[0].role is Role.DRIVE
+    assert rep.allocation[1].role is Role.RIDE
     assert rep.welfare == pytest.approx(1.2, abs=1e-12)
     assert rep.per_commuter == pytest.approx((-0.8, 2.0), abs=1e-12)
 
@@ -64,7 +65,7 @@ def test_profitable_pair_shares():
 def test_unprofitable_pair_stays_home():
     """beta = 1 flips the sign: -0.8 + 0.4 < 0, so nobody shares."""
     rep = efficient_allocation(by_name("linear-pair-unprofitable"))
-    assert rep.allocation.all_none()
+    assert all_none(rep.allocation)
     assert rep.welfare == 0.0
 
 
@@ -75,7 +76,7 @@ def test_welfare_is_sum_of_values():
 
 def test_solo_scenario():
     rep = efficient_allocation(by_name("linear-solo"))
-    assert rep.allocation.all_none()
+    assert all_none(rep.allocation)
     assert rep.welfare == 0.0
 
 
@@ -83,14 +84,14 @@ def test_threshold_gate_truthful_stays_home():
     """With p0 = 0.5 under the 0.6 gate the rider's value is 0 and the
     driver's cost makes sharing strictly bad."""
     rep = efficient_allocation(by_name("threshold-gate-pair"))
-    assert rep.allocation.all_none()
+    assert all_none(rep.allocation)
     assert rep.welfare == 0.0
 
 
 def test_threshold_gate_misreport_forces_share():
     """Reporting p0 = 0.6 passes the gate: welfare (5 - 2) * 0.6 * 0.8."""
     rep = efficient_allocation(by_name("threshold-gate-pair-misreport"))
-    assert not rep.allocation.all_none()
+    assert not all_none(rep.allocation)
     assert rep.welfare == pytest.approx(1.44, abs=1e-12)
 
 
@@ -100,8 +101,8 @@ def test_trio_two_drivers_welfare():
     s = by_name("linear-trio-two-drivers")
     rep = efficient_allocation(s)
     assert rep.welfare == pytest.approx(2.16, abs=1e-12)
-    assert rep.allocation.role_of(0) is Role.DRIVE
-    assert rep.allocation.partners_of(0) == frozenset({2})
+    assert rep.allocation[0].role is Role.DRIVE
+    assert rep.allocation[0].partners == frozenset({2})
     drop = efficient_allocation_excluding(s, 0)
     assert drop.welfare == pytest.approx(1.35, abs=1e-12)
     assert drop.per_commuter[0] == 0.0
@@ -110,20 +111,20 @@ def test_trio_two_drivers_welfare():
 def test_excluding_threshold_driver_strands_rider():
     s = by_name("threshold-gate-pair-misreport")
     rep = efficient_allocation_excluding(s, 0)
-    assert rep.allocation.all_none()
+    assert all_none(rep.allocation)
     assert rep.welfare == 0.0
 
 
 def test_uses_reported_not_true_probabilities():
     s = by_name("threshold-gate-pair-misreport")
-    assert not efficient_allocation(s).allocation.all_none()
-    assert efficient_allocation(with_truthful_reports(s)).allocation.all_none()
+    assert not all_none(efficient_allocation(s).allocation)
+    assert all_none(efficient_allocation(with_truthful_reports(s)).allocation)
 
 
 def test_p_override_replaces_reported():
     s = by_name("threshold-gate-pair-misreport")
     rep = efficient_allocation(s, p_override=s.true_p())
-    assert rep.allocation.all_none()
+    assert all_none(rep.allocation)
 
 
 def test_matches_naive_oracle_on_corpus(corpus_entries):
@@ -174,14 +175,14 @@ def test_each_commuter_is_evaluated_once_per_distinct_assignment(s):
         calls = []
 
         def recording(spec, a, p, absent_):
-            asg = a.assignments[spec.owner]
+            asg = a[spec.owner]
             calls.append((spec.owner, asg.role, asg.partners))
             return evaluate(spec, a, p, absent_)
 
         with mock.patch.object(allocation, "evaluate", recording):
             efficient_allocation(s, absent=absent)
         expected = dict.fromkeys(
-            (j, a.assignments[j].role, a.assignments[j].partners)
+            (j, a[j].role, a[j].partners)
             for a in enumerate_feasible_allocations(s, absent)
             for j in range(s.n)
             if j != absent
@@ -193,7 +194,7 @@ def test_trio_constants_picks_full_van():
     """Capacity 2 lets the driver take both riders: -1 + 2 + 1.5 = 2.5."""
     rep = efficient_allocation(by_name("linear-trio-constants"))
     assert rep.welfare == 2.5
-    assert rep.allocation.partners_of(0) == frozenset({1, 2})
+    assert rep.allocation[0].partners == frozenset({1, 2})
 
 
 def test_tie_breaks_to_first_enumerated():
@@ -223,7 +224,7 @@ def test_tie_breaks_to_first_enumerated():
     ), full_compatibility(3))
     rep = efficient_allocation(s)
     assert rep.welfare == 1.0
-    assert rep.allocation.partners_of(0) == frozenset({2})
+    assert rep.allocation[0].partners == frozenset({2})
     naive, _ = naive_best_allocation(s)
     assert rep.allocation == naive
 
@@ -245,7 +246,7 @@ def test_solo_welfare_is_the_alone_value():
     trip = TripType(ValuationSpec(0, (home,), 0.0), 0.5)
     s = Scenario((Commuter(0, False, 0, trip),), full_compatibility(1))
     rep = efficient_allocation(s)
-    assert rep.allocation.all_none()
+    assert all_none(rep.allocation)
     assert rep.welfare == 1.5
 
 
@@ -288,7 +289,7 @@ def test_leaving_out_an_unmatched_harmless_commuter_never_helps(corpus_entries):
         full = efficient_allocation(s)
         p = s.reported_p()
         for c in s.commuters:
-            if full.allocation.role_of(c.id) is not Role.NONE:
+            if full.allocation[c.id].role is not Role.NONE:
                 continue
             values = [
                 evaluate(c.reported_type.valuation, a, p)

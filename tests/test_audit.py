@@ -781,7 +781,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         if where is not None:
             record = sweeps[-1]
             i, j = record["i"], spec.owner
-            assignment = id(allocation.assignments[j])
+            assignment = id(allocation[j])
             if where == "pricing":
                 shared = absent is None or absent not in referenced_subjects(spec)
                 pricing[j, None if shared else absent, assignment] += 1
@@ -798,7 +798,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     real_settle_evaluate = payments_module.evaluate
 
     def settle_evaluate(spec, allocation, p, absent=None):
-        key = (spec.owner, id(spec), tuple(p), id(allocation.assignments[spec.owner]))
+        key = (spec.owner, id(spec), tuple(p), id(allocation[spec.owner]))
         sweeps[-1]["settlements"][key] += 1
         return real_settle_evaluate(spec, allocation, p, absent)
 

@@ -192,16 +192,43 @@ def test_simulate_writes_deterministic_csv(tmp_path, capsys):
 
 
 def test_simulate_rejects_zero_trials(tmp_path, monkeypatch, capsys):
-    """A trial count below 1, or past the cap, is refused before any trial
-    runs."""
+    """A trial count below 1, or past the cap on trial rows, is refused
+    before any trial runs: the pair gets at most a million trials."""
     def no_trials(*args):
         raise AssertionError("run_trials called")
 
     monkeypatch.setattr(cli, "run_trials", no_trials)
     out = str(tmp_path / "x.csv")
     assert cli.main(["simulate", PAIR, "--trials", "0", "--out", out]) == 2
-    assert cli.main(["simulate", PAIR, "--trials", str(cli.MAX_TRIALS + 1), "--out", out]) == 2
-    assert f"--trials must be at most {cli.MAX_TRIALS}" in capsys.readouterr().err
+    assert cli.main(["simulate", PAIR, "--trials", "1000001", "--out", out]) == 2
+    assert ("--trials must be at most 1000000 for 2 commuters (2000000 trial rows), "
+            "got 1000001") in capsys.readouterr().err
+
+
+def test_simulate_bounds_trials_times_commuters(tmp_path, monkeypatch, capsys):
+    """The cap is on trial rows, trials times commuters, as the CSV, the
+    run time and the distinct vectors grow with both: 200 commuters at
+    20,000 trials, a run that writes a 92 MB file, are refused before any
+    trial is drawn, and 10,000 trials are admitted."""
+    path = tmp_path / "solo.json"
+    path.write_text(serialize_scenario(solo_commuters(200)), encoding="utf-8")
+    drawn = []
+
+    def no_trials(s, schedule, trials, seed):
+        drawn.append(trials)
+        raise AssertionError("run_trials called")
+
+    monkeypatch.setattr(cli, "run_trials", no_trials)
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", str(path), "--trials", "20000", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("--trials must be at most 10000 for 200 commuters "
+                            "(2000000 trial rows), got 20000\n")
+    assert captured.out == ""
+    assert drawn == [] and not out.exists()
+    with pytest.raises(AssertionError, match="run_trials called"):
+        cli.main(["simulate", str(path), "--trials", "10000", "--out", str(out)])
+    assert drawn == [10000]
 
 
 @pytest.mark.parametrize("seed, code", [(-1, 2), (2**64, 2), (0, 0), (2**64 - 1, 0)])

@@ -9,11 +9,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import naive_feasible_allocations, recursion_headroom, small_scenarios, solo_commuters
+from conftest import (
+    all_none,
+    naive_feasible_allocations,
+    recursion_headroom,
+    small_scenarios,
+    solo_commuters,
+)
 from rideshare import model
+from rideshare.allocation import OutcomeTable, efficient_allocation
 from rideshare.corpus import by_name, corpus
 from rideshare.model import (
-    Allocation,
     Assignment,
     Commuter,
     Role,
@@ -28,6 +34,7 @@ from rideshare.model import (
     with_report,
     with_truthful_reports,
 )
+from rideshare.payments import commit_payments
 from rideshare.scenario_io import parse_scenario_text
 from rideshare.valuation import GateDirection, ThresholdGate
 
@@ -144,9 +151,9 @@ def test_pair_enumeration_order():
     assert len(allocations) == 2
     assert allocations[0] == all_none_allocation(2)
     share = allocations[1]
-    assert share.role_of(0) is Role.DRIVE
-    assert share.role_of(1) is Role.RIDE
-    assert share.partners_of(0) == frozenset({1})
+    assert share[0].role is Role.DRIVE
+    assert share[1].role is Role.RIDE
+    assert share[0].partners == frozenset({1})
 
 
 def test_incompatible_pair_travels_alone():
@@ -163,7 +170,7 @@ def test_trio_two_drivers_has_five_allocations():
     s = by_name("linear-trio-two-drivers")
     allocations = list(enumerate_feasible_allocations(s))
     assert len(allocations) == 5
-    assert allocations[0].all_none()
+    assert all_none(allocations[0])
 
 
 def test_enumeration_is_deterministic():
@@ -181,11 +188,11 @@ def test_enumerated_allocations_are_structurally_valid(corpus_entries):
 
 def test_allocation_violations_flags_double_booking():
     s = by_name("linear-trio-two-drivers")
-    bogus = Allocation((
+    bogus = (
         Assignment(Role.DRIVE, frozenset({2})),
         Assignment(Role.DRIVE, frozenset({2})),
         Assignment(Role.RIDE, frozenset({0})),
-    ))
+    )
     assert allocation_violations(s, bogus) != []
 
 
@@ -243,7 +250,7 @@ def test_absent_enumeration_filters_the_naive_oracle(s):
     order."""
     full = naive_feasible_allocations(s)
     for absent in range(s.n):
-        expected = [a for a in full if a.role_of(absent) is Role.NONE]
+        expected = [a for a in full if a[absent].role is Role.NONE]
         assert list(enumerate_feasible_allocations(s, absent)) == expected, absent
 
 
@@ -273,12 +280,12 @@ def test_enumeration_matches_role_labeling_brute_force(corpus_entries):
         kept = []
         options = [_labeling_candidates(s, i) for i in range(s.n)]
         for labeling in itertools.product(*options):
-            a = Allocation(labeling)
+            a = labeling
             if allocation_violations(s, a):
                 continue
             if any(
-                a.role_of(r) is Role.RIDE
-                and not s.compatibility[r][min(a.partners_of(r))]
+                a[r].role is Role.RIDE
+                and not s.compatibility[r][min(a[r].partners)]
                 for r in range(s.n)
             ):
                 continue
@@ -330,7 +337,7 @@ def test_single_absence_cuts_the_full_walk(corpus_entries):
         s = e.scenario
         full = model._feasible(s, None)
         for i in range(s.n):
-            expected = [id(a) for a in full if a.role_of(i) is Role.NONE]
+            expected = [id(a) for a in full if a[i].role is Role.NONE]
             assert [id(a) for a in model._feasible(s, i)] == expected, (e.name, i)
 
 
@@ -394,18 +401,29 @@ def _walk_structures(corpus_entries):
 
 
 def test_walk_order_and_shared_assignments(corpus_entries):
-    """The walk yields the naive oracle's allocations in its order, and
-    each distinct (role, partners) value is one object across the whole
-    tuple: the per-commuter value tables in `allocation._argmax` key on
-    that object's id."""
+    """The walk yields the naive oracle's allocations in its order, each a
+    bare tuple of assignments, and each distinct (role, partners) value is
+    one object across the whole tuple: the per-commuter value tables in
+    `allocation._argmax` key on that object's id. On the corpus, the
+    allocation that the efficient search, the outcome table and commit
+    pricing choose is one of the walk's own objects, which the audit's
+    caches key on by id."""
+    corpus_scenarios = {id(e.scenario) for e in corpus_entries}
     for s in _walk_structures(corpus_entries):
         full = model._feasible(s, None)
         assert list(full) == naive_feasible_allocations(s), s
+        assert all(type(a) is tuple for a in full), s
         objects = {}
         for a in full:
-            for asg in a.assignments:
+            for asg in a:
                 objects.setdefault(asg, set()).add(id(asg))
         assert all(len(ids) == 1 for ids in objects.values()), s
+        if id(s) in corpus_scenarios:
+            walked = {id(a) for a in full}
+            for chosen in (efficient_allocation(s).allocation,
+                           OutcomeTable(s, None).truth().allocation,
+                           commit_payments(s).allocation):
+                assert id(chosen) in walked, s
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -415,7 +433,7 @@ def test_walk_refuses_a_last_commuters_ride_over_the_budget(monkeypatch, n):
     index of any allocation in which the last commuter (a rider at n=6, a
     driver at n=7) rides, the walk raises instead of storing it."""
     s = _alternating_drivers(n)
-    rides = [k for k, a in enumerate(naive_feasible_allocations(s)) if a.role_of(n - 1) is Role.RIDE]
+    rides = [k for k, a in enumerate(naive_feasible_allocations(s)) if a[n - 1].role is Role.RIDE]
     assert rides
     model._walk.cache_clear()
     for k in rides:

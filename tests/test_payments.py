@@ -13,6 +13,7 @@ from conftest import (
     FAMILIES,
     OVERFLOWING_DRIVER,
     REFUSING_DRIVER,
+    all_none,
     bench_scale_scenario,
     overflowing_settlement_scenario,
     pivot_scenarios,
@@ -26,7 +27,6 @@ from rideshare.allocation import (
 )
 from rideshare.corpus import by_name, corpus, linear_entries
 from rideshare.model import (
-    Allocation,
     Assignment,
     Commuter,
     Role,
@@ -133,7 +133,7 @@ def test_unmatched_commuter_gets_zero_pair():
     receives anything."""
     s = by_name("linear-trio-two-drivers")
     schedule = commit_payments(s)
-    assert efficient_allocation(s).allocation.role_of(1) is Role.NONE
+    assert efficient_allocation(s).allocation[1].role is Role.NONE
     assert schedule.entries[1] == Conditional(0.0, 0.0)
     assert expected_utility(s, 1, schedule) == 0.0
 
@@ -201,7 +201,7 @@ def test_expected_utility_raises_when_truth_excludes_outcome():
     bent = replace(s, commuters=(replace(c0, true_type=true_trip), s.commuters[1]))
     assert bent.commuters[0].reported_type == c0.reported_type
     schedule = commit_payments(bent)
-    assert not schedule.allocation.all_none()
+    assert not all_none(schedule.allocation)
     with pytest.raises(ExcludedValueError):
         expected_utility(bent, 0, schedule)
 
@@ -221,10 +221,10 @@ def test_commit_entry_raises_when_others_report_excludes_allocation():
     out is an explicit error, not an assert that `python -O` strips."""
     s = by_name("linear-pair-profitable")
     # commuter 1 reports that they never drive
-    swapped = Allocation((
+    swapped = (
         Assignment(Role.RIDE, frozenset((1,))),
         Assignment(Role.DRIVE, frozenset((0,))),
-    ))
+    )
     rep = WelfareReport(swapped, 0.0, (0.0, 0.0))
     with pytest.raises(ExcludedValueError, match="commuter 1"):
         _commit_entry(s, 0.0, rep, 0)
@@ -245,7 +245,7 @@ def _evaluations(run):
     calls = []
 
     def recording(spec, a, p, absent=None):
-        calls.append((spec.owner, absent, a.assignments[spec.owner]))
+        calls.append((spec.owner, absent, a[spec.owner]))
         return evaluate(spec, a, p, absent)
 
     with mock.patch.object(allocation, "evaluate", recording):
@@ -439,7 +439,7 @@ def test_a_pivot_without_an_acceptable_allocation_raises_the_search_error():
     never_alone = ValuationSpec(1, (Clause(OutcomePattern(Role.NONE), excluded=True),))
     s = Scenario((Commuter(0, True, 1, TripType(ValuationSpec(0, ()), 0.5)),
                   Commuter(1, False, 0, TripType(never_alone, 0.5))), full_compatibility(2))
-    assert efficient_allocation(s).allocation.role_of(1) is Role.RIDE
+    assert efficient_allocation(s).allocation[1].role is Role.RIDE
     with pytest.raises(RuntimeError) as searched:
         efficient_allocation_excluding(s, 0)
     for price in (commit_payments, lambda s: groves_payments(s, PivotRule.CLARKE),

@@ -14,7 +14,6 @@ from conftest import (
 )
 from rideshare.corpus import by_name, linear_entries
 from rideshare.model import (
-    Allocation,
     Assignment,
     Role,
     all_none_allocation,
@@ -36,10 +35,10 @@ from rideshare.valuation import (
     spec_violations,
 )
 
-SHARE = Allocation((
+SHARE = (
     Assignment(Role.DRIVE, frozenset({1})),
     Assignment(Role.RIDE, frozenset({0})),
-))
+)
 ALONE = all_none_allocation(2)
 
 
@@ -59,10 +58,10 @@ def test_excluded_role_is_sentinel():
     """The pair scenario's driver never rides; that outcome is excluded
     outright rather than merely worthless."""
     spec = by_name("linear-pair-profitable").commuters[0].true_type.valuation
-    flipped = Allocation((
+    flipped = (
         Assignment(Role.RIDE, frozenset({1})),
         Assignment(Role.DRIVE, frozenset({0})),
-    ))
+    )
     assert evaluate(spec, flipped, (0.5, 0.8)) is EXCLUDED
 
 
