@@ -2,25 +2,25 @@
 
 The parser rejects unknown fields, duplicate keys and wrong types, naming
 the offending field. The serializer emits a canonical form (sorted keys,
-two-space indent, defaults omitted), so serialize(parse(text)) is a fixed
-point.
+two-space indent, defaults omitted, -0.0 kept), so serialize(parse(text))
+is a fixed point and parse(serialize(s)) gives back s.
 
-Parsing is one pass over the decoded document. Each field is checked in
-place by its exact JSON type (`type(v) is int`, a key-set comparison, a
-role looked up by value), and the `_as_*` and `_require_keys` helpers run
-only when that check fails, to raise the error. So the checks run in one
-fixed order, field by field as the file is read, and the first error found
-is the one reported; the `_as_number` helper also turns an integer into a
-float. Field paths are formatted only when an error is raised: each parse
-function names fields relative to the object it reads, and its caller
-prefixes its own step as the error passes up.
+Parsing is one pass over the decoded document. Each field is read through
+one checker for its JSON type (`_obj`, `_list`, `_int`, `_number`,
+`_bool`, or `_choice` for a role or gate direction), which tests the exact
+type in place, returns the value and raises the error when the test fails.
+So the checks run in one fixed order, field by field as the file is read,
+and the first error found is the one reported. Field paths are formatted
+only when an error is raised: each parse function names fields relative
+to the object it reads, and its caller prefixes its own step, such as the
+`[k]` that `_items` adds for a list item, as the error passes up.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .model import Commuter, Role, Scenario, TripType
 from .valuation import (
@@ -45,9 +45,7 @@ _ANY_PARTNERS = AnyPartners()
 
 class _Keys(NamedTuple):
     """The keys of one kind of object: the required ones, in the order a
-    missing one is reported and as a set, and every key it may hold. An
-    object whose keys are all required is checked by equality with
-    `allowed`."""
+    missing one is reported and as a set, and every key it may hold."""
 
     order: tuple[str, ...]
     required: frozenset[str]
@@ -81,35 +79,34 @@ class ScenarioFormatError(ValueError):
         return ScenarioFormatError(path + self.field, self.reason)
 
 
-def _require_keys(obj: dict, path: str, keys: _Keys):
-    for key in obj:
-        if key not in keys.allowed:
-            raise ScenarioFormatError(f"{path}.{key}", "unknown field")
-    for key in keys.order:
-        if key not in obj:
-            raise ScenarioFormatError(f"{path}.{key}", "missing field")
-
-
-def _as_obj(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
+def _obj(value: Any, path: str, keys: _Keys | None) -> dict:
+    """`value` as an object holding `keys`, or any keys if None."""
+    if type(value) is not dict:
         raise ScenarioFormatError(path, f"expected an object, got {type(value).__name__}")
+    if keys is not None and not keys.required <= value.keys() <= keys.allowed:
+        for key in value:
+            if key not in keys.allowed:
+                raise ScenarioFormatError(f"{path}.{key}", "unknown field")
+        missing = next(key for key in keys.order if key not in value)
+        raise ScenarioFormatError(f"{path}.{missing}", "missing field")
     return value
 
 
-def _as_list(value: Any, path: str) -> list:
-    if not isinstance(value, list):
+def _list(value: Any, path: str) -> list:
+    if type(value) is not list:
         raise ScenarioFormatError(path, f"expected a list, got {type(value).__name__}")
     return value
 
 
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+def _int(value: Any, path: str = "") -> int:
+    if type(value) is not int:
         raise ScenarioFormatError(path, f"expected an integer, got {value!r}")
     return value
 
 
-def _as_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _number(value: Any, path: str) -> float:
+    """`value` as a finite float; an integer is converted."""
+    if type(value) is not float and type(value) is not int:
         raise ScenarioFormatError(path, f"expected a number, got {value!r}")
     try:
         number = float(value)
@@ -120,167 +117,104 @@ def _as_number(value: Any, path: str) -> float:
     return number
 
 
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
+def _bool(value: Any, path: str = "") -> bool:
+    if type(value) is not bool:
         raise ScenarioFormatError(path, f"expected a boolean, got {value!r}")
     return value
 
 
-def _as_ids(value: Any, path: str) -> frozenset[int]:
-    ids: set[int] = set()
-    for k, v in enumerate(_as_list(value, path)):
-        ident = _as_int(v, f"{path}[{k}]")
-        if ident in ids:
-            raise ScenarioFormatError(f"{path}[{k}]", f"repeated id {ident}")
-        ids.add(ident)
-    return frozenset(ids)
+def _choice(value: Any, path: str, choices: dict, what: str) -> Any:
+    """The member of `choices` that the string `value` names."""
+    member = choices.get(value) if type(value) is str else None
+    if member is None:
+        raise ScenarioFormatError(path, f"unknown {what} {value!r}")
+    return member
 
 
-def _parse_partners(partners: Any) -> PartnerConstraint:
-    if type(partners) is not dict:
-        partners = _as_obj(partners, ".partners")
-    if not partners.keys() <= _PARTNERS.allowed:
-        _require_keys(partners, ".partners", _PARTNERS)
-    if "exact" in partners:
-        if "at_least" in partners:
+def _items(values: Any, path: str, parse: Callable[[Any], Any]) -> tuple:
+    """`parse` of each item of the list `values`; an item's error is
+    prefixed with `path[k]`."""
+    values = _list(values, path)
+    out = []
+    try:
+        for value in values:
+            out.append(parse(value))
+    except ScenarioFormatError as e:
+        raise e.within(f"{path}[{len(out)}]") from None
+    return tuple(out)
+
+
+def _parse_partners(value: Any) -> PartnerConstraint:
+    obj = _obj(value, ".partners", _PARTNERS)
+    if "exact" in obj:
+        if "at_least" in obj:
             raise ScenarioFormatError(".partners", "choose one of exact / at_least")
-        exact = partners["exact"]
-        ids = None
-        if type(exact) is list and all(type(v) is int for v in exact):
-            ids = frozenset(exact)
-        if ids is None or len(ids) != len(exact):
-            ids = _as_ids(exact, ".partners.exact")
-        return ExactPartners(ids)
-    if "at_least" in partners:
-        count = partners["at_least"]
-        if type(count) is not int:
-            count = _as_int(count, ".partners.at_least")
-        return PartnerCountAtLeast(count)
+        seen: set[int] = set()
+
+        def unseen(item: Any) -> int:
+            ident = _int(item)
+            if ident in seen:
+                raise ScenarioFormatError("", f"repeated id {ident}")
+            seen.add(ident)
+            return ident
+
+        return ExactPartners(frozenset(_items(obj["exact"], ".partners.exact", unseen)))
+    if "at_least" in obj:
+        return PartnerCountAtLeast(_int(obj["at_least"], ".partners.at_least"))
     raise ScenarioFormatError(".partners", "expected \"any\", exact, or at_least")
 
 
-def _parse_clause(obj: Any) -> Clause:
-    if type(obj) is not dict:
-        obj = _as_obj(obj, "")
-    if not _CLAUSE.required <= obj.keys() <= _CLAUSE.allowed:
-        _require_keys(obj, "", _CLAUSE)
-    name = obj["role"]
-    role = _ROLES.get(name) if type(name) is str else None
-    if role is None:
-        raise ScenarioFormatError(".role", f"unknown role {name!r}")
+def _parse_gate(value: Any) -> ThresholdGate:
+    obj = _obj(value, "", _GATE)
+    direction = _choice(obj["direction"], ".direction", _DIRECTIONS, "direction")
+    return ThresholdGate(_int(obj["subject"], ".subject"), _number(obj["bound"], ".bound"), direction)
+
+
+def _parse_factor(value: Any) -> tuple[int, int]:
+    obj = _obj(value, "", _FACTOR)
+    return _int(obj["subject"], ".subject"), _int(obj["exponent"], ".exponent")
+
+
+def _parse_term(value: Any) -> Monomial:
+    obj = _obj(value, "", _TERM)
+    factors = _items(obj["factors"], ".factors", _parse_factor) if "factors" in obj else ()
+    return Monomial(_number(obj["coefficient"], ".coefficient"), factors)
+
+
+def _parse_clause(value: Any) -> Clause:
+    obj = _obj(value, "", _CLAUSE)
+    role = _choice(obj["role"], ".role", _ROLES, "role")
     partners = obj.get("partners", "any")
     pattern = OutcomePattern(role, _ANY_PARTNERS if partners == "any" else _parse_partners(partners))
-    gates = []
-    if "gates" in obj:
-        items = obj["gates"]
-        if type(items) is not list:
-            items = _as_list(items, ".gates")
-        for k, g in enumerate(items):
-            if type(g) is not dict or g.keys() != _GATE.allowed:
-                _require_keys(_as_obj(g, f".gates[{k}]"), f".gates[{k}]", _GATE)
-            name = g["direction"]
-            direction = _DIRECTIONS.get(name) if type(name) is str else None
-            if direction is None:
-                raise ScenarioFormatError(f".gates[{k}].direction", f"unknown direction {name!r}")
-            subject = g["subject"]
-            if type(subject) is not int:
-                subject = _as_int(subject, f".gates[{k}].subject")
-            bound = g["bound"]
-            if type(bound) is not float or not math.isfinite(bound):
-                bound = _as_number(bound, f".gates[{k}].bound")
-            gates.append(ThresholdGate(subject, bound, direction))
-    terms = []
-    if "terms" in obj:
-        items = obj["terms"]
-        if type(items) is not list:
-            items = _as_list(items, ".terms")
-        for k, t in enumerate(items):
-            if type(t) is not dict:
-                t = _as_obj(t, f".terms[{k}]")
-            if not _TERM.required <= t.keys() <= _TERM.allowed:
-                _require_keys(t, f".terms[{k}]", _TERM)
-            factors = []
-            if "factors" in t:
-                listed = t["factors"]
-                if type(listed) is not list:
-                    listed = _as_list(listed, f".terms[{k}].factors")
-                for fk, f in enumerate(listed):
-                    if type(f) is not dict or f.keys() != _FACTOR.allowed:
-                        fpath = f".terms[{k}].factors[{fk}]"
-                        _require_keys(_as_obj(f, fpath), fpath, _FACTOR)
-                    subject = f["subject"]
-                    if type(subject) is not int:
-                        subject = _as_int(subject, f".terms[{k}].factors[{fk}].subject")
-                    exponent = f["exponent"]
-                    if type(exponent) is not int:
-                        exponent = _as_int(exponent, f".terms[{k}].factors[{fk}].exponent")
-                    factors.append((subject, exponent))
-            coefficient = t["coefficient"]
-            if type(coefficient) is not float or not math.isfinite(coefficient):
-                coefficient = _as_number(coefficient, f".terms[{k}].coefficient")
-            terms.append(Monomial(coefficient, tuple(factors)))
-    excluded = obj.get("excluded", False)
-    if type(excluded) is not bool:
-        excluded = _as_bool(excluded, ".excluded")
-    return Clause(pattern, tuple(gates), tuple(terms), excluded)
+    gates = _items(obj["gates"], ".gates", _parse_gate) if "gates" in obj else ()
+    terms = _items(obj["terms"], ".terms", _parse_term) if "terms" in obj else ()
+    return Clause(pattern, gates, terms, _bool(obj.get("excluded", False), ".excluded"))
 
 
-def _parse_trip(obj: Any) -> TripType:
-    if type(obj) is not dict:
-        obj = _as_obj(obj, "")
-    if obj.keys() != _TRIP.allowed:
-        _require_keys(obj, "", _TRIP)
-    valuation = obj["valuation"]
-    if type(valuation) is not dict:
-        valuation = _as_obj(valuation, ".valuation")
-    if not _VALUATION.required <= valuation.keys() <= _VALUATION.allowed:
-        _require_keys(valuation, ".valuation", _VALUATION)
-    items = valuation["clauses"]
-    if type(items) is not list:
-        items = _as_list(items, ".valuation.clauses")
-    clauses = []
-    for k, c in enumerate(items):
-        try:
-            clauses.append(_parse_clause(c))
-        except ScenarioFormatError as e:
-            raise e.within(f".valuation.clauses[{k}]") from None
-    owner = valuation["owner"]
-    if type(owner) is not int:
-        owner = _as_int(owner, ".valuation.owner")
-    default = valuation.get("default_value", 0.0)
-    if type(default) is not float or not math.isfinite(default):
-        default = _as_number(default, ".valuation.default_value")
-    p = obj["p_commit"]
-    if type(p) is not float or not math.isfinite(p):
-        p = _as_number(p, ".p_commit")
-    return TripType(ValuationSpec(owner, tuple(clauses), default), p_commit=p)
-
-
-def _parse_commuter(obj: Any) -> Commuter:
-    if type(obj) is not dict:
-        obj = _as_obj(obj, "")
-    if not _COMMUTER.required <= obj.keys() <= _COMMUTER.allowed:
-        _require_keys(obj, "", _COMMUTER)
-    reported = None
-    if "reported_type" in obj:
-        try:
-            reported = _parse_trip(obj["reported_type"])
-        except ScenarioFormatError as e:
-            raise e.within(".reported_type") from None
-    ident = obj["id"]
-    if type(ident) is not int:
-        ident = _as_int(ident, ".id")
-    has_vehicle = obj["has_vehicle"]
-    if type(has_vehicle) is not bool:
-        has_vehicle = _as_bool(has_vehicle, ".has_vehicle")
-    seats = obj["seat_capacity"]
-    if type(seats) is not int:
-        seats = _as_int(seats, ".seat_capacity")
+def _parse_trip(commuter: dict, key: str) -> TripType:
+    """The true or reported type `commuter[key]`."""
     try:
-        true_type = _parse_trip(obj["true_type"])
+        obj = _obj(commuter[key], "", _TRIP)
+        valuation = _obj(obj["valuation"], ".valuation", _VALUATION)
+        clauses = _items(valuation["clauses"], ".valuation.clauses", _parse_clause)
+        spec = ValuationSpec(_int(valuation["owner"], ".valuation.owner"), clauses,
+                             _number(valuation.get("default_value", 0.0), ".valuation.default_value"))
+        return TripType(spec, p_commit=_number(obj["p_commit"], ".p_commit"))
     except ScenarioFormatError as e:
-        raise e.within(".true_type") from None
-    return Commuter(ident, has_vehicle, seats, true_type, reported)
+        raise e.within(f".{key}") from None
+
+
+def _parse_commuter(value: Any) -> Commuter:
+    obj = _obj(value, "", _COMMUTER)
+    reported = _parse_trip(obj, "reported_type") if "reported_type" in obj else None
+    ident = _int(obj["id"], ".id")
+    has_vehicle = _bool(obj["has_vehicle"], ".has_vehicle")
+    seats = _int(obj["seat_capacity"], ".seat_capacity")
+    return Commuter(ident, has_vehicle, seats, _parse_trip(obj, "true_type"), reported)
+
+
+def _parse_row(value: Any) -> tuple[bool, ...]:
+    return _items(value, "", _bool)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -303,49 +237,22 @@ def parse_scenario_text(text: str) -> Scenario:
         raise ScenarioFormatError("<document>", "JSON nested too deeply to parse")
     except ValueError as e:  # invalid JSON, or an integer past the digit limit
         raise ScenarioFormatError("<document>", f"invalid JSON: {e}")
-    if type(top) is not dict:
-        top = _as_obj(top, "<document>")
-    if top.keys() != _TOP.allowed:
-        _require_keys(top, "<document>", _TOP)
-    version = top["schema_version"]
-    if type(version) is not int:
-        version = _as_int(version, "schema_version")
+    top = _obj(top, "<document>", _TOP)
+    version = _int(top["schema_version"], "schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioFormatError(
             "schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}"
         )
-    sobj = top["scenario"]
-    if type(sobj) is not dict:
-        sobj = _as_obj(sobj, "scenario")
-    if not _SCENARIO.required <= sobj.keys() <= _SCENARIO.allowed:
-        _require_keys(sobj, "scenario", _SCENARIO)
-    items = sobj["commuters"]
-    if type(items) is not list:
-        items = _as_list(items, "scenario.commuters")
-    commuters = []
-    for k, c in enumerate(items):
-        try:
-            commuters.append(_parse_commuter(c))
-        except ScenarioFormatError as e:
-            raise e.within(f"scenario.commuters[{k}]") from None
-    items = sobj["compatibility"]
-    if type(items) is not list:
-        items = _as_list(items, "scenario.compatibility")
-    rows = []
-    for i, row in enumerate(items):
-        if type(row) is not list or not all(type(v) is bool for v in row):
-            row = [_as_bool(v, f"scenario.compatibility[{i}][{j}]")
-                   for j, v in enumerate(_as_list(row, f"scenario.compatibility[{i}]"))]
-        rows.append(tuple(row))
+    sobj = _obj(top["scenario"], "scenario", _SCENARIO)
+    commuters = _items(sobj["commuters"], "scenario.commuters", _parse_commuter)
+    rows = _items(sobj["compatibility"], "scenario.compatibility", _parse_row)
     metadata = {}
     if "metadata" in sobj:
-        metadata = sobj["metadata"]
-        if type(metadata) is not dict:
-            metadata = _as_obj(metadata, "scenario.metadata")
+        metadata = _obj(sobj["metadata"], "scenario.metadata", None)
         for key, value in metadata.items():
             if type(value) is not str:
                 raise ScenarioFormatError(f"scenario.metadata.{key}", "metadata values must be strings")
-    return Scenario(tuple(commuters), tuple(rows), metadata)
+    return Scenario(commuters, rows, metadata)
 
 
 def _pattern_jsonable(pattern: OutcomePattern) -> dict:
@@ -382,7 +289,7 @@ def _trip_jsonable(trip: TripType) -> dict:
         "owner": spec.owner,
         "clauses": [_clause_jsonable(c) for c in spec.clauses],
     }
-    if spec.default_value != 0.0:
+    if spec.default_value != 0.0 or math.copysign(1.0, spec.default_value) < 0:  # keeps -0.0
         valuation["default_value"] = spec.default_value
     return {"p_commit": trip.p_commit, "valuation": valuation}
 
@@ -396,8 +303,12 @@ def scenario_to_jsonable(s: Scenario) -> dict:
             "seat_capacity": c.seat_capacity,
             "true_type": _trip_jsonable(c.true_type),
         }
-        if c.reported_type != c.true_type:
-            obj["reported_type"] = _trip_jsonable(c.reported_type)
+        # A report equal to the truth is omitted, unless it differs only in
+        # the sign of a zero, which == does not see.
+        reported = c.reported_type
+        if reported is not c.true_type and (
+                reported != c.true_type or repr(reported) != repr(c.true_type)):
+            obj["reported_type"] = _trip_jsonable(reported)
         commuters.append(obj)
     scenario: dict[str, Any] = {
         "commuters": commuters,

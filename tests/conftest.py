@@ -576,10 +576,13 @@ def bench_scale_scenario(family):
     return Scenario(tuple(commuters), tuple(tuple(row) for row in rows))
 
 
-# The scenario parser as it stood before it checked fields inline: each
-# field goes through an `_as_*` or `_require_keys` helper, which builds its
-# path whether or not it raises. `tests/test_scenario_io.py` holds the
-# package's parser to its results and error texts.
+# A reference scenario parser, written for plainness over speed: each
+# field goes through an `_as_*` or `_require_keys` helper that is handed
+# the field's full path, built whether or not it raises. The package's
+# parser reads each field through one checker too, but names fields
+# relative to the object it reads and builds a path only to raise.
+# `tests/test_scenario_io.py` holds it to this one's results, error texts
+# and order of checks.
 
 
 def _require_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):

@@ -17,7 +17,7 @@ from conftest import (
 from rideshare import cli, model, simulate
 from rideshare.audit import MAX_P_GRID
 from rideshare.corpus import by_name, corpus
-from rideshare.payments import commit_payments
+from rideshare.payments import PivotRule, commit_payments, expected_utility, groves_payments
 from rideshare.scenario_io import (
     ScenarioFormatError,
     parse_scenario_text,
@@ -111,6 +111,35 @@ def test_audit_dominant_flag(capsys):
     out = capsys.readouterr().out
     assert "notion: dominant" in out
     assert "opponent 0 report:" in out
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("threshold-gate-pair", ["--mechanism", "commit"]),
+    ("quadratic-reliability-pair", ["--mechanism", "commit"]),
+    ("linear-pair-profitable", ["--mechanism", "groves-clarke"]),
+    ("linear-pair-profitable", ["--mechanism", "commit", "--notion", "dominant"]),
+], ids=["gate-commit", "quadratic-commit", "pair-clarke", "pair-commit-dominant"])
+def test_printed_witness_replays_from_a_file(capsys, name, argv):
+    """The printed deviated and opponent reports, written back into the file
+    as `reported_type`, price the deviator at the printed deviated utility
+    under the audited mechanism's schedule."""
+    path = SCENARIOS / f"{name}.json"
+    assert cli.main(["audit", str(path), *argv]) == 1
+    out = capsys.readouterr().out
+    doc = json.loads(path.read_text())
+    commuters = doc["scenario"]["commuters"]
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    i = int(fields["witness commuter"])
+    commuters[i]["reported_type"] = json.loads(fields["deviated report"])
+    for j in range(len(commuters)):
+        if f"opponent {j} report" in fields:
+            commuters[j]["reported_type"] = json.loads(fields[f"opponent {j} report"])
+    s = parse_scenario_text(json.dumps(doc))
+    if fields["mechanism"] == "commit":
+        schedule = commit_payments(s)
+    else:
+        schedule = groves_payments(s, PivotRule.CLARKE)
+    assert repr(expected_utility(s, i, schedule)) == fields["deviated utility"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,6 +1,7 @@
-"""The package's imports: every absolute import in `src/rideshare` names
-the standard library or the package itself, no module imports what it does
-not use, and importing a module loads only the modules it imports."""
+"""The package's imports and names: every absolute import in
+`src/rideshare` names the standard library or the package itself, no module
+imports what it does not use, every private name a module defines is read,
+and importing a module loads only the modules it imports."""
 
 import ast
 import os
@@ -95,6 +96,41 @@ def test_modules_use_every_name_they_import():
         for name in _unused_imports(path)
     }
     assert unused == UNUSED_IMPORTS
+
+
+# (module, name) pairs of private module-level names the package never
+# reads: `simulate._settle` is the settlement reference that tests call.
+UNREAD_PRIVATE_NAMES = {("simulate", "_settle")}
+
+
+def _private_names(tree):
+    """The private, non-dunder names bound at the top level of `tree`."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names = [n.id for n in ast.walk(node)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_name_is_read():
+    """A private helper that nothing reads is dead code: each one defined at
+    a module's top level is read, as a name or an attribute, somewhere in
+    the package."""
+    trees = {path.stem: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {(module, name) for module, tree in trees.items()
+              for name in _private_names(tree) if name not in read}
+    assert unread == UNREAD_PRIVATE_NAMES
 
 
 def _loaded_by(statement):

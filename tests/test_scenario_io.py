@@ -261,3 +261,32 @@ def test_fields_are_checked_in_the_reference_order():
     for node, path in nodes:
         _check_order(tree, _children(node, path))
     assert _text(tree) == json.dumps(_every_field_document())
+
+
+def _solo(true_type, reported_type=None):
+    commuter = {"id": 0, "has_vehicle": False, "seat_capacity": 0, "true_type": true_type}
+    if reported_type is not None:
+        commuter["reported_type"] = reported_type
+    return json.dumps({"schema_version": 1,
+                       "scenario": {"commuters": [commuter], "compatibility": [[True]]}})
+
+
+def _trip(default_value=None, coefficient=1.0):
+    valuation = {"owner": 0, "clauses": [{"role": "none", "terms": [{"coefficient": coefficient}]}]}
+    if default_value is not None:
+        valuation["default_value"] = default_value
+    return {"p_commit": 0.5, "valuation": valuation}
+
+
+@pytest.mark.parametrize("text", [
+    _solo(_trip(default_value=-0.0)),
+    _solo(_trip(), _trip(default_value=-0.0)),
+    _solo(_trip(coefficient=0.0), _trip(coefficient=-0.0)),
+    _solo(_trip(coefficient=-0.0), _trip(coefficient=0.0)),
+], ids=["true-default", "reported-default", "reported-coefficient", "true-coefficient"])
+def test_serialization_keeps_the_sign_of_a_zero(text):
+    """-0.0 == 0.0, but a value of -0.0 prints as -0.0: the writer keeps a
+    default value of -0.0 and a report that differs from the truth only in
+    the sign of a zero, so parsing the written file gives the same repr."""
+    s = parse_scenario_text(text)
+    assert repr(parse_scenario_text(serialize_scenario(s))) == repr(s)
