@@ -141,9 +141,10 @@ def _draws(p: Sequence[float], seed: int, trials: range) -> tuple[list[CommitVec
     counted in order of first draw, and each distinct key becomes one
     tuple, which every trial that drew it shares. The lane constants
     depend on the chunk's length alone and are built once per length
-    (`_lanes`); each commuter's threshold - 1 + 2**64 in every lane is
-    built once per chunk length in the call, so twice at most, since
-    only the last chunk is shorter.
+    (`_lanes`). Each commuter's threshold - 1 + 2**64 and index k in every
+    lane are built once per call, at the first chunk's length; only the
+    last chunk can be shorter, and its lanes are the low ones of those
+    ints, cut off with a mask, since every lane holds the same word.
     """
     biased = [_threshold(q) - 1 + (1 << 64) for q in p]
     n = len(biased)
@@ -151,18 +152,21 @@ def _draws(p: Sequence[float], seed: int, trials: range) -> tuple[list[CommitVec
     shared: dict[int | tuple[int, ...], CommitVector] = {}
     counts: Counter[int | tuple[int, ...]] = Counter()
     vectors: list[CommitVector] = []
-    bounds_length = 0
     for first in range(0, len(trials), _CHUNK):
         count = min(_CHUNK, len(trials) - first)
         ones, mask, golden, iota, flag, layout = _lanes(count)
-        if count != bounds_length:
+        if not first:
             bounds = [b * ones for b in biased]
-            bounds_length = count
+            indices = [k * ones for k in range(n)]
+        elif count < _CHUNK:
+            low = (1 << 128 * count) - 1
+            bounds = [b & low for b in bounds]
+            indices = [i & low for i in indices]
         words = ((trials[first] & _MASK) * ones + iota) & mask
         prefixes = _splitmix64_lanes(words ^ seed_hash * ones, mask, golden)
         accumulators = [0] * max(1, (n + _WORD - 1) // _WORD)
-        for k, bound in enumerate(bounds):
-            words = _splitmix64_lanes(prefixes ^ k * ones, mask, golden)
+        for k, (bound, index) in enumerate(zip(bounds, indices)):
+            words = _splitmix64_lanes(prefixes ^ index, mask, golden)
             tested = bound - words
             accumulators[k // _WORD] |= (tested & flag) >> (64 - k % _WORD)
         patterns = [layout.unpack(a.to_bytes(layout.size, "little")) for a in accumulators]

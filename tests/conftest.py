@@ -4,7 +4,7 @@ over a probability lattice, a record-by-record simulate CSV, hypothesis
 strategies for small random scenarios and for scenarios whose commuters
 read few others, seeded scenarios of the benchmark's pricing shape, and
 scenarios that outgrow the walk's recursion or overflow a settled utility
-or a pivot search, and a reference scenario parser."""
+or a pivot search, and a reference scenario parser and serializer."""
 
 import contextlib
 import inspect
@@ -41,7 +41,7 @@ from rideshare.model import (
     with_truthful_reports,
 )
 from rideshare.payments import ExcludedValueError, PivotRule, settled_utility
-from rideshare.scenario_io import SCHEMA_VERSION, ScenarioFormatError
+from rideshare.scenario_io import SCHEMA_VERSION, ScenarioFormatError, scenario_to_jsonable
 from rideshare.valuation import (
     AnyPartners,
     Clause,
@@ -775,6 +775,11 @@ def reference_parse_scenario_text(text: str) -> Scenario:
             metadata[key] = value
     return Scenario(tuple(commuters), tuple(rows), metadata)
 
+
+# The reference serializer: json's own encoder over the same document.
+# `tests/test_scenario_io.py` holds the package's writer to its bytes.
+def reference_serialize_scenario(s: Scenario) -> str:
+    return json.dumps(scenario_to_jsonable(s), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.fixture(scope="session")
