@@ -31,12 +31,12 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 
 # A run writes one CSV row per trial and commuter, and its time, the file
-# and its memory (each distinct commitment vector holds a bit per commuter)
+# and its memory (each distinct commitment key holds a row per commuter)
 # grow with those rows. A run of more rows is refused before any draw
 # rather than left to run for minutes or fill a disk or memory. At the
 # bound, a million trials of a pair write a 47 MB file at a 25 MB peak in
 # under a second, and 10,000 trials of 200 solo commuters a 45 MB file at
-# a 129 MB peak in 7 s (Python 3.11, shared 2-core VM).
+# a 49 MB peak in 1.6 s (Python 3.11, shared 2-core VM).
 MAX_TRIAL_ROWS = 2_000_000
 # The draws read the seed mod 2**64, so a seed outside 0..MAX_SEED would
 # write the trials of the seed it aliases under its own name.

@@ -1,50 +1,51 @@
-"""Seeded Monte Carlo over commitment draws, plus exact enumeration.
+"""Seeded Monte Carlo over commitment draws, plus exact expectations.
 
 Commitment bits come from a counter-based generator keyed by
 (seed, trial, commuter), so any draw can be recomputed in isolation and
 runs are reproducible regardless of evaluation order or platform. One
 kernel, `_draws`, draws every trial of a run: it hashes the seed once,
 compares each commuter's hash with an integer threshold (`_threshold`, an
-exact rewrite of the float test (x >> 11) * 2**-53 < p[k]), and makes
-equal vectors one tuple. It hashes a chunk of trials at a time, one
-64-bit word per 128-bit lane of a single Python int, and runs the
-threshold test in the same lanes. Each commuter's flag is shifted into
-bit k % 64 of its lane in an accumulator per 64 commuters, so only the
-hash and the test run per commuter: each accumulator is read once per
-chunk, as one little-endian integer key per trial, and each distinct key
-becomes one tuple. The lane constants depend only on the chunk's length
-and are built once per length per process. `realize` is the kernel run
-for one trial.
+exact rewrite of the float test (x >> 11) * 2**-53 < p[k]), and packs a
+trial's bits into one int, its key, with commuter k's bit at bit k. It
+hashes a chunk of trials at a time, one 64-bit word per 128-bit lane of a
+single Python int, and runs the threshold test in the same lanes. Each
+commuter's flag is shifted into bit k % 64 of its lane in an accumulator
+per 64 commuters, so only the hash and the test run per commuter: each
+accumulator is read once per chunk, as one little-endian word per trial,
+and a trial's key is its word, or its words joined past 64 commuters. The
+lane constants depend only on the chunk's length and are built once per
+length per process. `realize` is the kernel run for one trial.
 
 With the allocation and payments fixed, a commuter's settlement depends
 only on the commitment bits their true valuation reads, their own bit
 among them: the charge reads the own bit alone, and the value reads the
-bits of `referenced_subjects`. `_Settlements` computes each commuter's
-value, charge, utility and CSV row once per distinct tuple of those bits,
-and a vector's settlement is its commuters' entries, with the welfare and
-the deficit summed from them. A run's records are a `TrialRecords` view
-over the drawn vectors and those settlements: a record is built only when
-a caller reads it, so a run holds one reference per trial, and
-`render_trials_csv` builds none; it writes the rows a block of trials at a
-time. The summary is reduced per distinct key: each commuter's column is
-the exact sum of count * x over the keys that commuter's clean trials
-read, and the welfare and deficit columns over the distinct clean
-vectors, rounded once, which is what `math.fsum` returns over the trials.
-Where fsum could overflow on the way, its result depends on the order of
-its inputs, so such a column is reduced over the trials in trial order
-instead.
+bits of `referenced_subjects`. Those bits are the commuter's key, cut
+from a trial's key with one mask per commuter. `_Settlements` computes
+each commuter's value, charge, utility and CSV row once per distinct key,
+and a run keeps, per distinct trial key, only its CSV rows, welfare,
+deficit and flag. A run's records are a `TrialRecords` view over the
+drawn keys and those settlements: a record and its commitment vector are
+built only when a caller reads them, so a run holds one int per trial,
+and `render_trials_csv` builds none; it writes the rows a block of trials
+at a time. The summary is reduced per distinct key: each commuter's
+column is the exact sum of count * x over the keys that commuter's clean
+trials read, and the welfare and deficit columns over the distinct clean
+trial keys, rounded once, which is what `math.fsum` returns over the
+trials. Where fsum could overflow on the way, its result depends on the
+order of its inputs, so such a column is reduced over the trials in trial
+order instead. `exact_expected_utilities` sums each commuter's utility
+over the patterns of their own key alone, through the same settlements.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 from collections import Counter
-from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, fields
-from itertools import product
-from operator import itemgetter
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from typing import TextIO
 
 from .model import Allocation, Commuter, Scenario
@@ -114,44 +115,41 @@ CommitVector = tuple[int, ...]
 _WORD = 64
 
 
-def _vector(key: int | tuple[int, ...], n: int) -> CommitVector:
-    """The commitment vector of `n` commuters whose bits a trial's key
-    holds: bit k % 64 of its word k // 64, where a key of one word is
-    that word."""
-    words = key if isinstance(key, tuple) else (key,)
-    return tuple(words[k // _WORD] >> k % _WORD & 1 for k in range(n))
+def _vector(key: int, n: int) -> CommitVector:
+    """The commitment vector of `n` commuters whose bits `key` holds:
+    commuter k's bit is bit k."""
+    return tuple(key >> k & 1 for k in range(n))
 
 
-def _draws(p: Sequence[float], seed: int, trials: range) -> tuple[list[CommitVector], dict]:
-    """Each trial's commitment vector, in trial order, and each distinct one's count.
+def _draws(p: Sequence[float], seed: int, trials: range) -> tuple[list[int], Counter[int]]:
+    """Each trial's key, in trial order, and each distinct key's count.
 
-    Bit k of trial t compares the hash of (seed, t, k) with
-    `_threshold(p[k])`. `trials` is a range of consecutive trial numbers.
-    The seed is hashed once per call. The trials go through in chunks of
-    `_CHUNK`, each hashed in 128-bit lanes of one int: first (seed, t) per
-    trial, with the lane words t mod 2**64 made by arithmetic from the
-    chunk's first trial, then (seed, t, k) for each commuter k. The bit
-    test runs in the same lanes: a lane holding threshold - 1 + 2**64
-    minus the hash x is at least 0 and below 2**65, and its bit 64 is set
-    exactly when x < threshold. That bit is shifted to bit k % 64 of the
-    lane in accumulator k // 64, so after the last commuter the low 64
-    bits of each lane hold the trial's flags. Each accumulator is read
-    once per chunk, lane by lane as little-endian words, and a trial's
-    key is its word, or the tuple of its words past 64 commuters. Keys are
-    counted in order of first draw, and each distinct key becomes one
-    tuple, which every trial that drew it shares. The lane constants
-    depend on the chunk's length alone and are built once per length
-    (`_lanes`). Each commuter's threshold - 1 + 2**64 and index k in every
-    lane are built once per call, at the first chunk's length; only the
-    last chunk can be shorter, and its lanes are the low ones of those
-    ints, cut off with a mask, since every lane holds the same word.
+    A trial's key holds commuter k's commitment bit at bit k. Bit k of
+    trial t compares the hash of (seed, t, k) with `_threshold(p[k])`.
+    `trials` is a range of consecutive trial numbers. The seed is hashed
+    once per call. The trials go through in chunks of `_CHUNK`, each
+    hashed in 128-bit lanes of one int: first (seed, t) per trial, with
+    the lane words t mod 2**64 made by arithmetic from the chunk's first
+    trial, then (seed, t, k) for each commuter k. The bit test runs in the
+    same lanes: a lane holding threshold - 1 + 2**64 minus the hash x is at
+    least 0 and below 2**65, and its bit 64 is set exactly when
+    x < threshold. That bit is shifted to bit k % 64 of the lane in
+    accumulator k // 64, so after the last commuter the low 64 bits of each
+    lane hold the trial's flags. Each accumulator is read once per chunk,
+    lane by lane as little-endian words, and a trial's key is its word, or
+    its words joined, word i at bit 64 * i, past 64 commuters. Keys are
+    counted in order of first draw. The lane constants depend on the
+    chunk's length alone and are built once per length (`_lanes`). Each
+    commuter's threshold - 1 + 2**64 and index k in every lane are built
+    once per call, at the first chunk's length; only the last chunk can be
+    shorter, and its lanes are the low ones of those ints, cut off with a
+    mask, since every lane holds the same word.
     """
     biased = [_threshold(q) - 1 + (1 << 64) for q in p]
     n = len(biased)
     seed_hash = _splitmix64_lanes(seed & _MASK, _MASK, _GOLDEN)
-    shared: dict[int | tuple[int, ...], CommitVector] = {}
-    counts: Counter[int | tuple[int, ...]] = Counter()
-    vectors: list[CommitVector] = []
+    counts: Counter[int] = Counter()
+    keys: list[int] = []
     for first in range(0, len(trials), _CHUNK):
         count = min(_CHUNK, len(trials) - first)
         ones, mask, golden, iota, flag, layout = _lanes(count)
@@ -169,14 +167,13 @@ def _draws(p: Sequence[float], seed: int, trials: range) -> tuple[list[CommitVec
             words = _splitmix64_lanes(prefixes ^ index, mask, golden)
             tested = bound - words
             accumulators[k // _WORD] |= (tested & flag) >> (64 - k % _WORD)
-        patterns = [layout.unpack(a.to_bytes(layout.size, "little")) for a in accumulators]
-        keys = patterns[0] if n <= _WORD else list(zip(*patterns))
-        counts.update(keys)
-        if len(counts) > len(shared):
-            for key in set(keys).difference(shared):
-                shared[key] = _vector(key, n)
-        vectors += map(shared.__getitem__, keys)
-    return vectors, {shared[key]: c for key, c in counts.items()}
+        chunk = layout.unpack(accumulators[0].to_bytes(layout.size, "little"))
+        for i, a in enumerate(accumulators[1:], 1):
+            chunk = [key | word << _WORD * i
+                     for key, word in zip(chunk, layout.unpack(a.to_bytes(layout.size, "little")))]
+        counts.update(chunk)
+        keys += chunk
+    return keys, counts
 
 
 def realize(p: Sequence[float], seed: int, trial: int = 0) -> CommitVector:
@@ -185,7 +182,7 @@ def realize(p: Sequence[float], seed: int, trial: int = 0) -> CommitVector:
     Bit k compares a uniform draw hashed from (seed, trial, k) with p[k].
     This is `_draws`, the kernel `run_trials` draws with, for one trial.
     """
-    return _draws(p, seed, range(trial, trial + 1))[0][0]
+    return _vector(_draws(p, seed, range(trial, trial + 1))[0][0], len(p))
 
 
 @dataclass(frozen=True)
@@ -198,50 +195,6 @@ class TrialRecord:
     welfare: float
     deficit: float
     flagged: bool
-
-
-# Every field but the trial number: what one commitment vector settles to.
-_SETTLED_FIELDS = tuple(f.name for f in fields(TrialRecord))[1:]
-
-
-class TrialRecords(Sequence):
-    """The records of one `run_trials` call, in trial order, built on access.
-
-    A trial's record is its number, its commitment vector and that vector's
-    settlement, so the view keeps only `vectors`, the vector each trial
-    drew, `settled`, the record fields but `trial` of each distinct
-    vector, and `rows`, each distinct vector's CSV rows after the trial
-    number. Indexing or iterating builds each record with the constructor;
-    nothing else does. Two views are equal when their records are.
-    """
-
-    __slots__ = ("vectors", "settled", "rows")
-
-    def __init__(self, vectors: list[CommitVector], settled: dict[CommitVector, dict],
-                 rows: dict[CommitVector, tuple[str, ...]]):
-        self.vectors = vectors
-        self.settled = settled
-        self.rows = rows
-
-    def _record(self, trial: int) -> TrialRecord:
-        return TrialRecord(trial=trial, **self.settled[self.vectors[trial]])
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __getitem__(self, index):
-        trials = range(len(self.vectors))
-        if isinstance(index, slice):
-            return [self._record(t) for t in trials[index]]
-        return self._record(trials[index])
-
-    def __iter__(self) -> Iterator[TrialRecord]:
-        return map(self._record, range(len(self.vectors)))
-
-    def __eq__(self, other):
-        if not isinstance(other, TrialRecords):
-            return NotImplemented
-        return self.vectors == other.vectors and self.settled == other.settled
 
 
 @dataclass(frozen=True)
@@ -264,11 +217,12 @@ _Settlement = tuple[int, float | None, float, float | None, str]
 
 
 def _settlement(k: int, c: Commuter, entry: PaymentEntry, allocation: Allocation,
-                commit: CommitVector) -> _Settlement:
-    """Commuter `k`'s settlement after `commit`. Raises OverflowError when
-    the value or the utility is not finite."""
-    v = evaluate(c.true_type.valuation, allocation, tuple(map(float, commit)))
-    bit = commit[k]
+                key: int, n: int) -> _Settlement:
+    """Commuter `k`'s settlement after the commitment bits of `key`, of `n`
+    commuters. Raises OverflowError when the value or the utility is not
+    finite."""
+    v = evaluate(c.true_type.valuation, allocation, tuple(map(float, _vector(key, n))))
+    bit = key >> k & 1
     if isinstance(entry, Unconditional):
         charge = entry.amount
     else:
@@ -281,53 +235,82 @@ def _settlement(k: int, c: Commuter, entry: PaymentEntry, allocation: Allocation
 
 class _Settlements:
     """Each commuter's settlements under one schedule, each computed once
-    per distinct key: the tuple of commitment bits the commuter's true
-    valuation reads, their own bit included.
+    per distinct key: the commitment bits the commuter's true valuation
+    reads, their own bit included.
 
-    `readers[k]` maps a vector to commuter k's key and `entries[k]` maps
-    each key met so far to k's settlement. Calling the instance on a
-    vector settles its commuters in order, so the first settlement that
-    raises is the first one a commuter-by-commuter pass over the vectors
-    would reach.
+    `masks[k]` holds the bits of commuter k's key, so a trial's key & that
+    mask is k's key, and `entries[k]` maps each of k's keys met so far to
+    k's settlement. Calling the instance on a trial's key settles its
+    commuters in order, so the first settlement that raises is the first
+    one a commuter-by-commuter pass over the keys would reach.
     """
 
     def __init__(self, s: Scenario, schedule: PaymentSchedule):
         self.allocation = schedule.allocation
         self.commuters = tuple(zip(s.commuters, schedule.entries))
-        self.readers: list[Callable[[CommitVector], object]] = [
-            itemgetter(*sorted({k, *referenced_subjects(c.true_type.valuation)}))
-            for k, c in enumerate(s.commuters)]
-        self.entries: list[dict[object, _Settlement]] = [{} for _ in s.commuters]
+        self.masks = [sum(1 << j for j in {k, *referenced_subjects(c.true_type.valuation)})
+                      for k, c in enumerate(s.commuters)]
+        self.entries: list[dict[int, _Settlement]] = [{} for _ in s.commuters]
 
-    def __call__(self, commit: CommitVector) -> tuple[tuple, ...]:
-        """The settlements of `commit`'s commuters as five columns: bits,
-        values, charges, utilities and rows."""
-        settled = []
-        for k, read in enumerate(self.readers):
-            known = self.entries[k]
-            key = read(commit)
-            entry = known.get(key)
-            if entry is None:
-                entry = known[key] = _settlement(k, *self.commuters[k], self.allocation, commit)
-            settled.append(entry)
-        return tuple(zip(*settled)) or ((),) * 5
+    def of(self, k: int, key: int) -> _Settlement:
+        """Commuter k's settlement after the bits of `key` that k reads."""
+        own = key & self.masks[k]
+        known = self.entries[k]
+        entry = known.get(own)
+        if entry is None:
+            entry = known[own] = _settlement(k, *self.commuters[k], self.allocation, own,
+                                             len(self.masks))
+        return entry
 
-
-def _fields(values: tuple, payments: tuple, utilities: tuple) -> tuple:
-    """The `TrialRecord` fields after `commit` of a vector whose commuters
-    settle to `values`, `payments` and `utilities`: those three, the
-    welfare, the deficit, and the flag, set when some value is None."""
-    welfare = math.fsum(v for v in values if v is not None)
-    return values, payments, utilities, welfare, -math.fsum(payments), None in values
+    def __call__(self, key: int) -> list[_Settlement]:
+        """The settlements of the trial key's commuters, in order."""
+        return [self.of(k, key) for k in range(len(self.masks))]
 
 
-def _settle(s: Scenario, schedule: PaymentSchedule, commit: CommitVector) -> tuple:
-    """The `TrialRecord` fields after `commit` for one commitment vector,
-    settled afresh: values, payments, utilities, welfare, deficit and the
-    flag. A commuter whose true valuation excludes the allocation gets
-    value and utility None, which flags the vector. Raises OverflowError
-    when a value or a utility is not finite."""
-    return _fields(*_Settlements(s, schedule)(commit)[1:4])
+class TrialRecords(Sequence):
+    """The records of one `run_trials` call, in trial order, built on access.
+
+    A trial's record is its number, its commitment vector and that
+    vector's settlement, so the view keeps only `keys`, the key each trial
+    drew, `settle`, the run's `_Settlements`, and `per_key`, which maps
+    each distinct trial key to its CSV rows after the trial number (after
+    an empty string, so that joining them with the trial's "t," puts that
+    prefix before every row), its welfare, its deficit and its flag.
+    Indexing or iterating builds each record, and its vector, with the
+    constructor; nothing else does. Two views are equal when their records
+    are.
+    """
+
+    __slots__ = ("keys", "settle", "per_key")
+
+    def __init__(self, keys: list[int], settle: _Settlements,
+                 per_key: dict[int, tuple[tuple[str, ...], float, float, bool]]):
+        self.keys = keys
+        self.settle = settle
+        self.per_key = per_key
+
+    def _record(self, trial: int) -> TrialRecord:
+        key = self.keys[trial]
+        _, welfare, deficit, flagged = self.per_key[key]
+        commit, values, payments, utilities, _ = tuple(zip(*self.settle(key))) or ((),) * 5
+        return TrialRecord(trial, commit, values, payments, utilities, welfare, deficit, flagged)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index):
+        trials = range(len(self.keys))
+        if isinstance(index, slice):
+            return [self._record(t) for t in trials[index]]
+        return self._record(trials[index])
+
+    def __iter__(self) -> Iterator[TrialRecord]:
+        return map(self._record, range(len(self.keys)))
+
+    def __eq__(self, other):
+        if not isinstance(other, TrialRecords):
+            return NotImplemented
+        return self.keys == other.keys and all(map(operator.eq, self, other))
 
 
 def _mean(xs: list[float]) -> float:
@@ -376,32 +359,30 @@ def _weighted_sum(xs: list[float], weights: list[int], total: int) -> float | No
 
 class _Grouped:
     """The summary columns of one run, reduced per part of its distinct
-    clean vectors.
+    clean keys.
 
-    `clean` lists the distinct unflagged vectors, `read` maps each to its
-    part (each vector is its own part by default), `parts` lists the parts
-    in order of first draw and `weights` how many trials drew each; a
-    column lists one value per part. A column whose weighted sum is not
+    `keys` lists each trial's key, `clean` counts each distinct unflagged
+    one, and a key's part is its bits in `mask`. `parts` lists the parts
+    in order of first draw and `weights` how many clean trials drew each;
+    a column lists one value per part. A column whose weighted sum is not
     safe (see `_weighted_sum`) is replayed over the trials in trial order
     and reduced as `_mean` and `_stderr` would.
     """
 
-    def __init__(self, vectors: list[CommitVector], clean: list[CommitVector], counts: dict,
-                 read: Callable[[CommitVector], object] | None = None):
-        self.vectors = vectors
+    def __init__(self, keys: list[int], clean: dict[int, int], mask: int):
+        self.keys = keys
         self.clean = clean
-        self.keys = clean if read is None else list(map(read, clean))
-        weight_of: dict[object, int] = {}
-        for key, v in zip(self.keys, clean):
-            weight_of[key] = weight_of.get(key, 0) + counts[v]
+        self.mask = mask
+        weight_of: dict[int, int] = {}
+        for key, count in clean.items():
+            weight_of[key & mask] = weight_of.get(key & mask, 0) + count
         self.parts = list(weight_of)
         self.weights = list(weight_of.values())
         self.total = sum(self.weights)
 
     def _in_trial_order(self, xs: list[float]) -> list[float]:
-        x_of_part = dict(zip(self.parts, xs))
-        x_of = {v: x_of_part[key] for v, key in zip(self.clean, self.keys)}
-        return [x_of[v] for v in self.vectors if v in x_of]
+        x_of = dict(zip(self.parts, xs))
+        return [x_of[key & self.mask] for key in self.keys if key in self.clean]
 
     def mean(self, xs: list[float]) -> float:
         """`_mean` of the column over the clean trials."""
@@ -429,39 +410,40 @@ def run_trials(
 ) -> tuple[TrialRecords, SimulationSummary]:
     """Simulate settlement over `trials` independent commitment draws.
 
-    Each commuter is settled once per distinct tuple of the commitment bits
-    their true valuation reads, and each distinct vector's record fields
-    and CSV rows are put together from its commuters' settlements. The
-    records come back as a `TrialRecords` view over the drawn vectors and
-    those settlements, so a run holds one reference per trial and no record
-    until a caller reads one. Trials where some commuter's true valuation
-    excludes the realized outcome carry no number for that commuter; such
-    trials are flagged and left out of the summary means. Each summary
-    column is the exact count-weighted sum, rounded once, which is what
-    `math.fsum` over the trials returns: a commuter's columns sum over the
-    keys that commuter's clean trials read, the welfare and the deficit
-    over the distinct clean vectors. Where some value is not finite, or
-    trials * max |x| reaches 2**1020, fsum could overflow partway, and
-    whether it does depends on the order of its inputs; that column is then
-    reduced with fsum over the trials in trial order, so it raises or sums
-    exactly as that does.
+    Each commuter is settled once per distinct key of the commitment bits
+    their true valuation reads, and each distinct trial key's CSV rows,
+    welfare, deficit and flag are put together from its commuters'
+    settlements. The records come back as a `TrialRecords` view over the
+    drawn keys and those settlements, so a run holds one int per trial and
+    no record until a caller reads one. Trials where some commuter's true
+    valuation excludes the realized outcome carry no number for that
+    commuter; such trials are flagged and left out of the summary means.
+    Each summary column is the exact count-weighted sum, rounded once,
+    which is what `math.fsum` over the trials returns: a commuter's columns
+    sum over the keys that commuter's clean trials read, the welfare and
+    the deficit over the distinct clean trial keys. Where some value is not
+    finite, or trials * max |x| reaches 2**1020, fsum could overflow
+    partway, and whether it does depends on the order of its inputs; that
+    column is then reduced with fsum over the trials in trial order, so it
+    raises or sums exactly as that does.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    vectors, counts = _draws(s.true_p(), seed, range(trials))
+    keys, counts = _draws(s.true_p(), seed, range(trials))
     settle = _Settlements(s, schedule)
-    settled: dict[CommitVector, dict] = {}
-    rows: dict[CommitVector, tuple[str, ...]] = {}
-    for commit in counts:
-        _, values, payments, utilities, rows[commit] = settle(commit)
-        settled[commit] = dict(zip(_SETTLED_FIELDS,
-                                   (commit, *_fields(values, payments, utilities))))
-    clean = [commit for commit, f in settled.items() if not f["flagged"]]
-    grouped = _Grouped(vectors, clean, counts)
+    per_key = {}
+    for key in counts:
+        settled = settle(key)
+        values = [e[1] for e in settled]
+        per_key[key] = (("", *(e[4] for e in settled)),
+                        math.fsum(v for v in values if v is not None),
+                        -math.fsum(e[2] for e in settled), None in values)
+    clean = {key: count for key, count in counts.items() if not per_key[key][3]}
+    grouped = _Grouped(keys, clean, (1 << s.n) - 1)
     per_commuter = []
-    for read, entries in zip(settle.readers, settle.entries):
-        by_key = _Grouped(vectors, clean, counts, read)
-        per_commuter.append((by_key, [entries[key] for key in by_key.parts]))
+    for entries, mask in zip(settle.entries, settle.masks):
+        by_key = _Grouped(keys, clean, mask)
+        per_commuter.append((by_key, [entries[part] for part in by_key.parts]))
     # The columns are reduced in the order of the trial-order summary, so
     # a run that raises raises on the same column.
     mean_commit, mean_value, mean_payment, mean_utility = (
@@ -469,7 +451,6 @@ def run_trials(
         for column in range(4))
     stderr_utility = tuple(by_key.stderr([e[3] for e in entries], mean)
                            for (by_key, entries), mean in zip(per_commuter, mean_utility))
-    clean_fields = [settled[commit] for commit in clean]
     summary = SimulationSummary(
         trials=trials,
         flagged=trials - grouped.total,
@@ -478,10 +459,10 @@ def run_trials(
         mean_payment=mean_payment,
         mean_utility=mean_utility,
         stderr_utility=stderr_utility,
-        mean_welfare=grouped.mean([f["welfare"] for f in clean_fields]),
-        mean_deficit=grouped.mean([f["deficit"] for f in clean_fields]),
+        mean_welfare=grouped.mean([per_key[key][1] for key in clean]),
+        mean_deficit=grouped.mean([per_key[key][2] for key in clean]),
     )
-    return TrialRecords(vectors, settled, rows), summary
+    return TrialRecords(keys, settle, per_key), summary
 
 
 def render_trials_csv(records: TrialRecords, summary: SimulationSummary, out: TextIO) -> None:
@@ -491,20 +472,17 @@ def render_trials_csv(records: TrialRecords, summary: SimulationSummary, out: Te
 
     Every field is a number, a fixed word or empty, so none needs quoting
     and each row is its fields joined by commas. A trial's rows after its
-    number depend on its commitment vector alone, and were formatted once
-    per commuter's settlement by `run_trials`, so they are written in trial
-    order straight from the drawn vectors, one string per `_CHUNK` trials;
-    no record is built.
+    number depend on its key alone, and were formatted once per commuter's
+    settlement by `run_trials`, so they are written in trial order straight
+    from the drawn keys, one string per `_CHUNK` trials; no record is
+    built.
     """
     out.write("trial,commuter,committed,value,payment,utility\n")
-    # Each vector's rows follow an empty string, so joining them with a
-    # trial's "t," puts that prefix before every row, and before none when
-    # there are no commuters.
-    rows_of = {commit: ("", *rows) for commit, rows in records.rows.items()}
-    vectors = records.vectors
-    for first in range(0, len(vectors), _CHUNK):
-        out.write("".join([f"{t},".join(rows_of[commit])
-                           for t, commit in enumerate(vectors[first:first + _CHUNK], first)]))
+    per_key = records.per_key
+    keys = records.keys
+    for first in range(0, len(keys), _CHUNK):
+        out.write("".join([f"{t},".join(per_key[key][0])
+                           for t, key in enumerate(keys[first:first + _CHUNK], first)]))
     for k in range(len(summary.mean_commit)):
         out.write(
             f"mean,{k},{summary.mean_commit[k]!r},{summary.mean_value[k]!r},"
@@ -513,33 +491,42 @@ def render_trials_csv(records: TrialRecords, summary: SimulationSummary, out: Te
         )
 
 
-# An exact enumeration settles 2**n vectors and keeps n * 2**n products:
-# at this bound that is about a second and 35 MB, and each commuter more
-# doubles both, so a larger scenario is refused up front.
-MAX_EXACT_COMMUTERS = 16
+# Commuter k's expectation settles each of the 2**b patterns of their b key
+# bits: at this bound that is 65,536 settlements, and each bit more
+# doubles them, so a wider key is refused before any settlement.
+_MAX_KEY_BITS = 16
 
 
 def exact_expected_utilities(s: Scenario, schedule: PaymentSchedule) -> tuple[float, ...]:
-    """Expected utilities by summing over all 2**n commitment vectors,
-    weighted by the true commitment probabilities. Exact counterpart to
-    the Monte Carlo mean; each commuter is settled once per key, as in
-    `run_trials`. Raises ValueError past `MAX_EXACT_COMMUTERS` commuters."""
-    n = s.n
-    if n > MAX_EXACT_COMMUTERS:
-        raise ValueError(f"exact enumeration covers at most {MAX_EXACT_COMMUTERS} commuters, "
-                         f"got {n}")
-    p = s.true_p()
+    """Each commuter's expected utility, weighted by the true commitment
+    probabilities: the exact counterpart to the Monte Carlo mean.
+
+    A commuter's settlement reads their key bits alone, so their
+    expectation sums over the patterns of those bits, each weighted by the
+    product of its bits' probabilities in commuter order, and settled
+    through the same `_Settlements` as `run_trials`. Raises ValueError
+    when some key reads more than `_MAX_KEY_BITS` bits, and
+    ExcludedValueError when some pattern's true valuation excludes the
+    allocation."""
     settle = _Settlements(s, schedule)
-    totals = [[] for _ in range(n)]
-    for commit in product((0, 1), repeat=n):
-        weight = 1.0
-        for k in range(n):
-            weight *= p[k] if commit[k] else 1.0 - p[k]
-        _, values, _, utilities, _ = settle(commit)
-        if None in values:
-            raise ExcludedValueError(
-                f"commuter {values.index(None)}: true valuation excludes the settled allocation"
-            )
-        for k, u in enumerate(utilities):
-            totals[k].append(weight * u)
-    return tuple(math.fsum(xs) for xs in totals)
+    for k, mask in enumerate(settle.masks):
+        if mask.bit_count() > _MAX_KEY_BITS:
+            raise ValueError(f"exact expectations read at most {_MAX_KEY_BITS} commitment bits "
+                             f"per commuter, commuter {k} reads {mask.bit_count()}")
+    p = s.true_p()
+    expected = []
+    for k, mask in enumerate(settle.masks):
+        keys, weights = [0], [1.0]
+        for j in range(mask.bit_length()):
+            if mask >> j & 1:
+                keys += [key | 1 << j for key in keys]
+                weights = [w * (1.0 - p[j]) for w in weights] + [w * p[j] for w in weights]
+        terms = []
+        for key, weight in zip(keys, weights):
+            _, v, _, u, _ = settle.of(k, key)
+            if v is None:
+                raise ExcludedValueError(
+                    f"commuter {k}: true valuation excludes the settled allocation")
+            terms.append(weight * u)
+        expected.append(math.fsum(terms))
+    return tuple(expected)

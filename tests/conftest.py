@@ -1,6 +1,7 @@
 """Shared fixtures: an independent brute-force allocation oracle, a
 per-deviation reference audit, numeric linearity and independence oracles
-over a probability lattice, a record-by-record simulate CSV, hypothesis
+over a probability lattice, a record-by-record simulate CSV, a
+per-vector settlement and a 2**n exact expectation reference, hypothesis
 strategies for small random scenarios and for scenarios whose commuters
 read few others, seeded scenarios of the benchmark's pricing shape, and
 scenarios that outgrow the walk's recursion or overflow a settled utility
@@ -40,7 +41,7 @@ from rideshare.model import (
     with_report,
     with_truthful_reports,
 )
-from rideshare.payments import ExcludedValueError, PivotRule, settled_utility
+from rideshare.payments import Conditional, ExcludedValueError, PivotRule, settled_utility
 from rideshare.scenario_io import SCHEMA_VERSION, ScenarioFormatError, scenario_to_jsonable
 from rideshare.valuation import (
     AnyPartners,
@@ -267,6 +268,61 @@ def csv_of_records(records, summary):
                      f"{summary.mean_payment[k]!r},{summary.mean_utility[k]!r}\n")
         lines.append(f"stderr,{k},,,,{summary.stderr_utility[k]!r}\n")
     return "".join(lines)
+
+
+def settle_commuter_reference(s, schedule, k, commit):
+    """Commuter k's value, charge and utility after `commit`, settled from
+    scratch: their true valuation evaluated at the 0/1 vector, and their
+    conditional entry's commit or fail charge by their own bit, or their
+    unconditional amount. Value and utility are None where the true
+    valuation excludes the allocation. Raises OverflowError when the value
+    or the utility is not finite."""
+    c, entry = s.commuters[k], schedule.entries[k]
+    v = evaluate(c.true_type.valuation, schedule.allocation, tuple(map(float, commit)))
+    if isinstance(entry, Conditional):
+        charge = entry.on_commit if commit[k] else entry.on_fail
+    else:
+        charge = entry.amount
+    if v is EXCLUDED:
+        return None, charge, None
+    u = v - charge
+    if not math.isfinite(u):
+        raise OverflowError(f"commuter {c.id}'s settled utility {u} is not finite")
+    return v, charge, u
+
+
+def settle_reference(s, schedule, commit):
+    """The `TrialRecord` fields after `commit` for one commitment vector,
+    settled from scratch commuter by commuter: values, payments,
+    utilities, welfare, deficit and the flag, set where some value is
+    None."""
+    values, payments, utilities = tuple(zip(*(settle_commuter_reference(s, schedule, k, commit)
+                                              for k in range(s.n)))) or ((),) * 3
+    welfare = math.fsum(v for v in values if v is not None)
+    return values, payments, utilities, welfare, -math.fsum(payments), None in values
+
+
+def reference_exact_expected_utilities(s, schedule):
+    """Expected utilities by summing over all 2**n commitment vectors,
+    weighted by the true commitment probabilities: the library's exact
+    expectations as they were before they summed over each commuter's
+    key alone, kept verbatim but for its bound on n and its settlement,
+    which is `settle_reference`."""
+    n = s.n
+    p = s.true_p()
+    totals = [[] for _ in range(n)]
+    for commit in itertools.product((0, 1), repeat=n):
+        weight = 1.0
+        for k in range(n):
+            weight *= p[k] if commit[k] else 1.0 - p[k]
+        values, _, utilities, *_ = settle_reference(s, schedule, commit)
+        if None in values:
+            raise ExcludedValueError(
+                f"commuter {values.index(None)}: true valuation excludes the settled allocation"
+            )
+        for k, u in enumerate(utilities):
+            totals[k].append(weight * u)
+    return tuple(math.fsum(xs) for xs in totals)
 
 
 def _lattice(n, subjects, grid):

@@ -98,11 +98,6 @@ def test_modules_use_every_name_they_import():
     assert unused == UNUSED_IMPORTS
 
 
-# (module, name) pairs of private module-level names the package never
-# reads: `simulate._settle` is the settlement reference that tests call.
-UNREAD_PRIVATE_NAMES = {("simulate", "_settle")}
-
-
 def _private_names(tree):
     """The private, non-dunder names bound at the top level of `tree`."""
     for node in tree.body:
@@ -130,7 +125,7 @@ def test_every_private_name_is_read():
                 read.add(node.attr)
     unread = {(module, name) for module, tree in trees.items()
               for name in _private_names(tree) if name not in read}
-    assert unread == UNREAD_PRIVATE_NAMES
+    assert unread == set()
 
 
 def _loaded_by(statement):

@@ -1,19 +1,28 @@
 """Deterministic commitment draws and Monte Carlo settlement."""
 
 import dataclasses
+import itertools
 import math
 import pickle
 import struct
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_of_records, overflowing_settlement_scenario, rendered_csv, solo_commuters
+from conftest import (
+    csv_of_records,
+    overflowing_settlement_scenario,
+    reference_exact_expected_utilities,
+    rendered_csv,
+    settle_commuter_reference,
+    settle_reference,
+    solo_commuters,
+)
 from rideshare import cli
 from rideshare import simulate as simulate_module
 from rideshare.corpus import by_name, linear_entries
@@ -37,7 +46,6 @@ from rideshare.payments import (
 )
 from rideshare.scenario_io import serialize_scenario
 from rideshare.simulate import (
-    MAX_EXACT_COMMUTERS,
     SimulationSummary,
     TrialRecord,
     _mean,
@@ -57,6 +65,7 @@ from rideshare.valuation import (
     ThresholdGate,
     ValuationSpec,
     evaluate,
+    referenced_subjects,
 )
 
 
@@ -101,6 +110,13 @@ def _float_rule(x, q):
     return (x >> 11) * 2.0**-53 < q
 
 
+def _unpacked(keys, n):
+    """The commitment vectors of `n` commuters that packed trial keys
+    hold, commuter k's bit at bit k: the key's low n binary digits, read
+    from the last."""
+    return [tuple(map(int, f"{key:0{n}b}"[::-1][:n])) for key in keys]
+
+
 def _realize_reference(p, seed, trial):
     h = _splitmix64_reference(_splitmix64_reference(seed & _MASK64) ^ (trial & _MASK64))
     return tuple(int(_float_rule(_splitmix64_reference(h ^ k), q)) for k, q in enumerate(p))
@@ -134,7 +150,7 @@ def test_integer_threshold_is_the_float_rule(q):
         assert (x < bound) == _float_rule(x, q), x
     p = (q, 0.5, q)
     expected = [_realize_reference(p, 3, t) for t in range(16)]
-    assert simulate_module._draws(p, 3, range(16))[0] == expected
+    assert _unpacked(simulate_module._draws(p, 3, range(16))[0], 3) == expected
     assert [realize(p, 3, t) for t in range(16)] == expected
 
 
@@ -152,15 +168,15 @@ def test_integer_threshold_is_the_float_rule(q):
 )
 @settings(max_examples=100, deadline=None)
 def test_draw_kernel_matches_float_rule(p, seed, first):
-    """The kernel draws the float rule's bits for every trial, realize is
-    one trial of it, and trials that draw equal vectors share one tuple,
-    counted in order of first draw."""
+    """The kernel packs the float rule's bits of every trial into its key
+    and no other bit, realize is one trial of it, and the keys are counted
+    in order of first draw."""
     trials = range(first, first + 40)
-    vectors, counts = simulate_module._draws(p, seed, trials)
-    assert vectors == [_realize_reference(p, seed, t) for t in trials]
-    assert vectors == [realize(p, seed, t) for t in trials]
-    assert len({id(v) for v in vectors}) == len(set(vectors))
-    assert list(counts.items()) == list(Counter(vectors).items())
+    keys, counts = simulate_module._draws(p, seed, trials)
+    assert _unpacked(keys, len(p)) == [_realize_reference(p, seed, t) for t in trials]
+    assert _unpacked(keys, len(p)) == [realize(p, seed, t) for t in trials]
+    assert all(0 <= key < 1 << len(p) for key in keys)
+    assert list(counts.items()) == list(Counter(keys).items())
 
 
 _CHUNK = simulate_module._CHUNK
@@ -185,15 +201,15 @@ _KERNEL_CASES = [
 @pytest.mark.parametrize("p, count", _KERNEL_CASES)
 @pytest.mark.parametrize("first", [0, 2**64 - 700, -(2**64) - 5])
 def test_draw_kernel_across_chunk_boundaries(p, count, first):
-    """The lane kernel draws the reference bits trial by trial however the
+    """The lane kernel packs the reference bits trial by trial however the
     trials fall into chunks, also where t & (2**64 - 1) wraps inside a
-    chunk, whatever the number of accumulator words, and equal vectors stay
-    one object, counted once, across chunks."""
+    chunk, whatever the number of accumulator words, with no bit past the
+    last commuter, and equal keys are counted once across chunks."""
     trials = range(first, first + count)
-    vectors, counts = simulate_module._draws(p, 11, trials)
-    assert vectors == [_realize_reference(p, 11, t) for t in trials]
-    assert len({id(v) for v in vectors}) == len(set(vectors))
-    assert list(counts.items()) == list(Counter(vectors).items())
+    keys, counts = simulate_module._draws(p, 11, trials)
+    assert _unpacked(keys, len(p)) == [_realize_reference(p, 11, t) for t in trials]
+    assert all(0 <= key < 1 << len(p) for key in keys)
+    assert list(counts.items()) == list(Counter(keys).items())
 
 
 def test_realize_past_two_accumulator_words():
@@ -348,10 +364,10 @@ def test_excluded_realizations_are_flagged_not_averaged():
 
 def _constructor_records(s, schedule, trials, seed):
     """A run's records, each built by the constructor from its trial's
-    drawn vector settled afresh."""
-    vectors, _ = simulate_module._draws(s.true_p(), seed, range(trials))
-    return [TrialRecord(t, v, *simulate_module._settle(s, schedule, v))
-            for t, v in enumerate(vectors)]
+    drawn vector settled afresh by the reference."""
+    keys, _ = simulate_module._draws(s.true_p(), seed, range(trials))
+    return [TrialRecord(t, v, *settle_reference(s, schedule, v))
+            for t, v in enumerate(_unpacked(keys, s.n))]
 
 
 @pytest.mark.parametrize(
@@ -496,21 +512,21 @@ _AWKWARD = [1e308, -1e308, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 )
 @settings(max_examples=300, deadline=None)
 def test_grouped_summary_is_the_trial_order_reduction(multiset, split, order):
-    """Reducing count * x per distinct vector, or per part of the vectors
-    that read the same x, gives the trial-order fsum reduction bit for bit,
-    sign of zero included, for the mean and the stderr alike, and raises
+    """Reducing count * x per distinct key, or per part of the keys that
+    read the same x, gives the trial-order fsum reduction bit for bit, sign
+    of zero included, for the mean and the stderr alike, and raises
     wherever that reduction raises. Entry i of the multiset is drawn as up
-    to `split` distinct vectors (i, j), all of part i."""
-    vectors = [(i, t % split) for i, (_, c) in enumerate(multiset) for t in range(c)]
-    order.shuffle(vectors)
-    counts = Counter(vectors)
-    clean = list(counts)
+    to `split` distinct keys 4 * i + j, all of part 4 * i, their bits but
+    the lowest two."""
+    keys = [4 * i + t % split for i, (_, c) in enumerate(multiset) for t in range(c)]
+    order.shuffle(keys)
+    counts = Counter(keys)
     xs = [x for x, _ in multiset]
-    trial_order = [xs[v[0]] for v in vectors]
-    by_vector = simulate_module._Grouped(vectors, clean, counts)
-    by_part = simulate_module._Grouped(vectors, clean, counts, itemgetter(0))
-    for grouped, column in ((by_vector, [xs[v[0]] for v in clean]),
-                            (by_part, [xs[i] for i in by_part.parts])):
+    trial_order = [xs[key >> 2] for key in keys]
+    by_key = simulate_module._Grouped(keys, counts, -1)
+    by_part = simulate_module._Grouped(keys, counts, ~3)
+    for grouped, column in ((by_key, [xs[key >> 2] for key in counts]),
+                            (by_part, [xs[part >> 2] for part in by_part.parts])):
         assert _outcome(grouped.mean, column) == _outcome(_mean, trial_order)
         if _outcome(_mean, trial_order)[0] == "sum":
             m = _mean(trial_order)
@@ -521,8 +537,8 @@ def _solo_with_values(monkeypatch, value_of_bit):
     """linear-solo, p = 0.7, settled so that commitment bit b has value
     and welfare value_of_bit[b], payment 0.0 and utility b."""
 
-    def settlement(k, c, entry, allocation, commit):
-        bit = commit[k]
+    def settlement(k, c, entry, allocation, key, n):
+        bit = key >> k & 1
         v, u = value_of_bit[bit], float(bit)
         return bit, v, 0.0, u, f"{k},{bit},{v!r},0.0,{u!r}\n"
 
@@ -533,7 +549,7 @@ def _solo_with_values(monkeypatch, value_of_bit):
 def _seed_drawing(s, bits):
     p = s.true_p()
     return next(seed for seed in range(10_000)
-                if [v[0] for v in simulate_module._draws(p, seed, range(len(bits)))[0]] == bits)
+                if [key & 1 for key in simulate_module._draws(p, seed, range(len(bits)))[0]] == bits)
 
 
 def test_summary_overflows_exactly_where_trial_order_does(monkeypatch):
@@ -612,13 +628,14 @@ def _assert_run_is_the_reference(s, schedule, trials, seed):
 
 
 @st.composite
-def _settled_scenarios(draw):
-    """One to six commuters whose true valuations read between none and
-    all of the others' commitment bits, through linear and squared factors
-    and gates, with a constant per outcome and a default of either zero.
-    A true valuation may exclude driving or riding, which its report does
-    not, so a run may flag every trial."""
-    n = draw(st.integers(min_value=1, max_value=6))
+def _settled_scenarios(draw, max_n=6, compatibility=full_compatibility):
+    """One to `max_n` commuters, compatible as `compatibility(n)` says,
+    whose true valuations read between none and all of the others'
+    commitment bits, through linear and squared factors and gates, with a
+    constant per outcome and a default of either zero. A true valuation
+    may exclude driving or riding, which its report does not, so a run may
+    flag every trial."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
     value = st.sampled_from((0.0, 1.0, -1.0, 2.5, 0.1, -3.0))
 
     def valued(pattern, reads):
@@ -648,7 +665,7 @@ def _settled_scenarios(draw):
             k, has_vehicle, draw(st.integers(min_value=1, max_value=2)) if has_vehicle else 0,
             TripType(ValuationSpec(k, truth, default), draw(st.sampled_from((0.0, 0.3, 0.5, 1.0)))),
             TripType(ValuationSpec(k, reported, default), 0.5)))
-    return Scenario(tuple(commuters), full_compatibility(n))
+    return Scenario(tuple(commuters), compatibility(n))
 
 
 _SCHEDULES = {
@@ -681,22 +698,107 @@ def test_row_text_keeps_the_sign_of_a_zero():
     assert rows == {"0,1,-0.0,0.0,-0.0", "0,0,-0.0,-0.0,0.0"}
 
 
-def test_exact_enumeration_refuses_too_many_commuters_up_front(monkeypatch):
-    """At `MAX_EXACT_COMMUTERS` commuters the enumeration starts; one more
-    is refused with ValueError naming the bound before any vector is
-    enumerated."""
-    assert MAX_EXACT_COMMUTERS == 16
-    enumerated = []
+def _neighbours(n):
+    """Each of `n` commuters compatible with the one either side: few
+    allocations to price however many commuters there are."""
+    return tuple(tuple(abs(i - j) <= 1 for j in range(n)) for i in range(n))
 
-    def one_vector(choices, repeat):
-        enumerated.append(repeat)
-        return iter([(1,) * repeat])
 
-    monkeypatch.setattr(simulate_module, "product", one_vector)
-    s = solo_commuters(MAX_EXACT_COMMUTERS)
-    assert exact_expected_utilities(s, commit_payments(s)) == (0.0,) * MAX_EXACT_COMMUTERS
-    assert enumerated == [MAX_EXACT_COMMUTERS]
-    s = solo_commuters(MAX_EXACT_COMMUTERS + 1)
-    with pytest.raises(ValueError, match="at most 16 commuters, got 17"):
+@given(s=_settled_scenarios(max_n=10, compatibility=_neighbours),
+       mechanism=st.sampled_from(sorted(_SCHEDULES)))
+@settings(max_examples=25, deadline=None)
+def test_exact_expectations_are_the_sum_over_every_vector(s, mechanism):
+    """Summing each commuter's utility over the patterns of their own key
+    gives the sum over all 2**n vectors within 2n + 3 ulps of the sum of
+    the terms' magnitudes, and raises ExcludedValueError where it does.
+
+    Both sums are exact but for rounding: each weight is a product of at
+    most n factors, so it and its term carry at most n + 1 roundings, and
+    fsum rounds once more. The full sum also weighs each of k's patterns
+    by the other commuters' factors, whose sum over their patterns,
+    (1 - p) + p per commuter with 1 - p rounded, is 1 within n halves of
+    an ulp. In all, the two differ by at most (2n + 2) * 2**-53 times the
+    terms' magnitudes, and ulp(x) > x * 2**-53."""
+    schedule = _SCHEDULES[mechanism](s)
+    try:
+        reference = reference_exact_expected_utilities(s, schedule)
+    except ExcludedValueError:
+        with pytest.raises(ExcludedValueError):
+            exact_expected_utilities(s, schedule)
+        return
+    exact = exact_expected_utilities(s, schedule)
+    p = s.true_p()
+    for k, c in enumerate(s.commuters):
+        subjects = sorted({k, *referenced_subjects(c.true_type.valuation)})
+        magnitude = 0.0
+        for bits in itertools.product((0, 1), repeat=len(subjects)):
+            commit = [0] * s.n
+            for j, bit in zip(subjects, bits):
+                commit[j] = bit
+            weight = math.prod(p[j] if commit[j] else 1.0 - p[j] for j in subjects)
+            magnitude += abs(weight * settle_commuter_reference(s, schedule, k, commit)[2])
+        assert abs(exact[k] - reference[k]) <= (2 * s.n + 3) * math.ulp(magnitude), (k, exact)
+
+
+def test_exact_expectations_of_forty_commuters_take_under_a_second():
+    """Forty solo commuters read their own bit alone, so their exact
+    expectations settle two patterns each, where a sum over every vector
+    would settle 2**40."""
+    s = solo_commuters(40)
+    start = time.perf_counter()
+    exact = exact_expected_utilities(s, commit_payments(s))
+    assert time.perf_counter() - start < 1.0
+    assert exact == (0.0,) * 40
+
+
+def _reading(n, subjects):
+    """`n` solo commuters, the last of whom truly values staying home at
+    the product of `subjects`' commitment bits."""
+    s = solo_commuters(n)
+    last = s.commuters[-1]
+    spec = ValuationSpec(n - 1, (Clause(OutcomePattern(Role.NONE),
+                                        terms=(Monomial(1.0, tuple((j, 1) for j in subjects)),)),))
+    return replace(s, commuters=(*s.commuters[:-1],
+                                 replace(last, true_type=TripType(spec, 0.5))))
+
+
+def test_exact_expectations_refuse_a_key_of_more_than_16_bits_up_front(monkeypatch):
+    """A commuter whose key holds 16 bits is settled over its 2**16
+    patterns; one whose true valuation reads 17 subjects is refused with
+    ValueError naming the bound, before any commuter is settled."""
+    settled = []
+
+    def settlement(k, c, entry, allocation, key, n):
+        settled.append(k)
+        return key >> k & 1, 0.0, 0.0, 0.0, ""
+
+    monkeypatch.setattr(simulate_module, "_settlement", settlement)
+    s = _reading(17, range(1, 17))
+    assert exact_expected_utilities(s, commit_payments(s)) == (0.0,) * 17
+    assert Counter(settled) == {**{k: 2 for k in range(16)}, 16: 2**16}
+    settled.clear()
+    s = _reading(17, range(17))
+    with pytest.raises(ValueError, match="at most 16 commitment bits per commuter, "
+                                         "commuter 16 reads 17"):
         exact_expected_utilities(s, commit_payments(s))
-    assert enumerated == [MAX_EXACT_COMMUTERS]
+    assert settled == []
+
+
+def test_a_wide_run_holds_a_key_per_trial_and_rows_per_key():
+    """3,000 trials of 24 solo commuters draw nearly 3,000 distinct keys.
+    Keeping per key only its rows, welfare, deficit and flag, the run
+    holds 1.7 MB of traced allocations once it returns and peaks at
+    2.3 MB, where keeping five column tuples per distinct vector (its
+    bits, values, payments, utilities and rows) held 5.2 MB and peaked at
+    6.2 MB; the bounds are half of those."""
+    s = solo_commuters(24)
+    schedule = commit_payments(s)
+    tracemalloc.start()
+    try:
+        records, _ = run_trials(s, schedule, 3000, seed=0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(set(records.keys)) > 2990
+    assert held < 2_620_000, held
+    assert peak < 3_080_000, peak
