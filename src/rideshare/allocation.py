@@ -15,29 +15,7 @@ from .valuation import EXCLUDED, ExactPartners, ValuationSpec, evaluate, referen
 # owner's assignment object.
 Scored = tuple[CommuterId, ValuationSpec, CommuterId, dict]
 
-# Fewer than 2**23 values each below this magnitude sum inside the float
-# range, so no `math.fsum` over them, or over their differences, overflows.
-_PRUNABLE = 2.0**1000
-
 _NONE_ACCEPTABLE = "no feasible allocation is acceptable to every commuter"
-
-
-def bounded(spec: ValuationSpec, scale: float = 1.0) -> bool:
-    """True when every factor exponent of `spec` is at least 1, and its
-    default value, and each clause's sum of |coefficient| with every
-    coefficient multiplied by `scale`, are below 2**1000 in magnitude.
-    Then, at probabilities in [0, 1], every factor is in [0, 1], so the
-    spec, with its coefficients rescaled by factors of magnitude at most
-    `scale`, values every outcome finitely and below 2**1000 up to
-    rounding: no evaluation raises and no `math.fsum` over such values
-    overflows."""
-    try:
-        return abs(spec.default_value) < _PRUNABLE and all(
-            math.fsum(abs(scale * t.coefficient) for t in clause.terms) < _PRUNABLE
-            and all(exponent >= 1 for t in clause.terms for _, exponent in t.factors)
-            for clause in spec.clauses)
-    except OverflowError:  # a sum past the float range
-        return False
 
 
 @dataclass(frozen=True)
@@ -273,18 +251,6 @@ class OutcomeTable:
         return tuple(
             j for j, spec, _, _ in self.present if j != i and i in referenced_subjects(spec))
 
-    @functools.cached_property
-    def bounded(self) -> bool:
-        """True when every reported and true probability is in [0, 1] and
-        every report is `bounded`; False when a field has a type the bound
-        cannot read. Checked once per table."""
-        s = self.scenario
-        try:
-            return (all(0.0 <= x <= 1.0 for x in s.reported_p() + s.true_p())
-                    and all(bounded(spec) for _, spec, _, _ in self.present))
-        except TypeError:
-            return False
-
     def rows(self) -> list[WelfareReport]:
         """The outcomes in walk order, each as the report a search choosing
         it returns: everyone's values at the table's probabilities and
@@ -310,22 +276,24 @@ class OutcomeTable:
         return self._rows
 
     def scorer(
-        self, i: CommuterId, p: Sequence[float], pruned: bool
+        self, i: CommuterId, p: Sequence[float]
     ) -> Callable[[ValuationSpec, Sequence[float]], WelfareReport]:
         """`score(spec, q)` returns, or raises, what `_argmax` over the
         table's feasible set does at `q` with the table's reports, i's
         replaced by `spec`, which must exclude exactly what i's report
         excludes. The readers of i's probability are valued at `p`, in
         fresh tables when `p[i]` is not the table's; `q` may differ from
-        `p` only where no other commuter's spec reads it. Unless `pruned`,
-        each scoring is that search.
+        `p` only where no other commuter's spec reads it.
 
-        `pruned` is the caller's word that every probability, `q`'s
-        included, is in [0, 1] and every report and every scored valuation
-        is `bounded`. Then one pass over the table's `rows` keeps the
-        contenders. Exclusion reads no probability, so the rows are the
-        allocations nobody excludes whatever i reports; the others' values
-        are the rows', the readers' revalued if fresh. A contender's
+        That holds within the magnitude bounds of admitted input
+        (`valuation.MAX_MAGNITUDE`): every probability, `q`'s included, in
+        [0, 1], and every report, and `spec` up to a rescaling of its
+        coefficients by at most MAX_SCALE, within them. Then no evaluation
+        raises and no sum of values, or of their differences, overflows;
+        other input has no guarantee. One pass over the table's `rows`
+        keeps the contenders. Exclusion reads no probability, so the rows
+        are the allocations nobody excludes whatever i reports; the others'
+        values are the rows', the readers' revalued if fresh. A contender's
         others' exact value sum is strictly greater than that of every
         earlier row giving i the same assignment. For a fixed value of i,
         welfare (the correctly rounded exact sum) is monotone in the
@@ -333,21 +301,12 @@ class OutcomeTable:
         with the same assignment of i that scores at least as high under
         any valuation of i, and the first maximiser is a contender. A
         scoring evaluates i once per assignment of i among the contenders,
-        then sums each contender once, in commuter order. The bound keeps
-        every value below 2**1000 up to rounding, so no evaluation raises
-        and no such sum, or sum of differences, overflows.
+        then sums each contender once, in commuter order.
         """
         entries = list(self.present)
         fresh = self.readers(i) if p[i] != self.p[i] else ()
         for j in fresh:
             entries[j] = _scored(j, entries[j][1])
-
-        def unpruned(spec: ValuationSpec, q: Sequence[float]) -> WelfareReport:
-            entries[i] = _scored(i, spec)
-            return _argmax(self.allocations, entries, q, None)
-
-        if not pruned:
-            return unpruned
         mine = entries[i][2]
         leaders: dict[int, tuple[float, list[float]]] = {}
         contenders: list[tuple[Allocation, int, list[float]]] = []

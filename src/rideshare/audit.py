@@ -8,6 +8,8 @@ ex-post notion holds everyone else truthful; the dominant notion additionally
 sweeps every opponent over a grid of misreports. A grid search can only ever
 certify "no violation found", never truthfulness itself; a reported
 violation, on the other hand, comes with a witness that replays exactly.
+Both hold for a scenario that `validate_scenario` admits, whose magnitude
+bounds keep every sum finite; other input has no guarantee.
 """
 
 from __future__ import annotations
@@ -17,23 +19,32 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .allocation import OutcomeTable, bounded
+from .allocation import OutcomeTable
 # Not called here; kept so that bench/tracer.py can still wrap them here.
 from .allocation import efficient_allocation, efficient_allocation_excluding
 from .model import CommuterId, Scenario, TripType, with_report, with_truthful_reports
 from .payments import Evaluations, Mechanism, PivotRule, settled_utility
-from .valuation import GateDirection, Monomial, ThresholdGate, ValuationSpec, substitute
+from .valuation import (
+    MAX_SCALE,
+    GateDirection,
+    Monomial,
+    ThresholdGate,
+    ValuationSpec,
+    substitute,
+)
 
 GAIN_TOLERANCE = 1e-9
 MAX_DOMINANT_COMMUTERS = 4
-# A four-commuter corpus scenario scores at about 12 µs a deviation
-# (1,720,320 scorings of linear-quad-full-van against 3-point opponent grids
-# took 20-22 s under commit and groves-clarke with Python 3.11 on an idle
-# 2-core VM, and up to twice that on a loaded one), so this bounds a
-# dominant audit, and each ex-post sweep, to under a minute. A dominant
-# audit counts every grid's scorings before any grid is built, so a sweep
-# the certificate clears without scoring (see `_sweep`) still counts
-# toward it; an ex-post sweep counts its own grid only when the
+# A dominant audit of the four-commuter corpus scenario linear-quad-full-van
+# against 3-point opponent grids counts 1,720,320 scorings. Every sweep
+# prunes its scorers, and the audit took 9.3-11.0 s under commit, where the
+# certificate clears most sweeps, and 28.9-36.3 s under groves-clarke, 17-21
+# µs a counted scoring (Python 3.11, shared 2-core VM), so this bounds such
+# an audit, and each ex-post sweep, to under a minute. A scoring costs more
+# where a sweep prices many opponent profiles, each with its own table. A
+# dominant audit counts every grid's scorings before any grid is built, so
+# a sweep the certificate clears without scoring (see `_sweep`) still
+# counts toward it; an ex-post sweep counts its own grid only when the
 # certificate leaves it to be built.
 MAX_SCORINGS = 2_000_000
 MAX_P_GRID = 10_001
@@ -65,7 +76,10 @@ class DeviationSpace:
     coefficient is rescaled by each multiplier (cartesian across monomials,
     falling back to uniform rescaling when that product explodes). With
     gate_toggles set, variants that drop existing threshold gates or add a
-    mid-range gate on a referenced commuter are tried as well.
+    mid-range gate on a referenced commuter are tried as well. A scale
+    above `valuation.MAX_SCALE` (2**32) in magnitude is refused: an
+    admitted valuation rescaled by at most that still sums without
+    overflow.
     """
 
     p_grid: int = 21
@@ -80,8 +94,9 @@ class DeviationSpace:
         if self.p_grid > MAX_P_GRID:
             raise ValueError(f"p_grid must be at most {MAX_P_GRID}, got {self.p_grid}")
         for scale in self.coefficient_scales:
-            if not math.isfinite(scale):
-                raise ValueError(f"coefficient scales must be finite, got {scale!r}")
+            if not abs(scale) <= MAX_SCALE:
+                raise ValueError(f"coefficient scales must be within [-2**32, 2**32], "
+                                 f"got {scale!r}")
 
 
 # Each opponent's grid in a dominant audit, unless the caller gives one.
@@ -189,18 +204,10 @@ def _grid(variants: list[ValuationSpec], space: DeviationSpace) -> list[TripType
 
 def _variants(spec: ValuationSpec, space: DeviationSpace) -> list[ValuationSpec]:
     """The valuations a deviation in `space` reports: truthful coefficients
-    first, then rescalings, gate edits last. A rescaling is skipped when
-    some clause's sum of |coefficient| is not finite: that sum bounds the
-    clause's total at any probabilities in [0, 1], so every kept rescaling
-    totals to a finite value, and the audit never blames the scenario for
-    an overflow of its own making."""
+    first, then rescalings, gate edits last."""
     variants = []
-    for k, combo in enumerate(_scale_combos(spec, space.coefficient_scales)):
+    for combo in _scale_combos(spec, space.coefficient_scales):
         scaled = _scaled_spec(spec, combo)
-        if k and not all(
-            math.isfinite(sum(abs(t.coefficient) for t in c.terms)) for c in scaled.clauses
-        ):
-            continue
         variants.extend(_gate_variants(scaled) if space.gate_toggles else [scaled])
     return variants
 
@@ -222,11 +229,10 @@ def _sweep(
     pivot, then for the efficient report, the order in which a sweep's own
     searches would run.
 
-    Only a `_bounded` sweep tries the certificate and prunes its scorers.
-    Where i's utility is fixed by the chosen allocation, it first settles
-    i on every outcome of the table (`_certified`); when none beats truth,
-    no deviation gains and the sweep returns None without building or
-    scoring the grid. Otherwise a frame starts at each new p̂_i under
+    Where i's utility is fixed by the chosen allocation, the sweep first
+    settles i on every outcome of the table (`_certified`); when none beats
+    truth, no deviation gains and the sweep returns None without building
+    or scoring the grid. Otherwise a frame starts at each new p̂_i under
     private probabilities, and one frame serves all under public ones; a
     frame asks the table for a new `scorer` only if someone reads p̂_i.
     Utilities are kept per reported valuation per frame, and per outcome
@@ -253,8 +259,7 @@ def _sweep(
     by_outcome = mechanism is Mechanism.COMMIT_BASED or not readers
     # Memos key on ids, kept alive by `table` and `devs`.
     settled: dict[int, float] = {}
-    pruned = _bounded(table, i, space)
-    if by_outcome and pruned and _certified(i, mechanism, h, u_truth, table, settled, memo):
+    if by_outcome and _certified(i, mechanism, h, u_truth, table, settled, memo):
         return None
     if devs is None:
         devs = deviations_for(profile.commuters[i].true_type, space)
@@ -267,7 +272,7 @@ def _sweep(
             if table.private:
                 q = substitute(table.p, i, p_hat)
             if score is None or readers:
-                score = table.scorer(i, q, pruned)
+                score = table.scorer(i, q)
             utilities = {}
             if not by_outcome:
                 settled = {}
@@ -286,22 +291,6 @@ def _sweep(
     return best
 
 
-def _bounded(table: OutcomeTable, i: CommuterId, space: DeviationSpace) -> bool:
-    """True when no scoring of i's grid in `space` against the profile of
-    `table` can raise or overflow a welfare sum: the table is `bounded`
-    and i's truth, rescaled by the largest |scale| of `space`, is
-    `bounded`. That covers each deviation, whose probability is a grid
-    point in [0, 1], and the others' reports; i's report is i's truth,
-    and a scale of at least 1 bounds it at scale 1 too. False when a
-    field has a type the bound cannot read: the full searches then raise
-    what they do."""
-    scale = max(abs(x) for x in space.coefficient_scales + (1.0,))
-    try:
-        return table.bounded and bounded(table.scenario.commuters[i].true_type.valuation, scale)
-    except TypeError:
-        return False
-
-
 def _certified(
     i: CommuterId,
     mechanism: Mechanism,
@@ -317,22 +306,17 @@ def _certified(
     allocation's id. The rows carry i's own value, which no entry reads.
 
     Every report i can make wins one of those outcomes (the taxation
-    principle), so then no deviation gains. The caller applies it only
-    where the sweep is `_bounded`, so that no scoring of the grid could
-    have raised. Anything raised here leaves the grid to decide.
+    principle), so then no deviation gains. Within the magnitude bounds of
+    admitted input no scoring of the grid raises, and neither does this:
+    i's report in the profile is i's truth, so no row is one i's truth or
+    another report excludes.
     """
     profile = table.scenario
-    try:
-        for rep in table.rows():
-            entry = mechanism.entry(profile, h, rep, i, memo)
-            u = settled[id(rep.allocation)] = settled_utility(
-                profile, i, rep.allocation, entry, memo)
-            if u - u_truth > 0.0:
-                return False
-    except Exception:
-        # The grid then raises whatever, and wherever, it would have
-        # raised without the certificate.
-        return False
+    for rep in table.rows():
+        entry = mechanism.entry(profile, h, rep, i, memo)
+        u = settled[id(rep.allocation)] = settled_utility(profile, i, rep.allocation, entry, memo)
+        if u - u_truth > 0.0:
+            return False
     return True
 
 
@@ -383,12 +367,12 @@ def audit_expost(
     the gain tolerance. Ties keep the lowest commuter id, then the first
     deviation in grid order. Every sweep runs against the truthful
     profile, so one `OutcomeTable` prices it for every commuter: the
-    efficient report is searched once, each pivot once, the outcomes are
-    read from the same value tables, and the others' reports are bounded
-    once. A commuter's grid is built and scored only when a one-pass
-    certificate over the outcomes their reports can win does not already
-    rule out every gain; raises AuditSizeError, before building it, when
-    that grid has more than MAX_SCORINGS deviations."""
+    efficient report is searched once, each pivot once, and the outcomes
+    are read from the same value tables. A commuter's grid is built and
+    scored only when a one-pass certificate over the outcomes their
+    reports can win does not already rule out every gain; raises
+    AuditSizeError, before building it, when that grid has more than
+    MAX_SCORINGS deviations."""
     return _audit(s, mechanism, space, None, None, None)
 
 

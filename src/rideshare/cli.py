@@ -244,10 +244,6 @@ def main(argv=None) -> int:
     except (_InputError, TooManyCommutersError) as e:
         print(str(e), file=sys.stderr)
         return EXIT_INPUT
-    except OverflowError as e:
-        print(f"arithmetic overflow: {e}; the scenario's numbers are too large to price",
-              file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

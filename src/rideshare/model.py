@@ -160,7 +160,11 @@ def allocation_violations(s: Scenario, a: Allocation) -> list[str]:
 
 
 def validate_scenario(s: Scenario) -> list[str]:
-    """Semantic validation. Violations are returned as data, never raised."""
+    """Semantic validation. Violations are returned as data, never raised.
+    An admitted scenario keeps the magnitude bounds of
+    `valuation.MAX_MAGNITUDE`, under which nothing the package computes
+    from it overflows; for a scenario not admitted there is no such
+    guarantee."""
     from .valuation import spec_violations
 
     out: list[str] = []

@@ -206,13 +206,6 @@ def commit_payments(s: Scenario) -> PaymentSchedule:
     return _schedule(s, Mechanism.COMMIT_BASED, None)
 
 
-def _finite(i: CommuterId, u: float) -> float:
-    """Commuter `i`'s settled utility `u`; OverflowError if not finite."""
-    if not math.isfinite(u):
-        raise OverflowError(f"commuter {i}'s settled utility {u} is not finite")
-    return u
-
-
 def settled_utility(s: Scenario, i: CommuterId, allocation: Allocation, entry: PaymentEntry,
                     evaluator: Evaluator | None = None) -> float:
     """Quasilinear expected utility of commuter `i` under their true type at
@@ -221,9 +214,9 @@ def settled_utility(s: Scenario, i: CommuterId, allocation: Allocation, entry: P
 
     Raises ExcludedValueError when the true valuation excludes that
     allocation; callers decide whether that is a modelling error (truthful
-    reports) or a searched-over outcome to flag (misreports). Raises
-    OverflowError when the utility is not finite, as when a value less a
-    charge passes the float range.
+    reports) or a searched-over outcome to flag (misreports). The utility
+    is finite within the magnitude bounds of admitted input
+    (`valuation.MAX_MAGNITUDE`); other input has no guarantee.
     """
     value = evaluator or evaluate
     p = s.true_p()
@@ -232,13 +225,13 @@ def settled_utility(s: Scenario, i: CommuterId, allocation: Allocation, entry: P
         v = value(spec, allocation, p)
         if v is EXCLUDED:
             raise ExcludedValueError(f"commuter {i}: true valuation excludes the chosen allocation")
-        return _finite(i, v - entry.amount)
+        return v - entry.amount
     v_one = value(spec, allocation, substitute(p, i, 1.0))
     v_zero = value(spec, allocation, substitute(p, i, 0.0))
     if v_one is EXCLUDED or v_zero is EXCLUDED:
         raise ExcludedValueError(f"commuter {i}: true valuation excludes the chosen allocation")
     pi = p[i]
-    return _finite(i, pi * (v_one - entry.on_commit) + (1.0 - pi) * (v_zero - entry.on_fail))
+    return pi * (v_one - entry.on_commit) + (1.0 - pi) * (v_zero - entry.on_fail)
 
 
 def expected_utility(s: Scenario, i: CommuterId, schedule: PaymentSchedule) -> float:

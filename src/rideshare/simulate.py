@@ -31,10 +31,10 @@ at a time. The summary is reduced per distinct key: each commuter's
 column is the exact sum of count * x over the keys that commuter's clean
 trials read, and the welfare and deficit columns over the distinct clean
 trial keys, rounded once, which is what `math.fsum` returns over the
-trials. Where fsum could overflow on the way, its result depends on the
-order of its inputs, so such a column is reduced over the trials in trial
-order instead. `exact_expected_utilities` sums each commuter's utility
-over the patterns of their own key alone, through the same settlements.
+trials, in any order: within the magnitude bounds of admitted input
+(`valuation.MAX_MAGNITUDE`) no partial sum overflows.
+`exact_expected_utilities` sums each commuter's utility over the patterns
+of their own key alone, through the same settlements.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from .model import Allocation, Commuter, Scenario
-from .payments import ExcludedValueError, PaymentEntry, PaymentSchedule, Unconditional, _finite
+from .payments import ExcludedValueError, PaymentEntry, PaymentSchedule, Unconditional
 from .valuation import EXCLUDED, evaluate, referenced_subjects
 
 _MASK = (1 << 64) - 1
@@ -219,8 +219,7 @@ _Settlement = tuple[int, float | None, float, float | None, str]
 def _settlement(k: int, c: Commuter, entry: PaymentEntry, allocation: Allocation,
                 key: int, n: int) -> _Settlement:
     """Commuter `k`'s settlement after the commitment bits of `key`, of `n`
-    commuters. Raises OverflowError when the value or the utility is not
-    finite."""
+    commuters."""
     v = evaluate(c.true_type.valuation, allocation, tuple(map(float, _vector(key, n))))
     bit = key >> k & 1
     if isinstance(entry, Unconditional):
@@ -229,7 +228,7 @@ def _settlement(k: int, c: Commuter, entry: PaymentEntry, allocation: Allocation
         charge = entry.on_commit if bit else entry.on_fail
     if v is EXCLUDED:
         return bit, None, charge, None, f"{k},{bit},,{charge!r},\n"
-    u = _finite(c.id, v - charge)
+    u = v - charge
     return bit, v, charge, u, f"{k},{bit},{v!r},{charge!r},{u!r}\n"
 
 
@@ -313,34 +312,11 @@ class TrialRecords(Sequence):
         return self.keys == other.keys and all(map(operator.eq, self, other))
 
 
-def _mean(xs: list[float]) -> float:
-    return math.fsum(xs) / len(xs) if xs else 0.0
-
-
-def _stderr(xs: list[float]) -> float:
-    if len(xs) < 2:
-        return 0.0
-    m = _mean(xs)
-    var = math.fsum((x - m) ** 2 for x in xs) / (len(xs) - 1)
-    return math.sqrt(var / len(xs))
-
-
-# Below this bound on trials * max |x| no partial sum of math.fsum can
-# overflow, whatever the order of its inputs.
-_SUM_BOUND = 2.0**1020
-
-
-def _weighted_sum(xs: list[float], weights: list[int], total: int) -> float | None:
-    """The sum of weights[i] * xs[i], rounded once, where `total` is the
-    sum of the weights; None unless every x is finite and
-    total * max |x| < 2**1020.
-
-    Under that bound this is `math.fsum` over the multiset, in any order:
-    both round the exact sum to nearest, and the int true division here
-    rounds correctly. An exact zero gives 0.0, as fsum does.
-    """
-    if not (all(map(math.isfinite, xs)) and total * max(map(abs, xs)) < _SUM_BOUND):
-        return None
+def _weighted_sum(xs: list[float], weights: list[int]) -> float:
+    """The sum of weights[i] * xs[i], rounded once: `math.fsum` over the
+    multiset, in any order, as both round the exact sum to nearest and the
+    int true division here rounds correctly. An exact zero gives 0.0, as
+    fsum does."""
     # Columns repeat few values (a payment takes one of two), so the
     # weights are gathered per distinct value before the exact sum.
     weight_of: dict[float, int] = {}
@@ -361,18 +337,13 @@ class _Grouped:
     """The summary columns of one run, reduced per part of its distinct
     clean keys.
 
-    `keys` lists each trial's key, `clean` counts each distinct unflagged
-    one, and a key's part is its bits in `mask`. `parts` lists the parts
-    in order of first draw and `weights` how many clean trials drew each;
-    a column lists one value per part. A column whose weighted sum is not
-    safe (see `_weighted_sum`) is replayed over the trials in trial order
-    and reduced as `_mean` and `_stderr` would.
+    `clean` counts each distinct unflagged key, and a key's part is its
+    bits in `mask`. `parts` lists the parts in order of first draw and
+    `weights` how many clean trials drew each; a column lists one value
+    per part.
     """
 
-    def __init__(self, keys: list[int], clean: dict[int, int], mask: int):
-        self.keys = keys
-        self.clean = clean
-        self.mask = mask
+    def __init__(self, clean: dict[int, int], mask: int):
         weight_of: dict[int, int] = {}
         for key, count in clean.items():
             weight_of[key & mask] = weight_of.get(key & mask, 0) + count
@@ -380,28 +351,21 @@ class _Grouped:
         self.weights = list(weight_of.values())
         self.total = sum(self.weights)
 
-    def _in_trial_order(self, xs: list[float]) -> list[float]:
-        x_of = dict(zip(self.parts, xs))
-        return [x_of[key & self.mask] for key in self.keys if key in self.clean]
-
     def mean(self, xs: list[float]) -> float:
-        """`_mean` of the column over the clean trials."""
+        """`math.fsum` of the column over the clean trials, over their
+        count; 0.0 when there are none."""
         if not self.total:
             return 0.0
-        s = _weighted_sum(xs, self.weights, self.total)
-        return _mean(self._in_trial_order(xs)) if s is None else s / self.total
+        return _weighted_sum(xs, self.weights) / self.total
 
     def stderr(self, xs: list[float], mean: float) -> float:
-        """`_stderr` of the column over the clean trials, given its mean.
-        Equal values have equal squared deviations, so these group too."""
+        """The standard error of the column over the clean trials, given
+        its mean: the square root of the fsum of squared deviations, over
+        the count less one, over the count; 0.0 below two trials. Equal
+        values have equal squared deviations, so these group too."""
         if self.total < 2:
             return 0.0
-        try:
-            s = _weighted_sum([(x - mean) ** 2 for x in xs], self.weights, self.total)
-        except OverflowError:
-            s = None
-        if s is None:
-            return _stderr(self._in_trial_order(xs))
+        s = _weighted_sum([(x - mean) ** 2 for x in xs], self.weights)
         return math.sqrt(s / (self.total - 1) / self.total)
 
 
@@ -421,11 +385,9 @@ def run_trials(
     Each summary column is the exact count-weighted sum, rounded once,
     which is what `math.fsum` over the trials returns: a commuter's columns
     sum over the keys that commuter's clean trials read, the welfare and
-    the deficit over the distinct clean trial keys. Where some value is not
-    finite, or trials * max |x| reaches 2**1020, fsum could overflow
-    partway, and whether it does depends on the order of its inputs; that
-    column is then reduced with fsum over the trials in trial order, so it
-    raises or sums exactly as that does.
+    the deficit over the distinct clean trial keys. Every number is finite
+    when `validate_scenario` admits `s` and `schedule` prices it; other
+    input has no guarantee.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -439,13 +401,11 @@ def run_trials(
                         math.fsum(v for v in values if v is not None),
                         -math.fsum(e[2] for e in settled), None in values)
     clean = {key: count for key, count in counts.items() if not per_key[key][3]}
-    grouped = _Grouped(keys, clean, (1 << s.n) - 1)
+    grouped = _Grouped(clean, (1 << s.n) - 1)
     per_commuter = []
     for entries, mask in zip(settle.entries, settle.masks):
-        by_key = _Grouped(keys, clean, mask)
+        by_key = _Grouped(clean, mask)
         per_commuter.append((by_key, [entries[part] for part in by_key.parts]))
-    # The columns are reduced in the order of the trial-order summary, so
-    # a run that raises raises on the same column.
     mean_commit, mean_value, mean_payment, mean_utility = (
         tuple(by_key.mean([float(e[column]) for e in entries]) for by_key, entries in per_commuter)
         for column in range(4))

@@ -10,12 +10,34 @@ probability misses a bound, and otherwise the monomial terms are summed.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
 
 from .model import Allocation, Assignment, CommuterId, Role, all_none_allocation
+
+# The magnitude bounds of admitted input. `spec_violations` refuses a
+# default value above MAX_MAGNITUDE in magnitude, a clause whose sum of
+# |coefficient|, added in term order, is above it (the margin below absorbs
+# that sum's rounding), and a factor exponent above MAX_EXPONENT, up to
+# which every int is exactly a float, so `p ** exponent` converts it
+# without raising and stays in [0, 1] for p in [0, 1]. `audit.DeviationSpace`
+# refuses a coefficient scale above MAX_SCALE in magnitude. So every value,
+# reported, true or rescaled by an audit, is at most
+# V = MAX_MAGNITUDE * MAX_SCALE = 2**132 in magnitude.
+# A file of n commuters carries an n x n compatibility matrix, so n < 2**24
+# (a larger one would take 2**48 booleans). Every other number is a sum or
+# difference of values, at most 8 n**2 V in magnitude: a welfare n V, a
+# payment (a pivot less the others' values) 2n V, a settled utility
+# (2n + 1) V, an audit gain twice that, and a simulated deficit (n
+# payments) 2 n**2 V. The largest, a utility column's sum of squared
+# deviations over at most cli.MAX_TRIAL_ROWS < 2**21 trials, is below
+#     2**21 * (16 * n**2 * V)**2 < 2**21 * (2**52 * 2**132)**2 = 2**389,
+# far inside the float range (below 2**1024): no sum or difference of
+# admitted values overflows, whatever the order of its terms.
+MAX_MAGNITUDE = 2.0**100
+MAX_SCALE = 2.0**32
+MAX_EXPONENT = 2**53
 
 
 class _Excluded:
@@ -127,9 +149,9 @@ def evaluate(
     Returns a float, or EXCLUDED when the first matching clause is excluded.
     Exclusion depends only on the outcome pattern, never on probabilities.
     Commuter `absent`, if given, is treated as missing: factors on them
-    evaluate to zero and gates on them fail. Raises OverflowError when the
-    value is not finite, as when large finite terms sum past the float
-    range.
+    evaluate to zero and gates on them fail. The value is finite when the
+    spec passes `spec_violations` and `p` lies in [0, 1]; no other input
+    has that guarantee.
     """
     assignment = allocation[spec.owner]
     for clause in spec.clauses:
@@ -154,8 +176,6 @@ def evaluate(
                 v = p[subject]
                 x *= v if exponent == 1 else v**exponent
             total += x
-        if not math.isfinite(total):
-            raise OverflowError(f"commuter {spec.owner}'s value {total} is not finite")
         return total
     return spec.default_value
 
@@ -176,14 +196,15 @@ def substitute(p: Sequence[float], i: CommuterId, value: float) -> tuple[float, 
 
 
 def spec_violations(spec: ValuationSpec, n: int, expected_owner: CommuterId | None = None) -> list[str]:
-    """Structural checks a spec must pass before it is evaluated."""
+    """Structural checks a spec must pass before it is evaluated, the
+    magnitude bounds among them (see MAX_MAGNITUDE)."""
     out: list[str] = []
     if expected_owner is not None and spec.owner != expected_owner:
         out.append(f"owner {spec.owner} does not match commuter {expected_owner}")
     if not 0 <= spec.owner < n:
         out.append(f"owner {spec.owner} out of range")
-    if not math.isfinite(spec.default_value):
-        out.append(f"default value {spec.default_value} is not finite")
+    if not abs(spec.default_value) <= MAX_MAGNITUDE:
+        out.append(f"default value {spec.default_value} outside [-2**100, 2**100]")
     for ci, clause in enumerate(spec.clauses):
         c = clause.pattern.partner_constraint
         if isinstance(c, ExactPartners):
@@ -198,25 +219,25 @@ def spec_violations(spec: ValuationSpec, n: int, expected_owner: CommuterId | No
                 out.append(f"clause {ci}: gate subject {gate.subject} out of range")
             if not 0.0 <= gate.bound <= 1.0:
                 out.append(f"clause {ci}: gate bound {gate.bound} outside [0, 1]")
+        total = 0.0
         for ti, term in enumerate(clause.terms):
-            if not math.isfinite(term.coefficient):
-                out.append(f"clause {ci}: term {ti} coefficient {term.coefficient} is not finite")
+            total += abs(term.coefficient)
             for subject, exponent in term.factors:
                 if not 0 <= subject < n:
                     out.append(f"clause {ci}: factor subject {subject} out of range")
                 if exponent < 1:
                     out.append(f"clause {ci}: factor exponent {exponent} below 1")
+                elif exponent > MAX_EXPONENT:
+                    out.append(f"clause {ci}: term {ti} factor exponent {exponent} above 2**53")
+        if not total <= MAX_MAGNITUDE:
+            out.append(f"clause {ci}: sum of |coefficient| {total} outside [0, 2**100]")
         if clause.excluded and clause.terms:
             out.append(f"clause {ci}: excluded clause carries terms")
         if clause.excluded and clause.gates:
             out.append(f"clause {ci}: excluded clause carries gates")
-    if not out:
-        # travelling alone must always be an acceptable fallback
-        try:
-            if evaluate(spec, *_travel_alone(n)) is EXCLUDED:
-                out.append("the all-none outcome is excluded")
-        except OverflowError as e:
-            out.append(f"the all-none outcome: {e}")
+    # travelling alone must always be an acceptable fallback
+    if not out and evaluate(spec, *_travel_alone(n)) is EXCLUDED:
+        out.append("the all-none outcome is excluded")
     return out
 
 

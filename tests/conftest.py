@@ -3,9 +3,9 @@ per-deviation reference audit, numeric linearity and independence oracles
 over a probability lattice, a record-by-record simulate CSV, a
 per-vector settlement and a 2**n exact expectation reference, hypothesis
 strategies for small random scenarios and for scenarios whose commuters
-read few others, seeded scenarios of the benchmark's pricing shape, and
-scenarios that outgrow the walk's recursion or overflow a settled utility
-or a pivot search, and a reference scenario parser and serializer."""
+read few others, seeded scenarios of the benchmark's pricing shape,
+scenarios that outgrow the walk's recursion, the trial-order summary
+reductions, and a reference scenario parser and serializer."""
 
 import contextlib
 import inspect
@@ -275,8 +275,7 @@ def settle_commuter_reference(s, schedule, k, commit):
     scratch: their true valuation evaluated at the 0/1 vector, and their
     conditional entry's commit or fail charge by their own bit, or their
     unconditional amount. Value and utility are None where the true
-    valuation excludes the allocation. Raises OverflowError when the value
-    or the utility is not finite."""
+    valuation excludes the allocation."""
     c, entry = s.commuters[k], schedule.entries[k]
     v = evaluate(c.true_type.valuation, schedule.allocation, tuple(map(float, commit)))
     if isinstance(entry, Conditional):
@@ -285,10 +284,7 @@ def settle_commuter_reference(s, schedule, k, commit):
         charge = entry.amount
     if v is EXCLUDED:
         return None, charge, None
-    u = v - charge
-    if not math.isfinite(u):
-        raise OverflowError(f"commuter {c.id}'s settled utility {u} is not finite")
-    return v, charge, u
+    return v, charge, v - charge
 
 
 def settle_reference(s, schedule, commit):
@@ -300,6 +296,22 @@ def settle_reference(s, schedule, commit):
                                               for k in range(s.n)))) or ((),) * 3
     welfare = math.fsum(v for v in values if v is not None)
     return values, payments, utilities, welfare, -math.fsum(payments), None in values
+
+
+def trial_order_mean(xs):
+    """The mean of a summary column reduced over its trials in trial
+    order: `math.fsum` over the count, 0.0 for none."""
+    return math.fsum(xs) / len(xs) if xs else 0.0
+
+
+def trial_order_stderr(xs):
+    """The standard error of a summary column reduced over its trials in
+    trial order; 0.0 below two trials."""
+    if len(xs) < 2:
+        return 0.0
+    m = trial_order_mean(xs)
+    var = math.fsum((x - m) ** 2 for x in xs) / (len(xs) - 1)
+    return math.sqrt(var / len(xs))
 
 
 def reference_exact_expected_utilities(s, schedule):
@@ -496,77 +508,6 @@ def recursion_headroom(frames):
         yield
     finally:
         sys.setrecursionlimit(limit)
-
-
-def overflowing_settlement_scenario():
-    """Three fully compatible commuters whose commit settlement overflows.
-
-    0 drives 1 and 2 (capacity 2), 1 and 2 ride; 0 and 1 truly never show
-    up but report certainty, 2 shows up with probability 0.49. Near the
-    float limit, 2's commit pair is (1.7e308, -1.7e308), so 2's settled
-    utility is +inf when 2 stays home and -inf when 2 commits."""
-    at_least_zero = (ThresholdGate(2, 0.0, GateDirection.AT_LEAST),)
-    excluded = {role: Clause(OutcomePattern(role), excluded=True) for role in Role}
-
-    def valued(role, terms, pattern=AnyPartners(), gates=()):
-        return Clause(OutcomePattern(role, pattern), gates, terms)
-
-    driver = ValuationSpec(0, (
-        valued(Role.DRIVE, (Monomial(0.85e308, ((0, 1),)), Monomial(-1.7e308, ((2, 1), (0, 1)))),
-               ExactPartners(frozenset({1, 2})), at_least_zero),
-        excluded[Role.DRIVE],
-        excluded[Role.RIDE],
-        valued(Role.NONE, ()),
-    ))
-    rider = ValuationSpec(1, (
-        valued(Role.RIDE, (Monomial(0.85e308, ((1, 1),)), Monomial(-1.7e308, ((2, 1), (1, 1)))),
-               gates=at_least_zero),
-        excluded[Role.DRIVE],
-        valued(Role.NONE, ()),
-    ))
-    late = ValuationSpec(2, (
-        valued(Role.RIDE, (Monomial(0.15e308), Monomial(-0.3e308, ((2, 1),)))),
-        excluded[Role.DRIVE],
-        valued(Role.NONE, ()),
-    ))
-    return Scenario((
-        Commuter(0, True, 2, TripType(driver, 0.0), TripType(driver, 1.0)),
-        Commuter(1, False, 0, TripType(rider, 0.0), TripType(rider, 1.0)),
-        Commuter(2, False, 0, TripType(late, 0.49)),
-    ), full_compatibility(3))
-
-
-_BIG = 1e308
-
-
-def reader_overflow_scenario(driver, capacity):
-    """Commuter 2 drives `capacity` riders with `driver`'s clauses, and 0
-    and 1 may ride with them. Riding is worth 1e308 - 1e308 * p1 + 1e308
-    to 0, which is 1e308 at p1 = 1 but passes the float range when 1 is
-    absent, so pricing without 1 overflows wherever it values 0 riding."""
-    reader = ValuationSpec(0, (
-        Clause(OutcomePattern(Role.RIDE),
-               terms=(Monomial(_BIG), Monomial(-_BIG, ((1, 1),)), Monomial(_BIG))),
-        Clause(OutcomePattern(Role.NONE)),
-    ))
-    return Scenario((
-        Commuter(0, False, 0, TripType(reader, 1.0)),
-        Commuter(1, False, 0, TripType(ValuationSpec(1, ()), 1.0)),
-        Commuter(2, True, capacity, TripType(ValuationSpec(2, driver), 1.0)),
-    ), full_compatibility(3))
-
-
-# `reader_overflow_scenario` arguments. A refusing driver excludes every
-# allocation where 0 rides, but only at 2, after 0 is scored. An
-# overflowing driver values carrying both riders at 1e308 + 1e308, so the
-# full search overflows on the walk's last allocation, after the search
-# without 1 would on an earlier one.
-REFUSING_DRIVER = ((Clause(OutcomePattern(Role.DRIVE), excluded=True),), 1)
-OVERFLOWING_DRIVER = ((
-    Clause(OutcomePattern(Role.DRIVE, PartnerCountAtLeast(2)),
-           terms=(Monomial(_BIG), Monomial(_BIG))),
-    Clause(OutcomePattern(Role.DRIVE)),
-), 2)
 
 
 FAMILIES = ("linear", "gated", "quadratic")

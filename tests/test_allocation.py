@@ -5,18 +5,15 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    OVERFLOWING_DRIVER,
-    REFUSING_DRIVER,
     TIE_VALUES,
     all_none,
     naive_best_allocation,
     naive_efficient,
     pivot_scenarios,
-    reader_overflow_scenario,
     small_scenarios,
     solo_commuters,
 )
@@ -345,15 +342,15 @@ def _rescaled(spec, scale):
 
 def _scorer_against_argmax(s):
     """For each commuter i and each uniform rescaling of i's valuation, the
-    table's pruned scorer's report, made without falling back to `_argmax`,
+    table's scorer's report, made without calling `_argmax`,
     and `_argmax`'s over the full set, each from fresh tables."""
     allocations = _feasible(s, None)
     p = s.reported_p()
     specs = [c.reported_type.valuation for c in s.commuters]
-    refuse = mock.patch.object(allocation, "_argmax", side_effect=AssertionError("unpruned"))
+    refuse = mock.patch.object(allocation, "_argmax", side_effect=AssertionError("searched"))
     for i in range(s.n):
         with refuse:
-            score = OutcomeTable(s, None).scorer(i, p, pruned=True)
+            score = OutcomeTable(s, None).scorer(i, p)
         for scale in (1.0, 0.0, -1.0, 2.0**60):
             own = _rescaled(specs[i], scale)
             with refuse:
@@ -402,7 +399,7 @@ def test_frame_scorer_keeps_a_contender_that_rounds_level_with_a_later_one():
     allocations = _feasible(s, None)
     assert len(allocations) == 2
     p = s.reported_p()
-    score = OutcomeTable(s, None).scorer(0, p, pruned=True)
+    score = OutcomeTable(s, None).scorer(0, p)
     rep = score(flat(0, 2.0**54), p)
     assert rep.allocation is allocations[0]
     assert rep.welfare == 2.0**54
@@ -422,11 +419,11 @@ def test_deviation_frames_score_as_efficient_allocation_of_the_report(s):
         table = OutcomeTable(s, public_p)
         for i, c in enumerate(s.commuters):
             readers = table.readers(i)
-            score = table.scorer(i, table.p, pruned=True)
+            score = table.scorer(i, table.p)
             for trip in deviations_for(c.true_type, space):
                 q = table.p if public_p is not None else substitute(table.p, i, trip.p_commit)
                 if readers:
-                    score = table.scorer(i, q, pruned=True)
+                    score = table.scorer(i, q)
                 got = score(trip.valuation, q)
                 expected = efficient_allocation(with_report(s, i, trip), p_override=public_p)
                 assert got == expected
@@ -456,7 +453,7 @@ def test_outcomes_are_the_allocations_no_report_excludes(s):
             values = tuple(evaluate(spec, rep.allocation, p) for spec in specs)
             assert repr((rep.welfare, rep.per_commuter)) == repr((math.fsum(values), values))
         for i in range(s.n):
-            chosen = table.scorer(i, table.p, pruned=True)(specs[i], table.p)
+            chosen = table.scorer(i, table.p)(specs[i], table.p)
             expected = efficient_allocation(s, p_override=public_p)
             assert chosen == expected and chosen.allocation is expected.allocation
             others = {id(rep.allocation): rep.per_commuter for rep in outcomes}[id(chosen.allocation)]
@@ -487,8 +484,6 @@ def _table_in_order(table, order):
 
 
 @given(pivot_scenarios())
-@example(reader_overflow_scenario(*REFUSING_DRIVER))
-@example(reader_overflow_scenario(*OVERFLOWING_DRIVER))
 @settings(max_examples=200, deadline=None)
 def test_outcome_table_prices_as_the_searches_one_by_one(s):
     """Under reported and public probabilities, and with the efficient

@@ -27,6 +27,7 @@ from rideshare.audit import (
 import rideshare.allocation as allocation_module
 import rideshare.audit as audit_module
 import rideshare.payments as payments_module
+import rideshare.valuation as valuation_module
 from rideshare.allocation import OutcomeTable, efficient_allocation, efficient_allocation_excluding
 from rideshare.corpus import by_name, linear_entries
 from rideshare.model import (
@@ -35,6 +36,7 @@ from rideshare.model import (
     Scenario,
     TripType,
     full_compatibility,
+    validate_scenario,
     with_report,
     with_truthful_reports,
 )
@@ -47,6 +49,8 @@ from rideshare.payments import (
     settled_utility,
 )
 from rideshare.valuation import (
+    MAX_MAGNITUDE,
+    MAX_SCALE,
     Clause,
     GateDirection,
     Monomial,
@@ -55,6 +59,7 @@ from rideshare.valuation import (
     ValuationSpec,
     is_linear_in_commitment,
     referenced_subjects,
+    spec_violations,
 )
 
 
@@ -342,9 +347,9 @@ def _flat(owner, **values):
 
 
 # (0's drive value, 1's ride value, the deviation space, its scale of 0's
-# drive value that overflows): 1's value is past the certificate's bound;
-# then only 0's rescaled value is, at 2**24 times 2**1000 - 2**947, which
-# is the largest float.
+# drive value): values that made a deviation's scoring overflow before
+# validation bounded them. 1's value is past the bound; then only 0's is,
+# and its rescaling by 2**24 reached the largest float.
 _SCORING_OVERFLOWS = [
     (0.4e308, 1e308, DeviationSpace(), 2.0),
     (2.0**1000 - 2.0**947, 1e300, DeviationSpace(p_grid=2, coefficient_scales=(1.0, 2.0**24)),
@@ -355,29 +360,28 @@ _SCORING_OVERFLOWS = [
 @pytest.mark.parametrize("drive, ride, space, scale", _SCORING_OVERFLOWS,
                          ids=["others-past-the-bound", "rescaled-deviator-past-the-bound"])
 def test_the_certificate_leaves_a_scoring_overflow_to_the_grid(drive, ride, space, scale):
-    """0 drives 1 at these values, so truth, its pivots and its settlement
-    are finite, and no outcome pays 0 more than truth. But 0's deviation
-    that rescales the drive value sums past the float range inside the
-    argmax, and the audit still raises that, as scoring each deviation
-    afresh does: such values are past the bound under which the
-    certificate may skip the grid."""
-    s = Scenario((
-        Commuter(0, True, 1, TripType(_flat(0, drive=drive, none=0.0), 0.5)),
-        Commuter(1, False, 0, TripType(_flat(1, ride=ride, none=0.0), 0.5)),
-    ), full_compatibility(2))
-    rescaled = TripType(_flat(0, drive=scale * drive, none=0.0), 0.0)
+    """0 drives 1 at these values. A deviation of 0's that rescaled the
+    drive value once summed past the float range inside the argmax, so the
+    certificate left such sweeps to the grid. Validation now refuses the
+    values, naming the clause past the bound. At the bound, 0's rescaled
+    deviation scores finitely, and the audit, which tries the certificate
+    on every sweep, is the reference audit that prices each deviation
+    afresh."""
+    def pair(drive, ride):
+        return Scenario((
+            Commuter(0, True, 1, TripType(_flat(0, drive=drive, none=0.0), 0.5)),
+            Commuter(1, False, 0, TripType(_flat(1, ride=ride, none=0.0), 0.5)),
+        ), full_compatibility(2))
+
+    past = [v for v in validate_scenario(pair(drive, ride)) if "sum of |coefficient|" in v]
+    assert past and all(v.endswith("outside [0, 2**100]") for v in past)
+    s = pair(MAX_MAGNITUDE, MAX_MAGNITUDE)
+    assert validate_scenario(s) == []
+    rescaled = TripType(_flat(0, drive=scale * MAX_MAGNITUDE, none=0.0), 0.0)
     assert rescaled in deviations_for(s.commuters[0].true_type, space)
-    with pytest.raises(OverflowError):
-        efficient_allocation(with_report(s, 0, rescaled))
+    assert efficient_allocation(with_report(s, 0, rescaled)).welfare == (scale + 1) * MAX_MAGNITUDE
     for mechanism in Mechanism:
-        truth = efficient_allocation(s, p_override=mechanism.probabilities(s))
-        h = efficient_allocation_excluding(s, 0).welfare
-        u_truth = settled_utility(s, 0, truth.allocation, mechanism.entry(s, h, truth, 0))
-        assert u_truth == drive + ride
-        with pytest.raises(OverflowError) as expected:
-            reference_audit(s, mechanism, space)
-        with pytest.raises(OverflowError, match=re.escape(str(expected.value))):
-            audit_expost(s, mechanism, space)
+        assert repr(audit_expost(s, mechanism, space)) == repr(reference_audit(s, mechanism, space))
 
 
 @settings(max_examples=25, deadline=None)
@@ -392,11 +396,12 @@ def test_expost_audit_matches_the_reference_under_every_mechanism(s):
 
 
 def test_an_expost_audit_raises_what_the_searches_one_by_one_raise():
-    """0 drives 1 at a value past the float range, and 1 excludes
-    travelling alone. The searches one at a time first find no acceptable
-    allocation without 0 under the Clarke pivot, and overflow under the
-    zero pivot. The audit raises what they raise first."""
-    drive = Clause(OutcomePattern(Role.DRIVE), terms=(Monomial(1e308), Monomial(1e308)))
+    """0 drives 1, and 1 excludes travelling alone, which validation
+    forbids. Under the Clarke pivot the searches one at a time find no
+    acceptable allocation without 0, and the audit raises what they raise;
+    under the zero pivot no search fails, and the audit is the
+    reference's."""
+    drive = Clause(OutcomePattern(Role.DRIVE), terms=(Monomial(1.0), Monomial(1.0)))
     ride = Clause(OutcomePattern(Role.RIDE), terms=(Monomial(1.0),))
     alone = Clause(OutcomePattern(Role.NONE), excluded=True)
     s = Scenario((
@@ -405,41 +410,15 @@ def test_an_expost_audit_raises_what_the_searches_one_by_one_raise():
     ), full_compatibility(2))
     raised = set()
     for mechanism in Mechanism:
-        with pytest.raises(Exception) as expected:
-            reference_audit(s, mechanism, DeviationSpace())
-        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
-            audit_expost(s, mechanism, DeviationSpace())
-        raised.add(type(expected.value))
-    assert raised == {OverflowError, RuntimeError}
-
-
-def test_an_expost_audit_raises_what_a_negative_exponent_raises():
-    """0 values a ride at 1 / p1 and 2, the only driver, refuses to drive,
-    so no outcome reads 0's value and every outcome settles alike. But a
-    search with 1 reporting p1 = 0 evaluates 0's ride before 2's refusal.
-    That raises under commit and private Groves, so the certificate must
-    not clear 1's sweep, nor may a frame skip the allocation; with public
-    probabilities nothing reads a report, and both find no violation."""
-    ride = Clause(OutcomePattern(Role.RIDE), terms=(Monomial(1.0, ((1, -1),)),))
-    drive = Clause(OutcomePattern(Role.DRIVE), excluded=True)
-    s = Scenario((
-        Commuter(0, False, 0, TripType(ValuationSpec(0, (ride,)), 1.0)),
-        Commuter(1, False, 0, TripType(ValuationSpec(1, ()), 1.0)),
-        Commuter(2, True, 1, TripType(ValuationSpec(2, (drive,)), 1.0)),
-    ), full_compatibility(3))
-    space = DeviationSpace(p_grid=3)
-    assert not allocation_module.bounded(s.commuters[0].true_type.valuation)
-    raised = set()
-    for mechanism in Mechanism:
         try:
-            expected = repr(reference_audit(s, mechanism, space))
-        except ZeroDivisionError as e:
-            with pytest.raises(ZeroDivisionError, match=f"^{re.escape(str(e))}$"):
-                audit_expost(s, mechanism, space)
+            expected = repr(reference_audit(s, mechanism, DeviationSpace()))
+        except RuntimeError as e:
+            with pytest.raises(RuntimeError, match=f"^{re.escape(str(e))}$"):
+                audit_expost(s, mechanism, DeviationSpace())
             raised.add(mechanism)
         else:
-            assert repr(audit_expost(s, mechanism, space)) == expected
-    assert raised == {m for m in Mechanism if m.probabilities(s) is None}
+            assert repr(audit_expost(s, mechanism, DeviationSpace())) == expected
+    assert raised == {m for m in Mechanism if m.pivot is PivotRule.CLARKE}
 
 
 def test_finer_grid_never_flips_to_clean(corpus_entries):
@@ -455,8 +434,15 @@ def test_finer_grid_never_flips_to_clean(corpus_entries):
 
 
 def test_deviation_space_rejects_non_finite_scales():
-    with pytest.raises(ValueError):
-        DeviationSpace(coefficient_scales=(1.0, float("inf")))
+    """Non-finite scales are refused, and so is any past 2**32 in
+    magnitude, so that a rescaled admitted valuation stays inside the
+    bound that keeps every sum finite; a scale at 2**32 is admitted."""
+    for bad in (math.inf, -math.inf, math.nan, math.nextafter(MAX_SCALE, math.inf),
+                -math.nextafter(MAX_SCALE, math.inf)):
+        with pytest.raises(ValueError, match=re.escape(f"within [-2**32, 2**32], got {bad!r}")):
+            DeviationSpace(coefficient_scales=(1.0, bad))
+    assert DeviationSpace(coefficient_scales=(-MAX_SCALE, MAX_SCALE)).coefficient_scales == (
+        -2.0**32, 2.0**32)
 
 
 def test_gate_toggle_deviations_keep_violation():
@@ -534,22 +520,24 @@ def test_expost_sweep_refuses_a_grid_over_budget_before_building_it(monkeypatch)
 
 @pytest.mark.parametrize("mechanism", Mechanism, ids=lambda m: m.value)
 def test_an_expost_audit_bounds_each_report_once(monkeypatch, mechanism):
-    """All sweeps of an ex-post audit share one profile, so its reports
-    are bounded once, by the outcome table, and each sweep bounds only
-    its deviator's truth at the grid's largest scale: 2n calls."""
+    """Each report is bounded once, at validation, where the truth and a
+    report of it share one check: n checks for n truthful commuters. The
+    audit checks no bound of its own, and the deviations it scores stay
+    within the bounds because `DeviationSpace` caps their scales."""
     s = by_name("linear-quad-competition")
     assert s.n == 4
     calls = []
-    real = allocation_module.bounded
+    real = valuation_module.spec_violations
 
-    def bounded(*args):
-        calls.append(args)
-        return real(*args)
+    def spec_violations(spec, *args, **kwargs):
+        calls.append(spec.owner)
+        return real(spec, *args, **kwargs)
 
-    monkeypatch.setattr(allocation_module, "bounded", bounded)
-    monkeypatch.setattr(audit_module, "bounded", bounded)
+    monkeypatch.setattr(valuation_module, "spec_violations", spec_violations)
+    assert validate_scenario(s) == []
+    assert calls == list(range(s.n))
     audit_expost(s, mechanism, DeviationSpace(p_grid=3))
-    assert len(calls) == 2 * s.n
+    assert calls == list(range(s.n))
 
 
 def test_dominant_sweep_refuses_a_scoring_count_over_budget(monkeypatch):
@@ -629,18 +617,20 @@ def test_deviations_keep_every_clause_pattern_and_exclusion(corpus_entries):
 
 
 def test_deviations_skip_rescalings_that_overflow():
-    """A scale that pushes a coefficient past the float range is skipped;
-    every remaining coefficient is finite and the order is unchanged."""
+    """No rescaling of an admitted spec overflows, so none is skipped: a
+    coefficient at the bound keeps every default scale, in order, and
+    every rescaled coefficient is finite."""
     rider = by_name("linear-pair-profitable").commuters[1].true_type
     clause = rider.valuation.clauses[0]
-    big_clause = replace(clause, terms=(replace(clause.terms[0], coefficient=5e307),))
+    big_clause = replace(clause, terms=(replace(clause.terms[0], coefficient=MAX_MAGNITUDE),))
     big_spec = replace(rider.valuation, clauses=(big_clause,) + rider.valuation.clauses[1:])
+    assert spec_violations(big_spec, 2, expected_owner=1) == []
     devs = deviations_for(replace(rider, valuation=big_spec), DeviationSpace(p_grid=2))
     coefficients = [t.coefficient for d in devs for c in d.valuation.clauses for t in c.terms]
     assert all(math.isfinite(x) for x in coefficients)
-    # the default scales are 0, 0.5, 1, 2 and 10; only 10 overflows
+    # the default scales are 0, 0.5, 1, 2 and 10
     assert [(d.p_commit, d.valuation.clauses[0].terms[0].coefficient) for d in devs] == [
-        (p, scale * 5e307) for p in (0.0, 1.0) for scale in (1.0, 0.0, 0.5, 2.0)
+        (p, scale * MAX_MAGNITUDE) for p in (0.0, 1.0) for scale in (1.0, 0.0, 0.5, 2.0, 10.0)
     ]
 
 
@@ -758,10 +748,10 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
 
     real_scorer = allocation_module.OutcomeTable.scorer
 
-    def scorer(table, i, p, pruned):
+    def scorer(table, i, p):
         record = sweeps[-1]
         record["passes"] += 1
-        score = track(real_scorer, "frame")(table, i, p, pruned)
+        score = track(real_scorer, "frame")(table, i, p)
 
         def scoring(spec, q):
             record["scorings"].append((q[record["i"]], id(spec)))

@@ -1,6 +1,7 @@
 """End-to-end command line behavior and scenario file round-trips."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,11 +11,10 @@ import pytest
 
 from conftest import (
     csv_of_records,
-    overflowing_settlement_scenario,
     recursion_headroom,
     solo_commuters,
 )
-from rideshare import cli, model, simulate
+from rideshare import allocation, cli, model, simulate
 from rideshare.audit import MAX_P_GRID
 from rideshare.corpus import by_name, corpus
 from rideshare.payments import PivotRule, commit_payments, expected_utility, groves_payments
@@ -28,6 +28,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PAIR = str(SCENARIOS / "linear-pair-profitable.json")
 GATE = str(SCENARIOS / "threshold-gate-pair.json")
 GATE_MISREPORT = str(SCENARIOS / "threshold-gate-pair-misreport.json")
+QUADRATIC = str(SCENARIOS / "quadratic-reliability-pair.json")
 
 
 def test_allocate_pair(capsys):
@@ -571,8 +572,8 @@ def test_unparseable_file_is_input_error(tmp_path, capsys, command, edit, messag
 
 
 # Each commuter's first term gets these coefficients: one large value per
-# commuter overflows the welfare sum; two on the rider overflow its own value
-# to inf; two more on the driver make the welfare sum -inf + inf.
+# commuter overflowed the welfare sum; two on the rider overflowed its own
+# value to inf; two more on the driver made the welfare sum -inf + inf.
 _OVERFLOW_SHAPES = {
     "": ([1e308], [1e308]),
     "-value-inf": ([-2.0], [1e308, 1e308]),
@@ -586,8 +587,9 @@ _OVERFLOW_SHAPES = {
     for name, command in _SCENARIO_COMMANDS.items()
 ])
 def test_arithmetic_overflow_is_input_error(tmp_path, capsys, command, coefficients):
-    """Coefficients near the float limit overflow the exact welfare sums or
-    a commuter's own value; that is bad input, not a verdict."""
+    """Coefficients near the float limit overflowed the exact welfare sums
+    or a commuter's own value. They are bad input, refused at load with
+    each clause past the magnitude bound named, before any arithmetic."""
     doc = json.loads(Path(PAIR).read_text())
     for c, values in zip(doc["scenario"]["commuters"], coefficients):
         c["true_type"]["p_commit"] = 1.0
@@ -595,38 +597,119 @@ def test_arithmetic_overflow_is_input_error(tmp_path, capsys, command, coefficie
         clause["terms"] = [dict(clause["terms"][0], coefficient=v) for v in values]
     assert _run_on(tmp_path, command, json.dumps(doc)) == 2
     captured = capsys.readouterr()
-    assert "overflow" in captured.err
-    assert "Traceback" not in captured.err
+    past = [f"commuter {k} {label} valuation: clause 0: sum of |coefficient| "
+            f"{sum(map(abs, values))} outside [0, 2**100]"
+            for k, values in enumerate(coefficients) if sum(map(abs, values)) > 2.0**100
+            for label in ("true", "reported")]
+    assert [line.strip() for line in captured.err.splitlines()[1:]] == past
     assert captured.out == ""
 
 
-def test_values_are_scored_only_where_the_search_reaches_them(tmp_path, capsys):
-    """The only allocation where the rider's value overflows (two 1e308
-    terms at p = 1) is one the driver's excluded clause rules out first, so
-    that value is never computed and the pair travels alone."""
+def _quadratic_rider(edit):
+    """The quadratic pair's file with `edit` applied to the rider's true
+    valuation, whose clause 0 term 0 reads the driver's probability
+    squared."""
+    doc = json.loads(Path(QUADRATIC).read_text())
+    edit(doc["scenario"]["commuters"][1]["true_type"]["valuation"])
+    return json.dumps(doc)
+
+
+def _default(v):
+    return lambda spec: spec.update(default_value=v)
+
+
+def _coefficients(*vs):
+    def edit(spec):
+        term = spec["clauses"][0]["terms"][0]
+        spec["clauses"][0]["terms"] = [dict(term, coefficient=v) for v in vs]
+    return edit
+
+
+def _exponent(e):
+    return lambda spec: spec["clauses"][0]["terms"][0]["factors"][0].update(exponent=e)
+
+
+_ABOVE = math.nextafter(2.0**100, math.inf)
+
+
+@pytest.mark.parametrize("at, past, reason", [
+    pytest.param(_default(2.0**100), _default(_ABOVE),
+                 f"default value {_ABOVE} outside [-2**100, 2**100]", id="default"),
+    pytest.param(_default(-2.0**100), _default(-_ABOVE),
+                 f"default value {-_ABOVE} outside [-2**100, 2**100]", id="negative-default"),
+    pytest.param(_coefficients(2.0**100), _coefficients(_ABOVE),
+                 f"clause 0: sum of |coefficient| {_ABOVE} outside [0, 2**100]", id="coefficient"),
+    pytest.param(_coefficients(-2.0**99, 2.0**99), _coefficients(-2.0**99, _ABOVE - 2.0**99),
+                 f"clause 0: sum of |coefficient| {_ABOVE} outside [0, 2**100]", id="clause-sum"),
+    pytest.param(_exponent(2**53), _exponent(2**53 + 1),
+                 f"clause 0: term 0 factor exponent {2**53 + 1} above 2**53", id="exponent"),
+    pytest.param(_exponent(1), _exponent(0), "clause 0: factor exponent 0 below 1",
+                 id="exponent-below-one"),
+])
+@pytest.mark.parametrize("command", _SCENARIO_COMMANDS.values(), ids=_SCENARIO_COMMANDS)
+def test_each_bound_admits_its_edge_and_refuses_the_next_number(
+        tmp_path, capsys, command, at, past, reason):
+    """A value at a magnitude bound is admitted and priced; the next float,
+    or int for an exponent (also below 1), past it exits 2 at load, its
+    reason on stderr for the true and the reported valuation alike, and
+    nothing on stdout."""
+    assert _run_on(tmp_path, command, _quadratic_rider(at)) in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert _run_on(tmp_path, command, _quadratic_rider(past)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[1:] == [f"  commuter 1 {label} valuation: {reason}"
+                                            for label in ("true", "reported")]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["allocate", "pay"])
+def test_an_exponent_past_the_float_range_is_input_error(tmp_path, capsys, command):
+    """An exponent of 10**400 passed the check for exponents below 1, and
+    evaluating it raised OverflowError converting it to a float. It is now
+    refused at load, naming the clause and the term, with no traceback."""
+    assert _run_on(tmp_path, [command], _quadratic_rider(_exponent(10**400))) == 2
+    captured = capsys.readouterr()
+    reason = f"clause 0: term 0 factor exponent {10**400} above 2**53"
+    assert captured.err.splitlines()[1:] == [f"  commuter 1 {label} valuation: {reason}"
+                                            for label in ("true", "reported")]
+    assert captured.out == ""
+
+
+def test_values_are_scored_only_where_the_search_reaches_them(tmp_path, capsys, monkeypatch):
+    """The only allocation where the rider rides is one the driver's
+    excluded clause rules out first, so the rider's ride value, two terms
+    at the magnitude bound, is never computed and the pair travels
+    alone."""
     doc = json.loads(Path(PAIR).read_text())
     driver, rider = doc["scenario"]["commuters"]
     driver["true_type"]["valuation"]["clauses"][0] = {"role": "drive", "excluded": True}
     for c in (driver, rider):
         c["true_type"]["p_commit"] = 1.0
     clause = rider["true_type"]["valuation"]["clauses"][0]
-    clause["terms"] = [dict(clause["terms"][0], coefficient=1e308)] * 2
+    clause["terms"] = [dict(clause["terms"][0], coefficient=2.0**99)] * 2
+    evaluated = []
+    real = allocation.evaluate
+
+    def evaluate(spec, a, p, absent=None):
+        evaluated.append((spec.owner, a[spec.owner].role.value))
+        return real(spec, a, p, absent)
+
+    monkeypatch.setattr(allocation, "evaluate", evaluate)
     assert _run_on(tmp_path, ["allocate"], json.dumps(doc)) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("all travel alone\n")
     assert captured.err == ""
+    assert (0, "drive") in evaluated and (1, "ride") not in evaluated
 
 
 @pytest.mark.parametrize("mechanism", ["commit", "groves-clarke"])
 def test_audit_overflow_on_a_dominated_allocation_is_input_error(tmp_path, capsys, mechanism):
     """Commuter 0 always travels alone; 1 can drive 2. The others' values
     are (-1e308, 1e308) when all travel alone and (1e308, -1.5e308) when 1
-    drives 2, so the second allocation's others' sum is the lower one and
-    it can never win for 0. Truthful, 0 values travelling alone at 1e307
-    and every sum stays finite, so `allocate` and `pay` succeed; 0's x10
-    rescaling makes the second allocation's welfare sum start at
-    1e308 + 1e308 and overflow. The audit reports that overflow as bad
-    input even though the allocation could not have won."""
+    drives 2, so the second allocation can never win for 0; yet 0's x10
+    rescaling made its welfare sum overflow, and the audit reported that
+    as bad input. Now every command refuses the file at load, naming the
+    clauses past the magnitude bound, and nothing is priced."""
     def constant(role, coefficient):
         return {"role": role, "terms": [{"coefficient": coefficient, "factors": []}]}
 
@@ -643,14 +726,16 @@ def test_audit_overflow_on_a_dominated_allocation_is_input_error(tmp_path, capsy
     doc["scenario"]["compatibility"] = [[True, False, False], [False, True, True],
                                         [False, True, True]]
     text = json.dumps(doc)
-    for command in (["allocate"], ["pay", "--mechanism", mechanism]):
-        assert _run_on(tmp_path, command, text) == 0
-    capsys.readouterr()
-    assert _run_on(tmp_path, ["audit", "--mechanism", mechanism], text) == 2
-    captured = capsys.readouterr()
-    assert captured.err == ("arithmetic overflow: intermediate overflow in fsum; "
-                            "the scenario's numbers are too large to price\n")
-    assert captured.out == ""
+    past = [f"commuter {k} {label} valuation: clause {ci}: sum of |coefficient| {abs(v)} "
+            "outside [0, 2**100]"
+            for k, values in enumerate([[1e307], [1e308, -1e308], [-1.5e308, 1e308]])
+            for label in ("true", "reported") for ci, v in enumerate(values)]
+    for command in (["allocate"], ["pay", "--mechanism", mechanism],
+                    ["audit", "--mechanism", mechanism]):
+        assert _run_on(tmp_path, command, text) == 2
+        captured = capsys.readouterr()
+        assert [line.strip() for line in captured.err.splitlines()[1:]] == past
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("mechanism, expected", [
@@ -659,13 +744,13 @@ def test_audit_overflow_on_a_dominated_allocation_is_input_error(tmp_path, capsy
     (["--mechanism", "groves-clarke", "--public-p"], 0),
 ])
 def test_audit_skips_rescalings_past_the_float_limit(tmp_path, capsys, mechanism, expected):
-    """A coefficient within a factor of 10 of the float limit prices fine, and
-    the audit's own x10 rescaling of it is skipped rather than blamed on the
-    scenario as an overflow."""
+    """A coefficient at the magnitude bound prices fine, and the audit's
+    own x10 rescaling of it stays far inside the float range, so it is
+    scored like any other: no rescaling needs skipping."""
     doc = json.loads(Path(PAIR).read_text())
     clause = doc["scenario"]["commuters"][1]["true_type"]["valuation"]["clauses"][0]
-    clause["terms"][0]["coefficient"] = 5e307
-    big = tmp_path / "near-limit.json"
+    clause["terms"][0]["coefficient"] = 2.0**100
+    big = tmp_path / "at-bound.json"
     big.write_text(json.dumps(doc))
     assert cli.main(["audit", str(big), *mechanism]) == expected
     captured = capsys.readouterr()
@@ -680,12 +765,12 @@ def test_audit_skips_rescalings_past_the_float_limit(tmp_path, capsys, mechanism
     ["--mechanism", "groves-clarke", "--public-p"],
 ])
 def test_audit_skips_rescalings_whose_clause_total_overflows(tmp_path, capsys, mechanism):
-    """Two constant terms of 1e307 price fine, and so does each one scaled
-    by 10, but not their sum: the audit skips a rescaling whose clause
-    total could overflow instead of blaming the scenario for it."""
+    """Two constant terms that sum to the magnitude bound price fine, and
+    so does every rescaling of them: the clause total times the largest
+    scale stays far inside the float range, so nothing is skipped."""
     doc = json.loads(Path(PAIR).read_text())
     clause = doc["scenario"]["commuters"][1]["true_type"]["valuation"]["clauses"][0]
-    clause["terms"] = [{"coefficient": 1e307, "factors": []}] * 2
+    clause["terms"] = [{"coefficient": 2.0**99, "factors": []}] * 2
     big = tmp_path / "constant-pair.json"
     big.write_text(json.dumps(doc))
     for command in (["allocate"], ["pay"]):
@@ -727,12 +812,17 @@ def test_feasible_set_over_the_budget_is_input_error(tmp_path, monkeypatch, caps
 
 
 def test_settled_utility_overflow_is_input_error(tmp_path, capsys):
-    """Commuter 2's settled utility is +inf on the first draw and -inf on
-    the second: an overflow of the scenario's numbers, not a crash."""
-    text = serialize_scenario(overflowing_settlement_scenario())
+    """A commit pair near the float limit once settled to +inf and -inf
+    after the draws. Such a file is refused at load, before any draw and
+    before the CSV is opened, naming the clause past the magnitude bound."""
+    doc = json.loads(Path(PAIR).read_text())
+    clause = doc["scenario"]["commuters"][1]["true_type"]["valuation"]["clauses"][0]
+    clause["terms"][0]["coefficient"] = 1.7e308
     command = ["simulate", "--trials", "2", "--seed", "0", "--out", "{out}"]
-    assert _run_on(tmp_path, command, text) == 2
+    assert _run_on(tmp_path, command, json.dumps(doc)) == 2
     captured = capsys.readouterr()
-    assert "arithmetic overflow: commuter 2's settled utility inf" in captured.err
-    assert captured.err.count("\n") == 1
+    past = "clause 0: sum of |coefficient| 1.7e+308 outside [0, 2**100]\n"
+    assert captured.err.endswith(f"invalid scenario\n  commuter 1 true valuation: {past}"
+                                 f"  commuter 1 reported valuation: {past}")
     assert captured.out == ""
+    assert not (tmp_path / "t.csv").exists()

@@ -40,9 +40,8 @@ def test_package_imports_only_the_standard_library():
 
 # (importing module, name) pairs allowed to cross a module boundary: the
 # tracer in bench/tracer.py wraps `_feasible` under that name in
-# `allocation`, and `simulate` checks settled utilities with payments'
-# `_finite`.
-PRIVATE_IMPORTS = {("allocation", "_feasible"), ("simulate", "_finite")}
+# `allocation`.
+PRIVATE_IMPORTS = {("allocation", "_feasible")}
 
 
 def _package_imports(path):

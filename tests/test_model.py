@@ -128,10 +128,10 @@ def test_validation_checks_a_shared_report_once(monkeypatch):
     monkeypatch.setattr(valuation, "spec_violations", spec_violations)
     assert validate_scenario(s) == [
         "commuter 0: true p_commit 2.0 outside [0, 1]",
-        "commuter 0 true valuation: default value inf is not finite",
+        "commuter 0 true valuation: default value inf outside [-2**100, 2**100]",
         "commuter 0 true valuation: clause 0: gate bound 1.5 outside [0, 1]",
         "commuter 0: reported p_commit 2.0 outside [0, 1]",
-        "commuter 0 reported valuation: default value inf is not finite",
+        "commuter 0 reported valuation: default value inf outside [-2**100, 2**100]",
         "commuter 0 reported valuation: clause 0: gate bound 1.5 outside [0, 1]",
     ]
     assert checked == [0, 1]

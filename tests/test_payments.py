@@ -11,13 +11,9 @@ from hypothesis import example, given, settings
 
 from conftest import (
     FAMILIES,
-    OVERFLOWING_DRIVER,
-    REFUSING_DRIVER,
     all_none,
     bench_scale_scenario,
-    overflowing_settlement_scenario,
     pivot_scenarios,
-    reader_overflow_scenario,
 )
 from rideshare import allocation, cli, payments
 from rideshare.allocation import (
@@ -40,7 +36,6 @@ from rideshare.model import (
 from rideshare.payments import (
     Conditional,
     ExcludedValueError,
-    Mechanism,
     PivotRule,
     Unconditional,
     _commit_entry,
@@ -55,6 +50,7 @@ from rideshare.valuation import (
     ExactPartners,
     Monomial,
     OutcomePattern,
+    PartnerCountAtLeast,
     ValuationSpec,
     evaluate,
     referenced_subjects,
@@ -204,16 +200,6 @@ def test_expected_utility_raises_when_truth_excludes_outcome():
     assert not all_none(schedule.allocation)
     with pytest.raises(ExcludedValueError):
         expected_utility(bent, 0, schedule)
-
-
-def test_expected_utility_raises_when_settled_utility_overflows():
-    """Commuter 2's values and commit pair are finite, but each branch of the
-    pair, net of the value, passes the float range with opposite signs."""
-    s = overflowing_settlement_scenario()
-    schedule = commit_payments(s)
-    assert schedule.entries[2] == Conditional(1.7e308, -1.7e308)
-    with pytest.raises(OverflowError, match="commuter 2's settled utility"):
-        expected_utility(s, 2, schedule)
 
 
 def test_commit_entry_raises_when_others_report_excludes_allocation():
@@ -383,53 +369,65 @@ def test_commit_entries_evaluate_only_the_readers(s):
 _MECHANISMS = [("commit", False), ("groves-clarke", False), ("groves-clarke", True)]
 
 
-def _pay_stderr_one_by_one(s, mechanism):
-    """What `pay` prints to stderr when the efficient search and then each
-    pivot's search, each just before its commuter's entry, run one by one."""
-    public_p = mechanism.probabilities(s)
-    try:
-        rep = efficient_allocation(s, p_override=public_p)
-        for i in range(s.n):
-            mechanism.entry(s, efficient_allocation(s, p_override=public_p, absent=i).welfare,
-                            rep, i)
-    except OverflowError as e:
-        return f"arithmetic overflow: {e}; the scenario's numbers are too large to price\n"
-    return ""
+def _reader_scenario(driver, capacity):
+    """Commuter 2 drives `capacity` riders with `driver`'s clauses, and 0
+    and 1 may ride with them. Riding is worth 1e308 - 1e308 * p1 + 1e308
+    to 0, which is 1e308 at p1 = 1 but passed the float range in the
+    search without 1, wherever it valued 0 riding."""
+    reader = ValuationSpec(0, (
+        Clause(OutcomePattern(Role.RIDE),
+               terms=(Monomial(1e308), Monomial(-1e308, ((1, 1),)), Monomial(1e308))),
+        Clause(OutcomePattern(Role.NONE)),
+    ))
+    return Scenario((
+        Commuter(0, False, 0, TripType(reader, 1.0)),
+        Commuter(1, False, 0, TripType(ValuationSpec(1, ()), 1.0)),
+        Commuter(2, True, capacity, TripType(ValuationSpec(2, driver), 1.0)),
+    ), full_compatibility(3))
 
 
 def _pay(tmp_path, s, rule, public_p):
     path = tmp_path / "scenario.json"
     path.write_text(serialize_scenario(s))
-    return cli.main(["pay", str(path), "--mechanism", rule] + ["--public-p"] * public_p)
+    return cli.main(["pay", str(path), "--mechanism", rule] + ["--public-p"] * public_p), path
+
+
+def _past_the_bound(path, *commuters):
+    """`pay`'s stderr for a scenario whose listed commuters each have a
+    clause 0 whose |coefficient| sum to inf, true and reported alike."""
+    lines = [f"  commuter {k} {label} valuation: clause 0: sum of |coefficient| inf "
+             "outside [0, 2**100]\n" for k in commuters for label in ("true", "reported")]
+    return f"{path}: invalid scenario\n" + "".join(lines)
 
 
 @pytest.mark.parametrize("rule, public_p", _MECHANISMS)
 def test_pay_reports_a_pivot_overflow_where_a_later_commuter_excludes(
         tmp_path, capsys, rule, public_p):
     """2 refuses to drive, so every allocation where 0 rides is excluded,
-    but only by 2, after 0 is scored: the search without 1 still values 0
-    riding, and overflows."""
-    s = reader_overflow_scenario(*REFUSING_DRIVER)
-    expected = _pay_stderr_one_by_one(s, Mechanism.named(rule, public_p))
-    assert expected.startswith("arithmetic overflow: commuter 0's value inf")
-    assert _pay(tmp_path, s, rule, public_p) == 2
+    but only by 2, after 0 is scored: the search without 1 still valued 0
+    riding, and overflowed. Pricing now never starts: `pay` refuses the
+    file at load, naming 0's clause past the magnitude bound."""
+    s = _reader_scenario((Clause(OutcomePattern(Role.DRIVE), excluded=True),), 1)
+    code, path = _pay(tmp_path, s, rule, public_p)
+    assert code == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", expected)
+    assert (captured.out, captured.err) == ("", _past_the_bound(path, 0))
 
 
 @pytest.mark.parametrize("rule, public_p", _MECHANISMS)
 def test_pay_reports_the_full_search_overflow_before_an_earlier_pivot_one(
         tmp_path, capsys, rule, public_p):
-    """Carrying both riders is worth 1e308 + 1e308 to 2, so the full search
-    overflows there, on the walk's last allocation; the search without 1
-    overflows on an earlier one, where 0 rides alone. The full search runs
-    first, so its overflow is the one reported."""
-    s = reader_overflow_scenario(*OVERFLOWING_DRIVER)
-    expected = _pay_stderr_one_by_one(s, Mechanism.named(rule, public_p))
-    assert expected.startswith("arithmetic overflow: commuter 2's value inf")
-    assert _pay(tmp_path, s, rule, public_p) == 2
+    """Carrying both riders was worth 1e308 + 1e308 to 2, so the full search
+    overflowed there, after the search without 1 would have on an earlier
+    allocation. Neither search runs now: `pay` refuses the file at load,
+    naming both clauses past the magnitude bound in commuter order."""
+    driver = (Clause(OutcomePattern(Role.DRIVE, PartnerCountAtLeast(2)),
+                     terms=(Monomial(1e308), Monomial(1e308))),
+              Clause(OutcomePattern(Role.DRIVE)))
+    code, path = _pay(tmp_path, _reader_scenario(driver, 2), rule, public_p)
+    assert code == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", expected)
+    assert (captured.out, captured.err) == ("", _past_the_bound(path, 0, 2))
 
 
 def test_a_pivot_without_an_acceptable_allocation_raises_the_search_error():

@@ -2,24 +2,48 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    TIE_VALUES,
     bernoulli_expectation,
     check_independence_numeric,
     check_linearity_numeric,
     independence_spread,
     linearity_residual,
 )
-from rideshare.corpus import by_name, linear_entries
+from rideshare.allocation import efficient_allocation
+from rideshare.audit import AuditSizeError, DeviationSpace, Mechanism, audit_expost
+from rideshare.corpus import by_name, corpus, linear_entries
 from rideshare.model import (
     Assignment,
+    Commuter,
     Role,
+    Scenario,
+    TripType,
     all_none_allocation,
     enumerate_feasible_allocations,
+    full_compatibility,
+    validate_scenario,
 )
+from rideshare.payments import (
+    Conditional,
+    ExcludedValueError,
+    PivotRule,
+    commit_payments,
+    expected_utility,
+    groves_payments,
+)
+from rideshare.scenario_io import parse_scenario_text
+from rideshare.simulate import run_trials
 from rideshare.valuation import (
+    MAX_EXPONENT,
+    MAX_MAGNITUDE,
+    MAX_SCALE,
     AnyPartners,
     Clause,
     EXCLUDED,
@@ -126,21 +150,22 @@ def test_spec_violations_rejects_terms_on_excluded_clause():
 ])
 def test_spec_violations_rejects_non_finite_numbers(bad):
     """Non-finite numbers are violations, and so are finite constants whose
-    sum overflows on the stay-home outcome (reported, never raised)."""
+    sum overflowed on the stay-home outcome: all are past the magnitude
+    bound (reported, never raised)."""
     spec = by_name("linear-pair-profitable").commuters[1].true_type.valuation
     if math.isfinite(bad):
         home = Clause(OutcomePattern(Role.NONE, AnyPartners()), (), (Monomial(bad), Monomial(bad)))
         bent = replace(spec, clauses=spec.clauses[:-1] + (home,))
-        assert any("all-none" in v and "not finite" in v
-                   for v in spec_violations(bent, 2, expected_owner=1))
+        assert spec_violations(bent, 2, expected_owner=1) == [
+            f"clause {len(spec.clauses) - 1}: sum of |coefficient| inf outside [0, 2**100]"]
         return
     clause = spec.clauses[0]
     term = replace(clause.terms[0], coefficient=bad)
     bent = replace(spec, clauses=(replace(clause, terms=(term,)),) + spec.clauses[1:])
-    assert any("coefficient" in v and "not finite" in v
-               for v in spec_violations(bent, 2, expected_owner=1))
-    assert any("default value" in v
-               for v in spec_violations(replace(spec, default_value=bad), 2, expected_owner=1))
+    assert spec_violations(bent, 2, expected_owner=1) == [
+        f"clause 0: sum of |coefficient| {abs(bad)} outside [0, 2**100]"]
+    assert spec_violations(replace(spec, default_value=bad), 2, expected_owner=1) == [
+        f"default value {bad} outside [-2**100, 2**100]"]
 
 
 def test_spec_violations_rejects_excluded_stay_home():
@@ -289,3 +314,119 @@ def test_lattice_grid_must_have_three_points():
     spec = by_name("linear-pair-profitable").commuters[0].true_type.valuation
     with pytest.raises(ValueError):
         check_linearity_numeric(spec, SHARE, grid=2)
+
+
+def test_the_bounds_admit_every_shipped_scenario(monkeypatch):
+    """Every bundled file, every corpus scenario and every scenario of the
+    benchmark's seed-0 workloads is admitted, and so is every `TIE_VALUES`
+    value as a default and as a coefficient. The largest default or clause
+    sum of |coefficient| among the scenarios is far below the bound."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    from workloads import build_audit, build_price, build_settle
+
+    scenarios = [parse_scenario_text(path.read_text(encoding="utf-8"))
+                 for path in sorted((root / "scenarios").glob("*.json"))]
+    assert len(scenarios) == 4
+    scenarios += [e.scenario for e in corpus()]
+    scenarios += [op.scenario for build in (build_price, build_audit, build_settle)
+                  for op in build(0)]
+    for s in scenarios:
+        assert validate_scenario(s) == []
+    specs = [t.valuation for s in scenarios for c in s.commuters
+             for t in (c.true_type, c.reported_type)]
+    largest = max(max([abs(spec.default_value)] + [
+        math.fsum(abs(term.coefficient) for term in clause.terms) for clause in spec.clauses])
+        for spec in specs)
+    assert largest < 2.0**10
+    none = OutcomePattern(Role.NONE)
+    for v in TIE_VALUES:
+        assert spec_violations(ValuationSpec(0, (), v), 1) == []
+        assert spec_violations(ValuationSpec(0, (Clause(none, terms=(Monomial(v),)),)), 1) == []
+
+
+def _at_the_bound(draw, total):
+    """One or two coefficients whose magnitudes sum to `total` exactly,
+    each signed at random."""
+    split = draw(st.sampled_from((1.0, 0.5, 0.75)))
+    parts = [total * split, total * (1.0 - split)] if split < 1.0 else [total]
+    return [x * draw(st.sampled_from((1.0, -1.0))) for x in parts]
+
+
+@st.composite
+def _extreme_scenarios(draw):
+    """One to four fully compatible commuters whose default values and
+    clause sums of |coefficient| sit at plus or minus the magnitude bound,
+    through factors with exponents 1, 2 and `MAX_EXPONENT`, maybe behind a
+    gate. Each commuter may truly exclude driving or riding, which their
+    report does not, and reports a probability of their own."""
+    n = draw(st.integers(1, 4))
+    subject = st.integers(0, n - 1)
+    probability = st.sampled_from((0.0, 0.5, 1.0))
+
+    def valued(role):
+        factors = tuple((draw(subject), draw(st.sampled_from((1, 2, MAX_EXPONENT))))
+                        for _ in range(draw(st.integers(0, 2))))
+        terms = tuple(Monomial(c, factors) for c in _at_the_bound(draw, MAX_MAGNITUDE))
+        gates = ()
+        if draw(st.booleans()):
+            gates = (ThresholdGate(draw(subject), draw(probability),
+                                   draw(st.sampled_from(GateDirection))),)
+        return Clause(OutcomePattern(role), gates, terms)
+
+    commuters = []
+    for k in range(n):
+        clauses = [valued(role) for role in (Role.DRIVE, Role.RIDE, Role.NONE)
+                   if role is Role.NONE or draw(st.booleans())]
+        default = draw(st.sampled_from((0.0, MAX_MAGNITUDE, -MAX_MAGNITUDE)))
+        reported = ValuationSpec(k, tuple(clauses), default)
+        truth = ValuationSpec(k, tuple(
+            Clause(c.pattern, excluded=True)
+            if c.pattern.own_role is not Role.NONE and draw(st.integers(0, 3)) == 0
+            else c for c in clauses), default)
+        has_vehicle = draw(st.booleans())
+        commuters.append(Commuter(k, has_vehicle, draw(st.integers(1, 2)) if has_vehicle else 0,
+                                  TripType(truth, draw(probability)),
+                                  TripType(reported, draw(probability))))
+    return Scenario(tuple(commuters), full_compatibility(n))
+
+
+def _finite(*xs):
+    return all(math.isfinite(x) for x in xs if x is not None)
+
+
+@given(s=_extreme_scenarios(), mechanism=st.sampled_from(Mechanism),
+       seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=60, deadline=None)
+def test_admitted_magnitudes_keep_every_number_finite(s, mechanism, seed):
+    """At the edges of every bound, the allocation, the three payment
+    rules, an ex-post audit rescaling by plus or minus `MAX_SCALE` and a
+    short simulation compute only finite numbers, and raise nothing but a
+    true valuation's exclusion or an audit refused for its size."""
+    assert validate_scenario(s) == []
+    rep = efficient_allocation(s)
+    assert _finite(rep.welfare, *rep.per_commuter)
+    for schedule in (commit_payments(s), groves_payments(s, PivotRule.CLARKE),
+                     groves_payments(s, PivotRule.ZERO)):
+        for i, entry in enumerate(schedule.entries):
+            assert _finite(*((entry.on_commit, entry.on_fail) if isinstance(entry, Conditional)
+                             else (entry.amount,)))
+            try:
+                assert _finite(expected_utility(s, i, schedule))
+            except ExcludedValueError:
+                pass
+        records, summary = run_trials(s, schedule, 20, seed)
+        assert _finite(summary.mean_welfare, summary.mean_deficit, *summary.mean_commit,
+                       *summary.mean_value, *summary.mean_payment, *summary.mean_utility,
+                       *summary.stderr_utility)
+        for r in records:
+            assert _finite(r.welfare, r.deficit, *r.values, *r.payments, *r.utilities)
+    space = DeviationSpace(p_grid=2, coefficient_scales=(-MAX_SCALE, MAX_SCALE))
+    try:
+        report = audit_expost(s, mechanism, space)
+    except (ExcludedValueError, AuditSizeError):
+        return
+    if report.witness is not None:
+        w = report.witness
+        assert _finite(w.truthful_utility, w.deviated_utility, w.gain)
+
