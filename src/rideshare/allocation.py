@@ -13,7 +13,7 @@ from .valuation import EXCLUDED, ExactPartners, ValuationSpec, evaluate, referen
 # A commuter to score: id, reported spec, the spec's owner, and that spec's
 # values at fixed probabilities and absent commuter, keyed by the id of the
 # owner's assignment object.
-Scored = tuple[CommuterId, ValuationSpec, CommuterId, dict]
+_Scored = tuple[CommuterId, ValuationSpec, CommuterId, dict]
 
 _NONE_ACCEPTABLE = "no feasible allocation is acceptable to every commuter"
 
@@ -46,14 +46,14 @@ def efficient_allocation(
     return _argmax(_feasible(s, absent), present, p, absent)
 
 
-def _scored(j: CommuterId, spec: ValuationSpec) -> Scored:
+def _scored(j: CommuterId, spec: ValuationSpec) -> _Scored:
     """Commuter `j`, scored by `spec`, with an empty value table."""
     return (j, spec, spec.owner, {})
 
 
 def _argmax(
     allocations: Sequence[Allocation],
-    present: Sequence[Scored],
+    present: Sequence[_Scored],
     p: Sequence[float],
     absent: CommuterId | None,
     idle: list[float | None] | None = None,
@@ -122,7 +122,7 @@ class OutcomeTable:
     """The reports in `scenario`, valued at `public_p` if given, else at the
     reported probabilities: the one priced view of the profile. It holds
     the feasible set, each commuter's pivot set, cut from it when the table
-    is built, and one value table per commuter (entries of `Scored`), and
+    is built, and one value table per commuter (entries of `_Scored`), and
     lazily searches the efficient report (`truth`), each Clarke pivot's
     welfare (`pivot`) and the outcomes (`rows`), each feasible allocation
     that no report excludes. The efficient search also prices every pivot

@@ -115,10 +115,11 @@ class Witness:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """`excluded_deviations` is fixed at 0, kept for readers of the field: a
-    deviation keeps the true clause patterns and excluded flags, all that
-    exclusion reads, and the argmax never picks an outcome a report excludes,
-    so no deviation wins an outcome its deviator truly excludes."""
+    """`excluded_deviations` is fixed at 0: a deviation keeps the true clause
+    patterns and excluded flags, all that exclusion reads, and the argmax
+    never picks an outcome a report excludes, so no deviation wins an
+    outcome its deviator truly excludes. The field stays because
+    bench/tracer.py (`_after_audit_expost`) reads it on every traced audit."""
 
     mechanism: Mechanism
     notion: Notion

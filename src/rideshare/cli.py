@@ -77,7 +77,7 @@ def _schedule(s: Scenario, mechanism: Mechanism):
     return groves_payments(s, mechanism.pivot, public_p=mechanism.probabilities(s))
 
 
-def cmd_allocate(args) -> int:
+def _cmd_allocate(args) -> int:
     s = _load_scenario(args.scenario)
     rep = efficient_allocation(s)
     if all(a.role is Role.NONE for a in rep.allocation):
@@ -93,7 +93,7 @@ def cmd_allocate(args) -> int:
     return EXIT_OK
 
 
-def cmd_pay(args) -> int:
+def _cmd_pay(args) -> int:
     s = _load_scenario(args.scenario)
     schedule = _schedule(s, _mechanism(args))
     print(f"mechanism: {args.mechanism}" + (" (public p)" if args.public_p else ""))
@@ -105,7 +105,7 @@ def cmd_pay(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> int:
     s = _load_scenario(args.scenario)
     if args.trials < 1:
         raise _InputError(f"--trials must be at least 1, got {args.trials}")
@@ -142,7 +142,7 @@ def _space(flag: str, p_grid: int) -> DeviationSpace:
         raise _InputError(f"{flag}: {e}")
 
 
-def cmd_audit(args) -> int:
+def _cmd_audit(args) -> int:
     s = _load_scenario(args.scenario)
     mechanism = _mechanism(args)
     space = _space("--grid", args.grid)
@@ -170,7 +170,7 @@ def cmd_audit(args) -> int:
     return EXIT_VIOLATION if report.verdict is Verdict.VIOLATED else EXIT_OK
 
 
-def cmd_suite(args) -> int:
+def _cmd_suite(args) -> int:
     failures = 0
     for entry in truthfulness_suite():
         report = audit_expost(entry.scenario, entry.mechanism)
@@ -199,17 +199,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("allocate", parents=[scenario],
                        help="print the welfare-maximising allocation")
-    p.set_defaults(func=cmd_allocate)
+    p.set_defaults(func=_cmd_allocate)
 
     p = sub.add_parser("pay", parents=[priced], help="print the payment schedule")
-    p.set_defaults(func=cmd_pay)
+    p.set_defaults(func=_cmd_pay)
 
     p = sub.add_parser("simulate", parents=[priced],
                        help="Monte Carlo settlement over commitment draws")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="per-trial CSV output path")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("audit", parents=[priced], help="grid search for profitable misreports")
     p.add_argument("--notion", choices=["expost", "dominant"], default="expost")
@@ -218,10 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--opponent-grid", type=int, default=DEFAULT_OPPONENT_SPACE.p_grid,
                    help="probability grid points per opponent (read by dominant audits, "
                         "checked under either notion)")
-    p.set_defaults(func=cmd_audit)
+    p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("suite", help="run the bundled known-verdict scenarios")
-    p.set_defaults(func=cmd_suite)
+    p.set_defaults(func=_cmd_suite)
 
     return parser
 

@@ -69,24 +69,24 @@ def _pair(alpha: float, beta: float, p0: float, p1: float, ride_gate: float | No
     )
 
 
-def linear_pair_profitable() -> Scenario:
+def _linear_pair_profitable() -> Scenario:
     """Shared trip is worth it: cost -2, rider value 5, both affine."""
     return _pair(-2.0, 5.0, 0.5, 0.8, name="linear-pair-profitable")
 
 
-def linear_pair_unprofitable() -> Scenario:
+def _linear_pair_unprofitable() -> Scenario:
     return _pair(-2.0, 1.0, 0.5, 0.8, name="linear-pair-unprofitable")
 
 
-def linear_pair_certain() -> Scenario:
+def _linear_pair_certain() -> Scenario:
     return _pair(-1.0, 3.0, 1.0, 1.0, name="linear-pair-certain")
 
 
-def linear_pair_never_rider() -> Scenario:
+def _linear_pair_never_rider() -> Scenario:
     return _pair(-2.0, 5.0, 0.6, 0.0, name="linear-pair-never-rider")
 
 
-def linear_pair_own_terms() -> Scenario:
+def _linear_pair_own_terms() -> Scenario:
     """Rider value reads only their own commitment."""
     driver = _driver_spec(0, [_clause(Role.DRIVE, [_mono(-2.0, 0, 1)])])
     rider = _rider_spec(1, [_clause(Role.RIDE, [_mono(3.0, 1)])])
@@ -97,7 +97,7 @@ def linear_pair_own_terms() -> Scenario:
     )
 
 
-def linear_solo() -> Scenario:
+def _linear_solo() -> Scenario:
     spec = ValuationSpec(0, (_clause(Role.NONE),))
     return Scenario(
         (_driver(0, spec, 0.7),),
@@ -106,7 +106,7 @@ def linear_solo() -> Scenario:
     )
 
 
-def linear_trio_shared_driver() -> Scenario:
+def _linear_trio_shared_driver() -> Scenario:
     driver = _driver_spec(0, [
         _clause(Role.DRIVE, [_mono(-1.0, 0, 1)], partners=ExactPartners(frozenset((1,)))),
         _clause(Role.DRIVE, [_mono(-1.0, 0, 2)], partners=ExactPartners(frozenset((2,)))),
@@ -122,7 +122,7 @@ def linear_trio_shared_driver() -> Scenario:
     )
 
 
-def linear_trio_two_drivers() -> Scenario:
+def _linear_trio_two_drivers() -> Scenario:
     d0 = _driver_spec(0, [
         _clause(Role.DRIVE, [_mono(-1.0, 0, 2)], partners=ExactPartners(frozenset((2,)))),
         _clause(Role.DRIVE, [_mono(-1.0, 0, 1)], partners=ExactPartners(frozenset((1,)))),
@@ -141,7 +141,7 @@ def linear_trio_two_drivers() -> Scenario:
     )
 
 
-def linear_trio_constants() -> Scenario:
+def _linear_trio_constants() -> Scenario:
     """Values do not read commitment at all; the classic auction setting."""
     driver = _driver_spec(0, [_clause(Role.DRIVE, [Monomial(-1.0)])])
     r1 = _rider_spec(1, [_clause(Role.RIDE, [Monomial(2.0)])])
@@ -153,7 +153,7 @@ def linear_trio_constants() -> Scenario:
     )
 
 
-def linear_quad_disjoint_pairs() -> Scenario:
+def _linear_quad_disjoint_pairs() -> Scenario:
     d0 = _driver_spec(0, [_clause(Role.DRIVE, [_mono(-1.0, 0, 2)])])
     d1 = _driver_spec(1, [_clause(Role.DRIVE, [_mono(-0.5, 1, 3)])])
     r2 = _rider_spec(2, [_clause(Role.RIDE, [_mono(3.0, 0, 2)])])
@@ -171,7 +171,7 @@ def linear_quad_disjoint_pairs() -> Scenario:
     )
 
 
-def linear_quad_full_van() -> Scenario:
+def _linear_quad_full_van() -> Scenario:
     """One driver, three riders, a cost clause per rider subset."""
     cost = -0.4
     subsets = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
@@ -198,7 +198,7 @@ def linear_quad_full_van() -> Scenario:
     )
 
 
-def linear_quad_competition() -> Scenario:
+def _linear_quad_competition() -> Scenario:
     d0 = _driver_spec(0, [
         _clause(Role.DRIVE, [_mono(-1.0, 0, 2)], partners=ExactPartners(frozenset((2,)))),
         _clause(Role.DRIVE, [_mono(-1.0, 0, 3)], partners=ExactPartners(frozenset((3,)))),
@@ -222,21 +222,21 @@ def linear_quad_competition() -> Scenario:
     )
 
 
-def threshold_gate_pair() -> Scenario:
+def _threshold_gate_pair() -> Scenario:
     """The rider only values drivers whose commitment clears 0.6, which
     makes their value jump rather than interpolate."""
     return _pair(-2.0, 5.0, 0.5, 0.8, ride_gate=0.6, name="threshold-gate-pair")
 
 
-def threshold_gate_pair_misreport() -> Scenario:
+def _threshold_gate_pair_misreport() -> Scenario:
     """Same scenario, but the driver reports commitment 0.6 instead of 0.5."""
-    base = threshold_gate_pair()
+    base = _threshold_gate_pair()
     trip = TripType(base.commuters[0].true_type.valuation, 0.6)
     s = with_report(base, 0, trip)
     return replace(s, metadata={"name": "threshold-gate-pair-misreport"})
 
 
-def quadratic_reliability_pair() -> Scenario:
+def _quadratic_reliability_pair() -> Scenario:
     """The rider prizes driver reliability superlinearly (squared term)."""
     driver = _driver_spec(0, [_clause(Role.DRIVE, [_mono(-2.0, 0, 1)])])
     rider = _rider_spec(1, [_clause(Role.RIDE, [_mono(4.0, 0, 1, exponents=(2, 1))])])
@@ -260,21 +260,21 @@ def corpus() -> tuple[CorpusEntry, ...]:
         return CorpusEntry(s.metadata["name"], s, frozenset(tags))
 
     return (
-        entry(linear_pair_profitable, "linear"),
-        entry(linear_pair_unprofitable, "linear"),
-        entry(linear_pair_certain, "linear"),
-        entry(linear_pair_never_rider, "linear"),
-        entry(linear_pair_own_terms, "linear"),
-        entry(linear_solo, "linear"),
-        entry(linear_trio_shared_driver, "linear"),
-        entry(linear_trio_two_drivers, "linear"),
-        entry(linear_trio_constants, "linear"),
-        entry(linear_quad_disjoint_pairs, "linear"),
-        entry(linear_quad_full_van, "linear"),
-        entry(linear_quad_competition, "linear"),
-        entry(threshold_gate_pair, "nonlinear", "gate"),
-        entry(threshold_gate_pair_misreport, "nonlinear", "gate", "misreport"),
-        entry(quadratic_reliability_pair, "nonlinear", "exponent"),
+        entry(_linear_pair_profitable, "linear"),
+        entry(_linear_pair_unprofitable, "linear"),
+        entry(_linear_pair_certain, "linear"),
+        entry(_linear_pair_never_rider, "linear"),
+        entry(_linear_pair_own_terms, "linear"),
+        entry(_linear_solo, "linear"),
+        entry(_linear_trio_shared_driver, "linear"),
+        entry(_linear_trio_two_drivers, "linear"),
+        entry(_linear_trio_constants, "linear"),
+        entry(_linear_quad_disjoint_pairs, "linear"),
+        entry(_linear_quad_full_van, "linear"),
+        entry(_linear_quad_competition, "linear"),
+        entry(_threshold_gate_pair, "nonlinear", "gate"),
+        entry(_threshold_gate_pair_misreport, "nonlinear", "gate", "misreport"),
+        entry(_quadratic_reliability_pair, "nonlinear", "exponent"),
     )
 
 

@@ -6,7 +6,7 @@ import functools
 import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .valuation import ValuationSpec
@@ -309,15 +309,3 @@ def _feasible(s: Scenario, absent: CommuterId | None = None) -> tuple[Allocation
     none = full[0][absent]
     return tuple([a for a in full if a[absent] is none])
 
-
-def enumerate_feasible_allocations(
-    s: Scenario, absent: CommuterId | None = None
-) -> Iterator[Allocation]:
-    """Iterate over every feasible allocation in a fixed deterministic order.
-
-    Order is lexicographic over the per-commuter driver-choice encoding with
-    "not riding" (-1) first, so the all-none allocation always comes first.
-    Commuter `absent`, if given, is pinned to role none and cannot drive; an
-    id outside 0..n-1 raises ValueError.
-    """
-    return iter(_feasible(s, absent))

@@ -32,7 +32,6 @@ from rideshare.model import (
     TripType,
     _feasible,
     all_none_allocation,
-    enumerate_feasible_allocations,
     full_compatibility,
     with_report,
     with_truthful_reports,
@@ -180,7 +179,7 @@ def test_each_commuter_is_evaluated_once_per_distinct_assignment(s):
             efficient_allocation(s, absent=absent)
         expected = dict.fromkeys(
             (j, a[j].role, a[j].partners)
-            for a in enumerate_feasible_allocations(s, absent)
+            for a in _feasible(s, absent)
             for j in range(s.n)
             if j != absent
         )
@@ -290,7 +289,7 @@ def test_leaving_out_an_unmatched_harmless_commuter_never_helps(corpus_entries):
                 continue
             values = [
                 evaluate(c.reported_type.valuation, a, p)
-                for a in enumerate_feasible_allocations(s)
+                for a in _feasible(s)
             ]
             if any(v is not EXCLUDED and v < 0.0 for v in values):
                 continue

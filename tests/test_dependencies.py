@@ -1,17 +1,21 @@
 """The package's imports and names: every absolute import in
 `src/rideshare` names the standard library or the package itself, no module
-imports what it does not use, every private name a module defines is read,
-and importing a module loads only the modules it imports."""
+or test imports what it does not use, every private name a module defines
+is read, README's `## Library API` lists exactly the public ones, and
+importing a module loads only the modules it imports."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import rideshare
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rideshare"
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+PACKAGE = ROOT / "src" / "rideshare"
 
 
 def _tree(path):
@@ -88,26 +92,35 @@ def _unused_imports(path):
 
 
 def test_modules_use_every_name_they_import():
-    """No module re-exports what it imports, the package root included."""
+    """No module re-exports what it imports, the package root included, and
+    no test module imports a name it does not read."""
     unused = {
         (path.stem, name)
         for path in sorted(PACKAGE.glob("*.py"))
         for name in _unused_imports(path)
     }
     assert unused == UNUSED_IMPORTS
+    assert {(path.name, name) for path in sorted(TESTS.glob("*.py"))
+            for name in _unused_imports(path)} == set()
+
+
+def _defined_names(tree):
+    """The names a def, a class or an assignment binds at the top level of
+    `tree`; imports do not count."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target)
+                            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
 
 
 def _private_names(tree):
     """The private, non-dunder names bound at the top level of `tree`."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            names = [n.id for n in ast.walk(node)
-                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
-        else:
-            continue
-        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+    return (name for name in _defined_names(tree)
+            if name.startswith("_") and not name.startswith("__"))
 
 
 def test_every_private_name_is_read():
@@ -125,6 +138,43 @@ def test_every_private_name_is_read():
     unread = {(module, name) for module, tree in trees.items()
               for name in _private_names(tree) if name not in read}
     assert unread == set()
+
+
+def _declared_api():
+    """README's `## Library API`: per module, its listed names in order, each
+    with whether it is marked (bench)."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    api = {}
+    for line in section.splitlines():
+        if heading := re.fullmatch(r"### `rideshare\.(\w+)`", line):
+            names = api.setdefault(heading[1], [])
+        elif item := re.match(r"- `(\w+)`( \(bench\))?: ", line):
+            names.append((item[1], item[2] is not None))
+    return api
+
+
+def test_readme_lists_exactly_the_public_names():
+    """Every public name a module defines at its top level is declared
+    library API: README lists it once under that module, and lists no name
+    the module does not define."""
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        public = sorted(name for name in _defined_names(_tree(path)) if not name.startswith("_"))
+        if public:
+            defined[path.stem] = public
+    listed = {module: sorted(name for name, _ in names) for module, names in _declared_api().items()}
+    assert listed == defined
+
+
+def test_names_marked_bench_are_read_by_the_bench():
+    """A name README marks (bench) appears in some `bench/*.py`, so a mark
+    cannot outlive the bench's use of the name."""
+    bench = "\n".join(path.read_text(encoding="utf-8")
+                      for path in sorted((ROOT / "bench").glob("*.py")))
+    marked = {name for names in _declared_api().values() for name, pinned in names if pinned}
+    assert marked
+    assert {name for name in marked if not re.search(rf"\b{name}\b", bench)} == set()
 
 
 def _loaded_by(statement):

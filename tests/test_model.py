@@ -18,17 +18,15 @@ from conftest import (
 )
 from rideshare import model
 from rideshare.allocation import OutcomeTable, efficient_allocation
-from rideshare.corpus import by_name, corpus
+from rideshare.corpus import by_name
 from rideshare.model import (
     Assignment,
     Commuter,
     Role,
     Scenario,
     TooManyCommutersError,
-    TripType,
     all_none_allocation,
     allocation_violations,
-    enumerate_feasible_allocations,
     full_compatibility,
     validate_scenario,
     with_report,
@@ -139,7 +137,7 @@ def test_validation_checks_a_shared_report_once(monkeypatch):
 
 def test_solo_commuter_has_single_allocation():
     s = by_name("linear-solo")
-    allocations = list(enumerate_feasible_allocations(s))
+    allocations = list(model._feasible(s))
     assert allocations == [all_none_allocation(1)]
 
 
@@ -147,7 +145,7 @@ def test_pair_enumeration_order():
     """A compatible driver-rider pair admits exactly two outcomes, with
     everyone-alone enumerated first."""
     s = by_name("linear-pair-profitable")
-    allocations = list(enumerate_feasible_allocations(s))
+    allocations = list(model._feasible(s))
     assert len(allocations) == 2
     assert allocations[0] == all_none_allocation(2)
     share = allocations[1]
@@ -162,27 +160,27 @@ def test_incompatible_pair_travels_alone():
     s = by_name("linear-pair-profitable")
     apart = replace(s, compatibility=((True, False), (False, True)))
     assert validate_scenario(apart) == []
-    allocations = list(enumerate_feasible_allocations(apart))
+    allocations = list(model._feasible(apart))
     assert allocations == [all_none_allocation(2)]
 
 
 def test_trio_two_drivers_has_five_allocations():
     s = by_name("linear-trio-two-drivers")
-    allocations = list(enumerate_feasible_allocations(s))
+    allocations = list(model._feasible(s))
     assert len(allocations) == 5
     assert all_none(allocations[0])
 
 
 def test_enumeration_is_deterministic():
     s = by_name("linear-quad-full-van")
-    first = list(enumerate_feasible_allocations(s))
-    second = list(enumerate_feasible_allocations(s))
+    first = list(model._feasible(s))
+    second = list(model._feasible(s))
     assert first == second
 
 
 def test_enumerated_allocations_are_structurally_valid(corpus_entries):
     for e in corpus_entries:
-        for a in enumerate_feasible_allocations(e.scenario):
+        for a in model._feasible(e.scenario):
             assert allocation_violations(e.scenario, a) == [], e.name
 
 
@@ -198,7 +196,7 @@ def test_allocation_violations_flags_double_booking():
 
 def test_absent_commuter_shrinks_feasible_set():
     s = by_name("linear-pair-profitable")
-    allocations = list(enumerate_feasible_allocations(s, absent=1))
+    allocations = list(model._feasible(s, absent=1))
     assert allocations == [all_none_allocation(2)]
 
 
@@ -206,7 +204,7 @@ def test_absent_id_out_of_range_is_rejected():
     s = by_name("linear-pair-profitable")
     for bad in (2, -1):
         with pytest.raises(ValueError, match=f"absent commuter id {bad} "):
-            enumerate_feasible_allocations(s, absent=bad)
+            model._feasible(s, absent=bad)
 
 
 def test_absent_must_be_one_commuter_id_or_none():
@@ -239,7 +237,7 @@ def test_with_truthful_reports_clears_misreport():
 def test_enumeration_matches_naive_oracle(s):
     """The package enumeration and a from-scratch product-filter enumeration
     agree exactly, including order."""
-    assert list(enumerate_feasible_allocations(s)) == naive_feasible_allocations(s)
+    assert list(model._feasible(s)) == naive_feasible_allocations(s)
 
 
 @given(small_scenarios())
@@ -251,7 +249,7 @@ def test_absent_enumeration_filters_the_naive_oracle(s):
     full = naive_feasible_allocations(s)
     for absent in range(s.n):
         expected = [a for a in full if a[absent].role is Role.NONE]
-        assert list(enumerate_feasible_allocations(s, absent)) == expected, absent
+        assert list(model._feasible(s, absent)) == expected, absent
 
 
 def _labeling_candidates(s, i):
@@ -290,7 +288,7 @@ def test_enumeration_matches_role_labeling_brute_force(corpus_entries):
             ):
                 continue
             kept.append(a)
-        enumerated = list(enumerate_feasible_allocations(s))
+        enumerated = list(model._feasible(s))
         assert len(kept) == len(enumerated), e.name
         assert set(kept) == set(enumerated), e.name
 
@@ -312,7 +310,7 @@ def test_six_commuter_enumeration_count():
     rows = [list(row) for row in full_compatibility(6)]
     rows[0][1] = rows[1][0] = False
     s = Scenario(tuple(commuters), tuple(tuple(r) for r in rows))
-    count = sum(1 for _ in enumerate_feasible_allocations(s))
+    count = len(model._feasible(s))
     assert count == 63
 
 
@@ -327,7 +325,7 @@ def _alternating_drivers(n, seats=2):
 
 
 def test_nine_commuter_enumeration_count():
-    assert sum(1 for _ in enumerate_feasible_allocations(_alternating_drivers(9))) == 19_501
+    assert len(model._feasible(_alternating_drivers(9))) == 19_501
 
 
 def test_single_absence_cuts_the_full_walk(corpus_entries):

@@ -1,6 +1,5 @@
 """Groves and commit-based payment schedules plus expected utilities."""
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import replace

@@ -25,8 +25,8 @@ from rideshare.model import (
     Role,
     Scenario,
     TripType,
+    _feasible,
     all_none_allocation,
-    enumerate_feasible_allocations,
     full_compatibility,
     validate_scenario,
 )
@@ -266,7 +266,7 @@ def test_numeric_checks_agree_with_structural_over_corpus(corpus_entries):
             spec = c.true_type.valuation
             lin = is_linear_in_commitment(spec)
             ind = is_external_commit_independent(spec)
-            for a in enumerate_feasible_allocations(s):
+            for a in _feasible(s):
                 if evaluate(spec, a, [0.5] * s.n) is EXCLUDED:
                     continue
                 if lin:
@@ -292,7 +292,7 @@ def test_multilinear_specs_match_bernoulli_expectation():
         p = s.true_p()
         for c in s.commuters:
             spec = c.true_type.valuation
-            for a in enumerate_feasible_allocations(s):
+            for a in _feasible(s):
                 v = evaluate(spec, a, p)
                 if v is EXCLUDED:
                     continue
