@@ -2,10 +2,10 @@
 scenarios with known verdicts.
 
 An audit sweeps a commuter's report over a finite deviation grid (commitment
-probability points crossed with coefficient rescalings, optionally gate
-edits) and compares true expected utility against truthful reporting. The
-ex-post notion holds everyone else truthful; the dominant notion additionally
-sweeps every opponent over a grid of misreports. A grid search can only ever
+probability points crossed with coefficient rescalings) and compares true
+expected utility against truthful reporting. The ex-post notion holds
+everyone else truthful; the dominant notion additionally sweeps every
+opponent over a grid of misreports. A grid search can only ever
 certify "no violation found", never truthfulness itself; a reported
 violation, on the other hand, comes with a witness that replays exactly.
 Both hold for a scenario that `validate_scenario` admits, whose magnitude
@@ -23,15 +23,8 @@ from .allocation import OutcomeTable
 # Not called here; kept so that bench/tracer.py can still wrap them here.
 from .allocation import efficient_allocation, efficient_allocation_excluding
 from .model import CommuterId, Scenario, TripType, with_report, with_truthful_reports
-from .payments import Evaluations, Mechanism, PivotRule, settled_utility
-from .valuation import (
-    MAX_SCALE,
-    GateDirection,
-    Monomial,
-    ThresholdGate,
-    ValuationSpec,
-    substitute,
-)
+from .payments import Mechanism, PivotRule, settled_utility
+from .valuation import MAX_SCALE, Monomial, ValuationSpec, substitute
 
 GAIN_TOLERANCE = 1e-9
 MAX_DOMINANT_COMMUTERS = 4
@@ -74,9 +67,7 @@ class DeviationSpace:
 
     p_grid evenly spaced probability points over [0, 1]; every monomial
     coefficient is rescaled by each multiplier (cartesian across monomials,
-    falling back to uniform rescaling when that product explodes). With
-    gate_toggles set, variants that drop existing threshold gates or add a
-    mid-range gate on a referenced commuter are tried as well. A scale
+    falling back to uniform rescaling when that product explodes). A scale
     above `valuation.MAX_SCALE` (2**32) in magnitude is refused: an
     admitted valuation rescaled by at most that still sums without
     overflow.
@@ -84,7 +75,6 @@ class DeviationSpace:
 
     p_grid: int = 21
     coefficient_scales: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0, 10.0)
-    gate_toggles: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.p_grid, int) or isinstance(self.p_grid, bool):
@@ -151,35 +141,6 @@ def _scale_combos(spec: ValuationSpec, scales: tuple[float, ...]) -> list[tuple[
     return [identity] + combos
 
 
-def _gate_variants(spec: ValuationSpec) -> list[ValuationSpec]:
-    variants = [spec]
-    positions = [
-        (ci, gi)
-        for ci, clause in enumerate(spec.clauses)
-        for gi in range(len(clause.gates))
-    ]
-    for ci, gi in positions:
-        clauses = list(spec.clauses)
-        gates = tuple(g for k, g in enumerate(clauses[ci].gates) if k != gi)
-        clauses[ci] = replace(clauses[ci], gates=gates)
-        variants.append(replace(spec, clauses=tuple(clauses)))
-    if len(positions) > 1:
-        clauses = tuple(replace(c, gates=()) for c in spec.clauses)
-        variants.append(replace(spec, clauses=clauses))
-    for ci, clause in enumerate(spec.clauses):
-        if clause.excluded or not clause.terms:
-            continue
-        subjects = sorted(
-            {s for t in clause.terms for s, _ in t.factors if s != spec.owner}
-        )
-        for subject in subjects:
-            clauses = list(spec.clauses)
-            extra = ThresholdGate(subject, 0.5, GateDirection.AT_LEAST)
-            clauses[ci] = replace(clause, gates=clause.gates + (extra,))
-            variants.append(replace(spec, clauses=tuple(clauses)))
-    return variants
-
-
 def deviations_for(trip: TripType, space: DeviationSpace) -> list[TripType]:
     """Candidate misreports in a fixed order: probability points ascending,
     then the reported valuations of `_variants`. The order is the
@@ -205,12 +166,8 @@ def _grid(variants: list[ValuationSpec], space: DeviationSpace) -> list[TripType
 
 def _variants(spec: ValuationSpec, space: DeviationSpace) -> list[ValuationSpec]:
     """The valuations a deviation in `space` reports: truthful coefficients
-    first, then rescalings, gate edits last."""
-    variants = []
-    for combo in _scale_combos(spec, space.coefficient_scales):
-        scaled = _scaled_spec(spec, combo)
-        variants.extend(_gate_variants(scaled) if space.gate_toggles else [scaled])
-    return variants
+    first, then the rescalings of `_scale_combos`."""
+    return [_scaled_spec(spec, combo) for combo in _scale_combos(spec, space.coefficient_scales)]
 
 
 def _sweep(
@@ -237,10 +194,8 @@ def _sweep(
     private probabilities, and one frame serves all under public ones; a
     frame asks the table for a new `scorer` only if someone reads p̂_i.
     Utilities are kept per reported valuation per frame, and per outcome
-    per sweep where the outcome fixes them, else per frame. Every
-    settlement evaluates through one memo per sweep, so i's true spec and
-    each reader are evaluated once per assignment at each probability
-    vector they are settled at.
+    per sweep where the outcome fixes them, else per frame: besides the
+    truthful settlement, `settled_utility` runs once per outcome kept.
     """
     profile = table.scenario
     # the pivot never reads i's report, so it is fixed per profile
@@ -253,14 +208,12 @@ def _sweep(
     # only true types. So i's utility is fixed by the chosen allocation
     # under commit, and under Groves when nobody's value reads p̂_i: under
     # public probabilities, or when no other spec reads i's.
-    memo = Evaluations()
-    u_truth = settled_utility(
-        profile, i, truth.allocation, mechanism.entry(profile, h, truth, i, memo), memo)
+    u_truth = settled_utility(profile, i, truth.allocation, mechanism.entry(profile, h, truth, i))
     readers = table.readers(i)
     by_outcome = mechanism is Mechanism.COMMIT_BASED or not readers
-    # Memos key on ids, kept alive by `table` and `devs`.
+    # Keyed on ids, kept alive by `table` and `devs`.
     settled: dict[int, float] = {}
-    if by_outcome and _certified(i, mechanism, h, u_truth, table, settled, memo):
+    if by_outcome and _certified(i, mechanism, h, u_truth, table, settled):
         return None
     if devs is None:
         devs = deviations_for(profile.commuters[i].true_type, space)
@@ -282,8 +235,8 @@ def _sweep(
             rep = score(trip.valuation, q)
             outcome = id(rep.allocation)
             if outcome not in settled:
-                entry = mechanism.entry(profile, h, rep, i, memo)
-                settled[outcome] = settled_utility(profile, i, rep.allocation, entry, memo)
+                entry = mechanism.entry(profile, h, rep, i)
+                settled[outcome] = settled_utility(profile, i, rep.allocation, entry)
             utilities[spec_id] = settled[outcome]
         u = utilities[spec_id]
         gain = u - u_truth
@@ -299,12 +252,11 @@ def _certified(
     u_truth: float,
     table: OutcomeTable,
     settled: dict[int, float],
-    memo: Evaluations,
 ) -> bool:
     """True when i, whose utility the chosen allocation fixes, gains
     nothing (`U(a) - u_truth <= 0.0`) on any outcome `a` of `table.rows()`.
-    Each outcome settled, through `memo`, is filed in `settled` under the
-    allocation's id. The rows carry i's own value, which no entry reads.
+    Each outcome settled is filed in `settled` under the allocation's id.
+    The rows carry i's own value, which no entry reads.
 
     Every report i can make wins one of those outcomes (the taxation
     principle), so then no deviation gains. Within the magnitude bounds of
@@ -314,8 +266,8 @@ def _certified(
     """
     profile = table.scenario
     for rep in table.rows():
-        entry = mechanism.entry(profile, h, rep, i, memo)
-        u = settled[id(rep.allocation)] = settled_utility(profile, i, rep.allocation, entry, memo)
+        entry = mechanism.entry(profile, h, rep, i)
+        u = settled[id(rep.allocation)] = settled_utility(profile, i, rep.allocation, entry)
         if u - u_truth > 0.0:
             return False
     return True

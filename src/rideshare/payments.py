@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .allocation import OutcomeTable, WelfareReport
 # Not called here; kept so that bench/tracer.py can still wrap them here.
@@ -21,7 +21,6 @@ from .allocation import efficient_allocation, efficient_allocation_excluding
 from .model import Allocation, CommuterId, Scenario
 from .valuation import (
     EXCLUDED,
-    ValuationSpec,
     evaluate,
     excludes,
     referenced_subjects,
@@ -68,34 +67,10 @@ def _groves_entry(h: float, rep: WelfareReport, i: CommuterId) -> Unconditional:
     return Unconditional(h - _others_value(rep, i))
 
 
-class Evaluations:
-    """`evaluate` memoised by spec, probability vector and the spec owner's
-    assignment object, for callers that settle many allocations sharing
-    assignments. A key holds ids, so a memo is valid only while the specs
-    and the allocations it has seen are alive."""
-
-    def __init__(self) -> None:
-        self._values: dict[tuple, object] = {}
-
-    def __call__(self, spec: ValuationSpec, allocation: Allocation, p: tuple[float, ...]):
-        key = (id(spec), p, id(allocation[spec.owner]))
-        v = self._values.get(key)
-        if v is None:
-            v = self._values[key] = evaluate(spec, allocation, p)
-        return v
-
-
-# How a payment or settlement evaluates a spec: `evaluate`, or a memo.
-Evaluator = Callable[[ValuationSpec, Allocation, tuple[float, ...]], object]
-
-
-def _commit_entry(s: Scenario, h: float, rep: WelfareReport, i: CommuterId,
-                  evaluator: Evaluator | None = None) -> Conditional:
+def _commit_entry(s: Scenario, h: float, rep: WelfareReport, i: CommuterId) -> Conditional:
     """Each branch credits the others' reported values with p̂_i forced to
     1 or 0. A value that does not read p̂_i is the same at both, and is the
-    one in `rep`; only the readers of p̂_i are evaluated again, with
-    `evaluator`, `evaluate` if None."""
-    value = evaluator or evaluate
+    one in `rep`; only the readers of p̂_i are evaluated again."""
     p_hat = s.reported_p()
     p_one = substitute(p_hat, i, 1.0)
     p_zero = substitute(p_hat, i, 0.0)
@@ -107,8 +82,8 @@ def _commit_entry(s: Scenario, h: float, rep: WelfareReport, i: CommuterId,
             continue
         spec = c.reported_type.valuation
         if i in referenced_subjects(spec):
-            a = value(spec, allocation, p_one)
-            b = value(spec, allocation, p_zero)
+            a = evaluate(spec, allocation, p_one)
+            b = evaluate(spec, allocation, p_zero)
         else:
             a = b = EXCLUDED if excludes(spec, allocation[spec.owner]) else rep.per_commuter[j]
         if a is EXCLUDED or b is EXCLUDED:
@@ -160,16 +135,14 @@ class Mechanism(Enum):
         """Probabilities that replace the reported ones, or None."""
         return s.true_p() if self.value.endswith(_PUBLIC) else None
 
-    def entry(self, s: Scenario, h: float, rep: WelfareReport, i: CommuterId,
-              evaluator: Evaluator | None = None) -> PaymentEntry:
+    def entry(self, s: Scenario, h: float, rep: WelfareReport, i: CommuterId) -> PaymentEntry:
         """Commuter `i`'s payment entry at `rep` given the pivot term `h`.
         `rep` must be scored at the probabilities this mechanism reads: the
         public ones, or `s`'s reported ones with p̂_i free. The entry reads
         the others' values from `rep`, all of them under Groves, and under
-        commit those that do not read p̂_i; it evaluates the rest with
-        `evaluator`, `evaluate` if None."""
+        commit those that do not read p̂_i; it evaluates the rest."""
         if self is Mechanism.COMMIT_BASED:
-            return _commit_entry(s, h, rep, i, evaluator)
+            return _commit_entry(s, h, rep, i)
         return _groves_entry(h, rep, i)
 
 
@@ -206,11 +179,9 @@ def commit_payments(s: Scenario) -> PaymentSchedule:
     return _schedule(s, Mechanism.COMMIT_BASED, None)
 
 
-def settled_utility(s: Scenario, i: CommuterId, allocation: Allocation, entry: PaymentEntry,
-                    evaluator: Evaluator | None = None) -> float:
+def settled_utility(s: Scenario, i: CommuterId, allocation: Allocation, entry: PaymentEntry) -> float:
     """Quasilinear expected utility of commuter `i` under their true type at
-    `allocation`, with true probabilities, when settled by `entry`. The
-    true valuation is evaluated with `evaluator`, `evaluate` if None.
+    `allocation`, with true probabilities, when settled by `entry`.
 
     Raises ExcludedValueError when the true valuation excludes that
     allocation; callers decide whether that is a modelling error (truthful
@@ -218,16 +189,15 @@ def settled_utility(s: Scenario, i: CommuterId, allocation: Allocation, entry: P
     is finite within the magnitude bounds of admitted input
     (`valuation.MAX_MAGNITUDE`); other input has no guarantee.
     """
-    value = evaluator or evaluate
     p = s.true_p()
     spec = s.commuters[i].true_type.valuation
     if isinstance(entry, Unconditional):
-        v = value(spec, allocation, p)
+        v = evaluate(spec, allocation, p)
         if v is EXCLUDED:
             raise ExcludedValueError(f"commuter {i}: true valuation excludes the chosen allocation")
         return v - entry.amount
-    v_one = value(spec, allocation, substitute(p, i, 1.0))
-    v_zero = value(spec, allocation, substitute(p, i, 0.0))
+    v_one = evaluate(spec, allocation, substitute(p, i, 1.0))
+    v_zero = evaluate(spec, allocation, substitute(p, i, 0.0))
     if v_one is EXCLUDED or v_zero is EXCLUDED:
         raise ExcludedValueError(f"commuter {i}: true valuation excludes the chosen allocation")
     pi = p[i]

@@ -26,7 +26,6 @@ from rideshare.audit import (
 )
 import rideshare.allocation as allocation_module
 import rideshare.audit as audit_module
-import rideshare.payments as payments_module
 import rideshare.valuation as valuation_module
 from rideshare.allocation import OutcomeTable, efficient_allocation, efficient_allocation_excluding
 from rideshare.corpus import by_name, linear_entries
@@ -52,10 +51,8 @@ from rideshare.valuation import (
     MAX_MAGNITUDE,
     MAX_SCALE,
     Clause,
-    GateDirection,
     Monomial,
     OutcomePattern,
-    ThresholdGate,
     ValuationSpec,
     is_linear_in_commitment,
     referenced_subjects,
@@ -227,8 +224,7 @@ def test_expost_gain_matches_a_from_scratch_replay(corpus_entries):
         if e.scenario.n > 4:
             continue
         s = with_truthful_reports(e.scenario)
-        gated = any(cl.gates for c in s.commuters for cl in c.true_type.valuation.clauses)
-        space = DeviationSpace(p_grid=5, gate_toggles=gated)
+        space = DeviationSpace(p_grid=5)
         for mechanism in Mechanism:
             report = audit_expost(s, mechanism, space)
             best = 0.0
@@ -306,7 +302,7 @@ def _certified_commuters(s, mechanism, space):
         st.tuples(small_scenarios(), st.just(DeviationSpace(p_grid=3))),
         # their many terms would make the coefficient grid large
         st.tuples(pivot_scenarios(excluding_none=False).filter(lambda s: s.n <= 4),
-                  st.just(DeviationSpace(p_grid=3, coefficient_scales=(1.0,), gate_toggles=True))),
+                  st.just(DeviationSpace(p_grid=3, coefficient_scales=(1.0,)))),
     ),
 )
 def test_a_certified_sweep_has_no_gaining_deviation(s_space):
@@ -445,11 +441,9 @@ def test_deviation_space_rejects_non_finite_scales():
         -2.0**32, 2.0**32)
 
 
-def test_gate_toggle_deviations_keep_violation():
+def test_default_grid_finds_the_threshold_gate_violation():
     s = by_name("threshold-gate-pair")
-    report = audit_expost(
-        s, Mechanism.COMMIT_BASED, DeviationSpace(p_grid=21, gate_toggles=True)
-    )
+    report = audit_expost(s, Mechanism.COMMIT_BASED, DeviationSpace())
     assert report.verdict is Verdict.VIOLATED
     assert report.witness.gain >= 1.2 - 1e-12
 
@@ -577,21 +571,13 @@ def test_deviation_space_shape():
     assert len(devs) == 10
     p_values = [d.p_commit for d in devs]
     assert p_values == sorted(p_values), "probability must be the outer loop"
-    # probability, then scale combination (truthful first), then gate
-    # variant (the unedited spec before its gate edits)
+    # probability, then scale combination (truthful first), gates kept
     rider = by_name("threshold-gate-pair").commuters[1].reported_type
-    gated = DeviationSpace(p_grid=2, coefficient_scales=(0.5, 1.0), gate_toggles=True)
     gates = rider.valuation.clauses[0].gates
-    added = ThresholdGate(0, 0.5, GateDirection.AT_LEAST)
     assert [
         (d.p_commit, d.valuation.clauses[0].terms[0].coefficient, d.valuation.clauses[0].gates)
-        for d in deviations_for(rider, gated)
-    ] == [
-        (p, coefficient, variant)
-        for p in (0.0, 1.0)
-        for coefficient in (5.0, 2.5)
-        for variant in (gates, (), gates + (added,))
-    ]
+        for d in deviations_for(rider, DeviationSpace(p_grid=2, coefficient_scales=(0.5, 1.0)))
+    ] == [(p, coefficient, gates) for p in (0.0, 1.0) for coefficient in (5.0, 2.5)]
     with pytest.raises(ValueError):
         DeviationSpace(p_grid=1)
     with pytest.raises(ValueError, match="at most"):
@@ -602,12 +588,12 @@ def test_deviation_space_shape():
 
 
 def test_deviations_keep_every_clause_pattern_and_exclusion(corpus_entries):
-    """Every grid deviation, under every rescaling and gate edit, has the
-    true spec's clause patterns and excluded flags in the same order.
+    """Every grid deviation, under every rescaling, has the true spec's
+    clause patterns and excluded flags in the same order.
     Exclusion reads nothing else, so the argmax never hands a deviator an
     outcome they truly exclude, which is why the audit has no exclusion
     path and reports `excluded_deviations` as 0."""
-    space = DeviationSpace(p_grid=2, gate_toggles=True)
+    space = DeviationSpace(p_grid=2)
     for e in corpus_entries:
         for c in e.scenario.commuters:
             truth = [(cl.pattern, cl.excluded) for cl in c.true_type.valuation.clauses]
@@ -632,6 +618,23 @@ def test_deviations_skip_rescalings_that_overflow():
     assert [(d.p_commit, d.valuation.clauses[0].terms[0].coefficient) for d in devs] == [
         (p, scale * MAX_MAGNITUDE) for p in (0.0, 1.0) for scale in (1.0, 0.0, 0.5, 2.0, 10.0)
     ]
+
+
+def test_scale_combos_fall_back_to_uniform_rescaling():
+    """linear-quad-full-van's driver has 12 terms, 5**12 combinations of
+    the default scales, past `_MAX_SCALE_COMBOS`: the grid rescales every
+    term alike, the identity first, then each other scale in the order
+    given, which is the tie-break among equal gains."""
+    trip = by_name("linear-quad-full-van").commuters[0].true_type
+    space = DeviationSpace()
+    assert len(space.coefficient_scales) ** 12 > audit_module._MAX_SCALE_COMBOS
+    scales = (1.0, 0.0, 0.5, 2.0, 10.0)
+    assert audit_module._scale_combos(trip.valuation, space.coefficient_scales) == [
+        (scale,) * 12 for scale in scales]
+    devs = deviations_for(trip, space)
+    assert len(devs) == space.p_grid * 5
+    assert [[t.coefficient for c in d.valuation.clauses for t in c.terms] for d in devs[:5]] == [
+        [scale * -0.4] * 12 for scale in scales]
 
 
 def test_suite_reproduces_expected_verdicts():
@@ -671,9 +674,9 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     Pricing evaluates each commuter at most once per distinct assignment,
     and a reader of pivot k's once per assignment with k absent. The
     outcome pass for all commuters' certificates then evaluates nothing:
-    the efficient search already read every value it reads. Each sweep
-    settles through one memo, so it evaluates a spec at most once per
-    (probability vector, assignment).
+    the efficient search already read every value it reads. Besides
+    truth, each sweep settles an outcome at most once where the outcome
+    fixes i's utility, else at most once per frame.
 
     A sweep whose certificate holds finds nothing, builds no grid and
     builds or calls no scorer. Under Groves with private probabilities, a
@@ -722,7 +725,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     def sweep(table, i, *args):
         readers = {j for j, spec in enumerate(specs) if j != i and i in referenced_subjects(spec)}
         record = {"i": i, "readers": readers, "passes": 0, "scorings": [], "grids": 0,
-                  "certificates": 0, "evaluations": Counter(), "settlements": Counter()}
+                  "certificates": 0, "evaluations": Counter(), "settlements": []}
         sweeps.append(record)
         record["found"] = real_sweep(table, i, *args)
         return record["found"]
@@ -785,12 +788,12 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
                 record["evaluations"][j, frame, assignment] += 1
         return real_evaluate(spec, allocation, p, absent)
 
-    real_settle_evaluate = payments_module.evaluate
+    real_settled_utility = audit_module.settled_utility
 
-    def settle_evaluate(spec, allocation, p, absent=None):
-        key = (spec.owner, id(spec), tuple(p), id(allocation[spec.owner]))
-        sweeps[-1]["settlements"][key] += 1
-        return real_settle_evaluate(spec, allocation, p, absent)
+    def settle(s, i, allocation, entry):
+        record = sweeps[-1]
+        record["settlements"].append((record["passes"], id(allocation)))
+        return real_settled_utility(s, i, allocation, entry)
 
     class Table(allocation_module.OutcomeTable):
         def __init__(self, *args):
@@ -808,7 +811,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     monkeypatch.setattr(allocation_module.OutcomeTable, "scorer", scorer)
     monkeypatch.setattr(allocation_module, "_argmax", argmax)
     monkeypatch.setattr(allocation_module, "evaluate", evaluate)
-    monkeypatch.setattr(payments_module, "evaluate", settle_evaluate)
+    monkeypatch.setattr(audit_module, "settled_utility", settle)
     space = DeviationSpace()
     audit_expost(s, mechanism, space)
     private = mechanism.probabilities(s) is None
@@ -823,7 +826,10 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     certified = []
     for record, c in zip(sweeps, s.commuters):
         assert record["settlements"]
-        assert set(record["settlements"].values()) == {1}
+        # the first settles truth; a frame is the scorer passes so far
+        fixed = mechanism is Mechanism.COMMIT_BASED or not (private and record["readers"])
+        kept = [(None if fixed else frame, a) for frame, a in record["settlements"][1:]]
+        assert len(set(kept)) == len(kept)
         if private and record["readers"] and mechanism is not Mechanism.COMMIT_BASED:
             assert record["certificates"] == 0
         else:

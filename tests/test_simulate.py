@@ -584,16 +584,19 @@ def _assert_run_is_the_reference(s, schedule, trials, seed):
 
 
 @st.composite
-def _settled_scenarios(draw, max_n=6, compatibility=full_compatibility, exclusion_odds=1):
+def _settled_scenarios(draw, max_n=6, compatibility=full_compatibility):
     """One to `max_n` commuters, compatible as `compatibility(n)` says,
     whose true valuations read between none and all of the others'
     commitment bits, through linear and squared factors and gates, with a
     constant per outcome and a default of either zero. A true valuation
     may exclude driving or riding, which its report does not, so a run may
-    flag every trial; with `exclusion_odds` k above 1, only a scenario
-    whose draw from range(k) is 0 may."""
+    flag every trial. That exclusion is a draw from range(6) being 0,
+    which hypothesis takes more often than 1 in 6: in 416 of the 1,434
+    such draws (29%) over the ci profile's examples of both properties
+    below. The exact-expectations property then raises on 5 of its 25
+    examples and compares numbers on 20. There is no further 1-in-k draw
+    per scenario: with one, at any k from 3 to 12, it raised on none."""
     n = draw(st.integers(min_value=1, max_value=max_n))
-    excluding = exclusion_odds == 1 or draw(st.integers(0, exclusion_odds - 1)) == 0
     value = st.sampled_from((0.0, 1.0, -1.0, 2.5, 0.1, -3.0))
 
     def valued(pattern, reads):
@@ -616,7 +619,7 @@ def _settled_scenarios(draw, max_n=6, compatibility=full_compatibility, exclusio
                          if pattern.own_role is not Role.NONE or draw(st.booleans()))
         default = draw(st.sampled_from((0.0, -0.0)))
         truth = tuple(Clause(c.pattern, excluded=True)
-                      if c.pattern.own_role is not Role.NONE and excluding
+                      if c.pattern.own_role is not Role.NONE
                       and draw(st.integers(0, 5)) == 0
                       else c for c in reported)
         has_vehicle = draw(st.booleans())
@@ -663,7 +666,7 @@ def _neighbours(n):
     return tuple(tuple(abs(i - j) <= 1 for j in range(n)) for i in range(n))
 
 
-@given(s=_settled_scenarios(max_n=10, compatibility=_neighbours, exclusion_odds=4),
+@given(s=_settled_scenarios(max_n=10, compatibility=_neighbours),
        mechanism=st.sampled_from(sorted(_SCHEDULES)))
 @settings(max_examples=25, deadline=None)
 def test_exact_expectations_are_the_sum_over_every_vector(s, mechanism):
