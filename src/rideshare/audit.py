@@ -194,8 +194,9 @@ def _sweep(
     private probabilities, and one frame serves all under public ones; a
     frame asks the table for a new `scorer` only if someone reads p̂_i.
     Utilities are kept per reported valuation per frame, and per outcome
-    per sweep where the outcome fixes them, else per frame: besides the
-    truthful settlement, `settled_utility` runs once per outcome kept.
+    per sweep where the outcome fixes them, truth's included, else per
+    frame: `settled_utility` runs once for truth and once per outcome kept
+    besides.
     """
     profile = table.scenario
     # the pivot never reads i's report, so it is fixed per profile
@@ -212,7 +213,7 @@ def _sweep(
     readers = table.readers(i)
     by_outcome = mechanism is Mechanism.COMMIT_BASED or not readers
     # Keyed on ids, kept alive by `table` and `devs`.
-    settled: dict[int, float] = {}
+    settled: dict[int, float] = {id(truth.allocation): u_truth} if by_outcome else {}
     if by_outcome and _certified(i, mechanism, h, u_truth, table, settled):
         return None
     if devs is None:
@@ -255,7 +256,8 @@ def _certified(
 ) -> bool:
     """True when i, whose utility the chosen allocation fixes, gains
     nothing (`U(a) - u_truth <= 0.0`) on any outcome `a` of `table.rows()`.
-    Each outcome settled is filed in `settled` under the allocation's id.
+    Each outcome is settled unless `settled` holds it already, and filed
+    there under the allocation's id.
     The rows carry i's own value, which no entry reads.
 
     Every report i can make wins one of those outcomes (the taxation
@@ -266,9 +268,11 @@ def _certified(
     """
     profile = table.scenario
     for rep in table.rows():
-        entry = mechanism.entry(profile, h, rep, i)
-        u = settled[id(rep.allocation)] = settled_utility(profile, i, rep.allocation, entry)
-        if u - u_truth > 0.0:
+        outcome = id(rep.allocation)
+        if outcome not in settled:
+            entry = mechanism.entry(profile, h, rep, i)
+            settled[outcome] = settled_utility(profile, i, rep.allocation, entry)
+        if settled[outcome] - u_truth > 0.0:
             return False
     return True
 

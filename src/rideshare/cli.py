@@ -34,9 +34,9 @@ EXIT_IO = 3
 # and its memory (each distinct commitment key holds a row per commuter)
 # grow with those rows. A run of more rows is refused before any draw
 # rather than left to run for minutes or fill a disk or memory. At the
-# bound, a million trials of a pair write a 47 MB file at a 25 MB peak in
+# bound, a million trials of a pair write a 47 MB file at a 24 MB peak in
 # under a second, and 10,000 trials of 200 solo commuters a 45 MB file at
-# a 49 MB peak in 1.6 s (Python 3.11, shared 2-core VM).
+# a 48 MB peak in 1.4 s (Python 3.11, shared 2-core VM).
 MAX_TRIAL_ROWS = 2_000_000
 # The draws read the seed mod 2**64, so a seed outside 0..MAX_SEED would
 # write the trials of the seed it aliases under its own name.
@@ -115,10 +115,10 @@ def _cmd_simulate(args) -> int:
     if not 0 <= args.seed <= MAX_SEED:
         raise _InputError(f"--seed must be between 0 and {MAX_SEED}, got {args.seed}")
     schedule = _schedule(s, _mechanism(args))
-    records, summary = run_trials(s, schedule, args.trials, args.seed)
+    run, summary = run_trials(s, schedule, args.trials, args.seed)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            render_trials_csv(records, summary, fh)
+            render_trials_csv(run, summary, fh)
     except OSError as e:
         print(f"cannot write {args.out}: {e}", file=sys.stderr)
         return EXIT_IO

@@ -21,18 +21,16 @@ only on the commitment bits their true valuation reads, their own bit
 among them: the charge reads the own bit alone, and the value reads the
 bits of `referenced_subjects`. Those bits are the commuter's key, cut
 from a trial's key with one mask per commuter. `_Settlements` computes
-each commuter's value, charge, utility and CSV row once per distinct key,
-and a run keeps, per distinct trial key, only its CSV rows, welfare,
-deficit and flag. A run's records are a `TrialRecords` view over the
-drawn keys and those settlements: a record and its commitment vector are
-built only when a caller reads them, so a run holds one int per trial,
-and `render_trials_csv` builds none; it writes the rows a block of trials
-at a time. The summary is reduced per distinct key: each commuter's
-column is the exact sum of count * x over the keys that commuter's clean
-trials read, and the welfare and deficit columns over the distinct clean
-trial keys, rounded once, which is what `math.fsum` returns over the
-trials, in any order: within the magnitude bounds of admitted input
-(`valuation.MAX_MAGNITUDE`) no partial sum overflows.
+each commuter's value, charge, utility and CSV row once per distinct key.
+A run returns `TrialRows`: the key each trial drew and, per distinct
+trial key, its CSV rows, so a run holds one int per trial, and
+`render_trials_csv` writes the rows a block of trials at a time. The
+summary is reduced in the same pass over the distinct keys: each
+commuter's column is the exact sum of count * x over the keys that
+commuter's clean trials read, and the welfare and deficit columns over
+the distinct clean trial keys, rounded once, which is what `math.fsum`
+returns over the trials, in any order: within the magnitude bounds of
+admitted input (`valuation.MAX_MAGNITUDE`) no partial sum overflows.
 `exact_expected_utilities` sums each commuter's utility over the patterns
 of their own key alone, through the same settlements.
 """
@@ -41,12 +39,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import struct
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .model import Allocation, Commuter, Scenario
 from .payments import ExcludedValueError, PaymentEntry, PaymentSchedule, Unconditional
@@ -186,18 +183,6 @@ def realize(p: Sequence[float], seed: int, trial: int = 0) -> CommitVector:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    trial: int
-    commit: CommitVector
-    values: tuple[float | None, ...]
-    payments: tuple[float, ...]
-    utilities: tuple[float | None, ...]
-    welfare: float
-    deficit: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
 class SimulationSummary:
     trials: int
     flagged: int
@@ -266,50 +251,14 @@ class _Settlements:
         return [self.of(k, key) for k in range(len(self.masks))]
 
 
-class TrialRecords(Sequence):
-    """The records of one `run_trials` call, in trial order, built on access.
+class TrialRows(NamedTuple):
+    """A run's CSV rows: `keys` holds the key each trial drew, in trial
+    order, and `rows` maps each distinct key to its commuters' CSV rows
+    after the trial number, after an empty string, so that joining them
+    with the trial's "t," puts that prefix before every row."""
 
-    A trial's record is its number, its commitment vector and that
-    vector's settlement, so the view keeps only `keys`, the key each trial
-    drew, `settle`, the run's `_Settlements`, and `per_key`, which maps
-    each distinct trial key to its CSV rows after the trial number (after
-    an empty string, so that joining them with the trial's "t," puts that
-    prefix before every row), its welfare, its deficit and its flag.
-    Indexing or iterating builds each record, and its vector, with the
-    constructor; nothing else does. Two views are equal when their records
-    are.
-    """
-
-    __slots__ = ("keys", "settle", "per_key")
-
-    def __init__(self, keys: list[int], settle: _Settlements,
-                 per_key: dict[int, tuple[tuple[str, ...], float, float, bool]]):
-        self.keys = keys
-        self.settle = settle
-        self.per_key = per_key
-
-    def _record(self, trial: int) -> TrialRecord:
-        key = self.keys[trial]
-        _, welfare, deficit, flagged = self.per_key[key]
-        commit, values, payments, utilities, _ = tuple(zip(*self.settle(key))) or ((),) * 5
-        return TrialRecord(trial, commit, values, payments, utilities, welfare, deficit, flagged)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __getitem__(self, index):
-        trials = range(len(self.keys))
-        if isinstance(index, slice):
-            return [self._record(t) for t in trials[index]]
-        return self._record(trials[index])
-
-    def __iter__(self) -> Iterator[TrialRecord]:
-        return map(self._record, range(len(self.keys)))
-
-    def __eq__(self, other):
-        if not isinstance(other, TrialRecords):
-            return NotImplemented
-        return self.keys == other.keys and all(map(operator.eq, self, other))
+    keys: list[int]
+    rows: dict[int, tuple[str, ...]]
 
 
 def _weighted_sum(xs: list[float], weights: list[int]) -> float:
@@ -333,99 +282,86 @@ def _weighted_sum(xs: list[float], weights: list[int]) -> float:
     return numerator / (1 << exponent)
 
 
-class _Grouped:
-    """The summary columns of one run, reduced per part of its distinct
-    clean keys.
+def _mean(xs: list[float], weights: list[int]) -> float:
+    """`math.fsum` of the column that holds each xs[i] weights[i] times,
+    over its length; 0.0 when it is empty."""
+    total = sum(weights)
+    return _weighted_sum(xs, weights) / total if total else 0.0
 
-    `clean` counts each distinct unflagged key, and a key's part is its
-    bits in `mask`. `parts` lists the parts in order of first draw and
-    `weights` how many clean trials drew each; a column lists one value
-    per part.
-    """
 
-    def __init__(self, clean: dict[int, int], mask: int):
-        weight_of: dict[int, int] = {}
-        for key, count in clean.items():
-            weight_of[key & mask] = weight_of.get(key & mask, 0) + count
-        self.parts = list(weight_of)
-        self.weights = list(weight_of.values())
-        self.total = sum(self.weights)
-
-    def mean(self, xs: list[float]) -> float:
-        """`math.fsum` of the column over the clean trials, over their
-        count; 0.0 when there are none."""
-        if not self.total:
-            return 0.0
-        return _weighted_sum(xs, self.weights) / self.total
-
-    def stderr(self, xs: list[float], mean: float) -> float:
-        """The standard error of the column over the clean trials, given
-        its mean: the square root of the fsum of squared deviations, over
-        the count less one, over the count; 0.0 below two trials. Equal
-        values have equal squared deviations, so these group too."""
-        if self.total < 2:
-            return 0.0
-        s = _weighted_sum([(x - mean) ** 2 for x in xs], self.weights)
-        return math.sqrt(s / (self.total - 1) / self.total)
+def _stderr(xs: list[float], weights: list[int], mean: float) -> float:
+    """The standard error of the column that holds each xs[i] weights[i]
+    times, given its mean: the square root of the fsum of squared
+    deviations, over the length less one, over the length; 0.0 below two
+    entries. Equal values have equal squared deviations, so these group
+    too."""
+    total = sum(weights)
+    if total < 2:
+        return 0.0
+    s = _weighted_sum([(x - mean) ** 2 for x in xs], weights)
+    return math.sqrt(s / (total - 1) / total)
 
 
 def run_trials(
     s: Scenario, schedule: PaymentSchedule, trials: int, seed: int
-) -> tuple[TrialRecords, SimulationSummary]:
-    """Simulate settlement over `trials` independent commitment draws.
+) -> tuple[TrialRows, SimulationSummary]:
+    """Simulate settlement over `trials` independent commitment draws:
+    the drawn keys and their CSV rows, and the summary.
 
     Each commuter is settled once per distinct key of the commitment bits
-    their true valuation reads, and each distinct trial key's CSV rows,
-    welfare, deficit and flag are put together from its commuters'
-    settlements. The records come back as a `TrialRecords` view over the
-    drawn keys and those settlements, so a run holds one int per trial and
-    no record until a caller reads one. Trials where some commuter's true
-    valuation excludes the realized outcome carry no number for that
+    their true valuation reads, and each distinct trial key's CSV rows are
+    put together from its commuters' settlements, so a run holds one int
+    per trial and the rows per distinct key. Trials where some commuter's
+    true valuation excludes the realized outcome carry no number for that
     commuter; such trials are flagged and left out of the summary means.
-    Each summary column is the exact count-weighted sum, rounded once,
-    which is what `math.fsum` over the trials returns: a commuter's columns
-    sum over the keys that commuter's clean trials read, the welfare and
-    the deficit over the distinct clean trial keys. Every number is finite
-    when `validate_scenario` admits `s` and `schedule` prices it; other
-    input has no guarantee.
+    The same pass over the distinct keys reduces the summary: a clean
+    key's count adds to the weight of each commuter's own key, and its
+    welfare, the fsum of its values, and its deficit, the negated fsum of
+    its charges, are kept with its count. Each summary column is the exact
+    count-weighted sum, rounded once, which is what `math.fsum` over the
+    trials returns. Every number is finite when `validate_scenario` admits
+    `s` and `schedule` prices it; other input has no guarantee.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     keys, counts = _draws(s.true_p(), seed, range(trials))
     settle = _Settlements(s, schedule)
-    per_key = {}
-    for key in counts:
+    rows = {}
+    own_weights: list[dict[int, int]] = [{} for _ in settle.masks]
+    welfare, deficit, clean = [], [], []
+    for key, count in counts.items():
         settled = settle(key)
+        rows[key] = ("", *(e[4] for e in settled))
         values = [e[1] for e in settled]
-        per_key[key] = (("", *(e[4] for e in settled)),
-                        math.fsum(v for v in values if v is not None),
-                        -math.fsum(e[2] for e in settled), None in values)
-    clean = {key: count for key, count in counts.items() if not per_key[key][3]}
-    grouped = _Grouped(clean, (1 << s.n) - 1)
-    per_commuter = []
-    for entries, mask in zip(settle.entries, settle.masks):
-        by_key = _Grouped(clean, mask)
-        per_commuter.append((by_key, [entries[part] for part in by_key.parts]))
+        if None in values:
+            continue
+        for weights, mask in zip(own_weights, settle.masks):
+            own = key & mask
+            weights[own] = weights.get(own, 0) + count
+        welfare.append(math.fsum(values))
+        deficit.append(-math.fsum(e[2] for e in settled))
+        clean.append(count)
+    columns = [([entries[own] for own in weights], list(weights.values()))
+               for entries, weights in zip(settle.entries, own_weights)]
     mean_commit, mean_value, mean_payment, mean_utility = (
-        tuple(by_key.mean([float(e[column]) for e in entries]) for by_key, entries in per_commuter)
+        tuple(_mean([float(e[column]) for e in entries], weights) for entries, weights in columns)
         for column in range(4))
-    stderr_utility = tuple(by_key.stderr([e[3] for e in entries], mean)
-                           for (by_key, entries), mean in zip(per_commuter, mean_utility))
     summary = SimulationSummary(
         trials=trials,
-        flagged=trials - grouped.total,
+        flagged=trials - sum(clean),
         mean_commit=mean_commit,
         mean_value=mean_value,
         mean_payment=mean_payment,
         mean_utility=mean_utility,
-        stderr_utility=stderr_utility,
-        mean_welfare=grouped.mean([per_key[key][1] for key in clean]),
-        mean_deficit=grouped.mean([per_key[key][2] for key in clean]),
+        stderr_utility=tuple(_stderr([e[3] for e in entries], weights, mean)
+                             for (entries, weights), mean in zip(columns, mean_utility)),
+        mean_welfare=_mean(welfare, clean),
+        mean_deficit=_mean(deficit, clean),
     )
-    return TrialRecords(keys, settle, per_key), summary
+    return TrialRows(keys, rows), summary
 
 
-def render_trials_csv(records: TrialRecords, summary: SimulationSummary, out: TextIO) -> None:
+def render_trials_csv(run: TrialRows, summary: SimulationSummary, out: TextIO) -> None:
     """Write the per-trial CSV to `out`: one row per trial and commuter,
     then the summary, a block of trials at a time, so memory never holds
     the text when `out` is a file.
@@ -434,14 +370,12 @@ def render_trials_csv(records: TrialRecords, summary: SimulationSummary, out: Te
     and each row is its fields joined by commas. A trial's rows after its
     number depend on its key alone, and were formatted once per commuter's
     settlement by `run_trials`, so they are written in trial order straight
-    from the drawn keys, one string per `_CHUNK` trials; no record is
-    built.
+    from the drawn keys, one string per `_CHUNK` trials.
     """
     out.write("trial,commuter,committed,value,payment,utility\n")
-    per_key = records.per_key
-    keys = records.keys
+    keys, rows = run
     for first in range(0, len(keys), _CHUNK):
-        out.write("".join([f"{t},".join(per_key[key][0])
+        out.write("".join([f"{t},".join(rows[key])
                            for t, key in enumerate(keys[first:first + _CHUNK], first)]))
     for k in range(len(summary.mean_commit)):
         out.write(

@@ -243,26 +243,27 @@ def bernoulli_expectation(spec, allocation, p):
     return total
 
 
-def rendered_csv(records, summary):
+def rendered_csv(run, summary):
     """The text `render_trials_csv` writes for a run."""
     out = io.StringIO()
-    render_trials_csv(records, summary, out)
+    render_trials_csv(run, summary, out)
     return out.getvalue()
 
 
 def csv_of_records(records, summary):
     """The simulate CSV written record by record, one row per trial and
     commuter, then the summary rows: the format spelled out field by
-    field."""
+    field. A record is a tuple of the trial number, the commitment vector,
+    then the values, payments and utilities of `settle_reference`."""
 
     def cell(x):
         return "" if x is None else repr(x)
 
     lines = ["trial,commuter,committed,value,payment,utility\n"]
-    for r in records:
-        for k, bit in enumerate(r.commit):
-            lines.append(f"{r.trial},{k},{bit},{cell(r.values[k])},"
-                         f"{r.payments[k]!r},{cell(r.utilities[k])}\n")
+    for trial, commit, values, payments, utilities, *_ in records:
+        for k, bit in enumerate(commit):
+            lines.append(f"{trial},{k},{bit},{cell(values[k])},"
+                         f"{payments[k]!r},{cell(utilities[k])}\n")
     for k, mean_commit in enumerate(summary.mean_commit):
         lines.append(f"mean,{k},{mean_commit!r},{summary.mean_value[k]!r},"
                      f"{summary.mean_payment[k]!r},{summary.mean_utility[k]!r}\n")
@@ -288,10 +289,10 @@ def settle_commuter_reference(s, schedule, k, commit):
 
 
 def settle_reference(s, schedule, commit):
-    """The `TrialRecord` fields after `commit` for one commitment vector,
+    """One trial's settlement after `commit`, its commitment vector,
     settled from scratch commuter by commuter: values, payments,
-    utilities, welfare, deficit and the flag, set where some value is
-    None."""
+    utilities, welfare (the fsum of the values), deficit (the negated fsum
+    of the payments) and the flag, set where some value is None."""
     values, payments, utilities = tuple(zip(*(settle_commuter_reference(s, schedule, k, commit)
                                               for k in range(s.n)))) or ((),) * 3
     welfare = math.fsum(v for v in values if v is not None)

@@ -602,7 +602,7 @@ def test_deviations_keep_every_clause_pattern_and_exclusion(corpus_entries):
                 assert shape == truth, (e.name, c.id)
 
 
-def test_deviations_skip_rescalings_that_overflow():
+def test_deviations_keep_every_rescaling_of_a_coefficient_at_the_bound():
     """No rescaling of an admitted spec overflows, so none is skipped: a
     coefficient at the bound keeps every default scale, in order, and
     every rescaled coefficient is finite."""
@@ -674,9 +674,9 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     Pricing evaluates each commuter at most once per distinct assignment,
     and a reader of pivot k's once per assignment with k absent. The
     outcome pass for all commuters' certificates then evaluates nothing:
-    the efficient search already read every value it reads. Besides
-    truth, each sweep settles an outcome at most once where the outcome
-    fixes i's utility, else at most once per frame.
+    the efficient search already read every value it reads. Each sweep
+    settles an outcome at most once where the outcome fixes i's utility,
+    truth's included, else at most once per frame.
 
     A sweep whose certificate holds finds nothing, builds no grid and
     builds or calls no scorer. Under Groves with private probabilities, a
@@ -828,7 +828,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         assert record["settlements"]
         # the first settles truth; a frame is the scorer passes so far
         fixed = mechanism is Mechanism.COMMIT_BASED or not (private and record["readers"])
-        kept = [(None if fixed else frame, a) for frame, a in record["settlements"][1:]]
+        kept = [(None if fixed else frame, a) for frame, a in record["settlements"]]
         assert len(set(kept)) == len(kept)
         if private and record["readers"] and mechanism is not Mechanism.COMMIT_BASED:
             assert record["certificates"] == 0

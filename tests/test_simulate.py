@@ -1,9 +1,7 @@
 """Deterministic commitment draws and Monte Carlo settlement."""
 
-import dataclasses
 import itertools
 import math
-import pickle
 import struct
 import time
 import tracemalloc
@@ -48,14 +46,12 @@ from rideshare.payments import (
 from rideshare.scenario_io import serialize_scenario
 from rideshare.simulate import (
     SimulationSummary,
-    TrialRecord,
     exact_expected_utilities,
     realize,
     render_trials_csv,
     run_trials,
 )
 from rideshare.valuation import (
-    EXCLUDED,
     AnyPartners,
     Clause,
     GateDirection,
@@ -220,17 +216,16 @@ def test_realize_past_two_accumulator_words():
 
 
 def test_simulate_on_a_wide_scenario_writes_the_reference_draws(tmp_path, capsys):
-    """simulate on 130 solo commuters writes, through the CLI, the CSV its
-    records spell out, and each committed cell is the reference bit of
-    (seed, trial, commuter)."""
+    """simulate on 130 solo commuters writes, through the CLI, the CSV of
+    the per-trial reference, and each committed cell is the reference bit
+    of (seed, trial, commuter)."""
     s = solo_commuters(130)
     path = tmp_path / "wide.json"
     path.write_text(serialize_scenario(s))
     out = tmp_path / "wide.csv"
     assert cli.main(["simulate", str(path), "--trials", "40", "--seed", "9", "--out", str(out)]) == 0
-    records, summary = run_trials(s, commit_payments(s), 40, 9)
     text = out.read_text()
-    assert text == csv_of_records(records, summary)
+    assert text == csv_of_records(*_reference_run(s, commit_payments(s), 40, 9))
     reference = [_realize_reference(s.true_p(), 9, t) for t in range(40)]
     rows = [line.split(",") for line in text.splitlines()[1:] if line[0].isdigit()]
     assert len(rows) == 40 * 130
@@ -264,11 +259,12 @@ def test_realize_is_deterministic_per_counter():
 def test_run_trials_reproducible():
     s = by_name("linear-pair-profitable")
     schedule = commit_payments(s)
-    records_a, summary_a = run_trials(s, schedule, 500, seed=11)
-    records_b, summary_b = run_trials(s, schedule, 500, seed=11)
-    assert records_a == records_b
+    run_a, summary_a = run_trials(s, schedule, 500, seed=11)
+    run_b, summary_b = run_trials(s, schedule, 500, seed=11)
+    assert run_a == run_b
     assert summary_a == summary_b
-    _, summary_c = run_trials(s, schedule, 500, seed=12)
+    run_c, summary_c = run_trials(s, schedule, 500, seed=12)
+    assert run_c != run_a
     assert summary_c != summary_a
 
 
@@ -350,55 +346,32 @@ def _true_homebody_pair():
 
 
 def test_excluded_realizations_are_flagged_not_averaged():
+    """A commuter whose true valuation excludes the allocation has empty
+    value and utility cells in every trial, every trial is flagged, and
+    the summary averages none: the run is the per-trial reference's."""
     s = _true_homebody_pair()
     schedule = commit_payments(s)
-    records, summary = run_trials(s, schedule, 50, seed=2)
+    run, summary = run_trials(s, schedule, 50, seed=2)
     assert summary.flagged == 50
-    assert all(r.flagged for r in records)
-    assert all(r.values[0] is None and r.utilities[0] is None for r in records)
+    rows = [line.split(",") for line in rendered_csv(run, summary).splitlines()[1:]
+            if line[0].isdigit()]
+    assert len(rows) == 100
+    assert all(row[3] == row[5] == "" for row in rows if row[1] == "0")
     assert summary.mean_utility == (0.0, 0.0)
+    _assert_run_is_the_reference(s, schedule, 50, 2)
     with pytest.raises(ExcludedValueError):
         exact_expected_utilities(s, schedule)
 
 
-def _constructor_records(s, schedule, trials, seed):
-    """A run's records, each built by the constructor from its trial's
-    drawn vector settled afresh by the reference."""
-    keys, _ = simulate_module._draws(s.true_p(), seed, range(trials))
-    return [TrialRecord(t, v, *settle_reference(s, schedule, v))
-            for t, v in enumerate(_unpacked(keys, s.n))]
-
-
-@pytest.mark.parametrize(
-    "make", [lambda: by_name("threshold-gate-pair-misreport"), _true_homebody_pair],
-    ids=["gate-misreport", "all-flagged"],
-)
-def test_records_view_behaves_like_the_list(make):
-    """The records view reads like the list of constructor-built records it
-    stands for: length, indices either way round, slices, IndexError past
-    either end, trial order, equality between equal runs, and the CSV its
-    records spell out."""
-    s = make()
-    schedule = commit_payments(s)
-    records, summary = run_trials(s, schedule, 37, seed=4)
-    expected = _constructor_records(s, schedule, 37, 4)
-    assert len(records) == len(expected) == 37
-    assert list(records) == expected
-    assert [r.trial for r in records] == list(range(37))
-    assert list(reversed(records)) == expected[::-1]
-    for i in (0, 5, 36, -1, -5, -37):
-        assert records[i] == expected[i], i
-    for cut in (slice(None), slice(3, 9), slice(-5, None), slice(None, None, -3),
-                slice(30, 50), slice(50, 60), slice(-60, 2)):
-        assert records[cut] == expected[cut], cut
-    for i in (37, -38):
-        with pytest.raises(IndexError):
-            records[i]
-    assert expected[7] in records
-    assert records == run_trials(s, schedule, 37, seed=4)[0]
-    assert records != run_trials(s, schedule, 36, seed=4)[0]
-    assert records != run_trials(s, schedule, 37, seed=5)[0]
-    assert rendered_csv(records, summary) == csv_of_records(expected, summary)
+def _reference_records(s, schedule, trials, seed):
+    """A run's records as tuples, in trial order: each trial's number, its
+    commitment vector drawn by `realize`, and that vector settled afresh
+    by `settle_reference`."""
+    records = []
+    for t in range(trials):
+        v = realize(s.true_p(), seed, t)
+        records.append((t, v, *settle_reference(s, schedule, v)))
+    return records
 
 
 class _WriteLog:
@@ -416,35 +389,35 @@ class _WriteLog:
             self.texts.append(text)
 
 
-def test_records_view_memory_stays_flat():
-    """A run keeps one reference per trial and builds no record, and its
-    CSV goes out a block at a time: running and rendering 100k trials of a
-    pair peak below 8 MB of traced allocations, where holding a record per
-    trial peaked at about 37 MB and the CSV text alone is about 5 MB."""
+def test_run_memory_stays_flat():
+    """A run keeps one key per trial and its rows per distinct key, and
+    its CSV goes out a block at a time: running and rendering 100k trials
+    of a pair peak below 8 MB of traced allocations, where holding a record
+    per trial peaked at about 37 MB and the CSV text alone is about 5 MB."""
     s = by_name("linear-pair-profitable")
     schedule = commit_payments(s)
     sink = _WriteLog(keep=False)
     tracemalloc.start()
     try:
-        records, summary = run_trials(s, schedule, 100_000, seed=6)
-        render_trials_csv(records, summary, sink)
+        run, summary = run_trials(s, schedule, 100_000, seed=6)
+        render_trials_csv(run, summary, sink)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(records) == 100_000
+    assert len(run.keys) == 100_000
     assert sum(sink.lengths) > 4_000_000
     assert peak < 8_000_000, peak
 
 
 def test_csv_writes_stay_within_a_block_of_trials():
     """Each write carries the rows of at most `_CHUNK` trials, whole
-    trials only, and the writes add up to the CSV the records spell out."""
+    trials only, and the writes add up to the CSV of the per-trial
+    reference."""
     s = by_name("threshold-gate-pair-misreport")
     schedule = commit_payments(s)
-    records, summary = run_trials(s, schedule, 3 * _CHUNK + 7, seed=8)
     sink = _WriteLog(keep=True)
-    render_trials_csv(records, summary, sink)
-    assert "".join(sink.texts) == csv_of_records(list(records), summary)
+    render_trials_csv(*run_trials(s, schedule, 3 * _CHUNK + 7, seed=8), sink)
+    assert "".join(sink.texts) == csv_of_records(*_reference_run(s, schedule, 3 * _CHUNK + 7, 8))
     seen = []
     for text in sink.texts:
         assert text.endswith("\n")
@@ -457,30 +430,41 @@ def test_csv_writes_stay_within_a_block_of_trials():
 
 
 def test_trial_records_expose_settlement_columns():
-    """Each record's columns are the true valuations evaluated at the drawn
-    bits and the schedule's charges for them; the gate scenario's values
-    read the other commuter's bit. Records of one commitment vector agree
-    in everything but the trial counter."""
+    """Each trial's CSV rows are the true valuations evaluated at the
+    drawn bits and the schedule's charges for them; the gate scenario's
+    values read the other commuter's bit. Rows of one commitment vector
+    agree in everything but the trial number, and the summary's welfare
+    and deficit are the trial-order means of each trial's fsum of value
+    cells and of its negated payment cells."""
     for name in ("linear-pair-profitable", "threshold-gate-pair-misreport"):
         s = by_name(name)
         schedule = commit_payments(s)
-        records, _ = run_trials(s, schedule, 64, seed=0)
+        run, summary = run_trials(s, schedule, 64, seed=0)
+        trials = {}
+        for line in rendered_csv(run, summary).splitlines()[1:]:
+            if line[0].isdigit():
+                t, _, bit, *cells = line.split(",")
+                trials.setdefault(int(t), []).append((int(bit), *map(float, cells)))
+        assert list(trials) == list(range(64))
         by_commit = {}
-        for r in records:
-            assert len(r.commit) == len(r.values) == len(r.payments) == 2
-            bits = tuple(float(b) for b in r.commit)
-            for k, bit in enumerate(r.commit):
+        for t, settled in trials.items():
+            commit, values, payments, utilities = zip(*settled)
+            assert commit == realize(s.true_p(), 0, t)
+            bits = tuple(map(float, commit))
+            for k, bit in enumerate(commit):
                 entry = schedule.entries[k]
-                expected_charge = entry.on_commit if bit else entry.on_fail
-                assert r.payments[k] == expected_charge
+                assert payments[k] == (entry.on_commit if bit else entry.on_fail)
                 v = evaluate(s.commuters[k].true_type.valuation, schedule.allocation, bits)
-                assert r.values[k] == (None if v is EXCLUDED else v)
-                assert r.utilities[k] == r.values[k] - r.payments[k]
-            assert r.welfare == math.fsum(r.values)
-            assert r.deficit == -math.fsum(r.payments)
-            first = by_commit.setdefault(r.commit, r)
-            assert replace(r, trial=first.trial) == first, name
-        assert len(by_commit) < len(records), name
+                assert values[k] == v
+                assert utilities[k] == values[k] - payments[k]
+            assert by_commit.setdefault(commit, settled) == settled, name
+        assert len(by_commit) < len(trials), name
+        assert summary.flagged == 0
+        columns = list(trials.values())
+        assert summary.mean_welfare == trial_order_mean(
+            [math.fsum(v for _, v, _, _ in settled) for settled in columns])
+        assert summary.mean_deficit == trial_order_mean(
+            [-math.fsum(c for _, _, c, _ in settled) for settled in columns])
 
 
 def _bits(x):
@@ -514,73 +498,59 @@ def test_grouped_summary_is_the_trial_order_reduction(multiset, split, order):
     read the same x, gives the trial-order fsum reduction bit for bit, sign
     of zero included, for the mean and the stderr alike. Entry i of the
     multiset is drawn as up to `split` distinct keys 4 * i + j, all of
-    part 4 * i, their bits but the lowest two."""
+    part 4 * i, their bits but the lowest two; a part's weight is the sum
+    of its keys' counts, as a commuter's own key gathers the counts of the
+    trial keys it is cut from."""
     keys = [4 * i + t % split for i, (_, c) in enumerate(multiset) for t in range(c)]
     order.shuffle(keys)
     counts = Counter(keys)
+    parts = Counter()
+    for key, count in counts.items():
+        parts[key & ~3] += count
     xs = [x for x, _ in multiset]
     trial_order = [xs[key >> 2] for key in keys]
-    by_key = simulate_module._Grouped(counts, -1)
-    by_part = simulate_module._Grouped(counts, ~3)
     m = trial_order_mean(trial_order)
-    for grouped, column in ((by_key, [xs[key >> 2] for key in counts]),
-                            (by_part, [xs[part >> 2] for part in by_part.parts])):
-        assert _bits(grouped.mean(column)) == _bits(m)
-        assert _bits(grouped.stderr(column, m)) == _bits(trial_order_stderr(trial_order))
-
-
-def test_fast_records_are_constructor_records():
-    """Records built on access are indistinguishable from ones built by the
-    constructor, and stay frozen."""
-    s = by_name("threshold-gate-pair-misreport")
-    records, _ = run_trials(s, commit_payments(s), 40, seed=3)
-    for r in records:
-        built = TrialRecord(*(getattr(r, f.name) for f in dataclasses.fields(TrialRecord)))
-        assert r == built and hash(r) == hash(built) and repr(r) == repr(built)
-        assert dataclasses.asdict(r) == dataclasses.asdict(built)
-        assert replace(r, trial=-1) == replace(built, trial=-1)
-        assert pickle.dumps(r) == pickle.dumps(built)
-        assert pickle.loads(pickle.dumps(r)) == built
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            r.trial = 0
-    held = list(records)
-    assert len({id(vars(r)) for r in held}) == len(held)
+    for grouped in (counts, parts):
+        column, weights = [xs[key >> 2] for key in grouped], list(grouped.values())
+        assert _bits(simulate_module._mean(column, weights)) == _bits(m)
+        assert (_bits(simulate_module._stderr(column, weights, m))
+                == _bits(trial_order_stderr(trial_order)))
 
 
 def _reference_run(s, schedule, trials, seed):
-    """A run's records, each built by the constructor from its trial's
-    vector settled afresh, and the summary reduced with `math.fsum` over
-    the unflagged trials in trial order."""
-    records = _constructor_records(s, schedule, trials, seed)
-    clean = [r for r in records if not r.flagged]
+    """A run's records, each trial's vector settled afresh, and the summary
+    reduced with `math.fsum` over the unflagged trials in trial order."""
+    records = _reference_records(s, schedule, trials, seed)
+    # commit, values, payments, utilities, welfare and deficit per trial
+    clean = [r[1:7] for r in records if not r[7]]
 
-    def means(read):
-        return tuple(trial_order_mean([read(r, k) for r in clean]) for k in range(s.n))
+    def means(column):
+        return tuple(trial_order_mean([float(r[column][k]) for r in clean]) for k in range(s.n))
 
-    utilities = [[r.utilities[k] for r in clean] for k in range(s.n)]
+    utilities = [[r[3][k] for r in clean] for k in range(s.n)]
     summary = SimulationSummary(
         trials=trials,
         flagged=trials - len(clean),
-        mean_commit=means(lambda r, k: float(r.commit[k])),
-        mean_value=means(lambda r, k: r.values[k]),
-        mean_payment=means(lambda r, k: r.payments[k]),
+        mean_commit=means(0),
+        mean_value=means(1),
+        mean_payment=means(2),
         mean_utility=tuple(map(trial_order_mean, utilities)),
         stderr_utility=tuple(map(trial_order_stderr, utilities)),
-        mean_welfare=trial_order_mean([r.welfare for r in clean]),
-        mean_deficit=trial_order_mean([r.deficit for r in clean]),
+        mean_welfare=trial_order_mean([r[4] for r in clean]),
+        mean_deficit=trial_order_mean([r[5] for r in clean]),
     )
     return records, summary
 
 
 def _assert_run_is_the_reference(s, schedule, trials, seed):
-    """run_trials and render_trials_csv give the records, the summary and
-    the CSV of the per-trial reference, byte for byte, sign of zero
-    included."""
-    records, summary = run_trials(s, schedule, trials, seed)
+    """run_trials and render_trials_csv give the summary and the CSV of the
+    per-trial reference, byte for byte, sign of zero included, and the run
+    keeps rows for exactly the keys it drew."""
+    run, summary = run_trials(s, schedule, trials, seed)
     expected, expected_summary = _reference_run(s, schedule, trials, seed)
-    assert repr(list(records)) == repr(expected)
     assert repr(summary) == repr(expected_summary)
-    assert rendered_csv(records, summary) == csv_of_records(expected, expected_summary)
+    assert rendered_csv(run, summary) == csv_of_records(expected, expected_summary)
+    assert run.rows.keys() == set(run.keys)
 
 
 @st.composite
@@ -642,8 +612,8 @@ _SCHEDULES = {
 @settings(max_examples=150, deadline=None)
 def test_run_is_the_per_trial_reference(s, mechanism, trials, seed):
     """Settling each commuter once per key of the bits they read gives the
-    records, the summary and the CSV that settling every trial afresh and
-    summing in trial order gives, byte for byte."""
+    summary and the CSV that settling every trial afresh and summing in
+    trial order gives, byte for byte."""
     _assert_run_is_the_reference(s, _SCHEDULES[mechanism](s), trials, seed)
 
 
@@ -748,19 +718,19 @@ def test_exact_expectations_refuse_a_key_of_more_than_16_bits_up_front(monkeypat
 
 def test_a_wide_run_holds_a_key_per_trial_and_rows_per_key():
     """3,000 trials of 24 solo commuters draw nearly 3,000 distinct keys.
-    Keeping per key only its rows, welfare, deficit and flag, the run
-    holds 1.7 MB of traced allocations once it returns and peaks at
-    2.3 MB, where keeping five column tuples per distinct vector (its
-    bits, values, payments, utilities and rows) held 5.2 MB and peaked at
-    6.2 MB; the bounds are half of those."""
+    Keeping per key only its rows, the run holds 1.3 MB of traced
+    allocations once it returns and peaks at 1.8 MB, where keeping five
+    column tuples per distinct vector (its bits, values, payments,
+    utilities and rows) held 5.2 MB and peaked at 6.2 MB; the bounds are
+    half of those."""
     s = solo_commuters(24)
     schedule = commit_payments(s)
     tracemalloc.start()
     try:
-        records, _ = run_trials(s, schedule, 3000, seed=0)
+        run, _ = run_trials(s, schedule, 3000, seed=0)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(set(records.keys)) > 2990
+    assert len(set(run.keys)) > 2990
     assert held < 2_620_000, held
     assert peak < 3_080_000, peak

@@ -415,12 +415,17 @@ def test_admitted_magnitudes_keep_every_number_finite(s, mechanism, seed):
                 assert _finite(expected_utility(s, i, schedule))
             except ExcludedValueError:
                 pass
-        records, summary = run_trials(s, schedule, 20, seed)
+        run, summary = run_trials(s, schedule, 20, seed)
         assert _finite(summary.mean_welfare, summary.mean_deficit, *summary.mean_commit,
                        *summary.mean_value, *summary.mean_payment, *summary.mean_utility,
                        *summary.stderr_utility)
-        for r in records:
-            assert _finite(r.welfare, r.deficit, *r.values, *r.payments, *r.utilities)
+        # each drawn key's value, payment and utility cells, and its welfare
+        # and deficit: the fsum of its value cells and of its payment cells
+        for rows in run.rows.values():
+            cells = [[float(x) if x else None for x in row[:-1].split(",")[2:]] for row in rows[1:]]
+            values = [v for v, _, _ in cells if v is not None]
+            assert _finite(*(x for c in cells for x in c), math.fsum(values),
+                           -math.fsum(c for _, c, _ in cells))
     space = DeviationSpace(p_grid=2, coefficient_scales=(-MAX_SCALE, MAX_SCALE))
     try:
         report = audit_expost(s, mechanism, space)
