@@ -2,7 +2,7 @@
 
 Most entries follow the same shape: drivers carry a per-trip cost that
 scales with both parties' commitment, riders carry a positive value for
-being driven. Entries tagged "linear" are affine in every commitment
+being driven. The "linear" entries are affine in every commitment
 coordinate; the threshold and quadratic entries each break that in one
 documented way.
 """
@@ -21,6 +21,7 @@ from .valuation import (
     OutcomePattern,
     ThresholdGate,
     ValuationSpec,
+    is_linear_in_commitment,
 )
 
 
@@ -251,31 +252,26 @@ def _quadratic_reliability_pair() -> Scenario:
 class CorpusEntry:
     name: str
     scenario: Scenario
-    tags: frozenset[str]
 
 
 def corpus() -> tuple[CorpusEntry, ...]:
-    def entry(builder, *tags: str) -> CorpusEntry:
-        s = builder()
-        return CorpusEntry(s.metadata["name"], s, frozenset(tags))
-
-    return (
-        entry(_linear_pair_profitable, "linear"),
-        entry(_linear_pair_unprofitable, "linear"),
-        entry(_linear_pair_certain, "linear"),
-        entry(_linear_pair_never_rider, "linear"),
-        entry(_linear_pair_own_terms, "linear"),
-        entry(_linear_solo, "linear"),
-        entry(_linear_trio_shared_driver, "linear"),
-        entry(_linear_trio_two_drivers, "linear"),
-        entry(_linear_trio_constants, "linear"),
-        entry(_linear_quad_disjoint_pairs, "linear"),
-        entry(_linear_quad_full_van, "linear"),
-        entry(_linear_quad_competition, "linear"),
-        entry(_threshold_gate_pair, "nonlinear", "gate"),
-        entry(_threshold_gate_pair_misreport, "nonlinear", "gate", "misreport"),
-        entry(_quadratic_reliability_pair, "nonlinear", "exponent"),
-    )
+    return tuple(CorpusEntry(s.metadata["name"], s) for s in (
+        _linear_pair_profitable(),
+        _linear_pair_unprofitable(),
+        _linear_pair_certain(),
+        _linear_pair_never_rider(),
+        _linear_pair_own_terms(),
+        _linear_solo(),
+        _linear_trio_shared_driver(),
+        _linear_trio_two_drivers(),
+        _linear_trio_constants(),
+        _linear_quad_disjoint_pairs(),
+        _linear_quad_full_van(),
+        _linear_quad_competition(),
+        _threshold_gate_pair(),
+        _threshold_gate_pair_misreport(),
+        _quadratic_reliability_pair(),
+    ))
 
 
 def by_name(name: str) -> Scenario:
@@ -286,4 +282,8 @@ def by_name(name: str) -> Scenario:
 
 
 def linear_entries() -> tuple[CorpusEntry, ...]:
-    return tuple(e for e in corpus() if "linear" in e.tags)
+    """The entries whose true and reported specs all pass
+    `is_linear_in_commitment`."""
+    return tuple(e for e in corpus() if all(
+        is_linear_in_commitment(trip.valuation)
+        for c in e.scenario.commuters for trip in (c.true_type, c.reported_type)))

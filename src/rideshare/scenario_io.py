@@ -5,8 +5,8 @@ the offending field. The serializer emits a canonical form (sorted keys,
 two-space indent, defaults omitted, -0.0 kept), so serialize(parse(text))
 is a fixed point and parse(serialize(s)) gives back s. It writes the
 text that `json.dumps(..., indent=2, sort_keys=True)` writes with its own
-recursive writer, one join per list or object, because json runs its
-pure-Python encoder whenever an indent is given.
+recursive writer of the documents `scenario_to_jsonable` builds: str-keyed
+objects, lists, strings, numbers and booleans, one join per list or object.
 
 Parsing is one pass over the decoded document. Each field is read through
 one checker for its JSON type (`_obj`, `_list`, `_int`, `_number`,
@@ -323,30 +323,14 @@ def scenario_to_jsonable(s: Scenario) -> dict:
     return {"schema_version": SCHEMA_VERSION, "scenario": scenario}
 
 
-def _key_text(key: Any) -> str:
-    """A key as json writes it: a str encoded, and an int, float, bool or
-    None as its JSON text, quoted."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (int, float)) or key is None:
-        return '"' + _indented(key, "", set()) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _indented(value: Any, newline: str, open_ids: set[int]) -> str:
-    """`value` as `json.dumps(value, indent=2, sort_keys=True)` writes it:
-    `newline` is the line break and indent `value` starts at, and
-    `open_ids` holds the ids of the lists and objects written around it, so
-    a value that holds itself raises json's ValueError. Scalars and keys
-    are tested in json's order, so subclasses of str, int and float, and
-    tuples, are written as json writes them. Before Python 3.12 each level
-    of nesting takes two frames, the function's and its comprehension's,
-    so nesting past about half the recursion limit raises RecursionError,
-    which json raises near the full limit; a scenario nests twelve deep."""
+def _written(value: Any, newline: str) -> str:
+    """`value`, a document `scenario_to_jsonable` builds, as
+    `json.dumps(value, indent=2, sort_keys=True)` writes it, with `newline`
+    the line break and indent `value` starts at. Only str-keyed dicts,
+    lists, str, int, float and bool are written; any other type raises
+    TypeError."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
     if value is True:
         return "true"
     if value is False:
@@ -361,35 +345,29 @@ def _indented(value: Any, newline: str, open_ids: set[int]) -> str:
         if value == -math.inf:
             return "-Infinity"
         return float.__repr__(value)
-    is_list = isinstance(value, (list, tuple))
-    if not is_list and not isinstance(value, dict):
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-    if not value:
-        return "[]" if is_list else "{}"
-    marker = id(value)
-    if marker in open_ids:
-        raise ValueError("Circular reference detected")
-    open_ids.add(marker)
     inner = newline + "  "
-    if is_list:
-        text = "[" + inner + ("," + inner).join(
-            [_indented(v, inner, open_ids) for v in value]) + newline + "]"
-    else:
-        text = "{" + inner + ("," + inner).join(
-            [_key_text(k) + ": " + _indented(v, inner, open_ids)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_written(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _written(v, inner)
              for k, v in sorted(value.items())]) + newline + "}"
-    open_ids.remove(marker)
-    return text
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def serialize_scenario(s: Scenario) -> str:
     """The canonical text of `s`: byte for byte what
     `json.dumps(scenario_to_jsonable(s), indent=2, sort_keys=True)` writes,
-    and a final newline. It does not call json.dumps, because json encodes
-    in C only without an indent; with one, its pure-Python encoder passes
-    every token up through a generator per enclosing list and object,
-    where this writer joins each list and object once."""
-    return _indented(scenario_to_jsonable(s), "\n", set()) + "\n"
+    and a final newline. Its writer knows only the types that document
+    holds. It does not call json.dumps, because json encodes in C only
+    without an indent; with one, its pure-Python encoder passes every
+    token up through a generator per enclosing list and object, where this
+    writer joins each list and object once."""
+    return _written(scenario_to_jsonable(s), "\n") + "\n"
 
 
 def trip_to_json(trip: TripType) -> str:

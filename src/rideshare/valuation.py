@@ -260,10 +260,12 @@ def is_external_commit_independent(spec: ValuationSpec) -> bool:
 
 
 def is_linear_in_commitment(spec: ValuationSpec) -> bool:
-    """True when every factor has exponent 1 and every gate is vacuous over
-    [0, 1]. Such specs are affine in each probability coordinate. A gate
-    with 0 < bound <= 1 flips somewhere on the interval (for either
-    direction), so it bends the value and disqualifies the spec."""
+    """True when each subject of a term has exponents summing to 1 (a
+    subject named twice, as in p0 * p0, is squared) and every gate is
+    vacuous over [0, 1]. Such specs are affine in each probability
+    coordinate. A gate with 0 < bound <= 1 flips somewhere on the interval
+    (for either direction), so it bends the value and disqualifies the
+    spec."""
     for clause in spec.clauses:
         if clause.excluded:
             continue
@@ -271,7 +273,9 @@ def is_linear_in_commitment(spec: ValuationSpec) -> bool:
             if 0.0 < gate.bound <= 1.0:
                 return False
         for term in clause.terms:
-            for _, exponent in term.factors:
-                if exponent != 1:
-                    return False
+            exponents: dict[CommuterId, int] = {}
+            for subject, exponent in term.factors:
+                exponents[subject] = exponents.get(subject, 0) + exponent
+            if any(total != 1 for total in exponents.values()):
+                return False
     return True

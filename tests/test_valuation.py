@@ -214,13 +214,24 @@ def test_numeric_independence_flags_external_factor():
 
 
 def test_structural_linearity():
+    """The gate, the squared exponent and a subject named twice in one term
+    (p0 * p0) break linearity, and the twelve linear corpus entries are the
+    ones whose specs all pass."""
     gate = by_name("threshold-gate-pair").commuters[1].true_type.valuation
     squared = by_name("quadratic-reliability-pair").commuters[1].true_type.valuation
+    repeated = ValuationSpec(0, (Clause(OutcomePattern(Role.NONE, AnyPartners()), (),
+                                        (Monomial(2.0, ((0, 1), (0, 1))),), False),), 0.0)
+    assert spec_violations(repeated, 1, expected_owner=0) == []
     assert not is_linear_in_commitment(gate)
     assert not is_linear_in_commitment(squared)
-    for e in linear_entries():
-        for c in e.scenario.commuters:
-            assert is_linear_in_commitment(c.true_type.valuation), e.name
+    assert not is_linear_in_commitment(repeated)
+    assert not check_linearity_numeric(repeated, all_none_allocation(1))
+    assert [e.name for e in linear_entries()] == [
+        "linear-pair-profitable", "linear-pair-unprofitable", "linear-pair-certain",
+        "linear-pair-never-rider", "linear-pair-own-terms", "linear-solo",
+        "linear-trio-shared-driver", "linear-trio-two-drivers", "linear-trio-constants",
+        "linear-quad-disjoint-pairs", "linear-quad-full-van", "linear-quad-competition",
+    ]
 
 
 def test_endpoint_gate_still_breaks_linearity():
