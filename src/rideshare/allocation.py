@@ -302,6 +302,11 @@ class OutcomeTable:
         any valuation of i, and the first maximiser is a contender. A
         scoring evaluates i once per assignment of i among the contenders,
         then sums each contender once, in commuter order.
+
+        `score.contenders` lists them in walk order as (allocation, id of
+        i's assignment, values) triples, their allocations distinct; the
+        others' entries of `values` are the ones a scoring returns with
+        that allocation, and i's entry is the last scoring's value.
         """
         entries = list(self.present)
         fresh = self.readers(i) if p[i] != self.p[i] else ()
@@ -350,6 +355,7 @@ class OutcomeTable:
                 raise RuntimeError(_NONE_ACCEPTABLE)
             return WelfareReport(best_allocation, best_welfare, best_values)
 
+        score.contenders = contenders
         return score
 
 

@@ -23,22 +23,25 @@ from .allocation import OutcomeTable
 # Not called here; kept so that bench/tracer.py can still wrap them here.
 from .allocation import efficient_allocation, efficient_allocation_excluding
 from .model import CommuterId, Scenario, TripType, with_report, with_truthful_reports
-from .payments import Mechanism, PivotRule, settled_utility
+from .payments import Mechanism, PivotRule, groves_utilities, settled_utility
 from .valuation import MAX_SCALE, Monomial, ValuationSpec, substitute
 
 GAIN_TOLERANCE = 1e-9
 MAX_DOMINANT_COMMUTERS = 4
 # A dominant audit of the four-commuter corpus scenario linear-quad-full-van
 # against 3-point opponent grids counts 1,720,320 scorings. Every sweep
-# prunes its scorers, and the audit took 9.3-11.0 s under commit, where the
-# certificate clears most sweeps, and 28.9-36.3 s under groves-clarke, 17-21
-# µs a counted scoring (Python 3.11, shared 2-core VM), so this bounds such
-# an audit, and each ex-post sweep, to under a minute. A scoring costs more
+# prunes its scorers. As a child process (CPython 3.11, shared 2-core VM,
+# three runs each) the audit took 2.5 s under commit, where the sweep
+# certificate clears most sweeps, and 5.8-5.9 s under groves-clarke, where
+# the frame certificates leave 807,245 of the counted scorings to be
+# scored: 3.4 µs a counted scoring, and 5.3-5.6 µs where every one is
+# scored (9.1-9.7 s without frame certificates). So this bounds such an
+# audit, and each ex-post sweep, to well under a minute. A scoring costs more
 # where a sweep prices many opponent profiles, each with its own table. A
 # dominant audit counts every grid's scorings before any grid is built, so
-# a sweep the certificate clears without scoring (see `_sweep`) still
-# counts toward it; an ex-post sweep counts its own grid only when the
-# certificate leaves it to be built.
+# a sweep or a frame a certificate clears without scoring (see `_sweep`)
+# still counts toward it; an ex-post sweep counts its own grid only when
+# the sweep certificate leaves it to be built.
 MAX_SCORINGS = 2_000_000
 MAX_P_GRID = 10_001
 _MAX_SCALE_COMBOS = 4096
@@ -194,9 +197,22 @@ def _sweep(
     private probabilities, and one frame serves all under public ones; a
     frame asks the table for a new `scorer` only if someone reads p̂_i.
     Utilities are kept per reported valuation per frame, and per outcome
-    per sweep where the outcome fixes them, truth's included, else per
-    frame: `settled_utility` runs once for truth and once per outcome kept
-    besides.
+    per sweep where the outcome fixes them, truth's included:
+    `settled_utility` runs once for truth and once per outcome kept besides.
+
+    Where it does not, under Groves with private probabilities and a reader
+    of p̂_i, the readers' values are still fixed within a frame, so there
+    the outcome fixes i's utility. Each frame settles every contender of
+    its scorer before any scoring (`groves_utilities`), and its scorings read
+    their winners' utilities from those settlements. When no contender
+    beats truth, the frame's deviations are skipped unscored: each would
+    win one of them, so none gains. A skip hides no error. The table's
+    rows hold truth's allocation, so the contenders are never empty, and a
+    scoring cannot raise for want of one. Within the magnitude bounds of
+    admitted input no evaluation raises. And i's report in the profile is
+    i's truth, so no contender is one i's truth excludes; were one, its
+    settlement would raise ExcludedValueError before any scoring, as
+    settling a winner would.
     """
     profile = table.scenario
     # the pivot never reads i's report, so it is fixed per profile
@@ -218,8 +234,10 @@ def _sweep(
         return None
     if devs is None:
         devs = deviations_for(profile.commuters[i].true_type, space)
+    true_values: dict[int, float] = {}
     q = table.p
     p_hat = utilities = score = None
+    certified = False
     best: Witness | None = None
     for trip in devs:
         if utilities is None or (table.private and trip.p_commit != p_hat):
@@ -230,7 +248,11 @@ def _sweep(
                 score = table.scorer(i, q)
             utilities = {}
             if not by_outcome:
-                settled = {}
+                contenders = ((a, v) for a, _, v in score.contenders)
+                settled = groves_utilities(profile, i, h, contenders, true_values)
+                certified = all(u - u_truth <= 0.0 for u in settled.values())
+        if certified:
+            continue
         spec_id = id(trip.valuation)
         if spec_id not in utilities:
             rep = score(trip.valuation, q)

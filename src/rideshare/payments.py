@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .allocation import OutcomeTable, WelfareReport
 # Not called here; kept so that bench/tracer.py can still wrap them here.
@@ -59,12 +59,13 @@ class ExcludedValueError(ValueError):
     """A commuter's true valuation excludes the allocation being scored."""
 
 
-def _others_value(rep: WelfareReport, i: CommuterId) -> float:
-    return math.fsum(v for j, v in enumerate(rep.per_commuter) if j != i)
+def _groves_charge(h: float, values: Sequence[float], i: CommuterId) -> float:
+    """The Groves charge to i: the pivot term `h` less the others' `values`."""
+    return h - math.fsum(values[:i] + values[i + 1:])
 
 
 def _groves_entry(h: float, rep: WelfareReport, i: CommuterId) -> Unconditional:
-    return Unconditional(h - _others_value(rep, i))
+    return Unconditional(_groves_charge(h, rep.per_commuter, i))
 
 
 def _commit_entry(s: Scenario, h: float, rep: WelfareReport, i: CommuterId) -> Conditional:
@@ -190,18 +191,46 @@ def settled_utility(s: Scenario, i: CommuterId, allocation: Allocation, entry: P
     (`valuation.MAX_MAGNITUDE`); other input has no guarantee.
     """
     p = s.true_p()
-    spec = s.commuters[i].true_type.valuation
     if isinstance(entry, Unconditional):
-        v = evaluate(spec, allocation, p)
-        if v is EXCLUDED:
-            raise ExcludedValueError(f"commuter {i}: true valuation excludes the chosen allocation")
-        return v - entry.amount
-    v_one = evaluate(spec, allocation, substitute(p, i, 1.0))
-    v_zero = evaluate(spec, allocation, substitute(p, i, 0.0))
-    if v_one is EXCLUDED or v_zero is EXCLUDED:
-        raise ExcludedValueError(f"commuter {i}: true valuation excludes the chosen allocation")
+        return _true_value(s, i, allocation, p) - entry.amount
+    v_one = _true_value(s, i, allocation, substitute(p, i, 1.0))
+    v_zero = _true_value(s, i, allocation, substitute(p, i, 0.0))
     pi = p[i]
     return pi * (v_one - entry.on_commit) + (1.0 - pi) * (v_zero - entry.on_fail)
+
+
+def _true_value(s: Scenario, i: CommuterId, allocation: Allocation, p: Sequence[float]) -> float:
+    """Commuter `i`'s true valuation at `allocation` and `p`; raises
+    ExcludedValueError when it excludes that allocation."""
+    v = evaluate(s.commuters[i].true_type.valuation, allocation, p)
+    if v is EXCLUDED:
+        raise ExcludedValueError(f"commuter {i}: true valuation excludes the chosen allocation")
+    return v
+
+
+def groves_utilities(
+    s: Scenario,
+    i: CommuterId,
+    h: float,
+    outcomes: Iterable[tuple[Allocation, Sequence[float]]],
+    true_values: dict[int, float],
+) -> dict[int, float]:
+    """Commuter `i`'s Groves utility at each of `outcomes`, an allocation
+    with every commuter's reported value there, filed under the
+    allocation's id: `settled_utility` at the Groves entry, with pivot term
+    `h`, of a report holding those values. `true_values` keeps i's true
+    value per allocation id across calls, as it reads only true types, so
+    the calls must share `s` and `i` and keep the allocations alive.
+    Raises ExcludedValueError when i's true valuation excludes one."""
+    p = s.true_p()
+    utilities = {}
+    for allocation, values in outcomes:
+        outcome = id(allocation)
+        v = true_values.get(outcome)
+        if v is None:
+            v = true_values[outcome] = _true_value(s, i, allocation, p)
+        utilities[outcome] = v - _groves_charge(h, values, i)
+    return utilities
 
 
 def expected_utility(s: Scenario, i: CommuterId, schedule: PaymentSchedule) -> float:

@@ -27,7 +27,12 @@ from rideshare.audit import (
 import rideshare.allocation as allocation_module
 import rideshare.audit as audit_module
 import rideshare.valuation as valuation_module
-from rideshare.allocation import OutcomeTable, efficient_allocation, efficient_allocation_excluding
+from rideshare.allocation import (
+    OutcomeTable,
+    WelfareReport,
+    efficient_allocation,
+    efficient_allocation_excluding,
+)
 from rideshare.corpus import by_name, linear_entries
 from rideshare.model import (
     Commuter,
@@ -45,6 +50,7 @@ from rideshare.payments import (
     commit_payments,
     expected_utility,
     groves_payments,
+    groves_utilities,
     settled_utility,
 )
 from rideshare.valuation import (
@@ -57,6 +63,7 @@ from rideshare.valuation import (
     is_linear_in_commitment,
     referenced_subjects,
     spec_violations,
+    substitute,
 )
 
 
@@ -314,6 +321,87 @@ def test_a_certified_sweep_has_no_gaining_deviation(s_space):
         for i in _certified_commuters(base, mechanism, space):
             devs = deviations_for(base.commuters[i].true_type, space)
             assert reference_sweep(base, i, mechanism, devs)[0] is None, (mechanism, i)
+
+
+def _groves_frames(profile, i, mechanism, space):
+    """Checks each frame of commuter i's sweep against `profile`, in which
+    i reports truthfully, under a private-probability Groves `mechanism`:
+    one frame per p̂_i of i's grid, priced by the table's scorer. Each of
+    the scorer's contenders settles through `groves_utilities` to what
+    `settled_utility` returns at the entry of a scoring it wins, by
+    `repr`; each deviation of the frame, scored, settles to its winner's
+    settlement; and where no contender settles above truth (the frame's
+    certificate), no deviation gains more than 0.0. The settlements read
+    none of i's own values. Returns how many frames are certified and how
+    many are not; none when nobody reads p̂_i."""
+    table = OutcomeTable(profile, mechanism.probabilities(profile))
+    frames = Counter()
+    if not table.readers(i):
+        return frames
+    h = table.pivot(i) if mechanism.pivot is PivotRule.CLARKE else 0.0
+    truth = table.truth()
+    u_truth = settled_utility(profile, i, truth.allocation, mechanism.entry(profile, h, truth, i))
+    devs = deviations_for(profile.commuters[i].true_type, space)
+    true_values = {}
+    for p_hat in sorted({t.p_commit for t in devs}):
+        q = substitute(table.p, i, p_hat)
+        score = table.scorer(i, q)
+        contenders = [(a, tuple(values)) for a, _, values in score.contenders]
+        settled = groves_utilities(profile, i, h, contenders, true_values)
+        assert list(settled) == [id(a) for a, _ in contenders]
+        for a, values in contenders:
+            rep = WelfareReport(a, math.fsum(values), values)
+            expected = settled_utility(profile, i, a, mechanism.entry(profile, h, rep, i))
+            assert repr(settled[id(a)]) == repr(expected), (i, p_hat)
+        certified = all(u - u_truth <= 0.0 for u in settled.values())
+        frames[certified] += 1
+        for trip in devs:
+            if trip.p_commit != p_hat:
+                continue
+            rep = score(trip.valuation, q)
+            u = settled_utility(profile, i, rep.allocation, mechanism.entry(profile, h, rep, i))
+            assert repr(settled[id(rep.allocation)]) == repr(u), (i, trip)
+            assert not certified or u - u_truth <= 0.0, (i, trip)
+        # i's own entry of a contender's values, the last scoring's, is not read
+        scored = [(a, tuple(values)) for a, _, values in score.contenders]
+        assert repr(groves_utilities(profile, i, h, scored, true_values)) == repr(settled)
+    return frames
+
+
+_PRIVATE_GROVES = (Mechanism.GROVES_ZERO, Mechanism.GROVES_CLARKE)
+
+
+def test_groves_frames_settle_their_contenders_and_certify_them(corpus_entries):
+    """On every corpus scenario, ex post, each private-probability Groves
+    frame passes `_groves_frames`; the corpus has frames the certificate
+    clears and frames it leaves to be scored."""
+    frames = Counter()
+    for e in corpus_entries:
+        base = with_truthful_reports(e.scenario)
+        for mechanism in _PRIVATE_GROVES:
+            for i in range(base.n):
+                frames += _groves_frames(base, i, mechanism, DeviationSpace())
+    assert frames[True] > 0 and frames[False] > 0, frames
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    s_space=st.one_of(
+        st.tuples(small_scenarios(), st.just(DeviationSpace(p_grid=3))),
+        # their many terms would make the coefficient grid large
+        st.tuples(pivot_scenarios(excluding_none=False).filter(lambda s: s.n <= 4),
+                  st.just(DeviationSpace(p_grid=3, coefficient_scales=(1.0,)))),
+    ),
+    mechanism=st.sampled_from(_PRIVATE_GROVES),
+)
+def test_generated_groves_frames_settle_their_contenders_and_certify_them(s_space, mechanism):
+    """Each private-probability Groves frame of a generated scenario passes
+    `_groves_frames`, in the profile where every commuter but the deviator
+    keeps their report: the pivot scenarios report probabilities that are
+    not their true ones, so true values differ from the table's there."""
+    s, space = s_space
+    for i, c in enumerate(s.commuters):
+        _groves_frames(with_report(s, i, c.true_type), i, mechanism, space)
 
 
 @settings(max_examples=40, deadline=None)
@@ -676,7 +764,9 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     outcome pass for all commuters' certificates then evaluates nothing:
     the efficient search already read every value it reads. Each sweep
     settles an outcome at most once where the outcome fixes i's utility,
-    truth's included, else at most once per frame.
+    truth's included; a sweep where it does not settles truth alone through
+    `settled_utility`, and each frame's contenders through
+    `groves_utilities`.
 
     A sweep whose certificate holds finds nothing, builds no grid and
     builds or calls no scorer. Under Groves with private probabilities, a
@@ -688,8 +778,12 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     for one scorer, one pass over the table's outcome rows, per frame
     whose readers (the others whose spec reads p̂_i) changed: once, unless
     probabilities are private and someone reads p̂_i, then once per p̂_i
-    point. Each distinct (p̂_i, reported valuation) is scored once, by the
-    table's scorer and at i's probabilities, never by a full-set argmax. Within the frames, a non-reader is evaluated at most once per
+    point. Each distinct (p̂_i, reported valuation) is scored at most once,
+    by the table's scorer and at i's probabilities, never by a full-set
+    argmax: under Groves with private probabilities and a reader, a frame
+    none of whose contenders settles above truth scores nothing, and any
+    other frame scores each of its deviations once; elsewhere every one is
+    scored. Within the frames, a non-reader is evaluated at most once per
     distinct assignment per audit, and not at all where pricing already
     did, a reader once per assignment per p̂_i, and i once per
     assignment per (p̂_i, valuation). Every sweep of the constant trio has
@@ -722,19 +816,31 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
 
     real_sweep = audit_module._sweep
 
-    def sweep(table, i, *args):
+    def sweep(table, i, mechanism, *args):
         readers = {j for j, spec in enumerate(specs) if j != i and i in referenced_subjects(spec)}
         record = {"i": i, "readers": readers, "passes": 0, "scorings": [], "grids": 0,
-                  "certificates": 0, "evaluations": Counter(), "settlements": []}
+                  "certificates": 0, "evaluations": Counter(), "settlements": [], "frames": []}
         sweeps.append(record)
-        record["found"] = real_sweep(table, i, *args)
+        record["found"] = real_sweep(table, i, mechanism, *args)
+        # whether each frame's contenders all settle at or below truth
+        profile, truth = table.scenario, table.truth()
+        h = table.pivot(i) if mechanism.pivot is PivotRule.CLARKE else 0.0
+        u_truth = real_settled_utility(profile, i, truth.allocation,
+                                       mechanism.entry(profile, h, truth, i))
+        record["truth"] = id(truth.allocation)
+        record["frames"] = [
+            (p_hat, all(real_settled_utility(profile, i, a, mechanism.entry(
+                profile, h, WelfareReport(a, math.fsum(values), values), i)) - u_truth <= 0.0
+                for a, values in contenders))
+            for p_hat, contenders in record["frames"]]
         return record["found"]
 
     real_deviations_for = audit_module.deviations_for
 
     def grid(*args):
         sweeps[-1]["grids"] += 1
-        return real_deviations_for(*args)
+        sweeps[-1]["grid"] = real_deviations_for(*args)
+        return sweeps[-1]["grid"]
 
     real_certified = audit_module._certified
 
@@ -755,10 +861,12 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         record = sweeps[-1]
         record["passes"] += 1
         score = track(real_scorer, "frame")(table, i, p)
+        record["frames"].append((p[i], [(a, tuple(v)) for a, _, v in score.contenders]))
 
         def scoring(spec, q):
             record["scorings"].append((q[record["i"]], id(spec)))
             return track(score, "frame")(spec, q)
+        scoring.contenders = score.contenders
         return scoring
 
     real_argmax = allocation_module._argmax
@@ -830,8 +938,10 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         fixed = mechanism is Mechanism.COMMIT_BASED or not (private and record["readers"])
         kept = [(None if fixed else frame, a) for frame, a in record["settlements"]]
         assert len(set(kept)) == len(kept)
-        if private and record["readers"] and mechanism is not Mechanism.COMMIT_BASED:
+        framed = private and record["readers"] and mechanism is not Mechanism.COMMIT_BASED
+        if framed:
             assert record["certificates"] == 0
+            assert record["settlements"] == [(0, record["truth"])]
         else:
             assert record["certificates"] == 1
         if not record["grids"]:
@@ -846,7 +956,13 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         assert record["passes"] == frames
         scorings = record["scorings"]
         assert len(set(scorings)) == len(scorings)
-        if private:
+        if framed:
+            assert [p_hat for p_hat, _ in record["frames"]] == sorted({t.p_commit for t in devs})
+            for p_hat, certified_frame in record["frames"]:
+                frame = [(t.p_commit, id(t.valuation)) for t in record["grid"]
+                         if t.p_commit == p_hat]
+                assert [x for x in scorings if x[0] == p_hat] == ([] if certified_frame else frame)
+        elif private:
             assert len(scorings) == len(devs)
         else:
             assert len(scorings) == len({id(t.valuation) for t in devs}) < len(devs)

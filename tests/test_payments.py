@@ -41,6 +41,8 @@ from rideshare.payments import (
     commit_payments,
     expected_utility,
     groves_payments,
+    groves_utilities,
+    settled_utility,
 )
 from rideshare.scenario_io import serialize_scenario
 from rideshare.valuation import (
@@ -213,6 +215,24 @@ def test_commit_entry_raises_when_others_report_excludes_allocation():
     rep = WelfareReport(swapped, 0.0, (0.0, 0.0))
     with pytest.raises(ExcludedValueError, match="commuter 1"):
         _commit_entry(s, 0.0, rep, 0)
+
+
+def test_groves_utilities_raise_where_the_true_valuation_excludes():
+    """An outcome i's true valuation rules out raises ExcludedValueError, as
+    `settled_utility` does there, not a TypeError from EXCLUDED's
+    arithmetic, and no true value is kept for it."""
+    s = by_name("linear-pair-profitable")
+    # commuter 1 never drives
+    swapped = (
+        Assignment(Role.RIDE, frozenset((1,))),
+        Assignment(Role.DRIVE, frozenset((0,))),
+    )
+    true_values = {}
+    with pytest.raises(ExcludedValueError, match="commuter 1"):
+        groves_utilities(s, 1, 0.0, [(swapped, (0.0, 0.0))], true_values)
+    assert true_values == {}
+    with pytest.raises(ExcludedValueError, match="commuter 1"):
+        settled_utility(s, 1, swapped, Unconditional(0.0))
 
 
 def test_deficit_sign_convention():
