@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .allocation import OutcomeTable
@@ -24,7 +24,7 @@ from .allocation import OutcomeTable
 from .allocation import efficient_allocation, efficient_allocation_excluding
 from .model import CommuterId, Scenario, TripType, with_report, with_truthful_reports
 from .payments import Mechanism, PivotRule, groves_utilities, settled_utility
-from .valuation import MAX_SCALE, Monomial, ValuationSpec, substitute
+from .valuation import MAX_SCALE, Clause, Monomial, ValuationSpec, substitute
 
 GAIN_TOLERANCE = 1e-9
 MAX_DOMINANT_COMMUTERS = 4
@@ -125,11 +125,11 @@ class AuditReport:
 
 def _scaled_spec(spec: ValuationSpec, combo: tuple[float, ...]) -> ValuationSpec:
     it = iter(combo)
-    clauses = []
-    for clause in spec.clauses:
-        terms = tuple(Monomial(next(it) * t.coefficient, t.factors) for t in clause.terms)
-        clauses.append(replace(clause, terms=terms))
-    return replace(spec, clauses=tuple(clauses))
+    clauses = tuple(
+        Clause(c.pattern, c.gates, tuple(Monomial(next(it) * t.coefficient, t.factors)
+                                         for t in c.terms), c.excluded)
+        for c in spec.clauses)
+    return ValuationSpec(spec.owner, clauses, spec.default_value)
 
 
 def _scale_combos(spec: ValuationSpec, scales: tuple[float, ...]) -> list[tuple[float, ...]]:
@@ -180,39 +180,54 @@ def _sweep(
     space: DeviationSpace,
     devs: list[TripType] | None,
     opponents: tuple[tuple[CommuterId, TripType], ...],
+    floor: float,
 ) -> Witness | None:
     """Commuter i's first maximal-gain deviation in `space` against the
     profile of `table`, priced at the probabilities `mechanism` reads, if
-    any gains, as pricing each deviation afresh would find. `devs` is i's
-    grid, or None to build it only if the sweep scores it, refused with
-    AuditSizeError above MAX_SCORINGS deviations. The table may be shared
-    with other sweeps against the same profile; this one asks it for i's
-    pivot, then for the efficient report, the order in which a sweep's own
-    searches would run.
+    it gains more than `floor` (>= 0.0), as pricing each deviation afresh
+    would find. `devs` is i's grid, or None to build it only if the sweep
+    scores it, refused with AuditSizeError above MAX_SCORINGS deviations.
+    The table may be shared with other sweeps against the same profile;
+    this one asks it for i's pivot, then for the efficient report, the
+    order in which a sweep's own searches would run.
 
     Where i's utility is fixed by the chosen allocation, the sweep first
-    settles i on every outcome of the table (`_certified`); when none beats
+    settles i on outcomes of the table (`_certified`); when none beats
     truth, no deviation gains and the sweep returns None without building
-    or scoring the grid. Otherwise a frame starts at each new p̂_i under
-    private probabilities, and one frame serves all under public ones; a
-    frame asks the table for a new `scorer` only if someone reads p̂_i.
-    Utilities are kept per reported valuation per frame, and per outcome
-    per sweep where the outcome fixes them, truth's included:
-    `settled_utility` runs once for truth and once per outcome kept besides.
+    the grid. Neither that certificate nor the grid's refusal reads
+    `floor`, so every sweep refuses, or not, as it would without one.
 
-    Where it does not, under Groves with private probabilities and a reader
-    of p̂_i, the readers' values are still fixed within a frame, so there
-    the outcome fixes i's utility. Each frame settles every contender of
-    its scorer before any scoring (`groves_utilities`), and its scorings read
-    their winners' utilities from those settlements. When no contender
-    beats truth, the frame's deviations are skipped unscored: each would
-    win one of them, so none gains. A skip hides no error. The table's
-    rows hold truth's allocation, so the contenders are never empty, and a
-    scoring cannot raise for want of one. Within the magnitude bounds of
-    admitted input no evaluation raises. And i's report in the profile is
-    i's truth, so no contender is one i's truth excludes; were one, its
-    settlement would raise ExcludedValueError before any scoring, as
-    settling a winner would.
+    The grid falls into frames: a frame per p̂_i under private
+    probabilities, one frame under public ones. A frame's scorer is the
+    table's `scorer` at i's probabilities, the same for every frame unless
+    someone reads p̂_i. Every deviation of a frame wins one of its
+    scorer's contenders, and i's utility there is that contender's
+    settlement: per outcome per sweep where the outcome fixes it
+    (`settled_utility` at the outcome's row), else per frame, where the
+    readers' values are fixed (`groves_utilities`). So the frame's bound,
+    its best settlement less i's truthful utility, is at least the gain of
+    each of its deviations: rounding is monotone.
+
+    Bounds are worked out for every frame, in grid order, before any
+    scoring. Frames are then visited by bound descending, grid order among
+    equal bounds, and each scores its deviations in grid order. The held
+    witness gives way to a larger gain, or to an equal one earlier in the
+    grid, so it is always the first maximal-gain deviation of those
+    scored. A frame stops at its first deviation that reaches its bound:
+    the rest of the frame gains no more and comes later. The sweep stops
+    at the first frame whose bound is below the held gain, or equal to it
+    and later in the grid, as is every frame after it, and skips every
+    frame whose bound is at most `floor`. So the first maximal-gain
+    deviation is scored, and held, whenever it gains more than `floor`:
+    each frame visited before its own either holds a deviation that beats
+    it, which none does, or lets its frame be visited.
+
+    Nothing the sweep skips would have raised. The table's rows hold
+    truth's allocation, so contenders are never empty and a scoring cannot
+    raise for want of one. Within the magnitude bounds of admitted input
+    no evaluation raises. And the rows are allocations no report excludes,
+    exclusion reading no probability, while i's report in the profile is
+    i's truth: no contender settles to ExcludedValueError.
     """
     profile = table.scenario
     # the pivot never reads i's report, so it is fixed per profile
@@ -228,43 +243,68 @@ def _sweep(
     u_truth = settled_utility(profile, i, truth.allocation, mechanism.entry(profile, h, truth, i))
     readers = table.readers(i)
     by_outcome = mechanism is Mechanism.COMMIT_BASED or not readers
-    # Keyed on ids, kept alive by `table` and `devs`.
+    # Keyed on ids, kept alive by `table`.
     settled: dict[int, float] = {id(truth.allocation): u_truth} if by_outcome else {}
     if by_outcome and _certified(i, mechanism, h, u_truth, table, settled):
         return None
     if devs is None:
         devs = deviations_for(profile.commuters[i].true_type, space)
+    rows = {id(rep.allocation): rep for rep in table.rows()} if by_outcome else {}
     true_values: dict[int, float] = {}
-    q = table.p
-    p_hat = utilities = score = None
-    certified = False
-    best: Witness | None = None
-    for trip in devs:
-        if utilities is None or (table.private and trip.p_commit != p_hat):
-            p_hat = trip.p_commit
-            if table.private:
-                q = substitute(table.p, i, p_hat)
-            if score is None or readers:
-                score = table.scorer(i, q)
-            utilities = {}
-            if not by_outcome:
-                contenders = ((a, v) for a, _, v in score.contenders)
-                settled = groves_utilities(profile, i, h, contenders, true_values)
-                certified = all(u - u_truth <= 0.0 for u in settled.values())
-        if certified:
-            continue
-        spec_id = id(trip.valuation)
-        if spec_id not in utilities:
-            rep = score(trip.valuation, q)
-            outcome = id(rep.allocation)
+
+    def settle(score) -> dict[int, float]:
+        """i's utility at each contender of `score`, under its allocation's id."""
+        if not by_outcome:
+            contenders = ((a, v) for a, _, v in score.contenders)
+            return groves_utilities(profile, i, h, contenders, true_values)
+        for a, _, _ in score.contenders:
+            outcome = id(a)
             if outcome not in settled:
-                entry = mechanism.entry(profile, h, rep, i)
-                settled[outcome] = settled_utility(profile, i, rep.allocation, entry)
-            utilities[spec_id] = settled[outcome]
-        u = utilities[spec_id]
-        gain = u - u_truth
-        if gain > (0.0 if best is None else best.gain):
-            best = Witness(i, trip, u_truth, u, gain, opponents)
+                entry = mechanism.entry(profile, h, rows[outcome], i)
+                settled[outcome] = settled_utility(profile, i, a, entry)
+        return {id(a): settled[id(a)] for a, _, _ in score.contenders}
+
+    def at(p_hat: float) -> tuple[float, ...]:
+        return substitute(table.p, i, p_hat) if table.private else table.p
+
+    starts = [k for k in range(len(devs))
+              if k == 0 or table.private and devs[k].p_commit != devs[k - 1].p_commit]
+    if not readers:
+        score = table.scorer(i, table.p)
+        utilities = settle(score)
+        bound = max(utilities.values()) - u_truth
+    # (-bound, start, stop) of each frame above the floor; no scorer is kept
+    frames = []
+    for start, stop in zip(starts, starts[1:] + [len(devs)]):
+        if readers:
+            bound = max(settle(table.scorer(i, at(devs[start].p_commit))).values()) - u_truth
+        if bound > floor:
+            frames.append((-bound, start, stop))
+    frames.sort()
+    best: Witness | None = None
+    held = 0
+    for neg_bound, start, stop in frames:
+        bound = -neg_bound
+        if best is not None and (bound < best.gain or bound == best.gain and start > held):
+            break
+        q = at(devs[start].p_commit)
+        if readers:
+            score = table.scorer(i, q)
+            utilities = settle(score)
+        # utilities per reported valuation: valuations recur under public probabilities
+        seen: dict[int, float] = {}
+        for k in range(start, stop):
+            trip = devs[k]
+            spec_id = id(trip.valuation)
+            u = seen.get(spec_id)
+            if u is None:
+                u = seen[spec_id] = utilities[id(score(trip.valuation, q).allocation)]
+            gain = u - u_truth
+            if (gain > floor if best is None
+                    else gain > best.gain or gain == best.gain and k < held):
+                best, held = Witness(i, trip, u_truth, u, gain, opponents), k
+            if gain == bound:
+                break
     return best
 
 
@@ -324,8 +364,9 @@ def _audit(
             for j, trip in zip(others, combo):
                 profile = with_report(profile, j, trip)
             table = expost or OutcomeTable(profile, mechanism.probabilities(profile))
-            found = _sweep(table, i, mechanism, space, own, tuple(zip(others, combo)))
-            if found is not None and (best is None or found.gain > best.gain):
+            floor = 0.0 if best is None else best.gain
+            found = _sweep(table, i, mechanism, space, own, tuple(zip(others, combo)), floor)
+            if found is not None:
                 best = found
     violated = best is not None and best.gain > GAIN_TOLERANCE
     return AuditReport(

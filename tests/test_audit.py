@@ -751,6 +751,67 @@ _SEARCHED_AFTER_TRUTH = {
 }
 
 
+def _replayed_gains(profile, i, mechanism):
+    """Commuter i's gain from each deviation against `profile`, priced
+    afresh as `reference_sweep` prices it, and kept per (p̂_i, valuation)."""
+    public_p = mechanism.probabilities(profile)
+    h = 0.0
+    if mechanism.pivot is PivotRule.CLARKE:
+        h = efficient_allocation(profile, p_override=public_p, absent=i).welfare
+
+    def utility(trip):
+        bent = with_report(profile, i, trip)
+        rep = efficient_allocation(bent, p_override=public_p)
+        return settled_utility(bent, i, rep.allocation, mechanism.entry(bent, h, rep, i))
+
+    u_truth = utility(profile.commuters[i].true_type)
+    gains = {}
+
+    def gain(trip):
+        key = (trip.p_commit, id(trip.valuation))
+        if key not in gains:
+            gains[key] = utility(trip) - u_truth
+        return gains[key]
+    return gain
+
+
+def _bound_first_scorings(grid, frame_of, bounds, floor, gain):
+    """The scorings, as (p̂_i read, id of the valuation), of a sweep over
+    `grid` that visits frames best bound first, replayed from the bounds:
+    a frame is a run of `grid` with one `frame_of`, the p̂_i its scorings
+    read, and `bounds` maps that to the frame's bound. Frames whose bound
+    is at most `floor` are skipped, and the rest are visited by bound
+    descending, grid order among equal bounds, until one's bound is below
+    the held gain, or equal to it and later in the grid. A visited frame
+    scores each valuation it has not yet scored, in grid order, up to and
+    including the first deviation whose `gain` reaches the bound. The held
+    witness is the first maximal gain above `floor` met, by grid position.
+    Returns the scorings, the frames visited in order and the held grid
+    position, or None."""
+    starts = [k for k in range(len(grid)) if k == 0 or frame_of(grid[k]) != frame_of(grid[k - 1])]
+    frames = sorted((-bounds[frame_of(grid[start])], start, stop)
+                    for start, stop in zip(starts, starts[1:] + [len(grid)])
+                    if bounds[frame_of(grid[start])] > floor)
+    scorings, visited, held = [], [], None
+    for neg_bound, start, stop in frames:
+        bound = -neg_bound
+        if held is not None and (bound < held[0] or bound == held[0] and start > held[1]):
+            break
+        visited.append(frame_of(grid[start]))
+        scored = set()
+        for k in range(start, stop):
+            trip = grid[k]
+            if id(trip.valuation) not in scored:
+                scored.add(id(trip.valuation))
+                scorings.append((frame_of(trip), id(trip.valuation)))
+            g = gain(trip)
+            if g > floor if held is None else g > held[0] or g == held[0] and k < held[1]:
+                held = (g, k)
+            if g == bound:
+                break
+    return scorings, visited, None if held is None else held[1]
+
+
 @pytest.mark.parametrize("name", list(_SEARCHED_AFTER_TRUTH))
 @pytest.mark.parametrize("mechanism", Mechanism, ids=lambda m: m.value)
 def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
@@ -766,7 +827,8 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     settles an outcome at most once where the outcome fixes i's utility,
     truth's included; a sweep where it does not settles truth alone through
     `settled_utility`, and each frame's contenders through
-    `groves_utilities`.
+    `groves_utilities`. Each sweep gets the best gain of the sweeps before
+    it, or 0.0, as its floor.
 
     A sweep whose certificate holds finds nothing, builds no grid and
     builds or calls no scorer. Under Groves with private probabilities, a
@@ -774,23 +836,28 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     once. The outcome rows are built once per table and shared by every
     certificate and scorer.
 
-    Any other sweep of commuter i builds i's grid once and asks the table
-    for one scorer, one pass over the table's outcome rows, per frame
-    whose readers (the others whose spec reads p̂_i) changed: once, unless
-    probabilities are private and someone reads p̂_i, then once per p̂_i
-    point. Each distinct (p̂_i, reported valuation) is scored at most once,
-    by the table's scorer and at i's probabilities, never by a full-set
-    argmax: under Groves with private probabilities and a reader, a frame
-    none of whose contenders settles above truth scores nothing, and any
-    other frame scores each of its deviations once; elsewhere every one is
-    scored. Within the frames, a non-reader is evaluated at most once per
-    distinct assignment per audit, and not at all where pricing already
-    did, a reader once per assignment per p̂_i, and i once per
-    assignment per (p̂_i, valuation). Every sweep of the constant trio has
-    no reader, every sweep of the two-driver trio has one, and the pair
-    has one of each. Commit payments certify every sweep of the linear
-    scenarios, and not the deviator's sweep in the gate and quadratic
-    pairs."""
+    Any other sweep of commuter i builds i's grid once. A frame is a p̂_i
+    point under private probabilities, the whole grid under public ones.
+    Where nobody reads p̂_i the sweep asks the table for one scorer, one
+    pass over the table's outcome rows, at the table's probabilities, and
+    its contenders bound every frame. Where someone does, it asks for one
+    per p̂_i point, in grid order, to bound each frame, then one more for
+    each frame it visits. Each bound, recomputed here through
+    `Mechanism.entry` and `settled_utility`, is the frame's best contender
+    utility less truth's. The scorings are exactly those of
+    `_bound_first_scorings`, which replays the visiting order and stopping
+    rule from those bounds, the floor and each deviation's gain priced
+    afresh, and the sweep's witness is the one that replay holds. Each
+    distinct (p̂_i, reported valuation) is scored at most once, by the
+    table's scorer and at i's probabilities, never by a full-set argmax.
+    Within the frames, a non-reader is evaluated at most once per distinct
+    assignment per audit, and not at all where pricing already did; a
+    reader once per assignment per scorer at a p̂_i other than the table's,
+    and at exactly those p̂_i; and i once per assignment per scoring, in
+    exactly the scorings. Every sweep of the constant trio has no reader,
+    every sweep of the two-driver trio has one, and the pair has one of
+    each. Commit payments certify every sweep of the linear scenarios, and
+    not the deviator's sweep in the gate and quadratic pairs."""
     s = by_name(name)
     specs = [c.true_type.valuation for c in s.commuters]
     sweeps = []
@@ -819,19 +886,20 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     def sweep(table, i, mechanism, *args):
         readers = {j for j, spec in enumerate(specs) if j != i and i in referenced_subjects(spec)}
         record = {"i": i, "readers": readers, "passes": 0, "scorings": [], "grids": 0,
-                  "certificates": 0, "evaluations": Counter(), "settlements": [], "frames": []}
+                  "certificates": 0, "evaluations": Counter(), "settlements": [], "frames": [],
+                  "floor": args[-1], "profile": table.scenario, "p_i": table.p[i]}
         sweeps.append(record)
         record["found"] = real_sweep(table, i, mechanism, *args)
-        # whether each frame's contenders all settle at or below truth
+        # each scorer pass's bound: its best contender utility less truth's
         profile, truth = table.scenario, table.truth()
         h = table.pivot(i) if mechanism.pivot is PivotRule.CLARKE else 0.0
         u_truth = real_settled_utility(profile, i, truth.allocation,
                                        mechanism.entry(profile, h, truth, i))
         record["truth"] = id(truth.allocation)
         record["frames"] = [
-            (p_hat, all(real_settled_utility(profile, i, a, mechanism.entry(
-                profile, h, WelfareReport(a, math.fsum(values), values), i)) - u_truth <= 0.0
-                for a, values in contenders))
+            (p_hat, max(real_settled_utility(profile, i, a, mechanism.entry(
+                profile, h, WelfareReport(a, math.fsum(values), values), i))
+                for a, values in contenders) - u_truth)
             for p_hat, contenders in record["frames"]]
         return record["found"]
 
@@ -922,6 +990,8 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     monkeypatch.setattr(audit_module, "settled_utility", settle)
     space = DeviationSpace()
     audit_expost(s, mechanism, space)
+    # the replays below price deviations afresh, through the real searches
+    monkeypatch.undo()
     private = mechanism.probabilities(s) is None
     clarke = mechanism.pivot is PivotRule.CLARKE
     assert tables == 1
@@ -932,7 +1002,12 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     assert len(row_lists) <= 1
     frame_shared = Counter()
     certified = []
+    floor = 0.0
     for record, c in zip(sweeps, s.commuters):
+        assert record["floor"] == floor
+        if record["found"] is not None:
+            assert record["found"].gain > floor
+            floor = record["found"].gain
         assert record["settlements"]
         # the first settles truth; a frame is the scorer passes so far
         fixed = mechanism is Mechanism.COMMIT_BASED or not (private and record["readers"])
@@ -951,24 +1026,37 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
             assert record["scorings"] == []
             continue
         assert record["grids"] == 1
-        devs = deviations_for(c.true_type, space)
-        frames = len({t.p_commit for t in devs}) if private and record["readers"] else 1
-        assert record["passes"] == frames
-        scorings = record["scorings"]
-        assert len(set(scorings)) == len(scorings)
-        if framed:
-            assert [p_hat for p_hat, _ in record["frames"]] == sorted({t.p_commit for t in devs})
-            for p_hat, certified_frame in record["frames"]:
-                frame = [(t.p_commit, id(t.valuation)) for t in record["grid"]
-                         if t.p_commit == p_hat]
-                assert [x for x in scorings if x[0] == p_hat] == ([] if certified_frame else frame)
-        elif private:
-            assert len(scorings) == len(devs)
+        devs = record["grid"]
+        assert devs == deviations_for(c.true_type, space)
+        points = sorted({t.p_commit for t in devs})
+        passes = [p_hat for p_hat, _ in record["frames"]]
+        if private and record["readers"]:
+            bounds = dict(record["frames"][:len(points)])
+            assert passes[:len(points)] == points
         else:
-            assert len(scorings) == len({id(t.valuation) for t in devs}) < len(devs)
-        assert record["evaluations"]
-        assert set(record["evaluations"].values()) == {1}
-        frame_shared.update((j, a) for j, frame, a in record["evaluations"] if frame is None)
+            (p_i, bound), = record["frames"]
+            assert p_i == record["p_i"]
+            bounds = {p_hat: bound for p_hat in points} if private else {p_i: bound}
+
+        def frame_of(trip):
+            return trip.p_commit if private else record["p_i"]
+        scorings, visited, held = _bound_first_scorings(
+            devs, frame_of, bounds, record["floor"],
+            _replayed_gains(record["profile"], record["i"], mechanism))
+        assert record["scorings"] == scorings
+        assert len(set(scorings)) == len(scorings)
+        found = record["found"]
+        assert (None if found is None else found.report) is (None if held is None else devs[held])
+        if private and record["readers"]:
+            # each visited frame builds its scorer again, to the same bound
+            assert record["frames"][len(points):] == [(p_hat, bounds[p_hat]) for p_hat in visited]
+        fresh = Counter(p_hat for p_hat in passes if p_hat != record["p_i"])
+        evaluations = record["evaluations"]
+        assert {frame for j, frame, _ in evaluations if j == record["i"]} == set(scorings)
+        assert {frame for j, frame, _ in evaluations if j in record["readers"]} == set(fresh)
+        for (j, frame, _), count in evaluations.items():
+            assert count == (fresh[frame] if j in record["readers"] else 1), (j, frame)
+        frame_shared.update((j, a) for j, frame, a in evaluations if frame is None)
     assert not frame_shared or set(frame_shared.values()) == {1}
     assert not set(frame_shared) & {(j, a) for j, k, a in pricing if k is None}
     if mechanism is Mechanism.COMMIT_BASED:
