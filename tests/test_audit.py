@@ -57,8 +57,11 @@ from rideshare.valuation import (
     MAX_MAGNITUDE,
     MAX_SCALE,
     Clause,
+    ExactPartners,
+    GateDirection,
     Monomial,
     OutcomePattern,
+    ThresholdGate,
     ValuationSpec,
     is_linear_in_commitment,
     referenced_subjects,
@@ -287,6 +290,145 @@ def test_sweep_matches_the_per_deviation_reference(s, dominant_mechanism):
                 assert by_spec.setdefault(trip.valuation, u) == u, (mechanism, i, trip)
 
 
+_PRIVATE_GROVES = (Mechanism.GROVES_ZERO, Mechanism.GROVES_CLARKE)
+
+
+@settings(max_examples=15, deadline=None)
+@given(s=small_scenarios().filter(lambda s: s.n <= 3))
+def test_bound_first_sweeps_match_the_reference_at_the_default_grid(s):
+    """At the default 21 probability points, enough frames for their
+    bounds to order them, every ex-post audit, whose later sweeps carry
+    the best gain so far as their floor, equals the replay that prices
+    each deviation afresh."""
+    space = DeviationSpace()
+    assert space.p_grid == 21
+    for mechanism in Mechanism:
+        assert repr(audit_expost(s, mechanism, space)) == repr(reference_audit(s, mechanism, space))
+
+
+def _carrier(to_1, to_2):
+    """Driver 0's valuation: `to_1` for carrying rider 1, `to_2` for rider 2."""
+    def drive(partner, value):
+        return Clause(OutcomePattern(Role.DRIVE, ExactPartners(frozenset({partner}))),
+                      terms=(Monomial(value),))
+    return ValuationSpec(0, (drive(1, to_1), drive(2, to_2),
+                             Clause(OutcomePattern(Role.RIDE), excluded=True),
+                             Clause(OutcomePattern(Role.NONE))))
+
+
+def _two_riders():
+    """Driver 0, who truly pays 2 to carry either rider, has one seat.
+    Rider 1 values the ride at 5 once p̂_0 >= 0.6, rider 2 at 6 p̂_0, so
+    both read p̂_0. At p_0 = 0.5, truth carries rider 2 and leaves 0 a
+    Groves utility of 1 (less the pivot term). Against truth, carrying
+    rider 1 gains 2 at every p̂_0 >= 0.6, and carrying rider 2 gains
+    6 p̂_0 - 3: 2.4 at p̂_0 = 0.9 and 3 at p̂_0 = 1. The misreports in
+    `_BOUND_FIRST_SWEEPS` steer the choice with 10 and -10."""
+    def rider(j, ride):
+        return ValuationSpec(j, (ride, Clause(OutcomePattern(Role.DRIVE), excluded=True),
+                                 Clause(OutcomePattern(Role.NONE))))
+    gated = Clause(OutcomePattern(Role.RIDE), (ThresholdGate(0, 0.6, GateDirection.AT_LEAST),),
+                   (Monomial(5.0),))
+    linear = Clause(OutcomePattern(Role.RIDE), terms=(Monomial(6.0, ((0, 1),)),))
+    return Scenario((Commuter(0, True, 1, TripType(_carrier(-2.0, -2.0), 0.5)),
+                     Commuter(1, False, 0, TripType(rider(1, gated), 0.8)),
+                     Commuter(2, False, 0, TripType(rider(2, linear), 0.8))),
+                    full_compatibility(3))
+
+
+# Hand-built grids of driver 0 in `_two_riders`, two frames each, and the
+# p̂_0 of each scoring in the order the sweep makes them. The later frame,
+# p̂_0 = 1, has the highest bound, 3, and is scored first, but its one
+# deviation carries rider 1 and gains only 2. Then the earlier frame's
+# deviation, scored next, must take the witness: carrying rider 2 at 0.9
+# gains 2.4, more than 2; carrying rider 1 at 0.75 gains 2 again, a tie
+# that the earlier deviation wins.
+_BOUND_FIRST_SWEEPS = {
+    "top-frame-short-of-its-bound": ([TripType(_carrier(-10.0, 10.0), 0.9),
+                                      TripType(_carrier(10.0, -10.0), 1.0)], [1.0, 0.9]),
+    "tie-across-frames": ([TripType(_carrier(10.0, -10.0), 0.75),
+                           TripType(_carrier(10.0, -10.0), 1.0)], [1.0, 0.75]),
+}
+
+
+@pytest.mark.parametrize("mechanism", _PRIVATE_GROVES, ids=lambda m: m.value)
+@pytest.mark.parametrize("name", list(_BOUND_FIRST_SWEEPS))
+def test_a_bound_first_sweep_keeps_the_first_maximal_gain(monkeypatch, name, mechanism):
+    """A sweep that scores its highest-bound frame first, and finds it
+    short of its bound, goes on to the earlier frame and returns its
+    deviation, as the replay that prices each deviation afresh does."""
+    s = _two_riders()
+    assert validate_scenario(s) == []
+    devs, order = _BOUND_FIRST_SWEEPS[name]
+    scored = []
+    real_scorer = allocation_module.OutcomeTable.scorer
+
+    def scorer(table, i, p):
+        score = real_scorer(table, i, p)
+
+        def scoring(spec, q):
+            scored.append(q[i])
+            return score(spec, q)
+        scoring.contenders = score.contenders
+        return scoring
+
+    monkeypatch.setattr(allocation_module.OutcomeTable, "scorer", scorer)
+    table = OutcomeTable(s, None)
+    assert table.readers(0) == (1, 2)
+    found = audit_module._sweep(table, 0, mechanism, DeviationSpace(), devs, (), 0.0)
+    assert scored == order
+    expected, _ = reference_sweep(s, 0, mechanism, devs)
+    assert found == expected and found.report is devs[0]
+    assert [reference_sweep(s, 0, mechanism, [t])[0].gain for t in devs][1] == 2.0
+
+
+def test_a_floor_prunes_later_sweeps_of_a_dominant_audit(monkeypatch):
+    """In a dominant groves-clarke audit of the profitable pair, the
+    driver's sweeps find a gain first, and each later sweep gets the best
+    gain so far as its floor. Run again without the floor, the later
+    sweeps score more deviations, and each finds either what its floored
+    run returns or nothing above the floor. The report is the reference
+    audit's, verdict and witness."""
+    s = by_name("linear-pair-profitable")
+    mechanism = Mechanism.GROVES_CLARKE
+    space = DeviationSpace(p_grid=5)
+    opponents = DeviationSpace(p_grid=2, coefficient_scales=(1.0,))
+    scorings = []
+    real_scorer = allocation_module.OutcomeTable.scorer
+
+    def scorer(table, i, p):
+        score = real_scorer(table, i, p)
+
+        def scoring(spec, q):
+            scorings[-1] += 1
+            return score(spec, q)
+        scoring.contenders = score.contenders
+        return scoring
+
+    real_sweep = audit_module._sweep
+    pruned = []
+
+    def sweep(table, i, mechanism, space, devs, others, floor):
+        scorings.append(0)
+        found = real_sweep(table, i, mechanism, space, devs, others, 0.0)
+        unfloored = scorings[-1]
+        scorings.append(0)
+        floored = real_sweep(table, i, mechanism, space, devs, others, floor)
+        assert scorings[-1] <= unfloored
+        if floor > 0.0 and scorings[-1] < unfloored:
+            pruned.append(i)
+        assert floored == (found if found is not None and found.gain > floor else None)
+        return floored
+
+    monkeypatch.setattr(allocation_module.OutcomeTable, "scorer", scorer)
+    monkeypatch.setattr(audit_module, "_sweep", sweep)
+    report = audit_dominant(s, mechanism, space, opponents)
+    monkeypatch.undo()
+    assert 1 in pruned
+    assert report.verdict is Verdict.VIOLATED and report.witness.commuter == 0
+    assert report == reference_audit(s, mechanism, space, opponents)
+
+
 def _certified_commuters(s, mechanism, space):
     """The commuters whose ex-post sweep the certificate clears: those
     whose deviation grid the audit never builds."""
@@ -366,9 +508,6 @@ def _groves_frames(profile, i, mechanism, space):
         scored = [(a, tuple(values)) for a, _, values in score.contenders]
         assert repr(groves_utilities(profile, i, h, scored, true_values)) == repr(settled)
     return frames
-
-
-_PRIVATE_GROVES = (Mechanism.GROVES_ZERO, Mechanism.GROVES_CLARKE)
 
 
 def test_groves_frames_settle_their_contenders_and_certify_them(corpus_entries):
