@@ -192,35 +192,37 @@ def _sweep(
     order in which a sweep's own searches would run.
 
     Where i's utility is fixed by the chosen allocation, the sweep first
-    settles i on outcomes of the table (`_certified`); when none beats
-    truth, no deviation gains and the sweep returns None without building
-    the grid. Neither that certificate nor the grid's refusal reads
-    `floor`, so every sweep refuses, or not, as it would without one.
+    settles i on every outcome of the table (`_outcome_bound`); when none
+    beats truth, no deviation gains and the sweep returns None without
+    building the grid. Neither that certificate nor the grid's refusal
+    reads `floor`, so every sweep refuses, or not, as it would without one.
 
     The grid falls into frames: a frame per p̂_i under private
     probabilities, one frame under public ones. A frame's scorer is the
     table's `scorer` at i's probabilities, the same for every frame unless
     someone reads p̂_i. Every deviation of a frame wins one of its
-    scorer's contenders, and i's utility there is that contender's
-    settlement: per outcome per sweep where the outcome fixes it
-    (`settled_utility` at the outcome's row), else per frame, where the
-    readers' values are fixed (`groves_utilities`). So the frame's bound,
-    its best settlement less i's truthful utility, is at least the gain of
-    each of its deviations: rounding is monotone.
+    scorer's contenders, each an outcome, and i's utility there is that
+    outcome's settlement: per sweep where the outcome fixes it, so there
+    the best outcome bounds every frame's gain; else per frame, where the
+    readers' values fix it (`groves_utilities`), so there the best
+    contender, less i's truthful utility, bounds the frame's gain
+    (rounding is monotone).
 
-    Bounds are worked out for every frame, in grid order, before any
-    scoring. Frames are then visited by bound descending, grid order among
-    equal bounds, and each scores its deviations in grid order. The held
-    witness gives way to a larger gain, or to an equal one earlier in the
-    grid, so it is always the first maximal-gain deviation of those
-    scored. A frame stops at its first deviation that reaches its bound:
-    the rest of the frame gains no more and comes later. The sweep stops
-    at the first frame whose bound is below the held gain, or equal to it
-    and later in the grid, as is every frame after it, and skips every
-    frame whose bound is at most `floor`. So the first maximal-gain
-    deviation is scored, and held, whenever it gains more than `floor`:
-    each frame visited before its own either holds a deviation that beats
-    it, which none does, or lets its frame be visited.
+    Every frame is bounded, in grid order, before any scoring; only its
+    bound and place in the grid are kept, so a frame its contenders bound
+    builds its scorer again if it is scored. Frames are then visited by
+    bound descending, grid order among equal bounds, and each scores its
+    deviations in grid order. The held witness gives way to a larger gain, or to an equal one
+    earlier in the grid (strict `>` otherwise), so it is always the first
+    maximal-gain deviation of those scored. A frame stops at its first
+    deviation that reaches its bound: the rest of the frame gains no more
+    and comes later. The sweep stops at the first frame whose bound is
+    below the held gain, or equal to it and later in the grid, as is every
+    frame after it, and skips every frame whose bound is at most `floor`.
+    So the first maximal-gain deviation, if it gains more than `floor`, is
+    scored and then held to the end: stopping short of it, in its frame
+    or before, takes a deviation that gains more, or as much and earlier
+    in the grid, and there is none.
 
     Nothing the sweep skips would have raised. The table's rows hold
     truth's allocation, so contenders are never empty and a scoring cannot
@@ -243,54 +245,49 @@ def _sweep(
     u_truth = settled_utility(profile, i, truth.allocation, mechanism.entry(profile, h, truth, i))
     readers = table.readers(i)
     by_outcome = mechanism is Mechanism.COMMIT_BASED or not readers
-    # Keyed on ids, kept alive by `table`.
-    settled: dict[int, float] = {id(truth.allocation): u_truth} if by_outcome else {}
-    if by_outcome and _certified(i, mechanism, h, u_truth, table, settled):
-        return None
+    if by_outcome:
+        # Keyed on ids, kept alive by `table`.
+        settled = {id(truth.allocation): u_truth}
+        top = _outcome_bound(i, mechanism, h, u_truth, table, settled)
+        if top <= 0.0:
+            return None
     if devs is None:
         devs = deviations_for(profile.commuters[i].true_type, space)
-    rows = {id(rep.allocation): rep for rep in table.rows()} if by_outcome else {}
     true_values: dict[int, float] = {}
-
-    def settle(score) -> dict[int, float]:
-        """i's utility at each contender of `score`, under its allocation's id."""
-        if not by_outcome:
-            contenders = ((a, v) for a, _, v in score.contenders)
-            return groves_utilities(profile, i, h, contenders, true_values)
-        for a, _, _ in score.contenders:
-            outcome = id(a)
-            if outcome not in settled:
-                entry = mechanism.entry(profile, h, rows[outcome], i)
-                settled[outcome] = settled_utility(profile, i, a, entry)
-        return {id(a): settled[id(a)] for a, _, _ in score.contenders}
 
     def at(p_hat: float) -> tuple[float, ...]:
         return substitute(table.p, i, p_hat) if table.private else table.p
 
+    def frame_utilities(score) -> dict[int, float]:
+        """i's utility at each contender of `score`, under its allocation's
+        id, where the readers' values are the frame's."""
+        return groves_utilities(profile, i, h, ((a, v) for a, _, v in score.contenders),
+                                true_values)
+
     starts = [k for k in range(len(devs))
               if k == 0 or table.private and devs[k].p_commit != devs[k - 1].p_commit]
-    if not readers:
-        score = table.scorer(i, table.p)
-        utilities = settle(score)
-        bound = max(utilities.values()) - u_truth
     # (-bound, start, stop) of each frame above the floor; no scorer is kept
     frames = []
     for start, stop in zip(starts, starts[1:] + [len(devs)]):
-        if readers:
-            bound = max(settle(table.scorer(i, at(devs[start].p_commit))).values()) - u_truth
+        if by_outcome:
+            bound = top
+        else:
+            utilities = frame_utilities(table.scorer(i, at(devs[start].p_commit)))
+            bound = max(utilities.values()) - u_truth
         if bound > floor:
             frames.append((-bound, start, stop))
     frames.sort()
     best: Witness | None = None
     held = 0
+    score = None
     for neg_bound, start, stop in frames:
         bound = -neg_bound
         if best is not None and (bound < best.gain or bound == best.gain and start > held):
             break
         q = at(devs[start].p_commit)
-        if readers:
+        if score is None or readers:
             score = table.scorer(i, q)
-            utilities = settle(score)
+        utilities = settled if by_outcome else frame_utilities(score)
         # utilities per reported valuation: valuations recur under public probabilities
         seen: dict[int, float] = {}
         for k in range(start, stop):
@@ -308,22 +305,22 @@ def _sweep(
     return best
 
 
-def _certified(
+def _outcome_bound(
     i: CommuterId,
     mechanism: Mechanism,
     h: float,
     u_truth: float,
     table: OutcomeTable,
     settled: dict[int, float],
-) -> bool:
-    """True when i, whose utility the chosen allocation fixes, gains
-    nothing (`U(a) - u_truth <= 0.0`) on any outcome `a` of `table.rows()`.
-    Each outcome is settled unless `settled` holds it already, and filed
-    there under the allocation's id.
+) -> float:
+    """The most that i, whose utility the chosen allocation fixes, gains on
+    any outcome `a` of `table.rows()`: the largest `U(a) - u_truth`. Each
+    outcome is settled unless `settled` holds it already, and filed there
+    under the allocation's id; `settled` must hold only outcomes.
     The rows carry i's own value, which no entry reads.
 
     Every report i can make wins one of those outcomes (the taxation
-    principle), so then no deviation gains. Within the magnitude bounds of
+    principle), so no deviation gains more. Within the magnitude bounds of
     admitted input no scoring of the grid raises, and neither does this:
     i's report in the profile is i's truth, so no row is one i's truth or
     another report excludes.
@@ -334,9 +331,7 @@ def _certified(
         if outcome not in settled:
             entry = mechanism.entry(profile, h, rep, i)
             settled[outcome] = settled_utility(profile, i, rep.allocation, entry)
-        if settled[outcome] - u_truth > 0.0:
-            return False
-    return True
+    return max(settled.values()) - u_truth
 
 
 def _audit(
@@ -351,8 +346,10 @@ def _audit(
     given, against each opponent profile: the truthful one alone for
     ex-post (`grids` None), else the product of the others' `grids`,
     truthful first. Ties keep the lowest commuter, then the first profile,
-    then the first deviation. Ex post, every sweep shares the truthful
-    profile's `OutcomeTable`; a dominant sweep prices its own profile."""
+    then the first deviation, so a later sweep's witness is kept only if it
+    gains more: each sweep gets the best gain so far, or 0.0, as its
+    floor. Ex post, every sweep shares the truthful profile's
+    `OutcomeTable`; a dominant sweep prices its own profile."""
     base = with_truthful_reports(s)
     expost = OutcomeTable(base, mechanism.probabilities(base)) if grids is None else None
     best: Witness | None = None

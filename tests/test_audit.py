@@ -1,5 +1,6 @@
 """Misreport grid search: verdicts, witnesses, and witness replay."""
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -829,6 +830,34 @@ def test_deviations_keep_every_clause_pattern_and_exclusion(corpus_entries):
                 assert shape == truth, (e.name, c.id)
 
 
+def test_deviations_rescale_only_the_coefficients(corpus_entries):
+    """Each grid deviation's valuation equals the true one with its
+    coefficients, in clause then term order, multiplied by the scales of
+    one combination, and everything else copied: the combinations in
+    grid order, truthful first."""
+    space = DeviationSpace(p_grid=2)
+    for e in corpus_entries:
+        for c in e.scenario.commuters:
+            spec = c.true_type.valuation
+            m = sum(len(cl.terms) for cl in spec.clauses)
+            scales = space.coefficient_scales
+            if len(scales) ** m > 4096:
+                # too many combinations: uniform rescalings only
+                combos = [(x,) * m for x in scales if x != 1.0]
+            else:
+                combos = [x for x in itertools.product(scales, repeat=m) if x != (1.0,) * m]
+            combos.insert(0, (1.0,) * m)
+            expected = []
+            for combo in combos:
+                each = iter(combo)
+                expected.append(replace(spec, clauses=tuple(
+                    replace(cl, terms=tuple(replace(t, coefficient=next(each) * t.coefficient)
+                                            for t in cl.terms))
+                    for cl in spec.clauses)))
+            devs = deviations_for(c.true_type, space)
+            assert [d.valuation for d in devs] == expected * space.p_grid, (e.name, c.id)
+
+
 def test_deviations_keep_every_rescaling_of_a_coefficient_at_the_bound():
     """No rescaling of an admitted spec overflows, so none is skipped: a
     coefficient at the bound keeps every default scale, in order, and
@@ -962,12 +991,12 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     Pricing evaluates each commuter at most once per distinct assignment,
     and a reader of pivot k's once per assignment with k absent. The
     outcome pass for all commuters' certificates then evaluates nothing:
-    the efficient search already read every value it reads. Each sweep
-    settles an outcome at most once where the outcome fixes i's utility,
-    truth's included; a sweep where it does not settles truth alone through
-    `settled_utility`, and each frame's contenders through
-    `groves_utilities`. Each sweep gets the best gain of the sweeps before
-    it, or 0.0, as its floor.
+    the efficient search already read every value it reads. Where the
+    outcome fixes i's utility, a sweep settles truth, then every other
+    outcome once, before any scorer; a sweep where it does not settles
+    truth alone through `settled_utility`, and each frame's contenders
+    through `groves_utilities`. Each sweep gets the best gain of the
+    sweeps before it, or 0.0, as its floor.
 
     A sweep whose certificate holds finds nothing, builds no grid and
     builds or calls no scorer. Under Groves with private probabilities, a
@@ -977,13 +1006,15 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
 
     Any other sweep of commuter i builds i's grid once. A frame is a p̂_i
     point under private probabilities, the whole grid under public ones.
-    Where nobody reads p̂_i the sweep asks the table for one scorer, one
-    pass over the table's outcome rows, at the table's probabilities, and
-    its contenders bound every frame. Where someone does, it asks for one
-    per p̂_i point, in grid order, to bound each frame, then one more for
-    each frame it visits. Each bound, recomputed here through
-    `Mechanism.entry` and `settled_utility`, is the frame's best contender
-    utility less truth's. The scorings are exactly those of
+    Where the outcome fixes i's utility, each frame's bound is the best
+    outcome's utility less truth's, and the sweep asks the table for a
+    scorer, one pass over the table's outcome rows, for each frame it
+    visits if someone reads p̂_i, else once. Under Groves with private
+    probabilities and a reader, it asks for one per p̂_i point, in grid
+    order, whose best contender utility less truth's is that frame's
+    bound, then one more for each frame it visits. Each bound is
+    recomputed here through `Mechanism.entry` and `settled_utility`. The
+    scorings are exactly those of
     `_bound_first_scorings`, which replays the visiting order and stopping
     rule from those bounds, the floor and each deviation's gain priced
     afresh, and the sweep's witness is the one that replay holds. Each
@@ -1035,11 +1066,15 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         u_truth = real_settled_utility(profile, i, truth.allocation,
                                        mechanism.entry(profile, h, truth, i))
         record["truth"] = id(truth.allocation)
-        record["frames"] = [
-            (p_hat, max(real_settled_utility(profile, i, a, mechanism.entry(
+
+        def bound(outcomes):
+            return max(real_settled_utility(profile, i, a, mechanism.entry(
                 profile, h, WelfareReport(a, math.fsum(values), values), i))
-                for a, values in contenders) - u_truth)
-            for p_hat, contenders in record["frames"]]
+                for a, values in outcomes) - u_truth
+        rows = real_rows(table)
+        record["rows"] = [id(rep.allocation) for rep in rows]
+        record["rows_bound"] = bound((rep.allocation, rep.per_commuter) for rep in rows)
+        record["frames"] = [(p_hat, bound(contenders)) for p_hat, contenders in record["frames"]]
         return record["found"]
 
     real_deviations_for = audit_module.deviations_for
@@ -1049,11 +1084,11 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         sweeps[-1]["grid"] = real_deviations_for(*args)
         return sweeps[-1]["grid"]
 
-    real_certified = audit_module._certified
+    real_outcome_bound = audit_module._outcome_bound
 
-    def certified(*args):
+    def outcome_bound(*args):
         sweeps[-1]["certificates"] += 1
-        return real_certified(*args)
+        return real_outcome_bound(*args)
 
     real_rows = allocation_module.OutcomeTable.rows
 
@@ -1121,7 +1156,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     monkeypatch.setattr(audit_module, "OutcomeTable", Table)
     monkeypatch.setattr(audit_module, "efficient_allocation", refuse)
     monkeypatch.setattr(audit_module, "efficient_allocation_excluding", refuse)
-    monkeypatch.setattr(audit_module, "_certified", certified)
+    monkeypatch.setattr(audit_module, "_outcome_bound", outcome_bound)
     monkeypatch.setattr(allocation_module.OutcomeTable, "rows", rows)
     monkeypatch.setattr(allocation_module.OutcomeTable, "scorer", scorer)
     monkeypatch.setattr(allocation_module, "_argmax", argmax)
@@ -1147,19 +1182,19 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         if record["found"] is not None:
             assert record["found"].gain > floor
             floor = record["found"].gain
-        assert record["settlements"]
-        # the first settles truth; a frame is the scorer passes so far
-        fixed = mechanism is Mechanism.COMMIT_BASED or not (private and record["readers"])
-        kept = [(None if fixed else frame, a) for frame, a in record["settlements"]]
-        assert len(set(kept)) == len(kept)
         framed = private and record["readers"] and mechanism is not Mechanism.COMMIT_BASED
         if framed:
+            # truth alone, before any scorer
             assert record["certificates"] == 0
             assert record["settlements"] == [(0, record["truth"])]
         else:
+            # truth, then every other outcome once, before any scorer
             assert record["certificates"] == 1
+            rest = [a for a in record["rows"] if a != record["truth"]]
+            assert record["settlements"] == [(0, a) for a in [record["truth"], *rest]]
         if not record["grids"]:
             certified.append(record["i"])
+            assert record["rows_bound"] <= 0.0
             assert record["found"] is None
             assert record["passes"] == 0
             assert record["scorings"] == []
@@ -1169,13 +1204,12 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         assert devs == deviations_for(c.true_type, space)
         points = sorted({t.p_commit for t in devs})
         passes = [p_hat for p_hat, _ in record["frames"]]
-        if private and record["readers"]:
+        if framed:
             bounds = dict(record["frames"][:len(points)])
             assert passes[:len(points)] == points
         else:
-            (p_i, bound), = record["frames"]
-            assert p_i == record["p_i"]
-            bounds = {p_hat: bound for p_hat in points} if private else {p_i: bound}
+            assert record["rows_bound"] > 0.0
+            bounds = dict.fromkeys(points if private else [record["p_i"]], record["rows_bound"])
 
         def frame_of(trip):
             return trip.p_commit if private else record["p_i"]
@@ -1186,9 +1220,12 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         assert len(set(scorings)) == len(scorings)
         found = record["found"]
         assert (None if found is None else found.report) is (None if held is None else devs[held])
-        if private and record["readers"]:
+        if framed:
             # each visited frame builds its scorer again, to the same bound
             assert record["frames"][len(points):] == [(p_hat, bounds[p_hat]) for p_hat in visited]
+        else:
+            # a scorer per visited frame, or one for all when nobody reads p̂_i
+            assert passes == (visited if record["readers"] and private else visited[:1])
         fresh = Counter(p_hat for p_hat in passes if p_hat != record["p_i"])
         evaluations = record["evaluations"]
         assert {frame for j, frame, _ in evaluations if j == record["i"]} == set(scorings)
