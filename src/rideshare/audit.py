@@ -192,7 +192,7 @@ def _sweep(
     order in which a sweep's own searches would run.
 
     Where i's utility is fixed by the chosen allocation, the sweep first
-    settles i on every outcome of the table (`_outcome_bound`); when none
+    settles i on every outcome of the table (`_settle_outcomes`); when none
     beats truth, no deviation gains and the sweep returns None without
     building the grid. Neither that certificate nor the grid's refusal
     reads `floor`, so every sweep refuses, or not, as it would without one.
@@ -246,9 +246,8 @@ def _sweep(
     readers = table.readers(i)
     by_outcome = mechanism is Mechanism.COMMIT_BASED or not readers
     if by_outcome:
-        # Keyed on ids, kept alive by `table`.
-        settled = {id(truth.allocation): u_truth}
-        top = _outcome_bound(i, mechanism, h, u_truth, table, settled)
+        settled = _settle_outcomes(i, mechanism, h, u_truth, table)
+        top = max(settled.values()) - u_truth
         if top <= 0.0:
             return None
     if devs is None:
@@ -305,33 +304,32 @@ def _sweep(
     return best
 
 
-def _outcome_bound(
+def _settle_outcomes(
     i: CommuterId,
     mechanism: Mechanism,
     h: float,
     u_truth: float,
     table: OutcomeTable,
-    settled: dict[int, float],
-) -> float:
-    """The most that i, whose utility the chosen allocation fixes, gains on
-    any outcome `a` of `table.rows()`: the largest `U(a) - u_truth`. Each
-    outcome is settled unless `settled` holds it already, and filed there
-    under the allocation's id; `settled` must hold only outcomes.
-    The rows carry i's own value, which no entry reads.
+) -> dict[int, float]:
+    """i's utility, which the chosen allocation fixes, at each outcome of
+    `table.rows()`, keyed on the allocation's id (kept alive by `table`);
+    truth's is `u_truth`. The rows carry i's own value, which no entry
+    reads.
 
     Every report i can make wins one of those outcomes (the taxation
-    principle), so no deviation gains more. Within the magnitude bounds of
-    admitted input no scoring of the grid raises, and neither does this:
-    i's report in the profile is i's truth, so no row is one i's truth or
-    another report excludes.
+    principle), so no deviation gains more than the best of them. Within
+    the magnitude bounds of admitted input no scoring of the grid raises,
+    and neither does this: i's report in the profile is i's truth, so no
+    row is one i's truth or another report excludes.
     """
     profile = table.scenario
+    settled = {id(table.truth().allocation): u_truth}
     for rep in table.rows():
         outcome = id(rep.allocation)
         if outcome not in settled:
             entry = mechanism.entry(profile, h, rep, i)
             settled[outcome] = settled_utility(profile, i, rep.allocation, entry)
-    return max(settled.values()) - u_truth
+    return settled
 
 
 def _audit(

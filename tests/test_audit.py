@@ -1084,11 +1084,11 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         sweeps[-1]["grid"] = real_deviations_for(*args)
         return sweeps[-1]["grid"]
 
-    real_outcome_bound = audit_module._outcome_bound
+    real_settle_outcomes = audit_module._settle_outcomes
 
-    def outcome_bound(*args):
+    def settle_outcomes(*args):
         sweeps[-1]["certificates"] += 1
-        return real_outcome_bound(*args)
+        return real_settle_outcomes(*args)
 
     real_rows = allocation_module.OutcomeTable.rows
 
@@ -1156,7 +1156,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     monkeypatch.setattr(audit_module, "OutcomeTable", Table)
     monkeypatch.setattr(audit_module, "efficient_allocation", refuse)
     monkeypatch.setattr(audit_module, "efficient_allocation_excluding", refuse)
-    monkeypatch.setattr(audit_module, "_outcome_bound", outcome_bound)
+    monkeypatch.setattr(audit_module, "_settle_outcomes", settle_outcomes)
     monkeypatch.setattr(allocation_module.OutcomeTable, "rows", rows)
     monkeypatch.setattr(allocation_module.OutcomeTable, "scorer", scorer)
     monkeypatch.setattr(allocation_module, "_argmax", argmax)
