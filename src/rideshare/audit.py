@@ -29,19 +29,19 @@ from .valuation import MAX_SCALE, Clause, Monomial, ValuationSpec, substitute
 GAIN_TOLERANCE = 1e-9
 MAX_DOMINANT_COMMUTERS = 4
 # A dominant audit of the four-commuter corpus scenario linear-quad-full-van
-# against 3-point opponent grids counts 1,720,320 scorings. Every sweep
-# prunes its scorers. As a child process (CPython 3.11, shared 2-core VM,
-# three runs each) the audit took 2.5 s under commit, where the sweep
-# certificate clears most sweeps, and 5.8-5.9 s under groves-clarke, where
-# the frame certificates leave 807,245 of the counted scorings to be
-# scored: 3.4 µs a counted scoring, and 5.3-5.6 µs where every one is
-# scored (9.1-9.7 s without frame certificates). So this bounds such an
-# audit, and each ex-post sweep, to well under a minute. A scoring costs more
-# where a sweep prices many opponent profiles, each with its own table. A
-# dominant audit counts every grid's scorings before any grid is built, so
-# a sweep or a frame a certificate clears without scoring (see `_sweep`)
-# still counts toward it; an ex-post sweep counts its own grid only when
-# the sweep certificate leaves it to be built.
+# against 3-point opponent grids counts 1,720,320 scorings. As a child
+# process (CPython 3.11, shared 2-core VM, three runs each) it took
+# 5.2-5.4 s under commit, where the sweep certificate clears 12,516 of the
+# 16,384 sweeps and the rest score 403,237 of the counted scorings, and
+# 8.8-8.9 s under groves-clarke, where the frame bounds leave 13 to be
+# scored but the sweeps build 344,077 scorers to bound their frames: 3.1
+# and 5.1 µs a counted scoring. So this bounds such an audit, and each
+# ex-post sweep, to well under a minute. A scoring costs more where a
+# sweep prices many opponent profiles, each with its own table. A
+# dominant audit counts every grid's scorings before any grid is built,
+# so a sweep the certificate clears, or a frame its bound or the floor
+# skips (see `_sweep`), still counts toward it; an ex-post sweep counts
+# its own grid only when the sweep certificate leaves it to be built.
 MAX_SCORINGS = 2_000_000
 MAX_P_GRID = 10_001
 _MAX_SCALE_COMBOS = 4096
@@ -212,13 +212,14 @@ def _sweep(
     bound and place in the grid are kept, so a frame its contenders bound
     builds its scorer again if it is scored. Frames are then visited by
     bound descending, grid order among equal bounds, and each scores its
-    deviations in grid order. The held witness gives way to a larger gain, or to an equal one
-    earlier in the grid (strict `>` otherwise), so it is always the first
-    maximal-gain deviation of those scored. A frame stops at its first
-    deviation that reaches its bound: the rest of the frame gains no more
-    and comes later. The sweep stops at the first frame whose bound is
-    below the held gain, or equal to it and later in the grid, as is every
-    frame after it, and skips every frame whose bound is at most `floor`.
+    deviations in grid order. The held witness gives way to a larger gain,
+    or to an equal one earlier in the grid (strict `>` otherwise), so it
+    is always the first maximal-gain deviation of those scored. A frame
+    stops at its first deviation that reaches its bound: the rest of the
+    frame gains no more and comes later. The sweep stops at the first
+    frame whose bound is below the held gain, or equal to it and later in
+    the grid, as is every frame after it, and skips every frame whose
+    bound is at most `floor`.
     So the first maximal-gain deviation, if it gains more than `floor`, is
     scored and then held to the end: stopping short of it, in its frame
     or before, takes a deviation that gains more, or as much and earlier
@@ -266,7 +267,7 @@ def _sweep(
     starts = [k for k in range(len(devs))
               if k == 0 or table.private and devs[k].p_commit != devs[k - 1].p_commit]
     # (-bound, start, stop) of each frame above the floor; no scorer is kept
-    frames = []
+    frames: list[tuple[float, int, int]] = []
     for start, stop in zip(starts, starts[1:] + [len(devs)]):
         if by_outcome:
             bound = top
