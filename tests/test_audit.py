@@ -380,7 +380,7 @@ def test_a_bound_first_sweep_keeps_the_first_maximal_gain(monkeypatch, name, mec
     assert scored == order
     expected, _ = reference_sweep(s, 0, mechanism, devs)
     assert found == expected and found.report is devs[0]
-    assert [reference_sweep(s, 0, mechanism, [t])[0].gain for t in devs][1] == 2.0
+    assert reference_sweep(s, 0, mechanism, devs[1:])[0].gain == 2.0
 
 
 def test_a_floor_prunes_later_sweeps_of_a_dominant_audit(monkeypatch):
@@ -1009,15 +1009,15 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     Where the outcome fixes i's utility, each frame's bound is the best
     outcome's utility less truth's, and the sweep asks the table for a
     scorer, one pass over the table's outcome rows, for each frame it
-    visits if someone reads p̂_i, else once. Under Groves with private
-    probabilities and a reader, it asks for one per p̂_i point, in grid
-    order, whose best contender utility less truth's is that frame's
+    visits if someone reads p̂_i, else at most once. Under Groves with
+    private probabilities and a reader, it asks for one per p̂_i point, in
+    grid order, whose best contender utility less truth's is that frame's
     bound, then one more for each frame it visits. Each bound is
     recomputed here through `Mechanism.entry` and `settled_utility`. The
-    scorings are exactly those of
-    `_bound_first_scorings`, which replays the visiting order and stopping
-    rule from those bounds, the floor and each deviation's gain priced
-    afresh, and the sweep's witness is the one that replay holds. Each
+    scorings are exactly those of `_bound_first_scorings`, which replays
+    the visiting order and stopping rule from those bounds, the floor and
+    each deviation's gain priced afresh, and the sweep's witness is the
+    one that replay holds. Each
     distinct (p̂_i, reported valuation) is scored at most once, by the
     table's scorer and at i's probabilities, never by a full-set argmax.
     Within the frames, a non-reader is evaluated at most once per distinct
