@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .model import Allocation, CommuterId, Scenario, _feasible
 from .valuation import EXCLUDED, ExactPartners, ValuationSpec, evaluate, referenced_subjects
@@ -139,8 +139,8 @@ class OutcomeTable:
     Every allocation a misreport of commuter i's can win is an outcome, as
     long as the misreport excludes what i's report excludes, as each of
     `deviations_for` does. The set is the same for every i, so one pass
-    serves each commuter's certificate and scorers (`scorer`) against the
-    profile.
+    serves each commuter's settlements (`values_at`) and scorers (`scorer`)
+    against the profile.
     """
 
     def __init__(self, scenario: Scenario, public_p: Sequence[float] | None) -> None:
@@ -275,6 +275,28 @@ class OutcomeTable:
             self._rows = rows
         return self._rows
 
+    def values_at(
+        self, i: CommuterId, p: Sequence[float]
+    ) -> Iterator[tuple[Allocation, list[float]]]:
+        """Each of the table's `rows`, in walk order, as its allocation and
+        a fresh list of everyone's values there: the row's, with the readers
+        of i's probability valued at `p` instead, in fresh tables, when
+        `p[i]` is not the table's. `p` may differ from the table's
+        probabilities only at i. Raises what an evaluation raises; within
+        the magnitude bounds of admitted input none does."""
+        fresh = [_scored(j, self.present[j][1])
+                 for j in (self.readers(i) if p[i] != self.p[i] else ())]
+        for row in self.rows():
+            allocation = row.allocation
+            values = list(row.per_commuter)
+            for j, spec, owner, table in fresh:
+                key = id(allocation[owner])
+                v = table.get(key)
+                if v is None:
+                    v = table[key] = evaluate(spec, allocation, p, None)
+                values[j] = v
+            yield allocation, values
+
     def scorer(
         self, i: CommuterId, p: Sequence[float]
     ) -> Callable[[ValuationSpec, Sequence[float]], WelfareReport]:
@@ -290,7 +312,7 @@ class OutcomeTable:
         [0, 1], and every report, and `spec` up to a rescaling of its
         coefficients by at most MAX_SCALE, within them. Then no evaluation
         raises and no sum of values, or of their differences, overflows;
-        other input has no guarantee. One pass over the table's `rows`
+        other input has no guarantee. One pass over `values_at(i, p)`
         keeps the contenders. Exclusion reads no probability, so the rows
         are the allocations nobody excludes whatever i reports; the others'
         values are the rows', the readers' revalued if fresh. A contender's
@@ -302,30 +324,12 @@ class OutcomeTable:
         any valuation of i, and the first maximiser is a contender. A
         scoring evaluates i once per assignment of i among the contenders,
         then sums each contender once, in commuter order.
-
-        `score.contenders` lists them in walk order as (allocation, id of
-        i's assignment, values) triples, their allocations distinct; the
-        others' entries of `values` are the ones a scoring returns with
-        that allocation, and i's entry is the last scoring's value.
         """
-        entries = list(self.present)
-        fresh = self.readers(i) if p[i] != self.p[i] else ()
-        for j in fresh:
-            entries[j] = _scored(j, entries[j][1])
-        mine = entries[i][2]
+        mine = self.present[i][2]
         leaders: dict[int, tuple[float, list[float]]] = {}
         contenders: list[tuple[Allocation, int, list[float]]] = []
-        for row in self.rows():
-            allocation = row.allocation
-            values = list(row.per_commuter)
+        for allocation, values in self.values_at(i, p):
             values[i] = 0.0
-            for j in fresh:
-                _, spec, owner, values_j = entries[j]
-                key = id(allocation[owner])
-                v = values_j.get(key)
-                if v is None:
-                    v = values_j[key] = evaluate(spec, allocation, p, None)
-                values[j] = v
             key = id(allocation[mine])
             total = math.fsum(values)
             leader = leaders.get(key)
@@ -355,7 +359,6 @@ class OutcomeTable:
                 raise RuntimeError(_NONE_ACCEPTABLE)
             return WelfareReport(best_allocation, best_welfare, best_values)
 
-        score.contenders = contenders
         return score
 
 

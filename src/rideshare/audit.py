@@ -23,25 +23,25 @@ from .allocation import OutcomeTable
 # Not called here; kept so that bench/tracer.py can still wrap them here.
 from .allocation import efficient_allocation, efficient_allocation_excluding
 from .model import CommuterId, Scenario, TripType, with_report, with_truthful_reports
-from .payments import Mechanism, PivotRule, groves_utilities, settled_utility
+from .payments import Mechanism, PivotRule, utilities
 from .valuation import MAX_SCALE, Clause, Monomial, ValuationSpec, substitute
 
 GAIN_TOLERANCE = 1e-9
 MAX_DOMINANT_COMMUTERS = 4
 # A dominant audit of the four-commuter corpus scenario linear-quad-full-van
 # against 3-point opponent grids counts 1,720,320 scorings. As a child
-# process (CPython 3.11, shared 2-core VM, three runs each) it took
-# 5.2-5.4 s under commit, where the sweep certificate clears 12,516 of the
+# process (CPython 3.11, busy shared 2-core VM, six runs and three) it took
+# 7.1-11.0 s under commit, where the sweep certificate clears 12,516 of the
 # 16,384 sweeps and the rest score 403,237 of the counted scorings, and
-# 8.8-8.9 s under groves-clarke, where the frame bounds leave 13 to be
-# scored but the sweeps build 344,077 scorers to bound their frames: 3.1
-# and 5.1 µs a counted scoring. So this bounds such an audit, and each
-# ex-post sweep, to well under a minute. A scoring costs more where a
-# sweep prices many opponent profiles, each with its own table. A
-# dominant audit counts every grid's scorings before any grid is built,
-# so a sweep the certificate clears, or a frame its bound or the floor
-# skips (see `_sweep`), still counts toward it; an ex-post sweep counts
-# its own grid only when the sweep certificate leaves it to be built.
+# 14.9-17.8 s under groves-clarke, where the frame bounds, settled on the
+# rows, leave 13 to be scored by 13 scorers: 4.1-6.4 and 8.7-10.3 µs a
+# counted scoring. So this bounds such an audit, and each ex-post sweep,
+# to well under a minute. A scoring costs more where a sweep prices many
+# opponent profiles, each with its own table. A dominant audit counts
+# every grid's scorings before any grid is built, so a sweep the
+# certificate clears, or a frame its bound or the floor skips (see
+# `_sweep`), still counts toward it; an ex-post sweep counts its own grid
+# only when the sweep certificate leaves it to be built.
 MAX_SCORINGS = 2_000_000
 MAX_P_GRID = 10_001
 _MAX_SCALE_COMBOS = 4096
@@ -191,35 +191,40 @@ def _sweep(
     this one asks it for i's pivot, then for the efficient report, the
     order in which a sweep's own searches would run.
 
-    Where i's utility is fixed by the chosen allocation, the sweep first
-    settles i on every outcome of the table (`_settle_outcomes`); when none
-    beats truth, no deviation gains and the sweep returns None without
-    building the grid. Neither that certificate nor the grid's refusal
-    reads `floor`, so every sweep refuses, or not, as it would without one.
+    `settle(q)` settles i (`payments.utilities`) on each of the table's
+    rows, the outcomes any report of i's can win, with the others' values
+    at i's probabilities `q` (`OutcomeTable.values_at`). Where the chosen
+    allocation fixes i's utility, the sweep settles once, at the table's
+    probabilities, truth's row included; when no row beats truth, no
+    deviation gains and the sweep returns None without building the grid.
+    Neither that certificate nor the grid's refusal reads `floor`, so
+    every sweep refuses, or not, as it would without one.
 
     The grid falls into frames: a frame per p̂_i under private
-    probabilities, one frame under public ones. A frame's scorer is the
-    table's `scorer` at i's probabilities, the same for every frame unless
-    someone reads p̂_i. Every deviation of a frame wins one of its
-    scorer's contenders, each an outcome, and i's utility there is that
-    outcome's settlement: per sweep where the outcome fixes it, so there
-    the best outcome bounds every frame's gain; else per frame, where the
-    readers' values fix it (`groves_utilities`), so there the best
-    contender, less i's truthful utility, bounds the frame's gain
-    (rounding is monotone).
+    probabilities, one frame under public ones. Every deviation of a frame
+    wins a row, so the best row settlement less i's truthful utility
+    bounds the frame's gain: the certificate's for every frame where the
+    allocation fixes i's utility, else the frame's own, settled at its
+    p̂_i, where the readers' values fix it. That bound equals the best
+    settlement of the frame's scorer's contenders: i's true value reads
+    only i's assignment, one object per assignment in the walk; a Groves
+    utility is monotone in the others' exact value sum; and the first row
+    with the largest such sum among those giving i one assignment is a
+    contender. So no scorer is built to bound a frame.
 
     Every frame is bounded, in grid order, before any scoring; only its
-    bound and place in the grid are kept, so a frame its contenders bound
-    builds its scorer again if it is scored. Frames are then visited by
-    bound descending, grid order among equal bounds, and each scores its
-    deviations in grid order. The held witness gives way to a larger gain,
-    or to an equal one earlier in the grid (strict `>` otherwise), so it
-    is always the first maximal-gain deviation of those scored. A frame
-    stops at its first deviation that reaches its bound: the rest of the
-    frame gains no more and comes later. The sweep stops at the first
-    frame whose bound is below the held gain, or equal to it and later in
-    the grid, as is every frame after it, and skips every frame whose
-    bound is at most `floor`.
+    bound and place in the grid are kept, so a frame with its own bound is
+    settled again if it is scored. A scored frame builds the table's
+    `scorer` at i's probabilities, one per sweep unless someone reads
+    p̂_i. Frames are visited by bound descending, grid order among equal
+    bounds, and each scores its deviations in grid order. The held witness
+    gives way to a larger gain, or to an equal one earlier in the grid
+    (strict `>` otherwise), so it is always the first maximal-gain
+    deviation of those scored. A frame stops at its first deviation that
+    reaches its bound: the rest of the frame gains no more and comes
+    later. The sweep stops at the first frame whose bound is below the
+    held gain, or equal to it and later in the grid, as is every frame
+    after it, and skips every frame whose bound is at most `floor`.
     So the first maximal-gain deviation, if it gains more than `floor`, is
     scored and then held to the end: stopping short of it, in its frame
     or before, takes a deviation that gains more, or as much and earlier
@@ -230,50 +235,47 @@ def _sweep(
     raise for want of one. Within the magnitude bounds of admitted input
     no evaluation raises. And the rows are allocations no report excludes,
     exclusion reading no probability, while i's report in the profile is
-    i's truth: no contender settles to ExcludedValueError.
+    i's truth: no row settles to ExcludedValueError.
     """
     profile = table.scenario
     # the pivot never reads i's report, so it is fixed per profile
     h = table.pivot(i) if mechanism.pivot is PivotRule.CLARKE else 0.0
     truth = table.truth()
-    # Entries and settled utilities may read `profile` in place of the
-    # deviated scenario: a commit entry reads the reported probabilities
-    # only with p̂_i replaced by 1 and by 0, a Groves entry reads only `h`
-    # and the others' values in the report, and `settled_utility` reads
-    # only true types. So i's utility is fixed by the chosen allocation
-    # under commit, and under Groves when nobody's value reads p̂_i: under
-    # public probabilities, or when no other spec reads i's.
-    u_truth = settled_utility(profile, i, truth.allocation, mechanism.entry(profile, h, truth, i))
     readers = table.readers(i)
+    # Settlements may read `profile` in place of the deviated scenario: a
+    # commit charge reads the reported probabilities only with p̂_i at 1 and
+    # at 0, a Groves charge only `h` and the others' values, and i's true
+    # values only true types. So the chosen allocation fixes i's utility
+    # under commit, and under Groves when no other value reads p̂_i.
     by_outcome = mechanism is Mechanism.COMMIT_BASED or not readers
-    if by_outcome:
-        settled = _settle_outcomes(i, mechanism, h, u_truth, table)
-        top = max(settled.values()) - u_truth
-        if top <= 0.0:
-            return None
-    if devs is None:
-        devs = deviations_for(profile.commuters[i].true_type, space)
-    true_values: dict[int, float] = {}
+    true_values: dict[int, float | tuple[float, float]] = {}
+
+    def settle(q: tuple[float, ...]) -> dict[int, float]:
+        return utilities(profile, mechanism, i, h, table.values_at(i, q), true_values)
 
     def at(p_hat: float) -> tuple[float, ...]:
         return substitute(table.p, i, p_hat) if table.private else table.p
 
-    def frame_utilities(score) -> dict[int, float]:
-        """i's utility at each contender of `score`, under its allocation's
-        id, where the readers' values are the frame's."""
-        return groves_utilities(profile, i, h, ((a, v) for a, _, v in score.contenders),
-                                true_values)
-
+    if by_outcome:
+        settled = settle(table.p)
+        u_truth = settled[id(truth.allocation)]
+        top = max(settled.values()) - u_truth
+        if top <= 0.0:
+            return None
+    else:
+        truthful = [(truth.allocation, truth.per_commuter)]
+        u_truth = utilities(profile, mechanism, i, h, truthful, true_values)[id(truth.allocation)]
+    if devs is None:
+        devs = deviations_for(profile.commuters[i].true_type, space)
     starts = [k for k in range(len(devs))
               if k == 0 or table.private and devs[k].p_commit != devs[k - 1].p_commit]
-    # (-bound, start, stop) of each frame above the floor; no scorer is kept
+    # (-bound, start, stop) of each frame above the floor; no settlement is kept
     frames: list[tuple[float, int, int]] = []
     for start, stop in zip(starts, starts[1:] + [len(devs)]):
         if by_outcome:
             bound = top
         else:
-            utilities = frame_utilities(table.scorer(i, at(devs[start].p_commit)))
-            bound = max(utilities.values()) - u_truth
+            bound = max(settle(at(devs[start].p_commit)).values()) - u_truth
         if bound > floor:
             frames.append((-bound, start, stop))
     frames.sort()
@@ -287,7 +289,8 @@ def _sweep(
         q = at(devs[start].p_commit)
         if score is None or readers:
             score = table.scorer(i, q)
-        utilities = settled if by_outcome else frame_utilities(score)
+        if not by_outcome:
+            settled = settle(q)
         # utilities per reported valuation: valuations recur under public probabilities
         seen: dict[int, float] = {}
         for k in range(start, stop):
@@ -295,7 +298,7 @@ def _sweep(
             spec_id = id(trip.valuation)
             u = seen.get(spec_id)
             if u is None:
-                u = seen[spec_id] = utilities[id(score(trip.valuation, q).allocation)]
+                u = seen[spec_id] = settled[id(score(trip.valuation, q).allocation)]
             gain = u - u_truth
             if (gain > floor if best is None
                     else gain > best.gain or gain == best.gain and k < held):
@@ -303,34 +306,6 @@ def _sweep(
             if gain == bound:
                 break
     return best
-
-
-def _settle_outcomes(
-    i: CommuterId,
-    mechanism: Mechanism,
-    h: float,
-    u_truth: float,
-    table: OutcomeTable,
-) -> dict[int, float]:
-    """i's utility, which the chosen allocation fixes, at each outcome of
-    `table.rows()`, keyed on the allocation's id (kept alive by `table`);
-    truth's is `u_truth`. The rows carry i's own value, which no entry
-    reads.
-
-    Every report i can make wins one of those outcomes (the taxation
-    principle), so no deviation gains more than the best of them. Within
-    the magnitude bounds of admitted input no scoring of the grid raises,
-    and neither does this: i's report in the profile is i's truth, so no
-    row is one i's truth or another report excludes.
-    """
-    profile = table.scenario
-    settled = {id(table.truth().allocation): u_truth}
-    for rep in table.rows():
-        outcome = id(rep.allocation)
-        if outcome not in settled:
-            entry = mechanism.entry(profile, h, rep, i)
-            settled[outcome] = settled_utility(profile, i, rep.allocation, entry)
-    return settled
 
 
 def _audit(

@@ -21,6 +21,7 @@ from .allocation import efficient_allocation, efficient_allocation_excluding
 from .model import Allocation, CommuterId, Scenario
 from .valuation import (
     EXCLUDED,
+    ValuationSpec,
     evaluate,
     excludes,
     referenced_subjects,
@@ -64,18 +65,16 @@ def _groves_charge(h: float, values: Sequence[float], i: CommuterId) -> float:
     return h - math.fsum(values[:i] + values[i + 1:])
 
 
-def _groves_entry(h: float, rep: WelfareReport, i: CommuterId) -> Unconditional:
-    return Unconditional(_groves_charge(h, rep.per_commuter, i))
-
-
-def _commit_entry(s: Scenario, h: float, rep: WelfareReport, i: CommuterId) -> Conditional:
-    """Each branch credits the others' reported values with p̂_i forced to
-    1 or 0. A value that does not read p̂_i is the same at both, and is the
-    one in `rep`; only the readers of p̂_i are evaluated again."""
+def _commit_charges(
+    s: Scenario, h: float, allocation: Allocation, values: Sequence[float], i: CommuterId
+) -> tuple[float, float]:
+    """The commit charges to i at `allocation`, on commit and on fail: each
+    credits the others' reported values with p̂_i forced to 1 or 0. A value
+    that does not read p̂_i is the same at both, and is the one in
+    `values`; only the readers of p̂_i are evaluated again."""
     p_hat = s.reported_p()
     p_one = substitute(p_hat, i, 1.0)
     p_zero = substitute(p_hat, i, 0.0)
-    allocation = rep.allocation
     v_one = []
     v_zero = []
     for j, c in enumerate(s.commuters):
@@ -86,13 +85,13 @@ def _commit_entry(s: Scenario, h: float, rep: WelfareReport, i: CommuterId) -> C
             a = evaluate(spec, allocation, p_one)
             b = evaluate(spec, allocation, p_zero)
         else:
-            a = b = EXCLUDED if excludes(spec, allocation[spec.owner]) else rep.per_commuter[j]
+            a = b = EXCLUDED if excludes(spec, allocation[spec.owner]) else values[j]
         if a is EXCLUDED or b is EXCLUDED:
             raise ExcludedValueError(
                 f"commuter {j}: reported valuation excludes the chosen allocation")
         v_one.append(a)
         v_zero.append(b)
-    return Conditional(h - math.fsum(v_one), h - math.fsum(v_zero))
+    return h - math.fsum(v_one), h - math.fsum(v_zero)
 
 
 _PUBLIC = "-public-p"
@@ -143,8 +142,8 @@ class Mechanism(Enum):
         the others' values from `rep`, all of them under Groves, and under
         commit those that do not read p̂_i; it evaluates the rest."""
         if self is Mechanism.COMMIT_BASED:
-            return _commit_entry(s, h, rep, i)
-        return _groves_entry(h, rep, i)
+            return Conditional(*_commit_charges(s, h, rep.allocation, rep.per_commuter, i))
+        return Unconditional(_groves_charge(h, rep.per_commuter, i))
 
 
 def _schedule(s: Scenario, mechanism: Mechanism, public_p: Sequence[float] | None) -> PaymentSchedule:
@@ -190,47 +189,69 @@ def settled_utility(s: Scenario, i: CommuterId, allocation: Allocation, entry: P
     is finite within the magnitude bounds of admitted input
     (`valuation.MAX_MAGNITUDE`); other input has no guarantee.
     """
-    p = s.true_p()
-    if isinstance(entry, Unconditional):
-        return _true_value(s, i, allocation, p) - entry.amount
-    v_one = _true_value(s, i, allocation, substitute(p, i, 1.0))
-    v_zero = _true_value(s, i, allocation, substitute(p, i, 0.0))
-    pi = p[i]
-    return pi * (v_one - entry.on_commit) + (1.0 - pi) * (v_zero - entry.on_fail)
+    charge = entry.amount if isinstance(entry, Unconditional) else (entry.on_commit, entry.on_fail)
+    return _settle(s.commuters[i].true_type.valuation, i, s.true_p(), allocation, charge, {})
 
 
-def _true_value(s: Scenario, i: CommuterId, allocation: Allocation, p: Sequence[float]) -> float:
-    """Commuter `i`'s true valuation at `allocation` and `p`; raises
-    ExcludedValueError when it excludes that allocation."""
-    v = evaluate(s.commuters[i].true_type.valuation, allocation, p)
-    if v is EXCLUDED:
-        raise ExcludedValueError(f"commuter {i}: true valuation excludes the chosen allocation")
-    return v
-
-
-def groves_utilities(
+def utilities(
     s: Scenario,
+    mechanism: Mechanism,
     i: CommuterId,
     h: float,
     outcomes: Iterable[tuple[Allocation, Sequence[float]]],
-    true_values: dict[int, float],
+    true_values: dict[int, float | tuple[float, float]],
 ) -> dict[int, float]:
-    """Commuter `i`'s Groves utility at each of `outcomes`, an allocation
-    with every commuter's reported value there, filed under the
-    allocation's id: `settled_utility` at the Groves entry, with pivot term
-    `h`, of a report holding those values. `true_values` keeps i's true
-    value per allocation id across calls, as it reads only true types, so
-    the calls must share `s` and `i` and keep the allocations alive.
-    Raises ExcludedValueError when i's true valuation excludes one."""
+    """Commuter `i`'s utility at each of `outcomes`, an allocation with
+    every commuter's reported value there, filed under the allocation's
+    id: what `settled_utility` returns, bit for bit, at `mechanism`'s entry,
+    with pivot term `h`, of a report holding those values. i's own value is
+    not read. `true_values` keeps i's true values per assignment of i
+    across calls, as they read only that assignment and true types, so the
+    calls must share `s`, `mechanism` and `i`, and draw their allocations
+    from one walk, kept alive. Raises ExcludedValueError where the entry
+    or `settled_utility` does, keeping nothing for that outcome."""
+    spec = s.commuters[i].true_type.valuation
     p = s.true_p()
-    utilities = {}
+    commit = mechanism is Mechanism.COMMIT_BASED
+    settled = {}
     for allocation, values in outcomes:
-        outcome = id(allocation)
-        v = true_values.get(outcome)
-        if v is None:
-            v = true_values[outcome] = _true_value(s, i, allocation, p)
-        utilities[outcome] = v - _groves_charge(h, values, i)
-    return utilities
+        if commit:
+            charge = _commit_charges(s, h, allocation, values, i)
+        else:
+            charge = _groves_charge(h, values, i)
+        settled[id(allocation)] = _settle(spec, i, p, allocation, charge, true_values)
+    return settled
+
+
+def _settle(
+    spec: ValuationSpec,
+    i: CommuterId,
+    p: Sequence[float],
+    allocation: Allocation,
+    charge: float | tuple[float, float],
+    true_values: dict[int, float | tuple[float, float]],
+) -> float:
+    """The utility at `allocation` of commuter `i`, whose true valuation is
+    `spec`, at true probabilities `p`: under an `Unconditional` charge,
+    i's true value less it; under a `Conditional` pair (on commit, on
+    fail), i's true value at commitment 1 and at 0 less that branch's
+    charge, weighted by `p[i]`. i's true values there are read from, or
+    kept in, `true_values` under the id of the owner's assignment. Raises
+    ExcludedValueError when `spec` excludes `allocation`."""
+    conditional = type(charge) is tuple
+    key = id(allocation[spec.owner])
+    v = true_values.get(key)
+    if v is None:
+        at = (substitute(p, i, 1.0), substitute(p, i, 0.0)) if conditional else (p,)
+        v = tuple(evaluate(spec, allocation, q) for q in at)
+        if EXCLUDED in v:
+            raise ExcludedValueError(f"commuter {i}: true valuation excludes the chosen allocation")
+        v = true_values[key] = v if conditional else v[0]
+    if not conditional:
+        return v - charge
+    (v_one, v_zero), (on_commit, on_fail) = v, charge
+    pi = p[i]
+    return pi * (v_one - on_commit) + (1.0 - pi) * (v_zero - on_fail)
 
 
 def expected_utility(s: Scenario, i: CommuterId, schedule: PaymentSchedule) -> float:

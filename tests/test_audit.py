@@ -5,6 +5,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from conftest import pivot_scenarios, reference_audit, reference_sweep, small_scenarios
@@ -27,6 +28,7 @@ from rideshare.audit import (
 )
 import rideshare.allocation as allocation_module
 import rideshare.audit as audit_module
+import rideshare.payments as payments_module
 import rideshare.valuation as valuation_module
 from rideshare.allocation import (
     OutcomeTable,
@@ -51,8 +53,8 @@ from rideshare.payments import (
     commit_payments,
     expected_utility,
     groves_payments,
-    groves_utilities,
     settled_utility,
+    utilities,
 )
 from rideshare.valuation import (
     MAX_MAGNITUDE,
@@ -370,7 +372,6 @@ def test_a_bound_first_sweep_keeps_the_first_maximal_gain(monkeypatch, name, mec
         def scoring(spec, q):
             scored.append(q[i])
             return score(spec, q)
-        scoring.contenders = score.contenders
         return scoring
 
     monkeypatch.setattr(allocation_module.OutcomeTable, "scorer", scorer)
@@ -403,7 +404,6 @@ def test_a_floor_prunes_later_sweeps_of_a_dominant_audit(monkeypatch):
         def scoring(spec, q):
             scorings[-1] += 1
             return score(spec, q)
-        scoring.contenders = score.contenders
         return scoring
 
     real_sweep = audit_module._sweep
@@ -469,14 +469,17 @@ def test_a_certified_sweep_has_no_gaining_deviation(s_space):
 def _groves_frames(profile, i, mechanism, space):
     """Checks each frame of commuter i's sweep against `profile`, in which
     i reports truthfully, under a private-probability Groves `mechanism`:
-    one frame per p̂_i of i's grid, priced by the table's scorer. Each of
-    the scorer's contenders settles through `groves_utilities` to what
-    `settled_utility` returns at the entry of a scoring it wins, by
-    `repr`; each deviation of the frame, scored, settles to its winner's
-    settlement; and where no contender settles above truth (the frame's
-    certificate), no deviation gains more than 0.0. The settlements read
-    none of i's own values. Returns how many frames are certified and how
-    many are not; none when nobody reads p̂_i."""
+    one frame per p̂_i of i's grid. The frame's rows, settled through
+    `utilities` at its probabilities, bound it by their best settlement,
+    which equals the best among the frame scorer's contenders, recomputed
+    here from the rows by exact sums: each row whose others' exact value
+    sum is greater than that of every earlier row giving i the same
+    assignment. Each deviation of the frame, scored, settles to its
+    winner's row settlement, which is what `settled_utility` returns at
+    the entry of that scoring, by `repr`, and the winner is a contender;
+    where no row settles above truth (the frame's certificate), no
+    deviation gains more than 0.0. Returns how many frames are certified
+    and how many are not; none when nobody reads p̂_i."""
     table = OutcomeTable(profile, mechanism.probabilities(profile))
     frames = Counter()
     if not table.readers(i):
@@ -488,26 +491,29 @@ def _groves_frames(profile, i, mechanism, space):
     true_values = {}
     for p_hat in sorted({t.p_commit for t in devs}):
         q = substitute(table.p, i, p_hat)
-        score = table.scorer(i, q)
-        contenders = [(a, tuple(values)) for a, _, values in score.contenders]
-        settled = groves_utilities(profile, i, h, contenders, true_values)
-        assert list(settled) == [id(a) for a, _ in contenders]
-        for a, values in contenders:
-            rep = WelfareReport(a, math.fsum(values), values)
-            expected = settled_utility(profile, i, a, mechanism.entry(profile, h, rep, i))
-            assert repr(settled[id(a)]) == repr(expected), (i, p_hat)
-        certified = all(u - u_truth <= 0.0 for u in settled.values())
+        outcomes = list(table.values_at(i, q))
+        settled = utilities(profile, mechanism, i, h, outcomes, true_values)
+        assert list(settled) == [id(a) for a, _ in outcomes]
+        leaders = {}
+        contenders = set()
+        for a, values in outcomes:
+            others = sum(map(Fraction, values[:i] + values[i + 1:]))
+            if id(a[i]) not in leaders or others > leaders[id(a[i])]:
+                leaders[id(a[i])] = others
+                contenders.add(id(a))
+        top = max(settled.values())
+        assert top == max(settled[a] for a in contenders), (i, p_hat)
+        certified = top - u_truth <= 0.0
         frames[certified] += 1
+        score = table.scorer(i, q)
         for trip in devs:
             if trip.p_commit != p_hat:
                 continue
             rep = score(trip.valuation, q)
+            assert id(rep.allocation) in contenders
             u = settled_utility(profile, i, rep.allocation, mechanism.entry(profile, h, rep, i))
             assert repr(settled[id(rep.allocation)]) == repr(u), (i, trip)
             assert not certified or u - u_truth <= 0.0, (i, trip)
-        # i's own entry of a contender's values, the last scoring's, is not read
-        scored = [(a, tuple(values)) for a, _, values in score.contenders]
-        assert repr(groves_utilities(profile, i, h, scored, true_values)) == repr(settled)
     return frames
 
 
@@ -991,43 +997,45 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     Pricing evaluates each commuter at most once per distinct assignment,
     and a reader of pivot k's once per assignment with k absent. The
     outcome pass for all commuters' certificates then evaluates nothing:
-    the efficient search already read every value it reads. Where the
-    outcome fixes i's utility, a sweep settles truth, then every other
-    outcome once, before any scorer; a sweep where it does not settles
-    truth alone through `settled_utility`, and each frame's contenders
-    through `groves_utilities`. Each sweep gets the best gain of the
-    sweeps before it, or 0.0, as its floor.
+    the efficient search already read every value it reads. Each sweep
+    gets the best gain of the sweeps before it, or 0.0, as its floor.
 
-    A sweep whose certificate holds finds nothing, builds no grid and
-    builds or calls no scorer. Under Groves with private probabilities, a
-    sweep with a reader tries no certificate; every other sweep tries it
-    once. The outcome rows are built once per table and shared by every
-    certificate and scorer.
+    A sweep settles i only through `payments.utilities`, on outcomes read
+    from `OutcomeTable.values_at` or on truth's report alone. Where the
+    outcome fixes i's utility, it settles every row once, at the table's
+    probabilities, before any scorer. A sweep whose certificate holds then
+    finds nothing, builds no grid and builds or calls no scorer. Under
+    Groves with private probabilities and a reader, a sweep settles truth
+    alone, then the rows once per p̂_i point of its grid, in grid order,
+    before any scorer. The outcome rows are built once per table and
+    shared by every settlement and scorer.
 
     Any other sweep of commuter i builds i's grid once. A frame is a p̂_i
     point under private probabilities, the whole grid under public ones.
-    Where the outcome fixes i's utility, each frame's bound is the best
-    outcome's utility less truth's, and the sweep asks the table for a
-    scorer, one pass over the table's outcome rows, for each frame it
-    visits if someone reads p̂_i, else at most once. Under Groves with
-    private probabilities and a reader, it asks for one per p̂_i point, in
-    grid order, whose best contender utility less truth's is that frame's
-    bound, then one more for each frame it visits. Each bound is
-    recomputed here through `Mechanism.entry` and `settled_utility`. The
-    scorings are exactly those of `_bound_first_scorings`, which replays
-    the visiting order and stopping rule from those bounds, the floor and
-    each deviation's gain priced afresh, and the sweep's witness is the
-    one that replay holds. Each
-    distinct (p̂_i, reported valuation) is scored at most once, by the
-    table's scorer and at i's probabilities, never by a full-set argmax.
-    Within the frames, a non-reader is evaluated at most once per distinct
-    assignment per audit, and not at all where pricing already did; a
-    reader once per assignment per scorer at a p̂_i other than the table's,
-    and at exactly those p̂_i; and i once per assignment per scoring, in
-    exactly the scorings. Every sweep of the constant trio has no reader,
-    every sweep of the two-driver trio has one, and the pair has one of
-    each. Commit payments certify every sweep of the linear scenarios, and
-    not the deviator's sweep in the gate and quadratic pairs."""
+    Each frame's bound is recomputed here from the table's rows, every
+    other report evaluated afresh at the frame's probabilities, and
+    settled through `Mechanism.entry` and `settled_utility`: at the
+    table's probabilities for every frame where the outcome fixes i's
+    utility, else at the frame's own. The scorings are exactly those of
+    `_bound_first_scorings`, which replays the visiting order and stopping
+    rule from those bounds, the floor and each deviation's gain priced
+    afresh, and the sweep's witness is the one that replay holds. No
+    scorer is built to bound a frame: a sweep builds one, a pass over
+    `values_at` at the frame's probabilities, for each frame it visits if
+    someone reads p̂_i, else at most once; under Groves with private
+    probabilities and a reader, each visited frame then settles its rows
+    again. Each distinct (p̂_i, reported valuation) is scored at most
+    once, by the table's scorer and at i's probabilities, never by a
+    full-set argmax. A non-reader is evaluated in no frame; a reader
+    once per assignment per `values_at` pass at a p̂_i other than the
+    table's, and at exactly those p̂_i; and i once per assignment per
+    scoring, in exactly the scorings. i's true value is evaluated once
+    per distinct assignment of i that a sweep settles (once at
+    commitment 1 and once at 0 under commit). Every sweep of the
+    constant trio has no reader, every sweep of the two-driver trio has
+    one, and the pair has one of each. Commit payments certify every
+    sweep of the linear scenarios, and not the deviator's sweep in the
+    gate and quadratic pairs."""
     s = by_name(name)
     specs = [c.true_type.valuation for c in s.commuters]
     sweeps = []
@@ -1052,29 +1060,37 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         raise AssertionError("the audit ran a search of its own")
 
     real_sweep = audit_module._sweep
+    real_rows = allocation_module.OutcomeTable.rows
+    real_evaluate = allocation_module.evaluate
 
     def sweep(table, i, mechanism, *args):
         readers = {j for j, spec in enumerate(specs) if j != i and i in referenced_subjects(spec)}
-        record = {"i": i, "readers": readers, "passes": 0, "scorings": [], "grids": 0,
-                  "certificates": 0, "evaluations": Counter(), "settlements": [], "frames": [],
+        record = {"i": i, "readers": readers, "events": [], "scorings": [], "grids": 0,
+                  "evaluations": Counter(), "true_evaluations": Counter(), "settled": set(),
                   "floor": args[-1], "profile": table.scenario, "p_i": table.p[i]}
         sweeps.append(record)
         record["found"] = real_sweep(table, i, mechanism, *args)
-        # each scorer pass's bound: its best contender utility less truth's
         profile, truth = table.scenario, table.truth()
-        h = table.pivot(i) if mechanism.pivot is PivotRule.CLARKE else 0.0
-        u_truth = real_settled_utility(profile, i, truth.allocation,
-                                       mechanism.entry(profile, h, truth, i))
         record["truth"] = id(truth.allocation)
+        record["rows"] = [id(rep.allocation) for rep in real_rows(table)]
+        record["p"] = table.p
 
-        def bound(outcomes):
-            return max(real_settled_utility(profile, i, a, mechanism.entry(
-                profile, h, WelfareReport(a, math.fsum(values), values), i))
-                for a, values in outcomes) - u_truth
-        rows = real_rows(table)
-        record["rows"] = [id(rep.allocation) for rep in rows]
-        record["rows_bound"] = bound((rep.allocation, rep.per_commuter) for rep in rows)
-        record["frames"] = [(p_hat, bound(contenders)) for p_hat, contenders in record["frames"]]
+        def bound(q):
+            """The best row settlement less truth's at probabilities `q`,
+            every other report evaluated afresh; called after the audit."""
+            h = table.pivot(i) if mechanism.pivot is PivotRule.CLARKE else 0.0
+            u_truth = settled_utility(profile, i, truth.allocation,
+                                      mechanism.entry(profile, h, truth, i))
+            settled = []
+            for rep in real_rows(table):
+                a = rep.allocation
+                values = tuple(rep.per_commuter[j] if j == i
+                               else real_evaluate(c.reported_type.valuation, a, q)
+                               for j, c in enumerate(profile.commuters))
+                entry = mechanism.entry(profile, h, WelfareReport(a, math.fsum(values), values), i)
+                settled.append(settled_utility(profile, i, a, entry))
+            return max(settled) - u_truth
+        record["bound"] = bound
         return record["found"]
 
     real_deviations_for = audit_module.deviations_for
@@ -1084,31 +1100,37 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         sweeps[-1]["grid"] = real_deviations_for(*args)
         return sweeps[-1]["grid"]
 
-    real_settle_outcomes = audit_module._settle_outcomes
-
-    def settle_outcomes(*args):
-        sweeps[-1]["certificates"] += 1
-        return real_settle_outcomes(*args)
-
-    real_rows = allocation_module.OutcomeTable.rows
-
     def rows(table):
         found = track(real_rows, "outcomes")(table)
         row_lists.add(id(found))
         return found
 
+    real_values_at = allocation_module.OutcomeTable.values_at
+
+    def values_at(table, i, p):
+        sweeps[-1]["events"].append(("pass", p[i]))
+        return iter(track(lambda: list(real_values_at(table, i, p)), "frame")())
+
+    real_utilities = audit_module.utilities
+
+    def utilities(profile, mechanism, i, h, outcomes, true_values):
+        record = sweeps[-1]
+        outcomes = list(outcomes)
+        settled = [id(a) for a, _ in outcomes]
+        record["events"].append(("settle", settled))
+        record["settled"].update(id(a[i]) for a, _ in outcomes)
+        return real_utilities(profile, mechanism, i, h, outcomes, true_values)
+
     real_scorer = allocation_module.OutcomeTable.scorer
 
     def scorer(table, i, p):
         record = sweeps[-1]
-        record["passes"] += 1
+        record["events"].append(("scorer", p[i]))
         score = track(real_scorer, "frame")(table, i, p)
-        record["frames"].append((p[i], [(a, tuple(v)) for a, _, v in score.contenders]))
 
         def scoring(spec, q):
             record["scorings"].append((q[record["i"]], id(spec)))
             return track(score, "frame")(spec, q)
-        scoring.contenders = score.contenders
         return scoring
 
     real_argmax = allocation_module._argmax
@@ -1117,8 +1139,6 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         assert where is None, "a frame ran the full-set argmax"
         searches[args[3]] += 1
         return track(real_argmax, "pricing")(*args)
-
-    real_evaluate = allocation_module.evaluate
 
     def evaluate(spec, allocation, p, absent=None):
         if where is not None:
@@ -1138,12 +1158,13 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
                 record["evaluations"][j, frame, assignment] += 1
         return real_evaluate(spec, allocation, p, absent)
 
-    real_settled_utility = audit_module.settled_utility
+    real_payments_evaluate = payments_module.evaluate
 
-    def settle(s, i, allocation, entry):
+    def true_evaluate(spec, allocation, p, absent=None):
         record = sweeps[-1]
-        record["settlements"].append((record["passes"], id(allocation)))
-        return real_settled_utility(s, i, allocation, entry)
+        if spec is specs[record["i"]]:
+            record["true_evaluations"][id(allocation[spec.owner]), tuple(p)] += 1
+        return real_payments_evaluate(spec, allocation, p, absent)
 
     class Table(allocation_module.OutcomeTable):
         def __init__(self, *args):
@@ -1156,12 +1177,13 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     monkeypatch.setattr(audit_module, "OutcomeTable", Table)
     monkeypatch.setattr(audit_module, "efficient_allocation", refuse)
     monkeypatch.setattr(audit_module, "efficient_allocation_excluding", refuse)
-    monkeypatch.setattr(audit_module, "_settle_outcomes", settle_outcomes)
+    monkeypatch.setattr(audit_module, "utilities", utilities)
     monkeypatch.setattr(allocation_module.OutcomeTable, "rows", rows)
+    monkeypatch.setattr(allocation_module.OutcomeTable, "values_at", values_at)
     monkeypatch.setattr(allocation_module.OutcomeTable, "scorer", scorer)
     monkeypatch.setattr(allocation_module, "_argmax", argmax)
     monkeypatch.setattr(allocation_module, "evaluate", evaluate)
-    monkeypatch.setattr(audit_module, "settled_utility", settle)
+    monkeypatch.setattr(payments_module, "evaluate", true_evaluate)
     space = DeviationSpace()
     audit_expost(s, mechanism, space)
     # the replays below price deviations afresh, through the real searches
@@ -1177,63 +1199,77 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     frame_shared = Counter()
     certified = []
     floor = 0.0
+    true_p = s.true_p()
     for record, c in zip(sweeps, s.commuters):
+        i, events = record["i"], record["events"]
         assert record["floor"] == floor
         if record["found"] is not None:
             assert record["found"].gain > floor
             floor = record["found"].gain
         framed = private and record["readers"] and mechanism is not Mechanism.COMMIT_BASED
+        rows = ("settle", record["rows"])
         if framed:
-            # truth alone, before any scorer
-            assert record["certificates"] == 0
-            assert record["settlements"] == [(0, record["truth"])]
+            # truth alone, then the rows once per p̂_i point, before any scorer
+            assert events[0] == ("settle", [record["truth"]])
+            head = 1
         else:
-            # truth, then every other outcome once, before any scorer
-            assert record["certificates"] == 1
-            rest = [a for a in record["rows"] if a != record["truth"]]
-            assert record["settlements"] == [(0, a) for a in [record["truth"], *rest]]
+            # the rows once, at the table's probabilities, before any scorer
+            assert events[:2] == [("pass", record["p_i"]), rows]
+            head = 2
         if not record["grids"]:
-            certified.append(record["i"])
-            assert record["rows_bound"] <= 0.0
+            certified.append(i)
+            assert not framed and record["bound"](record["p"]) <= 0.0
             assert record["found"] is None
-            assert record["passes"] == 0
+            assert events[head:] == []
             assert record["scorings"] == []
             continue
         assert record["grids"] == 1
         devs = record["grid"]
         assert devs == deviations_for(c.true_type, space)
         points = sorted({t.p_commit for t in devs})
-        passes = [p_hat for p_hat, _ in record["frames"]]
         if framed:
-            bounds = dict(record["frames"][:len(points)])
-            assert passes[:len(points)] == points
+            assert events[head:head + 2 * len(points)] == [
+                e for p_hat in points for e in (("pass", p_hat), rows)]
+            head += 2 * len(points)
+            bounds = {p_hat: record["bound"](substitute(record["p"], i, p_hat))
+                      for p_hat in points}
         else:
-            assert record["rows_bound"] > 0.0
-            bounds = dict.fromkeys(points if private else [record["p_i"]], record["rows_bound"])
+            top = record["bound"](record["p"])
+            assert top > 0.0
+            bounds = dict.fromkeys(points if private else [record["p_i"]], top)
 
         def frame_of(trip):
             return trip.p_commit if private else record["p_i"]
         scorings, visited, held = _bound_first_scorings(
-            devs, frame_of, bounds, record["floor"],
-            _replayed_gains(record["profile"], record["i"], mechanism))
+            devs, frame_of, bounds, record["floor"], _replayed_gains(record["profile"], i, mechanism))
         assert record["scorings"] == scorings
         assert len(set(scorings)) == len(scorings)
         found = record["found"]
         assert (None if found is None else found.report) is (None if held is None else devs[held])
         if framed:
-            # each visited frame builds its scorer again, to the same bound
-            assert record["frames"][len(points):] == [(p_hat, bounds[p_hat]) for p_hat in visited]
+            # each visited frame builds its scorer, then settles its rows again
+            assert events[head:] == [e for p_hat in visited for e in (
+                ("scorer", p_hat), ("pass", p_hat), ("pass", p_hat), rows)]
         else:
             # a scorer per visited frame, or one for all when nobody reads p̂_i
-            assert passes == (visited if record["readers"] and private else visited[:1])
+            built = visited if record["readers"] and private else visited[:1]
+            assert events[head:] == [e for p_hat in built for e in (("scorer", p_hat),
+                                                                    ("pass", p_hat))]
+        passes = [p_hat for kind, p_hat in events if kind == "pass"]
         fresh = Counter(p_hat for p_hat in passes if p_hat != record["p_i"])
         evaluations = record["evaluations"]
-        assert {frame for j, frame, _ in evaluations if j == record["i"]} == set(scorings)
+        assert {frame for j, frame, _ in evaluations if j == i} == set(scorings)
         assert {frame for j, frame, _ in evaluations if j in record["readers"]} == set(fresh)
         for (j, frame, _), count in evaluations.items():
             assert count == (fresh[frame] if j in record["readers"] else 1), (j, frame)
         frame_shared.update((j, a) for j, frame, a in evaluations if frame is None)
-    assert not frame_shared or set(frame_shared.values()) == {1}
-    assert not set(frame_shared) & {(j, a) for j, k, a in pricing if k is None}
+    for record in sweeps:
+        # i's true value(s), once per assignment of i the sweep settles
+        i = record["i"]
+        at = ([substitute(true_p, i, 1.0), substitute(true_p, i, 0.0)]
+              if mechanism is Mechanism.COMMIT_BASED else [true_p])
+        assert record["true_evaluations"] == Counter(
+            (a, q) for a in record["settled"] for q in at)
+    assert not frame_shared
     if mechanism is Mechanism.COMMIT_BASED:
         assert (certified == list(range(s.n))) is name.startswith("linear-")

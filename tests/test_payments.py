@@ -7,15 +7,18 @@ from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FAMILIES,
     all_none,
     bench_scale_scenario,
     pivot_scenarios,
+    small_scenarios,
 )
 from rideshare import allocation, cli, payments
 from rideshare.allocation import (
+    OutcomeTable,
     WelfareReport,
     efficient_allocation,
     efficient_allocation_excluding,
@@ -35,14 +38,15 @@ from rideshare.model import (
 from rideshare.payments import (
     Conditional,
     ExcludedValueError,
+    Mechanism,
     PivotRule,
     Unconditional,
-    _commit_entry,
+    _commit_charges,
     commit_payments,
     expected_utility,
     groves_payments,
-    groves_utilities,
     settled_utility,
+    utilities,
 )
 from rideshare.scenario_io import serialize_scenario
 from rideshare.valuation import (
@@ -212,12 +216,14 @@ def test_commit_entry_raises_when_others_report_excludes_allocation():
         Assignment(Role.RIDE, frozenset((1,))),
         Assignment(Role.DRIVE, frozenset((0,))),
     )
+    with pytest.raises(ExcludedValueError, match="commuter 1"):
+        _commit_charges(s, 0.0, swapped, (0.0, 0.0), 0)
     rep = WelfareReport(swapped, 0.0, (0.0, 0.0))
     with pytest.raises(ExcludedValueError, match="commuter 1"):
-        _commit_entry(s, 0.0, rep, 0)
+        Mechanism.COMMIT_BASED.entry(s, 0.0, rep, 0)
 
 
-def test_groves_utilities_raise_where_the_true_valuation_excludes():
+def test_utilities_raise_where_the_true_valuation_excludes():
     """An outcome i's true valuation rules out raises ExcludedValueError, as
     `settled_utility` does there, not a TypeError from EXCLUDED's
     arithmetic, and no true value is kept for it."""
@@ -229,10 +235,98 @@ def test_groves_utilities_raise_where_the_true_valuation_excludes():
     )
     true_values = {}
     with pytest.raises(ExcludedValueError, match="commuter 1"):
-        groves_utilities(s, 1, 0.0, [(swapped, (0.0, 0.0))], true_values)
+        utilities(s, Mechanism.GROVES_ZERO, 1, 0.0, [(swapped, (0.0, 0.0))], true_values)
     assert true_values == {}
     with pytest.raises(ExcludedValueError, match="commuter 1"):
         settled_utility(s, 1, swapped, Unconditional(0.0))
+    with pytest.raises(ExcludedValueError, match="commuter 1"):
+        settled_utility(s, 1, swapped, Conditional(0.0, 0.0))
+
+
+def _settled_one_by_one(s, mechanism, i, h, allocation, values):
+    """`settled_utility` at `mechanism`'s entry of a report of `allocation`
+    with `values`, by `repr`, or "excluded" where it raises
+    ExcludedValueError."""
+    rep = WelfareReport(allocation, math.fsum(values), tuple(values))
+    try:
+        return repr(settled_utility(s, i, allocation, mechanism.entry(s, h, rep, i)))
+    except ExcludedValueError:
+        return "excluded"
+
+
+def _utilities_match_settled_utility(s):
+    """For every mechanism and commuter i of `s`, `utilities` on the rows of
+    `s`'s outcome table, at the table's probabilities and, under private
+    ones, with p̂_i at 0, 0.5 and 1, settles each row as `settled_utility`
+    does at `Mechanism.entry`, by `repr`, and truth's row, at the table's
+    probabilities, to i's truthful utility. A row it cannot settle raises
+    ExcludedValueError exactly where `settled_utility` does, and keeps no
+    true value for it; i's own value is not read. Returns how many rows
+    raised."""
+    excluded = 0
+    for mechanism in Mechanism:
+        table = OutcomeTable(s, mechanism.probabilities(s))
+        truth = table.truth()
+        for i in range(s.n):
+            h = table.pivot(i) if mechanism.pivot is PivotRule.CLARKE else 0.0
+            u_truth = _settled_one_by_one(s, mechanism, i, h, truth.allocation,
+                                          truth.per_commuter)
+            points = [table.p[i]] + ([0.0, 0.5, 1.0] if table.private else [])
+            true_values = {}
+            for p_hat in points:
+                outcomes = list(table.values_at(i, substitute(table.p, i, p_hat)))
+                expected = [_settled_one_by_one(s, mechanism, i, h, a, v) for a, v in outcomes]
+                if p_hat == points[0]:
+                    assert expected[[a for a, _ in outcomes].index(truth.allocation)] == u_truth
+                for (allocation, values), want in zip(outcomes, expected):
+                    kept = dict(true_values)
+                    bent = list(values)
+                    bent[i] = math.nan
+                    try:
+                        got = utilities(s, mechanism, i, h, [(allocation, bent)], true_values)
+                    except ExcludedValueError:
+                        assert want == "excluded", (mechanism, i, p_hat)
+                        assert true_values == kept
+                        excluded += 1
+                        continue
+                    assert list(got) == [id(allocation)]
+                    assert repr(got[id(allocation)]) == want, (mechanism, i, p_hat)
+                if "excluded" not in expected:
+                    # all rows at once, in row order, with a fresh memo
+                    settled = utilities(s, mechanism, i, h, outcomes, {})
+                    assert list(settled) == [id(a) for a, _ in outcomes]
+                    assert [repr(u) for u in settled.values()] == expected
+    return excluded
+
+
+def _lax(s, k):
+    """`s` with commuter k reporting its valuation without its exclusions,
+    so the outcome rows hold those that k's true valuation excludes."""
+    trip = s.commuters[k].reported_type
+    clauses = tuple(replace(clause, excluded=False) for clause in trip.valuation.clauses)
+    return with_report(s, k, TripType(replace(trip.valuation, clauses=clauses), trip.p_commit))
+
+
+def test_utilities_settle_every_corpus_row_as_settled_utility_does(corpus_entries):
+    """`_utilities_match_settled_utility` on every corpus scenario, reports
+    truthful, where no row is one a true valuation excludes, and with each
+    commuter in turn reporting without exclusions, where some rows are."""
+    excluded = 0
+    for e in corpus_entries:
+        base = with_truthful_reports(e.scenario)
+        assert _utilities_match_settled_utility(base) == 0, e.name
+        for k in range(base.n):
+            excluded += _utilities_match_settled_utility(_lax(base, k))
+    assert excluded > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(s=st.one_of(small_scenarios(), pivot_scenarios(excluding_none=False)),
+       lax=st.integers(min_value=0, max_value=4))
+def test_utilities_settle_every_generated_row_as_settled_utility_does(s, lax):
+    """`_utilities_match_settled_utility` on generated scenarios, with
+    commuter `lax`, if there is one, reporting without exclusions."""
+    _utilities_match_settled_utility(_lax(s, lax) if lax < s.n else s)
 
 
 def test_deficit_sign_convention():
