@@ -125,7 +125,9 @@ class OutcomeTable:
     is built, and one value table per commuter (entries of `_Scored`), and
     lazily searches the efficient report (`truth`), each Clarke pivot's
     welfare (`pivot`) and the outcomes (`rows`), each feasible allocation
-    that no report excludes. The efficient search also prices every pivot
+    that no report excludes. It finds each commuter's readers, the others
+    whose report reads their probability, in one scan, for `readers`,
+    `values_at` and `pivot`. The efficient search also prices every pivot
     whose commuter's absence changes no value (see `pivot`), so those
     pivots search nothing.
 
@@ -155,8 +157,7 @@ class OutcomeTable:
         self.private = public_p is None
         self._truth: WelfareReport | None = None
         self._idle: list[float | None] = []
-        self._pivots: dict[CommuterId, float] = {}
-        self._rows: list[WelfareReport] | None = None
+        self._rows: list[tuple[Allocation, tuple[float, ...]]] | None = None
 
     def truth(self) -> WelfareReport:
         """What `efficient_allocation` returns, or raises, on the scenario
@@ -172,7 +173,9 @@ class OutcomeTable:
 
     def pivot(self, k: CommuterId) -> float:
         """The welfare `efficient_allocation_excluding(scenario, k)` returns
-        at the table's probabilities, or what it raises; priced once per k.
+        at the table's probabilities, or what it raises. Nothing is kept: a
+        caller asks for each k once (`payments._schedule`, and each sweep
+        for its own commuter), and a second call prices it again.
 
         No search runs, and the pivot is the welfare `truth` kept for k,
         when three things hold:
@@ -197,24 +200,18 @@ class OutcomeTable:
         make (the third), so that search raises nothing, unless it keeps no
         allocation: then the same RuntimeError is raised here.
 
-        Otherwise k's pivot set is searched. Only k's readers, the others
-        whose spec reads k's probability, value anything differently with k
-        absent, so they alone get fresh tables; everyone else's values are
-        the shared tables' floats."""
-        h = self._pivots.get(k)
-        if h is None:
-            if self._truth is not None and self._priced_by_truth(k):
-                h = self._idle[k]
-                if h is None:
-                    raise RuntimeError(_NONE_ACCEPTABLE)
-            else:
-                entries = [
-                    _scored(j, spec) if k in referenced_subjects(spec) else (j, spec, owner, table)
-                    for j, spec, owner, table in self.present if j != k
-                ]
-                h = _argmax(self._pivot_sets[k], entries, self.p, k).welfare
-            self._pivots[k] = h
-        return h
+        Otherwise k's pivot set is searched. Only k's readers value anything
+        differently with k absent, so they alone get fresh tables; everyone
+        else's values are the shared tables' floats."""
+        if self._truth is not None and self._priced_by_truth(k):
+            h = self._idle[k]
+            if h is None:
+                raise RuntimeError(_NONE_ACCEPTABLE)
+            return h
+        fresh = self._readers[k]
+        entries = [_scored(j, spec) if j in fresh else (j, spec, owner, table)
+                   for j, spec, owner, table in self.present if j != k]
+        return _argmax(self._pivot_sets[k], entries, self.p, k).welfare
 
     def _priced_by_truth(self, k: CommuterId) -> bool:
         """True when k's absence changes no value on k's pivot set: k's
@@ -243,21 +240,24 @@ class OutcomeTable:
                 read.update(k for k in subjects if k != j and k not in named)
         return frozenset(read)
 
-    def readers(self, i: CommuterId) -> tuple[CommuterId, ...]:
-        """The others whose report reads i's probability; none under
-        public probabilities, where no report's probability is read."""
-        if not self.private:
-            return ()
-        return tuple(
-            j for j, spec, _, _ in self.present if j != i and i in referenced_subjects(spec))
+    @functools.cached_property
+    def _readers(self) -> list[tuple[CommuterId, ...]]:
+        """Each commuter k's readers, in commuter order: the others whose
+        report reads k's probability (`referenced_subjects`)."""
+        return [tuple(j for j, spec, _, _ in self.present if j != k and k in referenced_subjects(spec))
+                for k in range(self.scenario.n)]
 
-    def rows(self) -> list[WelfareReport]:
-        """The outcomes in walk order, each as the report a search choosing
-        it returns: everyone's values at the table's probabilities and
-        their exact sum. Built once; the list is shared, not to be changed.
-        The first call reads everyone where `truth` does, evaluating only
-        what that search has not; later calls evaluate nothing. Raises
-        what an evaluation or a welfare sum raises."""
+    def readers(self, i: CommuterId) -> tuple[CommuterId, ...]:
+        """i's readers; none under public probabilities, where no report's
+        probability is read."""
+        return self._readers[i] if self.private else ()
+
+    def rows(self) -> list[tuple[Allocation, tuple[float, ...]]]:
+        """The outcomes in walk order, each as its allocation and everyone's
+        values there at the table's probabilities. Built once; the list is
+        shared, not to be changed. The first call reads everyone where
+        `truth` does, evaluating only what that search has not; later calls
+        evaluate nothing. Raises what an evaluation raises."""
         if self._rows is None:
             rows = []
             values = [0.0] * len(self.present)
@@ -271,7 +271,7 @@ class OutcomeTable:
                         break
                     values[j] = v
                 else:
-                    rows.append(WelfareReport(allocation, math.fsum(values), tuple(values)))
+                    rows.append((allocation, tuple(values)))
             self._rows = rows
         return self._rows
 
@@ -279,16 +279,14 @@ class OutcomeTable:
         self, i: CommuterId, p: Sequence[float]
     ) -> Iterator[tuple[Allocation, list[float]]]:
         """Each of the table's `rows`, in walk order, as its allocation and
-        a fresh list of everyone's values there: the row's, with the readers
-        of i's probability valued at `p` instead, in fresh tables, when
-        `p[i]` is not the table's. `p` may differ from the table's
-        probabilities only at i. Raises what an evaluation raises; within
-        the magnitude bounds of admitted input none does."""
+        a fresh list of its values, with i's readers valued at `p` instead,
+        in fresh tables, when `p[i]` is not the table's. `p` may differ from
+        the table's probabilities only at i. Raises what an evaluation
+        raises; within the magnitude bounds of admitted input none does."""
         fresh = [_scored(j, self.present[j][1])
                  for j in (self.readers(i) if p[i] != self.p[i] else ())]
-        for row in self.rows():
-            allocation = row.allocation
-            values = list(row.per_commuter)
+        for allocation, row in self.rows():
+            values = list(row)
             for j, spec, owner, table in fresh:
                 key = id(allocation[owner])
                 v = table.get(key)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .allocation import OutcomeTable
+from .allocation import OutcomeTable, WelfareReport
 # Not called here; kept so that bench/tracer.py can still wrap them here.
 from .allocation import efficient_allocation, efficient_allocation_excluding
 from .model import CommuterId, Scenario, TripType, with_report, with_truthful_reports
@@ -191,17 +191,20 @@ def _sweep(
     this one asks it for i's pivot, then for the efficient report, the
     order in which a sweep's own searches would run.
 
-    `settle(q)` settles i (`payments.utilities`) on each of the table's
-    rows, the outcomes any report of i's can win, with the others' values
-    at i's probabilities `q` (`OutcomeTable.values_at`). Where the chosen
-    allocation fixes i's utility, the sweep settles once, at the table's
-    probabilities, truth's row included; when no row beats truth, no
+    i is settled through `payments.utilities` only: `utility(rep)` on a
+    search's report alone, truth's first, and `settle(q)` on each of the
+    table's rows, the outcomes any report of i's can win, with the
+    others' values at i's probabilities `q` (`OutcomeTable.values_at`).
+    Where the chosen allocation fixes i's utility, the sweep settles the
+    rows once, at the table's probabilities; when no row beats truth, no
     deviation gains and the sweep returns None without building the grid.
     Neither that certificate nor the grid's refusal reads `floor`, so
     every sweep refuses, or not, as it would without one.
 
-    The grid falls into frames: a frame per p̂_i under private
-    probabilities, one frame under public ones. Every deviation of a frame
+    The frames are the grid's p̂_i points under private probabilities,
+    and its first point alone under public ones: there no report reads
+    p̂_i, so every later point scores and gains as the first does, later
+    in the grid, and never holds the witness. Every deviation of a frame
     wins a row, so the best row settlement less i's truthful utility
     bounds the frame's gain: the certificate's for every frame where the
     allocation fixes i's utility, else the frame's own, settled at its
@@ -213,13 +216,15 @@ def _sweep(
     contender. So no scorer is built to bound a frame.
 
     Every frame is bounded, in grid order, before any scoring; only its
-    bound and place in the grid are kept, so a frame with its own bound is
-    settled again if it is scored. A scored frame builds the table's
-    `scorer` at i's probabilities, one per sweep unless someone reads
-    p̂_i. Frames are visited by bound descending, grid order among equal
-    bounds, and each scores its deviations in grid order. The held witness
-    gives way to a larger gain, or to an equal one earlier in the grid
-    (strict `>` otherwise), so it is always the first maximal-gain
+    bound and place in the grid are kept. A scored frame builds the
+    table's `scorer` at i's probabilities, one per sweep unless someone
+    reads p̂_i, and reads each scoring's utility from the rows' settlement
+    where the allocation fixes it, else settles the report the scoring
+    returns, whose others' values are its row's in the frame. Frames are
+    visited by bound descending, grid order among equal bounds, and each
+    scores its deviations in grid order, each valuation once. The held
+    witness gives way to a larger gain, or to an equal one earlier in the
+    grid (strict `>` otherwise), so it is always the first maximal-gain
     deviation of those scored. A frame stops at its first deviation that
     reaches its bound: the rest of the frame gains no more and comes
     later. The sweep stops at the first frame whose bound is below the
@@ -253,25 +258,26 @@ def _sweep(
     def settle(q: tuple[float, ...]) -> dict[int, float]:
         return utilities(profile, mechanism, i, h, table.values_at(i, q), true_values)
 
+    def utility(rep: WelfareReport) -> float:
+        outcome = [(rep.allocation, rep.per_commuter)]
+        return utilities(profile, mechanism, i, h, outcome, true_values)[id(rep.allocation)]
+
     def at(p_hat: float) -> tuple[float, ...]:
         return substitute(table.p, i, p_hat) if table.private else table.p
 
+    u_truth = utility(truth)
     if by_outcome:
         settled = settle(table.p)
-        u_truth = settled[id(truth.allocation)]
         top = max(settled.values()) - u_truth
         if top <= 0.0:
             return None
-    else:
-        truthful = [(truth.allocation, truth.per_commuter)]
-        u_truth = utilities(profile, mechanism, i, h, truthful, true_values)[id(truth.allocation)]
     if devs is None:
         devs = deviations_for(profile.commuters[i].true_type, space)
-    starts = [k for k in range(len(devs))
-              if k == 0 or table.private and devs[k].p_commit != devs[k - 1].p_commit]
+    starts = [k for k in range(len(devs)) if k == 0 or devs[k].p_commit != devs[k - 1].p_commit]
+    spans = itertools.islice(zip(starts, starts[1:] + [len(devs)]), None if table.private else 1)
     # (-bound, start, stop) of each frame above the floor; no settlement is kept
     frames: list[tuple[float, int, int]] = []
-    for start, stop in zip(starts, starts[1:] + [len(devs)]):
+    for start, stop in spans:
         if by_outcome:
             bound = top
         else:
@@ -289,16 +295,10 @@ def _sweep(
         q = at(devs[start].p_commit)
         if score is None or readers:
             score = table.scorer(i, q)
-        if not by_outcome:
-            settled = settle(q)
-        # utilities per reported valuation: valuations recur under public probabilities
-        seen: dict[int, float] = {}
         for k in range(start, stop):
             trip = devs[k]
-            spec_id = id(trip.valuation)
-            u = seen.get(spec_id)
-            if u is None:
-                u = seen[spec_id] = settled[id(score(trip.valuation, q).allocation)]
+            won = score(trip.valuation, q)
+            u = settled[id(won.allocation)] if by_outcome else utility(won)
             gain = u - u_truth
             if (gain > floor if best is None
                     else gain > best.gain or gain == best.gain and k < held):

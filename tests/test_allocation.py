@@ -433,12 +433,12 @@ def test_deviation_frames_score_as_efficient_allocation_of_the_report(s):
 @settings(max_examples=25, deadline=None)
 def test_outcomes_are_the_allocations_no_report_excludes(s):
     """Under reported and public probabilities, one table lists once, in
-    walk order, each feasible allocation that no report excludes, as the
-    report a search choosing it returns: everyone's values at those
-    probabilities and the welfare their exact sum. A scorer on that table
-    at i's reported probability, which reuses its rows and value tables,
-    scores i's report as the full search does, with the very same floats
-    for the others."""
+    walk order, each feasible allocation that no report excludes, as a
+    pair of the allocation and a tuple of everyone's values there at
+    those probabilities. A scorer on that table at i's reported
+    probability, which reuses its rows and value tables, scores i's
+    report as the full search does, with the very same floats for the
+    others."""
     specs = [c.reported_type.valuation for c in s.commuters]
     for public_p in (None, s.true_p()):
         p = s.reported_p() if public_p is None else public_p
@@ -447,15 +447,15 @@ def test_outcomes_are_the_allocations_no_report_excludes(s):
         table = OutcomeTable(s, public_p)
         outcomes = table.rows()
         assert table.rows() is outcomes
-        assert [id(rep.allocation) for rep in outcomes] == [id(a) for a in acceptable]
-        for rep in outcomes:
-            values = tuple(evaluate(spec, rep.allocation, p) for spec in specs)
-            assert repr((rep.welfare, rep.per_commuter)) == repr((math.fsum(values), values))
+        assert [id(a) for a, _ in outcomes] == [id(a) for a in acceptable]
+        for a, values in outcomes:
+            assert type(values) is tuple
+            assert repr(values) == repr(tuple(evaluate(spec, a, p) for spec in specs))
         for i in range(s.n):
             chosen = table.scorer(i, table.p)(specs[i], table.p)
             expected = efficient_allocation(s, p_override=public_p)
             assert chosen == expected and chosen.allocation is expected.allocation
-            others = {id(rep.allocation): rep.per_commuter for rep in outcomes}[id(chosen.allocation)]
+            others = {id(a): values for a, values in outcomes}[id(chosen.allocation)]
             assert repr(chosen.per_commuter[:i] + chosen.per_commuter[i + 1:]) == repr(
                 others[:i] + others[i + 1:])
 

@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import random
 import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from conftest import pivot_scenarios, reference_audit, reference_sweep, small_scenarios
+from conftest import TIE_VALUES, pivot_scenarios, reference_audit, reference_sweep, small_scenarios
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -564,9 +565,9 @@ def test_commit_payments_leave_no_outcome_worth_misreporting_for(s):
         h = efficient_allocation_excluding(base, i).welfare
         u_truth = settled_utility(base, i, truth.allocation, mechanism.entry(base, h, truth, i))
         outcomes = OutcomeTable(base, None).rows()
-        assert any(rep.allocation is truth.allocation for rep in outcomes)
-        best = max(settled_utility(base, i, rep.allocation, mechanism.entry(base, h, rep, i))
-                   for rep in outcomes)
+        assert any(a is truth.allocation for a, _ in outcomes)
+        best = max(settled_utility(base, i, a, mechanism.entry(
+            base, h, WelfareReport(a, math.fsum(values), values), i)) for a, values in outcomes)
         assert best - u_truth <= GAIN_TOLERANCE, i
 
 
@@ -997,35 +998,42 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     Pricing evaluates each commuter at most once per distinct assignment,
     and a reader of pivot k's once per assignment with k absent. The
     outcome pass for all commuters' certificates then evaluates nothing:
-    the efficient search already read every value it reads. Each sweep
-    gets the best gain of the sweeps before it, or 0.0, as its floor.
+    the efficient search already read every value it reads. The table
+    scans the reports for readers at most once, asking each report about
+    every other commuter once, for every sweep, pass and pivot; it does
+    not scan when public probabilities leave no pivot to search. Each
+    sweep gets the best gain of the sweeps before it, or 0.0, as its
+    floor.
 
-    A sweep settles i only through `payments.utilities`, on outcomes read
-    from `OutcomeTable.values_at` or on truth's report alone. Where the
-    outcome fixes i's utility, it settles every row once, at the table's
-    probabilities, before any scorer. A sweep whose certificate holds then
-    finds nothing, builds no grid and builds or calls no scorer. Under
-    Groves with private probabilities and a reader, a sweep settles truth
-    alone, then the rows once per p̂_i point of its grid, in grid order,
-    before any scorer. The outcome rows are built once per table and
-    shared by every settlement and scorer.
+    A sweep settles i only through `payments.utilities`: first on truth's
+    report alone, then on outcomes read from `OutcomeTable.values_at`, or
+    on a report a scoring returns. Where the outcome fixes i's utility, it
+    then settles every row once, at the table's probabilities, before any
+    scorer. A sweep whose certificate holds then finds nothing, builds no
+    grid and builds or calls no scorer. Under Groves with private
+    probabilities and a reader, a sweep settles the rows once per p̂_i
+    point of its grid, in grid order, before any scorer. The outcome rows
+    are built once per table and shared by every settlement and scorer.
 
     Any other sweep of commuter i builds i's grid once. A frame is a p̂_i
-    point under private probabilities, the whole grid under public ones.
-    Each frame's bound is recomputed here from the table's rows, every
-    other report evaluated afresh at the frame's probabilities, and
-    settled through `Mechanism.entry` and `settled_utility`: at the
-    table's probabilities for every frame where the outcome fixes i's
-    utility, else at the frame's own. The scorings are exactly those of
-    `_bound_first_scorings`, which replays the visiting order and stopping
-    rule from those bounds, the floor and each deviation's gain priced
-    afresh, and the sweep's witness is the one that replay holds. No
+    point under private probabilities, the first point of the grid under
+    public ones, so nothing past it is scored. Each frame's bound is
+    recomputed here from the table's rows, every other report evaluated
+    afresh at the frame's probabilities, and settled through
+    `Mechanism.entry` and `settled_utility`: at the table's probabilities
+    for every frame where the outcome fixes i's utility, else at the
+    frame's own. The scorings are exactly those of `_bound_first_scorings`,
+    which replays the visiting order and stopping rule from those bounds,
+    the floor and each deviation's gain priced afresh, and the sweep's
+    witness is the one that replay holds, with the gain it prices. No
     scorer is built to bound a frame: a sweep builds one, a pass over
     `values_at` at the frame's probabilities, for each frame it visits if
-    someone reads p̂_i, else at most once; under Groves with private
-    probabilities and a reader, each visited frame then settles its rows
-    again. Each distinct (p̂_i, reported valuation) is scored at most
-    once, by the table's scorer and at i's probabilities, never by a
+    someone reads p̂_i, else at most once. Under Groves with private
+    probabilities and a reader, a visited frame settles only the winner
+    of each scoring, right after it, so a scored reader frame makes two
+    `values_at` passes, its bound's and its scorer's; elsewhere scorings
+    settle nothing. Each distinct (p̂_i, reported valuation) is scored at
+    most once, by the table's scorer and at i's probabilities, never by a
     full-set argmax. A non-reader is evaluated in no frame; a reader
     once per assignment per `values_at` pass at a p̂_i other than the
     table's, and at exactly those p̂_i; and i once per assignment per
@@ -1044,6 +1052,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     pricing = Counter()
     outcome_evaluations = Counter()
     row_lists = set()
+    asked = Counter()
     where = None
 
     def track(fn, place):
@@ -1072,7 +1081,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         record["found"] = real_sweep(table, i, mechanism, *args)
         profile, truth = table.scenario, table.truth()
         record["truth"] = id(truth.allocation)
-        record["rows"] = [id(rep.allocation) for rep in real_rows(table)]
+        record["rows"] = [id(a) for a, _ in real_rows(table)]
         record["p"] = table.p
 
         def bound(q):
@@ -1082,9 +1091,8 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
             u_truth = settled_utility(profile, i, truth.allocation,
                                       mechanism.entry(profile, h, truth, i))
             settled = []
-            for rep in real_rows(table):
-                a = rep.allocation
-                values = tuple(rep.per_commuter[j] if j == i
+            for a, row in real_rows(table):
+                values = tuple(row[j] if j == i
                                else real_evaluate(c.reported_type.valuation, a, q)
                                for j, c in enumerate(profile.commuters))
                 entry = mechanism.entry(profile, h, WelfareReport(a, math.fsum(values), values), i)
@@ -1130,7 +1138,9 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
 
         def scoring(spec, q):
             record["scorings"].append((q[record["i"]], id(spec)))
-            return track(score, "frame")(spec, q)
+            won = track(score, "frame")(spec, q)
+            record["events"].append(("won", id(won.allocation)))
+            return won
         return scoring
 
     real_argmax = allocation_module._argmax
@@ -1158,6 +1168,12 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
                 record["evaluations"][j, frame, assignment] += 1
         return real_evaluate(spec, allocation, p, absent)
 
+    real_referenced_subjects = allocation_module.referenced_subjects
+
+    def referenced(spec):
+        asked[spec.owner] += 1
+        return real_referenced_subjects(spec)
+
     real_payments_evaluate = payments_module.evaluate
 
     def true_evaluate(spec, allocation, p, absent=None):
@@ -1183,6 +1199,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     monkeypatch.setattr(allocation_module.OutcomeTable, "scorer", scorer)
     monkeypatch.setattr(allocation_module, "_argmax", argmax)
     monkeypatch.setattr(allocation_module, "evaluate", evaluate)
+    monkeypatch.setattr(allocation_module, "referenced_subjects", referenced)
     monkeypatch.setattr(payments_module, "evaluate", true_evaluate)
     space = DeviationSpace()
     audit_expost(s, mechanism, space)
@@ -1196,6 +1213,8 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     assert [r["i"] for r in sweeps] == list(range(s.n))
     assert not outcome_evaluations
     assert len(row_lists) <= 1
+    # one scan, unless nothing asks: public probabilities and no pivot search
+    assert asked == Counter(dict.fromkeys(range(s.n), s.n - 1) if private or clarke else {})
     frame_shared = Counter()
     certified = []
     floor = 0.0
@@ -1208,14 +1227,13 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
             floor = record["found"].gain
         framed = private and record["readers"] and mechanism is not Mechanism.COMMIT_BASED
         rows = ("settle", record["rows"])
-        if framed:
-            # truth alone, then the rows once per p̂_i point, before any scorer
-            assert events[0] == ("settle", [record["truth"]])
-            head = 1
-        else:
-            # the rows once, at the table's probabilities, before any scorer
-            assert events[:2] == [("pass", record["p_i"]), rows]
-            head = 2
+        # truth alone, then, where the outcome fixes i's utility, the rows
+        # once, at the table's probabilities, before any scorer
+        assert events[0] == ("settle", [record["truth"]])
+        head = 1
+        if not framed:
+            assert events[1:3] == [("pass", record["p_i"]), rows]
+            head = 3
         if not record["grids"]:
             certified.append(i)
             assert not framed and record["bound"](record["p"]) <= 0.0
@@ -1227,6 +1245,9 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         devs = record["grid"]
         assert devs == deviations_for(c.true_type, space)
         points = sorted({t.p_commit for t in devs})
+        if not private:
+            # the first point alone is a frame: nobody reads p̂_i
+            devs = [t for t in devs if t.p_commit == points[0]]
         if framed:
             assert events[head:head + 2 * len(points)] == [
                 e for p_hat in points for e in (("pass", p_hat), rows)]
@@ -1240,22 +1261,31 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
 
         def frame_of(trip):
             return trip.p_commit if private else record["p_i"]
+        gain = _replayed_gains(record["profile"], i, mechanism)
         scorings, visited, held = _bound_first_scorings(
-            devs, frame_of, bounds, record["floor"], _replayed_gains(record["profile"], i, mechanism))
+            devs, frame_of, bounds, record["floor"], gain)
         assert record["scorings"] == scorings
         assert len(set(scorings)) == len(scorings)
         found = record["found"]
         assert (None if found is None else found.report) is (None if held is None else devs[held])
-        if framed:
-            # each visited frame builds its scorer, then settles its rows again
-            assert events[head:] == [e for p_hat in visited for e in (
-                ("scorer", p_hat), ("pass", p_hat), ("pass", p_hat), rows)]
-        else:
-            # a scorer per visited frame, or one for all when nobody reads p̂_i
-            built = visited if record["readers"] and private else visited[:1]
-            assert events[head:] == [e for p_hat in built for e in (("scorer", p_hat),
-                                                                    ("pass", p_hat))]
+        if found is not None:
+            assert repr(found.gain) == repr(gain(found.report))
+        # a scorer per visited frame, or one for all when nobody reads p̂_i;
+        # a framed sweep settles each scoring's winner and nothing else
+        won = iter([w for kind, w in events if kind == "won"])
+        expected = []
+        for k, p_hat in enumerate(visited):
+            if k == 0 or record["readers"] and private:
+                expected += [("scorer", p_hat), ("pass", p_hat)]
+            for frame, _ in scorings:
+                if frame == p_hat:
+                    w = next(won)
+                    expected += [("won", w), ("settle", [w])] if framed else [("won", w)]
+        assert events[head:] == expected
         passes = [p_hat for kind, p_hat in events if kind == "pass"]
+        if framed:
+            # a scored frame's passes: its bound's and its scorer's
+            assert Counter(passes) == Counter(points) + Counter(visited)
         fresh = Counter(p_hat for p_hat in passes if p_hat != record["p_i"])
         evaluations = record["evaluations"]
         assert {frame for j, frame, _ in evaluations if j == i} == set(scorings)
@@ -1273,3 +1303,68 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     assert not frame_shared
     if mechanism is Mechanism.COMMIT_BASED:
         assert (certified == list(range(s.n))) is name.startswith("linear-")
+
+
+def _rounding_scenario(seed):
+    """Two or three fully compatible commuters drawn from `seed`: each
+    values driving and riding at a constant from `TIE_VALUES`, maybe plus
+    a factor on someone's probability from it, and staying home at 0.
+    At 2**54 a float sum rounds to a multiple of 4, so a Groves utility
+    summed in another order can round above truth's even under public
+    probabilities, where no report reads p̂_i."""
+    rng = random.Random(seed)
+    n = rng.choice((2, 3))
+    commuters = []
+    for k in range(n):
+        clauses = []
+        for role in (Role.DRIVE, Role.RIDE):
+            terms = [Monomial(rng.choice(TIE_VALUES))]
+            if rng.random() < 0.5:
+                terms.append(Monomial(rng.choice(TIE_VALUES), ((rng.randrange(n), 1),)))
+            clauses.append(Clause(OutcomePattern(role), terms=tuple(terms)))
+        clauses.append(Clause(OutcomePattern(Role.NONE)))
+        has_vehicle = rng.random() < 0.5
+        commuters.append(Commuter(k, has_vehicle, int(has_vehicle), TripType(
+            ValuationSpec(k, tuple(clauses)), rng.choice((0.25, 0.5, 1.0)))))
+    return Scenario(tuple(commuters), full_compatibility(n))
+
+
+def test_a_public_probability_frame_scores_its_first_point_alone(monkeypatch):
+    """Under public probabilities a sweep's one frame is the grid's first
+    p̂_i point: the others' values and i's own read the public p̂_i, so a
+    later point scores every valuation as the first does. A seeded search
+    over `_rounding_scenario` for a scenario with both a public-probability
+    sweep that scores its whole first point and one that holds a witness
+    found seed 2437, under groves-clarke. The certificate clears neither
+    sweep. Commuter 0's frame reaches no
+    deviation at its bound, so it scores each valuation of the first
+    point once, in grid order, and finds nothing; commuter 1's stops at
+    a gain of 1.0, a rounding artifact at 2**54, at p̂_i 0. The audit is
+    the reference audit's, which prices every deviation of every point
+    afresh."""
+    s = _rounding_scenario(2437)
+    assert validate_scenario(s) == []
+    mechanism = Mechanism.GROVES_CLARKE_PUBLIC_P
+    space = DeviationSpace(p_grid=3)
+    scored = {i: [] for i in range(s.n)}
+    real_scorer = allocation_module.OutcomeTable.scorer
+
+    def scorer(table, i, p):
+        assert p == table.p == s.true_p()
+        score = real_scorer(table, i, p)
+
+        def scoring(spec, q):
+            scored[i].append(spec)
+            return score(spec, q)
+        return scoring
+
+    monkeypatch.setattr(allocation_module.OutcomeTable, "scorer", scorer)
+    report = audit_expost(s, mechanism, space)
+    monkeypatch.undo()
+    assert report == reference_audit(s, mechanism, space)
+    assert report.witness.commuter == 1 and report.witness.gain == 1.0
+    assert report.witness.report.p_commit == 0.0
+    first = {i: [t.valuation for t in deviations_for(c.true_type, space) if t.p_commit == 0.0]
+             for i, c in enumerate(s.commuters)}
+    assert scored[0] == first[0]
+    assert 0 < len(scored[1]) < len(first[1]) and scored[1] == first[1][:len(scored[1])]

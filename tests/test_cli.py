@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -807,3 +808,39 @@ def test_settled_utility_overflow_is_input_error(tmp_path, capsys):
                                  f"  commuter 1 reported valuation: {past}")
     assert captured.out == ""
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("mechanism", [["commit"], ["groves-clarke"], ["groves-clarke", "--public-p"]],
+                         ids=["commit", "groves-clarke", "groves-clarke-public-p"])
+@pytest.mark.parametrize("command", [["pay"], ["simulate", "--trials", "20", "--out", "{out}"],
+                                     ["audit", "--notion", "expost"],
+                                     ["audit", "--notion", "dominant", "--grid", "3",
+                                      "--opponent-grid", "2"]],
+                         ids=["pay", "simulate", "expost", "dominant"])
+def test_each_command_asks_each_pivot_once_per_table(tmp_path, monkeypatch, capsys, command,
+                                                     mechanism):
+    """`OutcomeTable.pivot` keeps nothing, so a second call for one
+    commuter on one table would price that pivot again. `pay`,
+    `simulate` and the ex-post and dominant audits, on the pair and on
+    the two-driver trio, ask each table for each commuter's pivot at most
+    once; the one table of `pay`, `simulate` and an ex-post audit is
+    asked for every commuter's."""
+    trio = tmp_path / "trio.json"
+    trio.write_text(serialize_scenario(by_name("linear-trio-two-drivers")))
+    real_pivot = allocation.OutcomeTable.pivot
+    for path, n in ((PAIR, 2), (str(trio), 3)):
+        tables = {}
+        asked = Counter()
+
+        def pivot(table, k):
+            tables[id(table)] = table  # kept alive, so no id is reused
+            asked[id(table), k] += 1
+            return real_pivot(table, k)
+
+        monkeypatch.setattr(allocation.OutcomeTable, "pivot", pivot)
+        argv = [command[0], path, "--mechanism", *mechanism, *command[1:]]
+        assert cli.main([a.format(out=tmp_path / "t.csv") for a in argv]) in (0, 1)
+        capsys.readouterr()
+        assert asked and max(asked.values()) == 1, path
+        if "dominant" not in command:
+            assert sorted(k for _, k in asked) == list(range(n)), path
