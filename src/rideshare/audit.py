@@ -16,27 +16,31 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Iterator
 
 from .allocation import OutcomeTable, WelfareReport
 # Not called here; kept so that bench/tracer.py can still wrap them here.
 from .allocation import efficient_allocation, efficient_allocation_excluding
-from .model import CommuterId, Scenario, TripType, with_report, with_truthful_reports
+from .model import CommuterId, Scenario, TripType, with_truthful_reports
 from .payments import Mechanism, PivotRule, utilities
-from .valuation import MAX_SCALE, Clause, Monomial, ValuationSpec, substitute
+from .valuation import MAX_SCALE, Clause, Monomial, ValuationSpec, monotone_direction, substitute
 
 GAIN_TOLERANCE = 1e-9
 MAX_DOMINANT_COMMUTERS = 4
 # A dominant audit of the four-commuter corpus scenario linear-quad-full-van
 # against 3-point opponent grids counts 1,720,320 scorings. As a child
-# process (CPython 3.11, busy shared 2-core VM, six runs and three) it took
-# 7.1-11.0 s under commit, where the sweep certificate clears 12,516 of the
+# process (CPython 3.11, busy shared 2-core VM, three runs each) it took
+# 5.7-5.9 s under commit, where the sweep certificate clears 12,516 of the
 # 16,384 sweeps and the rest score 403,237 of the counted scorings, and
-# 14.9-17.8 s under groves-clarke, where the frame bounds, settled on the
-# rows, leave 13 to be scored by 13 scorers: 4.1-6.4 and 8.7-10.3 µs a
-# counted scoring. So this bounds such an audit, and each ex-post sweep,
-# to well under a minute. A scoring costs more where a sweep prices many
+# 2.4-2.7 s under groves-clarke, where the frame bounds, settled on the
+# rows as the visit reaches each frame, leave 13 to be scored by 13
+# scorers: 3.3-3.5 and 1.4-1.6 µs a counted scoring. A sweep whose
+# readers move both ways bounds every frame first, and bounding every
+# frame of this audit first took 11.2-12.7 s, 6.5-7.4 µs a counted
+# scoring. So this bounds such an audit, and each ex-post sweep, to well
+# under a minute. A scoring costs more where a sweep prices many
 # opponent profiles, each with its own table. A dominant audit counts
 # every grid's scorings before any grid is built, so a sweep the
 # certificate clears, or a frame its bound or the floor skips (see
@@ -215,25 +219,50 @@ def _sweep(
     with the largest such sum among those giving i one assignment is a
     contender. So no scorer is built to bound a frame.
 
-    Every frame is bounded, in grid order, before any scoring; only its
-    bound and place in the grid are kept. A scored frame builds the
-    table's `scorer` at i's probabilities, one per sweep unless someone
-    reads p̂_i, and reads each scoring's utility from the rows' settlement
-    where the allocation fixes it, else settles the report the scoring
-    returns, whose others' values are its row's in the frame. Frames are
-    visited by bound descending, grid order among equal bounds, and each
-    scores its deviations in grid order, each valuation once. The held
-    witness gives way to a larger gain, or to an equal one earlier in the
-    grid (strict `>` otherwise), so it is always the first maximal-gain
-    deviation of those scored. A frame stops at its first deviation that
-    reaches its bound: the rest of the frame gains no more and comes
-    later. The sweep stops at the first frame whose bound is below the
-    held gain, or equal to it and later in the grid, as is every frame
-    after it, and skips every frame whose bound is at most `floor`.
-    So the first maximal-gain deviation, if it gains more than `floor`, is
-    scored and then held to the end: stopping short of it, in its frame
-    or before, takes a deviation that gains more, or as much and earlier
-    in the grid, and there is none.
+    A scored frame builds the table's `scorer` at i's probabilities, one
+    per sweep unless someone reads p̂_i, and reads each scoring's utility
+    from the rows' settlement where the allocation fixes it, else settles
+    the report the scoring returns, whose others' values are its row's in
+    the frame. Frames are visited by bound descending, grid order among
+    equal bounds, and each scores its deviations in grid order, each
+    valuation once. The held witness gives way to a larger gain, or to an
+    equal one earlier in the grid (strict `>` otherwise), so it is always
+    the first maximal-gain deviation of those scored. A frame stops at its
+    first deviation that reaches its bound: the rest of the frame gains no
+    more and comes later. The sweep stops at the first frame whose bound
+    is below the held gain, or equal to it and later in the grid, as is
+    every frame after it, and skips every frame whose bound is at most
+    `floor`. So the first maximal-gain deviation, if it gains more than
+    `floor`, is scored and then held to the end: stopping short of it, in
+    its frame or before, takes a deviation that gains more, or as much and
+    earlier in the grid, and there is none.
+
+    Frames are bounded as the visit reaches them where their bounds are
+    monotone in grid order, and all first, in grid order, where they may
+    not be; only a bound and a frame's place in the grid are kept. Where
+    the allocation fixes i's utility every bound is the certificate's, so
+    the grid order is the visiting order. Under Groves with readers, each
+    row's reader values move one way as p̂_i rises, or stay, wherever
+    `valuation.monotone_direction` names that way for every reader, and
+    then so does the frame's bound, exactly in floats: `math.fsum` is
+    correctly rounded and IEEE subtraction is monotone in each operand, so
+    `h - fsum(others)` moves against the readers and `v - charge` with
+    them, and a max over the same rows keeps the direction. (The predicate
+    covers factors up to the 64th power, through libm's `pow`, which keeps
+    the order of points at least 2**-14 apart, as every grid's are:
+    MAX_P_GRID - 1 = 10,000 < 2**14.) Falling bounds make the grid order
+    the visiting order, and each frame is bounded as it is reached. Rising
+    ones are visited from the last frame down: the sweep finds the first
+    frame with the last one's bound by galloping down 1, 2, 4, ... frames
+    and then bisecting, every frame between two with one bound sharing it,
+    visits that run in grid order, and goes on from the frame below it,
+    whose bound it has. Each frame is bounded at most once, and the sweep
+    stops before searching a run whose bound is at most `floor` or below
+    the held gain. Either way the frames come in the order that bounding
+    them all first and sorting gives, for as far as the visit goes, so
+    every scoring and the witness are the same, and no more frames are
+    bounded. Readers that move both ways, or that the predicate
+    leaves uncertified, have every frame bounded before any scoring.
 
     Nothing the sweep skips would have raised. The table's rows hold
     truth's allocation, so contenders are never empty and a scoring cannot
@@ -274,22 +303,63 @@ def _sweep(
     if devs is None:
         devs = deviations_for(profile.commuters[i].true_type, space)
     starts = [k for k in range(len(devs)) if k == 0 or devs[k].p_commit != devs[k - 1].p_commit]
-    spans = itertools.islice(zip(starts, starts[1:] + [len(devs)]), None if table.private else 1)
-    # (-bound, start, stop) of each frame above the floor; no settlement is kept
-    frames: list[tuple[float, int, int]] = []
-    for start, stop in spans:
-        if by_outcome:
-            bound = top
-        else:
-            bound = max(settle(at(devs[start].p_commit)).values()) - u_truth
-        if bound > floor:
-            frames.append((-bound, start, stop))
-    frames.sort()
+    m = len(starts) if table.private else 1
+
+    def frame_bound(f: int) -> float:
+        return max(settle(at(devs[starts[f]].p_commit)).values()) - u_truth
+
+    def eager() -> Iterator[tuple[float, int]]:
+        # every frame above the floor, bounded first; no settlement is kept
+        frames = sorted((-b, f) for f in range(m) if (b := frame_bound(f)) > floor)
+        return ((-neg_bound, f) for neg_bound, f in frames)
+
+    def falling() -> Iterator[tuple[float, int]]:
+        for f in range(m):
+            b = top if by_outcome else frame_bound(f)
+            if b <= floor:
+                return
+            yield b, f
+
+    def rising() -> Iterator[tuple[float, int]]:
+        known: dict[int, float] = {}
+
+        def at_most_once(f: int) -> float:
+            if f not in known:
+                known[f] = frame_bound(f)
+            return known[f]
+
+        last = m - 1
+        while last >= 0:
+            level = at_most_once(last)
+            if level <= floor or best is not None and level < best.gain:
+                return
+            # the first frame at `level`: gallop down from `last`, then bisect
+            first, step = last, 1
+            while first - step >= 0 and at_most_once(first - step) == level:
+                first, step = first - step, 2 * step
+            below = max(first - step, -1)
+            while first - below > 1:
+                mid = (first + below) // 2
+                if at_most_once(mid) == level:
+                    first = mid
+                else:
+                    below = mid
+            for f in range(first, last + 1):
+                yield level, f
+            last = first - 1
+
+    if by_outcome:
+        frames = falling()
+    else:
+        moves = {monotone_direction(profile.commuters[j].reported_type.valuation, i)
+                 for j in readers} - {0}
+        frames = rising() if moves == {1} else falling() if moves <= {-1} else eager()
     best: Witness | None = None
     held = 0
     score = None
-    for neg_bound, start, stop in frames:
-        bound = -neg_bound
+    for bound, f in frames:
+        start = starts[f]
+        stop = starts[f + 1] if f + 1 < len(starts) else len(devs)
         if best is not None and (bound < best.gain or bound == best.gain and start > held):
             break
         q = at(devs[start].p_commit)
@@ -323,20 +393,24 @@ def _audit(
     then the first deviation, so a later sweep's witness is kept only if it
     gains more: each sweep gets the best gain so far, or 0.0, as its
     floor. Ex post, every sweep shares the truthful profile's
-    `OutcomeTable`; a dominant sweep prices its own profile."""
+    `OutcomeTable`; a dominant sweep prices its own profile, built in one
+    step from commuters that each report one entry of their grid, every
+    such commuter built once per audit."""
     base = with_truthful_reports(s)
     expost = OutcomeTable(base, mechanism.probabilities(base)) if grids is None else None
+    reporting = [[replace(c, reported_type=trip) for trip in grid]
+                 for c, grid in zip(base.commuters, grids or ())]
     best: Witness | None = None
     for i in range(base.n):
         own = None if devs is None else devs[i]
         others = [] if grids is None else [j for j in range(base.n) if j != i]
-        for combo in itertools.product(*(grids[j] for j in others)):
-            profile = base
-            for j, trip in zip(others, combo):
-                profile = with_report(profile, j, trip)
+        choices = [reporting[j] if j in others else [c] for j, c in enumerate(base.commuters)]
+        for commuters in itertools.product(*choices):
+            profile = base if expost else replace(base, commuters=commuters)
             table = expost or OutcomeTable(profile, mechanism.probabilities(profile))
+            opponents = tuple((j, commuters[j].reported_type) for j in others)
             floor = 0.0 if best is None else best.gain
-            found = _sweep(table, i, mechanism, space, own, tuple(zip(others, combo)), floor)
+            found = _sweep(table, i, mechanism, space, own, opponents, floor)
             if found is not None:
                 best = found
     violated = best is not None and best.gain > GAIN_TOLERANCE

@@ -38,6 +38,8 @@ from .model import Allocation, Assignment, CommuterId, Role, all_none_allocation
 MAX_MAGNITUDE = 2.0**100
 MAX_SCALE = 2.0**32
 MAX_EXPONENT = 2**53
+# The largest exponent `monotone_direction` certifies a factor at; see there.
+_MONOTONE_POW_EXPONENT = 64
 
 
 class _Excluded:
@@ -257,6 +259,72 @@ def referenced_subjects(spec: ValuationSpec) -> tuple[CommuterId, ...]:
 def is_external_commit_independent(spec: ValuationSpec) -> bool:
     """True when no gate or factor reads another commuter's probability."""
     return all(subject == spec.owner for subject in referenced_subjects(spec))
+
+
+def monotone_direction(spec: ValuationSpec, subject: CommuterId) -> int | None:
+    """The direction in which `evaluate(spec, allocation, p)`, with nobody
+    absent, moves as `p[subject]` rises, the rest of `p` fixed: 1 when it
+    never falls, -1 when it never rises, 0 when it never moves, and None
+    when no direction is certified. It holds in floats, at every
+    allocation, for `p` in [0, 1] and values of `p[subject]` that are equal
+    or at least 2**-14 apart, as an audit grid's points are (10**-4 apart
+    or more, less the rounding of each point).
+
+    The first clause matching the owner's assignment decides the value,
+    and matching reads no probability, so each clause that is not excluded
+    must move one way, or not at all, and all of them alike. A clause's
+    value is its terms' sum where its gates pass, else 0.0. Gates on other
+    subjects pass or fail whatever `p[subject]` is. Every factor is in
+    [0, 1], so a term keeps its coefficient's sign through each rounded
+    product, and so moves with that sign where it reads the subject:
+    IEEE rounding is monotone, and multiplying by a factor that grows
+    moves a positive product up and a negative one down. The sum in term
+    order is then monotone too. A gate on the subject is a step between
+    0.0 and the sum, up at an AT_LEAST bound and down at a BELOW one,
+    when the clause's coefficients all share one sign; if they do not,
+    the sum's sign is unknown and so is the step's direction.
+
+    A factor `p ** e` with e >= 2 is libm's `pow`, which is not correctly
+    rounded. For 2 <= e <= 64 it is still monotone across points 2**-14
+    apart: with 0 <= p < p' <= 1 and p' - p >= 2**-14, p'/p >= 1 + 2**-14,
+    so p' ** e exceeds p ** e by a relative 2**-13 or more, and
+    p' ** e >= 2**-896 is a normal float. A pow within one ULP, a relative
+    2**-52 there, keeps that order; a p ** e below the normal range rounds
+    to at most 2**-1022, still below. pow(0.0, e) is 0.0 exactly. A
+    larger exponent, or one below 1, which validation refuses, certifies
+    nothing."""
+    moves = set()
+    for clause in spec.clauses:
+        if clause.excluded:
+            continue
+        signs = set()
+        for term in clause.terms:
+            c = term.coefficient
+            if c > 0.0:
+                sign = 1
+            elif c < 0.0:
+                sign = -1
+            elif c == 0.0:
+                sign = 0
+            else:
+                return None
+            signs.add(sign)
+            for s, exponent in term.factors:
+                if s == subject:
+                    if not 1 <= exponent <= _MONOTONE_POW_EXPONENT:
+                        return None
+                    moves.add(sign)
+        signs.discard(0)
+        gated = [gate.direction for gate in clause.gates if gate.subject == subject]
+        if gated and signs:
+            if len(signs) > 1:
+                return None
+            (sign,) = signs
+            moves.update(sign if d is GateDirection.AT_LEAST else -sign for d in gated)
+    moves.discard(0)
+    if len(moves) > 1:
+        return None
+    return moves.pop() if moves else 0
 
 
 def is_linear_in_commitment(spec: ValuationSpec) -> bool:

@@ -68,6 +68,7 @@ from rideshare.valuation import (
     ThresholdGate,
     ValuationSpec,
     is_linear_in_commitment,
+    monotone_direction,
     referenced_subjects,
     spec_violations,
     substitute,
@@ -320,20 +321,21 @@ def _carrier(to_1, to_2):
                              Clause(OutcomePattern(Role.NONE))))
 
 
-def _two_riders():
+def _two_riders(rate=6.0):
     """Driver 0, who truly pays 2 to carry either rider, has one seat.
-    Rider 1 values the ride at 5 once p̂_0 >= 0.6, rider 2 at 6 p̂_0, so
-    both read p̂_0. At p_0 = 0.5, truth carries rider 2 and leaves 0 a
-    Groves utility of 1 (less the pivot term). Against truth, carrying
-    rider 1 gains 2 at every p̂_0 >= 0.6, and carrying rider 2 gains
-    6 p̂_0 - 3: 2.4 at p̂_0 = 0.9 and 3 at p̂_0 = 1. The misreports in
-    `_BOUND_FIRST_SWEEPS` steer the choice with 10 and -10."""
+    Rider 1 values the ride at 5 once p̂_0 >= 0.6, rider 2 at `rate` p̂_0,
+    so both read p̂_0, and both up. At the default rate and p_0 = 0.5,
+    truth carries rider 2 and leaves 0 a Groves utility of 1 (less the
+    pivot term). Against truth, carrying rider 1 gains 2 at every
+    p̂_0 >= 0.6, and carrying rider 2 gains 6 p̂_0 - 3: 2.4 at p̂_0 = 0.9
+    and 3 at p̂_0 = 1. The misreports in `_BOUND_FIRST_SWEEPS` steer the
+    choice with 10 and -10."""
     def rider(j, ride):
         return ValuationSpec(j, (ride, Clause(OutcomePattern(Role.DRIVE), excluded=True),
                                  Clause(OutcomePattern(Role.NONE))))
     gated = Clause(OutcomePattern(Role.RIDE), (ThresholdGate(0, 0.6, GateDirection.AT_LEAST),),
                    (Monomial(5.0),))
-    linear = Clause(OutcomePattern(Role.RIDE), terms=(Monomial(6.0, ((0, 1),)),))
+    linear = Clause(OutcomePattern(Role.RIDE), terms=(Monomial(rate, ((0, 1),)),))
     return Scenario((Commuter(0, True, 1, TripType(_carrier(-2.0, -2.0), 0.5)),
                      Commuter(1, False, 0, TripType(rider(1, gated), 0.8)),
                      Commuter(2, False, 0, TripType(rider(2, linear), 0.8))),
@@ -383,6 +385,110 @@ def test_a_bound_first_sweep_keeps_the_first_maximal_gain(monkeypatch, name, mec
     expected, _ = reference_sweep(s, 0, mechanism, devs)
     assert found == expected and found.report is devs[0]
     assert reference_sweep(s, 0, mechanism, devs[1:])[0].gain == 2.0
+
+
+# Scenarios whose sweeps bound lazily, up (riders reading the driver's
+# probability with positive terms, the gated and quadratic ones included)
+# and down (drivers' costs); the two-driver trio, whose commuter 1 is read
+# up by rider 2 and down by driver 0; and `_two_riders` with rider 2 at
+# 2 p̂_0, where carrying rider 1 settles best, at 3 over truth, at every
+# p̂_0 >= 0.6, so the driver's top nine frames share one bound and the
+# sweep finds the first of them by galloping down and bisecting.
+_LAZY_SWEEPS = {name: lambda name=name: by_name(name)
+                for name in ("linear-pair-profitable", "threshold-gate-pair",
+                             "quadratic-reliability-pair", "linear-trio-two-drivers")}
+_LAZY_SWEEPS["two-riders-top-plateau"] = lambda: _two_riders(2.0)
+
+
+def _traffic(run_audit, eager):
+    """The report of `run_audit()`, the scorer builds and scorings it
+    makes, as (kind, commuter, p̂_i[, valuation]), and its bound passes,
+    as ("bound", commuter, p̂_i): the `values_at` passes other than a
+    scorer's own, which follows its build. With `eager`, no reader gets a
+    direction, so every sweep bounds every frame first."""
+    real_values_at = allocation_module.OutcomeTable.values_at
+    real_scorer = allocation_module.OutcomeTable.scorer
+    events = []
+
+    def values_at(table, i, p):
+        events.append(("bound", i, p[i]))
+        return real_values_at(table, i, p)
+
+    def scorer(table, i, p):
+        events.append(("scorer", i, p[i]))
+        score = real_scorer(table, i, p)
+
+        def scoring(spec, q):
+            events.append(("scoring", i, q[i], spec))
+            return score(spec, q)
+        return scoring
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(allocation_module.OutcomeTable, "values_at", values_at)
+        patch.setattr(allocation_module.OutcomeTable, "scorer", scorer)
+        if eager:
+            patch.setattr(audit_module, "monotone_direction", lambda spec, i: None)
+        report = run_audit()
+    scored, bounds = [], []
+    for k, e in enumerate(events):
+        if e[0] != "bound":
+            scored.append(e)
+        elif not (k and events[k - 1][0] == "scorer"):
+            bounds.append(e)
+    return report, scored, bounds
+
+
+@pytest.mark.parametrize("notion", Notion, ids=lambda n: n.value)
+@pytest.mark.parametrize("mechanism", _PRIVATE_GROVES, ids=lambda m: m.value)
+@pytest.mark.parametrize("name", list(_LAZY_SWEEPS))
+def test_lazy_bounds_score_as_eager_ones(name, mechanism, notion):
+    """Bounding frames as the sweep visits them, where its readers share a
+    direction, gives the audit report and the scorings that bounding every
+    frame first gives, with fewer bound passes, and ex post no frame
+    bounded twice. A sweep whose readers move both ways bounds every
+    frame first either way."""
+    s = _LAZY_SWEEPS[name]()
+    space = DeviationSpace(p_grid=21 if name == "two-riders-top-plateau" else 5)
+    opponents = DeviationSpace(p_grid=2, coefficient_scales=(1.0,))
+    if notion is Notion.EX_POST:
+        def run_audit():
+            return audit_expost(s, mechanism, space)
+    else:
+        def run_audit():
+            return audit_dominant(s, mechanism, space, opponents)
+    lazy, lazy_scorings, lazy_bounds = _traffic(run_audit, False)
+    eager, eager_scorings, eager_bounds = _traffic(run_audit, True)
+    assert repr(lazy) == repr(eager)
+    assert lazy_scorings == eager_scorings
+    assert len(lazy_bounds) < len(eager_bounds)
+    if name == "linear-trio-two-drivers":
+        mixed = [e for e in lazy_bounds if e[1] == 1]
+        assert mixed and mixed == [e for e in eager_bounds if e[1] == 1]
+    if notion is Notion.EX_POST:
+        assert len(set(lazy_bounds)) == len(lazy_bounds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    s_space=st.one_of(
+        st.tuples(small_scenarios().filter(lambda s: s.n <= 3), st.just(DeviationSpace())),
+        # their many terms would make the coefficient grid large
+        st.tuples(pivot_scenarios(excluding_none=False).filter(lambda s: s.n <= 4),
+                  st.just(DeviationSpace(coefficient_scales=(1.0,)))),
+    ),
+    mechanism=st.sampled_from(_PRIVATE_GROVES),
+)
+def test_generated_lazy_bounds_score_as_eager_ones(s_space, mechanism):
+    """On generated scenarios, whose readers move up, down, both ways or
+    in no certified way (gates, squares, ties at 2**54), an ex-post audit
+    at the default 21 points reports and scores as it does with every
+    frame bounded first, each frame bounded at most once."""
+    s, space = s_space
+    lazy, lazy_scorings, lazy_bounds = _traffic(lambda: audit_expost(s, mechanism, space), False)
+    eager, eager_scorings, eager_bounds = _traffic(lambda: audit_expost(s, mechanism, space), True)
+    assert repr(lazy) == repr(eager)
+    assert lazy_scorings == eager_scorings
+    assert len(set(lazy_bounds)) == len(lazy_bounds) <= len(eager_bounds)
 
 
 def test_a_floor_prunes_later_sweeps_of_a_dominant_audit(monkeypatch):
@@ -1011,15 +1117,23 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     then settles every row once, at the table's probabilities, before any
     scorer. A sweep whose certificate holds then finds nothing, builds no
     grid and builds or calls no scorer. Under Groves with private
-    probabilities and a reader, a sweep settles the rows once per p̂_i
-    point of its grid, in grid order, before any scorer. The outcome rows
-    are built once per table and shared by every settlement and scorer.
+    probabilities and a reader, a sweep whose readers share no direction
+    of `monotone_direction` settles the rows once per p̂_i point of its
+    grid, in grid order, before any scorer. One whose readers share a
+    direction bounds its frames lazily: it settles the rows at distinct
+    grid points only, no more of them than it has frames, between its
+    scorings; in each pair, linear-trio-two-drivers' commuter 0 and its
+    commuter 2, it bounds fewer frames than it has, and commuter 1 of
+    that trio, read up by one rider and down by the other driver, bounds
+    them all first. The outcome rows are built once per table and shared
+    by every settlement and scorer.
 
     Any other sweep of commuter i builds i's grid once. A frame is a p̂_i
     point under private probabilities, the first point of the grid under
-    public ones, so nothing past it is scored. Each frame's bound is
-    recomputed here from the table's rows, every other report evaluated
-    afresh at the frame's probabilities, and settled through
+    public ones, so nothing past it is scored. Each frame's bound, whether
+    the sweep bounds the frame or not, is recomputed here from the table's
+    rows, every other report evaluated afresh at the frame's
+    probabilities, and settled through
     `Mechanism.entry` and `settled_utility`: at the table's probabilities
     for every frame where the outcome fixes i's utility, else at the
     frame's own. The scorings are exactly those of `_bound_first_scorings`,
@@ -1031,7 +1145,9 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     someone reads p̂_i, else at most once. Under Groves with private
     probabilities and a reader, a visited frame settles only the winner
     of each scoring, right after it, so a scored reader frame makes two
-    `values_at` passes, its bound's and its scorer's; elsewhere scorings
+    `values_at` passes, its bound's and its scorer's, or only its
+    scorer's where a lazy sweep reads its bound off frames on both sides
+    of it that share one bound; elsewhere scorings
     settle nothing. Each distinct (p̂_i, reported valuation) is scored at
     most once, by the table's scorer and at i's probabilities, never by a
     full-set argmax. A non-reader is evaluated in no frame; a reader
@@ -1216,6 +1332,7 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
     # one scan, unless nothing asks: public probabilities and no pivot search
     assert asked == Counter(dict.fromkeys(range(s.n), s.n - 1) if private or clarke else {})
     frame_shared = Counter()
+    shortened = []
     certified = []
     floor = 0.0
     true_p = s.true_p()
@@ -1248,10 +1365,31 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         if not private:
             # the first point alone is a frame: nobody reads p̂_i
             devs = [t for t in devs if t.p_commit == points[0]]
-        if framed:
-            assert events[head:head + 2 * len(points)] == [
+        moves = {monotone_direction(specs[j], i) for j in record["readers"]} - {0}
+        lazy = framed and (moves == {1} or moves <= {-1})
+        tail = events[head:]
+        bounded = []
+        if framed and not lazy:
+            assert tail[:2 * len(points)] == [
                 e for p_hat in points for e in (("pass", p_hat), rows)]
-            head += 2 * len(points)
+            tail = tail[2 * len(points):]
+            bounded = points
+        elif lazy:
+            # bound passes, each followed by its rows' settlement, come
+            # between the scorings; a scorer's pass follows its build
+            rest, k = [], 0
+            while k < len(tail):
+                if tail[k][0] == "pass" and (k == 0 or tail[k - 1][0] != "scorer"):
+                    assert tail[k + 1] == rows
+                    bounded.append(tail[k][1])
+                    k += 2
+                else:
+                    rest.append(tail[k])
+                    k += 1
+            tail = rest
+            assert len(set(bounded)) == len(bounded) <= len(points)
+            assert set(bounded) <= set(points)
+        if framed:
             bounds = {p_hat: record["bound"](substitute(record["p"], i, p_hat))
                       for p_hat in points}
         else:
@@ -1281,11 +1419,14 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
                 if frame == p_hat:
                     w = next(won)
                     expected += [("won", w), ("settle", [w])] if framed else [("won", w)]
-        assert events[head:] == expected
+        assert tail == expected
         passes = [p_hat for kind, p_hat in events if kind == "pass"]
         if framed:
-            # a scored frame's passes: its bound's and its scorer's
-            assert Counter(passes) == Counter(points) + Counter(visited)
+            # a scored frame's passes: its scorer's, and its bound's if it
+            # was bounded
+            assert Counter(passes) == Counter(bounded) + Counter(visited)
+            if lazy:
+                shortened.append(len(bounded) < len(points))
         fresh = Counter(p_hat for p_hat in passes if p_hat != record["p_i"])
         evaluations = record["evaluations"]
         assert {frame for j, frame, _ in evaluations if j == i} == set(scorings)
@@ -1301,6 +1442,9 @@ def test_sweep_passes_scorings_and_evaluations(monkeypatch, mechanism, name):
         assert record["true_evaluations"] == Counter(
             (a, q) for a in record["settled"] for q in at)
     assert not frame_shared
+    # every sweep bounded lazily here bounds fewer frames than it has
+    groves = private and mechanism is not Mechanism.COMMIT_BASED
+    assert all(shortened) and bool(shortened) == (groves and name != "linear-trio-constants")
     if mechanism is Mechanism.COMMIT_BASED:
         assert (certified == list(range(s.n))) is name.startswith("linear-")
 

@@ -55,8 +55,10 @@ from rideshare.valuation import (
     evaluate,
     is_external_commit_independent,
     is_linear_in_commitment,
+    monotone_direction,
     referenced_subjects,
     spec_violations,
+    substitute,
 )
 
 SHARE = (
@@ -446,3 +448,102 @@ def test_admitted_magnitudes_keep_every_number_finite(s, mechanism, seed):
         w = report.witness
         assert _finite(w.truthful_utility, w.deviated_utility, w.gain)
 
+
+
+# One allocation per role of commuter 0 among three; `evaluate` reads only
+# the owner's assignment.
+_ROLES = (
+    (Assignment(Role.DRIVE, frozenset({1})), Assignment(Role.RIDE, frozenset({0})),
+     Assignment(Role.NONE, frozenset())),
+    (Assignment(Role.RIDE, frozenset({1})), Assignment(Role.DRIVE, frozenset({0})),
+     Assignment(Role.NONE, frozenset())),
+    all_none_allocation(3),
+)
+
+
+@st.composite
+def _directed_specs(draw):
+    """Commuter 0's spec among three, with a clause per role of up to three
+    terms: signed coefficients, factors on any subject at exponents 1 to
+    5, a factor sometimes repeated (p1 * p1), and up to two AT_LEAST or
+    BELOW gates on any subject, commuter 1 included; then the subject to
+    move and the others' probabilities."""
+    subject = st.integers(0, 2)
+
+    def clause(role):
+        terms = []
+        for _ in range(draw(st.integers(0, 3))):
+            factors = [(draw(subject), draw(st.integers(1, 5)))
+                       for _ in range(draw(st.integers(0, 2)))]
+            if factors and draw(st.booleans()):
+                factors.append(factors[-1])
+            coefficient = draw(st.sampled_from((-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 2.0)))
+            terms.append(Monomial(coefficient, tuple(factors)))
+        gates = tuple(ThresholdGate(draw(subject), draw(st.sampled_from((0.0, 0.3, 0.55, 1.0))),
+                                    draw(st.sampled_from(GateDirection)))
+                      for _ in range(draw(st.integers(0, 2))))
+        return Clause(OutcomePattern(role), gates, tuple(terms))
+
+    spec = ValuationSpec(0, tuple(clause(role) for role in (Role.DRIVE, Role.RIDE, Role.NONE)))
+    p = tuple(draw(st.sampled_from((0.0, 0.3, 0.7, 1.0))) for _ in range(3))
+    return spec, draw(subject), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_directed_specs())
+def test_a_named_direction_holds_over_every_grid_point(spec_subject_p):
+    """Wherever `monotone_direction` names a direction, `evaluate` moves
+    only that way, or not at all for 0, over every point of the 21-point
+    and the 101-point grid of the subject's probability, at every role of
+    the owner, the others' probabilities fixed."""
+    spec, i, p = spec_subject_p
+    assert spec_violations(spec, 3) == []
+    direction = monotone_direction(spec, i)
+    if direction is None:
+        return
+    for points in (21, 101):
+        for allocation in _ROLES:
+            values = [evaluate(spec, allocation, substitute(p, i, k / (points - 1)))
+                      for k in range(points)]
+            for a, b in zip(values, values[1:]):
+                assert (a <= b, a == b, a >= b)[1 - direction], (points, allocation, a, b)
+
+
+def test_the_direction_reads_signs_gates_and_exponents():
+    """Coefficients set a term's direction and gates a step's, with the
+    clause's sign; terms that mix signs under a gate on the subject, gates
+    on both sides of it, readers that disagree across clauses, and
+    exponents past the largest certified certify nothing."""
+    def spec(*clauses):
+        return ValuationSpec(0, tuple(Clause(OutcomePattern(role), gates, terms)
+                                      for role, gates, terms in zip(Role, *zip(*clauses))))
+
+    def gate(direction, bound=0.5):
+        return ThresholdGate(1, bound, direction)
+
+    up, down = GateDirection.AT_LEAST, GateDirection.BELOW
+    assert monotone_direction(spec(((), (Monomial(2.0, ((1, 1),)),))), 1) == 1
+    assert monotone_direction(spec(((), (Monomial(-2.0, ((1, 2), (0, 1))),))), 1) == -1
+    assert monotone_direction(spec(((), (Monomial(2.0, ((0, 1),)),))), 1) == 0
+    assert monotone_direction(spec(((gate(up),), (Monomial(5.0),))), 1) == 1
+    assert monotone_direction(spec(((gate(down),), (Monomial(5.0),))), 1) == -1
+    assert monotone_direction(spec(((gate(up),), (Monomial(-5.0),))), 1) == -1
+    assert monotone_direction(spec(((gate(up),), (Monomial(5.0), Monomial(-1.0)))), 1) is None
+    assert monotone_direction(spec(((gate(up), gate(down, 0.9)), (Monomial(5.0),))), 1) is None
+    assert monotone_direction(spec(((), (Monomial(1.0, ((1, 1),)),)),
+                                   ((), (Monomial(-1.0, ((1, 1),)),))), 1) is None
+    assert monotone_direction(spec(((gate(up),), ())), 1) == 0
+    assert monotone_direction(spec(((), (Monomial(1.0, ((1, 64),)),))), 1) == 1
+    assert monotone_direction(spec(((), (Monomial(1.0, ((1, 65),)),))), 1) is None
+    assert monotone_direction(spec(((), (Monomial(1.0, ((1, 65),)),))), 2) == 0
+
+
+def test_certified_powers_keep_grid_order():
+    """Each exponent `monotone_direction` certifies keeps the order of the
+    probability points of grids up to an audit's largest, through the
+    platform's `pow`: points at least 2**-14 apart."""
+    for points in (2, 3, 7, 21, 101, 9999, 10001):
+        grid = [k / (points - 1) for k in range(points)]
+        for exponent in range(1, 65):
+            powers = [p ** exponent for p in grid]
+            assert all(a <= b for a, b in zip(powers, powers[1:])), (points, exponent)
